@@ -230,16 +230,14 @@ pub fn render(cfg: &Table2Config, result: &Table2Result) -> String {
         ]);
     }
     let mut out = format!(
-        "Table II — execution times ({side}^3, density {dens}, rank {rank}, ZO schedule, buffer {buf:.2}, {kern} kernels, dimtree {dt})\n",
+        "Table II — execution times ({side}^3, density {dens}, rank {rank}, ZO schedule, buffer {buf:.2}, {kern} kernels)\n",
         side = cfg.side,
         dens = cfg.density,
         rank = cfg.rank,
         buf = cfg.buffer_fraction,
-        // The runs above dispatch through the same Auto resolution /
-        // TPCP_DIMTREE default, so these are the backend and MTTKRP path
-        // every Phase-1/Phase-2 row actually ran.
+        // The runs above dispatch through the same Auto resolution, so
+        // this is the backend every Phase-1/Phase-2 row actually ran.
         kern = KernelKind::auto().resolved().label(),
-        dt = if tpcp_cp::dimtree_auto() { "on" } else { "off" },
     );
     out.push_str(&render_table(
         &[
@@ -308,12 +306,8 @@ mod tests {
         assert!(table.contains("Naive CP (OOC)"));
         assert!(table.contains("2x2x2"));
         assert!(
-            table.contains(" kernels,"),
+            table.contains(" kernels)"),
             "title must attribute the active kernel backend"
-        );
-        assert!(
-            table.contains(", dimtree on)") || table.contains(", dimtree off)"),
-            "title must attribute the active MTTKRP path"
         );
         assert!(
             table.contains("Q-Hadamard fold"),

@@ -19,7 +19,7 @@
 //!    later modes contract an already-shrunk partial — the dimension-tree
 //!    reuse idea applied to the multi-TTM).
 //! 4. **CP on the core + expansion** — [`tpcp_cp::cp_als_dense`]
-//!    (dimtree-eligible: the core is small and dense) factorises `C`;
+//!    (on the contraction tree for an order ≥ 4 core) factorises `C`;
 //!    factors expand as `A_n = U_n · Â_n`; a short exact ALS polish over
 //!    the original tensor then absorbs the compression error.
 //!
@@ -272,7 +272,7 @@ fn sketched_bases(
 ///
 /// `options.compress` supplies the [`CompressOptions`] (defaults apply when
 /// `None`); the remaining [`AlsOptions`] fields (rank, tolerances, seed,
-/// thread budget, kernel, dimtree) govern the core factorisation and the
+/// thread budget, kernel) govern the core factorisation and the
 /// polish sweeps exactly as they would the uncompressed path.
 pub fn compress_decompose(
     src: &mut dyn BlockSource,
@@ -326,7 +326,7 @@ pub fn compress_decompose(
     core_opts.init = None;
     core_opts.compress = None;
     // The core's modes are at most `rank` wide on low-mlrank data, so cap
-    // nothing else; the caller's rank/tol/seed/dimtree apply unchanged.
+    // nothing else; the caller's rank/tol/seed apply unchanged.
     let core_report = cp_als_dense(&core, &core_opts)?;
 
     // Expand: A_n = U_n · Â_n. U_n has orthonormal columns, so the expanded

@@ -6,10 +6,11 @@
 //! agreement with the *original* tensor, which is what the paper's
 //! accuracy figures (Figure 13) report.
 
-use crate::Result;
+use crate::{Result, TwoPcpError};
 use tpcp_cp::CpModel;
-use tpcp_linalg::Mat;
-use tpcp_partition::{Block, BlockSource, Grid};
+use tpcp_linalg::{KernelKind, Mat};
+use tpcp_par::ParConfig;
+use tpcp_partition::{Block, BlockSource, Grid, SourceResult};
 use tpcp_tensor::{DenseTensor, SparseTensor};
 
 /// Exact fit of `model` against a dense tensor.
@@ -17,7 +18,7 @@ use tpcp_tensor::{DenseTensor, SparseTensor};
 /// # Errors
 /// Shape mismatches between model and tensor.
 pub fn exact_fit_dense(model: &CpModel, x: &DenseTensor) -> Result<f64> {
-    model.fit_dense(x).map_err(crate::TwoPcpError::from)
+    model.fit_dense(x).map_err(TwoPcpError::from)
 }
 
 /// Exact fit of `model` against a sparse tensor.
@@ -25,7 +26,7 @@ pub fn exact_fit_dense(model: &CpModel, x: &DenseTensor) -> Result<f64> {
 /// # Errors
 /// Shape mismatches between model and tensor.
 pub fn exact_fit_sparse(model: &CpModel, x: &SparseTensor) -> Result<f64> {
-    model.fit_sparse(x).map_err(crate::TwoPcpError::from)
+    model.fit_sparse(x).map_err(TwoPcpError::from)
 }
 
 /// The sub-model of `model` restricted to one grid block: each factor is
@@ -48,8 +49,47 @@ pub fn block_sub_model(model: &CpModel, grid: &Grid, block: usize) -> CpModel {
     }
 }
 
-/// Accumulator for the blockwise exact fit — the *one* range-walk both
-/// the eager and the streaming entry points share.
+/// One block's terms of the blockwise fit:
+/// `(‖X_k‖², ⟨X_k, X̂_k⟩, ‖X̂_k‖²)`.
+type BlockTerms = (f64, f64, f64);
+
+/// The terms of dense block `lin`. `⟨X_k, X̂_k⟩` comes off the last mode's
+/// MTTKRP of the block against the sliced factors
+/// ([`CpModel::inner_dense_kernel`]); `norm_sq` is `‖X_k‖²` when the
+/// caller already has it.
+fn dense_terms(
+    model: &CpModel,
+    grid: &Grid,
+    lin: usize,
+    block: &DenseTensor,
+    norm_sq: Option<f64>,
+    par: &ParConfig,
+    kernel: KernelKind,
+) -> Result<BlockTerms> {
+    let sub = block_sub_model(model, grid, lin);
+    let inner = sub.inner_dense_kernel(block, par, kernel)?;
+    let b_sq = norm_sq.unwrap_or_else(|| block.fro_norm_sq());
+    Ok((b_sq, inner, sub.norm_sq()))
+}
+
+/// The terms of sparse block `lin`.
+fn sparse_terms(
+    model: &CpModel,
+    grid: &Grid,
+    lin: usize,
+    block: &SparseTensor,
+    norm_sq: Option<f64>,
+) -> Result<BlockTerms> {
+    let sub = block_sub_model(model, grid, lin);
+    let inner = sub.inner_sparse(block)?;
+    let b_sq = norm_sq.unwrap_or_else(|| block.fro_norm_sq());
+    Ok((b_sq, inner, sub.norm_sq()))
+}
+
+/// Accumulator for the blockwise exact fit — the *one* sum both the eager
+/// and the streaming entry points share. Terms are pushed in ascending
+/// block order, which is what makes the value independent of how many
+/// workers produced them.
 #[derive(Default)]
 struct FitAcc {
     err_sq: f64,
@@ -57,35 +97,7 @@ struct FitAcc {
 }
 
 impl FitAcc {
-    fn add_dense(
-        &mut self,
-        model: &CpModel,
-        grid: &Grid,
-        lin: usize,
-        block: &DenseTensor,
-    ) -> Result<()> {
-        let sub = block_sub_model(model, grid, lin);
-        let b_sq = block.fro_norm_sq();
-        let inner = sub.inner_dense(block).map_err(crate::TwoPcpError::from)?;
-        self.push(b_sq, inner, sub.norm_sq());
-        Ok(())
-    }
-
-    fn add_sparse(
-        &mut self,
-        model: &CpModel,
-        grid: &Grid,
-        lin: usize,
-        block: &SparseTensor,
-    ) -> Result<()> {
-        let sub = block_sub_model(model, grid, lin);
-        let b_sq = block.fro_norm_sq();
-        let inner = sub.inner_sparse(block).map_err(crate::TwoPcpError::from)?;
-        self.push(b_sq, inner, sub.norm_sq());
-        Ok(())
-    }
-
-    fn push(&mut self, b_sq: f64, inner: f64, m_sq: f64) {
+    fn push(&mut self, (b_sq, inner, m_sq): BlockTerms) {
         self.err_sq += (b_sq - 2.0 * inner + m_sq).max(0.0);
         self.x_sq += b_sq;
     }
@@ -111,18 +123,20 @@ impl FitAcc {
 /// # Errors
 /// Shape mismatches between the model slices and the blocks.
 pub fn blockwise_fit_dense(model: &CpModel, grid: &Grid, blocks: &[DenseTensor]) -> Result<f64> {
+    let (par, kernel) = (ParConfig::auto(), KernelKind::Auto);
     let mut acc = FitAcc::default();
     for (lin, block) in blocks.iter().enumerate() {
-        acc.add_dense(model, grid, lin, block)?;
+        acc.push(dense_terms(model, grid, lin, block, None, &par, kernel)?);
     }
     Ok(acc.fit())
 }
 
-/// Exact fit computed by re-streaming the ingest source blockwise — only
-/// one block of `X` is resident at a time, so the accuracy pass obeys the
-/// same memory bound as streaming Phase 1. Note the blockwise error sum
-/// can differ from the monolithic [`exact_fit_dense`] in the last few
-/// floating-point digits (different summation order).
+/// Exact fit computed by re-streaming the ingest source blockwise on the
+/// automatic thread budget — one batch of blocks is resident at a time, so
+/// the accuracy pass obeys the same memory bound as streaming Phase 1.
+/// Note the blockwise error sum can differ from the monolithic
+/// [`exact_fit_dense`] in the last few floating-point digits (different
+/// summation order).
 ///
 /// # Errors
 /// Source failures and shape mismatches between model slices and blocks.
@@ -131,12 +145,51 @@ pub fn blockwise_fit_source(
     grid: &Grid,
     src: &mut dyn BlockSource,
 ) -> Result<f64> {
+    blockwise_fit_stream(model, grid, src, None, &ParConfig::auto(), KernelKind::Auto)
+}
+
+/// [`blockwise_fit_source`] with the driver's plumbing: blocks are pulled
+/// one batch (= `par` threads) at a time and their terms computed by
+/// in-process workers exactly as Phase 1 decomposes them — same residency
+/// bound ([`crate::Phase1Result::peak_block_bytes`]), kernels serial
+/// inside a worker — and `‖X_k‖²` is taken from `block_norms_sq` (Phase 1
+/// measured it) instead of walking the block again. Terms are summed in
+/// ascending block order, so the value is bitwise the same for any thread
+/// budget, either backend, and with or without the norms supplied.
+///
+/// # Errors
+/// Source failures and shape mismatches between model slices and blocks.
+pub(crate) fn blockwise_fit_stream(
+    model: &CpModel,
+    grid: &Grid,
+    src: &mut dyn BlockSource,
+    block_norms_sq: Option<&[f64]>,
+    par: &ParConfig,
+    kernel: KernelKind,
+) -> Result<f64> {
+    let nblocks = grid.num_blocks();
+    debug_assert!(block_norms_sq.is_none_or(|n| n.len() == nblocks));
+    let batch_len = par.threads().max(1);
+    let serial = ParConfig::serial();
     let mut acc = FitAcc::default();
-    for lin in 0..grid.num_blocks() {
-        match src.load_block(grid, lin)? {
-            Block::Dense(b) => acc.add_dense(model, grid, lin, &b)?,
-            Block::Sparse(b) => acc.add_sparse(model, grid, lin, &b)?,
-        }
+    let mut start = 0usize;
+    while start < nblocks {
+        let end = (start + batch_len).min(nblocks);
+        let blocks: Vec<Block> = (start..end)
+            .map(|lin| src.load_block(grid, lin))
+            .collect::<SourceResult<_>>()?;
+        let terms = tpcp_par::par_map(par, &blocks, |i, block| {
+            let lin = start + i;
+            let norm_sq = block_norms_sq.map(|n| n[lin]);
+            match block {
+                Block::Dense(b) => dense_terms(model, grid, lin, b, norm_sq, &serial, kernel),
+                Block::Sparse(b) => sparse_terms(model, grid, lin, b, norm_sq),
+            }
+        })
+        .map_err(TwoPcpError::from)?;
+        drop(blocks);
+        terms.into_iter().for_each(|t| acc.push(t));
+        start = end;
     }
     Ok(acc.fit())
 }
@@ -157,6 +210,18 @@ mod tests {
         let model = CpModel::new(vec![1.0; f], factors).unwrap();
         let t = model.reconstruct_dense();
         (model, t)
+    }
+
+    /// A tensor the model does *not* fit exactly. At an exact fit the
+    /// error `‖X‖² − 2⟨X, X̂⟩ + ‖X̂‖²` is pure cancellation noise and the
+    /// fit resolves only to `√ε`; two summation orders (dense MTTKRP vs
+    /// the sparse per-non-zero walk) are comparable to 1e-9 away from it.
+    fn model_and_noisy_tensor(dims: &[usize], f: usize, seed: u64) -> (CpModel, DenseTensor) {
+        let (model, mut x) = model_and_tensor(dims, f, seed);
+        for v in x.as_mut_slice().iter_mut().step_by(3) {
+            *v += 0.5;
+        }
+        (model, x)
     }
 
     #[test]
@@ -186,10 +251,7 @@ mod tests {
 
     #[test]
     fn imperfect_model_fits_below_one() {
-        let (model, mut x) = model_and_tensor(&[6, 6, 6], 2, 9);
-        for v in x.as_mut_slice().iter_mut().step_by(3) {
-            *v += 0.5;
-        }
+        let (model, x) = model_and_noisy_tensor(&[6, 6, 6], 2, 9);
         let grid = Grid::uniform(x.dims(), 2);
         let blocks = split_dense(&x, &grid);
         let fit = blockwise_fit_dense(&model, &grid, &blocks).unwrap();
@@ -199,7 +261,7 @@ mod tests {
 
     #[test]
     fn streaming_fit_matches_eager_blockwise_fit() {
-        let (model, x) = model_and_tensor(&[8, 6, 4], 3, 4);
+        let (model, x) = model_and_noisy_tensor(&[8, 6, 4], 3, 4);
         let grid = Grid::new(x.dims(), &[2, 3, 2]);
         let blocks = split_dense(&x, &grid);
         let eager = blockwise_fit_dense(&model, &grid, &blocks).unwrap();
@@ -214,9 +276,95 @@ mod tests {
         assert!((streamed - sparse_streamed).abs() < 1e-9);
     }
 
+    /// Yields every other block of a dense tensor in COO form, so one
+    /// pass mixes the dense and the sparse terms.
+    struct MixedSource<'a>(tpcp_partition::DenseMemorySource<'a>);
+
+    impl BlockSource for MixedSource<'_> {
+        fn dims(&self) -> &[usize] {
+            self.0.dims()
+        }
+        fn load_block(&mut self, grid: &Grid, lin: usize) -> SourceResult<Block> {
+            let block = self.0.load_block(grid, lin)?;
+            Ok(match block {
+                Block::Dense(t) if lin % 2 == 1 => Block::Sparse(SparseTensor::from_dense(&t, 0.0)),
+                other => other,
+            })
+        }
+        fn bytes_loaded(&self) -> u64 {
+            self.0.bytes_loaded()
+        }
+    }
+
+    /// The fit pass as it was before it rode on the MTTKRP: every block's
+    /// inner product by a walk over its elements against the sub-model's
+    /// reconstruction.
+    fn per_element_fit(model: &CpModel, grid: &Grid, x: &DenseTensor) -> f64 {
+        let mut acc = FitAcc::default();
+        for (lin, block) in split_dense(x, grid).iter().enumerate() {
+            let sub = block_sub_model(model, grid, lin);
+            let recon = sub.reconstruct_dense();
+            let inner: f64 = block
+                .as_slice()
+                .iter()
+                .zip(recon.as_slice())
+                .map(|(a, b)| a * b)
+                .sum();
+            acc.push((block.fro_norm_sq(), inner, sub.norm_sq()));
+        }
+        acc.fit()
+    }
+
+    #[test]
+    fn parallel_fit_pass_is_bitwise_the_serial_one_and_tracks_the_element_walk() {
+        for (dims, parts) in [
+            (vec![9usize, 7, 8], vec![2usize, 3, 2]),
+            (vec![6, 5, 4, 5], vec![2, 2, 1, 3]),
+            (vec![4, 3, 4, 3, 4], vec![2, 1, 2, 1, 2]),
+        ] {
+            let (model, x) = model_and_noisy_tensor(&dims, 3, 7);
+            let grid = Grid::new(&dims, &parts);
+            let norms: Vec<f64> = split_dense(&x, &grid)
+                .iter()
+                .map(DenseTensor::fro_norm_sq)
+                .collect();
+            let oracle = per_element_fit(&model, &grid, &x);
+            assert!(oracle < 0.999, "the model must not fit exactly");
+
+            let mut baseline: Option<u64> = None;
+            for kernel in [KernelKind::Reference, KernelKind::Tiled] {
+                for threads in [1usize, 2, 4] {
+                    for norms in [None, Some(&norms[..])] {
+                        let par = ParConfig::with_threads(threads);
+                        let mut src = MixedSource(tpcp_partition::DenseMemorySource::new(&x));
+                        let fit =
+                            blockwise_fit_stream(&model, &grid, &mut src, norms, &par, kernel)
+                                .unwrap();
+                        assert!(
+                            (fit - oracle).abs() < 1e-9,
+                            "dims {dims:?}: {fit} vs per-element {oracle}"
+                        );
+                        let b = *baseline.get_or_insert(fit.to_bits());
+                        assert_eq!(
+                            b,
+                            fit.to_bits(),
+                            "dims {dims:?} {} t{threads} norms {}",
+                            kernel.label(),
+                            norms.is_some()
+                        );
+                    }
+                }
+            }
+            // The public wrapper is the same pass.
+            let mut src = MixedSource(tpcp_partition::DenseMemorySource::new(&x));
+            let public = blockwise_fit_source(&model, &grid, &mut src).unwrap();
+            assert_eq!(Some(public.to_bits()), baseline);
+        }
+    }
+
     #[test]
     fn sparse_fit_agrees_with_dense() {
-        let (model, x) = model_and_tensor(&[5, 5, 5], 2, 3);
+        let (model, x) = model_and_noisy_tensor(&[5, 5, 5], 2, 3);
         let sp = SparseTensor::from_dense(&x, 0.0);
         let d = exact_fit_dense(&model, &x).unwrap();
         let s = exact_fit_sparse(&model, &sp).unwrap();

@@ -66,8 +66,6 @@ pub struct EnvOverrides {
     pub mmap: Option<bool>,
     /// `TPCP_KERNEL` → compute-kernel backend.
     pub kernel: Option<KernelKind>,
-    /// `TPCP_DIMTREE` → dimension-tree MTTKRP path in the Phase-1 ALS.
-    pub dimtree: Option<bool>,
     /// `TPCP_COMPRESS` → compress-then-decompose pipeline in the driver.
     pub compress: Option<bool>,
     /// `TPCP_SERVE_ADDR` → serving daemon listen address.
@@ -87,7 +85,6 @@ impl EnvOverrides {
             shards: set(tpcp_storage::SHARDS_ENV_VAR).then(tpcp_storage::shards_auto),
             mmap: set(tpcp_storage::MMAP_ENV_VAR).then(tpcp_storage::mmap_auto),
             kernel: set(KERNEL_ENV_VAR).then(KernelKind::auto),
-            dimtree: set(tpcp_cp::DIMTREE_ENV_VAR).then(tpcp_cp::dimtree_auto),
             compress: set(tpcp_cp::COMPRESS_ENV_VAR).then(tpcp_cp::compress_auto),
             serve_addr: std::env::var(SERVE_ADDR_ENV_VAR).ok(),
         }
@@ -110,9 +107,6 @@ impl EnvOverrides {
         }
         if let Some(kernel) = self.kernel {
             config.kernel = kernel;
-        }
-        if let Some(dimtree) = self.dimtree {
-            config.dimtree = dimtree;
         }
         match self.compress {
             // `TPCP_COMPRESS=1` turns the pipeline on with default options
@@ -254,15 +248,6 @@ pub struct TwoPcpConfig {
     /// or tiled). Backends are bit-identical — factors, fits and swap
     /// counts never depend on this knob; it trades speed only.
     pub kernel: KernelKind,
-    /// Dimension-tree MTTKRP in the Phase-1 per-block ALS: reuse partial
-    /// contractions across the modes of each sweep (~2× fewer flops for
-    /// order ≥ 4). Unlike `kernel` and `mmap` this knob *does* change the
-    /// floating-point contraction order, so Phase-1 factors are
-    /// tolerance- rather than bitwise-equivalent to the per-mode path
-    /// (`docs/dimtree.md`); swap counts and the Phase-2 schedule are
-    /// unaffected. Defaults to [`tpcp_cp::dimtree_auto`], i.e. the
-    /// `TPCP_DIMTREE` override or off.
-    pub dimtree: bool,
     /// Compress-then-decompose (`tpcp-compress`): stream per-mode Tucker
     /// bases, run CP on the small core, expand, then polish against the
     /// original tensor. `Some(options)` replaces the two-phase pipeline
@@ -300,7 +285,6 @@ impl TwoPcpConfig {
             shards: 1,
             mmap: false,
             kernel: KernelKind::Auto,
-            dimtree: false,
             compress: None,
         })
     }
@@ -311,7 +295,6 @@ impl TwoPcpConfig {
         TwoPcpConfigBuilder {
             config: TwoPcpConfig::new(0),
             rank_set: false,
-            dimtree_set: false,
             compress_set: false,
         }
     }
@@ -419,13 +402,6 @@ impl TwoPcpConfig {
         self
     }
 
-    /// Switches the Phase-1 dimension-tree MTTKRP path on or off
-    /// (tolerance-, not bitwise-, equivalent to the per-mode path).
-    pub fn dimtree(mut self, dimtree: bool) -> Self {
-        self.dimtree = dimtree;
-        self
-    }
-
     /// Enables compress-then-decompose with explicit [`CompressOptions`].
     pub fn compress(mut self, options: CompressOptions) -> Self {
         self.compress = Some(options);
@@ -488,7 +464,6 @@ impl TwoPcpConfig {
 pub struct TwoPcpConfigBuilder {
     config: TwoPcpConfig,
     rank_set: bool,
-    dimtree_set: bool,
     compress_set: bool,
 }
 
@@ -597,14 +572,6 @@ impl TwoPcpConfigBuilder {
         self
     }
 
-    /// Switches the Phase-1 dimension-tree MTTKRP path on or off
-    /// (tolerance-, not bitwise-, equivalent to the per-mode path).
-    pub fn dimtree(mut self, dimtree: bool) -> Self {
-        self.config = self.config.dimtree(dimtree);
-        self.dimtree_set = true;
-        self
-    }
-
     /// Enables compress-then-decompose with explicit [`CompressOptions`]
     /// (validated at [`build`](TwoPcpConfigBuilder::build)).
     pub fn compress(mut self, options: CompressOptions) -> Self {
@@ -627,8 +594,8 @@ impl TwoPcpConfigBuilder {
     /// [`ConfigError`] when the rank is zero or unset, the buffer
     /// fraction is not positive, the partition vector is empty or
     /// contains zeros, the shard count is zero, or the configuration
-    /// leaves the kernel backend (dimtree path) to a `TPCP_KERNEL`
-    /// (`TPCP_DIMTREE`) value that doesn't parse.
+    /// leaves the kernel backend (compress pipeline) to a `TPCP_KERNEL`
+    /// (`TPCP_COMPRESS`) value that doesn't parse.
     pub fn build(self) -> std::result::Result<TwoPcpConfig, ConfigError> {
         let c = &self.config;
         if !self.rank_set {
@@ -636,9 +603,6 @@ impl TwoPcpConfigBuilder {
         }
         if c.kernel == KernelKind::Auto {
             validate_kernel_override(std::env::var(KERNEL_ENV_VAR).ok().as_deref())?;
-        }
-        if !self.dimtree_set {
-            validate_dimtree_override(std::env::var(tpcp_cp::DIMTREE_ENV_VAR).ok().as_deref())?;
         }
         if !self.compress_set {
             validate_compress_override(std::env::var(tpcp_cp::COMPRESS_ENV_VAR).ok().as_deref())?;
@@ -685,28 +649,8 @@ fn validate_kernel_override(value: Option<&str>) -> std::result::Result<(), Conf
     Ok(())
 }
 
-/// Strict validation of a would-be `TPCP_DIMTREE` value, mirroring
-/// [`validate_kernel_override`]: the lenient reader
-/// ([`tpcp_cp::dimtree_auto`]) treats malformed values as "off", but a
-/// validating build should fail loudly instead of quietly running the
-/// per-mode path the operator asked to leave.
-fn validate_dimtree_override(value: Option<&str>) -> std::result::Result<(), ConfigError> {
-    if let Some(v) = value {
-        if !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "on" | "true" | "yes" | "0" | "off" | "false" | "no"
-        ) {
-            return Err(ConfigError::new(format!(
-                "{}: unrecognised value {v:?} (expected 1/on/true/yes or 0/off/false/no)",
-                tpcp_cp::DIMTREE_ENV_VAR
-            )));
-        }
-    }
-    Ok(())
-}
-
 /// Strict validation of a would-be `TPCP_COMPRESS` value, mirroring
-/// [`validate_dimtree_override`]: the lenient reader
+/// [`validate_kernel_override`]: the lenient reader
 /// ([`tpcp_cp::compress_auto`]) treats malformed values as "off", but a
 /// validating build should fail loudly instead of quietly running the
 /// uncompressed pipeline the operator asked to skip.
@@ -802,46 +746,6 @@ mod tests {
         assert!(validate_kernel_override(Some("reference")).is_ok());
         assert!(validate_kernel_override(Some("auto")).is_ok());
         assert!(validate_kernel_override(None).is_ok());
-    }
-
-    #[test]
-    fn dimtree_setters_chain() {
-        let cfg = TwoPcpConfig::new(4).dimtree(true);
-        assert!(cfg.dimtree);
-        let cfg = TwoPcpConfig::builder()
-            .rank(4)
-            .dimtree(true)
-            .build()
-            .unwrap();
-        assert!(cfg.dimtree);
-    }
-
-    #[test]
-    fn dimtree_env_override_applies() {
-        let overrides = EnvOverrides {
-            dimtree: Some(true),
-            ..Default::default()
-        };
-        let cfg = overrides.apply(TwoPcpConfig::new(4));
-        assert!(cfg.dimtree);
-        // Unset override leaves an explicit choice alone.
-        let cfg = EnvOverrides::default().apply(TwoPcpConfig::new(4).dimtree(true));
-        assert!(cfg.dimtree);
-    }
-
-    #[test]
-    fn garbage_dimtree_override_is_a_config_error_not_a_panic() {
-        let err = validate_dimtree_override(Some("garbage")).unwrap_err();
-        assert!(
-            err.reason.contains("TPCP_DIMTREE") && err.reason.contains("garbage"),
-            "error names the variable and the bad value: {}",
-            err.reason
-        );
-        // Both polarities (and whitespace/case slop) pass; absent passes.
-        for v in ["1", "on", "TRUE", " yes ", "0", "off", "False", "no"] {
-            assert!(validate_dimtree_override(Some(v)).is_ok(), "{v:?}");
-        }
-        assert!(validate_dimtree_override(None).is_ok());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The top-level two-phase driver.
 
-use crate::accuracy::blockwise_fit_source;
+use crate::accuracy::blockwise_fit_stream;
 use crate::config::TwoPcpConfig;
 use crate::phase1::{grid_for, run_phase1_mapreduce_source, run_phase1_source, Phase1Result};
 use crate::phase2::{refine, RefineStats};
@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use tpcp_compress::{compress_decompose, CompressProvenance};
 use tpcp_cp::{AlsOptions, CpModel};
 use tpcp_mapreduce::JobCounters;
-use tpcp_partition::{BlockSource, DenseMemorySource, SparseMemorySource};
+use tpcp_partition::{BlockSource, DenseMemorySource, Grid, SparseMemorySource};
 use tpcp_storage::{DiskStore, IoStats, MemStore, PrefetchSource, ShardedStore, UnitStore};
 use tpcp_tensor::{DenseTensor, SparseTensor};
 
@@ -178,11 +178,13 @@ impl TwoPcp {
         let phase2_time = t1.elapsed();
 
         // ---- Exact accuracy -------------------------------------------------
-        let fit = match exact {
-            ExactFit::Dense(x) => outcome.model.fit_dense(x)?,
-            ExactFit::Sparse(x) => outcome.model.fit_sparse(x)?,
-            ExactFit::Stream => blockwise_fit_source(&outcome.model, &phase1.grid, src)?,
-        };
+        let fit = self.exact_fit(
+            exact,
+            &outcome.model,
+            &phase1.grid,
+            src,
+            &phase1.block_norms_sq,
+        )?;
 
         Ok(TwoPcpOutcome {
             model: outcome.model,
@@ -193,6 +195,27 @@ impl TwoPcp {
             phase2_time,
             mr_counters: counters.snapshot(),
             compress: None,
+        })
+    }
+
+    /// The exact accuracy of `model` against the input. A streamed input
+    /// is re-read one batch of blocks at a time on the run's thread budget
+    /// and kernel, with the `‖X_k‖²` the decomposition already measured.
+    fn exact_fit(
+        &self,
+        exact: ExactFit<'_>,
+        model: &CpModel,
+        grid: &Grid,
+        src: &mut dyn BlockSource,
+        block_norms_sq: &[f64],
+    ) -> Result<f64> {
+        let cfg = &self.config;
+        Ok(match exact {
+            ExactFit::Dense(x) => model.fit_dense(x)?,
+            ExactFit::Sparse(x) => model.fit_sparse(x)?,
+            ExactFit::Stream => {
+                blockwise_fit_stream(model, grid, src, Some(block_norms_sq), &cfg.par, cfg.kernel)?
+            }
         })
     }
 
@@ -222,17 +245,12 @@ impl TwoPcp {
             init: None,
             par: cfg.par,
             kernel: cfg.kernel,
-            dimtree: cfg.dimtree,
             compress: cfg.compress.clone(),
         };
         let out = compress_decompose(src, &grid, &options)?;
         let phase1_time = t0.elapsed();
 
-        let fit = match exact {
-            ExactFit::Dense(x) => out.model.fit_dense(x)?,
-            ExactFit::Sparse(x) => out.model.fit_sparse(x)?,
-            ExactFit::Stream => blockwise_fit_source(&out.model, &grid, src)?,
-        };
+        let fit = self.exact_fit(exact, &out.model, &grid, src, &out.block_norms_sq)?;
 
         let num_blocks = grid.num_blocks();
         let peak_block_bytes = (0..num_blocks)

@@ -87,7 +87,6 @@ fn als_options(cfg: &TwoPcpConfig, block_seed: u64) -> AlsOptions {
         // block stay serial rather than oversubscribing the machine.
         par: ParConfig::serial(),
         kernel: cfg.kernel,
-        dimtree: cfg.dimtree,
         // Per-block tensors are already small; compressing them would be
         // pure overhead. Compression applies to the whole decomposition via
         // the driver (`TwoPcpConfig::compress`), never per Phase-1 block.
@@ -121,26 +120,37 @@ fn balance_weights(model: &mut CpModel) {
     model.weights.fill(1.0);
 }
 
-/// Decomposes one streamed block, returning its balanced model and fit.
-fn decompose_block(block: &Block, cfg: &TwoPcpConfig, seed: u64) -> Result<(CpModel, f64)> {
-    match block {
-        Block::Dense(t) => {
-            let report = cp_als_dense(t, &als_options(cfg, seed))?;
-            let mut model = report.model;
-            balance_weights(&mut model);
-            Ok((model, report.final_fit))
+/// What a Phase-1 worker hands back for one block.
+struct BlockOutcome {
+    /// The balanced block model.
+    model: CpModel,
+    /// The ALS fit reached.
+    fit: f64,
+    /// `‖X_k‖²`, measured once — by the ALS that needs it for its fit.
+    norm_sq: f64,
+}
+
+/// Decomposes one streamed block.
+fn decompose_block(block: &Block, cfg: &TwoPcpConfig, seed: u64) -> Result<BlockOutcome> {
+    let report = match block {
+        Block::Dense(t) => cp_als_dense(t, &als_options(cfg, seed))?,
+        Block::Sparse(t) if t.is_empty() => {
+            // Footnote 3: empty sub-tensors get zero factors.
+            return Ok(BlockOutcome {
+                model: CpModel::zeros(t.dims(), cfg.rank),
+                fit: 1.0,
+                norm_sq: t.fro_norm_sq(),
+            });
         }
-        Block::Sparse(t) => {
-            if t.is_empty() {
-                // Footnote 3: empty sub-tensors get zero factors.
-                return Ok((CpModel::zeros(t.dims(), cfg.rank), 1.0));
-            }
-            let report = cp_als_sparse(t, &als_options(cfg, seed))?;
-            let mut model = report.model;
-            balance_weights(&mut model);
-            Ok((model, report.final_fit))
-        }
-    }
+        Block::Sparse(t) => cp_als_sparse(t, &als_options(cfg, seed))?,
+    };
+    let mut model = report.model;
+    balance_weights(&mut model);
+    Ok(BlockOutcome {
+        model,
+        fit: report.final_fit,
+        norm_sq: report.norm_x_sq,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -297,7 +307,6 @@ pub fn run_phase1_source<S: UnitStore>(
         for lin in start..end {
             let block = src.load_block(&grid, lin)?;
             resident += block.payload_bytes() as u64;
-            block_norms_sq.push(block.fro_norm_sq());
             blocks.push(block);
         }
         ingested_bytes += resident;
@@ -307,10 +316,11 @@ pub fn run_phase1_source<S: UnitStore>(
         })
         .map_err(TwoPcpError::from)?;
         drop(blocks);
-        for (off, (model, fit)) in results.into_iter().enumerate() {
-            u_norm_sq.push(model.norm_sq());
-            block_fits.push(fit);
-            for (mode, factor) in model.factors.into_iter().enumerate() {
+        for (off, out) in results.into_iter().enumerate() {
+            block_norms_sq.push(out.norm_sq);
+            u_norm_sq.push(out.model.norm_sq());
+            block_fits.push(out.fit);
+            for (mode, factor) in out.model.factors.into_iter().enumerate() {
                 factor_inputs.push(((start + off) as u64, mode as u16, factor));
             }
         }

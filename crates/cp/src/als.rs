@@ -1,7 +1,7 @@
 //! The alternating-least-squares driver.
 
 use crate::compress::{validate_compress_options, CompressOptions};
-use crate::dimtree::{dimtree_auto, DimTree};
+use crate::dimtree::DimTree;
 use crate::model::fit_from_parts;
 use crate::{mttkrp_dense_kernel, mttkrp_sparse_par, CpError, CpModel, Result};
 use rand::rngs::StdRng;
@@ -34,13 +34,6 @@ pub struct AlsOptions {
     /// are bit-identical (see `tpcp_linalg::kernel`), so this knob trades
     /// speed only; the default honours `TPCP_KERNEL`.
     pub kernel: KernelKind,
-    /// Answer dense MTTKRPs from a dimension tree ([`DimTree`]), reusing
-    /// partial contractions across the modes of each sweep (~2× fewer
-    /// flops for order ≥ 4). Unlike `kernel` this changes the contraction
-    /// *order*, so results are tolerance- (not bitwise-) equivalent to the
-    /// per-mode path — see `docs/dimtree.md`. Ignored for sparse tensors
-    /// and order < 3. The default honours `TPCP_DIMTREE`.
-    pub dimtree: bool,
     /// Compress-then-decompose knobs carried to the `tpcp-compress` entry
     /// points and the `twopcp` driver. Plain [`cp_als_dense`] /
     /// [`cp_als_sparse`] ignore this field — it is plumbing, not a mode
@@ -62,7 +55,6 @@ impl Default for AlsOptions {
             init: None,
             par: ParConfig::auto(),
             kernel: KernelKind::Auto,
-            dimtree: dimtree_auto(),
             compress: None,
         }
     }
@@ -142,14 +134,6 @@ impl AlsOptionsBuilder {
         self
     }
 
-    /// Enables or disables the dimension-tree MTTKRP path (tolerance-,
-    /// not bitwise-, equivalent to the per-mode path; see
-    /// `docs/dimtree.md`).
-    pub fn dimtree(mut self, dimtree: bool) -> Self {
-        self.options.dimtree = dimtree;
-        self
-    }
-
     /// Attaches compress-then-decompose knobs (validated at
     /// [`build`](AlsOptionsBuilder::build); consumed by the
     /// `tpcp-compress` entry points, ignored by plain ALS).
@@ -205,37 +189,35 @@ pub struct AlsReport {
     pub fit_trace: Vec<f64>,
     /// `true` when the tolerance was met before `max_iters`.
     pub converged: bool,
+    /// `‖X‖²` of the input, as every entry of `fit_trace` measured it.
+    pub norm_x_sq: f64,
 }
+
+/// Dense orders from here up sweep on a [`DimTree`]. Order 3 stays on the
+/// fused dense-3 kernel: it is the tree's order-3 leaf specialisation and
+/// already near roofline, and the tree's internal node there is an
+/// `I·J × F` arena per worker (2 MiB on a 128³ block at rank 16 — see
+/// `docs/dimtree.md`). Below order 3 there is no partial product to share.
+const TREE_MIN_ORDER: usize = 4;
 
 /// Tensor abstraction letting one ALS loop serve both storage formats.
 trait AlsTensor {
     fn dims(&self) -> &[usize];
     fn norm_sq(&self) -> f64;
+    /// The contraction tree the sweeps of one decomposition share, for
+    /// the formats and orders that have one.
+    fn sweep_tree(&self, _rank: usize) -> Option<DimTree> {
+        None
+    }
+    /// Mode-`mode` MTTKRP, answered from `tree` when the sweep has one.
     fn mttkrp(
         &self,
+        tree: Option<&mut DimTree>,
         factors: &[&Mat],
         mode: usize,
         par: &ParConfig,
         kind: KernelKind,
     ) -> Result<Mat>;
-    /// A dimension tree over this tensor, when the format supports one
-    /// (dense, order ≥ 3). The default — no tree — makes `dimtree: true`
-    /// a silent no-op for the sparse path rather than an error.
-    fn dimtree(&self, _rank: usize) -> Option<DimTree> {
-        None
-    }
-    /// Mode-`mode` MTTKRP answered from the tree; formats without tree
-    /// support fall back to the per-mode path.
-    fn mttkrp_tree(
-        &self,
-        _tree: &mut DimTree,
-        factors: &[&Mat],
-        mode: usize,
-        par: &ParConfig,
-        kind: KernelKind,
-    ) -> Result<Mat> {
-        self.mttkrp(factors, mode, par, kind)
-    }
 }
 
 impl AlsTensor for DenseTensor {
@@ -245,27 +227,24 @@ impl AlsTensor for DenseTensor {
     fn norm_sq(&self) -> f64 {
         self.fro_norm_sq()
     }
-    fn mttkrp(
-        &self,
-        factors: &[&Mat],
-        mode: usize,
-        par: &ParConfig,
-        kind: KernelKind,
-    ) -> Result<Mat> {
-        mttkrp_dense_kernel(self, factors, mode, par, kind)
-    }
-    fn dimtree(&self, rank: usize) -> Option<DimTree> {
+    fn sweep_tree(&self, rank: usize) -> Option<DimTree> {
+        if self.order() < TREE_MIN_ORDER {
+            return None;
+        }
         DimTree::new(DenseTensor::dims(self), rank)
     }
-    fn mttkrp_tree(
+    fn mttkrp(
         &self,
-        tree: &mut DimTree,
+        tree: Option<&mut DimTree>,
         factors: &[&Mat],
         mode: usize,
         par: &ParConfig,
         kind: KernelKind,
     ) -> Result<Mat> {
-        tree.mttkrp(self, factors, mode, par, kind)
+        match tree {
+            Some(tree) => tree.mttkrp(self, factors, mode, par, kind),
+            None => mttkrp_dense_kernel(self, factors, mode, par, kind),
+        }
     }
 }
 
@@ -278,6 +257,7 @@ impl AlsTensor for SparseTensor {
     }
     fn mttkrp(
         &self,
+        _tree: Option<&mut DimTree>,
         factors: &[&Mat],
         mode: usize,
         par: &ParConfig,
@@ -343,7 +323,7 @@ fn als_loop<T: AlsTensor>(x: &T, options: &AlsOptions) -> Result<AlsReport> {
         .iter()
         .map(|a| a.gram_kernel(&options.par, options.kernel))
         .collect();
-    let mut tree = if options.dimtree { x.dimtree(f) } else { None };
+    let mut tree = x.sweep_tree(f);
     let mut fit_trace = Vec::with_capacity(options.max_iters);
     let mut prev_fit = f64::NEG_INFINITY;
     let mut converged = false;
@@ -360,10 +340,7 @@ fn als_loop<T: AlsTensor>(x: &T, options: &AlsOptions) -> Result<AlsReport> {
         let mut running: Option<Mat> = None;
         for mode in 0..order {
             let refs: Vec<&Mat> = factors.iter().collect();
-            let m = match tree.as_mut() {
-                Some(t) => x.mttkrp_tree(t, &refs, mode, &options.par, options.kernel)?,
-                None => x.mttkrp(&refs, mode, &options.par, options.kernel)?,
-            };
+            let m = x.mttkrp(tree.as_mut(), &refs, mode, &options.par, options.kernel)?;
             let mut s = match &running {
                 Some(prefix) => prefix.clone(),
                 None if order > 1 => grams[1].clone(),
@@ -430,6 +407,7 @@ fn als_loop<T: AlsTensor>(x: &T, options: &AlsOptions) -> Result<AlsReport> {
         final_fit,
         fit_trace,
         converged,
+        norm_x_sq,
     })
 }
 
@@ -549,10 +527,6 @@ mod tests {
             max_iters: 40,
             tol: 1e-12,
             seed: 1,
-            // The sparse path has no dimension tree; keep the dense run on
-            // the per-mode path too (else TPCP_DIMTREE=1 makes the
-            // trajectories tolerance- rather than bitwise-equal).
-            dimtree: false,
             ..Default::default()
         };
         let dense_report = cp_als_dense(&t, &opts).unwrap();
@@ -634,57 +608,25 @@ mod tests {
     }
 
     #[test]
-    fn dimtree_path_tracks_per_mode_path() {
+    fn tree_sweep_tracks_the_sparse_per_mode_path() {
+        // Order 4 sweeps on the contraction tree; the sparse path sums one
+        // Hadamard row per non-zero — an independent association of the
+        // same contraction, so the trajectories agree to rounding.
         let t = low_rank_tensor(&[5, 4, 3, 4], 3, 0.1, 13);
-        let base = AlsOptions {
+        let sp = SparseTensor::from_dense(&t, 0.0);
+        let opts = AlsOptions {
             rank: 3,
             max_iters: 20,
             tol: 0.0,
             ..Default::default()
         };
-        let per_mode = cp_als_dense(
-            &t,
-            &AlsOptions {
-                dimtree: false,
-                ..base.clone()
-            },
-        )
-        .unwrap();
-        let dimtree = cp_als_dense(
-            &t,
-            &AlsOptions {
-                dimtree: true,
-                ..base
-            },
-        )
-        .unwrap();
-        assert_eq!(per_mode.iterations, dimtree.iterations);
-        for (a, b) in per_mode.fit_trace.iter().zip(&dimtree.fit_trace) {
+        let tree = cp_als_dense(&t, &opts).unwrap();
+        let per_mode = cp_als_sparse(&sp, &opts).unwrap();
+        assert_eq!(per_mode.iterations, tree.iterations);
+        for (a, b) in per_mode.fit_trace.iter().zip(&tree.fit_trace) {
             assert!((a - b).abs() < 1e-9, "fit diverged: {a} vs {b}");
         }
-    }
-
-    #[test]
-    fn dimtree_on_low_order_tensor_falls_back() {
-        // Order 2 has no tree; `dimtree: true` must be a silent no-op.
-        let t = low_rank_tensor(&[8, 6], 2, 0.0, 31);
-        let opts = AlsOptions {
-            rank: 2,
-            max_iters: 50,
-            tol: 1e-10,
-            dimtree: true,
-            ..Default::default()
-        };
-        let with = cp_als_dense(&t, &opts).unwrap();
-        let without = cp_als_dense(
-            &t,
-            &AlsOptions {
-                dimtree: false,
-                ..opts
-            },
-        )
-        .unwrap();
-        assert_eq!(with.fit_trace, without.fit_trace);
+        assert_eq!(tree.norm_x_sq, t.fro_norm_sq());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::{CpError, Result};
 
 /// Name of the environment variable that opts the driver into the
 /// compress-then-decompose mode (`1`/`on`/`true`/`yes`, like
-/// `TPCP_DIMTREE`).
+/// `TPCP_MMAP`).
 pub const COMPRESS_ENV_VAR: &str = "TPCP_COMPRESS";
 
 /// Whether `TPCP_COMPRESS` asks for the compressed path. Unset and

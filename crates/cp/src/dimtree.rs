@@ -1,11 +1,10 @@
-//! Dimension-tree MTTKRP: reuse partial contractions across the modes of
-//! one ALS sweep (Ballard/Hayashi/Kannan, arXiv:1806.07985).
+//! The contraction tree: how a dense tensor is contracted with the factors
+//! (Ballard/Hayashi/Kannan, arXiv:1806.07985).
 //!
-//! The per-mode path recomputes `X_(n) · KR([A⁽ʰ⁾]_{h≠n})` from scratch for
-//! every mode — `2·N·|X|·F` flops per sweep. A dimension tree contracts the
-//! tensor against *groups* of factors once and shares the partial products:
-//! the root holds `X` itself, each internal node over a contiguous mode
-//! range `S = [lo, hi)` holds the partial product
+//! An MTTKRP `X_(n) · KR([A⁽ʰ⁾]_{h≠n})` contracts the tensor against every
+//! factor but one. A dimension tree contracts against *groups* of factors
+//! and keeps the partial products: the root holds `X` itself, each
+//! internal node over a contiguous mode range `S = [lo, hi)` holds
 //!
 //! ```text
 //! Y_S[(i_S), s] = Σ_{i∉S} X[i] · ∏_{h∉S} A⁽ʰ⁾[i_h, s]
@@ -13,23 +12,28 @@
 //!
 //! (an `∏_{h∈S} I_h × F` matrix, rows in row-major last-mode-fastest order,
 //! exactly matching `DenseTensor`'s layout), and each leaf `{n}` *is* the
-//! mode-`n` MTTKRP. A sweep therefore pays the two big `O(|X|·F)` root
-//! contractions once and descends with cheap per-node folds — roughly half
-//! the flops for order ≥ 4, two thirds for order 3 (see
-//! `docs/dimtree.md` for the exact count).
+//! mode-`n` MTTKRP. Only the root's children read the tensor — one banded
+//! GEMM against the sibling range's Khatri-Rao product each — and
+//! everything below is a cheap per-row fold.
+//!
+//! The tree is evaluated two ways (`docs/dimtree.md`):
+//!
+//! * **sweep** — the ALS loop keeps one tree per decomposition, so a sweep
+//!   over all modes pays the two `O(|X|·F)` root contractions once and
+//!   descends with the folds (roughly half the flops of `N` independent
+//!   MTTKRPs for order ≥ 4), with arenas allocated once and reused;
+//! * **one-shot** — `mttkrp_dense_kernel` evaluates a single root→leaf
+//!   path on a throw-away tree: one GEMM, then folds.
 //!
 //! A node depends only on the factors *outside* its range, so updating
 //! factor `n` invalidates exactly the nodes whose range excludes `n` — the
 //! complement formulation of "invalidate the updated leaf's ancestors'
-//! siblings" used in the literature. Values live in per-node arenas
-//! allocated once and reused across sweeps.
+//! siblings" used in the literature.
 //!
 //! Determinism contract (same shape as `docs/kernels.md`): one accumulator
 //! per node element with the reduction index ascending, and parallelism
 //! only ever bands *output* rows — results are bitwise run-to-run and
-//! thread-count stable, for both kernel backends. Against the per-mode
-//! path the tree is **tolerance**-equivalent, not bitwise: the contraction
-//! associates the same sum differently.
+//! thread-count stable, for both kernel backends.
 
 use crate::mttkrp::check_factors;
 use crate::{CpError, Result};
@@ -38,25 +42,8 @@ use tpcp_par::{par_chunks_mut, tile_rows_per_chunk, ParConfig};
 use tpcp_schedule::{AccessSequence, UnitId};
 use tpcp_tensor::DenseTensor;
 
-/// Name of the environment variable that opts the ALS sweep into the
-/// dimension-tree MTTKRP path (`1`/`on`/`true`/`yes`, like `TPCP_MMAP`).
-pub const DIMTREE_ENV_VAR: &str = "TPCP_DIMTREE";
-
-/// Whether `TPCP_DIMTREE` asks for the dimension-tree path. Unset and
-/// malformed values mean "off" (the validating config builders reject
-/// malformed values loudly instead).
-pub fn dimtree_auto() -> bool {
-    match std::env::var(DIMTREE_ENV_VAR) {
-        Ok(v) => matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "on" | "true" | "yes"
-        ),
-        Err(_) => false,
-    }
-}
-
 /// Work (parent elements × rank) below which a node contraction stays on
-/// the calling thread (same floor as the per-mode MTTKRP).
+/// the calling thread (same floor as the fused dense-3 MTTKRP).
 const PAR_MIN_WORK: usize = 1 << 13;
 
 /// "No node" sentinel for parent/child links.
@@ -103,11 +90,12 @@ pub struct DimTree {
 }
 
 impl DimTree {
-    /// Builds the tree for an order-`N ≥ 3` tensor at a positive rank;
-    /// returns `None` otherwise (order < 3 has nothing to share — the ALS
-    /// loop falls back to the per-mode path).
+    /// Builds the tree for an order-`N ≥ 2` tensor at a positive rank;
+    /// returns `None` otherwise (an order-1 root is its own leaf — there
+    /// is nothing to contract). At order 2 the two leaves are the root's
+    /// children: a plain `matmul` and `t_matmul` against the other factor.
     pub fn new(dims: &[usize], rank: usize) -> Option<Self> {
-        if dims.len() < 3 || rank == 0 {
+        if dims.len() < 2 || rank == 0 {
             return None;
         }
         let mut nodes = Vec::with_capacity(2 * dims.len() - 1);
@@ -142,7 +130,7 @@ impl DimTree {
 
     /// Flops spent in node evaluations since the last call (resets the
     /// counter): `2·rows(parent)·F` per contraction plus the sibling
-    /// Khatri-Rao materialisation. Feeds `BENCH_dimtree.json`.
+    /// Khatri-Rao materialisation.
     pub fn take_flops(&mut self) -> u64 {
         std::mem::take(&mut self.flops)
     }
@@ -427,8 +415,10 @@ fn build(
     idx
 }
 
-/// The flops the per-mode baseline spends on one full MTTKRP sweep
-/// (`2·|X|·F` per mode) — the denominator of `BENCH_dimtree.json`'s ratio.
+/// The model flops of one full MTTKRP sweep evaluated mode by mode
+/// (`2·|X|·F` per mode) — the numerator of the e2e benchmark's
+/// `cp.mttkrp_gflops` and the yardstick a tree sweep's
+/// [`DimTree::take_flops`] is compared against.
 pub fn per_mode_sweep_flops(dims: &[usize], rank: usize) -> u64 {
     let elems: u64 = dims.iter().map(|&d| d as u64).product();
     2 * elems * rank as u64 * dims.len() as u64
@@ -465,7 +455,7 @@ impl AccessSequence for SweepSequence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mttkrp_dense_kernel;
+    use crate::mttkrp::reference_mttkrp;
     use rand::SeedableRng;
     use tpcp_tensor::random_factor;
 
@@ -481,7 +471,7 @@ mod tests {
 
     #[test]
     fn tree_shape_is_binary_over_contiguous_ranges() {
-        for order in 3..=6 {
+        for order in 2..=6 {
             let dims: Vec<usize> = (0..order).map(|i| 2 + i).collect();
             let tree = DimTree::new(&dims, 2).unwrap();
             assert_eq!(tree.nodes.len(), 2 * order - 1);
@@ -502,15 +492,20 @@ mod tests {
     }
 
     #[test]
-    fn rejects_low_order_and_zero_rank() {
-        assert!(DimTree::new(&[4, 4], 2).is_none());
+    fn rejects_order_one_and_zero_rank() {
+        assert!(DimTree::new(&[4], 2).is_none());
         assert!(DimTree::new(&[4, 4, 4], 0).is_none());
-        assert!(DimTree::new(&[4, 4, 4], 1).is_some());
+        assert!(DimTree::new(&[4, 4], 1).is_some());
     }
 
     #[test]
-    fn matches_per_mode_path_on_all_modes_and_orders() {
-        for dims in [vec![4, 5, 3], vec![3, 4, 2, 5], vec![2, 3, 2, 3, 2]] {
+    fn matches_the_materialised_reference_on_all_modes_and_orders() {
+        for dims in [
+            vec![4, 5],
+            vec![4, 5, 3],
+            vec![3, 4, 2, 5],
+            vec![2, 3, 2, 3, 2],
+        ] {
             let f = 3;
             let (t, factors) = fixtures(&dims, f, 17);
             let refs: Vec<&Mat> = factors.iter().collect();
@@ -520,7 +515,7 @@ mod tests {
                 let fast = tree
                     .mttkrp(&t, &refs, mode, &par, KernelKind::Auto)
                     .unwrap();
-                let slow = mttkrp_dense_kernel(&t, &refs, mode, &par, KernelKind::Auto).unwrap();
+                let slow = reference_mttkrp(&t, &refs, mode);
                 let scale = slow.fro_norm().max(1.0);
                 assert!(
                     fast.max_abs_diff(&slow).unwrap() / scale < 1e-12,
@@ -545,7 +540,7 @@ mod tests {
             let from_tree = tree
                 .mttkrp(&t, &refs, mode, &par, KernelKind::Reference)
                 .unwrap();
-            let direct = mttkrp_dense_kernel(&t, &refs, mode, &par, KernelKind::Reference).unwrap();
+            let direct = reference_mttkrp(&t, &refs, mode);
             let scale = direct.fro_norm().max(1.0);
             assert!(
                 from_tree.max_abs_diff(&direct).unwrap() / scale < 1e-12,

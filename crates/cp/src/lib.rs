@@ -25,7 +25,7 @@ pub use compress::{
     compress_auto, validate_compress_options, CompressOptions, CompressOptionsBuilder,
     COMPRESS_ENV_VAR,
 };
-pub use dimtree::{dimtree_auto, per_mode_sweep_flops, DimTree, SweepSequence, DIMTREE_ENV_VAR};
+pub use dimtree::{per_mode_sweep_flops, DimTree, SweepSequence};
 pub use model::CpModel;
 pub use mttkrp::{
     mttkrp_dense, mttkrp_dense_kernel, mttkrp_dense_par, mttkrp_sparse, mttkrp_sparse_par,

@@ -1,8 +1,9 @@
 //! The CP model: weighted rank-one components.
 
-use crate::{CpError, Result};
-use tpcp_linalg::{hadamard_all, Mat};
-use tpcp_tensor::{DenseTensor, SparseTensor};
+use crate::{mttkrp_dense_kernel, CpError, Result};
+use tpcp_linalg::{hadamard_all, KernelKind, Mat};
+use tpcp_par::ParConfig;
+use tpcp_tensor::{advance_index, DenseTensor, SparseTensor};
 
 /// A rank-`F` CP decomposition: `X̃ = Σ_f λ_f · a⁽¹⁾_f ∘ … ∘ a⁽ᴺ⁾_f`.
 ///
@@ -96,36 +97,51 @@ impl CpModel {
         total.max(0.0)
     }
 
-    /// Inner product `⟨X, X̃⟩` against a dense tensor.
+    /// Inner product `⟨X, X̃⟩` against a dense tensor, on the automatic
+    /// thread budget and kernel backend; see
+    /// [`CpModel::inner_dense_kernel`].
     ///
     /// # Errors
     /// [`CpError::BadFactors`] when shapes disagree.
     pub fn inner_dense(&self, x: &DenseTensor) -> Result<f64> {
+        self.inner_dense_kernel(x, &ParConfig::auto(), KernelKind::Auto)
+    }
+
+    /// Inner product `⟨X, X̃⟩` against a dense tensor, read off the last
+    /// mode's MTTKRP: `⟨X, X̃⟩ = Σ_s λ_s · Σ_i M[i, s] · A⁽ᴺ⁾[i, s]` with
+    /// `M = X_(N) · KR([A⁽ʰ⁾]_{h<N})` from [`mttkrp_dense_kernel`] — the
+    /// same contraction (and the same kernels) an ALS sweep runs, instead
+    /// of a walk over every element. Bit-identical for any thread budget
+    /// and backend.
+    ///
+    /// # Errors
+    /// [`CpError::BadFactors`] when shapes disagree.
+    pub fn inner_dense_kernel(
+        &self,
+        x: &DenseTensor,
+        par: &ParConfig,
+        kind: KernelKind,
+    ) -> Result<f64> {
         self.check_dims(x.dims())?;
-        let order = self.order();
+        // An order-0 model fails the MTTKRP's mode check below.
+        let mode = self.order().saturating_sub(1);
+        let refs: Vec<&Mat> = self.factors.iter().collect();
+        let m = mttkrp_dense_kernel(x, &refs, mode, par, kind)?;
+        let a = &self.factors[mode];
         let f = self.rank();
-        let dims = x.dims();
-        let mut total = 0.0;
-        let mut coords = vec![0usize; order];
-        let mut prod = vec![0.0f64; f];
-        for (lin, &v) in x.as_slice().iter().enumerate() {
-            if v == 0.0 {
-                continue;
-            }
-            let mut rem = lin;
-            for m in (0..order).rev() {
-                coords[m] = rem % dims[m];
-                rem /= dims[m];
-            }
-            prod.copy_from_slice(&self.weights);
-            for (m, &c) in coords.iter().enumerate() {
-                for (p, &a) in prod.iter_mut().zip(self.factors[m].row(c)) {
-                    *p *= a;
+        let mut per_component = vec![0.0f64; f];
+        if f > 0 {
+            for (m_row, a_row) in m.as_slice().chunks(f).zip(a.as_slice().chunks(f)) {
+                for ((c, &mv), &av) in per_component.iter_mut().zip(m_row).zip(a_row) {
+                    *c += mv * av;
                 }
             }
-            total += v * prod.iter().sum::<f64>();
         }
-        Ok(total)
+        Ok(per_component
+            .iter()
+            .zip(&self.weights)
+            .map(|(c, w)| c * w)
+            .sum())
     }
 
     /// Inner product `⟨X, X̃⟩` against a sparse tensor.
@@ -170,31 +186,41 @@ impl CpModel {
         Ok(fit_from_parts(x_sq, inner, self.norm_sq()))
     }
 
-    /// Materialises the reconstruction densely (tests / small tensors).
+    /// Materialises the reconstruction densely (tests, dataset generators).
+    ///
+    /// Walks last-mode fibres: the weighted product of the outer modes'
+    /// rows, `λ ⊛ A⁽¹⁾[i₁] ⊛ … ⊛ A⁽ᴺ⁻¹⁾[i_{N−1}]`, is formed once per fibre
+    /// and each cell is its dot product with a last-mode row. Every cell's
+    /// multiplies and its ascending-`f` sum run in mode order, so the
+    /// values do not depend on how the walk is organised.
     pub fn reconstruct_dense(&self) -> DenseTensor {
         let dims = self.dims();
         let mut out = DenseTensor::zeros(&dims);
         if out.is_empty() {
             return out;
         }
-        let order = self.order();
-        let f = self.rank();
-        let mut coords = vec![0usize; order];
-        let mut prod = vec![0.0f64; f];
-        let data = out.as_mut_slice();
-        for (lin, slot) in data.iter_mut().enumerate() {
-            let mut rem = lin;
-            for m in (0..order).rev() {
-                coords[m] = rem % dims[m];
-                rem /= dims[m];
-            }
-            prod.copy_from_slice(&self.weights);
-            for (m, &c) in coords.iter().enumerate() {
-                for (p, &a) in prod.iter_mut().zip(self.factors[m].row(c)) {
-                    *p *= a;
+        let Some((last, outer)) = self.factors.split_last() else {
+            out.as_mut_slice()[0] = self.weights.iter().sum();
+            return out;
+        };
+        let run = last.rows();
+        let mut coords = vec![0usize; outer.len()];
+        let mut hoisted = vec![0.0f64; self.rank()];
+        for fibre in out.as_mut_slice().chunks_mut(run) {
+            hoisted.copy_from_slice(&self.weights);
+            for (factor, &c) in outer.iter().zip(&coords) {
+                for (h, &a) in hoisted.iter_mut().zip(factor.row(c)) {
+                    *h *= a;
                 }
             }
-            *slot = prod.iter().sum::<f64>();
+            for (i, slot) in fibre.iter_mut().enumerate() {
+                *slot = hoisted
+                    .iter()
+                    .zip(last.row(i))
+                    .map(|(&h, &a)| h * a)
+                    .sum::<f64>();
+            }
+            advance_index(&dims[..outer.len()], &mut coords);
         }
         out
     }
@@ -227,6 +253,78 @@ pub(crate) fn fit_from_parts(x_sq: f64, inner: f64, model_sq: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+
+    /// The per-element definition of the reconstruction (coordinates by
+    /// div/mod, `N·F` multiplies per cell) — the oracle the fibre walk of
+    /// [`CpModel::reconstruct_dense`] must match bit for bit, and the walk
+    /// [`CpModel::inner_dense`] used to be.
+    fn reconstruct_reference(model: &CpModel) -> DenseTensor {
+        let dims = model.dims();
+        let mut out = DenseTensor::zeros(&dims);
+        let mut coords = vec![0usize; dims.len()];
+        let mut prod = vec![0.0f64; model.rank()];
+        for (lin, slot) in out.as_mut_slice().iter_mut().enumerate() {
+            let mut rem = lin;
+            for m in (0..dims.len()).rev() {
+                coords[m] = rem % dims[m];
+                rem /= dims[m];
+            }
+            prod.copy_from_slice(&model.weights);
+            for (m, &c) in coords.iter().enumerate() {
+                for (p, &a) in prod.iter_mut().zip(model.factors[m].row(c)) {
+                    *p *= a;
+                }
+            }
+            *slot = prod.iter().sum::<f64>();
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Ragged orders 1–5, rank 1–7, some weights zeroed: the fibre
+        /// walk equals the per-element definition bitwise, and the
+        /// MTTKRP-based inner product equals the per-element one to
+        /// rounding.
+        #[test]
+        fn reconstruction_and_inner_product_match_the_per_element_walk(
+            dims in proptest::collection::vec(1usize..6, 1..6),
+            f in 1usize..8,
+            zeroed in 0usize..8,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let factors: Vec<Mat> = dims
+                .iter()
+                .map(|&d| tpcp_tensor::random_factor(d, f, &mut rng))
+                .collect();
+            let mut weights: Vec<f64> = (0..f).map(|s| 0.5 + s as f64).collect();
+            weights[zeroed % f] = 0.0;
+            let model = CpModel::new(weights, factors).unwrap();
+            let fast = model.reconstruct_dense();
+            let slow = reconstruct_reference(&model);
+            let bits = |t: &DenseTensor| -> Vec<u64> {
+                t.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&fast), bits(&slow), "dims {:?} rank {}", dims, f);
+
+            let x = tpcp_tensor::random_dense(&dims, &mut rng);
+            let walked: f64 = x
+                .as_slice()
+                .iter()
+                .zip(slow.as_slice())
+                .map(|(a, b)| a * b)
+                .sum();
+            let inner = model.inner_dense(&x).unwrap();
+            prop_assert!(
+                (inner - walked).abs() <= 1e-10 * walked.abs().max(1.0),
+                "dims {:?} rank {}: {} vs {}", dims, f, inner, walked
+            );
+        }
+    }
 
     /// A fixed rank-2 3-mode model used across tests.
     fn sample_model() -> CpModel {

@@ -1,22 +1,25 @@
 //! MTTKRP: matricised tensor times Khatri-Rao product.
 //!
-//! `M = X_(n) · KR([A⁽ʰ⁾]_{h≠n})` is the dominant kernel of CP-ALS. Neither
-//! implementation materialises the Khatri-Rao product:
+//! `M = X_(n) · KR([A⁽ʰ⁾]_{h≠n})` is the dominant kernel of CP-ALS. No path
+//! materialises the full Khatri-Rao product or an unfolding:
 //!
 //! * the dense 3-mode path streams contiguous mode-2 fibres and performs a
-//!   small GEMM per fibre (`O(|X|·F)` flops, `O(F)` scratch);
-//! * the generic dense path walks the tensor linearly with an odometer over
-//!   coordinates (no div/mod per element);
+//!   small GEMM per fibre (`O(|X|·F)` flops, `O(F)` scratch) — the order-3
+//!   leaf specialisation of the contraction tree;
+//! * every other dense order evaluates one root→leaf path of a throw-away
+//!   [`DimTree`]: a banded GEMM of the tensor against the Khatri-Rao
+//!   product of *half* the modes, then per-row folds (`docs/dimtree.md`);
 //! * the sparse path accumulates one scaled Hadamard row product per
 //!   non-zero.
 //!
 //! All three paths are parallel on the shared [`tpcp_par`] budget and
-//! **deterministic**: the fused 3-mode kernel blocks over the *output* mode
-//! (each output row is accumulated by exactly one worker, in serial order),
-//! while the generic and sparse paths reduce per-chunk accumulators over a
+//! **deterministic**: the dense paths block over *output* rows (each
+//! output element is accumulated by exactly one worker, reduction index
+//! ascending), while the sparse path reduces per-chunk accumulators over a
 //! chunking that depends only on the input size, merged in ascending chunk
 //! order. Results are therefore bit-identical for any thread count.
 
+use crate::dimtree::DimTree;
 use crate::{CpError, Result};
 use tpcp_linalg::{Kernel, KernelKind, Mat};
 use tpcp_par::{fixed_chunk_size, par_chunks_mut_scratch, par_chunks_reduce_scratch, ParConfig};
@@ -25,8 +28,8 @@ use tpcp_tensor::{DenseTensor, SparseTensor};
 /// Work (elements × rank) below which a kernel stays on the calling thread.
 const PAR_MIN_WORK: usize = 1 << 13;
 
-/// Reduction chunking for the generic/sparse paths: at least this many
-/// elements (or non-zeros) per chunk…
+/// Reduction chunking for the sparse path: at least this many non-zeros
+/// per chunk…
 const REDUCE_MIN_CHUNK: usize = 512;
 
 /// …and at most this many chunks, bounding accumulator allocations and the
@@ -91,11 +94,11 @@ pub fn mttkrp_dense_par(
 
 /// [`mttkrp_dense`] on an explicit thread budget and kernel backend.
 ///
-/// The backend applies to the fused dense 3-mode path (the per-fibre
-/// [`Kernel::mttkrp_tile`]/[`Kernel::mttkrp_scatter`] ops); the generic
-/// N-mode odometer path is backend-independent. All backends are
-/// bit-identical (see `tpcp_linalg::kernel`), so this knob trades speed
-/// only.
+/// Order 3 runs the fused per-fibre kernel
+/// ([`Kernel::mttkrp_tile`]/[`Kernel::mttkrp_scatter`]); every other order
+/// is one root→leaf evaluation of a throw-away [`DimTree`] (at order 2 a
+/// plain `matmul`/`t_matmul` against the other factor). All backends are
+/// bit-identical (see `tpcp_linalg::kernel`), so `kind` trades speed only.
 ///
 /// # Errors
 /// [`CpError::BadFactors`] on shape inconsistencies.
@@ -107,11 +110,23 @@ pub fn mttkrp_dense_kernel(
     kind: KernelKind,
 ) -> Result<Mat> {
     let f = check_factors(x.dims(), factors, mode)?;
-    let par = par.clamped(x.len() * f, PAR_MIN_WORK);
-    if x.order() == 3 {
-        return Ok(mttkrp_dense3(x, factors, mode, f, &par, kind.resolve()));
+    if f == 0 || x.is_empty() {
+        return Ok(Mat::zeros(x.dims()[mode], f));
     }
-    Ok(mttkrp_dense_generic(x, factors, mode, f, &par))
+    match x.order() {
+        // Nothing to contract against: every column is `X` itself.
+        1 => {
+            let cells = x.as_slice().iter().flat_map(|&v| std::iter::repeat_n(v, f));
+            Ok(Mat::from_vec(x.len(), f, cells.collect()))
+        }
+        3 => {
+            let par = par.clamped(x.len() * f, PAR_MIN_WORK);
+            Ok(mttkrp_dense3(x, factors, mode, f, &par, kind.resolve()))
+        }
+        _ => DimTree::new(x.dims(), f)
+            .expect("order >= 2 at a positive rank")
+            .mttkrp(x, factors, mode, par, kind),
+    }
 }
 
 /// Specialised 3-mode path: iterate `(i, j)` pairs, treating the contiguous
@@ -214,82 +229,6 @@ fn mttkrp_dense3(
     out
 }
 
-/// Row-major coordinates of linear element `idx` (last mode fastest).
-#[cfg(test)]
-fn linear_to_coords(idx: usize, dims: &[usize]) -> Vec<usize> {
-    let mut coords = vec![0usize; dims.len()];
-    linear_to_coords_into(idx, dims, &mut coords);
-    coords
-}
-
-/// [`linear_to_coords`] into a caller-owned buffer (worker-local scratch).
-fn linear_to_coords_into(mut idx: usize, dims: &[usize], coords: &mut [usize]) {
-    for (c, &d) in coords.iter_mut().zip(dims).rev() {
-        *c = idx % d;
-        idx /= d;
-    }
-}
-
-/// Generic N-mode dense path with an incremental coordinate odometer,
-/// parallelised as a fixed-chunk ordered reduction over the element range
-/// (chunk boundaries depend only on the tensor size, so results are
-/// bit-identical for any thread count).
-fn mttkrp_dense_generic(
-    x: &DenseTensor,
-    factors: &[&Mat],
-    mode: usize,
-    f: usize,
-    par: &ParConfig,
-) -> Mat {
-    let dims = x.dims();
-    let order = dims.len();
-    let n = x.len();
-    if n == 0 {
-        return Mat::zeros(dims[mode], f);
-    }
-    let data = x.as_slice();
-    let chunk = fixed_chunk_size(n, REDUCE_MIN_CHUNK, REDUCE_MAX_CHUNKS);
-    par_chunks_reduce_scratch(
-        par,
-        n,
-        chunk,
-        || Mat::zeros(dims[mode], f),
-        || (vec![0usize; order], vec![0.0f64; f]),
-        |range, acc, (coords, prod)| {
-            linear_to_coords_into(range.start, dims, coords);
-            for &v in &data[range] {
-                if v != 0.0 {
-                    prod.fill(v);
-                    for (h, &c) in coords.iter().enumerate() {
-                        if h == mode {
-                            continue;
-                        }
-                        for (p, &a) in prod.iter_mut().zip(factors[h].row(c)) {
-                            *p *= a;
-                        }
-                    }
-                    let out_row = acc.row_mut(coords[mode]);
-                    for (o, &p) in out_row.iter_mut().zip(prod.iter()) {
-                        *o += p;
-                    }
-                }
-                // Odometer increment (row-major, last mode fastest).
-                for m in (0..order).rev() {
-                    coords[m] += 1;
-                    if coords[m] < dims[m] {
-                        break;
-                    }
-                    coords[m] = 0;
-                }
-            }
-        },
-        |mut a, b| {
-            a.add_assign(&b).expect("accumulator shapes agree");
-            a
-        },
-    )
-}
-
 /// Sparse (COO) MTTKRP for mode `mode`, computed on the shared automatic
 /// thread budget (`TPCP_THREADS`); see [`mttkrp_sparse_par`].
 ///
@@ -355,20 +294,21 @@ pub fn mttkrp_sparse_par(
     ))
 }
 
+/// The materialised definition `unfold · khatri_rao` — the oracle the
+/// dense paths are tested against.
+#[cfg(test)]
+pub(crate) fn reference_mttkrp(x: &DenseTensor, factors: &[&Mat], mode: usize) -> Mat {
+    let others: Vec<&Mat> = (0..factors.len())
+        .filter(|&h| h != mode)
+        .map(|h| factors[h])
+        .collect();
+    let kr = tpcp_linalg::khatri_rao(&others).unwrap();
+    x.unfold(mode).unwrap().matmul(&kr).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpcp_linalg::khatri_rao;
-
-    fn reference_mttkrp(x: &DenseTensor, factors: &[&Mat], mode: usize) -> Mat {
-        // Materialised definition: unfold · KR.
-        let others: Vec<&Mat> = (0..factors.len())
-            .filter(|&h| h != mode)
-            .map(|h| factors[h])
-            .collect();
-        let kr = khatri_rao(&others).unwrap();
-        x.unfold(mode).unwrap().matmul(&kr).unwrap()
-    }
 
     fn rand_tensor_and_factors(dims: &[usize], f: usize, seed: u64) -> (DenseTensor, Vec<Mat>) {
         use rand::SeedableRng;
@@ -396,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_generic_matches_reference_4mode() {
+    fn dense_tree_matches_reference_4mode() {
         let (t, factors) = rand_tensor_and_factors(&[3, 2, 4, 2], 3, 5);
         let refs: Vec<&Mat> = factors.iter().collect();
         for mode in 0..4 {
@@ -410,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_generic_matches_2mode_matrix_product() {
+    fn dense_matches_2mode_matrix_product() {
         // For a matrix, MTTKRP over mode 0 is X · B.
         let (t, factors) = rand_tensor_and_factors(&[4, 3], 2, 7);
         let refs: Vec<&Mat> = factors.iter().collect();
@@ -460,21 +400,5 @@ mod tests {
         assert!(mttkrp_dense(&t, &[&good, &good, &good], 3).is_err());
         // The mode's own factor rows are NOT validated (it is replaced).
         assert!(mttkrp_dense(&t, &[&bad_rows, &good, &good], 0).is_ok());
-    }
-
-    #[test]
-    fn linear_to_coords_round_trips() {
-        let dims = [3usize, 4, 2, 5];
-        let mut expect = vec![0usize; 4];
-        for idx in 0..dims.iter().product::<usize>() {
-            assert_eq!(linear_to_coords(idx, &dims), expect, "idx {idx}");
-            for m in (0..4).rev() {
-                expect[m] += 1;
-                if expect[m] < dims[m] {
-                    break;
-                }
-                expect[m] = 0;
-            }
-        }
     }
 }

@@ -1,105 +1,107 @@
-//! Determinism and equivalence contract of the dimension-tree MTTKRP.
+//! Determinism and correctness contract of the dense contraction engine
+//! (`docs/dimtree.md`): the one-shot `mttkrp_dense_kernel` and the
+//! `DimTree` sweeps the ALS loop runs on.
 //!
-//! Two distinct claims, pinned separately (`docs/dimtree.md`):
-//!
-//! 1. **Bitwise determinism of the tree itself**: for a fixed
-//!    configuration, the dimtree path is bitwise run-to-run stable and
-//!    bitwise thread-count stable, at both kernel backends — one
-//!    accumulator per node element, reduction index ascending, parallelism
-//!    banding output rows only.
-//! 2. **Tolerance-bounded agreement with the per-mode path**: the tree
-//!    associates the same contraction differently (it sums over factor
-//!    *groups* instead of one fused Khatri-Rao sweep), so exact bitwise
-//!    identity with `mttkrp_dense_kernel` is impossible — but every MTTKRP,
-//!    every ALS factor and the whole fit trace must agree within a small
-//!    relative tolerance, and the iteration counts must match.
+//! 1. **Correct**: every MTTKRP agrees with the materialised definition
+//!    `unfold · khatri_rao` within a small relative tolerance — the tree
+//!    sums factor *groups* at internal nodes, the definition one fused
+//!    Khatri-Rao row per element, and floating-point addition does not
+//!    associate.
+//! 2. **Bitwise deterministic**: run to run, across thread budgets and
+//!    across both kernel backends — one accumulator per node element,
+//!    reduction index ascending, parallelism banding output rows only —
+//!    and the contract survives the whole ALS loop.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use tpcp_cp::{cp_als_dense, mttkrp_dense_kernel, AlsOptions, DimTree, KernelKind};
-use tpcp_linalg::Mat;
+use tpcp_cp::{cp_als_dense, mttkrp_dense_kernel, AlsOptions, CpModel, DimTree, KernelKind};
+use tpcp_linalg::{khatri_rao, Mat};
 use tpcp_par::ParConfig;
 use tpcp_tensor::DenseTensor;
 
 const THREAD_BUDGETS: [usize; 4] = [1, 2, 4, 7];
 const KINDS: [KernelKind; 2] = [KernelKind::Reference, KernelKind::Tiled];
 
-/// Relative tolerance for tree-vs-per-mode agreement of a single MTTKRP.
-/// Both paths sum the same ≤ ~17⁵·32 products in different orders; the
-/// error of either against the exact sum is bounded by `n·ε·Σ|terms|`,
-/// and these dims keep that far below 1e-10 of the result norm.
+/// Relative tolerance against the materialised reference. Both sides sum
+/// the same ≤ ~8⁵·16 products in different orders; the error of either
+/// against the exact sum is bounded by `n·ε·Σ|terms|`, and these dims keep
+/// that far below 1e-10 of the result norm.
 const MTTKRP_RTOL: f64 = 1e-10;
 
 fn bits(m: &Mat) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-fn rand_tensor_and_factors(dims: &[usize], f: usize, seed: u64) -> (DenseTensor, Vec<Mat>) {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let t = tpcp_tensor::random_dense(dims, &mut rng);
-    let factors = dims
-        .iter()
-        .map(|&d| tpcp_tensor::random_factor(d, f, &mut rng))
-        .collect();
-    (t, factors)
+fn rand_factors(dims: &[usize], f: usize, rng: &mut rand::rngs::StdRng) -> Vec<Mat> {
+    dims.iter()
+        .map(|&d| tpcp_tensor::random_factor(d, f, rng))
+        .collect()
 }
 
-/// One full sweep over `dims` at rank `f`: pins (a) bitwise run-to-run and
-/// thread-count stability of the tree at both backends and (b) relative
-/// agreement with the per-mode path on every mode.
-fn check_sweep(dims: &[usize], f: usize, seed: u64) {
-    let (t, factors) = rand_tensor_and_factors(dims, f, seed);
-    let refs: Vec<&Mat> = factors.iter().collect();
+/// Materialised reference: unfold(mode) · KR(other factors).
+fn reference_mttkrp(x: &DenseTensor, factors: &[&Mat], mode: usize) -> Mat {
+    let others: Vec<&Mat> = (0..factors.len())
+        .filter(|&h| h != mode)
+        .map(|h| factors[h])
+        .collect();
+    let kr = khatri_rao(&others).unwrap();
+    x.unfold(mode).unwrap().matmul(&kr).unwrap()
+}
+
+fn assert_close(fast: &Mat, x: &DenseTensor, factors: &[&Mat], mode: usize, what: &str) {
+    let slow = reference_mttkrp(x, factors, mode);
+    let scale = slow.fro_norm().max(1.0);
+    let diff = fast.max_abs_diff(&slow).unwrap() / scale;
+    prop_assert!(
+        diff < MTTKRP_RTOL,
+        "{what}: dims {:?} mode {mode}: rel diff {diff:e}",
+        x.dims()
+    );
+}
+
+/// Every mode one-shot, then two ALS-shaped sweeps on one tree (each
+/// mode's factor replaced after its MTTKRP, so the second sweep answers
+/// from partials the first left valid): all of it within tolerance of the
+/// reference and bitwise equal across thread budgets and backends.
+fn check_contraction(dims: &[usize], f: usize, seed: u64) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let t = tpcp_tensor::random_dense(dims, &mut rng);
+    let initial = rand_factors(dims, f, &mut rng);
+    let replacements = [
+        rand_factors(dims, f, &mut rng),
+        rand_factors(dims, f, &mut rng),
+    ];
+
+    let mut baseline: Option<Vec<Vec<u64>>> = None;
     for kind in KINDS {
-        let mut baseline: Option<Vec<Vec<u64>>> = None;
         for threads in THREAD_BUDGETS {
             let par = ParConfig::with_threads(threads);
-            // Two runs from fresh trees: run-to-run stability.
-            let run = || -> Vec<Mat> {
-                let mut tree = DimTree::new(dims, f).expect("order >= 3");
-                (0..dims.len())
-                    .map(|mode| tree.mttkrp(&t, &refs, mode, &par, kind).unwrap())
-                    .collect()
-            };
-            let (first, second) = (run(), run());
-            let first_bits: Vec<Vec<u64>> = first.iter().map(bits).collect();
-            prop_assert_eq!(
-                &first_bits,
-                &second.iter().map(bits).collect::<Vec<_>>(),
-                "run-to-run instability: dims {:?} rank {} {} t{}",
-                dims,
-                f,
-                kind.label(),
-                threads
-            );
-            // Thread-count stability against the 1-thread baseline.
-            match &baseline {
-                None => baseline = Some(first_bits),
-                Some(b) => prop_assert_eq!(
-                    b,
-                    &first_bits,
-                    "thread-count instability: dims {:?} rank {} {} t{}",
-                    dims,
-                    f,
-                    kind.label(),
-                    threads
-                ),
+            let what = format!("rank {f} {} t{threads}", kind.label());
+            let mut produced = Vec::new();
+
+            let refs: Vec<&Mat> = initial.iter().collect();
+            for mode in 0..dims.len() {
+                let m = mttkrp_dense_kernel(&t, &refs, mode, &par, kind).unwrap();
+                assert_close(&m, &t, &refs, mode, &format!("one-shot {what}"));
+                produced.push(bits(&m));
             }
-            // Tolerance-bounded agreement with the per-mode path.
-            for (mode, fast) in first.iter().enumerate() {
-                let slow = mttkrp_dense_kernel(&t, &refs, mode, &par, kind).unwrap();
-                let scale = slow.fro_norm().max(1.0);
-                let diff = fast.max_abs_diff(&slow).unwrap() / scale;
-                prop_assert!(
-                    diff < MTTKRP_RTOL,
-                    "dims {:?} mode {} rank {} {} t{}: rel diff {:e}",
-                    dims,
-                    mode,
-                    f,
-                    kind.label(),
-                    threads,
-                    diff
-                );
+
+            let mut tree = DimTree::new(dims, f).expect("order >= 2, rank >= 1");
+            let mut live = initial.clone();
+            for replacement in &replacements {
+                for mode in 0..dims.len() {
+                    let refs: Vec<&Mat> = live.iter().collect();
+                    let m = tree.mttkrp(&t, &refs, mode, &par, kind).unwrap();
+                    assert_close(&m, &t, &refs, mode, &format!("sweep {what}"));
+                    produced.push(bits(&m));
+                    live[mode] = replacement[mode].clone();
+                    tree.factor_updated(mode);
+                }
+            }
+
+            match &baseline {
+                None => baseline = Some(produced),
+                Some(b) => prop_assert_eq!(b, &produced, "not bitwise stable: {}", what),
             }
         }
     }
@@ -108,109 +110,121 @@ fn check_sweep(dims: &[usize], f: usize, seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Order-3 ragged shapes across the rank range: the smallest tree
-    /// (three leaves, one internal node) with singleton-sibling weights.
+    /// Order 2: both leaves hang off the root — a plain `matmul` and
+    /// `t_matmul` against the other factor.
     #[test]
-    fn dimtree_order3(
-        d0 in 3usize..12, d1 in 3usize..12, d2 in 3usize..12,
+    fn contraction_order2(
+        d0 in 1usize..40, d1 in 1usize..40, f in 1usize..33, seed in 0u64..1000,
+    ) {
+        check_contraction(&[d0, d1], f, seed);
+    }
+
+    /// Order 3: the one-shot path is the fused dense-3 kernel, the tree
+    /// has one internal node with singleton-sibling weights.
+    #[test]
+    fn contraction_order3(
+        d0 in 1usize..12, d1 in 1usize..12, d2 in 1usize..12,
         f in 1usize..33, seed in 0u64..1000,
     ) {
-        check_sweep(&[d0, d1, d2], f, seed);
+        check_contraction(&[d0, d1, d2], f, seed);
     }
 
-    /// Order-4 ragged shapes: the balanced tree where both root children
-    /// carry two-mode Khatri-Rao sibling weights.
+    /// Order 4: the balanced tree where both root children carry two-mode
+    /// Khatri-Rao sibling weights.
     #[test]
-    fn dimtree_order4(
-        d0 in 2usize..9, d1 in 2usize..9, d2 in 2usize..9, d3 in 2usize..9,
+    fn contraction_order4(
+        d0 in 1usize..9, d1 in 1usize..9, d2 in 1usize..9, d3 in 1usize..9,
         f in 1usize..17, seed in 0u64..1000,
     ) {
-        check_sweep(&[d0, d1, d2, d3], f, seed);
+        check_contraction(&[d0, d1, d2, d3], f, seed);
     }
 
-    /// Order-5 ragged shapes: an unbalanced split (2|3) exercising
-    /// different left/right subtree depths and both non-root contraction
-    /// kinds below one parent.
+    /// Order 5: an unbalanced split (2|3) exercising different left/right
+    /// subtree depths and both non-root contraction kinds below one parent.
     #[test]
-    fn dimtree_order5(
-        d0 in 2usize..6, d1 in 2usize..6, d2 in 2usize..6,
-        d3 in 2usize..6, d4 in 2usize..6,
+    fn contraction_order5(
+        d0 in 1usize..6, d1 in 1usize..6, d2 in 1usize..6,
+        d3 in 1usize..6, d4 in 1usize..6,
         f in 1usize..9, seed in 0u64..1000,
     ) {
-        check_sweep(&[d0, d1, d2, d3, d4], f, seed);
-    }
-
-    /// Full ALS equivalence: with `dimtree` on, iteration counts match the
-    /// per-mode path exactly and factors/fit-trace agree within tolerance
-    /// — at both kernel backends.
-    #[test]
-    fn dimtree_als_tracks_per_mode(
-        d0 in 4usize..8, d1 in 4usize..8, d2 in 4usize..8, d3 in 3usize..6,
-        seed in 0u64..1000,
-    ) {
-        let dims = [d0, d1, d2, d3];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let t = tpcp_tensor::random_dense(&dims, &mut rng);
-        for kind in KINDS {
-            let base = AlsOptions {
-                rank: 3,
-                max_iters: 12,
-                tol: 0.0,
-                seed,
-                kernel: kind,
-                ..Default::default()
-            };
-            let slow = cp_als_dense(&t, &AlsOptions { dimtree: false, ..base.clone() }).unwrap();
-            let fast = cp_als_dense(&t, &AlsOptions { dimtree: true, ..base }).unwrap();
-            prop_assert_eq!(slow.iterations, fast.iterations);
-            for (i, (a, b)) in slow.fit_trace.iter().zip(&fast.fit_trace).enumerate() {
-                prop_assert!(
-                    (a - b).abs() < 1e-8,
-                    "{} iter {}: fit {} vs {}", kind.label(), i, a, b
-                );
-            }
-            for (h, (fa, fb)) in slow
-                .model
-                .factors
-                .iter()
-                .zip(&fast.model.factors)
-                .enumerate()
-            {
-                let scale = fa.fro_norm().max(1.0);
-                let diff = fa.max_abs_diff(fb).unwrap() / scale;
-                prop_assert!(diff < 1e-6, "{} factor {}: rel diff {:e}", kind.label(), h, diff);
-            }
-        }
+        check_contraction(&[d0, d1, d2, d3, d4], f, seed);
     }
 }
 
-/// The ALS driver with `dimtree` on is itself bitwise run-to-run and
-/// thread-count stable (the tree's determinism contract survives the full
-/// sweep loop, Gram caching and rebalancing included).
+/// The corners the ranges above only sometimes draw: a dimension of 1 in
+/// every position, and rank 1.
 #[test]
-fn dimtree_als_is_bitwise_reproducible_across_threads() {
-    let dims = [7usize, 6, 5, 4];
-    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let t = tpcp_tensor::random_dense(&dims, &mut rng);
-    for kind in KINDS {
-        let mut baseline: Option<Vec<f64>> = None;
-        for threads in THREAD_BUDGETS {
-            let opts = AlsOptions {
-                rank: 4,
-                max_iters: 8,
-                tol: 0.0,
-                kernel: kind,
-                dimtree: true,
-                par: ParConfig::with_threads(threads),
-                ..Default::default()
-            };
-            let a = cp_als_dense(&t, &opts).unwrap();
-            let b = cp_als_dense(&t, &opts).unwrap();
-            assert_eq!(a.fit_trace, b.fit_trace, "{} t{}", kind.label(), threads);
-            match &baseline {
-                None => baseline = Some(a.fit_trace),
-                Some(base) => {
-                    assert_eq!(base, &a.fit_trace, "{} t{}", kind.label(), threads)
+fn contraction_with_unit_dimensions_and_rank_one() {
+    for dims in [
+        vec![1usize, 7],
+        vec![6, 1],
+        vec![1, 5, 4, 3],
+        vec![5, 1, 4, 3],
+        vec![5, 4, 3, 1],
+        vec![3, 1, 1, 4, 2],
+        vec![1, 1, 1, 1],
+    ] {
+        check_contraction(&dims, 1, 17);
+        check_contraction(&dims, 5, 18);
+    }
+}
+
+/// An exact rank-`f` tensor whose factors are centred (entries in
+/// ±0.5), so the components are far from collinear and ALS converges
+/// without a swamp.
+fn exact_low_rank(dims: &[usize], f: usize, seed: u64) -> DenseTensor {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut factors = rand_factors(dims, f, &mut rng);
+    for factor in &mut factors {
+        for v in factor.as_mut_slice() {
+            *v -= 0.5;
+        }
+    }
+    CpModel::new(vec![1.0; f], factors)
+        .unwrap()
+        .reconstruct_dense()
+}
+
+/// The ALS driver on orders 4 and 5 — the orders that sweep on the tree —
+/// recovers exact low-rank data, and its whole trajectory (fit trace,
+/// weights, factors) is bitwise the same for every thread budget and
+/// backend: the tree's determinism contract survives the sweep loop, Gram
+/// caching and rebalancing included.
+#[test]
+fn als_on_the_tree_is_bitwise_reproducible_and_recovers_low_rank_data() {
+    // Sized so that the root contractions (elements × rank ≥ 2¹³) really
+    // fan out over the thread budget.
+    for dims in [vec![9usize, 8, 8, 7], vec![6, 5, 5, 4, 5]] {
+        let t = exact_low_rank(&dims, 3, 3);
+        let mut baseline: Option<(Vec<u64>, Vec<Vec<u64>>)> = None;
+        for kind in KINDS {
+            for threads in THREAD_BUDGETS {
+                let opts = AlsOptions {
+                    rank: 3,
+                    max_iters: 200,
+                    tol: 1e-14,
+                    seed: 1,
+                    kernel: kind,
+                    par: ParConfig::with_threads(threads),
+                    ..Default::default()
+                };
+                let report = cp_als_dense(&t, &opts).unwrap();
+                assert!(
+                    report.final_fit >= 1.0 - 1e-6,
+                    "dims {dims:?} {} t{threads}: fit {} after {} iterations",
+                    kind.label(),
+                    report.final_fit,
+                    report.iterations
+                );
+                let trace: Vec<u64> = report.fit_trace.iter().map(|v| v.to_bits()).collect();
+                let mut model: Vec<Vec<u64>> = report.model.factors.iter().map(bits).collect();
+                model.push(report.model.weights.iter().map(|v| v.to_bits()).collect());
+                match &baseline {
+                    None => baseline = Some((trace, model)),
+                    Some((base_trace, base_model)) => {
+                        assert_eq!(base_trace, &trace, "{} t{threads}", kind.label());
+                        assert_eq!(base_model, &model, "{} t{threads}", kind.label());
+                    }
                 }
             }
         }

@@ -1,11 +1,11 @@
 //! Parallel == serial equivalence for the MTTKRP kernels.
 //!
 //! The determinism contract of `tpcp-par` promises that every MTTKRP path
-//! (fused dense 3-mode, generic odometer, sparse) produces **bit-identical**
-//! results for any thread budget: the fused kernel partitions the output
-//! mode (each row accumulated by one worker in serial order) and the
-//! reduction paths use fixed, size-derived chunk boundaries merged in
-//! ascending order. These property tests pin that contract across tensor
+//! (fused dense 3-mode, contraction tree, sparse) produces **bit-identical**
+//! results for any thread budget: the dense paths partition *output* rows
+//! (each accumulated by one worker in serial order) and the sparse
+//! reduction uses fixed, size-derived chunk boundaries merged in ascending
+//! order. These property tests pin that contract across tensor
 //! orders 3–5, every mode, and thread budgets {1, 2, 4, 7}.
 //!
 //! Tensor sizes are chosen to exceed the kernels' internal
@@ -117,7 +117,7 @@ proptest! {
     }
 
     #[test]
-    fn dense_generic_order4_is_thread_invariant(
+    fn dense_tree_order4_is_thread_invariant(
         d0 in 7usize..9, d1 in 7usize..9, d2 in 7usize..9, d3 in 7usize..9,
         f in 6usize..11, seed in 0u64..1000,
     ) {
@@ -125,7 +125,7 @@ proptest! {
     }
 
     #[test]
-    fn dense_generic_order5_is_thread_invariant(
+    fn dense_tree_order5_is_thread_invariant(
         d0 in 4usize..6, d1 in 4usize..6, d2 in 4usize..6,
         d3 in 4usize..6, d4 in 4usize..6,
         f in 8usize..11, seed in 0u64..1000,
@@ -150,9 +150,10 @@ proptest! {
     }
 }
 
-/// Fixed multi-chunk regression: large enough that the generic and sparse
-/// reduction paths cut several 512-element chunks, so the ordered merge —
-/// not just single-chunk degeneration — is what the bitwise assertions pin.
+/// Fixed multi-chunk regression: large enough that the sparse reduction
+/// cuts several 512-element chunks (and the tree bands several row
+/// chunks), so the ordered merge — not just single-chunk degeneration — is
+/// what the bitwise assertions pin.
 #[test]
 fn multi_chunk_reduction_is_thread_invariant() {
     let dims = [9usize, 8, 7, 5];

@@ -388,8 +388,8 @@ where
 /// one scratch value and reuses it across every chunk it claims (the serial
 /// path builds exactly one). Accumulators stay per-chunk — they carry the
 /// results that merge in ascending chunk order — but pure workspace (the
-/// MTTKRP Hadamard-row buffer, odometer coordinates) no longer re-allocates
-/// per chunk. Scratch must not carry information between chunks, so the
+/// sparse MTTKRP's Hadamard-row buffer) no longer re-allocates per chunk.
+/// Scratch must not carry information between chunks, so the
 /// work-stealing chunk→worker assignment stays result-neutral.
 #[allow(clippy::too_many_arguments)]
 pub fn par_chunks_reduce_scratch<A, S, F, M>(

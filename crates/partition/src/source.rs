@@ -12,8 +12,9 @@
 //!   extraction logic exists in exactly one place);
 //! * [`FileTensorSource`] — an on-disk row-major `f64` file (raw, or with
 //!   the tiny self-describing header written by
-//!   [`FileTensorSource::write_dense`]), read slab-by-slab through a
-//!   bounded scratch buffer of one last-mode run;
+//!   [`FileTensorSource::write_dense`]), read in coalesced spans of
+//!   last-mode runs through a scratch buffer bounded by
+//!   `max(64 KiB, one run)`;
 //!
 //! plus a generator adapter in `tpcp-datasets` that synthesises blocks
 //! on demand from a seeded CP model.
@@ -23,7 +24,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use tpcp_tensor::{
-    multi_index, num_elements, strides, DenseTensor, SparseBuilder, SparseTensor, TensorError,
+    advance_index, multi_index, num_elements, strides, DenseTensor, SparseBuilder, SparseTensor,
+    TensorError,
 };
 
 /// Errors surfaced by block sources.
@@ -303,12 +305,23 @@ impl BlockSource for SparseMemorySource<'_> {
 /// (see [`FileTensorSource::write_dense`]).
 const RAW_MAGIC: &[u8; 8] = b"2PCPRAW1";
 
+/// Cap of the [`FileTensorSource`] read buffer: consecutive rows of the
+/// penultimate mode are fetched by one positioned read while their span
+/// fits in this many bytes.
+const SPAN_CAP_BYTES: usize = 64 << 10;
+
 /// A [`BlockSource`] over an on-disk row-major little-endian `f64` file.
 ///
-/// Blocks are cut with positioned reads: one contiguous last-mode run at
-/// a time, staged through a scratch buffer bounded by the longest run
-/// (`max_k part_len(last, k) × 8` bytes). Peak memory per request is
-/// therefore one block plus that scratch — never the tensor.
+/// Blocks are cut with positioned reads. Within a block, the last-mode
+/// runs of consecutive penultimate-mode rows sit `I_last` cells apart in
+/// the file, so one read fetches a *span* of rows — `(rows − 1)·I_last +
+/// run` cells, the gaps between the runs included — and the runs are
+/// copied out of it: as many rows per read as fit in 64 KiB, a single run
+/// per read when one run alone exceeds that. A span ends with its last
+/// run, so no read reaches past the block (or the file). Peak memory per
+/// request is one block plus the span buffer,
+/// [`scratch_bytes`](FileTensorSource::scratch_bytes)` ≤ max(64 KiB, one
+/// run)` — never the tensor.
 pub struct FileTensorSource {
     file: File,
     path: PathBuf,
@@ -406,9 +419,9 @@ impl FileTensorSource {
         &self.path
     }
 
-    /// Current scratch-buffer footprint in bytes (bounded by the longest
-    /// last-mode run of any block ever requested — the "+ scratch" term of
-    /// the streaming memory model).
+    /// Current scratch-buffer footprint in bytes — at most
+    /// `max(64 KiB, the longest last-mode run of any block ever requested)`,
+    /// the "+ scratch" term of the streaming memory model.
     pub fn scratch_bytes(&self) -> usize {
         self.scratch.capacity()
     }
@@ -431,6 +444,19 @@ impl FileTensorSource {
         f.flush()?;
         Ok(())
     }
+}
+
+/// Fills `buf` from `offset` — one `pread` on Unix, no separate `lseek`.
+#[cfg(unix)]
+fn read_exact_at(file: &mut File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// Fills `buf` from `offset`.
+#[cfg(not(unix))]
+fn read_exact_at(file: &mut File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)
 }
 
 fn write_header<W: Write>(w: &mut W, dims: &[usize]) -> std::io::Result<()> {
@@ -518,25 +544,51 @@ impl BlockSource for FileTensorSource {
         let src_strides = strides(&self.dims);
         let last = self.dims.len() - 1;
         let run = out_dims[last];
-        let outer_dims = &out_dims[..last];
-        let outer_count: usize = outer_dims.iter().product();
-        self.scratch.resize(run * 8, 0);
-        let dst = out.as_mut_slice();
-        for o in 0..outer_count {
-            let outer_idx = multi_index(outer_dims, o);
-            let mut cell_off = ranges[last].start;
-            for (m, &oi) in outer_idx.iter().enumerate() {
-                cell_off += (ranges[m].start + oi) * src_strides[m];
+        // Consecutive penultimate-mode rows are `pitch` cells apart in the
+        // file; an order-1 tensor is a single row.
+        let pitch = self.dims[last];
+        let rows = if last == 0 { 1 } else { out_dims[last - 1] };
+        let outer_dims = &out_dims[..last.saturating_sub(1)];
+        let cap_cells = SPAN_CAP_BYTES / 8;
+        let rows_per_read = if run >= cap_cells {
+            1
+        } else {
+            ((cap_cells - run) / pitch + 1).min(rows)
+        };
+        let span_bytes = ((rows_per_read - 1) * pitch + run) * 8;
+        if self.scratch.len() < span_bytes {
+            // A fresh exact allocation: growing in place could double the
+            // capacity past the documented bound.
+            self.scratch = vec![0; span_bytes];
+        }
+
+        // Cell offset of the block's first run; the outer index (every
+        // mode before the penultimate) then advances as an odometer.
+        let origin: usize = ranges
+            .iter()
+            .zip(&src_strides)
+            .map(|(r, s)| r.start * s)
+            .sum();
+        let mut outer_idx = vec![0usize; outer_dims.len()];
+        for group in out.as_mut_slice().chunks_mut(rows * run) {
+            let group_off = origin
+                + outer_idx
+                    .iter()
+                    .zip(&src_strides)
+                    .map(|(i, s)| i * s)
+                    .sum::<usize>();
+            for (chunk_idx, dst) in group.chunks_mut(rows_per_read * run).enumerate() {
+                let span_rows = dst.len() / run;
+                let span = &mut self.scratch[..((span_rows - 1) * pitch + run) * 8];
+                let cell_off = group_off + chunk_idx * rows_per_read * pitch;
+                read_exact_at(&mut self.file, span, self.data_offset + 8 * cell_off as u64)?;
+                for (dst_run, src_row) in dst.chunks_mut(run).zip(span.chunks(pitch * 8)) {
+                    for (slot, bytes) in dst_run.iter_mut().zip(src_row.chunks_exact(8)) {
+                        *slot = f64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+                    }
+                }
             }
-            self.file
-                .seek(SeekFrom::Start(self.data_offset + 8 * cell_off as u64))?;
-            self.file.read_exact(&mut self.scratch)?;
-            for (slot, bytes) in dst[o * run..(o + 1) * run]
-                .iter_mut()
-                .zip(self.scratch.chunks_exact(8))
-            {
-                *slot = f64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
-            }
+            advance_index(outer_dims, &mut outer_idx);
         }
         self.bytes_loaded += (out.len() * 8) as u64;
         Ok(Block::Dense(out))
@@ -621,8 +673,117 @@ mod tests {
             let mb = msrc.load_block(&g, lin).unwrap().into_dense();
             assert_eq!(fb, mb, "block {lin}");
         }
-        // Scratch stays bounded by one last-mode run.
-        assert!(fsrc.scratch_bytes() <= 3 * 8);
+        // Scratch stays bounded by max(64 KiB, one last-mode run).
+        assert!(fsrc.scratch_bytes() <= SPAN_CAP_BYTES.max(3 * 8));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every block of `grid` read from a file of `t` equals the in-memory
+    /// cut bitwise, the payload accounting matches, and the scratch bound
+    /// holds.
+    fn assert_file_blocks_match_memory(name: &str, t: &DenseTensor, grid: &Grid) {
+        let path = tmpfile(name);
+        FileTensorSource::write_dense(&path, t).unwrap();
+        let mut fsrc = FileTensorSource::open(&path).unwrap();
+        let mut msrc = DenseMemorySource::new(t);
+        let mut longest_run = 0;
+        for lin in 0..grid.num_blocks() {
+            let fb = fsrc.load_block(grid, lin).unwrap().into_dense();
+            let mb = msrc.load_block(grid, lin).unwrap().into_dense();
+            assert_eq!(fb.dims(), mb.dims(), "{name} block {lin}");
+            let bits = |b: &DenseTensor| -> Vec<u64> {
+                b.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&fb), bits(&mb), "{name} block {lin}");
+            longest_run = longest_run.max(*fb.dims().last().unwrap());
+        }
+        assert_eq!(fsrc.bytes_loaded(), msrc.bytes_loaded(), "{name}");
+        assert_eq!(fsrc.bytes_loaded(), (t.len() * 8) as u64, "{name}");
+        assert!(
+            fsrc.scratch_bytes() <= SPAN_CAP_BYTES.max(longest_run * 8),
+            "{name}: scratch {}",
+            fsrc.scratch_bytes()
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn span_reads_match_memory_on_ragged_grids_of_every_order() {
+        let cases: [(&[usize], &[usize]); 8] = [
+            (&[37], &[4]),
+            (&[9, 14], &[2, 3]),
+            (&[5, 7, 3], &[2, 3, 2]),
+            (&[4, 5, 3, 6], &[2, 2, 3, 2]),
+            (&[3, 4, 2, 5, 3], &[2, 3, 1, 2, 2]),
+            // One cell per block: every run is a single cell.
+            (&[3, 4, 5], &[3, 4, 5]),
+            (&[6, 4], &[6, 4]),
+            // One block: the last span ends on the file's last byte.
+            (&[4, 3, 5], &[1, 1, 1]),
+        ];
+        for (i, (dims, parts)) in cases.iter().enumerate() {
+            let t = seq_tensor(dims);
+            assert_file_blocks_match_memory(&format!("span{i}"), &t, &Grid::new(dims, parts));
+        }
+    }
+
+    #[test]
+    fn spans_straddling_the_cap_match_memory() {
+        let cap_cells = SPAN_CAP_BYTES / 8;
+        // Rows of 3500 cells cut into runs of 1750: two rows fit a span
+        // ((2−1)·3500 + 1750 ≤ 8192 < (3−1)·3500 + 1750), so the 5-row
+        // partitions are read as spans of 2 + 2 + 1 rows.
+        let t = seq_tensor(&[2, 10, 3500]);
+        assert_file_blocks_match_memory("cap_rows", &t, &Grid::new(t.dims(), &[2, 2, 2]));
+        // A run longer than the cap is read alone, whole.
+        let t = seq_tensor(&[3, cap_cells + 5]);
+        assert_file_blocks_match_memory("cap_run", &t, &Grid::new(t.dims(), &[2, 1]));
+        // Runs of exactly the cap.
+        let t = seq_tensor(&[3, 2 * cap_cells]);
+        assert_file_blocks_match_memory("cap_exact", &t, &Grid::new(t.dims(), &[1, 2]));
+    }
+
+    #[test]
+    fn scratch_bound_survives_a_growing_span() {
+        // 5-row blocks need a 40 000-byte span, the whole tensor then a
+        // 64 000-byte one: growing the buffer must not overshoot the cap.
+        let t = seq_tensor(&[10, 1000]);
+        let path = tmpfile("grow");
+        FileTensorSource::write_dense(&path, &t).unwrap();
+        let mut src = FileTensorSource::open(&path).unwrap();
+        src.load_block(&Grid::new(t.dims(), &[2, 1]), 0).unwrap();
+        assert_eq!(src.scratch_bytes(), 40_000);
+        let whole = src.load_block(&Grid::uniform(t.dims(), 1), 0).unwrap();
+        assert_eq!(whole.into_dense(), t);
+        assert!(
+            src.scratch_bytes() <= SPAN_CAP_BYTES,
+            "{}",
+            src.scratch_bytes()
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn truncated_file_is_a_typed_error_not_a_panic() {
+        let t = seq_tensor(&[4, 6, 5]);
+        let path = tmpfile("truncated");
+        FileTensorSource::write_dense(&path, &t).unwrap();
+        let g = Grid::new(t.dims(), &[2, 2, 1]);
+        let mut src = FileTensorSource::open(&path).unwrap();
+        // The file shrinks under the open source: the last block's final
+        // span now runs past the end.
+        let len = std::fs::metadata(&path).unwrap().len();
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 8)
+            .unwrap();
+        assert!(src.load_block(&g, 0).is_ok());
+        assert!(matches!(
+            src.load_block(&g, g.num_blocks() - 1),
+            Err(SourceError::Io(_))
+        ));
         let _ = std::fs::remove_file(&path);
     }
 

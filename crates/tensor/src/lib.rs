@@ -20,7 +20,7 @@ mod sparse;
 
 pub use dense::DenseTensor;
 pub use gen::{random_dense, random_factor, sparse_support_dense};
-pub use shape::{iter_indices, linear_index, multi_index, num_elements, strides};
+pub use shape::{advance_index, iter_indices, linear_index, multi_index, num_elements, strides};
 pub use sparse::{SparseBuilder, SparseTensor};
 
 /// Errors surfaced by tensor operations.

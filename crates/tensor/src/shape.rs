@@ -40,6 +40,20 @@ pub fn multi_index(dims: &[usize], mut lin: usize) -> Vec<usize> {
     idx
 }
 
+/// Advances `idx` to the next multi-index of `dims` in row-major order
+/// (last mode fastest), wrapping to all zeros after the last one — the
+/// allocation-free step of a walk that visits indices in sequence.
+pub fn advance_index(dims: &[usize], idx: &mut [usize]) {
+    debug_assert_eq!(dims.len(), idx.len());
+    for (i, &d) in idx.iter_mut().zip(dims).rev() {
+        *i += 1;
+        if *i < d {
+            return;
+        }
+        *i = 0;
+    }
+}
+
 /// Iterator over all multi-indices of `dims` in row-major order.
 ///
 /// Allocates one index buffer and yields it by value per step; intended for
@@ -77,6 +91,18 @@ mod tests {
         let idx = [1, 2, 3];
         let manual: usize = idx.iter().zip(&s).map(|(i, st)| i * st).sum();
         assert_eq!(linear_index(&dims, &idx), manual);
+    }
+
+    #[test]
+    fn advance_index_steps_like_multi_index_and_wraps() {
+        let dims = [3, 1, 4, 2];
+        let mut idx = vec![0usize; dims.len()];
+        for lin in 0..num_elements(&dims) {
+            assert_eq!(idx, multi_index(&dims, lin));
+            advance_index(&dims, &mut idx);
+        }
+        assert_eq!(idx, vec![0; dims.len()]);
+        advance_index(&[], &mut []);
     }
 
     #[test]

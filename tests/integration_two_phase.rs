@@ -156,7 +156,7 @@ fn uneven_partitions_work() {
     assert_eq!(outcome.model.dims(), vec![13, 11, 7]);
 }
 
-/// Four-mode tensors exercise the generic (non-3-mode) code paths.
+/// Four-mode tensors exercise the contraction-tree (non-3-mode) paths.
 #[test]
 fn four_mode_tensor_end_to_end() {
     let x = low_rank_dense(&[6, 6, 6, 6], 2, 0.02, 3);
