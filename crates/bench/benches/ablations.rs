@@ -22,8 +22,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use std::hint::black_box;
-use tpcp_cp::CpModel;
-use tpcp_linalg::{khatri_rao, solve, Mat};
+use tpcp_cp::{mttkrp_dense_kernel, CpModel};
+use tpcp_linalg::{khatri_rao, solve, KernelKind, Mat};
 use tpcp_par::ParConfig;
 use tpcp_partition::Grid;
 use tpcp_schedule::{gray_coords, hilbert_index, morton_index, ScheduleKind, UnitId};
@@ -116,7 +116,9 @@ fn bench_mttkrp_par(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0.0;
                 for mode in 0..3 {
-                    let m = tpcp_cp::mttkrp_dense_par(black_box(&x), &refs, mode, &par).unwrap();
+                    let m =
+                        mttkrp_dense_kernel(black_box(&x), &refs, mode, &par, KernelKind::Tiled)
+                            .unwrap();
                     acc += m.get(0, 0);
                 }
                 black_box(acc)

@@ -8,19 +8,17 @@
 //! * `zero_copy/read_*` — [`DiskStore`] reads of v1/v2 pages through the
 //!   buffered scratch path vs the mmap path (the full swap transport:
 //!   open/stat, load, checksum, decode);
-//! * `zero_copy/refine_*` — the whole Phase-2 refinement on the
-//!   out-of-core configuration with mmap off vs on, over both on-disk
-//!   layouts (`disk` = one file per unit, `seg` = the single-file
-//!   container), prefetch disabled so every swap's cost lands on the
-//!   critical path (`stall_ns`). Swap counts are asserted identical —
-//!   mmap moves bytes, never values.
+//! * `zero_copy/refine_disk_*` — the whole Phase-2 refinement on the
+//!   out-of-core configuration with mmap off vs on, prefetch disabled so
+//!   every swap's cost lands on the critical path (`stall_ns`). Swap
+//!   counts are asserted identical — mmap moves bytes, never values.
 //!
 //! Measured shape of the results (1-CPU container, warm page cache):
 //! codec v2 cuts per-page decode ~15-40% vs v1 at every layer; the mmap
 //! transport wins clearly on stable pages (the `read_*` cells, prefetch
-//! readers, container maps) and is parity on the write-back-heavy refine
-//! loop, where every overwrite retires a mapping — which is why the
-//! `TPCP_MMAP` knob defaults off and the codec change does not.
+//! readers) and is parity on the write-back-heavy refine loop, where
+//! every overwrite retires a mapping — which is why the `TPCP_MMAP` knob
+//! defaults off and the codec change does not.
 //!
 //! A one-shot accounted pass per cell is written to
 //! `BENCH_zero_copy.json` at the workspace root (decode ns/page,
@@ -200,8 +198,6 @@ fn bench_store_read(c: &mut Criterion, cells: &mut Vec<Cell>) {
 }
 
 fn bench_refine(c: &mut Criterion, cells: &mut Vec<Cell>) {
-    use tpcp_storage::SingleFileStore;
-
     let mut rng = rand::rngs::StdRng::seed_from_u64(23);
     let dims = [48usize, 48, 48];
     let f = 16;
@@ -228,69 +224,53 @@ fn bench_refine(c: &mut Criterion, cells: &mut Vec<Cell>) {
     let mut store = DiskStore::open_with(scratch.join("units"), false).unwrap();
     let p1 = run_phase1_dense(&x, &cfg, &mut store).unwrap();
     drop(store);
-    let mut seg = SingleFileStore::open_with(scratch.join("units.seg"), false).unwrap();
-    let p1_seg = run_phase1_dense(&x, &cfg, &mut seg).unwrap();
-    drop(seg);
 
     let mut group = c.benchmark_group("zero_copy");
     group.sample_size(10);
-    for (layout, p1) in [("disk", &p1), ("seg", &p1_seg)] {
-        let mut swaps = Vec::new();
-        for mmap in [false, true] {
-            let name = format!("refine_{layout}_mmap_{}", if mmap { "on" } else { "off" });
-            let run = || {
-                if layout == "disk" {
-                    refine(
-                        &p1.grid,
-                        DiskStore::open_with(scratch.join("units"), mmap).unwrap(),
-                        &cfg,
-                        &p1.u_norm_sq,
-                    )
-                    .unwrap()
-                    .stats
-                } else {
-                    refine(
-                        &p1.grid,
-                        SingleFileStore::open_with(scratch.join("units.seg"), mmap).unwrap(),
-                        &cfg,
-                        &p1.u_norm_sq,
-                    )
-                    .unwrap()
-                    .stats
-                }
-            };
-            // One-shot accounted pass (best of 3 for a stable stall
-            // figure — stall_ns is tens of syscalls, noisy under a shared
-            // container).
-            let mut io = run().io;
-            for _ in 0..2 {
-                let next = run().io;
-                if next.stall_ns < io.stall_ns {
-                    io = next;
-                }
+    let mut swaps = Vec::new();
+    for mmap in [false, true] {
+        let name = format!("refine_disk_mmap_{}", if mmap { "on" } else { "off" });
+        let run = || {
+            refine(
+                &p1.grid,
+                DiskStore::open_with(scratch.join("units"), mmap).unwrap(),
+                &cfg,
+                &p1.u_norm_sq,
+            )
+            .unwrap()
+            .stats
+        };
+        // One-shot accounted pass (best of 3 for a stable stall
+        // figure — stall_ns is tens of syscalls, noisy under a shared
+        // container).
+        let mut io = run().io;
+        for _ in 0..2 {
+            let next = run().io;
+            if next.stall_ns < io.stall_ns {
+                io = next;
             }
-            eprintln!(
-                "zero_copy/{name}: swaps={} stall={:.3}ms borrowed={}",
-                io.fetches,
-                io.stall_ms(),
-                io.borrowed_reads,
-            );
-            swaps.push(io.fetches);
-            cells.push(Cell {
-                name: name.clone(),
-                fields: vec![
-                    ("stall_ns", io.stall_ns as f64),
-                    ("swaps", io.fetches as f64),
-                    ("borrowed_reads", io.borrowed_reads as f64),
-                ],
-            });
-            group.bench_function(name.as_str(), |b| b.iter(|| black_box(run().io.fetches)));
         }
-        assert_eq!(
-            swaps[0], swaps[1],
-            "mmap changed the swap count — it must only move bytes"
+        eprintln!(
+            "zero_copy/{name}: swaps={} stall={:.3}ms borrowed={}",
+            io.fetches,
+            io.stall_ms(),
+            io.borrowed_reads,
         );
+        swaps.push(io.fetches);
+        cells.push(Cell {
+            name: name.clone(),
+            fields: vec![
+                ("stall_ns", io.stall_ns as f64),
+                ("swaps", io.fetches as f64),
+                ("borrowed_reads", io.borrowed_reads as f64),
+            ],
+        });
+        group.bench_function(name.as_str(), |b| b.iter(|| black_box(run().io.fetches)));
     }
+    assert_eq!(
+        swaps[0], swaps[1],
+        "mmap changed the swap count — it must only move bytes"
+    );
     group.finish();
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -131,11 +131,7 @@ fn run_one(
     schedule: ScheduleKind,
     budget: usize,
 ) -> f64 {
-    // Fig. 13 measures the two-phase schedule/budget trade-off; pin the
-    // compressed mode off so a TPCP_COMPRESS=1 environment can't replace
-    // what it measures.
     let config = TwoPcpConfig::new(cfg.rank)
-        .compress_off()
         .parts(vec![grid])
         .schedule(schedule)
         .policy(PolicyKind::Forward)

@@ -103,13 +103,8 @@ pub fn run(cfg: &Table1Config) -> Vec<Table1Row> {
 
         // ---- 2PCP ---------------------------------------------------------
         let t0 = Instant::now();
-        // Table I compares the two-phase engine against the HaTen2
-        // baseline on dense-uniform data — the compressed mode's
-        // documented worst case; pin it off so a TPCP_COMPRESS=1
-        // environment can't replace what it measures.
         let outcome = TwoPcp::new(
             TwoPcpConfig::new(cfg.rank)
-                .compress_off()
                 .parts(vec![cfg.parts])
                 .max_virtual_iters(cfg.twopcp_virtual_iters)
                 .tol(1e-2)

@@ -18,7 +18,7 @@ use tpcp_datasets::dense_uniform;
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::PolicyKind;
 use tpcp_tensor::DenseTensor;
-use twopcp::{naive_cp_out_of_core, KernelKind, NaiveOocOptions, TwoPcp, TwoPcpConfig};
+use twopcp::{naive_cp_out_of_core, NaiveOocOptions, TwoPcp, TwoPcpConfig};
 
 /// Configuration of the Table II experiment.
 #[derive(Clone, Debug)]
@@ -122,11 +122,7 @@ fn run_variant(
     policy: PolicyKind,
 ) -> (Duration, Duration, twopcp::RefineStats, f64) {
     let outcome = TwoPcp::new(
-        // Table II reproduces the paper's two-phase experiment (phase
-        // timings, swap counts); pin the compressed mode off so a
-        // TPCP_COMPRESS=1 environment can't replace what it measures.
         TwoPcpConfig::new(cfg.rank)
-            .compress_off()
             .parts(vec![parts])
             .schedule(ScheduleKind::ZOrder)
             .policy(policy)
@@ -235,9 +231,8 @@ pub fn render(cfg: &Table2Config, result: &Table2Result) -> String {
         dens = cfg.density,
         rank = cfg.rank,
         buf = cfg.buffer_fraction,
-        // The runs above dispatch through the same Auto resolution, so
-        // this is the backend every Phase-1/Phase-2 row actually ran.
-        kern = KernelKind::auto().resolved().label(),
+        // `run_variant` leaves the backend at the same config default.
+        kern = TwoPcpConfig::new(cfg.rank).kernel.label(),
     );
     out.push_str(&render_table(
         &[

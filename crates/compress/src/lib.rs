@@ -32,10 +32,7 @@ mod basis;
 mod stream;
 
 pub use basis::{choose_rank, take_columns, truncate_basis, ModeBasis};
-pub use tpcp_cp::{
-    compress_auto, validate_compress_options, CompressOptions, CompressOptionsBuilder,
-    COMPRESS_ENV_VAR,
-};
+pub use tpcp_cp::{validate_compress_options, CompressOptions, CompressOptionsBuilder};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -123,7 +123,7 @@ impl FitAcc {
 /// # Errors
 /// Shape mismatches between the model slices and the blocks.
 pub fn blockwise_fit_dense(model: &CpModel, grid: &Grid, blocks: &[DenseTensor]) -> Result<f64> {
-    let (par, kernel) = (ParConfig::auto(), KernelKind::Auto);
+    let (par, kernel) = (ParConfig::auto(), KernelKind::Tiled);
     let mut acc = FitAcc::default();
     for (lin, block) in blocks.iter().enumerate() {
         acc.push(dense_terms(model, grid, lin, block, None, &par, kernel)?);
@@ -145,7 +145,14 @@ pub fn blockwise_fit_source(
     grid: &Grid,
     src: &mut dyn BlockSource,
 ) -> Result<f64> {
-    blockwise_fit_stream(model, grid, src, None, &ParConfig::auto(), KernelKind::Auto)
+    blockwise_fit_stream(
+        model,
+        grid,
+        src,
+        None,
+        &ParConfig::auto(),
+        KernelKind::Tiled,
+    )
 }
 
 /// [`blockwise_fit_source`] with the driver's plumbing: blocks are pulled

@@ -3,7 +3,7 @@
 use crate::{Result, TwoPcpError};
 use std::path::PathBuf;
 use tpcp_cp::CompressOptions;
-use tpcp_linalg::{KernelKind, KERNEL_ENV_VAR};
+use tpcp_linalg::KernelKind;
 use tpcp_par::ParConfig;
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::{PolicyKind, PrefetchConfig};
@@ -64,10 +64,6 @@ pub struct EnvOverrides {
     pub shards: Option<usize>,
     /// `TPCP_MMAP` → zero-copy page read path.
     pub mmap: Option<bool>,
-    /// `TPCP_KERNEL` → compute-kernel backend.
-    pub kernel: Option<KernelKind>,
-    /// `TPCP_COMPRESS` → compress-then-decompose pipeline in the driver.
-    pub compress: Option<bool>,
     /// `TPCP_SERVE_ADDR` → serving daemon listen address.
     pub serve_addr: Option<String>,
 }
@@ -84,8 +80,6 @@ impl EnvOverrides {
             prefetch: set(tpcp_storage::PREFETCH_ENV_VAR).then(PrefetchConfig::auto),
             shards: set(tpcp_storage::SHARDS_ENV_VAR).then(tpcp_storage::shards_auto),
             mmap: set(tpcp_storage::MMAP_ENV_VAR).then(tpcp_storage::mmap_auto),
-            kernel: set(KERNEL_ENV_VAR).then(KernelKind::auto),
-            compress: set(tpcp_cp::COMPRESS_ENV_VAR).then(tpcp_cp::compress_auto),
             serve_addr: std::env::var(SERVE_ADDR_ENV_VAR).ok(),
         }
     }
@@ -104,18 +98,6 @@ impl EnvOverrides {
         }
         if let Some(mmap) = self.mmap {
             config.mmap = mmap;
-        }
-        if let Some(kernel) = self.kernel {
-            config.kernel = kernel;
-        }
-        match self.compress {
-            // `TPCP_COMPRESS=1` turns the pipeline on with default options
-            // but never clobbers explicitly configured knobs.
-            Some(true) if config.compress.is_none() => {
-                config.compress = Some(CompressOptions::default());
-            }
-            Some(false) => config.compress = None,
-            _ => {}
         }
         config
     }
@@ -141,9 +123,6 @@ pub struct Phase1Options {
     pub max_iters: usize,
     /// ALS convergence tolerance per block.
     pub tol: f64,
-    /// Route Phase 1 through the MapReduce substrate (paper Observation #1)
-    /// instead of in-process threads. Requires `work_dir`.
-    pub use_mapreduce: bool,
 }
 
 impl Phase1Options {
@@ -160,13 +139,6 @@ impl Phase1Options {
         self.tol = tol;
         self
     }
-
-    /// Routes Phase 1 through the MapReduce substrate.
-    #[must_use]
-    pub fn mapreduce(mut self, use_mapreduce: bool) -> Self {
-        self.use_mapreduce = use_mapreduce;
-        self
-    }
 }
 
 impl Default for Phase1Options {
@@ -174,7 +146,6 @@ impl Default for Phase1Options {
         Phase1Options {
             max_iters: 25,
             tol: 1e-4,
-            use_mapreduce: false,
         }
     }
 }
@@ -242,19 +213,17 @@ pub struct TwoPcpConfig {
     /// stores (`work_dir: None`).
     pub mmap: bool,
     /// The compute-kernel backend for every dense product under both
-    /// phases (matmul/gram/MTTKRP): the reference scalar loops, the
-    /// register-blocked tiled microkernels, or automatic selection
-    /// (defaults to [`KernelKind::Auto`], i.e. the `TPCP_KERNEL` override
-    /// or tiled). Backends are bit-identical — factors, fits and swap
-    /// counts never depend on this knob; it trades speed only.
+    /// phases (matmul/gram/MTTKRP): the register-blocked tiled
+    /// microkernels (default) or the reference scalar loops the
+    /// equivalence suites pin them against. The two are bit-identical —
+    /// factors, fits and swap counts never depend on this field.
     pub kernel: KernelKind,
     /// Compress-then-decompose (`tpcp-compress`): stream per-mode Tucker
     /// bases, run CP on the small core, expand, then polish against the
     /// original tensor. `Some(options)` replaces the two-phase pipeline
     /// with the compression pipeline; `None` (default) leaves the driver
     /// untouched — the default path is bitwise identical to a build
-    /// without this knob. `TPCP_COMPRESS` enables default options via
-    /// [`EnvOverrides`]. Best on low-multilinear-rank tensors; see
+    /// without this knob. Best on low-multilinear-rank tensors; see
     /// `docs/compress.md` for when not to use it.
     pub compress: Option<CompressOptions>,
 }
@@ -284,7 +253,7 @@ impl TwoPcpConfig {
             prefetch: PrefetchConfig::default(),
             shards: 1,
             mmap: false,
-            kernel: KernelKind::Auto,
+            kernel: KernelKind::Tiled,
             compress: None,
         })
     }
@@ -295,7 +264,6 @@ impl TwoPcpConfig {
         TwoPcpConfigBuilder {
             config: TwoPcpConfig::new(0),
             rank_set: false,
-            compress_set: false,
         }
     }
 
@@ -408,12 +376,6 @@ impl TwoPcpConfig {
         self
     }
 
-    /// Disables compress-then-decompose (back to the two-phase pipeline).
-    pub fn compress_off(mut self) -> Self {
-        self.compress = None;
-        self
-    }
-
     /// Resolves the partition vector for an order-`n` tensor (broadcasting
     /// a singleton) and validates the configuration.
     ///
@@ -464,7 +426,6 @@ impl TwoPcpConfig {
 pub struct TwoPcpConfigBuilder {
     config: TwoPcpConfig,
     rank_set: bool,
-    compress_set: bool,
 }
 
 impl TwoPcpConfigBuilder {
@@ -576,15 +537,6 @@ impl TwoPcpConfigBuilder {
     /// (validated at [`build`](TwoPcpConfigBuilder::build)).
     pub fn compress(mut self, options: CompressOptions) -> Self {
         self.config = self.config.compress(options);
-        self.compress_set = true;
-        self
-    }
-
-    /// Explicitly disables compress-then-decompose, overriding any
-    /// `TPCP_COMPRESS` environment setting.
-    pub fn compress_off(mut self) -> Self {
-        self.config = self.config.compress_off();
-        self.compress_set = true;
         self
     }
 
@@ -593,19 +545,12 @@ impl TwoPcpConfigBuilder {
     /// # Errors
     /// [`ConfigError`] when the rank is zero or unset, the buffer
     /// fraction is not positive, the partition vector is empty or
-    /// contains zeros, the shard count is zero, or the configuration
-    /// leaves the kernel backend (compress pipeline) to a `TPCP_KERNEL`
-    /// (`TPCP_COMPRESS`) value that doesn't parse.
+    /// contains zeros, the shard count is zero, or the compress options
+    /// are invalid.
     pub fn build(self) -> std::result::Result<TwoPcpConfig, ConfigError> {
         let c = &self.config;
         if !self.rank_set {
             return Err(ConfigError::new("rank is required — call .rank(F)"));
-        }
-        if c.kernel == KernelKind::Auto {
-            validate_kernel_override(std::env::var(KERNEL_ENV_VAR).ok().as_deref())?;
-        }
-        if !self.compress_set {
-            validate_compress_override(std::env::var(tpcp_cp::COMPRESS_ENV_VAR).ok().as_deref())?;
         }
         if let Some(compress) = &c.compress {
             tpcp_cp::validate_compress_options(compress)
@@ -629,44 +574,6 @@ impl TwoPcpConfigBuilder {
         }
         Ok(self.config)
     }
-}
-
-/// Strict validation of a would-be `TPCP_KERNEL` value, used by
-/// [`TwoPcpConfigBuilder::build`] when the backend is left to the
-/// environment: the lenient readers ([`EnvOverrides::from_env`],
-/// [`KernelKind::auto`]) silently fall back on malformed values, but a
-/// validating build should fail loudly instead of quietly running a
-/// different backend than the operator asked for.
-///
-/// Takes the value as a parameter (rather than reading the environment
-/// itself) so tests can exercise the failure path without mutating
-/// process-global env vars under a parallel test runner.
-fn validate_kernel_override(value: Option<&str>) -> std::result::Result<(), ConfigError> {
-    if let Some(v) = value {
-        v.parse::<KernelKind>()
-            .map_err(|e| ConfigError::new(format!("{KERNEL_ENV_VAR}: {e}")))?;
-    }
-    Ok(())
-}
-
-/// Strict validation of a would-be `TPCP_COMPRESS` value, mirroring
-/// [`validate_kernel_override`]: the lenient reader
-/// ([`tpcp_cp::compress_auto`]) treats malformed values as "off", but a
-/// validating build should fail loudly instead of quietly running the
-/// uncompressed pipeline the operator asked to skip.
-fn validate_compress_override(value: Option<&str>) -> std::result::Result<(), ConfigError> {
-    if let Some(v) = value {
-        if !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "on" | "true" | "yes" | "0" | "off" | "false" | "no"
-        ) {
-            return Err(ConfigError::new(format!(
-                "{}: unrecognised value {v:?} (expected 1/on/true/yes or 0/off/false/no)",
-                tpcp_cp::COMPRESS_ENV_VAR
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -716,43 +623,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_env_override_applies() {
-        let overrides = EnvOverrides {
-            kernel: Some(KernelKind::Reference),
-            ..Default::default()
-        };
-        let cfg = overrides.apply(TwoPcpConfig::new(4).kernel(KernelKind::Auto));
-        assert_eq!(cfg.kernel, KernelKind::Reference);
-        // Unset override leaves an explicit choice alone.
-        let cfg = EnvOverrides::default().apply(TwoPcpConfig::new(4).kernel(KernelKind::Tiled));
-        assert_eq!(cfg.kernel, KernelKind::Tiled);
-    }
-
-    #[test]
-    fn garbage_kernel_override_is_a_config_error_not_a_panic() {
-        let err = validate_kernel_override(Some("garbage")).unwrap_err();
-        assert!(
-            err.reason.contains("TPCP_KERNEL") && err.reason.contains("garbage"),
-            "error names the variable and the bad value: {}",
-            err.reason
-        );
-        assert!(
-            err.reason.contains("reference") && err.reason.contains("tiled"),
-            "error lists the valid values: {}",
-            err.reason
-        );
-        // Valid and absent values pass.
-        assert!(validate_kernel_override(Some("tiled")).is_ok());
-        assert!(validate_kernel_override(Some("reference")).is_ok());
-        assert!(validate_kernel_override(Some("auto")).is_ok());
-        assert!(validate_kernel_override(None).is_ok());
-    }
-
-    #[test]
     fn compress_setters_chain() {
         let cfg = TwoPcpConfig::new(4).compress(CompressOptions::default());
         assert!(cfg.compress.is_some());
-        assert!(cfg.compress_off().compress.is_none());
         let cfg = TwoPcpConfig::builder()
             .rank(4)
             .compress(CompressOptions::builder().energy(0.99).build().unwrap())
@@ -766,44 +639,6 @@ mod tests {
         };
         let err = TwoPcpConfig::builder().rank(4).compress(bad).build();
         assert!(err.unwrap_err().reason.contains("compress"));
-    }
-
-    #[test]
-    fn compress_env_override_applies() {
-        let overrides = EnvOverrides {
-            compress: Some(true),
-            ..Default::default()
-        };
-        let cfg = overrides.apply(TwoPcpConfig::new(4));
-        assert_eq!(cfg.compress, Some(CompressOptions::default()));
-        // The env toggle never clobbers explicitly configured knobs.
-        let explicit = CompressOptions::builder().energy(0.5).build().unwrap();
-        let cfg = overrides.apply(TwoPcpConfig::new(4).compress(explicit.clone()));
-        assert_eq!(cfg.compress, Some(explicit));
-        // `TPCP_COMPRESS=0` forces the pipeline off.
-        let off = EnvOverrides {
-            compress: Some(false),
-            ..Default::default()
-        };
-        let cfg = off.apply(TwoPcpConfig::new(4).compress(CompressOptions::default()));
-        assert!(cfg.compress.is_none());
-        // Unset override leaves an explicit choice alone.
-        let cfg = EnvOverrides::default().apply(TwoPcpConfig::new(4).compress(Default::default()));
-        assert!(cfg.compress.is_some());
-    }
-
-    #[test]
-    fn garbage_compress_override_is_a_config_error_not_a_panic() {
-        let err = validate_compress_override(Some("garbage")).unwrap_err();
-        assert!(
-            err.reason.contains("TPCP_COMPRESS") && err.reason.contains("garbage"),
-            "error names the variable and the bad value: {}",
-            err.reason
-        );
-        for v in ["1", "on", "TRUE", " yes ", "0", "off", "False", "no"] {
-            assert!(validate_compress_override(Some(v)).is_ok(), "{v:?}");
-        }
-        assert!(validate_compress_override(None).is_ok());
     }
 
     #[test]

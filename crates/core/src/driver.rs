@@ -2,14 +2,13 @@
 
 use crate::accuracy::blockwise_fit_stream;
 use crate::config::TwoPcpConfig;
-use crate::phase1::{grid_for, run_phase1_mapreduce_source, run_phase1_source, Phase1Result};
+use crate::phase1::{grid_for, run_phase1_source, Phase1Result};
 use crate::phase2::{refine, RefineStats};
 use crate::pq::QHadamardStats;
 use crate::Result;
 use std::time::{Duration, Instant};
 use tpcp_compress::{compress_decompose, CompressProvenance};
 use tpcp_cp::{AlsOptions, CpModel};
-use tpcp_mapreduce::JobCounters;
 use tpcp_partition::{BlockSource, DenseMemorySource, Grid, SparseMemorySource};
 use tpcp_storage::{DiskStore, IoStats, MemStore, PrefetchSource, ShardedStore, UnitStore};
 use tpcp_tensor::{DenseTensor, SparseTensor};
@@ -34,8 +33,6 @@ pub struct TwoPcpOutcome {
     pub phase1_time: Duration,
     /// Wall-clock time of Phase 2.
     pub phase2_time: Duration,
-    /// MapReduce counters (all zero unless Phase 1 ran on the substrate).
-    pub mr_counters: tpcp_mapreduce::CounterSnapshot,
     /// Compression provenance (`None` unless the run went through the
     /// compress-then-decompose pipeline, [`TwoPcpConfig::compress`]).
     pub compress: Option<CompressProvenance>,
@@ -72,7 +69,7 @@ impl TwoPcp {
     /// Decomposes a dense tensor.
     ///
     /// # Errors
-    /// Configuration, numerical, storage or MapReduce failures.
+    /// Configuration, numerical or storage failures.
     pub fn decompose_dense(&self, x: &DenseTensor) -> Result<TwoPcpOutcome> {
         self.dispatch(Input::Dense(x))
     }
@@ -80,7 +77,7 @@ impl TwoPcp {
     /// Decomposes a sparse tensor.
     ///
     /// # Errors
-    /// Configuration, numerical, storage or MapReduce failures.
+    /// Configuration, numerical or storage failures.
     pub fn decompose_sparse(&self, x: &SparseTensor) -> Result<TwoPcpOutcome> {
         self.dispatch(Input::Sparse(x))
     }
@@ -91,14 +88,8 @@ impl TwoPcp {
     /// accuracy re-streams the source blockwise, so peak tensor residency
     /// throughout the run is O(largest block × threads).
     ///
-    /// Exception: with [`crate::Phase1Options::use_mapreduce`]
-    /// (the paper's cluster formulation simulated in-process) the mapper
-    /// input is the tensor's full COO record set, so that path is bounded
-    /// by the non-zero count, not by one block — see
-    /// [`run_phase1_mapreduce_source`] for details.
-    ///
     /// # Errors
-    /// Source, configuration, numerical, storage or MapReduce failures.
+    /// Source, configuration, numerical or storage failures.
     pub fn decompose_source(&self, src: &mut dyn BlockSource) -> Result<TwoPcpOutcome> {
         self.dispatch(Input::Source(src))
     }
@@ -148,7 +139,6 @@ impl TwoPcp {
         mut store: S,
     ) -> Result<TwoPcpOutcome> {
         let cfg = &self.config;
-        let counters = JobCounters::new();
 
         // ---- Compress-then-decompose (opt-in) ------------------------------
         // Replaces both phases wholesale; the default (`compress: None`)
@@ -160,16 +150,7 @@ impl TwoPcp {
 
         // ---- Phase 1 -------------------------------------------------------
         let t0 = Instant::now();
-        let phase1 = if cfg.phase1.use_mapreduce {
-            let mr_dir = cfg
-                .work_dir
-                .clone()
-                .unwrap_or_else(std::env::temp_dir)
-                .join(format!("shuffle_{}", std::process::id()));
-            run_phase1_mapreduce_source(src, cfg, &mut store, &mr_dir, &counters)?
-        } else {
-            run_phase1_source(src, cfg, &mut store)?
-        };
+        let phase1 = run_phase1_source(src, cfg, &mut store)?;
         let phase1_time = t0.elapsed();
 
         // ---- Phase 2 -------------------------------------------------------
@@ -193,7 +174,6 @@ impl TwoPcp {
             phase2: outcome.stats,
             phase1_time,
             phase2_time,
-            mr_counters: counters.snapshot(),
             compress: None,
         })
     }
@@ -287,7 +267,6 @@ impl TwoPcp {
             phase2,
             phase1_time,
             phase2_time: Duration::ZERO,
-            mr_counters: JobCounters::new().snapshot(),
             compress: Some(out.provenance),
         })
     }
@@ -296,7 +275,6 @@ impl TwoPcp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Phase1Options;
     use rand::SeedableRng;
     use tpcp_linalg::Mat;
     use tpcp_schedule::ScheduleKind;
@@ -317,11 +295,8 @@ mod tests {
     #[test]
     fn end_to_end_dense_in_memory() {
         let x = low_rank(&[10, 10, 10], 2, 4);
-        // Pins the two-phase pipeline (MR counters stay zero without
-        // mapreduce); opt out of a TPCP_COMPRESS=1 environment.
         let outcome = TwoPcp::new(
             TwoPcpConfig::new(2)
-                .compress_off()
                 .parts(vec![2])
                 .max_virtual_iters(40)
                 .tol(1e-7),
@@ -330,16 +305,12 @@ mod tests {
         .unwrap();
         assert!(outcome.fit > 0.97, "fit {}", outcome.fit);
         assert_eq!(outcome.model.dims(), vec![10, 10, 10]);
-        assert_eq!(outcome.mr_counters.map_input_records, 0);
     }
 
     #[test]
     fn end_to_end_on_disk_matches_in_memory() {
         let x = low_rank(&[8, 8, 8], 2, 6);
-        // Pins phase-2 swap counts and store I/O; opt out of a
-        // TPCP_COMPRESS=1 environment.
         let cfg = TwoPcpConfig::new(2)
-            .compress_off()
             .parts(vec![2])
             .schedule(ScheduleKind::ZOrder)
             .policy(PolicyKind::Forward)
@@ -377,29 +348,5 @@ mod tests {
         .decompose_sparse(&sp)
         .unwrap();
         assert!(outcome.fit > 0.9, "fit {}", outcome.fit);
-    }
-
-    #[test]
-    fn end_to_end_mapreduce_phase1() {
-        let x = low_rank(&[8, 8, 8], 2, 10);
-        let dir = std::env::temp_dir().join(format!("tpcp_driver_mr_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Pins the mapreduce phase-1 counters; opt out of a
-        // TPCP_COMPRESS=1 environment.
-        let outcome = TwoPcp::new(
-            TwoPcpConfig::new(2)
-                .compress_off()
-                .parts(vec![2])
-                .max_virtual_iters(30)
-                .tol(1e-6)
-                .work_dir(&dir)
-                .phase1(Phase1Options::default().mapreduce(true)),
-        )
-        .decompose_dense(&x)
-        .unwrap();
-        assert!(outcome.fit > 0.9, "fit {}", outcome.fit);
-        assert_eq!(outcome.mr_counters.map_input_records, 512);
-        assert_eq!(outcome.mr_counters.reduce_groups, 8);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! * **Phase 1** ([`phase1`]): the input tensor is partitioned into a grid
 //!   of sub-tensors (blocks); each block is independently decomposed by
-//!   CP-ALS — in parallel threads or on the bundled MapReduce substrate —
-//!   producing per-block *sub-factors* `U(i)_k`.
+//!   CP-ALS on the shared [`tpcp_par`] thread budget, producing per-block
+//!   *sub-factors* `U(i)_k`.
 //! * **Phase 2** ([`phase2`]): the sub-factors are stitched into global
 //!   factor matrices by iterative refinement of the update rule
 //!   `A(i)(kᵢ) ← T(i)(kᵢ) · S(i)(kᵢ)⁻¹` (paper eq. 3), executed
@@ -63,10 +63,7 @@ pub use model::{
     rank_fiber, FactorView, Model, ModelMeta, Residency, MODEL_EXT, MODEL_MAGIC, MODEL_VERSION,
 };
 pub use naive::{naive_cp_out_of_core, NaiveOocOptions, NaiveOocReport};
-pub use phase1::{
-    run_phase1_dense, run_phase1_mapreduce, run_phase1_mapreduce_source, run_phase1_source,
-    run_phase1_sparse, Phase1Result,
-};
+pub use phase1::{run_phase1_dense, run_phase1_source, run_phase1_sparse, Phase1Result};
 pub use phase2::{refine, RefineOutcome, RefineStats};
 pub use pq::{PqCache, QHadamardScratch, QHadamardStats};
 pub use swapsim::{simulate_swaps, unit_bytes, SwapReport, SwapSimConfig};
@@ -74,8 +71,8 @@ pub use swapsim::{simulate_swaps, unit_bytes, SwapReport, SwapSimConfig};
 // pipeline can be configured without importing `tpcp-storage` /
 // `tpcp-linalg` / `tpcp-cp` / `tpcp-compress` directly.
 pub use tpcp_compress::CompressProvenance;
-pub use tpcp_cp::{CompressOptions, COMPRESS_ENV_VAR};
-pub use tpcp_linalg::{KernelKind, KERNEL_ENV_VAR};
+pub use tpcp_cp::CompressOptions;
+pub use tpcp_linalg::KernelKind;
 pub use tpcp_storage::PrefetchConfig;
 
 /// Errors surfaced by the 2PCP pipeline.
@@ -91,8 +88,6 @@ pub enum TwoPcpError {
     Storage(tpcp_storage::StorageError),
     /// Streaming block-ingest failure.
     Ingest(tpcp_partition::SourceError),
-    /// MapReduce substrate failure.
-    MapReduce(tpcp_mapreduce::MrError),
     /// A parallel worker panicked; the panic was caught by [`tpcp_par`]
     /// and surfaced as this error instead of unwinding the process.
     WorkerPanic {
@@ -119,7 +114,6 @@ impl std::fmt::Display for TwoPcpError {
             TwoPcpError::Cp(e) => write!(f, "cp: {e}"),
             TwoPcpError::Storage(e) => write!(f, "storage: {e}"),
             TwoPcpError::Ingest(e) => write!(f, "ingest: {e}"),
-            TwoPcpError::MapReduce(e) => write!(f, "mapreduce: {e}"),
             TwoPcpError::WorkerPanic { message } => write!(f, "worker panicked: {message}"),
             TwoPcpError::Config { reason } => write!(f, "config: {reason}"),
             TwoPcpError::Model { reason } => write!(f, "model: {reason}"),
@@ -166,11 +160,6 @@ impl From<std::io::Error> for TwoPcpError {
 impl From<tpcp_partition::SourceError> for TwoPcpError {
     fn from(e: tpcp_partition::SourceError) -> Self {
         TwoPcpError::Ingest(e)
-    }
-}
-impl From<tpcp_mapreduce::MrError> for TwoPcpError {
-    fn from(e: tpcp_mapreduce::MrError) -> Self {
-        TwoPcpError::MapReduce(e)
     }
 }
 impl From<tpcp_par::ParError<TwoPcpError>> for TwoPcpError {

@@ -8,35 +8,27 @@
 //! O(largest block × threads) — never O(tensor). Entry points:
 //!
 //! * [`run_phase1_source`] — the streaming core: pull blocks, decompose
-//!   each with in-process parallel workers, emit the per-mode
-//!   *data-access units* shard-by-shard through a [`tpcp_mapreduce`]
-//!   aggregation job;
+//!   each batch with [`tpcp_par::par_map`] workers (Observation #1 says
+//!   the blocks are independent, and this is where that is spent), then
+//!   group the sub-factors into the per-mode *data-access units*;
 //! * [`run_phase1_dense`] / [`run_phase1_sparse`] — thin adapters wrapping
-//!   an in-memory tensor in a memory source (bit-identical results);
-//! * [`run_phase1_mapreduce`] / [`run_phase1_mapreduce_source`] — the
-//!   paper's MapReduce formulation, mapping `⟨b, i, j, k, X(i,j,k)⟩ on b`
-//!   and decomposing each block in a reducer, running on the
-//!   [`tpcp_mapreduce`] substrate.
+//!   an in-memory tensor in a memory source (bit-identical results).
 //!
-//! All paths end by assembling the per-mode data-access units
-//! (`A(i)(kᵢ)` + slab sub-factors) through the aggregation job and writing
-//! them — grouped by destination shard — to the unit store that Phase 2
-//! will refine against.
+//! The phase ends by writing the data-access units (`A(i)(kᵢ)` + slab
+//! sub-factors) — grouped by destination shard — to the unit store that
+//! Phase 2 will refine against.
 
 use crate::config::{InitKind, TwoPcpConfig};
 use crate::{Result, TwoPcpError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use tpcp_cp::{cp_als_dense, cp_als_sparse, AlsOptions, CpModel};
 use tpcp_linalg::Mat;
-use tpcp_mapreduce::{run_job, JobCounters, MapReduceJob, MrConfig};
 use tpcp_par::ParConfig;
 use tpcp_partition::{Block, BlockSource, DenseMemorySource, Grid, SparseMemorySource};
 use tpcp_schedule::UnitId;
 use tpcp_storage::{UnitData, UnitStore};
-use tpcp_tensor::{random_factor, DenseTensor, SparseBuilder, SparseTensor};
+use tpcp_tensor::{random_factor, DenseTensor, SparseTensor};
 
 /// Everything Phase 2 (and the evaluation harness) needs to know about the
 /// completed first phase.
@@ -154,131 +146,79 @@ fn decompose_block(block: &Block, cfg: &TwoPcpConfig, seed: u64) -> Result<Block
 }
 
 // ---------------------------------------------------------------------------
-// Unit assembly: a MapReduce aggregation job over per-block factors
+// Unit assembly: group the per-block factors by data-access unit
 // ---------------------------------------------------------------------------
 
-/// The unit key `⟨i, kᵢ⟩` crossing the assembly shuffle.
-type UnitKey = (u16, u32);
-/// One block's mode-`i` sub-factor crossing the shuffle:
-/// `(block id, rows, cols, row-major data)`.
-type FactorMsg = (u64, u32, u32, Vec<f64>);
-
-/// The unit-aggregation job: `map` keys each per-block factor by the
-/// data-access unit it belongs to, `reduce` rebuilds the unit (slab
-/// sub-factors in ascending block order plus the initial global
-/// sub-factor `A(i)(kᵢ)`).
-struct UnitAssemblyJob<'a> {
-    grid: &'a Grid,
-    cfg: &'a TwoPcpConfig,
-}
-
-impl MapReduceJob for UnitAssemblyJob<'_> {
-    /// `(linear block id, mode, factor)`.
-    type Input = (u64, u16, Mat);
-    type Key = UnitKey;
-    type Value = FactorMsg;
-    type Output = UnitData;
-
-    fn map(&self, (block, mode, factor): Self::Input, emit: &mut dyn FnMut(UnitKey, FactorMsg)) {
-        let part = self.grid.block_coords(block as usize)[mode as usize] as u32;
-        let (rows, cols) = factor.shape();
-        emit(
-            (mode, part),
-            (block, rows as u32, cols as u32, factor.into_vec()),
-        );
-    }
-
-    fn reduce(
-        &self,
-        (mode, part): UnitKey,
-        mut values: Vec<FactorMsg>,
-        emit: &mut dyn FnMut(UnitData),
-    ) {
-        // Slab order is ascending linear block id, so sorting restores the
-        // deterministic order regardless of shuffle arrival.
-        values.sort_unstable_by_key(|&(block, _, _, _)| block);
-        let sub_factors: Vec<(u64, Mat)> = values
-            .into_iter()
-            .map(|(block, rows, cols, data)| {
-                (block, Mat::from_vec(rows as usize, cols as usize, data))
-            })
-            .collect();
-        let (mode, part) = (mode as usize, part as usize);
-        let rows = self.grid.part_len(mode, part);
-        let factor = match self.cfg.init {
-            InitKind::Random => {
-                let mut rng =
-                    StdRng::seed_from_u64(self.cfg.seed ^ ((mode as u64) << 32) ^ part as u64);
-                random_factor(rows, self.cfg.rank, &mut rng)
+/// The initial global sub-factor `A(i)(kᵢ)` of `unit`, given its slab's
+/// sub-factors in ascending block order.
+fn initial_factor(
+    grid: &Grid,
+    cfg: &TwoPcpConfig,
+    unit: UnitId,
+    sub_factors: &[(u64, Mat)],
+) -> Mat {
+    let rows = grid.part_len(unit.mode as usize, unit.part as usize);
+    match cfg.init {
+        InitKind::Random => {
+            let seed = cfg.seed ^ (u64::from(unit.mode) << 32) ^ u64::from(unit.part);
+            random_factor(rows, cfg.rank, &mut StdRng::seed_from_u64(seed))
+        }
+        InitKind::SlabMean => {
+            let mut acc = Mat::zeros(rows, cfg.rank);
+            for (_, u) in sub_factors {
+                // Slab factors share the unit shape by construction.
+                acc.add_assign(u).expect("slab factor shape");
             }
-            InitKind::SlabMean => {
-                let mut acc = Mat::zeros(rows, self.cfg.rank);
-                for (_, u) in &sub_factors {
-                    // Slab factors share the unit shape by construction.
-                    acc.add_assign(u).expect("slab factor shape");
-                }
-                acc.scale(1.0 / sub_factors.len().max(1) as f64);
-                acc
-            }
-        };
-        emit(UnitData {
-            unit: UnitId::new(mode, part),
-            factor,
-            sub_factors,
-        });
+            acc.scale(1.0 / sub_factors.len().max(1) as f64);
+            acc
+        }
     }
 }
 
-/// Distinguishes concurrent assembly scratch directories within a process.
-static ASSEMBLY_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Runs the unit-aggregation job over the per-block factors and writes the
-/// resulting data-access units to the store *shard-by-shard* (grouped by
+/// Builds each data-access unit from its slab of the per-block factors
+/// (`block_factors[b][mode]` = `U(mode)_b`, moved out as it is used;
+/// [`Grid::slab`] walks a slab in ascending block order) and writes the
+/// units to the store *shard-by-shard* (grouped by
 /// [`UnitStore::shard_hint`], then unit order), returning the total unit
 /// bytes.
 fn assemble_units<S: UnitStore>(
     grid: &Grid,
     cfg: &TwoPcpConfig,
-    inputs: Vec<(u64, u16, Mat)>,
+    mut block_factors: Vec<Vec<Mat>>,
     store: &mut S,
 ) -> Result<usize> {
-    let dir = cfg
-        .work_dir
-        .clone()
-        .unwrap_or_else(std::env::temp_dir)
-        .join(format!(
-            "p1_assemble_{}_{}",
-            std::process::id(),
-            ASSEMBLY_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-    let job = UnitAssemblyJob { grid, cfg };
-    let mut mr_cfg = MrConfig::new(&dir);
-    mr_cfg.num_mappers = cfg.par.threads();
-    mr_cfg.par = cfg.par;
-    // Internal counters: the public counter contract describes the
-    // nnz-level Phase-1 job, not this assembly pass.
-    let counters = JobCounters::new();
-    let outcome = run_job(&job, inputs, &mr_cfg, &counters);
-    // Clean the scratch directory on failure too, so failing runs do not
-    // accumulate spilled factor data under the work dir.
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut units = outcome?;
-    debug_assert_eq!(units.len(), grid.num_units());
-    units.sort_by_key(|u| (store.shard_hint(u.unit), u.unit.linear(grid)));
+    let mut units: Vec<UnitId> = (0..grid.num_units())
+        .map(|lin| UnitId::from_linear(grid, lin))
+        .collect();
+    // Stable: units stay in linear order within a shard.
+    units.sort_by_key(|&unit| store.shard_hint(unit));
     let mut total_bytes = 0usize;
-    for unit in &units {
-        total_bytes += unit.payload_bytes();
-        store.write(unit)?;
+    for unit in units {
+        let (mode, part) = (unit.mode as usize, unit.part as usize);
+        let sub_factors: Vec<(u64, Mat)> = grid
+            .slab(mode, part)
+            .map(|b| {
+                let factor = std::mem::replace(&mut block_factors[b][mode], Mat::zeros(0, 0));
+                (b as u64, factor)
+            })
+            .collect();
+        let data = UnitData {
+            unit,
+            factor: initial_factor(grid, cfg, unit, &sub_factors),
+            sub_factors,
+        };
+        total_bytes += data.payload_bytes();
+        store.write(&data)?;
     }
     Ok(total_bytes)
 }
 
 // ---------------------------------------------------------------------------
-// Streaming in-process path
+// The streaming phase
 // ---------------------------------------------------------------------------
 
-/// Phase 1 over a streaming [`BlockSource`] with in-process parallel block
-/// workers: blocks are pulled one batch (= thread budget) at a time,
+/// Phase 1 over a streaming [`BlockSource`] with parallel block workers:
+/// blocks are pulled one batch (= thread budget) at a time,
 /// decomposed, and dropped before the next batch loads, so peak tensor
 /// residency is [`Phase1Result::peak_block_bytes`], not the tensor.
 ///
@@ -295,7 +235,10 @@ pub fn run_phase1_source<S: UnitStore>(
     let mut block_norms_sq = Vec::with_capacity(nblocks);
     let mut block_fits = Vec::with_capacity(nblocks);
     let mut u_norm_sq = Vec::with_capacity(nblocks);
-    let mut factor_inputs: Vec<(u64, u16, Mat)> = Vec::with_capacity(nblocks * grid.order());
+    // Pre-sized: nothing this thread allocates between two batches may
+    // outlive them, or it lands in the blocks' freed memory and the next
+    // batch cannot reuse it whole (+1 MiB peak RSS on a 40⁴ tensor).
+    let mut block_factors: Vec<Vec<Mat>> = Vec::with_capacity(nblocks);
     let mut ingested_bytes = 0u64;
     let mut peak_block_bytes = 0u64;
 
@@ -316,18 +259,16 @@ pub fn run_phase1_source<S: UnitStore>(
         })
         .map_err(TwoPcpError::from)?;
         drop(blocks);
-        for (off, out) in results.into_iter().enumerate() {
+        for out in results {
             block_norms_sq.push(out.norm_sq);
             u_norm_sq.push(out.model.norm_sq());
             block_fits.push(out.fit);
-            for (mode, factor) in out.model.factors.into_iter().enumerate() {
-                factor_inputs.push(((start + off) as u64, mode as u16, factor));
-            }
+            block_factors.push(out.model.factors);
         }
         start = end;
     }
 
-    let total_unit_bytes = assemble_units(&grid, cfg, factor_inputs, store)?;
+    let total_unit_bytes = assemble_units(&grid, cfg, block_factors, store)?;
     Ok(Phase1Result {
         grid,
         block_norms_sq,
@@ -369,224 +310,11 @@ pub fn run_phase1_sparse<S: UnitStore>(
     run_phase1_source(&mut src, cfg, store)
 }
 
-// ---------------------------------------------------------------------------
-// MapReduce path (paper Observation #1)
-// ---------------------------------------------------------------------------
-
-/// Per-block output of the Phase-1 reducer.
-struct BlockOut {
-    block: u64,
-    model: CpModel,
-    fit: f64,
-    norm_sq: f64,
-}
-
-/// The paper's Phase-1 job: `map` keys each non-zero by its block id,
-/// `reduce` recomposes the sub-tensor and runs PARAFAC on it.
-struct Phase1Job<'a> {
-    grid: &'a Grid,
-    cfg: &'a TwoPcpConfig,
-    /// `part_of[mode][global_row] = (partition, local_row)`.
-    part_of: Vec<Vec<(u32, u32)>>,
-}
-
-impl<'a> Phase1Job<'a> {
-    fn new(grid: &'a Grid, cfg: &'a TwoPcpConfig) -> Self {
-        let mut part_of = Vec::with_capacity(grid.order());
-        for m in 0..grid.order() {
-            let mut table = vec![(0u32, 0u32); grid.dims()[m]];
-            for k in 0..grid.parts()[m] {
-                let r = grid.part_range(m, k);
-                for (off, slot) in table[r].iter_mut().enumerate() {
-                    *slot = (k as u32, off as u32);
-                }
-            }
-            part_of.push(table);
-        }
-        Phase1Job { grid, cfg, part_of }
-    }
-}
-
-impl MapReduceJob for Phase1Job<'_> {
-    /// One tensor non-zero: global coordinates plus value.
-    type Input = (Vec<u32>, f64);
-    /// Linear block id `b`.
-    type Key = u64;
-    /// Block-local coordinates plus value.
-    type Value = (Vec<u32>, f64);
-    type Output = BlockOut;
-
-    fn map(&self, (coords, v): Self::Input, emit: &mut dyn FnMut(u64, (Vec<u32>, f64))) {
-        let mut block = 0u64;
-        let mut local = Vec::with_capacity(coords.len());
-        for (m, &c) in coords.iter().enumerate() {
-            let (k, off) = self.part_of[m][c as usize];
-            block = block * self.grid.parts()[m] as u64 + u64::from(k);
-            local.push(off);
-        }
-        emit(block, (local, v));
-    }
-
-    fn reduce(&self, block: u64, values: Vec<(Vec<u32>, f64)>, emit: &mut dyn FnMut(BlockOut)) {
-        let coords = self.grid.block_coords(block as usize);
-        let dims = self.grid.block_dims(&coords);
-        let mut builder = SparseBuilder::new(&dims);
-        let mut norm_sq = 0.0;
-        let mut idx = vec![0usize; dims.len()];
-        for (local, v) in values {
-            for (slot, c) in idx.iter_mut().zip(&local) {
-                *slot = *c as usize;
-            }
-            builder.push(&idx, v);
-            norm_sq += v * v;
-        }
-        let tensor = builder.build();
-        let opts = als_options(self.cfg, self.cfg.seed.wrapping_add(block));
-        match cp_als_sparse(&tensor, &opts) {
-            Ok(report) => {
-                let mut model = report.model;
-                balance_weights(&mut model);
-                emit(BlockOut {
-                    block,
-                    model,
-                    fit: report.final_fit,
-                    norm_sq,
-                });
-            }
-            Err(_) => {
-                // An unsolvable block degrades to zero factors rather than
-                // failing the whole job (mirrors footnote 3's treatment).
-                emit(BlockOut {
-                    block,
-                    model: CpModel::zeros(&dims, self.cfg.rank),
-                    fit: 0.0,
-                    norm_sq,
-                });
-            }
-        }
-    }
-}
-
-/// Phase 1 executed as a MapReduce job over the tensor's non-zeros —
-/// the paper's distributed formulation, runnable on the in-process engine.
-/// A thin adapter over [`run_phase1_mapreduce_source`].
-///
-/// # Errors
-/// Configuration, MapReduce or storage failures.
-pub fn run_phase1_mapreduce<S: UnitStore>(
-    x: &SparseTensor,
-    cfg: &TwoPcpConfig,
-    store: &mut S,
-    mr_dir: &Path,
-    counters: &JobCounters,
-) -> Result<Phase1Result> {
-    let mut src = SparseMemorySource::new(x);
-    run_phase1_mapreduce_source(&mut src, cfg, store, mr_dir, counters)
-}
-
-/// The MapReduce Phase 1 fed from a streaming [`BlockSource`]: blocks are
-/// pulled one at a time and flattened into the `⟨coords, value⟩` records
-/// the paper's mapper consumes (dense blocks contribute their non-zero
-/// cells, mirroring the COO view); unit assembly then runs through the
-/// shared shard-by-shard aggregation job.
-///
-/// **Memory note:** unlike [`run_phase1_source`], this path materialises
-/// the full COO record set as mapper input (the in-process engine takes a
-/// `Vec`; a real cluster would stream splits from DFS), so its footprint
-/// is O(nnz), not O(largest block) — [`Phase1Result::peak_block_bytes`]
-/// here reports only block-level residency during ingest. Use the
-/// in-process streaming path for tensors that do not fit in memory.
-///
-/// # Errors
-/// Source, configuration, MapReduce or storage failures.
-pub fn run_phase1_mapreduce_source<S: UnitStore>(
-    src: &mut dyn BlockSource,
-    cfg: &TwoPcpConfig,
-    store: &mut S,
-    mr_dir: &Path,
-    counters: &JobCounters,
-) -> Result<Phase1Result> {
-    let grid = grid_for(cfg, src.dims())?;
-    let nblocks = grid.num_blocks();
-
-    let mut inputs: Vec<(Vec<u32>, f64)> = Vec::new();
-    let mut ingested_bytes = 0u64;
-    let mut peak_block_bytes = 0u64;
-    for lin in 0..nblocks {
-        let coords = grid.block_coords(lin);
-        let offsets: Vec<u32> = grid
-            .block_ranges(&coords)
-            .iter()
-            .map(|r| r.start as u32)
-            .collect();
-        let block = src.load_block(&grid, lin)?;
-        let bytes = block.payload_bytes() as u64;
-        ingested_bytes += bytes;
-        peak_block_bytes = peak_block_bytes.max(bytes);
-        let mut push = |local: &[u32], v: f64| {
-            let global: Vec<u32> = local.iter().zip(&offsets).map(|(&c, &o)| c + o).collect();
-            inputs.push((global, v));
-        };
-        match block {
-            Block::Sparse(b) => b.for_each_entry(|idx, v| push(idx, v)),
-            Block::Dense(b) => {
-                // Mirror `SparseTensor::from_dense(x, 0.0)` blockwise: the
-                // non-zero cells in local row-major order.
-                SparseTensor::from_dense(&b, 0.0).for_each_entry(|idx, v| push(idx, v));
-            }
-        }
-    }
-
-    let job = Phase1Job::new(&grid, cfg);
-    let mut mr_cfg = MrConfig::new(mr_dir);
-    // The substrate draws its mapper chunking and its mapper/reducer
-    // concurrency from the same shared thread budget as the in-process
-    // paths (bucket structure stays at the engine default).
-    mr_cfg.num_mappers = cfg.par.threads();
-    mr_cfg.par = cfg.par;
-    let outputs = run_job(&job, inputs, &mr_cfg, counters)?;
-
-    // Fill in results; blocks with no non-zeros never reach a reducer.
-    let mut models: Vec<Option<CpModel>> = (0..nblocks).map(|_| None).collect();
-    let mut block_fits = vec![1.0f64; nblocks];
-    let mut block_norms_sq = vec![0.0f64; nblocks];
-    for out in outputs {
-        let b = out.block as usize;
-        block_fits[b] = out.fit;
-        block_norms_sq[b] = out.norm_sq;
-        models[b] = Some(out.model);
-    }
-    let models: Vec<CpModel> = models
-        .into_iter()
-        .enumerate()
-        .map(|(b, m)| {
-            m.unwrap_or_else(|| CpModel::zeros(&grid.block_dims(&grid.block_coords(b)), cfg.rank))
-        })
-        .collect();
-
-    let u_norm_sq: Vec<f64> = models.iter().map(CpModel::norm_sq).collect();
-    let mut factor_inputs: Vec<(u64, u16, Mat)> = Vec::with_capacity(nblocks * grid.order());
-    for (lin, model) in models.into_iter().enumerate() {
-        for (mode, factor) in model.factors.into_iter().enumerate() {
-            factor_inputs.push((lin as u64, mode as u16, factor));
-        }
-    }
-    let total_unit_bytes = assemble_units(&grid, cfg, factor_inputs, store)?;
-    Ok(Phase1Result {
-        grid,
-        block_norms_sq,
-        u_norm_sq,
-        block_fits,
-        total_unit_bytes,
-        ingested_bytes,
-        peak_block_bytes,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tpcp_storage::{MemStore, ShardedStore};
+    use tpcp_tensor::SparseBuilder;
 
     fn low_rank(dims: &[usize], f: usize, seed: u64) -> DenseTensor {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -686,30 +414,97 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mapreduce_phase1_matches_threaded_norms() {
-        let x = low_rank(&[6, 6, 6], 2, 3);
-        let sparse = SparseTensor::from_dense(&x, 0.0);
-        let cfg = cfg(2, vec![2]);
+    /// Forwards to `inner`, remembering the order units were written in.
+    struct Recording<S> {
+        inner: S,
+        written: Vec<UnitId>,
+    }
 
-        let mut store_a = MemStore::new();
-        let threaded = run_phase1_sparse(&sparse, &cfg, &mut store_a).unwrap();
-
-        let dir = std::env::temp_dir().join(format!("tpcp_p1mr_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let counters = JobCounters::new();
-        let mut store_b = MemStore::new();
-        let mr = run_phase1_mapreduce(&sparse, &cfg, &mut store_b, &dir, &counters).unwrap();
-
-        // Same per-block ALS seeds ⇒ identical block norms and fits.
-        assert_eq!(threaded.block_norms_sq, mr.block_norms_sq);
-        for (a, b) in threaded.block_fits.iter().zip(&mr.block_fits) {
-            assert!((a - b).abs() < 1e-9);
+    impl<S: UnitStore> UnitStore for Recording<S> {
+        fn write(&mut self, data: &UnitData) -> tpcp_storage::Result<()> {
+            self.written.push(data.unit);
+            self.inner.write(data)
         }
-        let s = counters.snapshot();
-        assert_eq!(s.map_input_records, sparse.nnz() as u64);
-        assert_eq!(s.reduce_groups, 8);
-        let _ = std::fs::remove_dir_all(&dir);
+        fn read(&mut self, unit: UnitId) -> tpcp_storage::Result<UnitData> {
+            self.inner.read(unit)
+        }
+        fn contains(&self, unit: UnitId) -> bool {
+            self.inner.contains(unit)
+        }
+        fn bytes_written(&self) -> u64 {
+            self.inner.bytes_written()
+        }
+        fn bytes_read(&self) -> u64 {
+            self.inner.bytes_read()
+        }
+        fn shard_hint(&self, unit: UnitId) -> usize {
+            self.inner.shard_hint(unit)
+        }
+    }
+
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn units_group_block_factors_in_block_order_and_write_shard_by_shard() {
+        let x = low_rank(&[7, 5, 6], 2, 13);
+        let cfg = cfg(2, vec![3, 2, 2]);
+        for shards in [1usize, 3] {
+            let mut store = Recording {
+                inner: ShardedStore::mem(shards),
+                written: Vec::new(),
+            };
+            let result = run_phase1_dense(&x, &cfg, &mut store).unwrap();
+            let grid = &result.grid;
+            // The block models Phase 1 produced, recomputed one by one.
+            let mut src = DenseMemorySource::new(&x);
+            let models: Vec<CpModel> = (0..grid.num_blocks())
+                .map(|lin| {
+                    let block = src.load_block(grid, lin).unwrap();
+                    let seed = cfg.seed.wrapping_add(lin as u64);
+                    decompose_block(&block, &cfg, seed).unwrap().model
+                })
+                .collect();
+
+            let mut expected: Vec<UnitId> = (0..grid.num_units())
+                .map(|lin| UnitId::from_linear(grid, lin))
+                .collect();
+            expected.sort_by_key(|u| (store.shard_hint(*u), u.linear(grid)));
+            assert_eq!(store.written, expected, "{shards} shards: write order");
+
+            let mut doubles = 0usize;
+            for unit in expected {
+                let (mode, part) = (unit.mode as usize, unit.part as usize);
+                let rows = grid.part_len(mode, part);
+                let slab: Vec<u64> = (0..grid.num_blocks())
+                    .filter(|&b| grid.block_coords(b)[mode] == part)
+                    .map(|b| b as u64)
+                    .collect();
+                let data = store.read(unit).unwrap();
+                let blocks: Vec<u64> = data.sub_factors.iter().map(|(b, _)| *b).collect();
+                assert_eq!(blocks, slab, "{unit}: slab in ascending block id");
+                let mut mean = Mat::zeros(rows, cfg.rank);
+                for (block, u) in &data.sub_factors {
+                    let expected = &models[*block as usize].factors[mode];
+                    assert_eq!(bits(u), bits(expected), "{unit} block {block}");
+                    mean.add_assign(u).unwrap();
+                }
+                mean.scale(1.0 / slab.len() as f64);
+                assert_eq!(bits(&data.factor), bits(&mean), "{unit}: slab mean");
+                // Paper §IV-A: A(i)(kᵢ) plus one sub-factor per slab block.
+                doubles += rows * cfg.rank * (1 + slab.len());
+            }
+            assert_eq!(result.total_unit_bytes, doubles * 8);
+        }
+        // Assembly is in-memory: an in-memory run touches no scratch dir.
+        let scratch = format!("p1_assemble_{}_", std::process::id());
+        let leftovers = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().starts_with(&scratch))
+            .count();
+        assert_eq!(leftovers, 0);
     }
 
     #[test]

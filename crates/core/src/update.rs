@@ -143,7 +143,7 @@ mod tests {
             &pq,
             1e-12,
             &ParConfig::auto(),
-            KernelKind::Auto,
+            KernelKind::Tiled,
             &mut QHadamardScratch::new(),
         )
         .unwrap();
@@ -187,7 +187,7 @@ mod tests {
             &mut pq,
             a_new.clone(),
             &ParConfig::auto(),
-            KernelKind::Auto,
+            KernelKind::Tiled,
         )
         .unwrap();
         assert_eq!(unit.factor, a_new);
@@ -218,7 +218,7 @@ mod tests {
             &pq,
             1e-9,
             &ParConfig::serial(),
-            KernelKind::Auto,
+            KernelKind::Tiled,
             &mut QHadamardScratch::new(),
         )
         .unwrap();

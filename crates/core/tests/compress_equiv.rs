@@ -9,10 +9,7 @@
 //!   truncation actually discarded;
 //! * the whole pipeline — sketches, eigensolves, core ALS, polish — is
 //!   bitwise run-to-run repeatable and invariant across thread budgets
-//!   {1, 2, 4, 7} and both kernel backends;
-//! * with no [`CompressOptions`] configured, the driver's default path is
-//!   bitwise identical to a build that has never heard of compression
-//!   (the `TPCP_COMPRESS=0` CI leg pins the same thing end to end).
+//!   {1, 2, 4, 7} and both kernel backends.
 
 use rand::SeedableRng;
 use tpcp_compress::{compress_cp_als_dense, compress_decompose};
@@ -21,7 +18,7 @@ use tpcp_linalg::{KernelKind, Mat};
 use tpcp_par::ParConfig;
 use tpcp_partition::{DenseMemorySource, Grid};
 use tpcp_tensor::{random_factor, DenseTensor};
-use twopcp::{CompressOptions, TwoPcp, TwoPcpConfig};
+use twopcp::CompressOptions;
 
 /// A CP-structured tensor of rank `f`: multilinear rank ≤ `f` per mode
 /// *and* exactly fittable by a rank-`f` CP model.
@@ -167,59 +164,5 @@ fn bitwise_across_threads_and_backends() {
         // Run-to-run: same configuration twice.
         let again = pipeline_bits(&x, &grid, 1, KernelKind::Reference, sketched);
         assert_eq!(baseline, again, "sketched={sketched}: not repeatable");
-    }
-}
-
-/// Driver-level fingerprint of the default (non-compressed) path.
-fn default_path_bits(cfg: TwoPcpConfig, x: &DenseTensor) -> (Vec<Vec<u64>>, Vec<u64>, Vec<u64>) {
-    let outcome = TwoPcp::new(cfg).decompose_dense(x).unwrap();
-    assert!(outcome.compress.is_none(), "default path gained provenance");
-    (
-        outcome
-            .model
-            .factors
-            .iter()
-            .map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect())
-            .collect(),
-        outcome.model.weights.iter().map(|v| v.to_bits()).collect(),
-        outcome
-            .phase2
-            .fit_trace
-            .iter()
-            .map(|v| v.to_bits())
-            .collect(),
-    )
-}
-
-#[test]
-fn compress_off_leaves_the_default_path_bitwise_unchanged() {
-    let x = low_mlrank(&[12, 10, 8], 3, 5);
-    let base = || {
-        TwoPcpConfig::new(3)
-            .parts(vec![2])
-            .max_virtual_iters(12)
-            .tol(1e-7)
-            .seed(3)
-    };
-    // Configuring compression and then switching it off must restore the
-    // explicitly-off path exactly — same bits everywhere, under any
-    // environment.
-    let off = default_path_bits(base().compress_off(), &x);
-    let toggled = default_path_bits(
-        base().compress(CompressOptions::default()).compress_off(),
-        &x,
-    );
-    assert_eq!(off, toggled, "compress_off() is not a perfect no-op");
-    // The truly-unconfigured driver equals the explicit off only when the
-    // environment has not opted compression in (under TPCP_COMPRESS=1 the
-    // env default is compressed by design); the default-env and =0 CI
-    // legs exercise this arm.
-    let env_opt_in = matches!(
-        std::env::var("TPCP_COMPRESS").ok().as_deref(),
-        Some("1") | Some("on") | Some("true") | Some("yes")
-    );
-    if !env_opt_in {
-        let plain = default_path_bits(base(), &x);
-        assert_eq!(plain, off, "unconfigured default differs from explicit off");
     }
 }

@@ -5,8 +5,7 @@
 //! with `KernelKind::Tiled` must be **bitwise** identical to the same run
 //! with `KernelKind::Reference` — fit trace, final factor matrices, and
 //! the paper's headline swap counts — across schedules, eviction
-//! policies and thread budgets. This is the CI-enforced contract behind
-//! the `TPCP_KERNEL` env legs.
+//! policies and thread budgets.
 
 use proptest::prelude::*;
 use rand::SeedableRng;

@@ -14,9 +14,7 @@ use tpcp_cp::CpModel;
 use tpcp_linalg::Mat;
 use tpcp_par::ParConfig;
 use tpcp_schedule::ScheduleKind;
-use tpcp_storage::{
-    DiskStore, IoStats, PolicyKind, PrefetchConfig, PrefetchSource, SingleFileStore, UnitStore,
-};
+use tpcp_storage::{DiskStore, IoStats, PolicyKind, PrefetchConfig, PrefetchSource, UnitStore};
 use tpcp_tensor::{random_factor, DenseTensor};
 use twopcp::{refine, run_phase1_dense, RefineStats, TwoPcpConfig};
 
@@ -138,42 +136,6 @@ proptest! {
             DiskStore::open(dir.join("on")).unwrap(),
         );
         assert_equivalent(&off, &on, &format!("{policy}/{schedule}/f{fraction:.2}/t{threads}/d{depth}"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// SingleFileStore (shared live index + per-reader file handles): the
-/// same bitwise invariance, across all three policies.
-#[test]
-fn single_file_store_is_bitwise_invariant_to_prefetch() {
-    let x = low_rank(&[8, 8, 8], 2, 77);
-    for policy in PolicyKind::ALL {
-        let base = TwoPcpConfig::new(2)
-            .parts(vec![2])
-            .schedule(ScheduleKind::HilbertOrder)
-            .policy(policy)
-            .buffer_fraction(0.4)
-            .max_virtual_iters(8)
-            .tol(0.0)
-            .par(ParConfig::with_threads(2));
-        let dir = scratch(&format!("sfs_{policy}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let off = run_once(
-            &x,
-            &base.clone().prefetch(PrefetchConfig::disabled()),
-            SingleFileStore::open(dir.join("off.seg")).unwrap(),
-        );
-        let on = run_once(
-            &x,
-            &base.clone().prefetch_depth(4),
-            SingleFileStore::open(dir.join("on.seg")).unwrap(),
-        );
-        assert_equivalent(&off, &on, &format!("single-file/{policy}"));
-        assert!(
-            on.io.prefetch_hits > 0,
-            "{policy}: pipeline never engaged (stats: {})",
-            on.io
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

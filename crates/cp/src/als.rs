@@ -30,17 +30,15 @@ pub struct AlsOptions {
     /// Thread budget for the MTTKRP and Gram kernels. Parallel execution
     /// is deterministic: results are bit-identical for any budget.
     pub par: ParConfig,
-    /// Kernel backend for the MTTKRP and Gram inner loops. All backends
-    /// are bit-identical (see `tpcp_linalg::kernel`), so this knob trades
-    /// speed only; the default honours `TPCP_KERNEL`.
+    /// Kernel backend for the MTTKRP and Gram inner loops: tiled unless a
+    /// test pins the reference oracle. The two are bit-identical (see
+    /// `tpcp_linalg::kernel`).
     pub kernel: KernelKind,
     /// Compress-then-decompose knobs carried to the `tpcp-compress` entry
     /// points and the `twopcp` driver. Plain [`cp_als_dense`] /
     /// [`cp_als_sparse`] ignore this field — it is plumbing, not a mode
     /// switch of the per-mode ALS loop itself (see `docs/compress.md`).
-    /// The default is `None` (exact path); `TPCP_COMPRESS` is honoured by
-    /// the driver-level config, not here, so library-level ALS behaviour
-    /// never changes under the environment toggle.
+    /// The default is `None` (exact path).
     pub compress: Option<CompressOptions>,
 }
 
@@ -54,7 +52,7 @@ impl Default for AlsOptions {
             seed: 0,
             init: None,
             par: ParConfig::auto(),
-            kernel: KernelKind::Auto,
+            kernel: KernelKind::Tiled,
             compress: None,
         }
     }

@@ -10,24 +10,6 @@
 
 use crate::{CpError, Result};
 
-/// Name of the environment variable that opts the driver into the
-/// compress-then-decompose mode (`1`/`on`/`true`/`yes`, like
-/// `TPCP_MMAP`).
-pub const COMPRESS_ENV_VAR: &str = "TPCP_COMPRESS";
-
-/// Whether `TPCP_COMPRESS` asks for the compressed path. Unset and
-/// malformed values mean "off" (the validating config builders reject
-/// malformed values loudly instead).
-pub fn compress_auto() -> bool {
-    match std::env::var(COMPRESS_ENV_VAR) {
-        Ok(v) => matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "on" | "true" | "yes"
-        ),
-        Err(_) => false,
-    }
-}
-
 /// Knobs of the compress-then-decompose pipeline (see `docs/compress.md`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompressOptions {
@@ -215,12 +197,5 @@ mod tests {
             .mlrank(vec![2, 2, 2])
             .build()
             .is_ok());
-    }
-
-    #[test]
-    fn env_reader_is_lenient() {
-        // Reads only unset state here (process env is shared across tests);
-        // the value-parsing matrix is covered by the twopcp config tests.
-        let _ = compress_auto();
     }
 }

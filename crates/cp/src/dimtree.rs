@@ -513,7 +513,7 @@ mod tests {
             let par = ParConfig::auto();
             for mode in 0..dims.len() {
                 let fast = tree
-                    .mttkrp(&t, &refs, mode, &par, KernelKind::Auto)
+                    .mttkrp(&t, &refs, mode, &par, KernelKind::Tiled)
                     .unwrap();
                 let slow = reference_mttkrp(&t, &refs, mode);
                 let scale = slow.fro_norm().max(1.0);
@@ -582,7 +582,7 @@ mod tests {
         for sweep in 0..2 {
             tree.take_flops();
             for mode in 0..dims.len() {
-                tree.mttkrp(&t, &refs, mode, &par, KernelKind::Auto)
+                tree.mttkrp(&t, &refs, mode, &par, KernelKind::Tiled)
                     .unwrap();
                 tree.factor_updated(mode);
             }
@@ -627,10 +627,10 @@ mod tests {
         let par = ParConfig::serial();
         // Wrong-rank tree.
         let mut tree = DimTree::new(&[3, 3, 3], 4).unwrap();
-        assert!(tree.mttkrp(&t, &refs, 0, &par, KernelKind::Auto).is_err());
+        assert!(tree.mttkrp(&t, &refs, 0, &par, KernelKind::Tiled).is_err());
         // Wrong-shape tensor.
         let mut tree = DimTree::new(&[3, 3, 4], 2).unwrap();
-        assert!(tree.mttkrp(&t, &refs, 0, &par, KernelKind::Auto).is_err());
+        assert!(tree.mttkrp(&t, &refs, 0, &par, KernelKind::Tiled).is_err());
     }
 
     #[test]

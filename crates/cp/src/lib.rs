@@ -21,15 +21,10 @@ mod model;
 mod mttkrp;
 
 pub use als::{cp_als_dense, cp_als_sparse, AlsOptions, AlsOptionsBuilder, AlsReport};
-pub use compress::{
-    compress_auto, validate_compress_options, CompressOptions, CompressOptionsBuilder,
-    COMPRESS_ENV_VAR,
-};
+pub use compress::{validate_compress_options, CompressOptions, CompressOptionsBuilder};
 pub use dimtree::{per_mode_sweep_flops, DimTree, SweepSequence};
 pub use model::CpModel;
-pub use mttkrp::{
-    mttkrp_dense, mttkrp_dense_kernel, mttkrp_dense_par, mttkrp_sparse, mttkrp_sparse_par,
-};
+pub use mttkrp::{mttkrp_dense, mttkrp_dense_kernel, mttkrp_sparse, mttkrp_sparse_par};
 pub use tpcp_linalg::KernelKind;
 
 /// Errors surfaced by CP routines.

@@ -98,13 +98,13 @@ impl CpModel {
     }
 
     /// Inner product `⟨X, X̃⟩` against a dense tensor, on the automatic
-    /// thread budget and kernel backend; see
+    /// thread budget and the tiled backend; see
     /// [`CpModel::inner_dense_kernel`].
     ///
     /// # Errors
     /// [`CpError::BadFactors`] when shapes disagree.
     pub fn inner_dense(&self, x: &DenseTensor) -> Result<f64> {
-        self.inner_dense_kernel(x, &ParConfig::auto(), KernelKind::Auto)
+        self.inner_dense_kernel(x, &ParConfig::auto(), KernelKind::Tiled)
     }
 
     /// Inner product `⟨X, X̃⟩` against a dense tensor, read off the last

@@ -67,7 +67,8 @@ pub(crate) fn check_factors(dims: &[usize], factors: &[&Mat], mode: usize) -> Re
 
 /// Dense MTTKRP for mode `mode`: returns the `I_mode × F` matrix
 /// `X_(mode) · KR([factors]_{h≠mode})`, computed on the shared automatic
-/// thread budget (`TPCP_THREADS`); see [`mttkrp_dense_par`].
+/// thread budget (`TPCP_THREADS`) and the tiled backend; see
+/// [`mttkrp_dense_kernel`].
 ///
 /// `factors[mode]` is ignored (only its column count participates in
 /// validation), matching ALS usage where that factor is the one being
@@ -76,20 +77,7 @@ pub(crate) fn check_factors(dims: &[usize], factors: &[&Mat], mode: usize) -> Re
 /// # Errors
 /// [`CpError::BadFactors`] on shape inconsistencies.
 pub fn mttkrp_dense(x: &DenseTensor, factors: &[&Mat], mode: usize) -> Result<Mat> {
-    mttkrp_dense_par(x, factors, mode, &ParConfig::auto())
-}
-
-/// [`mttkrp_dense`] on an explicit thread budget.
-///
-/// # Errors
-/// [`CpError::BadFactors`] on shape inconsistencies.
-pub fn mttkrp_dense_par(
-    x: &DenseTensor,
-    factors: &[&Mat],
-    mode: usize,
-    par: &ParConfig,
-) -> Result<Mat> {
-    mttkrp_dense_kernel(x, factors, mode, par, KernelKind::Auto)
+    mttkrp_dense_kernel(x, factors, mode, &ParConfig::auto(), KernelKind::Tiled)
 }
 
 /// [`mttkrp_dense`] on an explicit thread budget and kernel backend.
@@ -97,7 +85,7 @@ pub fn mttkrp_dense_par(
 /// Order 3 runs the fused per-fibre kernel
 /// ([`Kernel::mttkrp_tile`]/[`Kernel::mttkrp_scatter`]); every other order
 /// is one root→leaf evaluation of a throw-away [`DimTree`] (at order 2 a
-/// plain `matmul`/`t_matmul` against the other factor). All backends are
+/// plain `matmul`/`t_matmul` against the other factor). The backends are
 /// bit-identical (see `tpcp_linalg::kernel`), so `kind` trades speed only.
 ///
 /// # Errors

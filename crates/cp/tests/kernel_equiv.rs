@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use tpcp_cp::{mttkrp_dense_kernel, KernelKind};
+use tpcp_cp::{mttkrp_dense, mttkrp_dense_kernel, KernelKind};
 use tpcp_linalg::Mat;
 use tpcp_par::ParConfig;
 use tpcp_tensor::DenseTensor;
@@ -30,8 +30,9 @@ fn rand_tensor_and_factors(dims: &[usize], f: usize, seed: u64) -> (DenseTensor,
     (t, factors)
 }
 
-/// Asserts that for every mode and thread budget the tiled backend equals
-/// the serial reference backend bitwise.
+/// Asserts that for every mode the implicit entry point and, at every
+/// thread budget, the tiled backend equal the serial reference backend
+/// bitwise.
 fn check_modes(dims: &[usize], f: usize, seed: u64) {
     let (t, factors) = rand_tensor_and_factors(dims, f, seed);
     let refs: Vec<&Mat> = factors.iter().collect();
@@ -39,6 +40,15 @@ fn check_modes(dims: &[usize], f: usize, seed: u64) {
         let reference =
             mttkrp_dense_kernel(&t, &refs, mode, &ParConfig::serial(), KernelKind::Reference)
                 .unwrap();
+        // `mttkrp_dense` takes no kernel argument, so it cannot be pinned
+        // from outside: it must itself go through the seam.
+        let implicit = mttkrp_dense(&t, &refs, mode).unwrap();
+        prop_assert_eq!(
+            bits(&implicit),
+            bits(&reference),
+            "mttkrp_dense mode {}",
+            mode
+        );
         for threads in THREAD_BUDGETS {
             let par = ParConfig::with_threads(threads);
             let tiled = mttkrp_dense_kernel(&t, &refs, mode, &par, KernelKind::Tiled).unwrap();
@@ -104,21 +114,5 @@ fn tiled_mttkrp_matches_reference_with_zeros() {
             let tiled = mttkrp_dense_kernel(&t, &refs, mode, &par, KernelKind::Tiled).unwrap();
             assert_eq!(bits(&tiled), bits(&reference), "mode {mode} t{threads}");
         }
-    }
-}
-
-/// `Auto` must resolve to a real backend and agree with the explicit kinds
-/// it dispatches to (tiled by default when the env var is unset or bogus —
-/// either way the bitwise contract makes them indistinguishable).
-#[test]
-fn auto_kind_matches_explicit_backends() {
-    let dims = [8usize, 7, 6];
-    let (t, factors) = rand_tensor_and_factors(&dims, 5, 7);
-    let refs: Vec<&Mat> = factors.iter().collect();
-    let par = ParConfig::serial();
-    for mode in 0..3 {
-        let auto = mttkrp_dense_kernel(&t, &refs, mode, &par, KernelKind::Auto).unwrap();
-        let reference = mttkrp_dense_kernel(&t, &refs, mode, &par, KernelKind::Reference).unwrap();
-        assert_eq!(bits(&auto), bits(&reference), "mode {mode}");
     }
 }

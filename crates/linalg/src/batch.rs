@@ -86,7 +86,7 @@ pub fn matmul_t_slices(
 }
 
 /// [`matmul_t_slices`] on the implicit budget (shared automatic thread
-/// pool above the work threshold, serial below) and the `Auto` backend —
+/// pool above the work threshold, serial below) and the tiled backend —
 /// the same dispatch the plain [`Mat::matmul_t`] method uses.
 pub fn matmul_t_slices_auto(a: &[f64], m: usize, k: usize, b: &[f64], n: usize) -> Mat {
     let par = if m * k * n >= PAR_MIN_FLOPS {
@@ -94,7 +94,7 @@ pub fn matmul_t_slices_auto(a: &[f64], m: usize, k: usize, b: &[f64], n: usize) 
     } else {
         ParConfig::serial()
     };
-    matmul_t_slices(a, m, k, b, n, &par, KernelKind::Auto)
+    matmul_t_slices(a, m, k, b, n, &par, KernelKind::Tiled)
 }
 
 #[cfg(test)]

@@ -31,117 +31,37 @@
 //! accumulator unchanged bit-for-bit (an accumulator seeded with `+0.0`
 //! can never become `-0.0` in round-to-nearest).
 //!
-//! # Runtime dispatch
+//! # Dispatch
 //!
-//! [`KernelKind`] selects the backend: explicitly through the config
-//! builders (`TwoPcpConfig::kernel`, `AlsOptions::kernel`), or via the
-//! `TPCP_KERNEL` environment variable (`reference` / `tiled` / `auto`) for
-//! the [`KernelKind::Auto`] default. `Auto` resolves to the tiled backend.
+//! [`KernelKind`] names the backend: [`KernelKind::Tiled`] is what every
+//! product runs unless a caller passes [`KernelKind::Reference`] through a
+//! `*_kernel` entry point or a config field (`TwoPcpConfig::kernel`,
+//! `AlsOptions::kernel`) — which the equivalence suites do to pin the
+//! tiled backend against the oracle.
 
-use std::str::FromStr;
-
-/// Name of the environment variable selecting the kernel backend
-/// (`reference`, `tiled` or `auto`; see [`KernelKind`]).
-pub const KERNEL_ENV_VAR: &str = "TPCP_KERNEL";
-
-/// Which kernel backend to run.
-///
-/// The default, [`KernelKind::Auto`], honours the `TPCP_KERNEL`
-/// environment variable and otherwise picks [`TiledKernel`]; the two
-/// explicit variants pin a backend regardless of the environment. All
-/// choices are bit-identical (see the [module docs](self)), so this knob
-/// trades speed only.
+/// Which kernel backend to run. The two are bit-identical (see the
+/// [module docs](self)), so the choice trades speed only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelKind {
-    /// The original scalar loops ([`ReferenceKernel`]).
-    Reference,
-    /// Register-blocked microkernels ([`TiledKernel`]).
-    Tiled,
-    /// The `TPCP_KERNEL` override when set to a valid value, otherwise
-    /// [`KernelKind::Tiled`].
+    /// Register-blocked microkernels ([`TiledKernel`]) — the backend.
     #[default]
-    Auto,
-}
-
-/// Error produced when parsing an unrecognised kernel name.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InvalidKernelName {
-    /// The rejected value.
-    pub value: String,
-}
-
-impl std::fmt::Display for InvalidKernelName {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unrecognised kernel backend `{}` (expected `reference`, `tiled` or `auto`)",
-            self.value
-        )
-    }
-}
-
-impl std::error::Error for InvalidKernelName {}
-
-impl FromStr for KernelKind {
-    type Err = InvalidKernelName;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "reference" => Ok(KernelKind::Reference),
-            "tiled" => Ok(KernelKind::Tiled),
-            "auto" => Ok(KernelKind::Auto),
-            _ => Err(InvalidKernelName { value: s.into() }),
-        }
-    }
+    Tiled,
+    /// The original scalar loops ([`ReferenceKernel`]) — the oracle.
+    Reference,
 }
 
 impl KernelKind {
-    /// The automatic choice: `TPCP_KERNEL` when set to a valid value,
-    /// otherwise [`KernelKind::Auto`] (malformed values fall back to the
-    /// default, matching the other `TPCP_*` variables; the validating
-    /// config builders reject them loudly instead).
-    pub fn auto() -> KernelKind {
-        env_kernel().unwrap_or(KernelKind::Auto)
-    }
-
-    /// Collapses [`KernelKind::Auto`] to the backend it will actually run
-    /// (the environment override, or [`KernelKind::Tiled`]); explicit
-    /// variants return themselves.
-    pub fn resolved(self) -> KernelKind {
-        match self {
-            KernelKind::Auto => match env_kernel() {
-                Some(KernelKind::Reference) => KernelKind::Reference,
-                _ => KernelKind::Tiled,
-            },
-            other => other,
-        }
-    }
-
     /// The backend implementation this kind dispatches to.
     pub fn resolve(self) -> &'static dyn Kernel {
-        match self.resolved() {
-            KernelKind::Reference => &ReferenceKernel,
-            _ => &TiledKernel,
-        }
-    }
-
-    /// Stable lower-case name (`"reference"` / `"tiled"` / `"auto"`),
-    /// matching the `TPCP_KERNEL` grammar.
-    pub fn label(self) -> &'static str {
         match self {
-            KernelKind::Reference => "reference",
-            KernelKind::Tiled => "tiled",
-            KernelKind::Auto => "auto",
+            KernelKind::Tiled => &TiledKernel,
+            KernelKind::Reference => &ReferenceKernel,
         }
     }
-}
 
-/// The environment override, ignoring unset/malformed values and the
-/// explicit `auto` (which is the default anyway).
-fn env_kernel() -> Option<KernelKind> {
-    match std::env::var(KERNEL_ENV_VAR).ok()?.parse() {
-        Ok(KernelKind::Auto) | Err(_) => None,
-        Ok(kind) => Some(kind),
+    /// Stable lower-case name (`"tiled"` / `"reference"`).
+    pub fn label(self) -> &'static str {
+        self.resolve().label()
     }
 }
 
@@ -700,40 +620,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_accepts_the_three_names() {
-        assert_eq!("reference".parse(), Ok(KernelKind::Reference));
-        assert_eq!("tiled".parse(), Ok(KernelKind::Tiled));
-        assert_eq!("auto".parse(), Ok(KernelKind::Auto));
-        // Trimmed and case-insensitive, like a human typed it.
-        assert_eq!(" Tiled ".parse(), Ok(KernelKind::Tiled));
-    }
-
-    #[test]
-    fn parse_rejects_garbage_with_a_clear_error() {
-        let err = "garbage".parse::<KernelKind>().unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("garbage"), "names the bad value: {msg}");
-        assert!(
-            msg.contains("reference") && msg.contains("tiled") && msg.contains("auto"),
-            "lists the valid values: {msg}"
-        );
-    }
-
-    #[test]
-    fn explicit_kinds_resolve_to_themselves() {
-        assert_eq!(KernelKind::Reference.resolved(), KernelKind::Reference);
-        assert_eq!(KernelKind::Tiled.resolved(), KernelKind::Tiled);
-        assert_eq!(KernelKind::Reference.resolve().label(), "reference");
-        assert_eq!(KernelKind::Tiled.resolve().label(), "tiled");
-        // Auto resolves to a runnable backend either way.
-        assert_ne!(KernelKind::Auto.resolved(), KernelKind::Auto);
-    }
-
-    #[test]
-    fn labels_match_the_env_grammar() {
-        for kind in [KernelKind::Reference, KernelKind::Tiled, KernelKind::Auto] {
-            assert_eq!(kind.label().parse::<KernelKind>(), Ok(kind));
-        }
+    fn kinds_dispatch_to_their_backend_and_tiled_is_the_default() {
+        assert_eq!(KernelKind::default(), KernelKind::Tiled);
+        assert_eq!(KernelKind::Tiled.label(), "tiled");
+        assert_eq!(KernelKind::Reference.label(), "reference");
     }
 
     #[test]

@@ -24,9 +24,7 @@ mod ops;
 pub mod solve;
 
 pub use batch::{gather_rows, matmul_t_slices, matmul_t_slices_auto};
-pub use kernel::{
-    InvalidKernelName, Kernel, KernelKind, ReferenceKernel, TiledKernel, KERNEL_ENV_VAR,
-};
+pub use kernel::{Kernel, KernelKind, ReferenceKernel, TiledKernel};
 pub use kr::{hadamard_all, khatri_rao, khatri_rao_into};
 pub use mat::Mat;
 

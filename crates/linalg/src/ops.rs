@@ -1,16 +1,14 @@
 //! Multiplication, Gram, Hadamard and element-wise kernels on [`Mat`].
 //!
-//! The multiplication kernels come in three flavours: the classic methods
-//! ([`Mat::matmul`], [`Mat::t_matmul`], [`Mat::matmul_t`], [`Mat::gram`])
-//! dispatch to the shared [`tpcp_par`] thread budget once the operation is
-//! large enough to amortise a fan-out, the `*_par` variants take an
-//! explicit [`ParConfig`], and the `*_kernel` variants additionally pin a
-//! [`KernelKind`] backend (the others run [`KernelKind::Auto`]). Either
-//! way the parallel wrappers partition the *output* matrix and the
-//! backends uphold the accumulation-order contract of
-//! [`crate::kernel`], so every element is accumulated in the same order
-//! as the serial reference loop and results are bit-identical for any
-//! thread count and any backend.
+//! Each product has two entry points: the classic method ([`Mat::matmul`],
+//! [`Mat::t_matmul`], [`Mat::matmul_t`], [`Mat::gram`]) runs the tiled
+//! backend on the shared [`tpcp_par`] thread budget once the operation is
+//! large enough to amortise a fan-out, and its `*_kernel` variant takes an
+//! explicit [`ParConfig`] and [`KernelKind`]. Either way the parallel
+//! wrappers partition the *output* matrix and the backends uphold the
+//! accumulation-order contract of [`crate::kernel`], so every element is
+//! accumulated in the same order as the serial reference loop and results
+//! are bit-identical for any thread count and either backend.
 
 use crate::kernel::KernelKind;
 use crate::{LinalgError, Mat, Result};
@@ -19,12 +17,12 @@ use tpcp_par::{par_chunks_mut, tile_rows_per_chunk, ParConfig};
 /// Multiply-add count below which a product stays on the calling thread:
 /// fanning out costs a few microseconds, which only pays off once the
 /// kernel itself is in that range. Both the implicit entry points and the
-/// explicit `*_par` variants apply this clamp (via [`ParConfig::clamped`]);
+/// explicit `*_kernel` variants apply this clamp (via [`ParConfig::clamped`]);
 /// it is result-neutral because the kernels are thread-count deterministic.
 /// Shared with the slice-based entry points in [`crate::batch`].
 const PAR_MIN_FLOPS: usize = crate::batch::PAR_MIN_FLOPS;
 
-/// The budget used by the implicit (non-`_par`) entry points: the shared
+/// The budget used by the implicit (non-`_kernel`) entry points: the shared
 /// automatic budget when the operation is big enough, serial otherwise
 /// (checked before `auto()` so small hot-loop products skip the
 /// environment lookup entirely).
@@ -40,23 +38,16 @@ impl Mat {
     /// `self · rhs` (shapes `m×k` times `k×n`).
     ///
     /// Above a work threshold this runs on the shared [`tpcp_par`] budget
-    /// (`TPCP_THREADS`); see [`Mat::matmul_par`] for an explicit budget.
+    /// (`TPCP_THREADS`); see [`Mat::matmul_kernel`] for an explicit budget.
     pub fn matmul(&self, rhs: &Mat) -> Result<Mat> {
-        self.matmul_par(rhs, &implicit_par(self.rows() * self.cols() * rhs.cols()))
-    }
-
-    /// `self · rhs` on an explicit thread budget.
-    ///
-    /// The output rows are partitioned across workers, so the result is
-    /// bit-identical to the serial kernel for any thread count.
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `self.cols() != rhs.rows()`.
-    pub fn matmul_par(&self, rhs: &Mat, par: &ParConfig) -> Result<Mat> {
-        self.matmul_kernel(rhs, par, KernelKind::Auto)
+        let par = implicit_par(self.rows() * self.cols() * rhs.cols());
+        self.matmul_kernel(rhs, &par, KernelKind::Tiled)
     }
 
     /// `self · rhs` on an explicit thread budget and kernel backend.
+    ///
+    /// The output rows are partitioned across workers, so the result is
+    /// bit-identical to the serial kernel for any thread count.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `self.cols() != rhs.rows()`.
@@ -96,25 +87,18 @@ impl Mat {
     /// This is the kernel behind the paper's `P(h)_l = U(h)_lᵀ A(h)(l_h)`
     /// cache refresh, so it avoids materialising the transpose. Above a
     /// work threshold it runs on the shared [`tpcp_par`] budget; see
-    /// [`Mat::t_matmul_par`].
+    /// [`Mat::t_matmul_kernel`].
     pub fn t_matmul(&self, rhs: &Mat) -> Result<Mat> {
-        self.t_matmul_par(rhs, &implicit_par(self.rows() * self.cols() * rhs.cols()))
+        let par = implicit_par(self.rows() * self.cols() * rhs.cols());
+        self.t_matmul_kernel(rhs, &par, KernelKind::Tiled)
     }
 
-    /// `selfᵀ · rhs` on an explicit thread budget.
+    /// `selfᵀ · rhs` on an explicit thread budget and kernel backend.
     ///
     /// The `k` output rows (columns of `self`) are partitioned across
     /// workers; each still sweeps the `m` input rows in ascending order, so
     /// every output element accumulates in exactly the serial order and the
     /// result is bit-identical for any thread count.
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `self.rows() != rhs.rows()`.
-    pub fn t_matmul_par(&self, rhs: &Mat, par: &ParConfig) -> Result<Mat> {
-        self.t_matmul_kernel(rhs, par, KernelKind::Auto)
-    }
-
-    /// `selfᵀ · rhs` on an explicit thread budget and kernel backend.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `self.rows() != rhs.rows()`.
@@ -151,21 +135,15 @@ impl Mat {
     /// `self · rhsᵀ` (shapes `m×k` times `n×k` transposed, result `m×n`).
     ///
     /// Above a work threshold this runs on the shared [`tpcp_par`] budget;
-    /// see [`Mat::matmul_t_par`].
+    /// see [`Mat::matmul_t_kernel`].
     pub fn matmul_t(&self, rhs: &Mat) -> Result<Mat> {
-        self.matmul_t_par(rhs, &implicit_par(self.rows() * self.cols() * rhs.rows()))
+        let par = implicit_par(self.rows() * self.cols() * rhs.rows());
+        self.matmul_t_kernel(rhs, &par, KernelKind::Tiled)
     }
 
-    /// `self · rhsᵀ` on an explicit thread budget (output rows partitioned;
-    /// bit-identical to serial for any thread count).
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `self.cols() != rhs.cols()`.
-    pub fn matmul_t_par(&self, rhs: &Mat, par: &ParConfig) -> Result<Mat> {
-        self.matmul_t_kernel(rhs, par, KernelKind::Auto)
-    }
-
-    /// `self · rhsᵀ` on an explicit thread budget and kernel backend.
+    /// `self · rhsᵀ` on an explicit thread budget and kernel backend
+    /// (output rows partitioned; bit-identical to serial for any thread
+    /// count).
     ///
     /// Delegates to [`crate::batch::matmul_t_slices`], the slice-based
     /// entry point the zero-copy serving path uses — one implementation,
@@ -196,16 +174,11 @@ impl Mat {
     /// Gram matrix `selfᵀ · self` (always square `cols × cols`, symmetric).
     pub fn gram(&self) -> Mat {
         let k = self.cols();
-        self.gram_kernel(&implicit_par(self.rows() * k * k), KernelKind::Auto)
+        self.gram_kernel(&implicit_par(self.rows() * k * k), KernelKind::Tiled)
     }
 
-    /// [`Mat::gram`] on an explicit thread budget (bit-identical to serial
-    /// for any thread count).
-    pub fn gram_par(&self, par: &ParConfig) -> Mat {
-        self.gram_kernel(par, KernelKind::Auto)
-    }
-
-    /// [`Mat::gram`] on an explicit thread budget and kernel backend.
+    /// [`Mat::gram`] on an explicit thread budget and kernel backend
+    /// (bit-identical to serial for any thread count).
     ///
     /// Backends that report [`Kernel::gram_needs_mirror`] compute only the
     /// upper triangle of each band; the strict lower triangle is filled

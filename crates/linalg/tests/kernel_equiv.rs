@@ -24,11 +24,11 @@ fn mat_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Mat> {
         .prop_map(move |d| Mat::from_vec(rows, cols, d))
 }
 
-/// Checks all four products on one `(a: m×k, b)` instance: for every
-/// thread budget, the tiled result must equal the reference result
-/// bitwise (and the reference result must be thread-invariant, which the
-/// existing prop suite also pins — asserting through one code path here
-/// keeps the failure messages local).
+/// Checks all four products on one `(a: m×k, b)` instance: the implicit
+/// entry point and, for every thread budget, the tiled result must equal
+/// the reference result bitwise (and the reference result must be
+/// thread-invariant, which the existing prop suite also pins — asserting
+/// through one code path here keeps the failure messages local).
 fn check_products(a: &Mat, b_kn: &Mat, b_mn: &Mat, b_nk: &Mat) {
     let reference = ParConfig::serial();
     let mm_ref = a
@@ -41,6 +41,12 @@ fn check_products(a: &Mat, b_kn: &Mat, b_mn: &Mat, b_nk: &Mat) {
         .matmul_t_kernel(b_nk, &reference, KernelKind::Reference)
         .unwrap();
     let gram_ref = a.gram_kernel(&reference, KernelKind::Reference);
+    // The implicit entry points take no kernel argument, so they cannot be
+    // pinned from outside: each must itself go through the seam.
+    prop_assert_eq!(bits(&a.matmul(b_kn).unwrap()), bits(&mm_ref), "matmul");
+    prop_assert_eq!(bits(&a.t_matmul(b_mn).unwrap()), bits(&tm_ref), "t_matmul");
+    prop_assert_eq!(bits(&a.matmul_t(b_nk).unwrap()), bits(&mt_ref), "matmul_t");
+    prop_assert_eq!(bits(&a.gram()), bits(&gram_ref), "gram");
     for threads in THREAD_BUDGETS {
         let par = ParConfig::with_threads(threads);
         let mm = a.matmul_kernel(b_kn, &par, KernelKind::Tiled).unwrap();

@@ -2,7 +2,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use proptest::prelude::*;
-use tpcp_linalg::{hadamard_all, khatri_rao, solve, Mat};
+use tpcp_linalg::{hadamard_all, khatri_rao, solve, KernelKind, Mat};
 
 /// Strategy producing a matrix with bounded dimensions and tame values.
 fn mat(rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> impl Strategy<Value = Mat> {
@@ -247,17 +247,17 @@ proptest! {
         )))
     {
         use tpcp_par::ParConfig;
-        let serial = a.matmul_par(&b, &ParConfig::serial()).unwrap();
+        let serial = a.matmul_kernel(&b, &ParConfig::serial(), KernelKind::Tiled).unwrap();
         for threads in [2usize, 4, 7] {
-            let par = a.matmul_par(&b, &ParConfig::with_threads(threads)).unwrap();
+            let par = a.matmul_kernel(&b, &ParConfig::with_threads(threads), KernelKind::Tiled).unwrap();
             prop_assert_eq!(mat_bits(&par), mat_bits(&serial), "threads {}", threads);
         }
         // matmul_t against the explicit transpose, same invariance.
         let bt = b.transposed();
-        let serial_t = a.matmul_t_par(&bt, &ParConfig::serial()).unwrap();
+        let serial_t = a.matmul_t_kernel(&bt, &ParConfig::serial(), KernelKind::Tiled).unwrap();
         prop_assert_eq!(mat_bits(&serial_t), mat_bits(&serial));
         for threads in [2usize, 4, 7] {
-            let par = a.matmul_t_par(&bt, &ParConfig::with_threads(threads)).unwrap();
+            let par = a.matmul_t_kernel(&bt, &ParConfig::with_threads(threads), KernelKind::Tiled).unwrap();
             prop_assert_eq!(mat_bits(&par), mat_bits(&serial), "matmul_t threads {}", threads);
         }
     }
@@ -275,13 +275,13 @@ proptest! {
         )))
     {
         use tpcp_par::ParConfig;
-        let gram_serial = a.gram_par(&ParConfig::serial());
+        let gram_serial = a.gram_kernel(&ParConfig::serial(), KernelKind::Tiled);
         prop_assert_eq!(mat_bits(&gram_serial), mat_bits(&a.gram()));
-        let tm_serial = a.t_matmul_par(&b, &ParConfig::serial()).unwrap();
+        let tm_serial = a.t_matmul_kernel(&b, &ParConfig::serial(), KernelKind::Tiled).unwrap();
         for threads in [2usize, 4, 7] {
             let cfg = ParConfig::with_threads(threads);
-            prop_assert_eq!(mat_bits(&a.gram_par(&cfg)), mat_bits(&gram_serial), "gram threads {}", threads);
-            let tm = a.t_matmul_par(&b, &cfg).unwrap();
+            prop_assert_eq!(mat_bits(&a.gram_kernel(&cfg, KernelKind::Tiled)), mat_bits(&gram_serial), "gram threads {}", threads);
+            let tm = a.t_matmul_kernel(&b, &cfg, KernelKind::Tiled).unwrap();
             prop_assert_eq!(mat_bits(&tm), mat_bits(&tm_serial), "t_matmul threads {}", threads);
         }
     }

@@ -1,8 +1,10 @@
 //! Deterministic scoped-parallelism primitives for the 2PCP workspace.
 //!
 //! Every layer of the stack (MTTKRP kernels, dense matrix products, the
-//! Phase-1 block fan-out, the MapReduce engine) funnels its threading
-//! through this crate, so the whole system shares one thread-budget policy
+//! Phase-1 block fan-out — [`par_map`] over a batch of blocks *is* the
+//! paper's Observation #1 — and the HaTen2 baseline's MapReduce engine)
+//! funnels its threading through this crate, so the whole system shares
+//! one thread-budget policy
 //! ([`ParConfig`], overridable via the `TPCP_THREADS` environment variable)
 //! and one set of determinism guarantees:
 //!
@@ -33,8 +35,8 @@ use std::sync::Mutex;
 /// Construct one with [`ParConfig::auto`] (environment override, hardware
 /// fallback), [`ParConfig::serial`] or [`ParConfig::with_threads`], and pass
 /// it down: `TwoPcpConfig`, `AlsOptions` and `MrConfig` all embed one so the
-/// driver, Phase 1, Phase 2 and the MapReduce substrate draw from a single
-/// budget.
+/// driver, Phase 1, Phase 2 and the baseline's MapReduce engine draw from a
+/// single budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParConfig {
     threads: usize,

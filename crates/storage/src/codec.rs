@@ -23,11 +23,9 @@
 //! trailer   8     FNV-1a 64 checksum of everything before it
 //! ```
 //!
-//! The slab offset `32 + 16n` is a multiple of 8, and every store lays
-//! pages out so the slab is also 8-byte aligned *in the file* ([`DiskStore`]
-//! pages start at offset 0; [`SingleFileStore`] payloads start 8 past a
-//! 64-aligned page boundary) — hence 8-byte aligned in a page-aligned
-//! memory map.
+//! The slab offset `32 + 16n` is a multiple of 8, and [`DiskStore`] pages
+//! start at offset 0 of their file, so the slab is also 8-byte aligned *in
+//! the file* — hence 8-byte aligned in a page-aligned memory map.
 //!
 //! Format **v1** interleaved per-matrix headers with payload (`rows, cols,
 //! data` per matrix) and was encoded element by element; [`decode`]
@@ -41,7 +39,6 @@
 //! trusted.
 //!
 //! [`DiskStore`]: crate::DiskStore
-//! [`SingleFileStore`]: crate::SingleFileStore
 
 use crate::store::UnitData;
 use crate::{Result, StorageError};

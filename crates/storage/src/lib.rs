@@ -11,11 +11,10 @@
 //!   format v2 lays payloads out as contiguous 8-byte-aligned `f64` slabs
 //!   encoded/decoded with bulk byte copies (v1 pages remain readable);
 //! * [`UnitStore`] implementations: [`DiskStore`] (one page file per unit,
-//!   buffered I/O, fault injection for tests), [`SingleFileStore`] (all
-//!   units packed into one append-only, crash-tolerant container file —
-//!   the layout of a chunked array store), [`MemStore`], and
-//!   [`ShardedStore`] — a router that spreads the unit space across `S`
-//!   backing shards (`TPCP_SHARDS`) with aggregated byte counters;
+//!   committed by write-then-rename, fault injection for tests),
+//!   [`MemStore`], and [`ShardedStore`] — a router that spreads the unit
+//!   space across `S` backing shards (`TPCP_SHARDS`) with aggregated byte
+//!   counters;
 //! * [`BufferPool`] — a byte-budgeted cache over a store with pluggable
 //!   [`ReplacementPolicy`]: LRU, MRU and the paper's forward-looking (FOR)
 //!   schedule-aware policy (§VII), plus pinning so a step's working set
@@ -31,10 +30,10 @@
 //!   bytes, never values — results and swap counts are bit-identical with
 //!   the pipeline on or off;
 //! * the zero-copy read path ([`mmap_auto`] / `TPCP_MMAP`,
-//!   [`DiskStore::set_mmap`], [`SingleFileStore::set_mmap`]): mmap-backed
-//!   stores hand the codec (and, via [`UnitStore::read_slab`], the buffer
-//!   pool) borrowed page views straight out of the page cache, so a
-//!   resident unit materialises with exactly one copy — map → `Mat`.
+//!   [`DiskStore::set_mmap`]): an mmap-backed store hands the codec (and,
+//!   via [`UnitStore::read_slab`], the buffer pool) borrowed page views
+//!   straight out of the page cache, so a resident unit materialises with
+//!   exactly one copy — map → `Mat`.
 //!   Like prefetch and sharding, mmap moves bytes, never values.
 
 pub mod codec;
@@ -43,7 +42,6 @@ mod buffer;
 mod policy;
 mod prefetch;
 mod sharded;
-mod single_file;
 mod stats;
 mod store;
 
@@ -51,7 +49,6 @@ pub use buffer::{capacity_for_fraction, BufferPool};
 pub use policy::{ForwardPolicy, LruPolicy, MruPolicy, PolicyKind, ReplacementPolicy};
 pub use prefetch::{PrefetchConfig, PrefetchRead, PrefetchSource, PREFETCH_ENV_VAR};
 pub use sharded::{shard_of, shards_auto, ShardedStore, SHARDS_ENV_VAR};
-pub use single_file::SingleFileStore;
 pub use stats::IoStats;
 pub use store::{mmap_auto, DiskStore, MemStore, PageRead, UnitData, UnitStore, MMAP_ENV_VAR};
 

@@ -10,7 +10,7 @@
 
 use crate::prefetch::{PrefetchRead, PrefetchSource};
 use crate::store::{DiskStore, MemStore, PageRead, UnitData, UnitStore};
-use crate::{Result, SingleFileStore};
+use crate::Result;
 use std::path::Path;
 use tpcp_schedule::UnitId;
 
@@ -101,29 +101,6 @@ impl ShardedStore<DiskStore> {
         let mut shards = Vec::with_capacity(n.max(1));
         for i in 0..n.max(1) {
             shards.push(DiskStore::open(root.as_ref().join(format!("shard_{i}")))?);
-        }
-        Ok(ShardedStore::new(shards))
-    }
-
-    /// Switches the mmap read path on or off for every shard.
-    pub fn set_mmap(&mut self, mmap: bool) {
-        for s in &mut self.shards {
-            s.set_mmap(mmap);
-        }
-    }
-}
-
-impl ShardedStore<SingleFileStore> {
-    /// Opens `n` [`SingleFileStore`] shards at `root/shard_{i}.2pcp`.
-    ///
-    /// # Errors
-    /// I/O failure opening a shard container.
-    pub fn open_single_file(root: impl AsRef<Path>, n: usize) -> Result<Self> {
-        let mut shards = Vec::with_capacity(n.max(1));
-        for i in 0..n.max(1) {
-            shards.push(SingleFileStore::open(
-                root.as_ref().join(format!("shard_{i}.2pcp")),
-            )?);
         }
         Ok(ShardedStore::new(shards))
     }

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use tpcp_linalg::Mat;
 use tpcp_schedule::{AccessSequence, UnitId};
 use tpcp_storage::{
-    codec, BufferPool, MemStore, PolicyKind, PrefetchConfig, SingleFileStore, UnitData, UnitStore,
+    codec, BufferPool, DiskStore, MemStore, PolicyKind, PrefetchConfig, UnitData, UnitStore,
 };
 
 fn unit_data(part: usize, rows: usize, value: f64) -> UnitData {
@@ -190,7 +190,7 @@ proptest! {
 
         let unit_bytes = unit_data(0, 3, 0.0).payload_bytes();
         let run = |prefetch: bool, tag: &str| -> (Vec<f64>, u64, u64, u64, u64, Vec<f64>) {
-            let mut store = SingleFileStore::open(dir.join(format!("{tag}.seg"))).unwrap();
+            let mut store = DiskStore::open(dir.join(tag)).unwrap();
             for part in 0..6 {
                 store.write(&unit_data(part, 3, part as f64)).unwrap();
             }
@@ -319,9 +319,9 @@ proptest! {
         prop_assert_eq!(codec::fnv1a(&data), reference(&data));
     }
 
-    /// The mmap read path moves bytes, never values: an mmap-backed
-    /// single-file store run through a random pool workload observes and
-    /// persists exactly what the buffered run does, counter for counter.
+    /// The mmap read path moves bytes, never values: an mmap-backed disk
+    /// store run through a random pool workload observes and persists
+    /// exactly what the buffered run does, counter for counter.
     #[test]
     fn mmap_pool_runs_match_buffered_runs(
         ops in ops(),
@@ -339,8 +339,7 @@ proptest! {
         let unit_bytes = unit_data(0, 3, 0.0).payload_bytes();
 
         let run = |mmap: bool, tag: &str| -> (Vec<f64>, tpcp_storage::IoStats, Vec<f64>) {
-            let mut store = SingleFileStore::open_with(
-                dir.join(format!("{tag}.seg")), mmap).unwrap();
+            let mut store = DiskStore::open_with(dir.join(tag), mmap).unwrap();
             for part in 0..6 {
                 store.write(&unit_data(part, 3, part as f64)).unwrap();
             }

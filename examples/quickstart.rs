@@ -33,29 +33,16 @@ fn main() {
         .decompose_dense(&x)
         .expect("decomposition failed");
 
-    // Under `TPCP_COMPRESS=1` the driver replaces both phases with the
-    // compressed pipeline (see docs/compress.md), so the two-phase stats
-    // are empty — report the compression provenance instead.
-    if let Some(c) = &outcome.compress {
-        println!(
-            "compressed: mlrank {:?} core {:?} in {:?} ({:.1}% energy retained)",
-            c.mlrank,
-            c.core_shape,
-            outcome.phase1_time + outcome.phase2_time,
-            100.0 * c.energy,
-        );
-    } else {
-        println!(
-            "phase 1: {} blocks decomposed in {:?} (mean block fit {:.4})",
-            outcome.phase1.grid.num_blocks(),
-            outcome.phase1_time,
-            outcome.phase1.block_fits.iter().sum::<f64>() / outcome.phase1.block_fits.len() as f64,
-        );
-        println!(
-            "phase 2: {} virtual iterations in {:?} (converged: {})",
-            outcome.phase2.virtual_iterations, outcome.phase2_time, outcome.phase2.converged,
-        );
-    }
+    println!(
+        "phase 1: {} blocks decomposed in {:?} (mean block fit {:.4})",
+        outcome.phase1.grid.num_blocks(),
+        outcome.phase1_time,
+        outcome.phase1.block_fits.iter().sum::<f64>() / outcome.phase1.block_fits.len() as f64,
+    );
+    println!(
+        "phase 2: {} virtual iterations in {:?} (converged: {})",
+        outcome.phase2.virtual_iterations, outcome.phase2_time, outcome.phase2.converged,
+    );
     println!("accuracy (1 - relative error): {:.4}", outcome.fit);
 
     // The model is a standard weighted CP decomposition.

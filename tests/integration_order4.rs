@@ -12,9 +12,7 @@ const DIMS: [usize; 4] = [12, 10, 11, 9];
 const RANK: usize = 3;
 
 fn cfg(threads: usize) -> TwoPcpConfig {
-    // Pins the two-phase pipeline; opt out of TPCP_COMPRESS=1.
     TwoPcpConfig::new(RANK)
-        .compress_off()
         .parts(vec![2])
         .max_virtual_iters(30)
         .tol(0.0)

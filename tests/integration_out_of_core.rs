@@ -12,10 +12,7 @@ use twopcp::{run_phase1_dense, simulate_swaps, SwapSimConfig, TwoPcp, TwoPcpConf
 #[test]
 fn buffering_never_changes_the_math() {
     let x = low_rank_dense(&[12, 12, 12], 2, 0.05, 31);
-    // These tests pin the *two-phase* machinery; opt out of a
-    // TPCP_COMPRESS=1 environment explicitly.
     let base = TwoPcpConfig::new(2)
-        .compress_off()
         .parts(vec![2])
         .schedule(ScheduleKind::ZOrder)
         .max_virtual_iters(10)
@@ -45,7 +42,6 @@ fn refiner_swaps_match_simulator() {
     for schedule in ScheduleKind::ALL {
         for policy in PolicyKind::ALL {
             let cfg = TwoPcpConfig::new(2)
-                .compress_off()
                 .parts(vec![2])
                 .schedule(schedule)
                 .policy(policy)
@@ -76,7 +72,6 @@ fn refiner_swaps_match_simulator() {
 fn swap_counts_are_data_independent() {
     let cfg = |seed| {
         TwoPcpConfig::new(2)
-            .compress_off()
             .parts(vec![2])
             .schedule(ScheduleKind::FiberOrder)
             .policy(PolicyKind::Lru)

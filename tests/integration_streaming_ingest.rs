@@ -13,10 +13,7 @@ const RANK: usize = 2;
 const SEED: u64 = 17;
 
 fn cfg() -> TwoPcpConfig {
-    // This suite pins the two-phase streaming machinery (pass counts,
-    // unit stores, mapreduce counters); opt out of TPCP_COMPRESS=1.
     TwoPcpConfig::new(RANK)
-        .compress_off()
         .parts(vec![2])
         .max_virtual_iters(10)
         .tol(1e-4)
@@ -142,37 +139,5 @@ fn file_backed_out_of_core_run_with_sharded_disk_store() {
         .count();
     assert!(shard_dirs > 1, "units must spread across shard directories");
     let _ = std::fs::remove_dir_all(&root);
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn mapreduce_phase1_accepts_a_file_backed_source() {
-    let mut generator = ModelBlockSource::low_rank(&DIMS, RANK, SEED);
-    let grid = Grid::new(&DIMS, &[2, 2, 2]);
-    let x = generator.materialize(&grid);
-    let path = std::env::temp_dir().join(format!("tpcp_ingest_mr_{}.raw", std::process::id()));
-    FileTensorSource::write_dense(&path, &x).unwrap();
-    let root = std::env::temp_dir().join(format!("tpcp_ingest_mr_wd_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-
-    let mr_cfg = cfg()
-        .work_dir(&root)
-        .phase1(twopcp::Phase1Options::default().mapreduce(true));
-    let baseline = TwoPcp::new(mr_cfg.clone()).decompose_dense(&x).unwrap();
-    // A fresh work dir so the second run does not reuse on-disk units.
-    let root2 = std::env::temp_dir().join(format!("tpcp_ingest_mr_wd2_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root2);
-    let mut src = FileTensorSource::open(&path).unwrap();
-    let streamed = TwoPcp::new(mr_cfg.work_dir(&root2))
-        .decompose_source(&mut src)
-        .unwrap();
-    assert_same_factors(&baseline, &streamed);
-    assert_eq!(
-        baseline.mr_counters.map_input_records,
-        streamed.mr_counters.map_input_records
-    );
-    assert_eq!(streamed.mr_counters.map_input_records, x.nnz() as u64);
-    let _ = std::fs::remove_dir_all(&root);
-    let _ = std::fs::remove_dir_all(&root2);
     let _ = std::fs::remove_file(&path);
 }

@@ -4,7 +4,7 @@ use tpcp_datasets::{ensemble_like, low_rank_dense};
 use tpcp_partition::{split_dense, Grid};
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::PolicyKind;
-use twopcp::{accuracy, Phase1Options, TwoPcp, TwoPcpConfig};
+use twopcp::{accuracy, TwoPcp, TwoPcpConfig};
 
 /// 2PCP must be competitive with direct (unpartitioned) CP-ALS on
 /// recoverable low-rank data — the block decomposition and stitching
@@ -47,9 +47,7 @@ fn two_phase_matches_direct_als_fit() {
 #[test]
 fn disk_and_memory_stores_agree_bitwise() {
     let x = ensemble_like(&[12, 12, 12], 2, 0.05, 9);
-    // Pins the storage/refine machinery; opt out of TPCP_COMPRESS=1.
     let base = TwoPcpConfig::new(2)
-        .compress_off()
         .parts(vec![2])
         .schedule(ScheduleKind::HilbertOrder)
         .policy(PolicyKind::Forward)
@@ -74,44 +72,6 @@ fn disk_and_memory_stores_agree_bitwise() {
     assert_eq!(
         mem.phase2.swaps_per_iteration,
         disk.phase2.swaps_per_iteration
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Phase 1 on the MapReduce substrate must agree with the threaded path
-/// (same per-block seeds ⇒ same block decompositions).
-#[test]
-fn mapreduce_phase1_agrees_with_threads() {
-    let x = low_rank_dense(&[10, 10, 10], 2, 0.0, 13);
-    let dir = std::env::temp_dir().join(format!("tpcp_it_mr_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Pins the MapReduce phase-1 substrate; opt out of TPCP_COMPRESS=1.
-    let base = TwoPcpConfig::new(2)
-        .compress_off()
-        .parts(vec![2])
-        .max_virtual_iters(20)
-        .tol(1e-6)
-        .seed(2);
-
-    let threaded = TwoPcp::new(base.clone()).decompose_dense(&x).unwrap();
-    let mr = TwoPcp::new(
-        base.work_dir(&dir)
-            .phase1(Phase1Options::default().mapreduce(true)),
-    )
-    .decompose_dense(&x)
-    .unwrap();
-
-    assert!(
-        mr.mr_counters.map_input_records > 0,
-        "MR path not exercised"
-    );
-    assert_eq!(threaded.phase1.block_norms_sq, mr.phase1.block_norms_sq);
-    assert!(
-        (threaded.fit - mr.fit).abs() < 1e-9,
-        "threaded {} vs mapreduce {}",
-        threaded.fit,
-        mr.fit
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

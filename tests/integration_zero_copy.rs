@@ -38,10 +38,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
 }
 
 fn base_cfg() -> TwoPcpConfig {
-    // This suite pins the phase-2 mmap/buffered storage path; opt out of
-    // TPCP_COMPRESS=1.
     TwoPcpConfig::new(2)
-        .compress_off()
         .parts(vec![2])
         .schedule(ScheduleKind::HilbertOrder)
         .policy(PolicyKind::Forward)

@@ -1,14 +1,13 @@
 //! Sharded-equivalence property suite: routing data-access units across
-//! `S` unit-store shards must move bytes, never values. For every Phase-1
-//! execution path (dense, sparse, MapReduce) a sharded run
+//! `S` unit-store shards must move bytes, never values. For every input
+//! kind (dense, sparse) and store (memory, disk) a sharded run
 //! (`TwoPcpConfig::shards`, the programmatic face of `TPCP_SHARDS`) must
 //! produce *bitwise-identical* factors, weights, fits and swap counts to
 //! the single-store run.
 
 use proptest::prelude::*;
 use tpcp_datasets::{low_rank_dense, low_rank_sparse};
-use tpcp_tensor::SparseTensor;
-use twopcp::{Phase1Options, TwoPcp, TwoPcpConfig, TwoPcpOutcome};
+use twopcp::{TwoPcp, TwoPcpConfig, TwoPcpOutcome};
 
 fn assert_bitwise_equal(a: &TwoPcpOutcome, b: &TwoPcpOutcome) {
     assert_eq!(a.fit.to_bits(), b.fit.to_bits(), "exact fit must match");
@@ -28,10 +27,7 @@ fn assert_bitwise_equal(a: &TwoPcpOutcome, b: &TwoPcpOutcome) {
 }
 
 fn base_cfg(rank: usize, parts: usize, seed: u64) -> TwoPcpConfig {
-    // This suite pins sharded phase-1/phase-2 machinery; opt out of
-    // TPCP_COMPRESS=1.
     TwoPcpConfig::new(rank)
-        .compress_off()
         .parts(vec![parts])
         .buffer_fraction(0.5)
         .max_virtual_iters(8)
@@ -71,44 +67,6 @@ proptest! {
         let sharded = TwoPcp::new(base_cfg(2, parts, seed).shards(3))
             .decompose_sparse(&x).unwrap();
         assert_bitwise_equal(&single, &sharded);
-    }
-
-    /// MapReduce Phase 1 over sharded *disk* stores: 1 vs 3 shards must
-    /// agree bitwise, and the MapReduce counters must be untouched by the
-    /// routing.
-    #[test]
-    fn mapreduce_sharded_runs_are_bitwise_identical(
-        seed in 0u64..500,
-        parts in 2usize..4,
-    ) {
-        let dims = [parts * 3, parts * 3, parts * 2];
-        let x = low_rank_dense(&dims, 2, 0.1, seed);
-        let sp = SparseTensor::from_dense(&x, 0.0);
-        let root = std::env::temp_dir().join(format!(
-            "tpcp_prop_shard_mr_{}_{seed}_{parts}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let run = |shards: usize| {
-            TwoPcp::new(
-                base_cfg(2, parts, seed)
-                    .shards(shards)
-                    .work_dir(root.join(format!("s{shards}")))
-                    .phase1(Phase1Options::default().mapreduce(true)),
-            )
-            .decompose_sparse(&sp)
-            .unwrap()
-        };
-        let single = run(1);
-        let sharded = run(3);
-        assert_bitwise_equal(&single, &sharded);
-        assert_eq!(single.mr_counters.map_input_records, sp.nnz() as u64);
-        assert_eq!(
-            single.mr_counters.map_input_records,
-            sharded.mr_counters.map_input_records
-        );
-        assert_eq!(single.mr_counters.reduce_groups, sharded.mr_counters.reduce_groups);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Out-of-core configuration: disk-backed sharded stores with a
