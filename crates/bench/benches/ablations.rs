@@ -259,12 +259,15 @@ fn bench_gray_vs_hilbert(c: &mut Criterion) {
 
 /// Prefetch-pipeline ablation: Phase-2 refinement on a disk-backed store
 /// with the asynchronous prefetcher on vs off, across replacement policy
-/// and buffer fraction. The timed quantity is the whole `refine` run; a
-/// one-shot warm-up run per cell prints the stall/swap accounting
-/// (`stall_ns` is what the pipeline removes from the critical path — swap
-/// counts are identical by construction and asserted here).
+/// and buffer fraction, plus one cell with the pipeline deeper than the
+/// buffer (`depth_gt_capacity`: 24 units through a 3-unit buffer at depth
+/// 8 — the shape where reads used to be issued only to be thrown away).
+/// The timed quantity is the whole `refine` run; a one-shot warm-up run
+/// per cell prints the stall/swap accounting (`stall_ns` is what the
+/// pipeline removes from the critical path — swap counts are identical by
+/// construction and asserted here).
 fn bench_prefetch(c: &mut Criterion) {
-    use tpcp_storage::DiskStore;
+    use tpcp_storage::{DiskStore, IoStats};
     use twopcp::{refine, run_phase1_dense, PrefetchConfig, TwoPcpConfig};
 
     let mut group = c.benchmark_group("prefetch");
@@ -282,69 +285,73 @@ fn bench_prefetch(c: &mut Criterion) {
     let scratch = std::env::temp_dir().join(format!("tpcp_bench_prefetch_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
 
-    for policy in [PolicyKind::Lru, PolicyKind::Forward] {
-        for fraction in [0.34, 0.5] {
-            let cfg = |pf: PrefetchConfig| {
-                TwoPcpConfig::new(f)
-                    .parts(vec![2])
-                    .schedule(ScheduleKind::HilbertOrder)
-                    .policy(policy)
-                    .buffer_fraction(fraction)
-                    .max_virtual_iters(6)
-                    .tol(0.0)
-                    .prefetch(pf)
-            };
-            let dir = scratch.join(format!("{}_{fraction}", policy.abbrev()));
-            // Materialise the unit store once; each refine re-opens it.
-            let base = cfg(PrefetchConfig::disabled());
-            let mut store = DiskStore::open(&dir).unwrap();
-            let p1 = run_phase1_dense(&x, &base, &mut store).unwrap();
-            drop(store);
-
-            let mut cell = |name: String, pf: PrefetchConfig| {
-                let run_cfg = cfg(pf);
-                let once = refine(
+    // One off/on pair over a unit store materialised once under `dir`
+    // (each refine re-opens it); returns the two runs' I/O statistics.
+    let mut pair = |tag: String, base: TwoPcpConfig, depth: usize| -> (IoStats, IoStats) {
+        let dir = scratch.join(&tag);
+        let mut store = DiskStore::open(&dir).unwrap();
+        let p1 = run_phase1_dense(&x, &base, &mut store).unwrap();
+        drop(store);
+        let mut cell = |name: String, pf: PrefetchConfig| {
+            let run_cfg = base.clone().prefetch(pf);
+            let run = || {
+                refine(
                     &p1.grid,
                     DiskStore::open(&dir).unwrap(),
                     &run_cfg,
                     &p1.u_norm_sq,
                 )
-                .unwrap();
-                eprintln!(
-                    "prefetch/{name}: swaps={} stall={:.3}ms prefetch_hits={}",
-                    once.stats.io.fetches,
-                    once.stats.io.stall_ms(),
-                    once.stats.io.prefetch_hits,
-                );
-                let stats = once.stats.io;
-                group.bench_function(name.as_str(), |b| {
-                    b.iter(|| {
-                        let out = refine(
-                            &p1.grid,
-                            DiskStore::open(&dir).unwrap(),
-                            &run_cfg,
-                            &p1.u_norm_sq,
-                        )
-                        .unwrap();
-                        black_box(out.stats.io.fetches)
-                    })
-                });
-                stats
+                .unwrap()
+                .stats
+                .io
             };
-            let off = cell(
-                format!("off_{}_f{fraction}", policy.abbrev()),
-                PrefetchConfig::disabled(),
+            let io = run();
+            eprintln!(
+                "prefetch/{name}: swaps={} stall={:.3}ms prefetch_hits={} discarded={}",
+                io.fetches,
+                io.stall_ms(),
+                io.prefetch_hits,
+                io.prefetch_discarded,
             );
-            let on = cell(
-                format!("on_{}_f{fraction}", policy.abbrev()),
-                PrefetchConfig::with_depth(6),
-            );
-            assert_eq!(
-                off.fetches, on.fetches,
-                "prefetch changed the swap count — it must only move bytes"
+            group.bench_function(name.as_str(), |b| b.iter(|| black_box(run().fetches)));
+            io
+        };
+        let off = cell(format!("off_{tag}"), PrefetchConfig::disabled());
+        let on = cell(format!("on_{tag}"), PrefetchConfig::with_depth(depth));
+        assert_eq!(
+            off.fetches, on.fetches,
+            "prefetch changed the swap count — it must only move bytes"
+        );
+        (off, on)
+    };
+
+    let base = |parts: usize, policy: PolicyKind, fraction: f64| {
+        TwoPcpConfig::new(f)
+            .parts(vec![parts])
+            .schedule(ScheduleKind::HilbertOrder)
+            .policy(policy)
+            .buffer_fraction(fraction)
+            .max_virtual_iters(6)
+            .tol(0.0)
+    };
+    for policy in [PolicyKind::Lru, PolicyKind::Forward] {
+        for fraction in [0.34, 0.5] {
+            pair(
+                format!("{}_f{fraction}", policy.abbrev()),
+                base(2, policy, fraction),
+                6,
             );
         }
     }
+    let (_, deep) = pair(
+        "depth_gt_capacity".into(),
+        base(8, PolicyKind::Forward, 0.125),
+        8,
+    );
+    assert_eq!(
+        deep.prefetch_discarded, 0,
+        "the prefetcher read pages it had no room for"
+    );
     let _ = std::fs::remove_dir_all(&scratch);
     group.finish();
 }

@@ -13,17 +13,19 @@
 //!   every swap's cost lands on the critical path (`stall_ns`). Swap
 //!   counts are asserted identical — mmap moves bytes, never values.
 //!
-//! Measured shape of the results (1-CPU container, warm page cache):
-//! codec v2 cuts per-page decode ~15-40% vs v1 at every layer; the mmap
-//! transport wins clearly on stable pages (the `read_*` cells, prefetch
-//! readers) and is parity on the write-back-heavy refine loop, where
-//! every overwrite retires a mapping — which is why the `TPCP_MMAP` knob
-//! defaults off and the codec change does not.
+//! Measured shape of the results (warm page cache): codec v2 cuts
+//! per-page decode ~15-40% vs v1 at every layer, and the mmap transport
+//! wins on stable pages (the `read_*` cells, prefetch readers). On the
+//! refine loop mmap used to stall 1.77× longer, because every write-back
+//! renamed the page and retired its mapping; since a write-back became an
+//! in-place write to the unit's factor file the page — and its map —
+//! stays put, and the `refine_disk_mmap_*` cells are the input to the
+//! pending decision on `TPCP_MMAP`'s default (ROADMAP item 1(b)).
 //!
 //! A one-shot accounted pass per cell is written to
 //! `BENCH_zero_copy.json` at the workspace root (decode ns/page,
-//! stall_ns, swaps), so the perf trajectory stays machine-readable
-//! across PRs.
+//! stall_ns, swaps) together with the environment that produced it, so
+//! the perf trajectory stays machine-readable across PRs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
@@ -45,8 +47,36 @@ struct Cell {
     fields: Vec<(&'static str, f64)>,
 }
 
+/// What produced the numbers: logical CPUs, the thread budget and kernel
+/// the refine cells ran on, the source revision, and the I/O they saw.
+fn environment() -> String {
+    let git = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_owned(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_owned(),
+        );
+    let cfg = TwoPcpConfig::new(1);
+    format!(
+        "{{\"cpus\": {}, \"threads\": {}, \"kernel\": \"{}\", \"os\": \"{}\", \
+         \"arch\": \"{}\", \"git\": \"{git}\", \"io\": \"page cache (tmpdir)\"}}",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        cfg.par.threads(),
+        cfg.kernel.label(),
+        std::env::consts::OS,
+        std::env::consts::ARCH,
+    )
+}
+
 fn write_artifact(cells: &[Cell]) {
-    let mut out = String::from("{\n  \"bench\": \"zero_copy\",\n  \"cells\": [\n");
+    let mut out = format!(
+        "{{\n  \"bench\": \"zero_copy\",\n  \"env\": {},\n  \"cells\": [\n",
+        environment()
+    );
     for (i, cell) in cells.iter().enumerate() {
         out.push_str(&format!("    {{\"name\": \"{}\"", cell.name));
         for (k, v) in &cell.fields {
@@ -64,7 +94,10 @@ fn write_artifact(cells: &[Cell]) {
         "  \"notes\": \"mmap paths issue madvise(WILLNEED) on fresh maps and on each \
          prefetched page range, batching major page faults into one read-ahead; \
          cold-cache mmap reads fault sequentially instead of per-4KiB-touch. \
-         Warm-page-cache cells above are unaffected by the advice.\"\n",
+         Warm-page-cache cells above are unaffected by the advice. The refine cells \
+         re-open one unit store, so after the first run every unit has a factor file \
+         and an mmap read is decode-from-map plus a two-slot overlay (borrowed_reads 0); \
+         a write-back no longer renames the page, so its mapping survives.\"\n",
     );
     out.push_str("}\n");
     match std::fs::write(ARTIFACT_PATH, &out) {

@@ -82,7 +82,8 @@ pub struct Table1Row {
     pub twopcp_time: Duration,
     /// 2PCP exact fit.
     pub twopcp_fit: f64,
-    /// 2PCP Phase-2 I/O statistics (swaps, stall, prefetch hits).
+    /// 2PCP Phase-2 I/O statistics (swaps, stall, discarded prefetches,
+    /// prefetch hits).
     pub twopcp_io: tpcp_storage::IoStats,
     /// HaTen2 wall time (None = FAILS).
     pub haten2_time: Option<Duration>,
@@ -155,9 +156,10 @@ pub fn render(cfg: &Table1Config, rows: &[Table1Row]) -> String {
                 fmt_duration(r.twopcp_time),
                 format!("{:.4}", r.twopcp_fit),
                 format!(
-                    "{} sw / {:.1}ms / {} pf",
+                    "{} sw / {:.1}ms / {} drop / {} pf",
                     r.twopcp_io.fetches,
                     r.twopcp_io.stall_ms(),
+                    r.twopcp_io.prefetch_discarded,
                     r.twopcp_io.prefetch_hits
                 ),
                 r.haten2_time.map_or("FAILS".into(), fmt_duration),
@@ -178,7 +180,7 @@ pub fn render(cfg: &Table1Config, rows: &[Table1Row]) -> String {
             "Tensor size",
             "2PCP",
             "2PCP fit",
-            "P2 swaps/stall/prefetch",
+            "P2 swaps/stall/dropped/prefetch",
             "HaTen2",
             "HaTen2 fit",
         ],

@@ -92,6 +92,9 @@ pub struct Table2Row {
     /// Phase-2 critical-path read stall in ms (LRU, FOR) — what the
     /// prefetch pipeline removes.
     pub stall_ms: (f64, f64),
+    /// Pages the prefetcher read and the pool threw away (LRU, FOR) —
+    /// reads that saved nothing.
+    pub prefetch_discarded: (u64, u64),
     /// Phase-2 swaps served by the asynchronous prefetcher (LRU, FOR).
     pub prefetch_hits: (u64, u64),
     /// `Q`-Hadamard fold hotness under FOR (ROADMAP item 3: is it ever
@@ -185,6 +188,7 @@ pub fn run(cfg: &Table2Config) -> Table2Result {
             swaps: (io_lru.fetches, io_for.fetches),
             phase2_bytes_for: io_for.bytes_read + io_for.bytes_written,
             stall_ms: (io_lru.stall_ms(), io_for.stall_ms()),
+            prefetch_discarded: (io_lru.prefetch_discarded, io_for.prefetch_discarded),
             prefetch_hits: (io_lru.prefetch_hits, io_for.prefetch_hits),
             q_hadamard_for: st_for.q_hadamard,
         });
@@ -210,6 +214,7 @@ pub fn render(cfg: &Table2Config, result: &Table2Result) -> String {
         fmt_bytes(result.naive_bytes_read),
         "-".into(),
         "-".into(),
+        "-".into(),
     ]];
     for r in &result.rows {
         body.push(vec![
@@ -222,6 +227,7 @@ pub fn render(cfg: &Table2Config, result: &Table2Result) -> String {
             format!("{} / {}", r.swaps.0, r.swaps.1),
             fmt_bytes(r.phase2_bytes_for),
             format!("{:.1} / {:.1}", r.stall_ms.0, r.stall_ms.1),
+            format!("{} / {}", r.prefetch_discarded.0, r.prefetch_discarded.1),
             format!("{} / {}", r.prefetch_hits.0, r.prefetch_hits.1),
         ]);
     }
@@ -245,6 +251,7 @@ pub fn render(cfg: &Table2Config, result: &Table2Result) -> String {
             "Swaps LRU/FOR",
             "Disk traffic",
             "Stall ms LRU/FOR",
+            "PF dropped LRU/FOR",
             "PF hits LRU/FOR",
         ],
         &body,
@@ -254,7 +261,7 @@ pub fn render(cfg: &Table2Config, result: &Table2Result) -> String {
 ",
     );
     out.push_str(
-        "Stall = wall time blocked on Phase-2 reads; PF hits = swaps served by the async prefetch pipeline.
+        "Stall = wall time blocked on Phase-2 reads; PF dropped = pages prefetched and thrown away; PF hits = swaps served by the async prefetch pipeline.
 ",
     );
     // ROADMAP item 3 asks whether the refine loop's Q-Hadamard fold is

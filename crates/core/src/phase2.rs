@@ -6,7 +6,9 @@
 //! * every step `acquire`s (and pins) its data-access units — one for a
 //!   mode-centric step, `N` for a block-centric step;
 //! * sub-factors are revised by the `T·S⁻¹` rule and the `P`/`Q` caches
-//!   refreshed in place;
+//!   refreshed in place, in a workspace reused from step to step; only
+//!   `A(i)(kᵢ)` is marked dirty, so a write-back persists the factor
+//!   alone ([`BufferPool::get_factor_mut`]);
 //! * convergence is evaluated once per *virtual iteration* (`Σᵢ Kᵢ` steps,
 //!   paper Def. 3) against the **surrogate fit** — the accuracy of the
 //!   current global factors with respect to the Phase-1 reconstruction,
@@ -21,8 +23,8 @@
 //!   with the pipeline on or off; only [`IoStats::stall_ns`] shrinks.
 
 use crate::config::TwoPcpConfig;
-use crate::pq::{PqCache, QHadamardScratch, QHadamardStats};
-use crate::update::{commit_sub_factor_update, compute_sub_factor_update};
+use crate::pq::{PqCache, QHadamardStats};
+use crate::update::{commit_sub_factor_update, compute_sub_factor_update, UpdateScratch};
 use crate::Result;
 use tpcp_cp::CpModel;
 use tpcp_linalg::Mat;
@@ -198,10 +200,9 @@ pub fn refine<S: UnitStore + PrefetchSource>(
     let mut pos: u64 = 0;
     let mut updates_done: u64 = 0;
     let mut iterations = 0usize;
-    // Q-Hadamard fold prefixes, reused across each unit's slab scan
-    // (cleared inside `compute_sub_factor_update`; kept here only so the
-    // allocation survives the loop).
-    let mut q_scratch = QHadamardScratch::new();
+    // Every temporary of the update rule, allocated by the first step and
+    // reused by all later ones.
+    let mut scratch = UpdateScratch::new();
 
     'outer: while iterations < cfg.max_virtual_iters {
         let swaps_before = pool.stats().fetches;
@@ -216,20 +217,28 @@ pub fn refine<S: UnitStore + PrefetchSource>(
                 let hold = [unit_id];
                 pool.acquire(&hold)?;
                 let result = (|| -> Result<()> {
-                    let a_new = {
-                        let unit = pool.get(unit_id)?;
-                        compute_sub_factor_update(
-                            grid,
-                            unit,
-                            &pq,
-                            cfg.ridge,
-                            &cfg.par,
-                            cfg.kernel,
-                            &mut q_scratch,
-                        )?
-                    };
-                    let unit = pool.get_mut(unit_id)?;
-                    commit_sub_factor_update(grid, unit, &mut pq, a_new, &cfg.par, cfg.kernel)
+                    compute_sub_factor_update(
+                        grid,
+                        pool.get(unit_id)?,
+                        &pq,
+                        cfg.ridge,
+                        &cfg.par,
+                        cfg.kernel,
+                        &mut scratch,
+                    )?;
+                    // Only `A(i)(kᵢ)` changes, so only it is marked dirty:
+                    // the eventual write-back persists the factor alone.
+                    let (factor, sub_factors) = pool.get_factor_mut(unit_id)?;
+                    commit_sub_factor_update(
+                        grid,
+                        unit_id,
+                        factor,
+                        sub_factors,
+                        &mut pq,
+                        &cfg.par,
+                        cfg.kernel,
+                        &mut scratch,
+                    )
                 })();
                 pool.release(&hold);
                 result?;
@@ -278,7 +287,7 @@ pub fn refine<S: UnitStore + PrefetchSource>(
             virtual_iterations: iterations,
             converged,
             warmup_iterations: (cycle_updates as usize).div_ceil(vlen as usize),
-            q_hadamard: q_scratch.stats(),
+            q_hadamard: scratch.q_hadamard_stats(),
         },
         store,
     })

@@ -12,7 +12,7 @@
 
 use crate::{Result, TwoPcpError};
 use std::time::Instant;
-use tpcp_linalg::{hadamard_all, Mat};
+use tpcp_linalg::{hadamard_all, hadamard_all_into, Mat};
 use tpcp_partition::Grid;
 use tpcp_schedule::UnitId;
 
@@ -45,8 +45,11 @@ impl QHadamardStats {
 pub struct QHadamardScratch {
     /// Linear unit indices of the cached fold, in ascending-mode order.
     keys: Vec<usize>,
-    /// `partials[i]` = Hadamard fold of `q[keys[0..=i]]`.
+    /// `partials[i]` = Hadamard fold of `q[keys[0..=i]]` for `i <
+    /// keys.len()`; entries past that are spare buffers kept for reuse.
     partials: Vec<Mat>,
+    /// What an empty fold yields (`hadamard_all(&[])`).
+    empty: Mat,
     /// Lifetime call/time counters (survive [`QHadamardScratch::clear`]).
     stats: QHadamardStats,
 }
@@ -61,7 +64,6 @@ impl QHadamardScratch {
     /// Hotness counters are *not* reset — they tally the whole run.
     pub fn clear(&mut self) {
         self.keys.clear();
-        self.partials.clear();
     }
 
     /// Accumulated call/time counters.
@@ -105,6 +107,11 @@ impl PqCache {
         &self.p[block][mode]
     }
 
+    /// `P(mode)_block`, to be refreshed in place.
+    pub fn p_mut(&mut self, block: usize, mode: usize) -> &mut Mat {
+        &mut self.p[block][mode]
+    }
+
     /// Replaces `P(mode)_block`.
     pub fn set_p(&mut self, block: usize, mode: usize, value: Mat) {
         debug_assert_eq!(value.shape(), (self.rank, self.rank));
@@ -114,6 +121,11 @@ impl PqCache {
     /// `Q` of the unit `⟨mode, part⟩`.
     pub fn q(&self, grid: &Grid, unit: UnitId) -> &Mat {
         &self.q[unit.linear(grid)]
+    }
+
+    /// `Q` of the unit, to be refreshed in place.
+    pub fn q_mut(&mut self, grid: &Grid, unit: UnitId) -> &mut Mat {
+        &mut self.q[unit.linear(grid)]
     }
 
     /// Replaces `Q` of the unit.
@@ -134,6 +146,23 @@ impl PqCache {
             .map(|h| &self.p[block][h])
             .collect();
         hadamard_all(&mats).map_err(TwoPcpError::from)
+    }
+
+    /// [`PqCache::p_hadamard_excluding`] into a reused `out`: the same
+    /// left fold over the ascending modes, hence the same bits.
+    ///
+    /// # Errors
+    /// Propagates shape mismatches (impossible for a well-formed cache).
+    pub fn p_hadamard_excluding_into(
+        &self,
+        block: usize,
+        mode: usize,
+        out: &mut Mat,
+    ) -> Result<()> {
+        let mats = (0..self.order)
+            .filter(|&h| h != mode)
+            .map(|h| &self.p[block][h]);
+        Ok(hadamard_all_into(mats, out)?)
     }
 
     /// Hadamard product of `Q` over all modes `h ≠ mode` for block
@@ -158,49 +187,48 @@ impl PqCache {
     ///
     /// Bitwise-identical to the uncached variant: `hadamard_all` is a
     /// left fold over the same ascending operand list, and the cached
-    /// partials *are* that fold's intermediates.
+    /// partials *are* that fold's intermediates. The result is borrowed
+    /// from the scratch, whose buffers are reused from call to call.
     ///
     /// # Errors
     /// Propagates shape mismatches (impossible for a well-formed cache).
-    pub fn q_hadamard_excluding_cached(
+    pub fn q_hadamard_excluding_cached<'s>(
         &self,
         grid: &Grid,
         coords: &[usize],
         mode: usize,
-        scratch: &mut QHadamardScratch,
-    ) -> Result<Mat> {
+        scratch: &'s mut QHadamardScratch,
+    ) -> Result<&'s Mat> {
         let start = Instant::now();
-        let keys: Vec<usize> = (0..self.order)
-            .filter(|&h| h != mode)
-            .map(|h| UnitId::new(h, coords[h]).linear(grid))
-            .collect();
-        let lcp = keys
-            .iter()
-            .zip(&scratch.keys)
-            .take_while(|(a, b)| a == b)
-            .count();
-        scratch.keys.truncate(lcp);
-        scratch.partials.truncate(lcp);
-        for &key in &keys[lcp..] {
-            let next = match scratch.partials.last() {
-                None => self.q[key].clone(),
-                Some(prev) => {
-                    let mut m = prev.clone();
-                    m.hadamard_assign(&self.q[key]).map_err(TwoPcpError::from)?;
-                    m
+        let mut folded = 0;
+        for h in (0..self.order).filter(|&h| h != mode) {
+            let key = UnitId::new(h, coords[h]).linear(grid);
+            if scratch.keys.get(folded) != Some(&key) {
+                // Past the common prefix: everything from here is re-folded.
+                scratch.keys.truncate(folded);
+                if scratch.partials.len() == folded {
+                    scratch.partials.push(Mat::default());
                 }
-            };
-            scratch.keys.push(key);
-            scratch.partials.push(next);
+                let (done, rest) = scratch.partials.split_at_mut(folded);
+                match done.last() {
+                    None => rest[0].copy_from(&self.q[key]),
+                    Some(prev) => {
+                        rest[0].copy_from(prev);
+                        rest[0].hadamard_assign(&self.q[key])?;
+                    }
+                }
+                scratch.keys.push(key);
+            }
+            folded += 1;
         }
-        let out = match scratch.partials.last() {
-            Some(m) => m.clone(),
-            // An order-1 grid excludes every mode; match `hadamard_all(&[])`.
-            None => Mat::zeros(0, 0),
-        };
+        scratch.keys.truncate(folded);
         scratch.stats.calls += 1;
         scratch.stats.ns += start.elapsed().as_nanos() as u64;
-        Ok(out)
+        // An order-1 grid excludes every mode; match `hadamard_all(&[])`.
+        Ok(match folded {
+            0 => &scratch.empty,
+            n => &scratch.partials[n - 1],
+        })
     }
 
     /// Surrogate fit of the current global factors against the Phase-1
@@ -212,21 +240,24 @@ impl PqCache {
     ///
     /// # Errors
     /// Propagates cache-shape mismatches (impossible when well-formed).
-    #[allow(clippy::needless_range_loop)]
     pub fn surrogate_fit(&self, grid: &Grid, u_norm_sq: &[f64]) -> Result<f64> {
         debug_assert_eq!(u_norm_sq.len(), grid.num_blocks());
         let mut err_sq = 0.0;
         let mut ref_sq = 0.0;
-        for block in 0..grid.num_blocks() {
-            let coords = grid.block_coords(block);
-            let p_refs: Vec<&Mat> = (0..self.order).map(|h| &self.p[block][h]).collect();
-            let inner = hadamard_all(&p_refs)?.sum();
-            let q_refs: Vec<&Mat> = (0..self.order)
-                .map(|h| &self.q[UnitId::new(h, coords[h]).linear(grid)])
-                .collect();
-            let model_sq = hadamard_all(&q_refs)?.sum();
-            err_sq += (u_norm_sq[block] - 2.0 * inner + model_sq).max(0.0);
-            ref_sq += u_norm_sq[block];
+        // One fold buffer and one coordinate buffer for all blocks.
+        let mut had = Mat::default();
+        let mut coords = Vec::new();
+        for (block, (p, &norm_sq)) in self.p.iter().zip(u_norm_sq).enumerate() {
+            grid.block_coords_into(block, &mut coords);
+            hadamard_all_into(p.iter(), &mut had)?;
+            let inner = had.sum();
+            hadamard_all_into(
+                (0..self.order).map(|h| &self.q[UnitId::new(h, coords[h]).linear(grid)]),
+                &mut had,
+            )?;
+            let model_sq = had.sum();
+            err_sq += (norm_sq - 2.0 * inner + model_sq).max(0.0);
+            ref_sq += norm_sq;
         }
         if ref_sq <= 0.0 {
             return Ok(1.0);

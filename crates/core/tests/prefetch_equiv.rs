@@ -178,3 +178,45 @@ fn prefetch_engages_and_stall_is_accounted() {
     assert_eq!(off.io.fetches, on.io.fetches);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The paper's own regime in miniature — 24 units through a 3-unit
+/// buffer, Hilbert order, forward-looking replacement — with a pipeline
+/// as deep as, and deeper than, the staging area. The worker must never
+/// read a page the pool then throws away (staging holds one buffer's
+/// worth: 3 pages), and must not walk past a unit it could not issue or
+/// that was evicted behind the cursor — so all but the cold start's
+/// fetches come through the pipeline. Values, as ever, do not move.
+#[test]
+fn deep_pipeline_over_a_small_buffer_wastes_no_read() {
+    let x = low_rank(&[16, 16, 16], 2, 23);
+    let base = TwoPcpConfig::new(2)
+        .parts(vec![8])
+        .schedule(ScheduleKind::HilbertOrder)
+        .policy(PolicyKind::Forward)
+        .buffer_fraction(0.125)
+        .max_virtual_iters(40)
+        .tol(0.0);
+    let dir = scratch("deep");
+    let _ = std::fs::remove_dir_all(&dir);
+    let off = run_once(
+        &x,
+        &base.clone().prefetch(PrefetchConfig::disabled()),
+        DiskStore::open(dir.join("off")).unwrap(),
+    );
+    assert!(off.io.fetches > 200, "the buffer must thrash: {}", off.io);
+    for depth in [4, 8] {
+        let on = run_once(
+            &x,
+            &base.clone().prefetch_depth(depth),
+            DiskStore::open(dir.join(format!("d{depth}"))).unwrap(),
+        );
+        assert_equivalent(&off, &on, &format!("depth {depth}"));
+        assert_eq!(on.io.prefetch_discarded, 0, "depth {depth}: {}", on.io);
+        assert!(
+            on.io.prefetch_hits + 2 >= on.io.fetches,
+            "depth {depth}: fetches bypassed the pipeline: {}",
+            on.io
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

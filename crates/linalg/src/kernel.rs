@@ -345,8 +345,18 @@ impl Kernel for TiledKernel {
     fn matmul(&self, a: &[f64], rows: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
         // A panel packed reduction-major: pack[p*MR + r] = a[i0+r][p], so
         // the microtile's per-step loads of the 4 A lanes share one cache
-        // line instead of 4.
-        let mut pack = vec![0.0f64; k * TILE_MR];
+        // line instead of 4. Small panels (k ≤ 64: every F×F product of
+        // the phase-2 update) pack on the stack, so the call allocates
+        // nothing.
+        const STACK_PACK: usize = 64 * TILE_MR;
+        let mut on_stack = [0.0f64; STACK_PACK];
+        let mut on_heap = Vec::new();
+        let pack: &mut [f64] = if k * TILE_MR <= STACK_PACK {
+            &mut on_stack[..k * TILE_MR]
+        } else {
+            on_heap.resize(k * TILE_MR, 0.0f64);
+            &mut on_heap
+        };
         let mut i0 = 0;
         while i0 < rows {
             let h = TILE_MR.min(rows - i0);

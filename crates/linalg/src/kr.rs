@@ -74,14 +74,28 @@ pub fn khatri_rao_into(factors: &[&Mat], out: &mut Mat) -> Result<()> {
 /// Returns [`LinalgError::ShapeMismatch`] on inconsistent shapes; an empty
 /// input yields a `0×0` matrix.
 pub fn hadamard_all(mats: &[&Mat]) -> Result<Mat> {
-    let Some(first) = mats.first() else {
-        return Ok(Mat::zeros(0, 0));
-    };
-    let mut out = (*first).clone();
-    for m in &mats[1..] {
+    let mut out = Mat::default();
+    hadamard_all_into(mats.iter().copied(), &mut out)?;
+    Ok(out)
+}
+
+/// [`hadamard_all`] into a caller-owned `out`: a copy of the first
+/// operand multiplied in place by the rest, in order (`0×0` for none).
+/// The one fold behind both entry points; allocates nothing once `out`
+/// has held a result of this size.
+///
+/// # Errors
+/// As [`hadamard_all`].
+pub fn hadamard_all_into<'a>(mats: impl IntoIterator<Item = &'a Mat>, out: &mut Mat) -> Result<()> {
+    let mut mats = mats.into_iter();
+    match mats.next() {
+        None => out.reset(0, 0),
+        Some(first) => out.copy_from(first),
+    }
+    for m in mats {
         out.hadamard_assign(m)?;
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ pub mod solve;
 
 pub use batch::{gather_rows, matmul_t_slices, matmul_t_slices_auto};
 pub use kernel::{Kernel, KernelKind, ReferenceKernel, TiledKernel};
-pub use kr::{hadamard_all, khatri_rao, khatri_rao_into};
+pub use kr::{hadamard_all, hadamard_all_into, khatri_rao, khatri_rao_into};
 pub use mat::Mat;
 
 /// Errors surfaced by linear-algebra routines.

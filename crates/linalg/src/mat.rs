@@ -163,6 +163,31 @@ impl Mat {
         self.data.fill(0.0);
     }
 
+    /// Reshapes to `rows × cols` of zeros, reusing the allocation when it
+    /// is large enough — how the `*_into` products and other scratch
+    /// users recycle an output matrix across calls.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        if self.data.capacity() < rows * cols {
+            // A fresh zeroed allocation (what `Mat::zeros` does) rather
+            // than growing and then filling the old one.
+            self.data = vec![0.0; rows * cols];
+        } else {
+            self.data.clear();
+            self.data.resize(rows * cols, 0.0);
+        }
+    }
+
+    /// Becomes a copy of `src` (shape and elements), reusing the
+    /// allocation when it is large enough.
+    pub fn copy_from(&mut self, src: &Mat) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
+    }
+
     /// Returns the transpose as a new matrix.
     #[allow(clippy::needless_range_loop)]
     pub fn transposed(&self) -> Mat {
@@ -240,6 +265,14 @@ impl Mat {
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0, f64::max),
         )
+    }
+}
+
+/// The empty `0 × 0` matrix (no allocation) — the natural starting state
+/// of a scratch matrix that a `*_into` call will shape.
+impl Default for Mat {
+    fn default() -> Self {
+        Mat::zeros(0, 0)
     }
 }
 

@@ -52,6 +52,25 @@ impl Mat {
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `self.cols() != rhs.rows()`.
     pub fn matmul_kernel(&self, rhs: &Mat, par: &ParConfig, kind: KernelKind) -> Result<Mat> {
+        let mut out = Mat::default();
+        self.matmul_into(rhs, par, kind, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Mat::matmul_kernel`] into a caller-owned `out`, which is reshaped
+    /// and overwritten — no allocation once `out` has held a result of
+    /// this size. The one implementation behind both entry points, so the
+    /// two cannot differ by a bit.
+    ///
+    /// # Errors
+    /// [`LinalgError::ShapeMismatch`] when `self.cols() != rhs.rows()`.
+    pub fn matmul_into(
+        &self,
+        rhs: &Mat,
+        par: &ParConfig,
+        kind: KernelKind,
+        out: &mut Mat,
+    ) -> Result<()> {
         if self.cols() != rhs.rows() {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul",
@@ -61,9 +80,9 @@ impl Mat {
         }
         let (m, k) = self.shape();
         let n = rhs.cols();
-        let mut out = Mat::zeros(m, n);
+        out.reset(m, n);
         if n == 0 {
-            return Ok(out);
+            return Ok(());
         }
         let kernel = kind.resolve();
         let par = par.clamped(m * k * n, PAR_MIN_FLOPS);
@@ -79,7 +98,7 @@ impl Mat {
                 kernel.matmul(a_band, rows, k, rhs.as_slice(), n, chunk);
             },
         );
-        Ok(out)
+        Ok(())
     }
 
     /// `selfᵀ · rhs` (shapes `m×k` transposed times `m×n`, result `k×n`).
@@ -103,6 +122,23 @@ impl Mat {
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `self.rows() != rhs.rows()`.
     pub fn t_matmul_kernel(&self, rhs: &Mat, par: &ParConfig, kind: KernelKind) -> Result<Mat> {
+        let mut out = Mat::default();
+        self.t_matmul_into(rhs, par, kind, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Mat::t_matmul_kernel`] into a caller-owned `out` (reshaped and
+    /// overwritten; see [`Mat::matmul_into`]).
+    ///
+    /// # Errors
+    /// [`LinalgError::ShapeMismatch`] when `self.rows() != rhs.rows()`.
+    pub fn t_matmul_into(
+        &self,
+        rhs: &Mat,
+        par: &ParConfig,
+        kind: KernelKind,
+        out: &mut Mat,
+    ) -> Result<()> {
         if self.rows() != rhs.rows() {
             return Err(LinalgError::ShapeMismatch {
                 op: "t_matmul",
@@ -112,9 +148,9 @@ impl Mat {
         }
         let (m, k) = self.shape();
         let n = rhs.cols();
-        let mut out = Mat::zeros(k, n);
+        out.reset(k, n);
         if n == 0 {
-            return Ok(out);
+            return Ok(());
         }
         let kernel = kind.resolve();
         let par = par.clamped(m * k * n, PAR_MIN_FLOPS);
@@ -129,7 +165,7 @@ impl Mat {
                 kernel.t_matmul(self.as_slice(), m, k, c0, rows, rhs.as_slice(), n, chunk);
             },
         );
-        Ok(out)
+        Ok(())
     }
 
     /// `self · rhsᵀ` (shapes `m×k` times `n×k` transposed, result `m×n`).
@@ -188,10 +224,18 @@ impl Mat {
     ///
     /// [`Kernel::gram_needs_mirror`]: crate::kernel::Kernel::gram_needs_mirror
     pub fn gram_kernel(&self, par: &ParConfig, kind: KernelKind) -> Mat {
+        let mut out = Mat::default();
+        self.gram_into(par, kind, &mut out);
+        out
+    }
+
+    /// [`Mat::gram_kernel`] into a caller-owned `out` (reshaped and
+    /// overwritten; see [`Mat::matmul_into`]).
+    pub fn gram_into(&self, par: &ParConfig, kind: KernelKind, out: &mut Mat) {
         let (m, k) = self.shape();
-        let mut out = Mat::zeros(k, k);
+        out.reset(k, k);
         if k == 0 {
-            return out;
+            return;
         }
         let kernel = kind.resolve();
         let par = par.clamped(m * k * k, PAR_MIN_FLOPS);
@@ -214,7 +258,6 @@ impl Mat {
                 }
             }
         }
-        out
     }
 
     /// Element-wise (Hadamard) product, returning a new matrix.

@@ -23,11 +23,18 @@ use crate::{LinalgError, Mat, Result};
 /// [`LinalgError::Singular`] when a pivot is not strictly positive
 /// (semi-definite or indefinite input).
 pub fn cholesky(s: &Mat) -> Result<Mat> {
+    let mut l = Mat::default();
+    cholesky_into(s, &mut l)?;
+    Ok(l)
+}
+
+/// [`cholesky`] into a caller-owned `l` (reshaped and overwritten).
+fn cholesky_into(s: &Mat, l: &mut Mat) -> Result<()> {
     let n = s.rows();
     if s.cols() != n {
         return Err(LinalgError::NotSquare { shape: s.shape() });
     }
-    let mut l = Mat::zeros(n, n);
+    l.reset(n, n);
     for i in 0..n {
         for j in 0..=i {
             let mut sum = s.get(i, j);
@@ -44,7 +51,7 @@ pub fn cholesky(s: &Mat) -> Result<Mat> {
             }
         }
     }
-    Ok(l)
+    Ok(())
 }
 
 /// Solves `L·Lᵀ·x = b` in place for one right-hand side given the Cholesky
@@ -83,6 +90,32 @@ pub fn cholesky_solve_vec(l: &Mat, b: &mut [f64]) {
 /// [`LinalgError::Singular`] if even heavy regularisation fails (e.g. `S`
 /// contains non-finite values).
 pub fn solve_gram_system(t: &Mat, s: &Mat, ridge: f64) -> Result<Mat> {
+    let mut x = t.clone();
+    solve_gram_system_in_place(&mut x, s, ridge, &mut GramSolveScratch::default())?;
+    Ok(x)
+}
+
+/// Workspace of [`solve_gram_system_in_place`]: the regularised copy of
+/// `S` and its Cholesky factor, reused from call to call.
+#[derive(Default)]
+pub struct GramSolveScratch {
+    reg: Mat,
+    l: Mat,
+}
+
+/// [`solve_gram_system`] with `T` overwritten by `X = T · S⁻¹` and the
+/// `F×F` temporaries kept in `scratch` — no allocation once the scratch
+/// has seen this `F`. The one implementation behind both entry points.
+/// `t` is untouched when an error is returned.
+///
+/// # Errors
+/// As [`solve_gram_system`].
+pub fn solve_gram_system_in_place(
+    t: &mut Mat,
+    s: &Mat,
+    ridge: f64,
+    scratch: &mut GramSolveScratch,
+) -> Result<()> {
     if t.cols() != s.rows() || s.rows() != s.cols() {
         return Err(LinalgError::ShapeMismatch {
             op: "solve_gram_system",
@@ -92,31 +125,28 @@ pub fn solve_gram_system(t: &Mat, s: &Mat, ridge: f64) -> Result<Mat> {
     }
     let n = s.rows();
     if n == 0 {
-        return Ok(Mat::zeros(t.rows(), 0));
+        return Ok(());
     }
     let trace: f64 = (0..n).map(|i| s.get(i, i)).sum();
     let scale = if trace > 0.0 { trace / n as f64 } else { 1.0 };
 
+    let GramSolveScratch { reg, l } = scratch;
     let mut lambda = 0.0;
     let mut next_lambda = ridge.max(1e-12) * scale;
     for _attempt in 0..24 {
-        let mut reg = s.clone();
+        reg.copy_from(s);
         if lambda > 0.0 {
             for i in 0..n {
                 let v = reg.get(i, i) + lambda;
                 reg.set(i, i, v);
             }
         }
-        match cholesky(&reg) {
-            Ok(l) => {
-                let mut out = t.clone();
-                let mut rhs = vec![0.0; n];
-                for r in 0..out.rows() {
-                    rhs.copy_from_slice(out.row(r));
-                    cholesky_solve_vec(&l, &mut rhs);
-                    out.row_mut(r).copy_from_slice(&rhs);
+        match cholesky_into(reg, l) {
+            Ok(()) => {
+                for r in 0..t.rows() {
+                    cholesky_solve_vec(l, t.row_mut(r));
                 }
-                return Ok(out);
+                return Ok(());
             }
             Err(_) => {
                 lambda = next_lambda;

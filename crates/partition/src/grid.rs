@@ -128,14 +128,22 @@ impl Grid {
     }
 
     /// Inverse of [`block_linear`].
-    pub fn block_coords(&self, mut lin: usize) -> Vec<usize> {
-        let mut coords = vec![0usize; self.order()];
+    pub fn block_coords(&self, lin: usize) -> Vec<usize> {
+        let mut coords = Vec::new();
+        self.block_coords_into(lin, &mut coords);
+        coords
+    }
+
+    /// [`block_coords`](Self::block_coords) into a reused buffer (per-block
+    /// loops of the refinement call this once per block per step).
+    pub fn block_coords_into(&self, mut lin: usize, coords: &mut Vec<usize>) {
+        coords.clear();
+        coords.resize(self.order(), 0);
         for i in (0..self.order()).rev() {
             coords[i] = lin % self.parts[i];
             lin /= self.parts[i];
         }
         debug_assert_eq!(lin, 0);
-        coords
     }
 
     /// Iterates all block coordinate vectors in row-major order.

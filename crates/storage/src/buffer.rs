@@ -8,6 +8,7 @@ use crate::store::{PageRead, UnitData, UnitStore};
 use crate::{Result, StorageError};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
+use tpcp_linalg::Mat;
 use tpcp_schedule::{AccessSequence, NextUseOracle, UnitId};
 
 /// Buffer capacity for a fraction of the total space requirement — the
@@ -18,10 +19,39 @@ pub fn capacity_for_fraction(total_bytes: usize, fraction: f64) -> usize {
     ((total_bytes as f64) * fraction).floor() as usize
 }
 
+/// What a resident unit owes the store. Ordered: a unit handed out whole
+/// stays `Whole` even if its factor is borrowed afterwards.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Dirty {
+    Clean,
+    /// Only `A(i)(kᵢ)` was handed out mutably ([`BufferPool::get_factor_mut`]):
+    /// the write-back is [`UnitStore::write_factor`].
+    Factor,
+    /// The whole unit was ([`BufferPool::get_mut`]): [`UnitStore::write`].
+    Whole,
+}
+
 struct Entry {
     data: UnitData,
     bytes: usize,
-    dirty: bool,
+    dirty: Dirty,
+}
+
+impl Entry {
+    /// Writes the entry back if it is dirty, as little as its dirtiness
+    /// allows, and reports whether the store was written.
+    fn write_back<S: UnitStore>(&mut self, store: &mut S, stats: &mut IoStats) -> Result<bool> {
+        stats.bytes_written += match self.dirty {
+            Dirty::Clean => return Ok(false),
+            Dirty::Factor => store.write_factor(&self.data)?,
+            Dirty::Whole => {
+                store.write(&self.data)?;
+                self.bytes as u64
+            }
+        };
+        self.dirty = Dirty::Clean;
+        Ok(true)
+    }
 }
 
 /// Pool-side state of the asynchronous prefetch pipeline.
@@ -32,6 +62,11 @@ struct Entry {
 /// path, under the normal capacity/eviction rules. Every staged page is
 /// tagged with the unit's write epoch at issue time; a write-back bumps
 /// the epoch, and stale pages are discarded instead of admitted.
+///
+/// The staging area holds at most one buffer's worth of bytes, and a read
+/// is only issued while its page is sure to fit there on arrival
+/// ([`PrefetchState::has_room`]) — the worker never reads a page the pool
+/// would have to throw away.
 struct PrefetchState {
     prefetcher: Prefetcher,
     /// Max units staged + in flight (pipeline depth).
@@ -46,6 +81,9 @@ struct PrefetchState {
     /// Reused buffer for one position's units (the walk runs every step;
     /// no per-position allocation).
     step_units: Vec<UnitId>,
+    /// Payload bytes of the largest page the pool has seen (0 before the
+    /// first): what an in-flight read is assumed to bring back.
+    largest_page: usize,
 }
 
 impl PrefetchState {
@@ -58,6 +96,7 @@ impl PrefetchState {
             in_flight: HashSet::new(),
             cursor: 0,
             step_units: Vec::new(),
+            largest_page: 0,
         }
     }
 
@@ -65,26 +104,66 @@ impl PrefetchState {
         self.staged.len() + self.in_flight.len()
     }
 
+    /// Whether one more read may be issued: the pipeline is not `depth`
+    /// deep yet, and what is staged plus every read in flight plus this
+    /// one, each taken at the largest page seen, fits the staging area
+    /// (`capacity` bytes). Before any page has been seen the size is
+    /// unknown and a single read is allowed to find it out.
+    fn has_room(&self, capacity: usize) -> bool {
+        let page = match self.largest_page {
+            0 => capacity,
+            bytes => bytes,
+        };
+        self.occupancy() < self.depth
+            && (self.in_flight.len() + 1)
+                .checked_mul(page)
+                .and_then(|reads| reads.checked_add(self.staged_bytes))
+                .is_some_and(|bytes| bytes <= capacity)
+    }
+
+    /// Whether nobody holds or is fetching `unit` yet.
+    fn wants(&self, unit: UnitId, entries: &HashMap<UnitId, Entry>) -> bool {
+        !entries.contains_key(&unit)
+            && !self.staged.contains_key(&unit)
+            && !self.in_flight.contains(&unit)
+    }
+
+    /// Queues a read of `unit` at its current write epoch; `false` when
+    /// the worker is gone (the pipeline is inert from then on).
+    fn issue(&mut self, unit: UnitId, write_epochs: &HashMap<UnitId, u64>) -> bool {
+        let epoch = write_epochs.get(&unit).copied().unwrap_or(0);
+        let sent = self.prefetcher.issue(unit, epoch);
+        if sent {
+            self.in_flight.insert(unit);
+        }
+        sent
+    }
+
     /// Files one arrived page into the staging map, or drops it: pages
     /// whose epoch tag is stale, whose read failed, or whose unit became
     /// resident in the meantime are useless (the synchronous path will
-    /// take over, exactly as if they had never been prefetched).
+    /// take over, exactly as if they had never been prefetched). A page
+    /// that was read and then dropped counts as
+    /// [`IoStats::prefetch_discarded`].
     fn file_arrival(
         &mut self,
         staged: Staged,
         write_epochs: &HashMap<UnitId, u64>,
-        resident: impl Fn(UnitId) -> bool,
+        entries: &HashMap<UnitId, Entry>,
         capacity: usize,
+        stats: &mut IoStats,
     ) {
         self.in_flight.remove(&staged.unit);
         let current_epoch = write_epochs.get(&staged.unit).copied().unwrap_or(0);
         let Ok(data) = staged.result else { return };
-        if staged.epoch != current_epoch || resident(staged.unit) {
-            return;
-        }
         let bytes = data.payload_bytes();
-        // Keep the staging footprint within one buffer's worth of bytes.
-        if self.staged_bytes.saturating_add(bytes) > capacity {
+        self.largest_page = self.largest_page.max(bytes);
+        // The staging footprint stays within one buffer's worth of bytes.
+        if staged.epoch != current_epoch
+            || entries.contains_key(&staged.unit)
+            || self.staged_bytes.saturating_add(bytes) > capacity
+        {
+            stats.prefetch_discarded += 1;
             return;
         }
         if self
@@ -102,12 +181,16 @@ impl PrefetchState {
         &mut self,
         unit: UnitId,
         write_epochs: &HashMap<UnitId, u64>,
+        stats: &mut IoStats,
     ) -> Option<UnitData> {
         let (epoch, data) = self.staged.remove(&unit)?;
         self.staged_bytes -= data.payload_bytes();
         if epoch == write_epochs.get(&unit).copied().unwrap_or(0) {
+            stats.prefetch_hits += 1;
+            stats.prefetched_bytes += data.payload_bytes() as u64;
             Some(data)
         } else {
+            stats.prefetch_discarded += 1;
             None
         }
     }
@@ -181,28 +264,20 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
 
     /// Hints the pipeline at explicitly-known upcoming units (e.g. a warm-up
     /// scan outside the cyclic schedule). Best-effort, bounded by the
-    /// pipeline depth; a no-op without an active pipeline.
+    /// pipeline depth and the staging area; a no-op without an active
+    /// pipeline.
     pub fn prefetch_units(&mut self, units: &[UnitId]) {
         self.drain_prefetched();
         let Some(pf) = self.prefetch.as_mut() else {
             return;
         };
-        let entries = &self.entries;
         for &unit in units {
-            if pf.occupancy() >= pf.depth {
-                break;
-            }
-            if entries.contains_key(&unit)
-                || pf.staged.contains_key(&unit)
-                || pf.in_flight.contains(&unit)
-            {
+            if !pf.wants(unit, &self.entries) {
                 continue;
             }
-            let epoch = self.write_epochs.get(&unit).copied().unwrap_or(0);
-            if !pf.prefetcher.issue(unit, epoch) {
-                break; // worker gone: pipeline inert from here on
+            if !pf.has_room(self.capacity) || !pf.issue(unit, &self.write_epochs) {
+                break;
             }
-            pf.in_flight.insert(unit);
         }
     }
 
@@ -216,53 +291,46 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
         let Some(pf) = self.prefetch.as_mut() else {
             return;
         };
-        let entries = &self.entries;
         while let Some(staged) = pf.prefetcher.try_recv() {
             pf.file_arrival(
                 staged,
                 &self.write_epochs,
-                |u| entries.contains_key(&u),
+                &self.entries,
                 self.capacity,
+                &mut self.stats,
             );
         }
     }
 
     /// Walks the bound access sequence ahead of the current position,
-    /// issuing reads for units the upcoming steps will miss, up to the
-    /// pipeline depth. The walk is bounded so a fully-resident working set
-    /// costs O(depth) checks per step, not an unbounded cycle scan.
+    /// issuing reads for units the upcoming steps will miss, while the
+    /// pipeline has room ([`PrefetchState::has_room`]). The walk is bounded
+    /// so a fully-resident working set costs O(depth) checks per step, not
+    /// an unbounded cycle scan.
     fn advance_prefetch(&mut self) {
         self.drain_prefetched();
         let Some(seq) = self.sequence else { return };
         let Some(pf) = self.prefetch.as_mut() else {
             return;
         };
-        let entries = &self.entries;
         if pf.cursor < self.position {
             pf.cursor = self.position;
         }
         let horizon = self.position + 4 * pf.depth as u64 + 1;
         let mut step_units = std::mem::take(&mut pf.step_units);
-        'walk: while pf.cursor < horizon && pf.occupancy() < pf.depth {
+        'walk: while pf.cursor < horizon {
             step_units.clear();
             seq.for_each_unit_at(pf.cursor, &mut |u| step_units.push(u));
             for &unit in &step_units {
-                if entries.contains_key(&unit)
-                    || pf.staged.contains_key(&unit)
-                    || pf.in_flight.contains(&unit)
-                {
+                if !pf.wants(unit, &self.entries) {
                     continue;
                 }
-                if pf.occupancy() >= pf.depth {
-                    // Budget ran out mid-step: keep the cursor here so the
-                    // remaining units get issued on the next advance.
+                // No room (or no worker): the cursor stays on this
+                // position, so the unit is issued by a later advance
+                // instead of being walked past.
+                if !pf.has_room(self.capacity) || !pf.issue(unit, &self.write_epochs) {
                     break 'walk;
                 }
-                let epoch = self.write_epochs.get(&unit).copied().unwrap_or(0);
-                if !pf.prefetcher.issue(unit, epoch) {
-                    break 'walk;
-                }
-                pf.in_flight.insert(unit);
             }
             pf.cursor += 1;
         }
@@ -285,23 +353,21 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
         if self.prefetch.is_some() {
             self.drain_prefetched();
             if let Some(pf) = self.prefetch.as_mut() {
-                if let Some(data) = pf.take_staged(unit, &self.write_epochs) {
-                    self.stats.prefetch_hits += 1;
-                    self.stats.prefetched_bytes += data.payload_bytes() as u64;
+                if let Some(data) = pf.take_staged(unit, &self.write_epochs, &mut self.stats) {
                     return Ok(data);
                 }
                 if pf.in_flight.contains(&unit) {
                     // The read is already happening on the worker — wait
                     // for it rather than issuing a duplicate.
                     let start = Instant::now();
-                    let entries = &self.entries;
                     while pf.in_flight.contains(&unit) {
                         match pf.prefetcher.recv_blocking() {
                             Some(staged) => pf.file_arrival(
                                 staged,
                                 &self.write_epochs,
-                                |u| entries.contains_key(&u),
+                                &self.entries,
                                 self.capacity,
+                                &mut self.stats,
                             ),
                             None => {
                                 pf.in_flight.remove(&unit);
@@ -310,9 +376,7 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
                         }
                     }
                     self.stats.stall_ns += start.elapsed().as_nanos() as u64;
-                    if let Some(data) = pf.take_staged(unit, &self.write_epochs) {
-                        self.stats.prefetch_hits += 1;
-                        self.stats.prefetched_bytes += data.payload_bytes() as u64;
+                    if let Some(data) = pf.take_staged(unit, &self.write_epochs, &mut self.stats) {
                         return Ok(data);
                     }
                 }
@@ -422,12 +486,15 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
                 self.stats.fetches += 1;
                 self.stats.bytes_read += bytes as u64;
                 self.used += bytes;
+                if let Some(pf) = self.prefetch.as_mut() {
+                    pf.largest_page = pf.largest_page.max(bytes);
+                }
                 self.entries.insert(
                     unit,
                     Entry {
                         data,
                         bytes,
-                        dirty: false,
+                        dirty: Dirty::Clean,
                     },
                 );
                 self.policy.on_access(unit, self.tick);
@@ -460,7 +527,8 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
             .ok_or(StorageError::NotFound(unit))
     }
 
-    /// Mutably borrows a resident unit, marking it dirty.
+    /// Mutably borrows a resident unit, marking all of it dirty: its
+    /// write-back rewrites the whole unit.
     ///
     /// # Errors
     /// [`StorageError::NotFound`] when the unit is not resident.
@@ -469,8 +537,24 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
             .entries
             .get_mut(&unit)
             .ok_or(StorageError::NotFound(unit))?;
-        entry.dirty = true;
+        entry.dirty = Dirty::Whole;
         Ok(&mut entry.data)
+    }
+
+    /// Mutably borrows a resident unit's factor `A(i)(kᵢ)` next to its
+    /// (shared) slab sub-factors, marking only the factor dirty: the
+    /// write-back is a [`UnitStore::write_factor`] — the factor's bytes,
+    /// not the unit's. This is how Phase 2 commits an update.
+    ///
+    /// # Errors
+    /// [`StorageError::NotFound`] when the unit is not resident.
+    pub fn get_factor_mut(&mut self, unit: UnitId) -> Result<(&mut Mat, &[(u64, Mat)])> {
+        let entry = self
+            .entries
+            .get_mut(&unit)
+            .ok_or(StorageError::NotFound(unit))?;
+        entry.dirty = entry.dirty.max(Dirty::Factor);
+        Ok((&mut entry.data.factor, &entry.data.sub_factors))
     }
 
     /// Writes every dirty resident unit back to the store (without
@@ -481,18 +565,15 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
     pub fn flush(&mut self) -> Result<()> {
         let mut written: Vec<UnitId> = Vec::new();
         for (unit, entry) in self.entries.iter_mut() {
-            if entry.dirty {
-                self.store.write(&entry.data)?;
+            if entry.write_back(&mut self.store, &mut self.stats)? {
                 *self.write_epochs.entry(*unit).or_insert(0) += 1;
-                self.stats.bytes_written += entry.bytes as u64;
-                entry.dirty = false;
                 written.push(*unit);
             }
         }
         if !written.is_empty() {
             // One batched re-prime over everything just written back: an
-            // mmap store re-maps and `madvise(WILLNEED)`s the fresh pages
-            // here, off the next read's critical path.
+            // mmap store re-maps and `madvise(WILLNEED)`s any page that
+            // was rewritten, off the next read's critical path.
             self.store.warm(&written);
         }
         Ok(())
@@ -530,18 +611,26 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
             let victim = self
                 .policy
                 .choose_victim(&candidates, self.position, self.oracle);
-            let entry = self.entries.remove(&victim).expect("victim is resident");
+            let mut entry = self.entries.remove(&victim).expect("victim is resident");
             self.policy.on_remove(victim);
             self.used -= entry.bytes;
             self.stats.evictions += 1;
-            if entry.dirty {
-                self.store.write(&entry.data)?;
+            if let Some(pf) = self.prefetch.as_mut() {
+                // The horizon walk passed the victim's upcoming accesses
+                // because it was resident; it no longer is, so the walk
+                // resumes from its next use after this step (without an
+                // oracle: from the next step) and gets to stage it.
+                let after = self.position + 1;
+                let next_use = self.oracle.map_or(after, |o| o.next_use(victim, after));
+                pf.cursor = pf.cursor.min(next_use);
+            }
+            if entry.write_back(&mut self.store, &mut self.stats)? {
                 *self.write_epochs.entry(victim).or_insert(0) += 1;
                 self.stats.write_backs += 1;
-                self.stats.bytes_written += entry.bytes as u64;
-                // Re-prime the fresh page's transport cache (map +
-                // `WILLNEED` for mmap stores) while its bytes are still
-                // hot, not when the schedule next misses on it.
+                // Re-prime the page's transport cache (map + `WILLNEED`
+                // for mmap stores) if the write-back replaced it, while
+                // its bytes are still hot, not when the schedule next
+                // misses on it.
                 self.store.warm(&[victim]);
             }
         }
@@ -965,14 +1054,65 @@ mod tests {
         let script = ScriptSequence(vec![u(0)]);
         let mut pool = BufferPool::new(store, size * 3, PolicyKind::Lru)
             .with_prefetch(&script, PrefetchConfig::with_depth(3));
+        // One synchronous fetch tells the pool how big a page is; before
+        // that, hints are issued one at a time.
+        pool.acquire(&[u(0)]).unwrap();
+        pool.release(&[u(0)]);
         pool.prefetch_units(&[u(1), u(2)]);
-        // Give the worker a beat, then miss on the hinted units: both must
-        // be pipeline hits (either staged or awaited in flight).
+        // Miss on the hinted units: both must be pipeline hits (either
+        // staged or awaited in flight).
         pool.acquire(&[u(1), u(2)]).unwrap();
         pool.release(&[u(1), u(2)]);
         let s = pool.stats();
-        assert_eq!(s.fetches, 2);
+        assert_eq!(s.fetches, 3);
         assert_eq!(s.prefetch_hits, 2, "stats: {s}");
+        assert_eq!(s.prefetch_discarded, 0);
+    }
+
+    #[test]
+    fn reads_are_issued_only_while_their_pages_fit_the_staging_area() {
+        // Depth 8 over a 2-unit buffer: the staging area holds two pages,
+        // so at most two reads are ever outstanding and nothing that
+        // arrives has to be thrown away — every later unit is walked to
+        // again, not past.
+        let (store, size) = shared_seeded(8);
+        let script = ScriptSequence((0..8).map(u).collect());
+        let mut pool = BufferPool::new(store, size * 2, PolicyKind::Lru)
+            .with_prefetch(&script, PrefetchConfig::with_depth(8));
+        for p in 0..16u64 {
+            pool.set_position(p);
+            let pf = pool.prefetch.as_ref().unwrap();
+            assert!(pf.staged_bytes + pf.in_flight.len() * size <= size * 2);
+            let unit = u((p % 8) as usize);
+            pool.acquire(&[unit]).unwrap();
+            pool.release(&[unit]);
+        }
+        let s = pool.stats();
+        assert_eq!(s.fetches, 16);
+        assert_eq!(s.prefetch_discarded, 0, "stats: {s}");
+        assert!(s.prefetch_hits >= 14, "stats: {s}");
+    }
+
+    #[test]
+    fn eviction_rewinds_the_walk_to_the_victims_next_use() {
+        // Script 0 1 0 2 0 3 …: unit 0 is resident when the walk passes
+        // its later accesses. With a one-unit buffer it is evicted by the
+        // very next acquire, so unless the eviction rewinds the cursor
+        // every revisit of unit 0 is a synchronous miss.
+        let (store, size) = shared_seeded(4);
+        let script = ScriptSequence(vec![u(0), u(1), u(0), u(2), u(0), u(3)]);
+        let mut pool = BufferPool::new(store, size, PolicyKind::Lru)
+            .with_prefetch(&script, PrefetchConfig::with_depth(4));
+        for p in 0..24u64 {
+            pool.set_position(p);
+            let unit = script.0[(p % 6) as usize];
+            pool.acquire(&[unit]).unwrap();
+            pool.release(&[unit]);
+        }
+        let s = pool.stats();
+        assert_eq!(s.fetches, 24);
+        assert_eq!(s.prefetch_discarded, 0, "stats: {s}");
+        assert!(s.prefetch_hits >= 22, "stats: {s}");
     }
 
     #[test]

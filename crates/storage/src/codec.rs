@@ -98,7 +98,7 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 
 /// Appends `vals` to `buf` as a little-endian `f64` slab in one bulk copy
 /// (no per-element loop on little-endian targets).
-fn put_f64_slab(buf: &mut Vec<u8>, vals: &[f64]) {
+pub(crate) fn put_f64_slab(buf: &mut Vec<u8>, vals: &[f64]) {
     #[cfg(target_endian = "little")]
     {
         // SAFETY: `f64` has no padding or invalid bit patterns, `u8` has
@@ -147,6 +147,23 @@ fn get_f64_slab(bytes: &[u8]) -> Vec<f64> {
             *v = f64::from_le_bytes(c.try_into().expect("8-byte chunk"));
         }
         out
+    }
+}
+
+/// Decodes a little-endian `f64` slab into `out` (same length) in one
+/// bulk copy.
+pub(crate) fn copy_f64_slab(bytes: &[u8], out: &mut [f64]) {
+    assert_eq!(bytes.len(), out.len() * 8, "slab length mismatch");
+    #[cfg(target_endian = "little")]
+    // SAFETY: the assert above makes both ranges `bytes.len()` long, they
+    // cannot overlap (`out` is exclusively borrowed), every bit pattern
+    // is a valid f64, and a byte-wise copy tolerates an unaligned source.
+    unsafe {
+        std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr().cast::<u8>(), bytes.len());
+    }
+    #[cfg(not(target_endian = "little"))]
+    for (v, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+        *v = f64::from_le_bytes(c.try_into().expect("8-byte chunk"));
     }
 }
 

@@ -10,11 +10,13 @@
 //! * [`codec`] — an explicit, checksummed binary page format (no serde);
 //!   format v2 lays payloads out as contiguous 8-byte-aligned `f64` slabs
 //!   encoded/decoded with bulk byte copies (v1 pages remain readable);
-//! * [`UnitStore`] implementations: [`DiskStore`] (one page file per unit,
-//!   committed by write-then-rename, fault injection for tests),
-//!   [`MemStore`], and [`ShardedStore`] — a router that spreads the unit
-//!   space across `S` backing shards (`TPCP_SHARDS`) with aggregated byte
-//!   counters;
+//! * [`UnitStore`] implementations: [`DiskStore`] (per unit one page
+//!   file, committed by write-then-rename, plus a two-slot factor file
+//!   that a Phase-2 write-back updates in place —
+//!   [`UnitStore::write_factor`], `docs/storage.md`; fault injection for
+//!   tests), [`MemStore`], and [`ShardedStore`] — a router that spreads
+//!   the unit space across `S` backing shards (`TPCP_SHARDS`) with
+//!   aggregated byte counters;
 //! * [`BufferPool`] — a byte-budgeted cache over a store with pluggable
 //!   [`ReplacementPolicy`]: LRU, MRU and the paper's forward-looking (FOR)
 //!   schedule-aware policy (§VII), plus pinning so a step's working set
@@ -26,9 +28,10 @@
 //!   [`PrefetchConfig`], [`BufferPool::with_prefetch`]): the deterministic
 //!   schedule that makes the `Forward` policy Belady-exact also tells a
 //!   background worker exactly which units the next steps will need, so
-//!   disk reads overlap compute instead of blocking it. Prefetch moves
-//!   bytes, never values — results and swap counts are bit-identical with
-//!   the pipeline on or off;
+//!   disk reads overlap compute instead of blocking it, and a read is
+//!   only issued while its page is sure to fit the staging area. Prefetch
+//!   moves bytes, never values — results and swap counts are
+//!   bit-identical with the pipeline on or off;
 //! * the zero-copy read path ([`mmap_auto`] / `TPCP_MMAP`,
 //!   [`DiskStore::set_mmap`]): an mmap-backed store hands the codec (and,
 //!   via [`UnitStore::read_slab`], the buffer pool) borrowed page views
@@ -39,6 +42,7 @@
 pub mod codec;
 
 mod buffer;
+mod factor;
 mod policy;
 mod prefetch;
 mod sharded;

@@ -71,7 +71,9 @@ pub struct PrefetchConfig {
     pub enabled: bool,
     /// Maximum units staged or in flight at once — the pipeline depth.
     /// Staged pages live *outside* the pool's byte budget until admitted,
-    /// so the worst-case overshoot is `depth` units; keep it small.
+    /// in a staging area the pool caps at one buffer's worth of bytes, so
+    /// the worst-case overshoot is the smaller of `depth` units and one
+    /// buffer.
     pub depth: usize,
 }
 

@@ -126,6 +126,11 @@ impl<S: UnitStore> UnitStore for ShardedStore<S> {
         self.shards[s].write(data)
     }
 
+    fn write_factor(&mut self, data: &UnitData) -> Result<u64> {
+        let s = self.shard_of(data.unit);
+        self.shards[s].write_factor(data)
+    }
+
     fn read(&mut self, unit: UnitId) -> Result<UnitData> {
         let s = self.shard_of(unit);
         self.shards[s].read(unit)
@@ -291,6 +296,27 @@ mod tests {
             })
             .count();
         assert!(populated > 1, "units must spread across shard directories");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn factor_writes_reach_the_owning_shard_as_factor_writes() {
+        let root = std::env::temp_dir().join(format!("tpcp_sharded_fac_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut s = ShardedStore::open_disk(&root, 3).unwrap();
+        for (i, u) in units(3).into_iter().enumerate() {
+            s.write(&sample(u, i as f64)).unwrap();
+            let mut next = sample(u, i as f64);
+            next.factor.set(0, 0, -7.0);
+            // Not the trait's whole-unit default: the disk shard wrote the
+            // 2×2 factor alone, and only the owning shard wrote at all.
+            let owner_before = s.shard(s.shard_of(u)).bytes_written();
+            let total_before = s.bytes_written();
+            assert_eq!(s.write_factor(&next).unwrap(), 32);
+            assert_eq!(s.shard(s.shard_of(u)).bytes_written(), owner_before + 32);
+            assert_eq!(s.bytes_written(), total_before + 32);
+            assert_eq!(s.read(u).unwrap(), next);
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -41,6 +41,12 @@ pub struct IoStats {
     /// pool decoded it straight into residency). A subset of `fetches`;
     /// like prefetch, the transport never changes what counts as a swap.
     pub borrowed_reads: u64,
+    /// Pages the prefetch worker read and decoded that the pool then
+    /// threw away on arrival: no room in the staging area, the unit was
+    /// written back after the read was issued (stale epoch), or it had
+    /// become resident in the meantime. Pure waste — each one is a full
+    /// page read that saved nothing, and usually a synchronous read later.
+    pub prefetch_discarded: u64,
 }
 
 impl IoStats {
@@ -88,6 +94,7 @@ impl IoStats {
             prefetched_bytes: self.prefetched_bytes - earlier.prefetched_bytes,
             stall_ns: self.stall_ns - earlier.stall_ns,
             borrowed_reads: self.borrowed_reads - earlier.borrowed_reads,
+            prefetch_discarded: self.prefetch_discarded - earlier.prefetch_discarded,
         }
     }
 }
@@ -104,6 +111,7 @@ impl std::ops::AddAssign<&IoStats> for IoStats {
         self.prefetched_bytes += o.prefetched_bytes;
         self.stall_ns += o.stall_ns;
         self.borrowed_reads += o.borrowed_reads;
+        self.prefetch_discarded += o.prefetch_discarded;
     }
 }
 
@@ -112,7 +120,7 @@ impl std::fmt::Display for IoStats {
         write!(
             f,
             "swaps={} hits={} evictions={} write_backs={} read={}B written={}B \
-             prefetch_hits={} prefetched={}B stall={:.2}ms borrowed={}",
+             prefetch_hits={} prefetched={}B discarded={} stall={:.2}ms borrowed={}",
             self.fetches,
             self.hits,
             self.evictions,
@@ -121,6 +129,7 @@ impl std::fmt::Display for IoStats {
             self.bytes_written,
             self.prefetch_hits,
             self.prefetched_bytes,
+            self.prefetch_discarded,
             self.stall_ms(),
             self.borrowed_reads
         )
@@ -156,6 +165,7 @@ mod tests {
             prefetched_bytes: 60,
             stall_ns: 1_000,
             borrowed_reads: 1,
+            prefetch_discarded: 2,
         };
         let late = IoStats {
             fetches: 7,
@@ -168,6 +178,7 @@ mod tests {
             prefetched_bytes: 200,
             stall_ns: 5_000,
             borrowed_reads: 3,
+            prefetch_discarded: 7,
         };
         let d = late.since(&early);
         assert_eq!(d.fetches, 5);
@@ -180,6 +191,7 @@ mod tests {
         assert_eq!(d.prefetched_bytes, 140);
         assert_eq!(d.stall_ns, 4_000);
         assert_eq!(d.borrowed_reads, 2);
+        assert_eq!(d.prefetch_discarded, 5);
         assert_eq!(d.swaps(), 5);
     }
 
@@ -196,6 +208,7 @@ mod tests {
             prefetched_bytes: 60,
             stall_ns: 1_000,
             borrowed_reads: 1,
+            prefetch_discarded: 2,
         };
         let b = IoStats {
             fetches: 7,
@@ -208,6 +221,7 @@ mod tests {
             prefetched_bytes: 200,
             stall_ns: 5_000,
             borrowed_reads: 4,
+            prefetch_discarded: 3,
         };
         let m = IoStats::merged([&a, &b]);
         // Every counter sums — in particular stall_ns and prefetch_hits
@@ -222,6 +236,7 @@ mod tests {
         assert_eq!(m.prefetched_bytes, 260);
         assert_eq!(m.stall_ns, 6_000);
         assert_eq!(m.borrowed_reads, 5);
+        assert_eq!(m.prefetch_discarded, 5);
         assert_eq!(IoStats::merged([]), IoStats::default());
     }
 

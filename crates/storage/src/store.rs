@@ -1,5 +1,6 @@
 //! Unit stores: the backing level the buffer pool swaps against.
 
+use crate::factor::{self, FactorFiles};
 use crate::prefetch::{PrefetchRead, PrefetchSource};
 use crate::{codec, Result, StorageError};
 use memmap2::Mmap;
@@ -83,6 +84,20 @@ impl UnitData {
 pub trait UnitStore {
     /// Persists (or overwrites) a unit.
     fn write(&mut self, data: &UnitData) -> Result<()>;
+
+    /// Persists `data.factor` — the only part of a unit Phase 2 changes —
+    /// as the unit's factor of record and returns the payload bytes
+    /// written. The unit must already be stored and `data.sub_factors`
+    /// must be what the store holds: a store is free to ignore them. The
+    /// default rewrites the whole unit; [`DiskStore`] writes the factor
+    /// alone, in place.
+    ///
+    /// # Errors
+    /// Same failure modes as [`UnitStore::write`].
+    fn write_factor(&mut self, data: &UnitData) -> Result<u64> {
+        self.write(data)?;
+        Ok(data.payload_bytes() as u64)
+    }
 
     /// Loads a unit.
     fn read(&mut self, unit: UnitId) -> Result<UnitData>;
@@ -333,9 +348,10 @@ impl FdCache {
     }
 }
 
-/// Reads and decodes `unit`'s page through a validated [`FdCache`] handle:
-/// straight from the cached mapping in mmap mode (one copy, map → `Mat`),
-/// otherwise through the cached descriptor and `scratch`.
+/// Reads and decodes `unit`'s page through a validated [`FdCache`] handle
+/// — straight from the cached mapping in mmap mode (one copy, map →
+/// `Mat`), otherwise through the cached descriptor and `scratch` — then
+/// overlays the unit's factor file.
 fn read_cached(
     cache: &mut FdCache,
     dir: &Path,
@@ -352,20 +368,38 @@ fn read_cached(
         entry.file.read_to_end(scratch)?;
         codec::decode(scratch)?
     };
+    unit_of_record(dir, unit, data, scratch)
+}
+
+/// Turns a decoded base page into the unit of record: checks it is
+/// `unit`'s page and overlays the newest factor from the unit's factor
+/// file, if one exists ([`factor::overlay`]). Every disk read path ends
+/// here, so none can serve the base page's factor once a newer one was
+/// written. `scratch` is free for reuse (the page is already decoded).
+fn unit_of_record(
+    dir: &Path,
+    unit: UnitId,
+    mut data: UnitData,
+    scratch: &mut Vec<u8>,
+) -> Result<UnitData> {
     if data.unit != unit {
         return Err(StorageError::Corrupt {
             reason: format!("page for {} found under path of {unit}", data.unit),
         });
     }
+    factor::overlay(dir, &mut data, scratch)?;
     Ok(data)
 }
 
-/// Disk-backed store: one checksummed page file per unit in a directory.
+/// Disk-backed store: per unit, one checksummed page file — the whole
+/// unit, committed by write-then-rename — and, once Phase 2 has written
+/// the unit back, a two-slot factor file next to it holding the current
+/// `A(i)(kᵢ)`, updated in place (`factor.rs`, `docs/storage.md`). A read
+/// decodes the page and overlays the newest valid factor slot.
 ///
-/// Reads and writes go through the [`codec`] page format, so torn or
-/// corrupted files are detected rather than silently consumed. The
-/// `inject_*_failures` knobs let tests exercise error paths
-/// deterministically.
+/// Both files are checksummed, so torn or corrupted files are detected
+/// rather than silently consumed. The `inject_*_failures` knobs let
+/// tests exercise error paths deterministically.
 ///
 /// With mmap enabled ([`DiskStore::set_mmap`], [`mmap_auto`]), reads
 /// decode directly from a memory map of the page file — no scratch-buffer
@@ -384,6 +418,8 @@ pub struct DiskStore {
     /// Validated page-handle cache (mmap mode; maps are reused across
     /// reads of the same committed page).
     cache: FdCache,
+    /// Open factor files, bounded like `cache`.
+    factors: FactorFiles,
 }
 
 impl DiskStore {
@@ -412,6 +448,7 @@ impl DiskStore {
             scratch: Vec::new(),
             mmap,
             cache: FdCache::new(FdCache::DEFAULT_CAP),
+            factors: FactorFiles::new(FdCache::DEFAULT_CAP),
         })
     }
 
@@ -441,16 +478,23 @@ impl DiskStore {
         self.inject_read_failures = n;
     }
 
-    /// Makes the next `n` writes fail with [`StorageError::Injected`].
+    /// Makes the next `n` writes ([`UnitStore::write`] and
+    /// [`UnitStore::write_factor`] alike) fail with
+    /// [`StorageError::Injected`].
     pub fn inject_write_failures(&mut self, n: u32) {
         self.inject_write_failures = n;
+    }
+
+    fn injected_write_failure(&mut self) -> bool {
+        let fail = self.inject_write_failures > 0;
+        self.inject_write_failures -= u32::from(fail);
+        fail
     }
 }
 
 impl UnitStore for DiskStore {
     fn write(&mut self, data: &UnitData) -> Result<()> {
-        if self.inject_write_failures > 0 {
-            self.inject_write_failures -= 1;
+        if self.injected_write_failure() {
             return Err(StorageError::Injected);
         }
         let page = codec::encode(data);
@@ -462,6 +506,12 @@ impl UnitStore for DiskStore {
             f.write_all(&page)?;
             f.flush()?;
         }
+        // The new page carries the factor of record itself, so a factor
+        // file left by earlier write-backs (or an earlier run over this
+        // directory) must not be overlaid on it. Dropped before the
+        // rename: a crash in between leaves the old page without its
+        // overlay — an older unit, never a new page under an old factor.
+        self.factors.invalidate(&self.dir, data.unit)?;
         fs::rename(&tmp_path, &final_path)?;
         // The rename unlinked the unit's previous inode: retire the cached
         // handle (and its map) now, while we are already paying write-side
@@ -472,6 +522,16 @@ impl UnitStore for DiskStore {
         self.cache.entries.remove(&data.unit);
         self.bytes_written += data.payload_bytes() as u64;
         Ok(())
+    }
+
+    fn write_factor(&mut self, data: &UnitData) -> Result<u64> {
+        if self.injected_write_failure() {
+            return Err(StorageError::Injected);
+        }
+        self.factors.write(&self.dir, data.unit, &data.factor)?;
+        let bytes = data.factor.payload_bytes() as u64;
+        self.bytes_written += bytes;
+        Ok(bytes)
     }
 
     fn read(&mut self, unit: UnitId) -> Result<UnitData> {
@@ -489,7 +549,13 @@ impl UnitStore for DiskStore {
     }
 
     fn read_slab(&mut self, unit: UnitId) -> Result<PageRead<'_>> {
-        if self.inject_read_failures > 0 || !self.mmap {
+        // A borrowed slab is the base page as Phase 1 wrote it; once a
+        // factor file exists the page alone is no longer the unit, so the
+        // store decodes (from the map, still one copy) and overlays.
+        if self.inject_read_failures > 0
+            || !self.mmap
+            || factor::factor_path_in(&self.dir, unit).exists()
+        {
             return self.read(unit).map(PageRead::Owned);
         }
         // Ensure a current handle (and, when possible, mapping) is cached,
@@ -561,12 +627,7 @@ fn read_unit_page(dir: &Path, unit: UnitId, scratch: &mut Vec<u8>) -> Result<Uni
     scratch.clear();
     file.read_to_end(scratch)?;
     let data = codec::decode(scratch)?;
-    if data.unit != unit {
-        return Err(StorageError::Corrupt {
-            reason: format!("page for {} found under path of {unit}", data.unit),
-        });
-    }
-    Ok(data)
+    unit_of_record(dir, unit, data, scratch)
 }
 
 /// A [`PrefetchRead`] handle onto a [`DiskStore`] directory: one file per
@@ -903,6 +964,223 @@ mod tests {
             read_cached(&mut cache, &dir, last, false, &mut scratch),
             Err(StorageError::NotFound(_))
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `sample(unit, seed)` with its factor replaced by `v` everywhere —
+    /// what the store must serve after `write_factor` of that value.
+    fn with_factor(unit: UnitId, seed: f64, v: f64) -> UnitData {
+        let mut data = sample(unit, seed);
+        data.factor.as_mut_slice().fill(v);
+        data
+    }
+
+    /// Flips one byte in the middle of slot `slot` of `unit`'s factor file.
+    fn corrupt_slot(s: &DiskStore, unit: UnitId, slot: usize) {
+        let path = factor::factor_path_in(&s.dir, unit);
+        let mut bytes = fs::read(&path).unwrap();
+        let len = bytes.len() / 2;
+        bytes[slot * len + len / 2] ^= 0xff;
+        fs::write(&path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn write_factor_persists_the_factor_and_leaves_the_page_alone() {
+        let dir = tmpdir("factor_roundtrip");
+        let u = UnitId::new(1, 2);
+        let mut s = DiskStore::open_with(&dir, false).unwrap();
+        s.write(&sample(u, 3.0)).unwrap();
+        let page = fs::read(s.unit_path(u)).unwrap();
+        let written_before = s.bytes_written();
+        for v in [10.0, 11.0, 12.0] {
+            let bytes = s.write_factor(&with_factor(u, 3.0, v)).unwrap();
+            assert_eq!(bytes, 4 * 8, "payload of the 2×2 factor alone");
+            assert_eq!(s.read(u).unwrap(), with_factor(u, 3.0, v));
+        }
+        assert_eq!(s.bytes_written(), written_before + 3 * 32);
+        // The page is what `write` left: still a whole, decodable unit.
+        assert_eq!(fs::read(s.unit_path(u)).unwrap(), page);
+        assert_eq!(codec::decode(&page).unwrap(), sample(u, 3.0));
+        // A second instance (either read path) and the prefetch reader
+        // serve the newest factor too, and writes resume where they were.
+        drop(s);
+        for mmap in [false, true] {
+            let mut again = DiskStore::open_with(&dir, mmap).unwrap();
+            assert_eq!(again.read(u).unwrap(), with_factor(u, 3.0, 12.0));
+            let mut reader = again.prefetch_reader().unwrap();
+            assert_eq!(reader.read(u).unwrap(), with_factor(u, 3.0, 12.0));
+        }
+        let mut s = DiskStore::open_with(&dir, false).unwrap();
+        s.write_factor(&with_factor(u, 3.0, 13.0)).unwrap();
+        assert_eq!(s.read(u).unwrap(), with_factor(u, 3.0, 13.0));
+        // …into the older slot (0: the four writes so far went 0+1, 0, 1):
+        // losing the newest serves 12, not 11.
+        corrupt_slot(&s, u, 0);
+        assert_eq!(s.read(u).unwrap(), with_factor(u, 3.0, 12.0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_newest_slot_serves_the_previous_version() {
+        let dir = tmpdir("slot_fallback");
+        let u = UnitId::new(0, 0);
+        let mut s = DiskStore::open_with(&dir, false).unwrap();
+        s.write(&sample(u, 1.0)).unwrap();
+        // The first write creates the file (slot 0) and fills slot 1; the
+        // next two go to slot 0, then slot 1.
+        for v in [20.0, 21.0, 22.0] {
+            s.write_factor(&with_factor(u, 1.0, v)).unwrap();
+        }
+        corrupt_slot(&s, u, 1);
+        assert_eq!(s.read(u).unwrap(), with_factor(u, 1.0, 21.0));
+        // The next write replaces the damaged slot, not the good one.
+        let mut s = DiskStore::open_with(&dir, false).unwrap();
+        s.write_factor(&with_factor(u, 1.0, 23.0)).unwrap();
+        assert_eq!(s.read(u).unwrap(), with_factor(u, 1.0, 23.0));
+        corrupt_slot(&s, u, 1);
+        assert_eq!(s.read(u).unwrap(), with_factor(u, 1.0, 21.0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_factor_file_without_a_valid_slot_is_corrupt_never_stale() {
+        let dir = tmpdir("slot_corrupt");
+        let (a, b) = (UnitId::new(0, 0), UnitId::new(0, 1));
+        for mmap in [false, true] {
+            let _ = fs::remove_dir_all(&dir);
+            let mut s = DiskStore::open_with(&dir, mmap).unwrap();
+            for u in [a, b] {
+                s.write(&sample(u, 1.0)).unwrap();
+                s.write_factor(&with_factor(u, 1.0, 30.0)).unwrap();
+                s.write_factor(&with_factor(u, 1.0, 31.0)).unwrap();
+            }
+            let path = factor::factor_path_in(&s.dir, a);
+            let intact = fs::read(&path).unwrap();
+            let is_corrupt = |s: &mut DiskStore| {
+                let mut reader = s.prefetch_reader().unwrap();
+                matches!(s.read(a), Err(StorageError::Corrupt { .. }))
+                    && matches!(s.read_slab(a), Err(StorageError::Corrupt { .. }))
+                    && matches!(reader.read(a), Err(StorageError::Corrupt { .. }))
+            };
+
+            // Both slots damaged: the base page's factor must not surface.
+            corrupt_slot(&s, a, 0);
+            corrupt_slot(&s, a, 1);
+            assert!(is_corrupt(&mut s), "both slots damaged (mmap {mmap})");
+            // Truncated anywhere, or grown.
+            for len in [0, 1, intact.len() / 2, intact.len() - 1] {
+                fs::write(&path, &intact[..len]).unwrap();
+                assert!(is_corrupt(&mut s), "truncated to {len} (mmap {mmap})");
+            }
+            fs::write(&path, [&intact[..], &[0u8; 8]].concat()).unwrap();
+            assert!(is_corrupt(&mut s), "trailing bytes (mmap {mmap})");
+            // Another unit's (valid) factor file under this unit's name.
+            fs::copy(factor::factor_path_in(&s.dir, b), &path).unwrap();
+            assert!(is_corrupt(&mut s), "mislabelled (mmap {mmap})");
+            // The neighbour is unaffected, and a rewrite of the whole
+            // unit heals it.
+            assert_eq!(s.read(b).unwrap(), with_factor(b, 1.0, 31.0));
+            s.write(&sample(a, 5.0)).unwrap();
+            assert_eq!(s.read(a).unwrap(), sample(a, 5.0));
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_whole_unit_write_drops_the_factor_file() {
+        let dir = tmpdir("factor_invalidate");
+        let u = UnitId::new(0, 3);
+        {
+            let mut s = DiskStore::open_with(&dir, true).unwrap();
+            s.write(&sample(u, 1.0)).unwrap();
+            s.write_factor(&with_factor(u, 1.0, 40.0)).unwrap();
+            assert!(factor::factor_path_in(&s.dir, u).exists());
+        }
+        // A later run over the same directory (Phase 1 again) rewrites the
+        // unit: the old run's factor must not be overlaid on the new page,
+        // in this instance or a reader's.
+        let mut s = DiskStore::open_with(&dir, true).unwrap();
+        let mut reader = s.prefetch_reader().unwrap();
+        assert_eq!(reader.read(u).unwrap(), with_factor(u, 1.0, 40.0));
+        s.write(&sample(u, 2.0)).unwrap();
+        assert!(!factor::factor_path_in(&s.dir, u).exists());
+        assert_eq!(s.read(u).unwrap(), sample(u, 2.0));
+        assert_eq!(reader.read(u).unwrap(), sample(u, 2.0));
+        // And the cached handle went with it: the next factor write starts
+        // a fresh file instead of writing into the unlinked one.
+        s.write_factor(&with_factor(u, 2.0, 41.0)).unwrap();
+        assert_eq!(s.read(u).unwrap(), with_factor(u, 2.0, 41.0));
+        assert_eq!(reader.read(u).unwrap(), with_factor(u, 2.0, 41.0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn factor_write_backs_after_the_first_touch_no_directory_entry() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmpdir("factor_in_place");
+        let u = UnitId::new(2, 1);
+        let mut s = DiskStore::open_with(&dir, false).unwrap();
+        s.write(&sample(u, 1.0)).unwrap();
+        s.write_factor(&with_factor(u, 1.0, 50.0)).unwrap();
+        let path = factor::factor_path_in(&s.dir, u);
+        let listing = |dir: &Path| {
+            let mut names: Vec<_> = fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let (ino, len, names) = (
+            fs::metadata(&path).unwrap().ino(),
+            fs::metadata(&path).unwrap().len(),
+            listing(&dir),
+        );
+        for v in 0..9 {
+            s.write_factor(&with_factor(u, 1.0, 51.0 + f64::from(v)))
+                .unwrap();
+        }
+        // Same inode, same length, same directory listing: nine positioned
+        // writes, no create / rename / unlink.
+        assert_eq!(fs::metadata(&path).unwrap().ino(), ino);
+        assert_eq!(fs::metadata(&path).unwrap().len(), len);
+        assert_eq!(listing(&dir), names);
+        assert_eq!(s.read(u).unwrap(), with_factor(u, 1.0, 59.0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn factor_handles_are_bounded_and_writes_honour_fault_injection() {
+        let dir = tmpdir("factor_bound");
+        let mut s = DiskStore::open_with(&dir, false).unwrap();
+        // A 3 × 64 grid's worth of units must not pin 192 descriptors.
+        let units: Vec<UnitId> = (0..3)
+            .flat_map(|m| (0..64).map(move |p| UnitId::new(m, p)))
+            .collect();
+        for &u in &units {
+            s.write(&sample(u, 1.0)).unwrap();
+        }
+        for round in 0..2 {
+            for (i, &u) in units.iter().enumerate() {
+                s.write_factor(&with_factor(u, 1.0, (round * 1000 + i) as f64))
+                    .unwrap();
+                assert!(s.factors.len() <= FdCache::DEFAULT_CAP);
+            }
+        }
+        // A handle that was evicted and re-opened still extends its file.
+        for (i, &u) in units.iter().enumerate() {
+            assert_eq!(s.read(u).unwrap(), with_factor(u, 1.0, (1000 + i) as f64));
+        }
+        s.inject_write_failures(1);
+        assert!(matches!(
+            s.write_factor(&with_factor(units[0], 1.0, -1.0)),
+            Err(StorageError::Injected)
+        ));
+        assert_eq!(
+            s.read(units[0]).unwrap(),
+            with_factor(units[0], 1.0, 1000.0)
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

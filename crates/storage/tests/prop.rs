@@ -6,7 +6,8 @@ use std::collections::HashMap;
 use tpcp_linalg::Mat;
 use tpcp_schedule::{AccessSequence, UnitId};
 use tpcp_storage::{
-    codec, BufferPool, DiskStore, MemStore, PolicyKind, PrefetchConfig, UnitData, UnitStore,
+    codec, BufferPool, DiskStore, MemStore, PageRead, PolicyKind, PrefetchConfig, PrefetchSource,
+    ShardedStore, StorageError, UnitData, UnitStore,
 };
 
 fn unit_data(part: usize, rows: usize, value: f64) -> UnitData {
@@ -17,11 +18,21 @@ fn unit_data(part: usize, rows: usize, value: f64) -> UnitData {
     }
 }
 
+/// What a touch does to the unit while it holds it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mutate {
+    No,
+    /// Replace the whole unit through `get_mut` (a whole-unit write-back).
+    Whole,
+    /// Overwrite the factor through `get_factor_mut` (a factor-only one).
+    Factor,
+}
+
 /// One step of a random pool workload.
 #[derive(Clone, Debug)]
 enum Op {
     /// Acquire, optionally mutate (making the unit dirty), release.
-    Touch { part: usize, mutate: bool },
+    Touch { part: usize, mutate: Mutate },
     /// Flush all dirty entries.
     Flush,
 }
@@ -29,11 +40,27 @@ enum Op {
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            (0usize..6, any::<bool>()).prop_map(|(part, mutate)| Op::Touch { part, mutate }),
+            (0usize..6, 0usize..3).prop_map(|(part, m)| Op::Touch {
+                part,
+                mutate: [Mutate::No, Mutate::Whole, Mutate::Factor][m],
+            }),
             Just(Op::Flush),
         ],
         1..60,
     )
+}
+
+/// Applies `how` to resident unit `part`, leaving `version` in its factor.
+fn apply<S: UnitStore>(pool: &mut BufferPool<'_, S>, part: usize, how: Mutate, version: f64) {
+    let id = UnitId::new(0, part);
+    match how {
+        Mutate::No => {}
+        Mutate::Whole => *pool.get_mut(id).unwrap() = unit_data(part, 3, version),
+        Mutate::Factor => {
+            let (factor, _) = pool.get_factor_mut(id).unwrap();
+            factor.as_mut_slice().fill(version);
+        }
+    }
 }
 
 proptest! {
@@ -67,10 +94,9 @@ proptest! {
                     let expect = model[part];
                     let got = pool.get(id).unwrap().factor.get(0, 0);
                     prop_assert_eq!(got, expect, "stale read of unit {}", part);
-                    if *mutate {
+                    if *mutate != Mutate::No {
                         version += 1.0;
-                        let data = pool.get_mut(id).unwrap();
-                        *data = unit_data(*part, 3, version);
+                        apply(&mut pool, *part, *mutate, version);
                         model.insert(*part, version);
                     }
                     pool.release(&[id]);
@@ -210,9 +236,9 @@ proptest! {
                         pos += 1;
                         pool.acquire(&[id]).unwrap();
                         observed.push(pool.get(id).unwrap().factor.get(0, 0));
-                        if *mutate {
+                        if *mutate != Mutate::No {
                             version += 1.0;
-                            *pool.get_mut(id).unwrap() = unit_data(*part, 3, version);
+                            apply(&mut pool, *part, *mutate, version);
                         }
                         pool.release(&[id]);
                     }
@@ -352,9 +378,9 @@ proptest! {
                         let id = UnitId::new(0, *part);
                         pool.acquire(&[id]).unwrap();
                         observed.push(pool.get(id).unwrap().factor.get(0, 0));
-                        if *mutate {
+                        if *mutate != Mutate::No {
                             version += 1.0;
-                            *pool.get_mut(id).unwrap() = unit_data(*part, 3, version);
+                            apply(&mut pool, *part, *mutate, version);
                         }
                         pool.release(&[id]);
                     }
@@ -380,13 +406,105 @@ proptest! {
         prop_assert_eq!(off.1.bytes_read, on.1.bytes_read, "byte accounting diverged");
         prop_assert_eq!(off.1.bytes_written, on.1.bytes_written);
         prop_assert_eq!(off.1.borrowed_reads, 0, "buffered run must not borrow");
-        if cfg!(unix) {
+        // A page is borrowed from the map for as long as it is the whole
+        // unit; a factor-only write-back ends that (the store overlays the
+        // factor file itself), a whole-unit one restores it.
+        let factor_writes = ops.iter().any(|op| {
+            matches!(op, Op::Touch { mutate: Mutate::Factor, .. })
+        });
+        if cfg!(unix) && !factor_writes {
             prop_assert_eq!(
                 on.1.borrowed_reads, on.1.fetches,
-                "every mmap fetch must take the borrowed-slab path"
+                "every mmap fetch of a whole page must take the borrowed-slab path"
             );
         }
+        prop_assert!(on.1.borrowed_reads <= on.1.fetches);
         prop_assert_eq!(&off.2, &on.2, "final store contents diverged");
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// Every store is a store of record under any interleaving of whole
+    /// writes, factor-only writes and reads: `MemStore`, `DiskStore`
+    /// (buffered and mmap), a fresh `DiskStore` over the same directory
+    /// and `ShardedStore` all read back what a plain map of whole units
+    /// would — through `read`, `read_slab` and the prefetch reader alike.
+    #[test]
+    fn stores_of_record_agree_under_any_write_interleaving(
+        ops in proptest::collection::vec((0usize..3, 0usize..4), 1..40),
+    ) {
+        let dir = std::env::temp_dir().join(format!(
+            "tpcp_prop_record_{}_{}",
+            std::process::id(),
+            std::thread::current().name().map(str::to_owned).unwrap_or_default().len(),
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        check_store_of_record(MemStore::new(), &ops);
+        check_store_of_record(ShardedStore::mem(3), &ops);
+        for mmap in [false, true] {
+            let at = dir.join(format!("disk_{mmap}"));
+            let model = check_store_of_record(DiskStore::open_with(&at, mmap).unwrap(), &ops);
+            // What was written survives the instance, whichever way the
+            // next one reads.
+            let mut second = DiskStore::open_with(&at, !mmap).unwrap();
+            for (id, expect) in &model {
+                prop_assert_eq!(&second.read(*id).unwrap(), expect, "re-opened store");
+            }
+        }
+        let mut sharded = ShardedStore::open_disk(dir.join("sharded"), 3).unwrap();
+        sharded.set_mmap(true);
+        check_store_of_record(sharded, &ops);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Drives `store` through `ops` (`(kind, part)`: 0 = whole write, 1 =
+/// factor-only write, 2 = read) next to a map of whole units — the store
+/// of record it must be indistinguishable from — comparing every read
+/// path after every step. Returns the map.
+fn check_store_of_record<S: UnitStore + PrefetchSource>(
+    mut store: S,
+    ops: &[(usize, usize)],
+) -> HashMap<UnitId, UnitData> {
+    let mut model: HashMap<UnitId, UnitData> = HashMap::new();
+    let mut reader = store.prefetch_reader();
+    for (step, &(kind, part)) in ops.iter().enumerate() {
+        let id = UnitId::new(0, part);
+        let version = 10.0 + step as f64;
+        match kind {
+            0 => {
+                let data = unit_data(part, 3, version);
+                store.write(&data).unwrap();
+                model.insert(id, data);
+            }
+            1 => {
+                // A factor-only write is defined for stored units only.
+                if let Some(data) = model.get_mut(&id) {
+                    data.factor.as_mut_slice().fill(version);
+                    let written = store.write_factor(data).unwrap() as usize;
+                    prop_assert!(
+                        written == data.factor.payload_bytes() || written == data.payload_bytes()
+                    );
+                }
+            }
+            _ => {}
+        }
+        let expect = model.get(&id);
+        match store.read(id) {
+            Ok(got) => prop_assert_eq!(Some(&got), expect, "read, step {}", step),
+            Err(StorageError::NotFound(_)) => prop_assert!(expect.is_none()),
+            Err(e) => panic!("read failed at step {step}: {e}"),
+        }
+        let slab = match store.read_slab(id) {
+            Ok(PageRead::Owned(got)) => Some(got),
+            Ok(PageRead::Borrowed(page)) => Some(codec::decode(page).unwrap()),
+            Err(StorageError::NotFound(_)) => None,
+            Err(e) => panic!("read_slab failed at step {step}: {e}"),
+        };
+        prop_assert_eq!(slab.as_ref(), expect, "read_slab, step {}", step);
+        if let Some(reader) = reader.as_mut() {
+            let got = reader.read(id).ok();
+            prop_assert_eq!(got.as_ref(), expect, "prefetch reader, step {}", step);
+        }
+    }
+    model
 }

@@ -24,8 +24,8 @@ fn main() {
         x.dims()
     );
     println!(
-        "{:<10} {:>8} {:>8} {:>12} {:>12} {:>9} {:>8} {:>8}",
-        "policy", "swaps", "hits", "bytes read", "written", "stall ms", "pf hits", "fit"
+        "{:<10} {:>8} {:>8} {:>12} {:>12} {:>9} {:>8} {:>8} {:>8}",
+        "policy", "swaps", "hits", "bytes read", "written", "stall ms", "pf drop", "pf hits", "fit"
     );
     for policy in PolicyKind::ALL {
         let config = TwoPcpConfig::new(8)
@@ -41,13 +41,14 @@ fn main() {
             .expect("decomposition failed");
         let io = outcome.phase2.io;
         println!(
-            "{:<10} {:>8} {:>8} {:>12} {:>12} {:>9.2} {:>8} {:>8.4}",
+            "{:<10} {:>8} {:>8} {:>12} {:>12} {:>9.2} {:>8} {:>8} {:>8.4}",
             policy.abbrev(),
             io.fetches,
             io.hits,
             io.bytes_read,
             io.bytes_written,
             io.stall_ms(),
+            io.prefetch_discarded,
             io.prefetch_hits,
             outcome.fit,
         );

@@ -70,11 +70,15 @@ fn mmap_is_bit_identical_synchronous_path() {
     let on = run(true);
     assert_bitwise_equal(&off, &on);
     assert!(on.phase2.io.fetches > 0, "constrained buffer must swap");
-    // Transport differs even though values do not: on Unix every
-    // synchronous fetch of the mmap run is a borrowed-slab read.
+    // Transport differs even though values do not: on Unix a synchronous
+    // fetch of the mmap run borrows the mapped page for as long as that
+    // page is the whole unit — all six fetches of the P/Q-initialisation
+    // scan, at least — and once a unit's factor has been written back
+    // the store decodes from the map and overlays the factor file itself.
     #[cfg(unix)]
     {
-        assert_eq!(on.phase2.io.borrowed_reads, on.phase2.io.fetches);
+        assert!(on.phase2.io.borrowed_reads >= 6, "{}", on.phase2.io);
+        assert!(on.phase2.io.borrowed_reads < on.phase2.io.fetches);
         assert_eq!(off.phase2.io.borrowed_reads, 0);
     }
     let _ = std::fs::remove_dir_all(&root);
