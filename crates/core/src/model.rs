@@ -83,7 +83,7 @@
 use crate::{config::TwoPcpConfig, driver::TwoPcpOutcome, Result, TwoPcpError};
 use std::io::Write;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tpcp_compress::CompressProvenance;
 use tpcp_cp::CpModel;
 use tpcp_linalg::{gather_rows, matmul_t_slices_auto, Mat};
@@ -217,14 +217,32 @@ enum FactorStore {
     Mapped(MappedFactors),
 }
 
+impl FactorStore {
+    fn order(&self) -> usize {
+        match self {
+            FactorStore::Owned(cp) => cp.order(),
+            FactorStore::Mapped(m) => m.slabs.len(),
+        }
+    }
+}
+
 /// A saved/loadable decomposition: metadata plus the weighted factors,
 /// resident either as owned matrices or zero-copy over a shared memory
 /// map of the container (see [`Residency`]).
+///
+/// A model's factors and weights never change after construction: no
+/// `&mut` accessor to them exists, and a reload builds a new `Model`.
+/// That is what makes the per-mode row-norm cache behind
+/// [`Model::similar_rows`] sound — it is a pure function of immutable
+/// data, filled once on first use and shared by every clone.
 #[derive(Clone)]
 pub struct Model {
     /// Descriptive metadata (see [`ModelMeta`]).
     pub meta: ModelMeta,
     store: FactorStore,
+    /// Per mode, `Σ_f (λ_f·A[r, f])²` for every row `r` (8 B per row),
+    /// filled lazily by [`Model::row_norms`].
+    norms: Arc<[OnceLock<Vec<f64>>]>,
 }
 
 impl std::fmt::Debug for Model {
@@ -277,17 +295,22 @@ impl Model {
                 cp.dims()
             )));
         }
-        Ok(Model {
+        Ok(Model::with_store(meta, FactorStore::Owned(cp)))
+    }
+
+    fn with_store(meta: ModelMeta, store: FactorStore) -> Self {
+        Model {
             meta,
-            store: FactorStore::Owned(cp),
-        })
+            norms: (0..store.order()).map(|_| OnceLock::new()).collect(),
+            store,
+        }
     }
 
     /// Promotes a driver outcome into a named artifact, recording the
     /// run's provenance (seed, schedule, grid) from its config.
     pub fn from_outcome(name: &str, outcome: &TwoPcpOutcome, config: &TwoPcpConfig) -> Self {
-        Model {
-            meta: ModelMeta {
+        Model::with_store(
+            ModelMeta {
                 name: name.to_string(),
                 rank: outcome.model.rank(),
                 dims: outcome.model.dims(),
@@ -297,8 +320,8 @@ impl Model {
                 parts: config.parts.clone(),
                 compress: outcome.compress.clone(),
             },
-            store: FactorStore::Owned(outcome.model.clone()),
-        }
+            FactorStore::Owned(outcome.model.clone()),
+        )
     }
 
     /// Decomposition rank `F`.
@@ -308,10 +331,7 @@ impl Model {
 
     /// Tensor order `N`.
     pub fn order(&self) -> usize {
-        match &self.store {
-            FactorStore::Owned(cp) => cp.order(),
-            FactorStore::Mapped(m) => m.slabs.len(),
-        }
+        self.store.order()
     }
 
     /// Tensor shape.
@@ -553,14 +573,14 @@ impl Model {
             slabs.push((slab_off, meta.dims[h], meta.rank));
             pos = next;
         }
-        Ok(Model {
+        Ok(Model::with_store(
             meta,
-            store: FactorStore::Mapped(MappedFactors {
+            FactorStore::Mapped(MappedFactors {
                 map: Arc::new(map),
                 weights,
                 slabs,
             }),
-        })
+        ))
     }
 
     fn encode_meta(&self) -> Vec<u8> {
@@ -672,7 +692,9 @@ impl Model {
     }
 
     /// Cosine similarity between rows `i` and `j` of mode `mode`'s factor
-    /// (each row weighted by λ). Zero-norm rows compare as `0.0`.
+    /// (each row weighted by λ). Zero-norm rows compare as `0.0`. Bitwise
+    /// the value [`Model::similar_rows`] reports for `j` when asked about
+    /// `i`.
     pub fn cosine(&self, mode: usize, i: usize, j: usize) -> Result<f64> {
         let a = self.factor_checked(mode)?;
         for &r in &[i, j] {
@@ -689,6 +711,14 @@ impl Model {
     /// The `k` rows of mode `mode`'s factor most cosine-similar to `row`
     /// (the row itself excluded), as `(index, similarity)` sorted by
     /// similarity descending (ties by index).
+    ///
+    /// Cost: one O(rows·F) pass for the dot products plus an
+    /// O(rows + k log k) ranking. Every row's λ-weighted squared norm is
+    /// computed once per model (see [`Model`] on why that cache is
+    /// sound), and the dot products run a fixed block of rows side by
+    /// side, each row keeping its own accumulator in ascending `f` —
+    /// exactly [`Model::cosine`]'s arithmetic, so every value is bitwise
+    /// what it returns for the same pair.
     pub fn similar_rows(&self, mode: usize, row: usize, k: usize) -> Result<Vec<(usize, f64)>> {
         let a = self.factor_checked(mode)?;
         if row >= a.rows() {
@@ -697,14 +727,63 @@ impl Model {
                 a.rows()
             )));
         }
-        let anchor = a.row(row);
-        let mut ranked: Vec<(usize, f64)> = (0..a.rows())
-            .filter(|&r| r != row)
-            .map(|r| (r, weighted_cosine(anchor, a.row(r), self.weights())))
-            .collect();
-        ranked.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-        ranked.truncate(k);
-        Ok(ranked)
+        let (rows, n) = (a.rows(), a.cols());
+        let w = &self.weights()[..n];
+        let norms = self.row_norms(mode);
+        let aa = norms[row];
+        let wx: Vec<f64> = a.row(row).iter().zip(w).map(|(&x, &w)| w * x).collect();
+        let cosine = |ab: f64, bb: f64| {
+            if aa == 0.0 || bb == 0.0 {
+                0.0
+            } else {
+                ab / (aa.sqrt() * bb.sqrt())
+            }
+        };
+        let full = rows - rows % SIMILAR_LANES;
+        let mut ranked = Vec::with_capacity(rows - 1);
+        for base in (0..full).step_by(SIMILAR_LANES) {
+            let block = &a.as_slice()[base * n..(base + SIMILAR_LANES) * n];
+            let mut ab = [0.0f64; SIMILAR_LANES];
+            for f in 0..n {
+                let (wxf, wf) = (wx[f], w[f]);
+                for (l, acc) in ab.iter_mut().enumerate() {
+                    *acc += wxf * (wf * block[l * n + f]);
+                }
+            }
+            for (l, &ab) in ab.iter().enumerate() {
+                let r = base + l;
+                if r != row {
+                    ranked.push((r, cosine(ab, norms[r])));
+                }
+            }
+        }
+        for r in (full..rows).filter(|&r| r != row) {
+            let ab = wx
+                .iter()
+                .zip(w)
+                .zip(a.row(r))
+                .fold(0.0, |ab, ((&wxf, &wf), &y)| ab + wxf * (wf * y));
+            ranked.push((r, cosine(ab, norms[r])));
+        }
+        Ok(top_ranked(ranked, k))
+    }
+
+    /// Mode `mode`'s per-row `Σ_f (λ_f·A[r, f])²`, in ascending `f` —
+    /// the norm half of [`weighted_cosine`], computed on first use and
+    /// kept for the model's life.
+    fn row_norms(&self, mode: usize) -> &[f64] {
+        self.norms[mode].get_or_init(|| {
+            let a = self.factor(mode);
+            let w = self.weights();
+            (0..a.rows())
+                .map(|r| {
+                    a.row(r).iter().zip(w).fold(0.0, |bb, (&y, &w)| {
+                        let wy = w * y;
+                        bb + wy * wy
+                    })
+                })
+                .collect()
+        })
     }
 
     // ------------------------------------------------------------------
@@ -893,12 +972,28 @@ impl Model {
 }
 
 /// Ranks a fiber's entries: value descending, ties by index, truncated to
-/// `k` — the single sort both [`Model::top_k`] and the batched serving
-/// path use, so they cannot drift.
+/// `k` — the single ranking both [`Model::top_k`] and the batched serving
+/// path use, so they cannot drift. O(n + k log k): a selection, then a
+/// sort of the `k` survivors.
 pub fn rank_fiber(fiber: Vec<f64>, k: usize) -> Vec<(usize, f64)> {
-    let mut ranked: Vec<(usize, f64)> = fiber.into_iter().enumerate().collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    ranked.truncate(k);
+    top_ranked(fiber.into_iter().enumerate().collect(), k)
+}
+
+/// Rows per interleaved block in [`Model::similar_rows`]: that many
+/// independent dot-product chains in flight at once.
+const SIMILAR_LANES: usize = 8;
+
+/// The `k` first of `ranked` under value descending by `total_cmp`, then
+/// index ascending, in that order. A select followed by a sort of the
+/// `k` survivors: under a total order with distinct indices this is
+/// exactly a full sort then a truncate.
+fn top_ranked(mut ranked: Vec<(usize, f64)>, k: usize) -> Vec<(usize, f64)> {
+    let order = |a: &(usize, f64), b: &(usize, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    if k < ranked.len() {
+        ranked.select_nth_unstable_by(k, order);
+        ranked.truncate(k);
+    }
+    ranked.sort_unstable_by(order);
     ranked
 }
 
@@ -1462,6 +1557,160 @@ mod tests {
             .iter()
             .all(|&(r, s)| r != 0 && (-1.0001..=1.0001).contains(&s)));
         assert!(sims.windows(2).all(|w| w[0].1 >= w[1].1));
+    }
+
+    /// The scalar `similar_rows`: `weighted_cosine` per row, a full sort,
+    /// a truncate.
+    fn similar_rows_oracle(m: &Model, mode: usize, row: usize, k: usize) -> Vec<(usize, f64)> {
+        let a = m.factor(mode);
+        let anchor = a.row(row);
+        let mut ranked: Vec<(usize, f64)> = (0..a.rows())
+            .filter(|&r| r != row)
+            .map(|r| (r, weighted_cosine(anchor, a.row(r), m.weights())))
+            .collect();
+        ranked.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+        ranked.truncate(k);
+        ranked
+    }
+
+    /// The full-sort `rank_fiber`.
+    fn rank_fiber_oracle(fiber: Vec<f64>, k: usize) -> Vec<(usize, f64)> {
+        let mut ranked: Vec<(usize, f64)> = fiber.into_iter().enumerate().collect();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked.truncate(k);
+        ranked
+    }
+
+    fn ranked_bits(r: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        r.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+    }
+
+    /// Ragged row counts against the interleave (13 and 11 are not
+    /// multiples of it, 16 is, 3 is below it), a zero row, and exact
+    /// duplicate rows so that ties fall to the index.
+    fn similarity_model(rank: usize, seed: u64) -> Model {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let dims = [13usize, 16, 3, 11];
+        let factors: Vec<Mat> = dims
+            .iter()
+            .map(|&d| {
+                let mut f = random_factor(d, rank, &mut rng);
+                for c in 0..rank {
+                    f.set(1, c, 0.0);
+                    f.set(d - 1, c, f.get(0, c));
+                    if d > 4 {
+                        f.set(4, c, f.get(0, c));
+                    }
+                }
+                f
+            })
+            .collect();
+        let weights = (0..rank).map(|f| 0.5 + f as f64 * 0.37).collect();
+        let meta = ModelMeta {
+            name: "sim".into(),
+            rank,
+            dims: dims.to_vec(),
+            seed,
+            fit: 0.9,
+            schedule: "HO".into(),
+            parts: vec![1],
+            compress: None,
+        };
+        Model::new(meta, CpModel::new(weights, factors).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn similar_rows_is_bitwise_the_scalar_full_sort() {
+        let dir = std::env::temp_dir().join(format!("tpcp_model_sim_{}", std::process::id()));
+        for rank in [1, 32] {
+            let owned = similarity_model(rank, 5 + rank as u64);
+            let path = dir.join(format!("sim{rank}.2pcpm"));
+            owned.save(&path).unwrap();
+            let mapped = Model::load_shared(&path).unwrap();
+            assert_eq!(mapped.residency(), Residency::Mapped);
+            for mode in 0..owned.order() {
+                let rows = owned.dims()[mode];
+                for row in 0..rows {
+                    for k in [0, 1, 10, rows - 1, rows, rows + 5] {
+                        let want = ranked_bits(&similar_rows_oracle(&owned, mode, row, k));
+                        for m in [&owned, &mapped] {
+                            let got = ranked_bits(&m.similar_rows(mode, row, k).unwrap());
+                            assert_eq!(
+                                got,
+                                want,
+                                "rank {rank} mode {mode} row {row} k {k} ({:?})",
+                                m.residency()
+                            );
+                        }
+                    }
+                    for (j, v) in owned.similar_rows(mode, row, rows).unwrap() {
+                        assert_eq!(v.to_bits(), owned.cosine(mode, row, j).unwrap().to_bits());
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn similar_rows_ties_break_by_index() {
+        let m = similarity_model(4, 3);
+        // Rows 0, 4 and 12 of mode 0 are one row; asked from row 0 the
+        // other two tie at the top, lower index first.
+        let top = m.similar_rows(0, 0, 2).unwrap();
+        assert_eq!(top.iter().map(|p| p.0).collect::<Vec<_>>(), [4, 12]);
+        assert_eq!(top[0].1.to_bits(), top[1].1.to_bits());
+        // The zero row compares as 0.0 from either side.
+        assert_eq!(m.cosine(0, 1, 5).unwrap(), 0.0);
+        assert!(m.similar_rows(0, 1, 20).unwrap().iter().all(|p| p.1 == 0.0));
+    }
+
+    #[test]
+    fn norm_cache_is_filled_once_and_shared_by_clones() {
+        let m = similarity_model(6, 8);
+        assert!(m.norms.iter().all(|n| n.get().is_none()));
+        m.similar_rows(1, 2, 3).unwrap();
+        let clone = m.clone();
+        assert!(Arc::ptr_eq(&m.norms, &clone.norms));
+        let filled = clone.norms[1].get().expect("filled through the original");
+        assert_eq!(filled.len(), m.dims()[1]);
+        assert!(clone.norms[0].get().is_none(), "only the asked mode fills");
+        assert_eq!(
+            ranked_bits(&clone.similar_rows(1, 2, 3).unwrap()),
+            ranked_bits(&m.similar_rows(1, 2, 3).unwrap())
+        );
+    }
+
+    #[test]
+    fn rank_fiber_is_bitwise_the_full_sort() {
+        let nan = f64::NAN;
+        let fibers = [
+            vec![],
+            vec![
+                0.0,
+                -0.0,
+                nan,
+                1.0,
+                -nan,
+                1.0,
+                f64::NEG_INFINITY,
+                f64::INFINITY,
+                -0.0,
+                0.0,
+            ],
+            (0..37).map(|i| ((i * 7) % 5) as f64 - 2.0).collect(),
+            (0..29).map(|i| (i as f64 * 0.7).sin()).collect(),
+        ];
+        for fiber in fibers {
+            let n = fiber.len();
+            for k in [0, 1, 3, 10, n.saturating_sub(1), n, n + 5] {
+                assert_eq!(
+                    ranked_bits(&rank_fiber(fiber.clone(), k)),
+                    ranked_bits(&rank_fiber_oracle(fiber.clone(), k)),
+                    "n {n} k {k}"
+                );
+            }
+        }
     }
 
     #[test]

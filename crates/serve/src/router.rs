@@ -21,7 +21,8 @@
 //! Grouping is transparent: the bulk paths are bitwise-identical to the
 //! single-query ones (guaranteed in `twopcp::model`), sub payloads share
 //! the query cache with single frames (identical bytes → identical key),
-//! and each sub still records once under its own opcode in [`Metrics`].
+//! and each sub still records once under its own opcode in [`Metrics`],
+//! at its group's mean cost with ranking, encoding and caching included.
 //! Subs that fail pre-validation are routed through the ordinary single
 //! dispatch so their error messages are exactly what a single frame
 //! would have produced. SHUTDOWN and nested BATCH are rejected per-sub.
@@ -328,70 +329,63 @@ impl Router {
 
         for (entry, members) in entry_groups.into_values() {
             let t = Instant::now();
-            let queries: Vec<Vec<usize>> = members.iter().map(|(_, q)| q.clone()).collect();
-            let values = entry.model.entries(&queries);
-            let elapsed = t.elapsed() / members.len().max(1) as u32;
-            for (slot, (i, _)) in members.iter().enumerate() {
-                let resp = match &values {
-                    Ok(vs) => {
+            let (slots, queries): (Vec<usize>, Vec<Vec<usize>>) = members.into_iter().unzip();
+            let answered = match entry.model.entries(&queries) {
+                Ok(vs) => slots
+                    .into_iter()
+                    .zip(vs)
+                    .map(|(i, v)| {
                         let mut p = Vec::new();
-                        enc::f64(&mut p, vs[slot]);
+                        enc::f64(&mut p, v);
                         self.cache.put(
                             version,
                             Opcode::GetEntry as u8,
                             entry.version,
-                            &subs[*i].payload,
+                            &subs[i].payload,
                             p.clone(),
                         );
-                        Response::ok(p)
-                    }
-                    // Pre-validation makes this unreachable in practice;
-                    // surface it faithfully if it ever happens.
-                    Err(e) => Response::err(Status::Internal, e.to_string()),
-                };
-                self.metrics
-                    .record(Opcode::GetEntry, elapsed, resp.status == Status::Ok);
-                out[*i] = Some(sub_response(Opcode::GetEntry as u8, resp));
-            }
+                        (i, Response::ok(p))
+                    })
+                    .collect(),
+                // Pre-validation makes this unreachable in practice;
+                // surface it faithfully if it ever happens.
+                Err(e) => group_error(slots, &e),
+            };
+            self.file_group(&mut out, Opcode::GetEntry, t, answered);
         }
 
         for ((_, mode, is_topk), (entry, members)) in fiber_groups {
             let t = Instant::now();
-            let queries: Vec<Vec<usize>> = members.iter().map(|(_, q, _)| q.clone()).collect();
-            let fibers = entry.model.fibers(mode, &queries);
-            let elapsed = t.elapsed() / members.len().max(1) as u32;
             let op = if is_topk {
                 Opcode::TopK
             } else {
                 Opcode::GetFiber
             };
-            for (slot, (i, _, k)) in members.iter().enumerate() {
-                let resp = match &fibers {
-                    Ok(fs) => {
+            let (slots, queries): (Vec<(usize, u32)>, Vec<Vec<usize>>) =
+                members.into_iter().map(|(i, q, k)| ((i, k), q)).unzip();
+            let answered = match entry.model.fibers(mode, &queries) {
+                Ok(fs) => slots
+                    .into_iter()
+                    .zip(fs)
+                    .map(|((i, k), fiber)| {
                         let p = if is_topk {
-                            ranked_payload(&rank_fiber(fs[slot].clone(), *k as usize))
+                            ranked_payload(&rank_fiber(fiber, k as usize))
                         } else {
-                            let mut p = Vec::new();
-                            enc::u32(&mut p, fs[slot].len() as u32);
-                            for &v in &fs[slot] {
-                                enc::f64(&mut p, v);
-                            }
-                            p
+                            fiber_payload(&fiber)
                         };
                         self.cache.put(
                             version,
                             op as u8,
                             entry.version,
-                            &subs[*i].payload,
+                            &subs[i].payload,
                             p.clone(),
                         );
-                        Response::ok(p)
-                    }
-                    Err(e) => Response::err(Status::Internal, e.to_string()),
-                };
-                self.metrics.record(op, elapsed, resp.status == Status::Ok);
-                out[*i] = Some(sub_response(op as u8, resp));
-            }
+                        (i, Response::ok(p))
+                    })
+                    .collect(),
+                Err(e) => group_error(slots.into_iter().map(|(i, _)| i), &e),
+            };
+            self.file_group(&mut out, op, t, answered);
         }
 
         let flat: Vec<BatchSubResponse> = out
@@ -399,6 +393,24 @@ impl Router {
             .map(|r| r.expect("every sub answered"))
             .collect();
         Response::ok(encode_batch_response(&flat))
+    }
+
+    /// Files one bulk group's responses and records each sub under `op`
+    /// at the group's mean cost since `start`: evaluation, ranking,
+    /// encoding and cache insertion, which is what a single frame's
+    /// record of the same opcode covers.
+    fn file_group(
+        &self,
+        out: &mut [Option<BatchSubResponse>],
+        op: Opcode,
+        start: Instant,
+        answered: Vec<(usize, Response)>,
+    ) {
+        let each = start.elapsed() / answered.len().max(1) as u32;
+        for (i, resp) in answered {
+            self.metrics.record(op, each, resp.status == Status::Ok);
+            out[i] = Some(sub_response(op as u8, resp));
+        }
     }
 
     /// Decodes and fully validates one GET_ENTRY sub. Valid queries join
@@ -525,6 +537,14 @@ fn sub_response(opcode: u8, resp: Response) -> BatchSubResponse {
     }
 }
 
+/// One `Internal` answer per sub of a group whose bulk evaluation failed.
+fn group_error(slots: impl IntoIterator<Item = usize>, e: &TwoPcpError) -> Vec<(usize, Response)> {
+    slots
+        .into_iter()
+        .map(|i| (i, Response::err(Status::Internal, e.to_string())))
+        .collect()
+}
+
 type QueryResult = std::result::Result<Vec<u8>, Response>;
 
 /// Maps a model-layer error onto a wire status: query-shape problems are
@@ -600,12 +620,17 @@ fn fiber_response(entry: &ModelEntry, mut dec: Dec) -> QueryResult {
     let fixed = dec.coords().map_err(bad)?;
     dec.finish().map_err(bad)?;
     let fiber = entry.model.fiber(mode, &fixed).map_err(query_err)?;
+    Ok(fiber_payload(&fiber))
+}
+
+/// `u32 length × f64` — GET_FIBER's response, single or batched.
+fn fiber_payload(fiber: &[f64]) -> Vec<u8> {
     let mut out = Vec::new();
     enc::u32(&mut out, fiber.len() as u32);
-    for v in fiber {
+    for &v in fiber {
         enc::f64(&mut out, v);
     }
-    Ok(out)
+    out
 }
 
 fn slice_response(entry: &ModelEntry, mut dec: Dec) -> QueryResult {

@@ -59,8 +59,11 @@ fn temp_dir(tag: &str) -> DirGuard {
 }
 
 fn start(dir: &std::path::Path) -> (Server, String) {
-    let registry = Arc::new(ModelRegistry::open(dir).unwrap());
-    let mut opts = ServeOptions::new(dir);
+    serve(ServeOptions::new(dir))
+}
+
+fn serve(mut opts: ServeOptions) -> (Server, String) {
+    let registry = Arc::new(ModelRegistry::open(&opts.models_dir).unwrap());
     opts.addr = "127.0.0.1:0".into();
     opts.max_sessions = 16;
     let server = Server::start_with_registry(opts, registry).unwrap();
@@ -164,6 +167,76 @@ fn batch_matches_serial_bitwise_across_hot_swap() {
     for salt in 0..4 {
         assert_batch_matches_serial(&mut fresh, &v2, salt);
     }
+
+    admin.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+fn ranked_bits(r: &[(usize, f64)]) -> Vec<(usize, u64)> {
+    r.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+}
+
+/// SIMILAR at k = 0, 3 and beyond the row count, and TOP_K at and beyond
+/// the fiber length, in one BATCH: each must equal its single frame and
+/// the in-process model bitwise. Returns the SIMILAR answers.
+fn assert_ranked_edges_match(c: &mut Client, local: &Model) -> Vec<Vec<(usize, u64)>> {
+    let similar = [(0, 2, 0), (0, 2, 3), (1, 6, DIMS[1] + 4), (0, 8, DIMS[0])];
+    let top_k = [(0, [1, 2], DIMS[0] + 4), (2, [3, 4], DIMS[2])];
+    let mut subs = Vec::new();
+    let mut want = Vec::new();
+    let mut single = Vec::new();
+    for &(mode, row, k) in &similar {
+        subs.push(request::similar("demo", mode, row, k));
+        want.push(local.similar_rows(mode, row, k).unwrap());
+        single.push(c.similar("demo", mode, row, k).unwrap());
+    }
+    for (mode, fixed, k) in &top_k {
+        subs.push(request::top_k("demo", *mode, fixed, *k));
+        want.push(local.top_k(*mode, fixed, *k).unwrap());
+        single.push(c.top_k("demo", *mode, fixed, *k).unwrap());
+    }
+    let lens: Vec<usize> = want.iter().map(Vec::len).collect();
+    assert_eq!(lens, [0, 3, DIMS[1] - 1, DIMS[0] - 1, DIMS[0], DIMS[2]]);
+    let resps = c.batch(&subs).unwrap();
+    for (i, resp) in resps.iter().enumerate() {
+        assert_eq!(resp.status, Status::Ok as u16, "sub {i}: {resp:?}");
+        let batched = ranked_bits(&decode_ranked(&resp.payload).unwrap());
+        assert_eq!(batched, ranked_bits(&want[i]), "sub {i}: batch vs local");
+        assert_eq!(batched, ranked_bits(&single[i]), "sub {i}: batch vs single");
+    }
+    want[..similar.len()]
+        .iter()
+        .map(|r| ranked_bits(r))
+        .collect()
+}
+
+#[test]
+fn ranked_edges_match_bitwise_and_similar_follows_reload() {
+    let guard = temp_dir("ranked");
+    let dir = guard.0.clone();
+    let v1 = make_model(61);
+    let v2 = make_model(62);
+    v1.save(dir.join("demo.2pcpm")).unwrap();
+    // No query cache: every batched and single answer is evaluated, none
+    // replayed from the other.
+    let mut opts = ServeOptions::new(&dir);
+    opts.cache_capacity = 0;
+    let (server, addr) = serve(opts);
+
+    let mut pinned = Client::connect(&addr).unwrap();
+    let old = assert_ranked_edges_match(&mut pinned, &v1);
+
+    v2.save(dir.join("demo.2pcpm")).unwrap();
+    let mut admin = Client::connect(&addr).unwrap();
+    assert!(admin.reload().unwrap().errors.is_empty());
+
+    // A fresh session answers from the new factors — the row norms of
+    // the old version must not leak into it — while the pinned session
+    // keeps answering the old version.
+    let mut fresh = Client::connect(&addr).unwrap();
+    let new = assert_ranked_edges_match(&mut fresh, &v2);
+    assert_ne!(old, new, "sanity: the versions must rank differently");
+    assert_eq!(assert_ranked_edges_match(&mut pinned, &v1), old);
 
     admin.shutdown().unwrap();
     server.join().unwrap();
