@@ -15,9 +15,8 @@
 //! * `prefetch/*` — the asynchronous Phase-2 I/O pipeline on vs off
 //!   (policy × buffer fraction), with per-cell `stall_ns`/swap reporting;
 //! * `phase1_ingest/*` — streaming Phase-1 ingest ablation: in-memory vs
-//!   file-backed vs generator block sources × 1/3 unit-store shards, with
-//!   per-cell peak-RSS proxy (bytes materialised at once) and total
-//!   streamed bytes.
+//!   file-backed vs generator block sources, with per-cell peak-RSS proxy
+//!   (bytes materialised at once) and total streamed bytes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
@@ -359,7 +358,7 @@ fn bench_prefetch(c: &mut Criterion) {
 fn bench_phase1_ingest(c: &mut Criterion) {
     use tpcp_datasets::ModelBlockSource;
     use tpcp_partition::{BlockSource, DenseMemorySource, FileTensorSource};
-    use tpcp_storage::ShardedStore;
+    use tpcp_storage::MemStore;
     use twopcp::{run_phase1_source, TwoPcpConfig};
 
     let mut group = c.benchmark_group("phase1_ingest");
@@ -383,41 +382,39 @@ fn bench_phase1_ingest(c: &mut Criterion) {
         ("file", Kind::File),
         ("generator", Kind::Generator),
     ] {
-        for shards in [1usize, 3] {
-            // One accounted run per cell: the peak-RSS proxy (bytes
-            // materialised at once) and the total streamed bytes.
-            let run = |src: &mut dyn BlockSource| {
-                let mut store = ShardedStore::mem(shards);
-                run_phase1_source(src, &cfg, &mut store).unwrap()
-            };
-            let p1 = match kind {
-                Kind::Memory => run(&mut DenseMemorySource::new(&x)),
-                Kind::File => run(&mut FileTensorSource::open(&path).unwrap()),
-                Kind::Generator => run(&mut ModelBlockSource::low_rank(&dims, rank, seed)),
-            };
-            eprintln!(
-                "phase1_ingest/{name}_s{shards}: peak_block_bytes={} ingested_bytes={} unit_bytes={}",
-                p1.peak_block_bytes, p1.ingested_bytes, p1.total_unit_bytes,
-            );
-            group.bench_function(format!("{name}_s{shards}"), |b| {
-                b.iter(|| {
-                    let p1 = match kind {
-                        Kind::Memory => run(&mut DenseMemorySource::new(&x)),
-                        Kind::File => run(&mut FileTensorSource::open(&path).unwrap()),
-                        Kind::Generator => run(&mut ModelBlockSource::low_rank(&dims, rank, seed)),
-                    };
-                    black_box(p1.peak_block_bytes)
-                })
-            });
-            // The streaming bound: a serial budget never materialises
-            // more than the largest block at once.
-            let largest = grid
-                .iter_blocks()
-                .map(|c| grid.block_dims(&c).iter().product::<usize>() * 8)
-                .max()
-                .unwrap() as u64;
-            assert_eq!(p1.peak_block_bytes, largest);
-        }
+        // One accounted run per cell: the peak-RSS proxy (bytes
+        // materialised at once) and the total streamed bytes.
+        let run = |src: &mut dyn BlockSource| {
+            let mut store = MemStore::new();
+            run_phase1_source(src, &cfg, &mut store).unwrap()
+        };
+        let p1 = match kind {
+            Kind::Memory => run(&mut DenseMemorySource::new(&x)),
+            Kind::File => run(&mut FileTensorSource::open(&path).unwrap()),
+            Kind::Generator => run(&mut ModelBlockSource::low_rank(&dims, rank, seed)),
+        };
+        eprintln!(
+            "phase1_ingest/{name}: peak_block_bytes={} ingested_bytes={} unit_bytes={}",
+            p1.peak_block_bytes, p1.ingested_bytes, p1.total_unit_bytes,
+        );
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let p1 = match kind {
+                    Kind::Memory => run(&mut DenseMemorySource::new(&x)),
+                    Kind::File => run(&mut FileTensorSource::open(&path).unwrap()),
+                    Kind::Generator => run(&mut ModelBlockSource::low_rank(&dims, rank, seed)),
+                };
+                black_box(p1.peak_block_bytes)
+            })
+        });
+        // The streaming bound: a serial budget never materialises
+        // more than the largest block at once.
+        let largest = grid
+            .iter_blocks()
+            .map(|c| grid.block_dims(&c).iter().product::<usize>() * 8)
+            .max()
+            .unwrap() as u64;
+        assert_eq!(p1.peak_block_bytes, largest);
     }
     let _ = std::fs::remove_file(&path);
     group.finish();

@@ -48,20 +48,17 @@ pub const SERVE_ADDR_ENV_VAR: &str = "TPCP_SERVE_ADDR";
 /// Every `TPCP_*` environment override, parsed once.
 ///
 /// The individual crates own their variables' grammar ([`ParConfig`],
-/// [`PrefetchConfig`], [`tpcp_storage::shards_auto`],
-/// [`tpcp_storage::mmap_auto`]); this type records *which* variables are
-/// actually set and their parsed values, and [`TwoPcpConfig::new`] is
-/// the single place in the driver that applies them — everything built
-/// on a config (examples, tests, the serving daemon) inherits the
-/// environment through it.
+/// [`PrefetchConfig`], [`tpcp_storage::mmap_auto`]); this type records
+/// *which* variables are actually set and their parsed values, and
+/// [`TwoPcpConfig::new`] is the single place in the driver that applies
+/// them — everything built on a config (examples, tests, the serving
+/// daemon) inherits the environment through it.
 #[derive(Clone, Debug, Default)]
 pub struct EnvOverrides {
     /// `TPCP_THREADS` → shared worker-thread budget.
     pub par: Option<ParConfig>,
     /// `TPCP_PREFETCH` → prefetch pipeline depth / off.
     pub prefetch: Option<PrefetchConfig>,
-    /// `TPCP_SHARDS` → unit-store shard count.
-    pub shards: Option<usize>,
     /// `TPCP_MMAP` → zero-copy page read path.
     pub mmap: Option<bool>,
     /// `TPCP_SERVE_ADDR` → serving daemon listen address.
@@ -78,7 +75,6 @@ impl EnvOverrides {
         EnvOverrides {
             par: set(tpcp_par::THREADS_ENV_VAR).then(ParConfig::auto),
             prefetch: set(tpcp_storage::PREFETCH_ENV_VAR).then(PrefetchConfig::auto),
-            shards: set(tpcp_storage::SHARDS_ENV_VAR).then(tpcp_storage::shards_auto),
             mmap: set(tpcp_storage::MMAP_ENV_VAR).then(tpcp_storage::mmap_auto),
             serve_addr: std::env::var(SERVE_ADDR_ENV_VAR).ok(),
         }
@@ -92,9 +88,6 @@ impl EnvOverrides {
         }
         if let Some(prefetch) = self.prefetch {
             config.prefetch = prefetch;
-        }
-        if let Some(shards) = self.shards {
-            config.shards = shards;
         }
         if let Some(mmap) = self.mmap {
             config.mmap = mmap;
@@ -195,14 +188,6 @@ pub struct TwoPcpConfig {
     /// never values — fit traces, factors and swap counts are
     /// bit-identical with the pipeline on or off.
     pub prefetch: PrefetchConfig,
-    /// Number of unit-store shards the driver routes data-access units
-    /// across ([`tpcp_storage::ShardedStore`]): Phase 1 emits units
-    /// shard-by-shard and Phase 2 reads route transparently (defaults to
-    /// [`tpcp_storage::shards_auto`], i.e. the `TPCP_SHARDS` override or
-    /// a single unsharded store). Sharding moves bytes, never values —
-    /// factors, fits and swap counts are bit-identical at any shard
-    /// count.
-    pub shards: usize,
     /// The zero-copy page read path: with mmap on, the on-disk unit
     /// stores decode pages directly from memory maps — no scratch-buffer
     /// copy — and hand the buffer pool borrowed page slabs, so a resident
@@ -251,7 +236,6 @@ impl TwoPcpConfig {
             phase1: Phase1Options::default(),
             par: ParConfig::hardware(),
             prefetch: PrefetchConfig::default(),
-            shards: 1,
             mmap: false,
             kernel: KernelKind::Tiled,
             compress: None,
@@ -351,12 +335,6 @@ impl TwoPcpConfig {
         self
     }
 
-    /// Sets the unit-store shard count (`1` = unsharded).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Switches the zero-copy (mmap-backed) page read path on or off.
     pub fn mmap(mut self, mmap: bool) -> Self {
         self.mmap = mmap;
@@ -376,28 +354,38 @@ impl TwoPcpConfig {
         self
     }
 
-    /// Resolves the partition vector for an order-`n` tensor (broadcasting
-    /// a singleton) and validates the configuration.
+    /// Checks every setting that does not depend on the input: a
+    /// positive rank, a positive buffer fraction, and a non-empty
+    /// partition vector without zeros. [`TwoPcpConfigBuilder::build`] and
+    /// [`TwoPcpConfig::resolved_parts`] both run it, so a configuration
+    /// built field by field is held to the builder's rules.
     ///
     /// # Errors
-    /// [`TwoPcpError::Config`] on invalid rank, partitioning or buffer
-    /// fraction.
-    pub fn resolved_parts(&self, order: usize) -> Result<Vec<usize>> {
+    /// [`ConfigError`] naming the first invalid setting.
+    pub fn validate(&self) -> std::result::Result<(), ConfigError> {
         if self.rank == 0 {
-            return Err(TwoPcpError::Config {
-                reason: "rank must be positive".into(),
-            });
+            return Err(ConfigError::new("rank must be positive"));
         }
-        if self.buffer_fraction <= 0.0 {
-            return Err(TwoPcpError::Config {
-                reason: "buffer_fraction must be positive".into(),
-            });
+        if !is_positive_fraction(self.buffer_fraction) {
+            return Err(ConfigError::new("buffer_fraction must be positive"));
         }
-        if self.shards == 0 {
-            return Err(TwoPcpError::Config {
-                reason: "shard count must be positive".into(),
-            });
+        if self.parts.is_empty() {
+            return Err(ConfigError::new("parts must not be empty"));
         }
+        if self.parts.contains(&0) {
+            return Err(ConfigError::new("partition counts must be positive"));
+        }
+        Ok(())
+    }
+
+    /// Resolves the partition vector for an order-`n` tensor (broadcasting
+    /// a singleton) after [`TwoPcpConfig::validate`].
+    ///
+    /// # Errors
+    /// [`TwoPcpError::Config`] on an invalid configuration or a partition
+    /// vector whose length is neither 1 nor `order`.
+    pub fn resolved_parts(&self, order: usize) -> Result<Vec<usize>> {
+        self.validate()?;
         let parts = if self.parts.len() == 1 {
             vec![self.parts[0]; order]
         } else if self.parts.len() == order {
@@ -410,11 +398,6 @@ impl TwoPcpConfig {
                 ),
             });
         };
-        if parts.contains(&0) {
-            return Err(TwoPcpError::Config {
-                reason: "partition counts must be positive".into(),
-            });
-        }
         Ok(parts)
     }
 }
@@ -514,12 +497,6 @@ impl TwoPcpConfigBuilder {
         self
     }
 
-    /// Sets the unit-store shard count (`1` = unsharded).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config = self.config.shards(shards);
-        self
-    }
-
     /// Switches the zero-copy (mmap-backed) page read path on or off.
     pub fn mmap(mut self, mmap: bool) -> Self {
         self.config = self.config.mmap(mmap);
@@ -543,37 +520,25 @@ impl TwoPcpConfigBuilder {
     /// Validates and produces the configuration.
     ///
     /// # Errors
-    /// [`ConfigError`] when the rank is zero or unset, the buffer
-    /// fraction is not positive, the partition vector is empty or
-    /// contains zeros, the shard count is zero, or the compress options
-    /// are invalid.
+    /// [`ConfigError`] when the rank is unset, the compress options are
+    /// invalid, or [`TwoPcpConfig::validate`] rejects the settings.
     pub fn build(self) -> std::result::Result<TwoPcpConfig, ConfigError> {
-        let c = &self.config;
         if !self.rank_set {
             return Err(ConfigError::new("rank is required — call .rank(F)"));
         }
-        if let Some(compress) = &c.compress {
+        if let Some(compress) = &self.config.compress {
             tpcp_cp::validate_compress_options(compress)
                 .map_err(|e| ConfigError::new(format!("compress: {e}")))?;
         }
-        if c.rank == 0 {
-            return Err(ConfigError::new("rank must be positive"));
-        }
-        // `partial_cmp` so NaN (incomparable) is rejected too.
-        if c.buffer_fraction.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(ConfigError::new("buffer_fraction must be positive"));
-        }
-        if c.parts.is_empty() {
-            return Err(ConfigError::new("parts must not be empty"));
-        }
-        if c.parts.contains(&0) {
-            return Err(ConfigError::new("partition counts must be positive"));
-        }
-        if c.shards == 0 {
-            return Err(ConfigError::new("shard count must be positive"));
-        }
+        self.config.validate()?;
         Ok(self.config)
     }
+}
+
+/// Whether `fraction` is a usable buffer fraction. Written as `> 0.0`
+/// rather than as a `<= 0.0` rejection, which NaN would slip past.
+pub(crate) fn is_positive_fraction(fraction: f64) -> bool {
+    fraction > 0.0
 }
 
 #[cfg(test)]
@@ -601,8 +566,6 @@ mod tests {
         assert_eq!(cfg.prefetch, PrefetchConfig::with_depth(8));
         let cfg = cfg.prefetch(PrefetchConfig::disabled());
         assert!(!cfg.prefetch.is_active());
-        let cfg = cfg.shards(3);
-        assert_eq!(cfg.shards, 3);
         let cfg = cfg.mmap(true);
         assert!(cfg.mmap);
         let cfg = cfg.mmap(false);
@@ -664,6 +627,17 @@ mod tests {
             .parts(vec![0])
             .resolved_parts(3)
             .is_err());
-        assert!(TwoPcpConfig::new(2).shards(0).resolved_parts(3).is_err());
+        // NaN, 0 and -0: a typed error from the validator, the builder
+        // and the driver — never the buffer pool's panic.
+        let x = tpcp_tensor::DenseTensor::zeros(&[4, 4]);
+        for bad in [f64::NAN, 0.0, -0.0] {
+            let cfg = TwoPcpConfig::new(2).parts(vec![2]).buffer_fraction(bad);
+            assert!(cfg.validate().is_err(), "{bad}");
+            let built = TwoPcpConfig::builder().rank(2).buffer_fraction(bad).build();
+            assert!(built.is_err(), "{bad}");
+            let err = crate::TwoPcp::new(cfg).decompose_dense(&x).unwrap_err();
+            assert!(matches!(err, TwoPcpError::Config { .. }), "{bad}: {err}");
+        }
+        assert!(TwoPcpConfig::new(2).parts(vec![]).validate().is_err());
     }
 }

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use tpcp_compress::{compress_decompose, CompressProvenance};
 use tpcp_cp::{AlsOptions, CpModel};
 use tpcp_partition::{BlockSource, DenseMemorySource, Grid, SparseMemorySource};
-use tpcp_storage::{DiskStore, IoStats, MemStore, PrefetchSource, ShardedStore, UnitStore};
+use tpcp_storage::{DiskStore, IoStats, MemStore, PrefetchSource, UnitStore};
 use tpcp_tensor::{DenseTensor, SparseTensor};
 
 /// The 2PCP decomposition engine (see crate docs for an example).
@@ -95,20 +95,12 @@ impl TwoPcp {
     }
 
     fn dispatch(&self, input: Input<'_>) -> Result<TwoPcpOutcome> {
-        // Shard count 0 is rejected by config validation inside Phase 1;
-        // route it to the unsharded arm rather than panicking here.
-        match (&self.config.work_dir, self.config.shards) {
-            (Some(dir), 0 | 1) => {
+        match &self.config.work_dir {
+            Some(dir) => {
                 let store = DiskStore::open_with(dir.join("units"), self.config.mmap)?;
                 self.run(input, store)
             }
-            (Some(dir), shards) => {
-                let mut store = ShardedStore::open_disk(dir.join("units"), shards)?;
-                store.set_mmap(self.config.mmap);
-                self.run(input, store)
-            }
-            (None, 0 | 1) => self.run(input, MemStore::new()),
-            (None, shards) => self.run(input, ShardedStore::mem(shards)),
+            None => self.run(input, MemStore::new()),
         }
     }
 

@@ -43,9 +43,9 @@
 //! what they were before version 2 existed, and old files keep loading.
 //!
 //! Factor matrices ride as ordinary codec-v2 pages — the same
-//! checksummed, bulk-copy format the unit stores swap — so the reader is
-//! `tpcp_storage::codec::decode` over an `Mmap` (buffered fallback when
-//! `TPCP_MMAP` is off), and a corrupted factor fails the same way a
+//! checksummed, bulk-copy format the unit stores swap — and both load
+//! paths check them with `tpcp_storage::codec::verify` (the owned one
+//! through `codec::decode`), so a corrupted factor fails the same way a
 //! corrupted swap page does.
 //!
 //! # Residency: owned vs shared-mmap
@@ -492,6 +492,13 @@ impl Model {
     pub fn load_shared(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
         let file = std::fs::File::open(path)?;
+        // SAFETY: the map aliases the file, so it is sound only while no
+        // one writes to or truncates this inode. [`Model::save`] never
+        // does: it writes a sibling temp file and renames it over `path`,
+        // which swaps the directory entry and leaves the mapped inode's
+        // bytes untouched until the map drops. Pinned by
+        // `shared_load_is_mapped_and_bitwise_equal`, which saves a
+        // different model over a mapped file.
         let map = match unsafe { memmap2::Mmap::map(&file) } {
             Ok(map) => map,
             // Mapping can fail (empty file, exotic fs) — fall back to
@@ -523,18 +530,13 @@ impl Model {
             let (page, next) = next_page(bytes, pos, h)?;
             let unit =
                 codec::decode(page).map_err(|e| model_err(format!("factor {h} page: {e}")))?;
-            if unit.unit != UnitId::new(h, 0) || !unit.sub_factors.is_empty() {
-                return Err(model_err(format!("factor {h} page carries the wrong unit")));
-            }
-            if unit.factor.rows() != meta.dims[h] || unit.factor.cols() != meta.rank {
-                return Err(model_err(format!(
-                    "factor {h} is {}×{}, metadata says {}×{}",
-                    unit.factor.rows(),
-                    unit.factor.cols(),
-                    meta.dims[h],
-                    meta.rank
-                )));
-            }
+            check_factor_page(
+                &meta,
+                h,
+                unit.unit,
+                unit.sub_factors.len(),
+                unit.factor.shape(),
+            )?;
             factors.push(unit.factor);
             pos = next;
         }
@@ -555,15 +557,17 @@ impl Model {
         let mut slabs = Vec::with_capacity(meta.dims.len());
         for h in 0..meta.dims.len() {
             let (page, next) = next_page(bytes, pos, h)?;
-            match validate_model_page(page, h, meta.dims[h], meta.rank) {
-                Ok(()) => {}
+            let header = match codec::verify(page) {
+                Ok(Some(header)) => header,
                 // Legacy codec-v1 page: not slab-shaped — decode owned.
-                Err(PageIssue::Ineligible) => return Self::from_bytes(bytes),
-                Err(PageIssue::Corrupt(e)) => return Err(e),
-            }
+                Ok(None) => return Self::from_bytes(bytes),
+                Err(e) => return Err(model_err(format!("factor {h} page: {e}"))),
+            };
+            let subs = header.sub_factors.len();
+            check_factor_page(&meta, h, header.unit, subs, header.factor_shape)?;
             // `pos` addresses the u64 page-length prefix; the page (and
             // therefore the slab offset) starts just past it.
-            let slab_off = pos + 8 + codec::v2_slab_offset(0);
+            let slab_off = pos + 8 + header.slab_offset;
             if !(bytes.as_ptr() as usize + slab_off).is_multiple_of(8) {
                 // Cannot happen with a page-aligned map and the 8-aligned
                 // container layout, but misalignment must never reach the
@@ -1094,65 +1098,24 @@ fn next_page(bytes: &[u8], pos: usize, h: usize) -> Result<(&[u8], usize)> {
     Ok((&bytes[start..end], align8(end)))
 }
 
-#[cfg(target_endian = "little")]
-enum PageIssue {
-    /// Structurally sound but not slab-addressable (legacy v1 layout).
-    Ineligible,
-    Corrupt(TwoPcpError),
-}
-
-/// Validates one factor page for the mapped load path *without* decoding
-/// it: checksum, magic, shape and layout checks mirroring
-/// `codec::decode`, leaving the slab untouched in place.
-#[cfg(target_endian = "little")]
-fn validate_model_page(
-    page: &[u8],
+/// Checks what the codec cannot know about factor `h`'s page: that it
+/// holds unit `⟨h, 0⟩` with no sub-factors, shaped `dims[h] × rank` as
+/// the metadata says.
+fn check_factor_page(
+    meta: &ModelMeta,
     h: usize,
-    rows: usize,
-    cols: usize,
-) -> std::result::Result<(), PageIssue> {
-    let corrupt = |msg: String| PageIssue::Corrupt(model_err(format!("factor {h} page: {msg}")));
-    if page.len() < codec::MAGIC.len() + 4 + 8 + 8 {
-        return Err(corrupt("page too small".into()));
+    unit: UnitId,
+    sub_factors: usize,
+    (rows, cols): (usize, usize),
+) -> Result<()> {
+    if unit != UnitId::new(h, 0) || sub_factors != 0 {
+        return Err(model_err(format!("factor {h} page carries the wrong unit")));
     }
-    let (body, trailer) = page.split_at(page.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    let computed = codec::fnv1a(body);
-    if stored != computed {
-        return Err(corrupt(format!(
-            "checksum mismatch: stored {stored:#x}, computed {computed:#x}"
+    if (rows, cols) != (meta.dims[h], meta.rank) {
+        return Err(model_err(format!(
+            "factor {h} is {rows}×{cols}, metadata says {}×{}",
+            meta.dims[h], meta.rank
         )));
-    }
-    if &body[..8] != codec::MAGIC.as_slice() {
-        return Err(corrupt("bad magic".into()));
-    }
-    let word = |i: usize| u32::from_le_bytes(body[i..i + 4].try_into().expect("4 bytes"));
-    if word(8) != codec::VERSION {
-        // v1 pages interleave headers with the payload; no contiguous
-        // slab to borrow.
-        return Err(PageIssue::Ineligible);
-    }
-    if body.len() < codec::v2_slab_offset(0) {
-        return Err(corrupt("truncated v2 header".into()));
-    }
-    let (mode, part) = (word(12), word(16));
-    let (page_rows, page_cols, subs) = (word(20) as usize, word(24) as usize, word(28));
-    if mode as usize != h || part != 0 || subs != 0 {
-        return Err(PageIssue::Corrupt(model_err(format!(
-            "factor {h} page carries the wrong unit"
-        ))));
-    }
-    if page_rows != rows || page_cols != cols {
-        return Err(PageIssue::Corrupt(model_err(format!(
-            "factor {h} is {page_rows}×{page_cols}, metadata says {rows}×{cols}"
-        ))));
-    }
-    let slab_bytes = rows
-        .checked_mul(cols)
-        .and_then(|n| n.checked_mul(8))
-        .ok_or_else(|| corrupt("matrix size overflow".into()))?;
-    if body.len() - codec::v2_slab_offset(0) != slab_bytes {
-        return Err(corrupt("v2 slab length mismatch".into()));
     }
     Ok(())
 }
@@ -1280,7 +1243,11 @@ mod tests {
     use tpcp_tensor::random_factor;
 
     fn sample_model() -> Model {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        sample_model_seeded(11)
+    }
+
+    fn sample_model_seeded(seed: u64) -> Model {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let dims = [6usize, 5, 4];
         let rank = 3;
         let factors: Vec<Mat> = dims
@@ -1293,7 +1260,7 @@ mod tests {
                 name: "demo".into(),
                 rank,
                 dims: dims.to_vec(),
-                seed: 11,
+                seed,
                 fit: 0.93,
                 schedule: "HO".into(),
                 parts: vec![2, 2, 2],
@@ -1408,13 +1375,20 @@ mod tests {
         let clone = mapped.clone();
         assert_eq!(clone.residency(), Residency::Mapped);
         assert_eq!(clone, mapped);
-        // A mapped model survives its file being replaced (atomic rename
-        // leaves the old inode's pages intact).
-        sample_model().save(&path).unwrap();
-        assert_eq!(
-            mapped.entry(&[0, 0, 0]).unwrap().to_bits(),
-            m.entry(&[0, 0, 0]).unwrap().to_bits()
-        );
+        // A mapped model survives a *different* model being saved over
+        // its file: the rename leaves the old inode's pages intact, so
+        // every factor still reads the old bits (an in-place write would
+        // show the new ones).
+        let other = sample_model_seeded(12);
+        assert_ne!(other.to_bytes(), m.to_bytes());
+        other.save(&path).unwrap();
+        for h in 0..m.order() {
+            let (a, b) = (m.factor(h), mapped.factor(h));
+            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "factor {h} after save");
+            }
+        }
+        assert_eq!(Model::load_shared(&path).unwrap(), other);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1423,13 +1397,43 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tpcp_model_sharedbad_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let good = sample_model().to_bytes();
-        // Flip a byte inside a factor page's slab region.
-        let mut bad = good.clone();
-        let n = bad.len();
-        bad[n - 24] ^= 0xff;
+        // Factor 0's page: past the fixed header, the metadata block, its
+        // checksum and the padding, then the page's u64 length prefix.
+        let meta_len = u32::from_le_bytes(good[12..16].try_into().unwrap()) as usize;
+        let start = align8(16 + meta_len + 8) + 8;
+        let page_len = u64::from_le_bytes(good[start - 8..start].try_into().unwrap());
+        let end = start + page_len as usize;
+        // Overwrites one header word of that page and reseals its checksum,
+        // so only the structural checks can catch the lie.
+        let lie = |offset: usize, value: u32| {
+            let mut bytes = good.clone();
+            bytes[start + offset..start + offset + 4].copy_from_slice(&value.to_le_bytes());
+            let sum = codec::fnv1a(&bytes[start..end - 8]);
+            bytes[end - 8..end].copy_from_slice(&sum.to_le_bytes());
+            bytes
+        };
+        let rows = u32::from_le_bytes(good[start + 20..start + 24].try_into().unwrap());
         let path = dir.join("bad.2pcpm");
-        std::fs::write(&path, &bad).unwrap();
-        assert!(Model::load_shared(&path).is_err());
+        // Control: resealing the true value loads, mapped.
+        std::fs::write(&path, lie(20, rows)).unwrap();
+        assert_eq!(
+            Model::load_shared(&path).unwrap().residency(),
+            Residency::Mapped
+        );
+        let mut flipped = good.clone();
+        let n = flipped.len();
+        flipped[n - 24] ^= 0xff;
+        let cases = [
+            ("slab byte flipped", flipped),
+            ("inflated rows", lie(20, rows + 1)),
+            ("sub-factor count u32::MAX", lie(28, u32::MAX)),
+            ("wrong mode", lie(12, 1)),
+        ];
+        for (what, bytes) in cases {
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(Model::load_shared(&path).is_err(), "{what}: load_shared");
+            assert!(Model::from_bytes(&bytes).is_err(), "{what}: from_bytes");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,8 +15,8 @@
 //!   an in-memory tensor in a memory source (bit-identical results).
 //!
 //! The phase ends by writing the data-access units (`A(i)(kᵢ)` + slab
-//! sub-factors) — grouped by destination shard — to the unit store that
-//! Phase 2 will refine against.
+//! sub-factors), in ascending unit order, to the unit store that Phase 2
+//! will refine against.
 
 use crate::config::{InitKind, TwoPcpConfig};
 use crate::{Result, TwoPcpError};
@@ -178,22 +178,17 @@ fn initial_factor(
 /// Builds each data-access unit from its slab of the per-block factors
 /// (`block_factors[b][mode]` = `U(mode)_b`, moved out as it is used;
 /// [`Grid::slab`] walks a slab in ascending block order) and writes the
-/// units to the store *shard-by-shard* (grouped by
-/// [`UnitStore::shard_hint`], then unit order), returning the total unit
-/// bytes.
+/// units to the store in ascending [`UnitId::linear`] order, returning the
+/// total unit bytes.
 fn assemble_units<S: UnitStore>(
     grid: &Grid,
     cfg: &TwoPcpConfig,
     mut block_factors: Vec<Vec<Mat>>,
     store: &mut S,
 ) -> Result<usize> {
-    let mut units: Vec<UnitId> = (0..grid.num_units())
-        .map(|lin| UnitId::from_linear(grid, lin))
-        .collect();
-    // Stable: units stay in linear order within a shard.
-    units.sort_by_key(|&unit| store.shard_hint(unit));
     let mut total_bytes = 0usize;
-    for unit in units {
+    for lin in 0..grid.num_units() {
+        let unit = UnitId::from_linear(grid, lin);
         let (mode, part) = (unit.mode as usize, unit.part as usize);
         let sub_factors: Vec<(u64, Mat)> = grid
             .slab(mode, part)
@@ -313,7 +308,7 @@ pub fn run_phase1_sparse<S: UnitStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpcp_storage::{MemStore, ShardedStore};
+    use tpcp_storage::MemStore;
     use tpcp_tensor::SparseBuilder;
 
     fn low_rank(dims: &[usize], f: usize, seed: u64) -> DenseTensor {
@@ -437,9 +432,6 @@ mod tests {
         fn bytes_read(&self) -> u64 {
             self.inner.bytes_read()
         }
-        fn shard_hint(&self, unit: UnitId) -> usize {
-            self.inner.shard_hint(unit)
-        }
     }
 
     fn bits(m: &Mat) -> Vec<u64> {
@@ -447,56 +439,53 @@ mod tests {
     }
 
     #[test]
-    fn units_group_block_factors_in_block_order_and_write_shard_by_shard() {
+    fn units_group_block_factors_in_block_order_and_write_in_linear_order() {
         let x = low_rank(&[7, 5, 6], 2, 13);
         let cfg = cfg(2, vec![3, 2, 2]);
-        for shards in [1usize, 3] {
-            let mut store = Recording {
-                inner: ShardedStore::mem(shards),
-                written: Vec::new(),
-            };
-            let result = run_phase1_dense(&x, &cfg, &mut store).unwrap();
-            let grid = &result.grid;
-            // The block models Phase 1 produced, recomputed one by one.
-            let mut src = DenseMemorySource::new(&x);
-            let models: Vec<CpModel> = (0..grid.num_blocks())
-                .map(|lin| {
-                    let block = src.load_block(grid, lin).unwrap();
-                    let seed = cfg.seed.wrapping_add(lin as u64);
-                    decompose_block(&block, &cfg, seed).unwrap().model
-                })
-                .collect();
+        let mut store = Recording {
+            inner: MemStore::new(),
+            written: Vec::new(),
+        };
+        let result = run_phase1_dense(&x, &cfg, &mut store).unwrap();
+        let grid = &result.grid;
+        // The block models Phase 1 produced, recomputed one by one.
+        let mut src = DenseMemorySource::new(&x);
+        let models: Vec<CpModel> = (0..grid.num_blocks())
+            .map(|lin| {
+                let block = src.load_block(grid, lin).unwrap();
+                let seed = cfg.seed.wrapping_add(lin as u64);
+                decompose_block(&block, &cfg, seed).unwrap().model
+            })
+            .collect();
 
-            let mut expected: Vec<UnitId> = (0..grid.num_units())
-                .map(|lin| UnitId::from_linear(grid, lin))
-                .collect();
-            expected.sort_by_key(|u| (store.shard_hint(*u), u.linear(grid)));
-            assert_eq!(store.written, expected, "{shards} shards: write order");
+        let written: Vec<usize> = store.written.iter().map(|u| u.linear(grid)).collect();
+        let ascending: Vec<usize> = (0..grid.num_units()).collect();
+        assert_eq!(written, ascending, "write order");
 
-            let mut doubles = 0usize;
-            for unit in expected {
-                let (mode, part) = (unit.mode as usize, unit.part as usize);
-                let rows = grid.part_len(mode, part);
-                let slab: Vec<u64> = (0..grid.num_blocks())
-                    .filter(|&b| grid.block_coords(b)[mode] == part)
-                    .map(|b| b as u64)
-                    .collect();
-                let data = store.read(unit).unwrap();
-                let blocks: Vec<u64> = data.sub_factors.iter().map(|(b, _)| *b).collect();
-                assert_eq!(blocks, slab, "{unit}: slab in ascending block id");
-                let mut mean = Mat::zeros(rows, cfg.rank);
-                for (block, u) in &data.sub_factors {
-                    let expected = &models[*block as usize].factors[mode];
-                    assert_eq!(bits(u), bits(expected), "{unit} block {block}");
-                    mean.add_assign(u).unwrap();
-                }
-                mean.scale(1.0 / slab.len() as f64);
-                assert_eq!(bits(&data.factor), bits(&mean), "{unit}: slab mean");
-                // Paper §IV-A: A(i)(kᵢ) plus one sub-factor per slab block.
-                doubles += rows * cfg.rank * (1 + slab.len());
+        let mut doubles = 0usize;
+        for lin in ascending {
+            let unit = UnitId::from_linear(grid, lin);
+            let (mode, part) = (unit.mode as usize, unit.part as usize);
+            let rows = grid.part_len(mode, part);
+            let slab: Vec<u64> = (0..grid.num_blocks())
+                .filter(|&b| grid.block_coords(b)[mode] == part)
+                .map(|b| b as u64)
+                .collect();
+            let data = store.read(unit).unwrap();
+            let blocks: Vec<u64> = data.sub_factors.iter().map(|(b, _)| *b).collect();
+            assert_eq!(blocks, slab, "{unit}: slab in ascending block id");
+            let mut mean = Mat::zeros(rows, cfg.rank);
+            for (block, u) in &data.sub_factors {
+                let expected = &models[*block as usize].factors[mode];
+                assert_eq!(bits(u), bits(expected), "{unit} block {block}");
+                mean.add_assign(u).unwrap();
             }
-            assert_eq!(result.total_unit_bytes, doubles * 8);
+            mean.scale(1.0 / slab.len() as f64);
+            assert_eq!(bits(&data.factor), bits(&mean), "{unit}: slab mean");
+            // Paper §IV-A: A(i)(kᵢ) plus one sub-factor per slab block.
+            doubles += rows * cfg.rank * (1 + slab.len());
         }
+        assert_eq!(result.total_unit_bytes, doubles * 8);
         // Assembly is in-memory: an in-memory run touches no scratch dir.
         let scratch = format!("p1_assemble_{}_", std::process::id());
         let leftovers = std::fs::read_dir(std::env::temp_dir())
@@ -505,30 +494,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().starts_with(&scratch))
             .count();
         assert_eq!(leftovers, 0);
-    }
-
-    #[test]
-    fn sharded_store_receives_identical_units() {
-        let x = low_rank(&[8, 8, 8], 2, 7);
-        let cfg = cfg(2, vec![2]);
-        let mut single = MemStore::new();
-        let mut sharded = ShardedStore::mem(3);
-        let a = run_phase1_dense(&x, &cfg, &mut single).unwrap();
-        let b = run_phase1_dense(&x, &cfg, &mut sharded).unwrap();
-        assert_eq!(a.block_fits, b.block_fits);
-        assert_eq!(a.u_norm_sq, b.u_norm_sq);
-        assert_eq!(a.total_unit_bytes, b.total_unit_bytes);
-        for lin in 0..a.grid.num_units() {
-            let unit = UnitId::from_linear(&a.grid, lin);
-            assert_eq!(single.read(unit).unwrap(), sharded.read(unit).unwrap());
-        }
-        // The units actually spread over more than one shard.
-        let populated = sharded
-            .per_shard_bytes()
-            .iter()
-            .filter(|(w, _)| *w > 0)
-            .count();
-        assert!(populated > 1, "expected units on multiple shards");
     }
 
     #[test]

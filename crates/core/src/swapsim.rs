@@ -78,7 +78,7 @@ pub fn simulate_swaps(cfg: &SwapSimConfig) -> Result<SwapReport> {
             reason: "parts must be non-empty and positive".into(),
         });
     }
-    if cfg.buffer_fraction <= 0.0 {
+    if !crate::config::is_positive_fraction(cfg.buffer_fraction) {
         return Err(TwoPcpError::Config {
             reason: "buffer_fraction must be positive".into(),
         });
@@ -296,14 +296,19 @@ mod tests {
             virtual_iters: 1,
         })
         .is_err());
-        assert!(simulate_swaps(&SwapSimConfig {
-            parts: vec![2, 2],
-            schedule: ScheduleKind::ZOrder,
-            policy: PolicyKind::Lru,
-            buffer_fraction: 0.0,
-            virtual_iters: 1,
-        })
-        .is_err());
+        // NaN fails `<= 0.0` as well as `> 0.0`: it must still be a typed
+        // error, not the buffer pool's panic.
+        for bad in [f64::NAN, 0.0, -0.0] {
+            let err = simulate_swaps(&SwapSimConfig {
+                parts: vec![2, 2],
+                schedule: ScheduleKind::ZOrder,
+                policy: PolicyKind::Lru,
+                buffer_fraction: bad,
+                virtual_iters: 1,
+            })
+            .unwrap_err();
+            assert!(matches!(err, TwoPcpError::Config { .. }), "{bad}: {err}");
+        }
     }
 
     #[test]

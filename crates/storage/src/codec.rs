@@ -226,15 +226,33 @@ pub fn encode_v1(data: &UnitData) -> Vec<u8> {
     buf.to_vec()
 }
 
-/// Deserialises a page, verifying magic, version and checksum. Accepts
-/// both the current v2 layout and legacy v1 pages.
+/// The parsed header of a verified v2 page: everything but the payload.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PageHeader {
+    /// The unit the page holds.
+    pub unit: UnitId,
+    /// `(rows, cols)` of the global sub-factor.
+    pub factor_shape: (usize, usize),
+    /// `(block id, rows, cols)` of each slab sub-factor, in page order.
+    pub sub_factors: Vec<(u64, usize, usize)>,
+    /// Byte offset of the `f64` slab within the page. The slab runs up to
+    /// the 8-byte checksum trailer and holds exactly the doubles the
+    /// shapes above declare.
+    pub slab_offset: usize,
+}
+
+/// Verifies a page without copying its payload: checksum, magic and
+/// version, then, for a v2 page, the header, the descriptor table and the
+/// slab length against the shapes they declare.
 ///
-/// The input may be a borrowed view straight out of a memory map: nothing
-/// is copied until the payload slab is materialised into [`Mat`]s.
+/// Returns the header of a v2 page, or `None` for a legacy v1 page, whose
+/// interleaved layout only [`decode`] parses. [`decode`] and the
+/// zero-copy model loader both verify through here, so a page is either
+/// valid for both or for neither.
 ///
 /// # Errors
 /// [`StorageError::Corrupt`] on any structural or integrity failure.
-pub fn decode(page: &[u8]) -> Result<UnitData> {
+pub fn verify(page: &[u8]) -> Result<Option<PageHeader>> {
     if page.len() < MAGIC.len() + 4 + 8 + 8 {
         return Err(corrupt("page too small"));
     }
@@ -251,81 +269,98 @@ pub fn decode(page: &[u8]) -> Result<UnitData> {
     }
     let version = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
     match version {
-        VERSION => decode_v2_body(&body[12..]),
-        VERSION_V1 => decode_v1_body(&body[12..]),
+        VERSION => parse_v2_header(body).map(Some),
+        VERSION_V1 => Ok(None),
         other => Err(corrupt(&format!("unsupported version {other}"))),
     }
 }
 
-/// Parses a v2 body (everything after magic + version, before the
-/// trailer): fixed header, descriptor table, then bulk slab reads.
-fn decode_v2_body(body: &[u8]) -> Result<UnitData> {
-    // Fixed header: mode, part, factor rows/cols, sub-factor count.
-    if body.len() < V2_FIXED_HEADER - 12 {
+/// Parses and bounds-checks the header and descriptor table of a v2 page
+/// `body` (the page without its trailer).
+fn parse_v2_header(body: &[u8]) -> Result<PageHeader> {
+    if body.len() < V2_FIXED_HEADER {
         return Err(corrupt("truncated v2 header"));
     }
     let word = |i: usize| u32::from_le_bytes(body[i..i + 4].try_into().expect("4 bytes"));
-    let mode = word(0);
-    let part = word(4);
-    let factor_rows = word(8) as usize;
-    let factor_cols = word(12) as usize;
-    let count = word(16) as usize;
+    let mode = u16::try_from(word(12)).map_err(|_| corrupt("unit mode out of range"))?;
+    let part = word(16);
+    let factor_shape = (word(20) as usize, word(24) as usize);
+    let count = word(28) as usize;
 
-    let desc_off: usize = 20; // relative to `body` (absolute 32)
-    let desc_len = count
+    let slab_offset = count
         .checked_mul(V2_SUB_DESCRIPTOR)
+        .and_then(|len| len.checked_add(V2_FIXED_HEADER))
         .ok_or_else(|| corrupt("sub-factor count overflow"))?;
-    let slab_off = desc_off
-        .checked_add(desc_len)
-        .ok_or_else(|| corrupt("descriptor table overflow"))?;
-    if body.len() < slab_off {
+    if body.len() < slab_offset {
         return Err(corrupt("truncated v2 descriptor table"));
     }
 
-    let factor_n = factor_rows
-        .checked_mul(factor_cols)
-        .ok_or_else(|| corrupt("matrix size overflow"))?;
-    let mut shapes = Vec::with_capacity(count);
-    let mut total = factor_n;
-    for i in 0..count {
-        let d = &body[desc_off + i * V2_SUB_DESCRIPTOR..];
+    let doubles = |(rows, cols): (usize, usize)| {
+        rows.checked_mul(cols)
+            .ok_or_else(|| corrupt("matrix size overflow"))
+    };
+    let mut total = doubles(factor_shape)?;
+    let mut sub_factors = Vec::with_capacity(count);
+    for d in body[V2_FIXED_HEADER..slab_offset].chunks_exact(V2_SUB_DESCRIPTOR) {
         let block = u64::from_le_bytes(d[..8].try_into().expect("8 bytes"));
         let rows = u32::from_le_bytes(d[8..12].try_into().expect("4 bytes")) as usize;
         let cols = u32::from_le_bytes(d[12..16].try_into().expect("4 bytes")) as usize;
-        let n = rows
-            .checked_mul(cols)
-            .ok_or_else(|| corrupt("matrix size overflow"))?;
         total = total
-            .checked_add(n)
+            .checked_add(doubles((rows, cols))?)
             .ok_or_else(|| corrupt("slab size overflow"))?;
-        shapes.push((block, rows, cols, n));
+        sub_factors.push((block, rows, cols));
     }
     let slab_bytes = total
         .checked_mul(8)
         .ok_or_else(|| corrupt("slab size overflow"))?;
-    if body.len() - slab_off != slab_bytes {
+    if body.len() - slab_offset != slab_bytes {
         return Err(corrupt("v2 slab length mismatch"));
     }
+    Ok(PageHeader {
+        unit: UnitId { mode, part },
+        factor_shape,
+        sub_factors,
+        slab_offset,
+    })
+}
 
-    let mut slab = &body[slab_off..];
-    let mut take = |n: usize| {
-        let (head, rest) = slab.split_at(n * 8);
+/// Deserialises a page after [`verify`]. Accepts both the current v2
+/// layout and legacy v1 pages.
+///
+/// The input may be a borrowed view straight out of a memory map: nothing
+/// is copied until the payload slab is materialised into [`Mat`]s.
+///
+/// # Errors
+/// [`StorageError::Corrupt`] on any structural or integrity failure.
+pub fn decode(page: &[u8]) -> Result<UnitData> {
+    let header = verify(page)?;
+    let body = &page[..page.len() - 8];
+    match header {
+        Some(header) => Ok(decode_v2_slab(header, body)),
+        None => decode_v1_body(&body[12..]),
+    }
+}
+
+/// Materialises the slab of a verified v2 page `body` into the matrices
+/// `header` declares, one bulk copy each.
+fn decode_v2_slab(header: PageHeader, body: &[u8]) -> UnitData {
+    let mut slab = &body[header.slab_offset..];
+    let mut take = |(rows, cols): (usize, usize)| {
+        let (head, rest) = slab.split_at(rows * cols * 8);
         slab = rest;
-        get_f64_slab(head)
+        Mat::from_vec(rows, cols, get_f64_slab(head))
     };
-    let factor = Mat::from_vec(factor_rows, factor_cols, take(factor_n));
-    let sub_factors = shapes
+    let factor = take(header.factor_shape);
+    let sub_factors = header
+        .sub_factors
         .into_iter()
-        .map(|(block, rows, cols, n)| (block, Mat::from_vec(rows, cols, take(n))))
+        .map(|(block, rows, cols)| (block, take((rows, cols))))
         .collect();
-    Ok(UnitData {
-        unit: UnitId {
-            mode: mode as u16,
-            part,
-        },
+    UnitData {
+        unit: header.unit,
         factor,
         sub_factors,
-    })
+    }
 }
 
 /// Parses a legacy v1 body (interleaved matrix headers, element-at-a-time
@@ -504,6 +539,22 @@ mod tests {
         let mut page = encode(&unit);
         page[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode(&reseal(page)).is_err());
+        // A mode no `UnitId` can hold is rejected, not truncated.
+        let mut page = encode(&unit);
+        page[12..16].copy_from_slice(&0x1_0001u32.to_le_bytes());
+        assert!(verify(&reseal(page)).is_err());
+    }
+
+    #[test]
+    fn verify_parses_the_v2_header_and_passes_v1_pages() {
+        let unit = sample_unit();
+        let page = encode(&unit);
+        let header = verify(&page).unwrap().expect("a v2 page has a header");
+        assert_eq!(header.unit, unit.unit);
+        assert_eq!(header.factor_shape, (3, 2));
+        assert_eq!(header.sub_factors, vec![(0, 1, 2), (7, 2, 2)]);
+        assert_eq!(header.slab_offset, v2_slab_offset(2));
+        assert_eq!(verify(&encode_v1(&unit)).unwrap(), None);
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //!   file, committed by write-then-rename, plus a two-slot factor file
 //!   that a Phase-2 write-back updates in place —
 //!   [`UnitStore::write_factor`], `docs/storage.md`; fault injection for
-//!   tests), [`MemStore`], and [`ShardedStore`] — a router that spreads
-//!   the unit space across `S` backing shards (`TPCP_SHARDS`) with
-//!   aggregated byte counters;
+//!   tests) and [`MemStore`];
 //! * [`BufferPool`] — a byte-budgeted cache over a store with pluggable
 //!   [`ReplacementPolicy`]: LRU, MRU and the paper's forward-looking (FOR)
 //!   schedule-aware policy (§VII), plus pinning so a step's working set
@@ -37,7 +35,7 @@
 //!   via [`UnitStore::read_slab`], the buffer pool) borrowed page views
 //!   straight out of the page cache, so a resident unit materialises with
 //!   exactly one copy — map → `Mat`.
-//!   Like prefetch and sharding, mmap moves bytes, never values.
+//!   Like prefetch, mmap moves bytes, never values.
 
 pub mod codec;
 
@@ -45,14 +43,12 @@ mod buffer;
 mod factor;
 mod policy;
 mod prefetch;
-mod sharded;
 mod stats;
 mod store;
 
 pub use buffer::{capacity_for_fraction, BufferPool};
 pub use policy::{ForwardPolicy, LruPolicy, MruPolicy, PolicyKind, ReplacementPolicy};
 pub use prefetch::{PrefetchConfig, PrefetchRead, PrefetchSource, PREFETCH_ENV_VAR};
-pub use sharded::{shard_of, shards_auto, ShardedStore, SHARDS_ENV_VAR};
 pub use stats::IoStats;
 pub use store::{mmap_auto, DiskStore, MemStore, PageRead, UnitData, UnitStore, MMAP_ENV_VAR};
 

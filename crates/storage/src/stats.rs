@@ -70,17 +70,6 @@ impl IoStats {
         self.stall_ns as f64 / 1e6
     }
 
-    /// Sums the counters of several stat blocks — the correct way to
-    /// report I/O across shards or across phases (summing every counter,
-    /// not echoing the first block's).
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a IoStats>) -> IoStats {
-        let mut total = IoStats::default();
-        for p in parts {
-            total += p;
-        }
-        total
-    }
-
     /// Difference since an earlier snapshot (all counters are monotone).
     pub fn since(&self, earlier: &IoStats) -> IoStats {
         IoStats {
@@ -96,22 +85,6 @@ impl IoStats {
             borrowed_reads: self.borrowed_reads - earlier.borrowed_reads,
             prefetch_discarded: self.prefetch_discarded - earlier.prefetch_discarded,
         }
-    }
-}
-
-impl std::ops::AddAssign<&IoStats> for IoStats {
-    fn add_assign(&mut self, o: &IoStats) {
-        self.fetches += o.fetches;
-        self.hits += o.hits;
-        self.evictions += o.evictions;
-        self.write_backs += o.write_backs;
-        self.bytes_read += o.bytes_read;
-        self.bytes_written += o.bytes_written;
-        self.prefetch_hits += o.prefetch_hits;
-        self.prefetched_bytes += o.prefetched_bytes;
-        self.stall_ns += o.stall_ns;
-        self.borrowed_reads += o.borrowed_reads;
-        self.prefetch_discarded += o.prefetch_discarded;
     }
 }
 
@@ -193,51 +166,6 @@ mod tests {
         assert_eq!(d.borrowed_reads, 2);
         assert_eq!(d.prefetch_discarded, 5);
         assert_eq!(d.swaps(), 5);
-    }
-
-    #[test]
-    fn merged_sums_every_counter() {
-        let a = IoStats {
-            fetches: 2,
-            hits: 5,
-            evictions: 1,
-            write_backs: 1,
-            bytes_read: 100,
-            bytes_written: 50,
-            prefetch_hits: 1,
-            prefetched_bytes: 60,
-            stall_ns: 1_000,
-            borrowed_reads: 1,
-            prefetch_discarded: 2,
-        };
-        let b = IoStats {
-            fetches: 7,
-            hits: 6,
-            evictions: 3,
-            write_backs: 2,
-            bytes_read: 400,
-            bytes_written: 90,
-            prefetch_hits: 4,
-            prefetched_bytes: 200,
-            stall_ns: 5_000,
-            borrowed_reads: 4,
-            prefetch_discarded: 3,
-        };
-        let m = IoStats::merged([&a, &b]);
-        // Every counter sums — in particular stall_ns and prefetch_hits
-        // must be the aggregate, not the first (shard-0) block's value.
-        assert_eq!(m.fetches, 9);
-        assert_eq!(m.hits, 11);
-        assert_eq!(m.evictions, 4);
-        assert_eq!(m.write_backs, 3);
-        assert_eq!(m.bytes_read, 500);
-        assert_eq!(m.bytes_written, 140);
-        assert_eq!(m.prefetch_hits, 5);
-        assert_eq!(m.prefetched_bytes, 260);
-        assert_eq!(m.stall_ns, 6_000);
-        assert_eq!(m.borrowed_reads, 5);
-        assert_eq!(m.prefetch_discarded, 5);
-        assert_eq!(IoStats::merged([]), IoStats::default());
     }
 
     #[test]

@@ -111,9 +111,9 @@ pub trait UnitStore {
     /// Total payload bytes read so far (for reporting).
     fn bytes_read(&self) -> u64;
 
-    /// The shard `unit` routes to — `0` for unsharded stores. Lets
-    /// callers (Phase 1's unit emission) group writes shard-by-shard
-    /// without knowing the concrete store type.
+    /// Always `0`. Nothing in the engine calls it: it stays on the trait
+    /// only because the pinned `e2e` benchmark package forwards it, and
+    /// it goes with that package's re-pin (ROADMAP item 1(b)).
     fn shard_hint(&self, _unit: UnitId) -> usize {
         0
     }

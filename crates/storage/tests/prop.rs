@@ -7,7 +7,7 @@ use tpcp_linalg::Mat;
 use tpcp_schedule::{AccessSequence, UnitId};
 use tpcp_storage::{
     codec, BufferPool, DiskStore, MemStore, PageRead, PolicyKind, PrefetchConfig, PrefetchSource,
-    ShardedStore, StorageError, UnitData, UnitStore,
+    StorageError, UnitData, UnitStore,
 };
 
 fn unit_data(part: usize, rows: usize, value: f64) -> UnitData {
@@ -425,9 +425,9 @@ proptest! {
 
     /// Every store is a store of record under any interleaving of whole
     /// writes, factor-only writes and reads: `MemStore`, `DiskStore`
-    /// (buffered and mmap), a fresh `DiskStore` over the same directory
-    /// and `ShardedStore` all read back what a plain map of whole units
-    /// would — through `read`, `read_slab` and the prefetch reader alike.
+    /// (buffered and mmap) and a fresh `DiskStore` over the same directory
+    /// all read back what a plain map of whole units would — through
+    /// `read`, `read_slab` and the prefetch reader alike.
     #[test]
     fn stores_of_record_agree_under_any_write_interleaving(
         ops in proptest::collection::vec((0usize..3, 0usize..4), 1..40),
@@ -439,7 +439,6 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         check_store_of_record(MemStore::new(), &ops);
-        check_store_of_record(ShardedStore::mem(3), &ops);
         for mmap in [false, true] {
             let at = dir.join(format!("disk_{mmap}"));
             let model = check_store_of_record(DiskStore::open_with(&at, mmap).unwrap(), &ops);
@@ -450,9 +449,6 @@ proptest! {
                 prop_assert_eq!(&second.read(*id).unwrap(), expect, "re-opened store");
             }
         }
-        let mut sharded = ShardedStore::open_disk(dir.join("sharded"), 3).unwrap();
-        sharded.set_mmap(true);
-        check_store_of_record(sharded, &ops);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

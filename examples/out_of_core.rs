@@ -62,7 +62,7 @@ fn main() {
     // ---- Streaming ingest: the tensor itself never fits in RAM ----------
     // Lay a synthetic tensor out on disk by streaming generator blocks
     // (the full tensor is never materialised), then decompose straight
-    // from the file through a `FileTensorSource` with sharded unit stores.
+    // from the file through a `FileTensorSource` into the on-disk unit store.
     let dims = [32usize, 32, 32];
     let rank = 4;
     let grid = Grid::new(&dims, &[2, 2, 2]);
@@ -77,7 +77,6 @@ fn main() {
             .buffer_fraction(0.5)
             .max_virtual_iters(20)
             .tol(1e-3)
-            .shards(3)
             // Serial ingest batches: peak residency is exactly one block,
             // independent of the machine's core count.
             .threads(1)
@@ -87,7 +86,7 @@ fn main() {
     .expect("streaming decomposition failed");
     let tensor_bytes = dims.iter().product::<usize>() * 8;
     println!(
-        "\nstreaming ingest from {raw:?} (3 unit-store shards):\n\
+        "\nstreaming ingest from {raw:?}:\n\
          fit {:.4}; tensor {} B on disk, peak phase-1 residency {} B \
          ({}x smaller), {} B streamed",
         outcome.fit,

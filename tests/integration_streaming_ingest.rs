@@ -1,8 +1,8 @@
 //! Streaming-ingest acceptance suite: a dense tensor ingested from a
 //! file-backed [`BlockSource`] decomposes end-to-end with peak Phase-1
 //! materialisation bounded by one block (+ scratch), byte-accounted, and
-//! produces factors bitwise-identical to the in-memory path at shard
-//! counts 1 and 3.
+//! produces factors bitwise-identical to the in-memory path, with an
+//! in-memory or an on-disk unit store.
 
 use tpcp_datasets::ModelBlockSource;
 use tpcp_partition::{write_raw_from_source, BlockSource, FileTensorSource, Grid};
@@ -41,7 +41,7 @@ fn largest_block_bytes(grid: &Grid) -> u64 {
 }
 
 #[test]
-fn file_backed_ingest_matches_in_memory_bitwise_at_1_and_3_shards() {
+fn file_backed_ingest_matches_in_memory_bitwise() {
     // The reference tensor, materialised once for the in-memory baseline.
     let mut generator = ModelBlockSource::low_rank(&DIMS, RANK, SEED);
     let grid = Grid::new(&DIMS, &[2, 2, 2]);
@@ -55,36 +55,32 @@ fn file_backed_ingest_matches_in_memory_bitwise_at_1_and_3_shards() {
 
     let in_memory = TwoPcp::new(cfg()).decompose_dense(&x).unwrap();
 
-    for shards in [1usize, 3] {
-        let mut src = FileTensorSource::open(&path).unwrap();
-        let outcome = TwoPcp::new(cfg().shards(shards))
-            .decompose_source(&mut src)
-            .unwrap();
+    let mut src = FileTensorSource::open(&path).unwrap();
+    let outcome = TwoPcp::new(cfg()).decompose_source(&mut src).unwrap();
 
-        // Factors bitwise-identical to the in-memory path.
-        assert_same_factors(&in_memory, &outcome);
-        // The streaming exact fit agrees with the monolithic fit to
-        // rounding (different summation order).
-        assert!((outcome.fit - in_memory.fit).abs() < 1e-9);
+    // Factors bitwise-identical to the in-memory path.
+    assert_same_factors(&in_memory, &outcome);
+    // The streaming exact fit agrees with the monolithic fit to
+    // rounding (different summation order).
+    assert!((outcome.fit - in_memory.fit).abs() < 1e-9);
 
-        // Byte accounting: with a serial budget Phase 1 materialised at
-        // most one block at a time…
-        let limit = largest_block_bytes(&outcome.phase1.grid);
-        assert_eq!(outcome.phase1.peak_block_bytes, limit);
-        // …the whole tensor streamed through exactly once during Phase 1…
-        assert_eq!(outcome.phase1.ingested_bytes, (x.len() * 8) as u64);
-        // …and the file reader's span buffer stayed within its bound,
-        // max(64 KiB, one last-mode run) — the "+ scratch" term (the
-        // longest mode-2 partition here is 4 cells × 8 bytes, so the
-        // 64 KiB cap is the bound).
-        assert!(
-            src.scratch_bytes() <= 64 << 10,
-            "scratch {}",
-            src.scratch_bytes()
-        );
-        // Phase 1 + the exact-accuracy re-stream: two passes total.
-        assert_eq!(src.bytes_loaded(), 2 * (x.len() * 8) as u64);
-    }
+    // Byte accounting: with a serial budget Phase 1 materialised at
+    // most one block at a time…
+    let limit = largest_block_bytes(&outcome.phase1.grid);
+    assert_eq!(outcome.phase1.peak_block_bytes, limit);
+    // …the whole tensor streamed through exactly once during Phase 1…
+    assert_eq!(outcome.phase1.ingested_bytes, (x.len() * 8) as u64);
+    // …and the file reader's span buffer stayed within its bound,
+    // max(64 KiB, one last-mode run) — the "+ scratch" term (the
+    // longest mode-2 partition here is 4 cells × 8 bytes, so the
+    // 64 KiB cap is the bound).
+    assert!(
+        src.scratch_bytes() <= 64 << 10,
+        "scratch {}",
+        src.scratch_bytes()
+    );
+    // Phase 1 + the exact-accuracy re-stream: two passes total.
+    assert_eq!(src.bytes_loaded(), 2 * (x.len() * 8) as u64);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -102,42 +98,31 @@ fn generator_ingest_matches_in_memory_bitwise() {
 }
 
 #[test]
-fn file_backed_out_of_core_run_with_sharded_disk_store() {
-    // Ingest from disk *and* refine against sharded on-disk unit stores
-    // under a constrained buffer — the full never-in-RAM configuration.
+fn file_backed_out_of_core_run_on_disk_store() {
+    // Ingest from disk *and* refine against the on-disk unit store under a
+    // constrained buffer — the full never-in-RAM configuration — and match
+    // the resident tensor refined against an in-memory store, bit for bit.
     let mut generator = ModelBlockSource::low_rank(&DIMS, RANK, SEED);
     let grid = Grid::new(&DIMS, &[2, 2, 2]);
+    let x = generator.materialize(&grid);
     let path = std::env::temp_dir().join(format!("tpcp_ingest_ooc_{}.raw", std::process::id()));
-    write_raw_from_source(&path, &mut generator, &grid).unwrap();
+    let mut fresh = ModelBlockSource::low_rank(&DIMS, RANK, SEED);
+    write_raw_from_source(&path, &mut fresh, &grid).unwrap();
     let root = std::env::temp_dir().join(format!("tpcp_ingest_ooc_wd_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
-    let run = |shards: usize| {
-        let mut src = FileTensorSource::open(&path).unwrap();
-        TwoPcp::new(
-            cfg()
-                .buffer_fraction(0.5)
-                .shards(shards)
-                .work_dir(root.join(format!("s{shards}"))),
-        )
+    let constrained = cfg().buffer_fraction(0.5);
+    let in_memory = TwoPcp::new(constrained.clone())
+        .decompose_dense(&x)
+        .unwrap();
+    let mut src = FileTensorSource::open(&path).unwrap();
+    let on_disk = TwoPcp::new(constrained.work_dir(&root))
         .decompose_source(&mut src)
-        .unwrap()
-    };
-    let single = run(1);
-    let sharded = run(3);
-    assert_same_factors(&single, &sharded);
-    assert_eq!(single.fit.to_bits(), sharded.fit.to_bits());
-    assert!(sharded.phase2.io.fetches > 0);
-    // The sharded run's unit pages really live in several shard
-    // directories.
-    let shard_dirs = (0..3)
-        .filter(|i| {
-            std::fs::read_dir(root.join("s3").join("units").join(format!("shard_{i}")))
-                .map(|d| d.count() > 0)
-                .unwrap_or(false)
-        })
-        .count();
-    assert!(shard_dirs > 1, "units must spread across shard directories");
+        .unwrap();
+    assert_same_factors(&in_memory, &on_disk);
+    assert!((on_disk.fit - in_memory.fit).abs() < 1e-9);
+    assert!(on_disk.phase2.io.fetches > 0);
+    assert_eq!(on_disk.phase2.io.fetches, in_memory.phase2.io.fetches);
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_file(&path);
 }

@@ -2,8 +2,8 @@
 //! stores and codec v2 must move bytes, never values — end-to-end
 //! `decompose`/`decompose_source` results (factors, fits, swap counts)
 //! are bitwise identical with the mmap flag on or off, with or without
-//! prefetch, at any shard count; and legacy v1 pages written by earlier
-//! builds decode under the current store stack.
+//! prefetch, under resident and streaming ingest; and legacy v1 pages
+//! written by earlier builds decode under the current store stack.
 
 use tpcp_datasets::{low_rank_dense, ModelBlockSource};
 use tpcp_schedule::ScheduleKind;
@@ -108,17 +108,16 @@ fn mmap_is_bit_identical_with_prefetch_pipeline() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Mmap × sharded stores × streaming ingest: `decompose_source` over a
-/// generator source with 3 disk shards, mmap on vs off.
+/// Mmap × streaming ingest: `decompose_source` over a generator source,
+/// mmap on vs off.
 #[test]
-fn mmap_is_bit_identical_sharded_streaming() {
+fn mmap_is_bit_identical_streaming() {
     let dims = [8usize, 8, 8];
-    let root = tmp("sharded");
+    let root = tmp("streaming");
     let run = |mmap: bool| {
         let mut src = ModelBlockSource::low_rank(&dims, 2, 21);
         TwoPcp::new(
             base_cfg()
-                .shards(3)
                 .work_dir(root.join(if mmap { "on" } else { "off" }))
                 .mmap(mmap),
         )
