@@ -48,7 +48,7 @@ pub const SERVE_ADDR_ENV_VAR: &str = "TPCP_SERVE_ADDR";
 /// Every `TPCP_*` environment override, parsed once.
 ///
 /// The individual crates own their variables' grammar ([`ParConfig`],
-/// [`PrefetchConfig`], [`tpcp_storage::mmap_auto`]); this type records
+/// [`PrefetchConfig`]); this type records
 /// *which* variables are actually set and their parsed values, and
 /// [`TwoPcpConfig::new`] is the single place in the driver that applies
 /// them — everything built on a config (examples, tests, the serving
@@ -59,8 +59,6 @@ pub struct EnvOverrides {
     pub par: Option<ParConfig>,
     /// `TPCP_PREFETCH` → prefetch pipeline depth / off.
     pub prefetch: Option<PrefetchConfig>,
-    /// `TPCP_MMAP` → zero-copy page read path.
-    pub mmap: Option<bool>,
     /// `TPCP_SERVE_ADDR` → serving daemon listen address.
     pub serve_addr: Option<String>,
 }
@@ -75,7 +73,6 @@ impl EnvOverrides {
         EnvOverrides {
             par: set(tpcp_par::THREADS_ENV_VAR).then(ParConfig::auto),
             prefetch: set(tpcp_storage::PREFETCH_ENV_VAR).then(PrefetchConfig::auto),
-            mmap: set(tpcp_storage::MMAP_ENV_VAR).then(tpcp_storage::mmap_auto),
             serve_addr: std::env::var(SERVE_ADDR_ENV_VAR).ok(),
         }
     }
@@ -88,9 +85,6 @@ impl EnvOverrides {
         }
         if let Some(prefetch) = self.prefetch {
             config.prefetch = prefetch;
-        }
-        if let Some(mmap) = self.mmap {
-            config.mmap = mmap;
         }
         config
     }
@@ -188,14 +182,8 @@ pub struct TwoPcpConfig {
     /// never values — fit traces, factors and swap counts are
     /// bit-identical with the pipeline on or off.
     pub prefetch: PrefetchConfig,
-    /// The zero-copy page read path: with mmap on, the on-disk unit
-    /// stores decode pages directly from memory maps — no scratch-buffer
-    /// copy — and hand the buffer pool borrowed page slabs, so a resident
-    /// unit materialises with exactly one copy (map → `Mat`). Defaults to
-    /// [`tpcp_storage::mmap_auto`], i.e. the `TPCP_MMAP` override or off.
-    /// Mmap moves bytes, never values — factors, fits and swap counts are
-    /// bit-identical with the flag on or off; irrelevant for in-memory
-    /// stores (`work_dir: None`).
+    /// Ignored (default `false`). Nothing in the engine uses this; it
+    /// leaves with ROADMAP 1(b).
     pub mmap: bool,
     /// The compute-kernel backend for every dense product under both
     /// phases (matmul/gram/MTTKRP): the register-blocked tiled
@@ -332,12 +320,6 @@ impl TwoPcpConfig {
     /// Sets the prefetch pipeline depth (`0` disables the pipeline).
     pub fn prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch = PrefetchConfig::with_depth(depth);
-        self
-    }
-
-    /// Switches the zero-copy (mmap-backed) page read path on or off.
-    pub fn mmap(mut self, mmap: bool) -> Self {
-        self.mmap = mmap;
         self
     }
 
@@ -497,12 +479,6 @@ impl TwoPcpConfigBuilder {
         self
     }
 
-    /// Switches the zero-copy (mmap-backed) page read path on or off.
-    pub fn mmap(mut self, mmap: bool) -> Self {
-        self.config = self.config.mmap(mmap);
-        self
-    }
-
     /// Sets the compute-kernel backend (bit-identical across backends;
     /// trades speed only).
     pub fn kernel(mut self, kernel: KernelKind) -> Self {
@@ -566,10 +542,6 @@ mod tests {
         assert_eq!(cfg.prefetch, PrefetchConfig::with_depth(8));
         let cfg = cfg.prefetch(PrefetchConfig::disabled());
         assert!(!cfg.prefetch.is_active());
-        let cfg = cfg.mmap(true);
-        assert!(cfg.mmap);
-        let cfg = cfg.mmap(false);
-        assert!(!cfg.mmap);
         assert_eq!(cfg.par(ParConfig::serial()).par, ParConfig::serial());
     }
 

@@ -97,7 +97,7 @@ impl TwoPcp {
     fn dispatch(&self, input: Input<'_>) -> Result<TwoPcpOutcome> {
         match &self.config.work_dir {
             Some(dir) => {
-                let store = DiskStore::open_with(dir.join("units"), self.config.mmap)?;
+                let store = DiskStore::open(dir.join("units"))?;
                 self.run(input, store)
             }
             None => self.run(input, MemStore::new()),

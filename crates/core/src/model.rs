@@ -88,7 +88,7 @@ use tpcp_compress::CompressProvenance;
 use tpcp_cp::CpModel;
 use tpcp_linalg::{gather_rows, matmul_t_slices_auto, Mat};
 use tpcp_schedule::UnitId;
-use tpcp_storage::{codec, mmap_auto, UnitData};
+use tpcp_storage::{codec, UnitData};
 
 /// Magic bytes opening a model container.
 pub const MODEL_MAGIC: &[u8; 8] = b"2PCPMODL";
@@ -99,6 +99,21 @@ pub const MODEL_MAGIC: &[u8; 8] = b"2PCPMODL";
 pub const MODEL_VERSION: u32 = 2;
 /// Conventional file extension for saved models.
 pub const MODEL_EXT: &str = "2pcpm";
+
+/// The environment variable choosing how [`Model::load`] holds a model:
+/// mapped ([`Residency::Mapped`]) when set to `1` / `on` / `true` /
+/// `yes`, owned otherwise. It is how a serving registry picks residency.
+const MMAP_ENV_VAR: &str = "TPCP_MMAP";
+
+/// Whether `TPCP_MMAP` asks for mapped models.
+fn mmap_auto() -> bool {
+    std::env::var(MMAP_ENV_VAR).is_ok_and(|v| {
+        matches!(
+            v.trim().to_ascii_lowercase().as_str(),
+            "1" | "on" | "true" | "yes"
+        )
+    })
+}
 
 /// Hard ceilings rejected at load time before any allocation is sized
 /// from untrusted header fields.

@@ -26,12 +26,22 @@
 //! Subs that fail pre-validation are routed through the ordinary single
 //! dispatch so their error messages are exactly what a single frame
 //! would have produced. SHUTDOWN and nested BATCH are rejected per-sub.
+//!
+//! # The response cap
+//!
+//! No answer leaves the router larger than [`MAX_RESPONSE_PAYLOAD`], the
+//! most a client reads. A GET_SLICE whose answer would exceed it is
+//! refused with `TooLarge` before it is evaluated (its size is known from
+//! the model's dims). Inside a BATCH the limit is what is left of the
+//! envelope, so the subs' answers together cannot be evaluated past it;
+//! once assembled, any sub whose answer would push the envelope past the
+//! cap is answered `TooLarge` instead, in request order.
 
 use crate::cache::QueryCache;
 use crate::metrics::Metrics;
 use crate::protocol::{
     decode_batch_request, enc, encode_batch_response, BatchSubResponse, Dec, Frame, Opcode, Status,
-    VERSION,
+    MAX_RESPONSE_PAYLOAD, VERSION,
 };
 use crate::registry::{ModelEntry, ModelRegistry};
 use std::collections::HashMap;
@@ -42,6 +52,14 @@ use twopcp::{rank_fiber, TwoPcpError};
 /// Ceiling on `k` in TOP_K / SIMILAR requests (defensive: bounds the
 /// response size independently of model shape).
 pub const MAX_K: u32 = 1 << 20;
+
+/// The response cap as a length.
+const CAP: usize = MAX_RESPONSE_PAYLOAD as usize;
+/// Bytes of a BATCH response before its first sub (the sub count).
+const BATCH_HEAD: usize = 2;
+/// Bytes of each BATCH sub-response before its payload (opcode, status,
+/// length).
+const SUB_HEAD: usize = 7;
 
 /// Per-connection state: the models this session has pinned.
 #[derive(Default)]
@@ -120,7 +138,10 @@ impl Router {
                 format!("opcode {:#04x} not recognised", frame.opcode),
             );
         };
-        let resp = self.dispatch(session, op, &frame.payload, frame.version);
+        let mut resp = self.dispatch(session, op, &frame.payload, frame.version, CAP);
+        if resp.payload.len() > CAP {
+            resp = too_large(resp.payload.len(), CAP);
+        }
         self.metrics
             .record(op, start.elapsed(), resp.status == Status::Ok);
         self.metrics
@@ -128,12 +149,15 @@ impl Router {
         resp
     }
 
+    /// Answers one request; `limit` is the most bytes its answer may take
+    /// (checked before evaluation where the size is known up front).
     fn dispatch(
         &self,
         session: &mut SessionState,
         op: Opcode,
         payload: &[u8],
         version: u8,
+        limit: usize,
     ) -> Response {
         match op {
             Opcode::Ping => Response::ok(Vec::new()),
@@ -156,7 +180,7 @@ impl Router {
             | Opcode::GetFiber
             | Opcode::GetSlice
             | Opcode::TopK
-            | Opcode::Similar => self.model_query(session, op, payload, version),
+            | Opcode::Similar => self.model_query(session, op, payload, version, limit),
         }
     }
 
@@ -221,6 +245,7 @@ impl Router {
         op: Opcode,
         payload: &[u8],
         version: u8,
+        limit: usize,
     ) -> Response {
         let mut dec = Dec::new(payload);
         let name = match dec.string() {
@@ -237,7 +262,7 @@ impl Router {
             Opcode::ModelMeta => meta_response(&entry, version),
             Opcode::GetEntry => entry_response(&entry, dec),
             Opcode::GetFiber => fiber_response(&entry, dec),
-            Opcode::GetSlice => slice_response(&entry, dec),
+            Opcode::GetSlice => slice_response(&entry, dec, limit),
             Opcode::TopK => top_k_response(&entry, dec),
             Opcode::Similar => similar_response(&entry, dec),
             _ => unreachable!("non-model opcode in model_query"),
@@ -271,6 +296,8 @@ impl Router {
             (String, usize, bool),
             (Arc<ModelEntry>, Vec<(usize, Vec<usize>, u32)>),
         > = HashMap::new();
+        // Envelope bytes taken by the subs answered in this loop so far.
+        let mut used = BATCH_HEAD;
 
         for (i, sub) in subs.iter().enumerate() {
             let resolved = Opcode::from_u8(sub.opcode);
@@ -316,13 +343,15 @@ impl Router {
                 // Everything else rides as an ordinary single dispatch.
                 Some(op) => {
                     let t = Instant::now();
-                    let resp = self.dispatch(session, op, &sub.payload, version);
+                    let limit = CAP.saturating_sub(used + SUB_HEAD);
+                    let resp = self.dispatch(session, op, &sub.payload, version, limit);
                     self.metrics
                         .record(op, t.elapsed(), resp.status == Status::Ok);
                     Some(resp)
                 }
             };
             if let Some(resp) = answered {
+                used += SUB_HEAD + resp.payload.len();
                 out[i] = Some(sub_response(sub.opcode, resp));
             }
         }
@@ -388,10 +417,11 @@ impl Router {
             self.file_group(&mut out, op, t, answered);
         }
 
-        let flat: Vec<BatchSubResponse> = out
+        let mut flat: Vec<BatchSubResponse> = out
             .into_iter()
             .map(|r| r.expect("every sub answered"))
             .collect();
+        fit_envelope(&mut flat);
         Response::ok(encode_batch_response(&flat))
     }
 
@@ -513,7 +543,7 @@ impl Router {
         version: u8,
     ) -> Response {
         let t = Instant::now();
-        let resp = self.model_query(session, op, payload, version);
+        let resp = self.model_query(session, op, payload, version, CAP);
         self.metrics
             .record(op, t.elapsed(), resp.status == Status::Ok);
         resp
@@ -535,6 +565,42 @@ fn sub_response(opcode: u8, resp: Response) -> BatchSubResponse {
         status: resp.status as u16,
         payload: resp.payload,
     }
+}
+
+/// Answers `TooLarge`, in request order, every sub whose answer would
+/// push the encoded envelope past [`MAX_RESPONSE_PAYLOAD`]. Room is kept
+/// for each later sub at the smaller of its answer and the refusal, so
+/// the refusals themselves always fit: a sub is refused only when its
+/// answer is longer than the refusal that replaces it.
+fn fit_envelope(subs: &mut [BatchSubResponse]) {
+    let encoded: usize = subs.iter().map(|s| SUB_HEAD + s.payload.len()).sum();
+    if BATCH_HEAD + encoded <= CAP {
+        return;
+    }
+    let refusal = Response::err(
+        Status::TooLarge,
+        format!("answer would push the BATCH response past {CAP} bytes"),
+    )
+    .payload;
+    let floor = |s: &BatchSubResponse| SUB_HEAD + s.payload.len().min(refusal.len());
+    let mut later: usize = subs.iter().map(floor).sum();
+    let mut total = BATCH_HEAD;
+    for s in subs {
+        later -= floor(s);
+        if total + SUB_HEAD + s.payload.len() + later > CAP {
+            s.status = Status::TooLarge as u16;
+            s.payload = refusal.clone();
+        }
+        total += SUB_HEAD + s.payload.len();
+    }
+}
+
+/// A `TooLarge` answer for a `bytes`-long answer over `limit`.
+fn too_large(bytes: usize, limit: usize) -> Response {
+    Response::err(
+        Status::TooLarge,
+        format!("a {bytes}-byte answer exceeds the {limit}-byte limit"),
+    )
 }
 
 /// One `Internal` answer per sub of a group whose bulk evaluation failed.
@@ -633,11 +699,22 @@ fn fiber_payload(fiber: &[f64]) -> Vec<u8> {
     out
 }
 
-fn slice_response(entry: &ModelEntry, mut dec: Dec) -> QueryResult {
+fn slice_response(entry: &ModelEntry, mut dec: Dec, limit: usize) -> QueryResult {
     let mode_r = dec.u16().map_err(bad)? as usize;
     let mode_c = dec.u16().map_err(bad)? as usize;
     let fixed = dec.coords().map_err(bad)?;
     dec.finish().map_err(bad)?;
+    // `u32 rows, u32 cols, rows × cols × f64`, sized before it is built.
+    let dims = entry.model.dims();
+    if let (Some(&rows), Some(&cols)) = (dims.get(mode_r), dims.get(mode_c)) {
+        let bytes = rows
+            .saturating_mul(cols)
+            .saturating_mul(8)
+            .saturating_add(8);
+        if mode_r != mode_c && bytes > limit {
+            return Err(too_large(bytes, limit));
+        }
+    }
     let slice = entry
         .model
         .slice(mode_r, mode_c, &fixed)

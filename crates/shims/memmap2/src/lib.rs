@@ -2,13 +2,14 @@
 //! crate.
 //!
 //! The build environment has no registry access, so this crate provides the
-//! read-only API subset the storage engine uses — [`Mmap::map`] over a
+//! read-only API subset the workspace uses — [`Mmap::map`] of a whole
 //! [`std::fs::File`], `Deref<Target = [u8]>`, `Send + Sync` — implemented
 //! directly over the `mmap(2)`/`munmap(2)` system calls via `extern "C"`
-//! declarations on Unix. On non-Unix targets [`Mmap::map`] returns
-//! [`std::io::ErrorKind::Unsupported`]; callers in this workspace degrade
-//! to their buffered-read paths when mapping fails, so the shim never
-//! needs a portable fallback implementation.
+//! declarations on Unix. Its one caller is `twopcp::Model::load_shared`.
+//! On non-Unix targets [`Mmap::map`] returns
+//! [`std::io::ErrorKind::Unsupported`] and that caller falls back to an
+//! owned decode, so the shim never needs a portable fallback
+//! implementation.
 //!
 //! Divergences from the real crate (swap for the registry version when
 //! network access is available; call sites are written against the API
@@ -17,7 +18,7 @@
 //! * read-only maps only — no `MmapMut` or `flush`; the only advice kind
 //!   is [`Mmap::advise_willneed`] (the real crate's
 //!   `advise_range(Advice::WillNeed, ..)`);
-//! * [`MmapOptions`] supports only `len` (no offset/stack/populate);
+//! * no `MmapOptions`: a map always covers the whole file;
 //! * zero-length maps produce an empty slice without a system call
 //!   (`mmap(2)` rejects `len == 0`; the real crate special-cases this the
 //!   same way).
@@ -52,14 +53,26 @@ impl Mmap {
     /// same file in ways the reader cannot tolerate while the map is live
     /// (this mirrors the real `memmap2` contract: the map aliases the
     /// file, so concurrent truncation can turn reads into `SIGBUS`).
-    /// Append-only files — this workspace's page stores — satisfy that by
-    /// construction: bytes at offsets below the map length never move.
+    /// `.2pcpm` model files satisfy that by construction: `Model::save`
+    /// writes a new file and renames it over the old path, so the inode
+    /// under a live map is never written or truncated again.
     ///
     /// # Errors
     /// Metadata or `mmap(2)` failure, or [`io::ErrorKind::Unsupported`] on
     /// non-Unix targets.
     pub unsafe fn map(file: &File) -> io::Result<Mmap> {
-        MmapOptions::new().map(file)
+        let len = file.metadata()?.len();
+        let len = usize::try_from(len)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "file too large to map"))?;
+        if len == 0 {
+            // mmap(2) rejects zero-length maps; an empty slice needs no
+            // mapping at all.
+            return Ok(Mmap {
+                ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
+                len: 0,
+            });
+        }
+        sys::map(file, len)
     }
 
     /// The mapped bytes.
@@ -129,65 +142,6 @@ impl Drop for Mmap {
         if self.len > 0 {
             sys::unmap(self.ptr, self.len);
         }
-    }
-}
-
-/// Builder for memory maps (API subset of `memmap2::MmapOptions`: only
-/// `len` is supported).
-#[derive(Debug, Default, Clone)]
-pub struct MmapOptions {
-    len: Option<usize>,
-}
-
-impl MmapOptions {
-    /// A builder with every option at its default (map the whole file).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Configures the mapping length explicitly. May exceed the current
-    /// file size: the extra address range is reserved but only becomes
-    /// readable as the file grows into it (touching pages wholly beyond
-    /// end-of-file raises `SIGBUS`) — callers mapping headroom must read
-    /// only offsets below the file's current length.
-    pub fn len(&mut self, len: usize) -> &mut Self {
-        self.len = Some(len);
-        self
-    }
-
-    /// Maps `file` read-only with the configured options.
-    ///
-    /// # Safety
-    /// Same contract as [`Mmap::map`]; with an explicit [`MmapOptions::len`]
-    /// past end-of-file the caller must additionally never read beyond the
-    /// file's current length.
-    ///
-    /// # Errors
-    /// Metadata or `mmap(2)` failure, or [`io::ErrorKind::Unsupported`] on
-    /// non-Unix targets.
-    pub unsafe fn map(&self, file: &File) -> io::Result<Mmap> {
-        let len = match self.len {
-            Some(len) => len,
-            None => {
-                let len = file.metadata()?.len();
-                if len > usize::MAX as u64 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "file too large to map",
-                    ));
-                }
-                len as usize
-            }
-        };
-        if len == 0 {
-            // mmap(2) rejects zero-length maps; an empty slice needs no
-            // mapping at all.
-            return Ok(Mmap {
-                ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
-                len: 0,
-            });
-        }
-        sys::map(file, len)
     }
 }
 
@@ -343,27 +297,6 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
-    fn headroom_mapping_becomes_readable_as_the_file_grows() {
-        // Map 64 bytes of a 8-byte file: the headroom is address space
-        // only, and becomes readable the moment the file grows into it.
-        let path = tmp("headroom", b"12345678");
-        let file = File::open(&path).unwrap();
-        let map = unsafe { MmapOptions::new().len(64).map(&file) }.unwrap();
-        assert_eq!(map.len(), 64);
-        assert_eq!(&map[..8], b"12345678");
-        let mut w = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap();
-        w.write_all(b"ABCDEFGH").unwrap();
-        w.flush().unwrap();
-        assert_eq!(&map[8..16], b"ABCDEFGH");
-        drop(map);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[cfg(unix)]
-    #[test]
     fn advise_willneed_is_harmless_everywhere() {
         let path = tmp("advise", &[7u8; 10_000]);
         let file = File::open(&path).unwrap();
@@ -385,8 +318,7 @@ mod tests {
     #[test]
     fn map_survives_rename_over_the_file() {
         // A mapping pins the old inode's pages even after the path is
-        // renamed over — the invalidation story for stores is index/ino
-        // based, never dependent on the mapping itself going bad.
+        // renamed over — what lets a model be saved over a mapped file.
         let path = tmp("rename_a", b"old old old old!");
         let other = tmp("rename_b", b"new new new new!");
         let file = File::open(&path).unwrap();

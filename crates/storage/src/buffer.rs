@@ -1,10 +1,9 @@
 //! The byte-budgeted buffer pool over a unit store.
 
-use crate::codec;
 use crate::policy::{PolicyKind, ReplacementPolicy};
 use crate::prefetch::{PrefetchConfig, PrefetchSource, Prefetcher, Staged};
 use crate::stats::IoStats;
-use crate::store::{PageRead, UnitData, UnitStore};
+use crate::store::{UnitData, UnitStore};
 use crate::{Result, StorageError};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -340,15 +339,8 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
     /// Produces the bytes for a missing unit: staged prefetch data when
     /// valid, otherwise a synchronous store read. Wall time spent blocked
     /// here — the synchronous read, or the tail of an in-flight prefetch —
-    /// is the pipeline's `stall_ns`.
-    ///
-    /// The synchronous read prefers the store's borrowed-slab path
-    /// ([`UnitStore::read_slab`]): an mmap-backed store hands back a
-    /// `&[u8]` view of the raw page and the pool decodes it straight into
-    /// the unit that becomes resident — exactly one copy (map → `Mat`),
-    /// no scratch-buffer staging. Staged prefetch pages are likewise
-    /// admitted by move (the worker decoded them from its own map), so
-    /// the staging hop adds zero copies.
+    /// is the pipeline's `stall_ns`. Staged prefetch pages are admitted
+    /// by move, so the staging hop adds no copy.
     fn fetch_unit(&mut self, unit: UnitId) -> Result<UnitData> {
         if self.prefetch.is_some() {
             self.drain_prefetched();
@@ -383,27 +375,9 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
             }
         }
         let start = Instant::now();
-        let result = match self.store.read_slab(unit) {
-            Ok(PageRead::Owned(data)) => Ok((data, false)),
-            Ok(PageRead::Borrowed(page)) => codec::decode(page).and_then(|data| {
-                if data.unit == unit {
-                    Ok((data, true))
-                } else {
-                    Err(StorageError::Corrupt {
-                        reason: format!("page for {} served for {unit}", data.unit),
-                    })
-                }
-            }),
-            Err(e) => Err(e),
-        };
+        let result = self.store.read(unit);
         self.stats.stall_ns += start.elapsed().as_nanos() as u64;
-        let (data, borrowed) = result?;
-        if borrowed {
-            self.stats.borrowed_reads += 1;
-            self.store
-                .note_borrowed_read(unit, data.payload_bytes() as u64);
-        }
-        Ok(data)
+        result
     }
 
     /// Byte capacity.
@@ -563,18 +537,10 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
     /// # Errors
     /// Propagates store write failures.
     pub fn flush(&mut self) -> Result<()> {
-        let mut written: Vec<UnitId> = Vec::new();
         for (unit, entry) in self.entries.iter_mut() {
             if entry.write_back(&mut self.store, &mut self.stats)? {
                 *self.write_epochs.entry(*unit).or_insert(0) += 1;
-                written.push(*unit);
             }
-        }
-        if !written.is_empty() {
-            // One batched re-prime over everything just written back: an
-            // mmap store re-maps and `madvise(WILLNEED)`s any page that
-            // was rewritten, off the next read's critical path.
-            self.store.warm(&written);
         }
         Ok(())
     }
@@ -627,11 +593,6 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
             if entry.write_back(&mut self.store, &mut self.stats)? {
                 *self.write_epochs.entry(victim).or_insert(0) += 1;
                 self.stats.write_backs += 1;
-                // Re-prime the page's transport cache (map + `WILLNEED`
-                // for mmap stores) if the write-back replaced it, while
-                // its bytes are still hot, not when the schedule next
-                // misses on it.
-                self.store.warm(&[victim]);
             }
         }
         Ok(())

@@ -3,9 +3,7 @@
 //! An explicit, versioned, checksummed binary layout (little-endian).
 //! Format **v2** (written by [`encode`]) separates the page into a fixed
 //! descriptor header and one contiguous, 8-byte-aligned `f64` slab, so
-//! encode and decode are bulk byte copies instead of per-element loops —
-//! the codec half of the zero-copy read path (the other half is the
-//! mmap-backed stores handing [`decode`] a borrowed page view):
+//! encode and decode are bulk byte copies instead of per-element loops:
 //!
 //! ```text
 //! offset    size  field
@@ -116,8 +114,8 @@ pub(crate) fn put_f64_slab(buf: &mut Vec<u8>, vals: &[f64]) {
 }
 
 /// Decodes a little-endian `f64` slab into an owned vector in one bulk
-/// copy — on the mmap read path this is the *single* copy between the page
-/// cache and the resident [`Mat`]s.
+/// copy — the only copy between the page buffer and the resident
+/// [`Mat`]s.
 fn get_f64_slab(bytes: &[u8]) -> Vec<f64> {
     debug_assert_eq!(bytes.len() % 8, 0, "slab length must be 8-divisible");
     let n = bytes.len() / 8;
@@ -327,8 +325,8 @@ fn parse_v2_header(body: &[u8]) -> Result<PageHeader> {
 /// Deserialises a page after [`verify`]. Accepts both the current v2
 /// layout and legacy v1 pages.
 ///
-/// The input may be a borrowed view straight out of a memory map: nothing
-/// is copied until the payload slab is materialised into [`Mat`]s.
+/// Nothing is copied out of `bytes` until the payload slab is
+/// materialised into [`Mat`]s.
 ///
 /// # Errors
 /// [`StorageError::Corrupt`] on any structural or integrity failure.

@@ -123,9 +123,8 @@ fn newest_slot(file: &[u8], unit: UnitId, shape: (usize, usize)) -> Result<(usiz
 
 /// Replaces `data.factor` with the newest version in the unit's factor
 /// file under `dir`, if there is one — the single place a page read off
-/// disk becomes the unit of record (`DiskStore` reads, mmap or not, and
-/// its prefetch reader all come through here). `scratch` is the file
-/// buffer.
+/// disk becomes the unit of record (`DiskStore` reads and its prefetch
+/// reader both come through here). `scratch` is the file buffer.
 ///
 /// # Errors
 /// I/O failures; [`StorageError::Corrupt`] per [`newest_slot`].
@@ -170,7 +169,6 @@ struct Handle {
 /// `DiskStore` that is the directory's only writer (so a cached handle
 /// can only go stale through [`FactorFiles::invalidate`]).
 pub(crate) struct FactorFiles {
-    cap: usize,
     tick: u64,
     handles: HashMap<UnitId, Handle>,
     /// Slot (or, on creation, whole-file) encode buffer.
@@ -178,9 +176,12 @@ pub(crate) struct FactorFiles {
 }
 
 impl FactorFiles {
-    pub fn new(cap: usize) -> Self {
+    /// Most factor files held open at once: a hot working set's worth,
+    /// far below the process descriptor budget.
+    pub const CAP: usize = 64;
+
+    pub fn new() -> Self {
         FactorFiles {
-            cap: cap.max(1),
             tick: 0,
             handles: HashMap::new(),
             buf: Vec::new(),
@@ -199,7 +200,7 @@ impl FactorFiles {
                 Some(handle) => handle,
                 None => self.create(&path, unit, factor)?,
             };
-            if self.handles.len() >= self.cap {
+            if self.handles.len() >= Self::CAP {
                 self.evict_lru();
             }
             self.handles.insert(unit, handle);

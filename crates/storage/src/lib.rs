@@ -29,13 +29,11 @@
 //!   disk reads overlap compute instead of blocking it, and a read is
 //!   only issued while its page is sure to fit the staging area. Prefetch
 //!   moves bytes, never values — results and swap counts are
-//!   bit-identical with the pipeline on or off;
-//! * the zero-copy read path ([`mmap_auto`] / `TPCP_MMAP`,
-//!   [`DiskStore::set_mmap`]): an mmap-backed store hands the codec (and,
-//!   via [`UnitStore::read_slab`], the buffer pool) borrowed page views
-//!   straight out of the page cache, so a resident unit materialises with
-//!   exactly one copy — map → `Mat`.
-//!   Like prefetch, mmap moves bytes, never values.
+//!   bit-identical with the pipeline on or off.
+//!
+//! A unit leaves a [`DiskStore`] one way: its page file is read into a
+//! reused buffer, decoded, and overlaid with its factor file. The
+//! synchronous read and the prefetch worker share that one function.
 
 pub mod codec;
 
@@ -50,7 +48,7 @@ pub use buffer::{capacity_for_fraction, BufferPool};
 pub use policy::{ForwardPolicy, LruPolicy, MruPolicy, PolicyKind, ReplacementPolicy};
 pub use prefetch::{PrefetchConfig, PrefetchRead, PrefetchSource, PREFETCH_ENV_VAR};
 pub use stats::IoStats;
-pub use store::{mmap_auto, DiskStore, MemStore, PageRead, UnitData, UnitStore, MMAP_ENV_VAR};
+pub use store::{DiskStore, MemStore, PageRead, UnitData, UnitStore};
 
 use tpcp_schedule::UnitId;
 

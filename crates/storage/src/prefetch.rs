@@ -27,11 +27,10 @@
 //! results are bit-identical with the pipeline on or off.
 //!
 //! The staging hop itself is copy-free: the worker's [`PrefetchRead`]
-//! decodes the page (from its own memory map when the store runs with
-//! mmap on — one copy, map → `Mat`), and the decoded [`UnitData`] then
-//! *moves* through the staging channel and into the pool's entry map.
-//! [`DiskStore`](crate::DiskStore) readers additionally keep a bounded,
-//! inode-validated FD cache so hot units skip the open/close cycle.
+//! decodes the page, and the decoded [`UnitData`] then *moves* through
+//! the staging channel and into the pool's entry map. A
+//! [`DiskStore`](crate::DiskStore) reader opens the page per read, the
+//! same function the store's synchronous read calls.
 
 use crate::store::UnitData;
 use crate::Result;

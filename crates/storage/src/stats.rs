@@ -36,11 +36,6 @@ pub struct IoStats {
     /// in-flight prefetch. This is the swap cost actually paid on the
     /// critical path; prefetch exists to shrink it.
     pub stall_ns: u64,
-    /// Synchronous fetches served through the zero-copy borrowed-slab
-    /// path (an mmap-backed store handed the pool a raw page view and the
-    /// pool decoded it straight into residency). A subset of `fetches`;
-    /// like prefetch, the transport never changes what counts as a swap.
-    pub borrowed_reads: u64,
     /// Pages the prefetch worker read and decoded that the pool then
     /// threw away on arrival: no room in the staging area, the unit was
     /// written back after the read was issued (stale epoch), or it had
@@ -82,7 +77,6 @@ impl IoStats {
             prefetch_hits: self.prefetch_hits - earlier.prefetch_hits,
             prefetched_bytes: self.prefetched_bytes - earlier.prefetched_bytes,
             stall_ns: self.stall_ns - earlier.stall_ns,
-            borrowed_reads: self.borrowed_reads - earlier.borrowed_reads,
             prefetch_discarded: self.prefetch_discarded - earlier.prefetch_discarded,
         }
     }
@@ -93,7 +87,7 @@ impl std::fmt::Display for IoStats {
         write!(
             f,
             "swaps={} hits={} evictions={} write_backs={} read={}B written={}B \
-             prefetch_hits={} prefetched={}B discarded={} stall={:.2}ms borrowed={}",
+             prefetch_hits={} prefetched={}B discarded={} stall={:.2}ms",
             self.fetches,
             self.hits,
             self.evictions,
@@ -103,8 +97,7 @@ impl std::fmt::Display for IoStats {
             self.prefetch_hits,
             self.prefetched_bytes,
             self.prefetch_discarded,
-            self.stall_ms(),
-            self.borrowed_reads
+            self.stall_ms()
         )
     }
 }
@@ -137,7 +130,6 @@ mod tests {
             prefetch_hits: 1,
             prefetched_bytes: 60,
             stall_ns: 1_000,
-            borrowed_reads: 1,
             prefetch_discarded: 2,
         };
         let late = IoStats {
@@ -150,7 +142,6 @@ mod tests {
             prefetch_hits: 4,
             prefetched_bytes: 200,
             stall_ns: 5_000,
-            borrowed_reads: 3,
             prefetch_discarded: 7,
         };
         let d = late.since(&early);
@@ -163,7 +154,6 @@ mod tests {
         assert_eq!(d.prefetch_hits, 3);
         assert_eq!(d.prefetched_bytes, 140);
         assert_eq!(d.stall_ns, 4_000);
-        assert_eq!(d.borrowed_reads, 2);
         assert_eq!(d.prefetch_discarded, 5);
         assert_eq!(d.swaps(), 5);
     }

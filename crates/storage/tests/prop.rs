@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use tpcp_linalg::Mat;
 use tpcp_schedule::{AccessSequence, UnitId};
 use tpcp_storage::{
-    codec, BufferPool, DiskStore, MemStore, PageRead, PolicyKind, PrefetchConfig, PrefetchSource,
+    codec, BufferPool, DiskStore, MemStore, PolicyKind, PrefetchConfig, PrefetchSource,
     StorageError, UnitData, UnitStore,
 };
 
@@ -345,89 +345,11 @@ proptest! {
         prop_assert_eq!(codec::fnv1a(&data), reference(&data));
     }
 
-    /// The mmap read path moves bytes, never values: an mmap-backed disk
-    /// store run through a random pool workload observes and persists
-    /// exactly what the buffered run does, counter for counter.
-    #[test]
-    fn mmap_pool_runs_match_buffered_runs(
-        ops in ops(),
-        policy_idx in 0usize..3,
-        capacity_units in 1usize..7,
-    ) {
-        let policy = PolicyKind::ALL[policy_idx];
-        let dir = std::env::temp_dir().join(format!(
-            "tpcp_prop_mmap_{}_{}",
-            std::process::id(),
-            std::thread::current().name().map(str::to_owned).unwrap_or_default().len(),
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let unit_bytes = unit_data(0, 3, 0.0).payload_bytes();
-
-        let run = |mmap: bool, tag: &str| -> (Vec<f64>, tpcp_storage::IoStats, Vec<f64>) {
-            let mut store = DiskStore::open_with(dir.join(tag), mmap).unwrap();
-            for part in 0..6 {
-                store.write(&unit_data(part, 3, part as f64)).unwrap();
-            }
-            let mut pool = BufferPool::new(store, unit_bytes * capacity_units, policy);
-            let mut observed = Vec::new();
-            let mut version = 100.0;
-            for op in &ops {
-                match op {
-                    Op::Touch { part, mutate } => {
-                        let id = UnitId::new(0, *part);
-                        pool.acquire(&[id]).unwrap();
-                        observed.push(pool.get(id).unwrap().factor.get(0, 0));
-                        if *mutate != Mutate::No {
-                            version += 1.0;
-                            apply(&mut pool, *part, *mutate, version);
-                        }
-                        pool.release(&[id]);
-                    }
-                    Op::Flush => pool.flush().unwrap(),
-                }
-            }
-            pool.flush_and_clear().unwrap();
-            let stats = pool.stats();
-            let mut store = pool.into_store().unwrap();
-            let finals: Vec<f64> = (0..6)
-                .map(|p| store.read(UnitId::new(0, p)).unwrap().factor.get(0, 0))
-                .collect();
-            (observed, stats, finals)
-        };
-
-        let off = run(false, "off");
-        let on = run(true, "on");
-        prop_assert_eq!(&off.0, &on.0, "observed values diverged");
-        prop_assert_eq!(off.1.fetches, on.1.fetches, "swap counts diverged");
-        prop_assert_eq!(off.1.hits, on.1.hits);
-        prop_assert_eq!(off.1.evictions, on.1.evictions);
-        prop_assert_eq!(off.1.write_backs, on.1.write_backs);
-        prop_assert_eq!(off.1.bytes_read, on.1.bytes_read, "byte accounting diverged");
-        prop_assert_eq!(off.1.bytes_written, on.1.bytes_written);
-        prop_assert_eq!(off.1.borrowed_reads, 0, "buffered run must not borrow");
-        // A page is borrowed from the map for as long as it is the whole
-        // unit; a factor-only write-back ends that (the store overlays the
-        // factor file itself), a whole-unit one restores it.
-        let factor_writes = ops.iter().any(|op| {
-            matches!(op, Op::Touch { mutate: Mutate::Factor, .. })
-        });
-        if cfg!(unix) && !factor_writes {
-            prop_assert_eq!(
-                on.1.borrowed_reads, on.1.fetches,
-                "every mmap fetch of a whole page must take the borrowed-slab path"
-            );
-        }
-        prop_assert!(on.1.borrowed_reads <= on.1.fetches);
-        prop_assert_eq!(&off.2, &on.2, "final store contents diverged");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Every store is a store of record under any interleaving of whole
-    /// writes, factor-only writes and reads: `MemStore`, `DiskStore`
-    /// (buffered and mmap) and a fresh `DiskStore` over the same directory
-    /// all read back what a plain map of whole units would — through
-    /// `read`, `read_slab` and the prefetch reader alike.
+    /// writes, factor-only writes and reads: `MemStore`, `DiskStore` and a
+    /// fresh `DiskStore` over the same directory all read back what a
+    /// plain map of whole units would — through `read` and the prefetch
+    /// reader alike.
     #[test]
     fn stores_of_record_agree_under_any_write_interleaving(
         ops in proptest::collection::vec((0usize..3, 0usize..4), 1..40),
@@ -439,15 +361,11 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         check_store_of_record(MemStore::new(), &ops);
-        for mmap in [false, true] {
-            let at = dir.join(format!("disk_{mmap}"));
-            let model = check_store_of_record(DiskStore::open_with(&at, mmap).unwrap(), &ops);
-            // What was written survives the instance, whichever way the
-            // next one reads.
-            let mut second = DiskStore::open_with(&at, !mmap).unwrap();
-            for (id, expect) in &model {
-                prop_assert_eq!(&second.read(*id).unwrap(), expect, "re-opened store");
-            }
+        let model = check_store_of_record(DiskStore::open(&dir).unwrap(), &ops);
+        // What was written survives the instance.
+        let mut second = DiskStore::open(&dir).unwrap();
+        for (id, expect) in &model {
+            prop_assert_eq!(&second.read(*id).unwrap(), expect, "re-opened store");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -490,13 +408,6 @@ fn check_store_of_record<S: UnitStore + PrefetchSource>(
             Err(StorageError::NotFound(_)) => prop_assert!(expect.is_none()),
             Err(e) => panic!("read failed at step {step}: {e}"),
         }
-        let slab = match store.read_slab(id) {
-            Ok(PageRead::Owned(got)) => Some(got),
-            Ok(PageRead::Borrowed(page)) => Some(codec::decode(page).unwrap()),
-            Err(StorageError::NotFound(_)) => None,
-            Err(e) => panic!("read_slab failed at step {step}: {e}"),
-        };
-        prop_assert_eq!(slab.as_ref(), expect, "read_slab, step {}", step);
         if let Some(reader) = reader.as_mut() {
             let got = reader.read(id).ok();
             prop_assert_eq!(got.as_ref(), expect, "prefetch reader, step {}", step);
