@@ -43,33 +43,11 @@
 //! what they were before version 2 existed, and old files keep loading.
 //!
 //! Factor matrices ride as ordinary codec-v2 pages — the same
-//! checksummed, bulk-copy format the unit stores swap — and both load
-//! paths check them with `tpcp_storage::codec::verify` (the owned one
-//! through `codec::decode`), so a corrupted factor fails the same way a
-//! corrupted swap page does.
-//!
-//! # Residency: owned vs shared-mmap
-//!
-//! A model can be resident in two ways ([`Model::residency`]):
-//!
-//! * [`Residency::Owned`] — factors decoded into owned matrices
-//!   ([`Model::from_bytes`], [`Model::load_with`] buffered);
-//! * [`Residency::Mapped`] — [`Model::load_shared`] validates the whole
-//!   container once (checksums, shapes) and then reads the factor slabs
-//!   *in place* from one shared, page-aligned memory map. Queries borrow
-//!   `&[f64]` views straight out of the map — zero copies per query —
-//!   and cloning the model clones an `Arc` of the map, so a serving
-//!   registry holds exactly one mapping per model version. Because the
-//!   map is `MAP_SHARED` over an immutable file that writers replace via
-//!   atomic rename ([`Model::save`]), a hot swap never mutates pages
-//!   under a live reader: sessions pinned to the old version keep the old
-//!   inode's mapping alive until the last `Arc` drops.
-//!
-//! Both residencies answer every query bitwise-identically: the slab
-//! bytes are the same little-endian `f64`s either way, and all heavy
-//! products go through the shared kernel seam
-//! ([`tpcp_linalg::matmul_t_slices`]) with its accumulation-order
-//! contract.
+//! checksummed, bulk-copy format the unit stores swap — and the loader
+//! decodes them with `tpcp_storage::codec::decode`, so a corrupted factor
+//! fails the same way a corrupted swap page does. A loaded model owns its
+//! factors: it reads the file once and never looks at it again, so
+//! whatever later happens to the file cannot change a model in memory.
 //!
 //! Besides persistence, [`Model`] is the shared query surface: the
 //! serving daemon (`tpcp-serve`) and in-process verification both answer
@@ -86,7 +64,7 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use tpcp_compress::CompressProvenance;
 use tpcp_cp::CpModel;
-use tpcp_linalg::{gather_rows, matmul_t_slices_auto, Mat};
+use tpcp_linalg::Mat;
 use tpcp_schedule::UnitId;
 use tpcp_storage::{codec, UnitData};
 
@@ -99,21 +77,6 @@ pub const MODEL_MAGIC: &[u8; 8] = b"2PCPMODL";
 pub const MODEL_VERSION: u32 = 2;
 /// Conventional file extension for saved models.
 pub const MODEL_EXT: &str = "2pcpm";
-
-/// The environment variable choosing how [`Model::load`] holds a model:
-/// mapped ([`Residency::Mapped`]) when set to `1` / `on` / `true` /
-/// `yes`, owned otherwise. It is how a serving registry picks residency.
-const MMAP_ENV_VAR: &str = "TPCP_MMAP";
-
-/// Whether `TPCP_MMAP` asks for mapped models.
-fn mmap_auto() -> bool {
-    std::env::var(MMAP_ENV_VAR).is_ok_and(|v| {
-        matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "on" | "true" | "yes"
-        )
-    })
-}
 
 /// Hard ceilings rejected at load time before any allocation is sized
 /// from untrusted header fields.
@@ -146,104 +109,8 @@ pub struct ModelMeta {
     pub compress: Option<CompressProvenance>,
 }
 
-/// How a model's factors are resident in memory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Residency {
-    /// Factors decoded into owned matrices.
-    Owned,
-    /// Factors read zero-copy out of a shared memory map of the
-    /// container file ([`Model::load_shared`]).
-    Mapped,
-}
-
-impl Residency {
-    /// Human-readable label (`"owned"` / `"mapped"`), used by the serving
-    /// smoke and status output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Residency::Owned => "owned",
-            Residency::Mapped => "mapped",
-        }
-    }
-}
-
-/// A borrowed view of one factor matrix: `rows × cols`, row-major. For
-/// owned models it borrows the matrix's buffer; for mapped models it
-/// borrows the container's memory map directly.
-#[derive(Clone, Copy)]
-pub struct FactorView<'a> {
-    data: &'a [f64],
-    rows: usize,
-    cols: usize,
-}
-
-impl<'a> FactorView<'a> {
-    /// Number of rows (`I_h`).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-    /// Number of columns (the rank `F`).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-    /// The whole factor, row-major.
-    pub fn as_slice(&self) -> &'a [f64] {
-        self.data
-    }
-    /// Row `r`.
-    pub fn row(&self, r: usize) -> &'a [f64] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-    /// Materialises an owned copy.
-    pub fn to_mat(&self) -> Mat {
-        Mat::from_vec(self.rows, self.cols, self.data.to_vec())
-    }
-}
-
-/// Factors resident in a shared memory map: the map itself plus, per
-/// mode, the absolute byte offset and shape of its `f64` slab.
-#[derive(Clone)]
-struct MappedFactors {
-    map: Arc<memmap2::Mmap>,
-    weights: Vec<f64>,
-    /// Per mode: (byte offset of the slab within the map, rows, cols).
-    slabs: Vec<(usize, usize, usize)>,
-}
-
-impl MappedFactors {
-    fn slab(&self, mode: usize) -> &[f64] {
-        let (off, rows, cols) = self.slabs[mode];
-        let n = rows * cols;
-        let bytes = &self.map[off..off + n * 8];
-        debug_assert_eq!(bytes.as_ptr() as usize % 8, 0, "slab alignment");
-        // SAFETY: the offset was validated 8-aligned at load time (and
-        // the container layout guarantees it — pages start on 8-byte
-        // boundaries of a page-aligned map, slabs at +32); `f64` accepts
-        // any bit pattern; this build is little-endian (checked at load),
-        // so the mapped bytes *are* the in-memory representation. The
-        // borrow keeps the `Arc<Mmap>` alive for the slice's lifetime.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<f64>(), n) }
-    }
-}
-
-#[derive(Clone)]
-enum FactorStore {
-    Owned(CpModel),
-    Mapped(MappedFactors),
-}
-
-impl FactorStore {
-    fn order(&self) -> usize {
-        match self {
-            FactorStore::Owned(cp) => cp.order(),
-            FactorStore::Mapped(m) => m.slabs.len(),
-        }
-    }
-}
-
 /// A saved/loadable decomposition: metadata plus the weighted factors,
-/// resident either as owned matrices or zero-copy over a shared memory
-/// map of the container (see [`Residency`]).
+/// held as owned matrices.
 ///
 /// A model's factors and weights never change after construction: no
 /// `&mut` accessor to them exists, and a reload builds a new `Model`.
@@ -254,7 +121,7 @@ impl FactorStore {
 pub struct Model {
     /// Descriptive metadata (see [`ModelMeta`]).
     pub meta: ModelMeta,
-    store: FactorStore,
+    cp: CpModel,
     /// Per mode, `Σ_f (λ_f·A[r, f])²` for every row `r` (8 B per row),
     /// filled lazily by [`Model::row_norms`].
     norms: Arc<[OnceLock<Vec<f64>>]>,
@@ -262,24 +129,15 @@ pub struct Model {
 
 impl std::fmt::Debug for Model {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Model")
-            .field("meta", &self.meta)
-            .field("residency", &self.residency())
-            .finish()
+        f.debug_struct("Model").field("meta", &self.meta).finish()
     }
 }
 
 impl PartialEq for Model {
-    /// Value equality: same metadata, same weights, same factor entries —
-    /// regardless of residency (a mapped model equals its owned decode).
+    /// Value equality: same metadata, same weights, same factor entries.
+    /// The row-norm cache is not compared.
     fn eq(&self, other: &Self) -> bool {
-        if self.meta != other.meta || self.weights() != other.weights() {
-            return false;
-        }
-        (0..self.order()).all(|h| {
-            let (a, b) = (self.factor(h), other.factor(h));
-            (a.rows(), a.cols()) == (b.rows(), b.cols()) && a.as_slice() == b.as_slice()
-        })
+        self.meta == other.meta && self.cp == other.cp
     }
 }
 
@@ -310,21 +168,21 @@ impl Model {
                 cp.dims()
             )));
         }
-        Ok(Model::with_store(meta, FactorStore::Owned(cp)))
+        Ok(Model::with_cp(meta, cp))
     }
 
-    fn with_store(meta: ModelMeta, store: FactorStore) -> Self {
+    fn with_cp(meta: ModelMeta, cp: CpModel) -> Self {
         Model {
             meta,
-            norms: (0..store.order()).map(|_| OnceLock::new()).collect(),
-            store,
+            norms: (0..cp.order()).map(|_| OnceLock::new()).collect(),
+            cp,
         }
     }
 
     /// Promotes a driver outcome into a named artifact, recording the
     /// run's provenance (seed, schedule, grid) from its config.
     pub fn from_outcome(name: &str, outcome: &TwoPcpOutcome, config: &TwoPcpConfig) -> Self {
-        Model::with_store(
+        Model::with_cp(
             ModelMeta {
                 name: name.to_string(),
                 rank: outcome.model.rank(),
@@ -335,7 +193,7 @@ impl Model {
                 parts: config.parts.clone(),
                 compress: outcome.compress.clone(),
             },
-            FactorStore::Owned(outcome.model.clone()),
+            outcome.model.clone(),
         )
     }
 
@@ -346,68 +204,31 @@ impl Model {
 
     /// Tensor order `N`.
     pub fn order(&self) -> usize {
-        self.store.order()
+        self.cp.order()
     }
 
     /// Tensor shape.
     pub fn dims(&self) -> Vec<usize> {
-        (0..self.order()).map(|h| self.factor(h).rows()).collect()
-    }
-
-    /// How the factors are resident (owned matrices vs shared mmap).
-    pub fn residency(&self) -> Residency {
-        match &self.store {
-            FactorStore::Owned(_) => Residency::Owned,
-            FactorStore::Mapped(_) => Residency::Mapped,
-        }
+        self.cp.dims()
     }
 
     /// The component weights λ.
     pub fn weights(&self) -> &[f64] {
-        match &self.store {
-            FactorStore::Owned(cp) => &cp.weights,
-            FactorStore::Mapped(m) => &m.weights,
-        }
+        &self.cp.weights
     }
 
-    /// A borrowed view of mode `mode`'s factor matrix.
+    /// Mode `mode`'s factor matrix.
     ///
     /// # Panics
     /// Panics when `mode >= self.order()` (use [`Model::factor_checked`]
     /// for untrusted input).
-    pub fn factor(&self, mode: usize) -> FactorView<'_> {
-        match &self.store {
-            FactorStore::Owned(cp) => {
-                let f = &cp.factors[mode];
-                FactorView {
-                    data: f.as_slice(),
-                    rows: f.rows(),
-                    cols: f.cols(),
-                }
-            }
-            FactorStore::Mapped(m) => {
-                let (_, rows, cols) = m.slabs[mode];
-                FactorView {
-                    data: m.slab(mode),
-                    rows,
-                    cols,
-                }
-            }
-        }
+    pub fn factor(&self, mode: usize) -> &Mat {
+        &self.cp.factors[mode]
     }
 
-    /// Materialises an owned [`CpModel`] (a cheap borrow for owned
-    /// residency is impossible here because mapped factors have no
-    /// backing `Mat`s; this copies in that case).
-    pub fn to_cp(&self) -> CpModel {
-        match &self.store {
-            FactorStore::Owned(cp) => cp.clone(),
-            FactorStore::Mapped(m) => CpModel::new(
-                m.weights.clone(),
-                (0..self.order()).map(|h| self.factor(h).to_mat()).collect(),
-            )
-            .expect("mapped factors validated at load"),
-        }
+    /// The weighted factors as a [`CpModel`].
+    pub fn to_cp(&self) -> &CpModel {
+        &self.cp
     }
 
     // ------------------------------------------------------------------
@@ -436,7 +257,7 @@ impl Model {
         for h in 0..self.order() {
             let page = codec::encode(&UnitData {
                 unit: UnitId::new(h, 0),
-                factor: self.factor(h).to_mat(),
+                factor: self.factor(h).clone(),
                 sub_factors: Vec::new(),
             });
             out.extend_from_slice(&(page.len() as u64).to_le_bytes());
@@ -447,10 +268,9 @@ impl Model {
     }
 
     /// Writes the container to `path`, atomically (write to a sibling
-    /// temp file, then rename over the destination). The rename is what
-    /// makes hot swaps safe for mapped readers: the old inode is never
-    /// mutated, so live [`Residency::Mapped`] models keep reading
-    /// consistent bytes until their map drops.
+    /// temp file, then rename over the destination), so a concurrent
+    /// [`Model::load`] of `path` reads either the old container or the
+    /// new one, never a half-written file.
     ///
     /// # Errors
     /// [`TwoPcpError::Storage`] on I/O failure.
@@ -470,69 +290,27 @@ impl Model {
         Ok(())
     }
 
-    /// Loads a container from `path`, honouring the `TPCP_MMAP` default:
-    /// with mmap on this is [`Model::load_shared`] (zero-copy residency),
-    /// otherwise a buffered owned decode.
+    /// Loads a container from `path`: the file is read once and decoded
+    /// into owned matrices.
     ///
     /// # Errors
     /// [`TwoPcpError::Storage`] on I/O failure, [`TwoPcpError::Model`]
     /// on a malformed or corrupted container.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        Self::load_with(path, mmap_auto())
-    }
-
-    /// Loads a container, choosing the transport explicitly: `mmap`
-    /// routes through [`Model::load_shared`] (factors stay resident in
-    /// the map); otherwise the file is read into a buffer and decoded
-    /// into owned matrices.
-    pub fn load_with(path: impl AsRef<Path>, mmap: bool) -> Result<Self> {
-        let path = path.as_ref();
-        if mmap {
-            return Self::load_shared(path);
-        }
         Self::from_bytes(&std::fs::read(path)?)
     }
 
-    /// Loads a container as a shared-mmap resident model: the whole file
-    /// is validated once (header checksum, per-page checksums, shapes),
-    /// then queries read the factor slabs zero-copy out of one shared
-    /// memory map. Falls back to an owned decode when the platform or
-    /// container layout is not eligible (mapping failure, big-endian
-    /// target, legacy codec-v1 pages) — the returned model then reports
-    /// [`Residency::Owned`].
+    /// [`Model::load`]. Nothing in the workspace needs this; it leaves
+    /// with ROADMAP 1(b).
     ///
     /// # Errors
-    /// [`TwoPcpError::Storage`] on I/O failure, [`TwoPcpError::Model`]
-    /// on a malformed or corrupted container.
+    /// As [`Model::load`].
     pub fn load_shared(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref();
-        let file = std::fs::File::open(path)?;
-        // SAFETY: the map aliases the file, so it is sound only while no
-        // one writes to or truncates this inode. [`Model::save`] never
-        // does: it writes a sibling temp file and renames it over `path`,
-        // which swaps the directory entry and leaves the mapped inode's
-        // bytes untouched until the map drops. Pinned by
-        // `shared_load_is_mapped_and_bitwise_equal`, which saves a
-        // different model over a mapped file.
-        let map = match unsafe { memmap2::Mmap::map(&file) } {
-            Ok(map) => map,
-            // Mapping can fail (empty file, exotic fs) — fall back to
-            // the buffered read, which reports the real parse error.
-            Err(_) => return Self::from_bytes(&std::fs::read(path)?),
-        };
-        map.advise_willneed(0, map.len());
-        #[cfg(target_endian = "little")]
-        {
-            Self::from_mapped(map)
-        }
-        #[cfg(not(target_endian = "little"))]
-        {
-            Self::from_bytes(&map)
-        }
+        Self::load(path)
     }
 
-    /// Parses a container from bytes into an owned-residency model (the
-    /// inverse of [`Model::to_bytes`]).
+    /// Parses a container from bytes into a model (the inverse of
+    /// [`Model::to_bytes`]).
     ///
     /// # Errors
     /// [`TwoPcpError::Model`] describing the first malformed field; all
@@ -545,61 +323,13 @@ impl Model {
             let (page, next) = next_page(bytes, pos, h)?;
             let unit =
                 codec::decode(page).map_err(|e| model_err(format!("factor {h} page: {e}")))?;
-            check_factor_page(
-                &meta,
-                h,
-                unit.unit,
-                unit.sub_factors.len(),
-                unit.factor.shape(),
-            )?;
+            check_factor_page(&meta, h, &unit)?;
             factors.push(unit.factor);
             pos = next;
         }
         let cp = CpModel::new(weights, factors)
             .map_err(|e| model_err(format!("factors disagree with metadata: {e}")))?;
         Model::new(meta, cp)
-    }
-
-    /// Validates a mapped container and records slab offsets instead of
-    /// decoding: one checksum pass at load, zero copies afterwards.
-    #[cfg(target_endian = "little")]
-    fn from_mapped(map: memmap2::Mmap) -> Result<Self> {
-        let bytes: &[u8] = &map;
-        let (meta, weights, mut pos) = parse_container_head(bytes)?;
-        if weights.len() != meta.rank {
-            return Err(model_err("factors disagree with metadata: weight arity"));
-        }
-        let mut slabs = Vec::with_capacity(meta.dims.len());
-        for h in 0..meta.dims.len() {
-            let (page, next) = next_page(bytes, pos, h)?;
-            let header = match codec::verify(page) {
-                Ok(Some(header)) => header,
-                // Legacy codec-v1 page: not slab-shaped — decode owned.
-                Ok(None) => return Self::from_bytes(bytes),
-                Err(e) => return Err(model_err(format!("factor {h} page: {e}"))),
-            };
-            let subs = header.sub_factors.len();
-            check_factor_page(&meta, h, header.unit, subs, header.factor_shape)?;
-            // `pos` addresses the u64 page-length prefix; the page (and
-            // therefore the slab offset) starts just past it.
-            let slab_off = pos + 8 + header.slab_offset;
-            if !(bytes.as_ptr() as usize + slab_off).is_multiple_of(8) {
-                // Cannot happen with a page-aligned map and the 8-aligned
-                // container layout, but misalignment must never reach the
-                // unsafe slice cast — decode owned instead.
-                return Self::from_bytes(bytes);
-            }
-            slabs.push((slab_off, meta.dims[h], meta.rank));
-            pos = next;
-        }
-        Ok(Model::with_store(
-            meta,
-            FactorStore::Mapped(MappedFactors {
-                map: Arc::new(map),
-                weights,
-                slabs,
-            }),
-        ))
     }
 
     fn encode_meta(&self) -> Vec<u8> {
@@ -688,19 +418,12 @@ impl Model {
         }
         let prod = self.pinned_product(&[mode_r, mode_c], fixed)?;
         // out = (A_r ⊙ prod) · A_cᵀ  — scale A_r's columns by the pinned
-        // product, then one matmul_t gives every (i, j) at once. The rhs
-        // factor is consumed as a raw slice so mapped residency pays no
-        // copy for it.
-        let mut scaled = self.factor(mode_r).to_mat();
+        // product, then one matmul_t gives every (i, j) at once.
+        let mut scaled = self.factor(mode_r).clone();
         scaled.scale_columns(&prod);
-        let c = self.factor(mode_c);
-        Ok(matmul_t_slices_auto(
-            scaled.as_slice(),
-            scaled.rows(),
-            scaled.cols(),
-            c.as_slice(),
-            c.rows(),
-        ))
+        Ok(scaled
+            .matmul_t(self.factor(mode_c))
+            .expect("both factors have rank columns"))
     }
 
     /// The `k` largest entries of the mode-`mode` fiber at `fixed`,
@@ -841,10 +564,10 @@ impl Model {
         }
         let mut prod = broadcast_weights(self.weights(), queries.len());
         let mut rows_scratch = Vec::with_capacity(queries.len());
-        for (h, view) in (0..dims.len()).map(|h| (h, self.factor(h))) {
+        for h in 0..dims.len() {
             rows_scratch.clear();
             rows_scratch.extend(queries.iter().map(|q| q[h]));
-            let gathered = gather_rows(view.as_slice(), view.rows(), view.cols(), &rows_scratch);
+            let gathered = self.factor(h).gather_rows(&rows_scratch);
             prod.hadamard_assign(&gathered)
                 .expect("broadcast and gather shapes agree");
         }
@@ -897,8 +620,7 @@ impl Model {
                 }
                 rows_scratch.push(c);
             }
-            let view = self.factor(h);
-            let gathered = gather_rows(view.as_slice(), view.rows(), view.cols(), &rows_scratch);
+            let gathered = self.factor(h).gather_rows(&rows_scratch);
             p.hadamard_assign(&gathered)
                 .expect("broadcast and gather shapes agree");
         }
@@ -914,7 +636,7 @@ impl Model {
             }
         }
         let a = self.factor(mode);
-        let m = matmul_t_slices_auto(a.as_slice(), a.rows(), a.cols(), p.as_slice(), p.rows());
+        let m = a.matmul_t(&p).expect("P has rank columns");
         // Column q of the I × n product is query q's fiber.
         Ok((0..queries.len())
             .map(|q| (0..a.rows()).map(|i| m.get(i, q)).collect())
@@ -937,7 +659,7 @@ impl Model {
                 )));
             }
         }
-        Ok(gather_rows(a.as_slice(), a.rows(), a.cols(), indices))
+        Ok(a.gather_rows(indices))
     }
 
     /// `λ_f · Π_{m ∉ free} A⁽ᵐ⁾[fixed_m, f]` — the component products with
@@ -979,7 +701,7 @@ impl Model {
         Ok(prod)
     }
 
-    fn factor_checked(&self, mode: usize) -> Result<FactorView<'_>> {
+    fn factor_checked(&self, mode: usize) -> Result<&Mat> {
         if mode >= self.order() {
             return Err(model_err(format!(
                 "mode {mode} out of range for an order-{} tensor",
@@ -1089,8 +811,7 @@ fn parse_container_head(bytes: &[u8]) -> Result<(ModelMeta, Vec<f64>, usize)> {
             "metadata checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
         )));
     }
-    let meta = decode_meta(&bytes[16..meta_end], version)?;
-    let weights = meta_weights(&bytes[16..meta_end], &meta);
+    let (meta, weights) = decode_meta(&bytes[16..meta_end], version)?;
     Ok((meta, weights, align8(meta_end + 8)))
 }
 
@@ -1116,16 +837,11 @@ fn next_page(bytes: &[u8], pos: usize, h: usize) -> Result<(&[u8], usize)> {
 /// Checks what the codec cannot know about factor `h`'s page: that it
 /// holds unit `⟨h, 0⟩` with no sub-factors, shaped `dims[h] × rank` as
 /// the metadata says.
-fn check_factor_page(
-    meta: &ModelMeta,
-    h: usize,
-    unit: UnitId,
-    sub_factors: usize,
-    (rows, cols): (usize, usize),
-) -> Result<()> {
-    if unit != UnitId::new(h, 0) || sub_factors != 0 {
+fn check_factor_page(meta: &ModelMeta, h: usize, page: &UnitData) -> Result<()> {
+    if page.unit != UnitId::new(h, 0) || !page.sub_factors.is_empty() {
         return Err(model_err(format!("factor {h} page carries the wrong unit")));
     }
+    let (rows, cols) = page.factor.shape();
     if (rows, cols) != (meta.dims[h], meta.rank) {
         return Err(model_err(format!(
             "factor {h} is {rows}×{cols}, metadata says {}×{}",
@@ -1169,7 +885,9 @@ impl<'a> MetaReader<'a> {
     }
 }
 
-fn decode_meta(bytes: &[u8], version: u32) -> Result<ModelMeta> {
+/// Decodes the metadata block: the fields, then λ right after the last
+/// of them, which must end the block exactly.
+fn decode_meta(bytes: &[u8], version: u32) -> Result<(ModelMeta, Vec<f64>)> {
     let mut r = MetaReader { bytes, pos: 0 };
     let name = r.string()?;
     let rank = r.u32()?;
@@ -1225,8 +943,14 @@ fn decode_meta(bytes: &[u8], version: u32) -> Result<ModelMeta> {
     } else {
         None
     };
-    // The weights follow; their arity is checked by `meta_weights`.
-    Ok(ModelMeta {
+    let (left, want) = (bytes.len() - r.pos, rank as usize * 8);
+    if left != want {
+        return Err(model_err(format!(
+            "metadata block has {left} bytes after its fields; the {rank} weights take {want}"
+        )));
+    }
+    let weights = (0..rank).map(|_| r.f64()).collect::<Result<_>>()?;
+    let meta = ModelMeta {
         name,
         rank: rank as usize,
         dims,
@@ -1235,20 +959,8 @@ fn decode_meta(bytes: &[u8], version: u32) -> Result<ModelMeta> {
         schedule,
         parts,
         compress,
-    })
-}
-
-/// Re-walks the metadata block to extract the trailing λ vector (decoded
-/// separately so `decode_meta` stays a pure header parse).
-fn meta_weights(bytes: &[u8], meta: &ModelMeta) -> Vec<f64> {
-    let tail = meta.rank * 8;
-    if bytes.len() < tail {
-        return Vec::new(); // arity mismatch — CpModel::new rejects it
-    }
-    bytes[bytes.len() - tail..]
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+    };
+    Ok((meta, weights))
 }
 
 #[cfg(test)]
@@ -1337,149 +1049,74 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_file_both_transports() {
+    fn roundtrip_file_is_identity() {
         let m = sample_model();
         let dir = std::env::temp_dir().join(format!("tpcp_model_rt_{}", std::process::id()));
         let path = dir.join("demo.2pcpm");
         m.save(&path).unwrap();
-        for mmap in [false, true] {
-            let again = Model::load_with(&path, mmap).unwrap();
-            assert_eq!(m, again, "transport mmap={mmap}");
-        }
+        assert_eq!(m, Model::load(&path).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn shared_load_is_mapped_and_bitwise_equal() {
+    fn loaded_model_is_bitwise_equal_and_keeps_its_bits_after_a_save_over_it() {
         let m = sample_model();
-        let dir = std::env::temp_dir().join(format!("tpcp_model_shared_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("tpcp_model_saveover_{}", std::process::id()));
         let path = dir.join("demo.2pcpm");
         m.save(&path).unwrap();
-        let mapped = Model::load_shared(&path).unwrap();
-        assert_eq!(mapped.residency(), Residency::Mapped);
-        assert_eq!(mapped.residency().label(), "mapped");
-        assert_eq!(m.residency(), Residency::Owned);
-        // Factor views are bitwise-equal to the owned decode, and every
-        // query answers identically.
+        let loaded = Model::load(&path).unwrap();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for h in 0..m.order() {
-            let (a, b) = (m.factor(h), mapped.factor(h));
-            assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+            assert_eq!(m.factor(h).shape(), loaded.factor(h).shape());
+            assert_eq!(
+                bits(m.factor(h).as_slice()),
+                bits(loaded.factor(h).as_slice())
+            );
         }
         assert_eq!(
             m.entry(&[1, 2, 3]).unwrap().to_bits(),
-            mapped.entry(&[1, 2, 3]).unwrap().to_bits()
+            loaded.entry(&[1, 2, 3]).unwrap().to_bits()
         );
-        let (f1, f2) = (
-            m.fiber(1, &[2, 3]).unwrap(),
-            mapped.fiber(1, &[2, 3]).unwrap(),
+        assert_eq!(
+            bits(&m.fiber(1, &[2, 3]).unwrap()),
+            bits(&loaded.fiber(1, &[2, 3]).unwrap())
         );
-        assert!(f1.iter().zip(&f2).all(|(a, b)| a.to_bits() == b.to_bits()));
-        let (s1, s2) = (
-            m.slice(0, 2, &[1]).unwrap(),
-            mapped.slice(0, 2, &[1]).unwrap(),
+        assert_eq!(
+            bits(m.slice(0, 2, &[1]).unwrap().as_slice()),
+            bits(loaded.slice(0, 2, &[1]).unwrap().as_slice())
         );
-        assert!(s1
-            .as_slice()
-            .iter()
-            .zip(s2.as_slice())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-        // Clones share the same map (one mapping per model).
-        let clone = mapped.clone();
-        assert_eq!(clone.residency(), Residency::Mapped);
-        assert_eq!(clone, mapped);
-        // A mapped model survives a *different* model being saved over
-        // its file: the rename leaves the old inode's pages intact, so
-        // every factor still reads the old bits (an in-place write would
-        // show the new ones).
+        // Saving a different model over the file leaves the loaded one as
+        // it was, and the next load reads the new one.
         let other = sample_model_seeded(12);
         assert_ne!(other.to_bytes(), m.to_bytes());
         other.save(&path).unwrap();
         for h in 0..m.order() {
-            let (a, b) = (m.factor(h), mapped.factor(h));
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "factor {h} after save");
-            }
+            let (a, b) = (m.factor(h).as_slice(), loaded.factor(h).as_slice());
+            assert_eq!(bits(a), bits(b), "factor {h} after save");
         }
-        assert_eq!(Model::load_shared(&path).unwrap(), other);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupted_containers_are_rejected_by_shared_load_too() {
-        let dir = std::env::temp_dir().join(format!("tpcp_model_sharedbad_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let good = sample_model().to_bytes();
-        // Factor 0's page: past the fixed header, the metadata block, its
-        // checksum and the padding, then the page's u64 length prefix.
-        let meta_len = u32::from_le_bytes(good[12..16].try_into().unwrap()) as usize;
-        let start = align8(16 + meta_len + 8) + 8;
-        let page_len = u64::from_le_bytes(good[start - 8..start].try_into().unwrap());
-        let end = start + page_len as usize;
-        // Overwrites one header word of that page and reseals its checksum,
-        // so only the structural checks can catch the lie.
-        let lie = |offset: usize, value: u32| {
-            let mut bytes = good.clone();
-            bytes[start + offset..start + offset + 4].copy_from_slice(&value.to_le_bytes());
-            let sum = codec::fnv1a(&bytes[start..end - 8]);
-            bytes[end - 8..end].copy_from_slice(&sum.to_le_bytes());
-            bytes
-        };
-        let rows = u32::from_le_bytes(good[start + 20..start + 24].try_into().unwrap());
-        let path = dir.join("bad.2pcpm");
-        // Control: resealing the true value loads, mapped.
-        std::fs::write(&path, lie(20, rows)).unwrap();
-        assert_eq!(
-            Model::load_shared(&path).unwrap().residency(),
-            Residency::Mapped
-        );
-        let mut flipped = good.clone();
-        let n = flipped.len();
-        flipped[n - 24] ^= 0xff;
-        let cases = [
-            ("slab byte flipped", flipped),
-            ("inflated rows", lie(20, rows + 1)),
-            ("sub-factor count u32::MAX", lie(28, u32::MAX)),
-            ("wrong mode", lie(12, 1)),
-        ];
-        for (what, bytes) in cases {
-            std::fs::write(&path, &bytes).unwrap();
-            assert!(Model::load_shared(&path).is_err(), "{what}: load_shared");
-            assert!(Model::from_bytes(&bytes).is_err(), "{what}: from_bytes");
-        }
+        assert_eq!(Model::load(&path).unwrap(), other);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn batched_entries_match_singles_bitwise() {
-        for model in [sample_model(), {
-            let dir = std::env::temp_dir().join(format!("tpcp_model_batch_{}", std::process::id()));
-            let path = dir.join("demo.2pcpm");
-            sample_model().save(&path).unwrap();
-            let m = Model::load_shared(&path).unwrap();
-            let _ = std::fs::remove_dir_all(&dir);
-            m
-        }] {
-            let dims = model.dims();
-            let queries: Vec<Vec<usize>> = (0..17)
-                .map(|q| {
-                    dims.iter()
-                        .enumerate()
-                        .map(|(h, &d)| (q * 5 + h * 3) % d)
-                        .collect()
-                })
-                .collect();
-            let batched = model.entries(&queries).unwrap();
-            for (q, v) in queries.iter().zip(&batched) {
-                assert_eq!(
-                    v.to_bits(),
-                    model.entry(q).unwrap().to_bits(),
-                    "batched entry differs at {q:?} ({:?})",
-                    model.residency()
-                );
-            }
+        let model = sample_model();
+        let dims = model.dims();
+        let queries: Vec<Vec<usize>> = (0..17)
+            .map(|q| {
+                dims.iter()
+                    .enumerate()
+                    .map(|(h, &d)| (q * 5 + h * 3) % d)
+                    .collect()
+            })
+            .collect();
+        let batched = model.entries(&queries).unwrap();
+        for (q, v) in queries.iter().zip(&batched) {
+            assert_eq!(
+                v.to_bits(),
+                model.entry(q).unwrap().to_bits(),
+                "batched entry differs at {q:?}"
+            );
         }
     }
 
@@ -1640,35 +1277,22 @@ mod tests {
 
     #[test]
     fn similar_rows_is_bitwise_the_scalar_full_sort() {
-        let dir = std::env::temp_dir().join(format!("tpcp_model_sim_{}", std::process::id()));
         for rank in [1, 32] {
-            let owned = similarity_model(rank, 5 + rank as u64);
-            let path = dir.join(format!("sim{rank}.2pcpm"));
-            owned.save(&path).unwrap();
-            let mapped = Model::load_shared(&path).unwrap();
-            assert_eq!(mapped.residency(), Residency::Mapped);
-            for mode in 0..owned.order() {
-                let rows = owned.dims()[mode];
+            let m = similarity_model(rank, 5 + rank as u64);
+            for mode in 0..m.order() {
+                let rows = m.dims()[mode];
                 for row in 0..rows {
                     for k in [0, 1, 10, rows - 1, rows, rows + 5] {
-                        let want = ranked_bits(&similar_rows_oracle(&owned, mode, row, k));
-                        for m in [&owned, &mapped] {
-                            let got = ranked_bits(&m.similar_rows(mode, row, k).unwrap());
-                            assert_eq!(
-                                got,
-                                want,
-                                "rank {rank} mode {mode} row {row} k {k} ({:?})",
-                                m.residency()
-                            );
-                        }
+                        let want = ranked_bits(&similar_rows_oracle(&m, mode, row, k));
+                        let got = ranked_bits(&m.similar_rows(mode, row, k).unwrap());
+                        assert_eq!(got, want, "rank {rank} mode {mode} row {row} k {k}");
                     }
-                    for (j, v) in owned.similar_rows(mode, row, rows).unwrap() {
-                        assert_eq!(v.to_bits(), owned.cosine(mode, row, j).unwrap().to_bits());
+                    for (j, v) in m.similar_rows(mode, row, rows).unwrap() {
+                        assert_eq!(v.to_bits(), m.cosine(mode, row, j).unwrap().to_bits());
                     }
                 }
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1745,22 +1369,86 @@ mod tests {
 
     #[test]
     fn corrupted_containers_are_rejected() {
-        let good = sample_model().to_bytes();
-        // Flip a metadata byte — checksum must catch it.
-        let mut bad = good.clone();
-        bad[20] ^= 0xff;
-        assert!(Model::from_bytes(&bad).is_err());
-        // Truncations at every prefix parse as errors, never panic.
-        for cut in [0, 4, 15, 16, 40, good.len() - 1] {
-            assert!(Model::from_bytes(&good[..cut]).is_err(), "cut at {cut}");
+        let model = sample_model();
+        let good = model.to_bytes();
+        let meta_len = u32::from_le_bytes(good[12..16].try_into().unwrap()) as usize;
+        let meta = &good[16..16 + meta_len];
+        let pages_at = align8(16 + meta_len + 8);
+        // The container with its metadata block replaced by `block`,
+        // resealed: new length, new checksum, padding, then the factor
+        // pages unchanged at their new offset.
+        let reseal = |block: &[u8]| {
+            let mut bytes = good[..12].to_vec();
+            bytes.extend_from_slice(&(block.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(block);
+            let sum = codec::fnv1a(&bytes);
+            bytes.extend_from_slice(&sum.to_le_bytes());
+            pad8(&mut bytes);
+            bytes.extend_from_slice(&good[pages_at..]);
+            bytes
+        };
+        // Factor 0's page: past the fixed header, the metadata block, its
+        // checksum and the padding, then the page's u64 length prefix.
+        let start = pages_at + 8;
+        let page_len = u64::from_le_bytes(good[start - 8..start].try_into().unwrap());
+        let end = start + page_len as usize;
+        // Overwrites one header word of that page and reseals its checksum,
+        // so only the structural checks can catch the lie.
+        let lie = |offset: usize, value: u32| {
+            let mut bytes = good.clone();
+            bytes[start + offset..start + offset + 4].copy_from_slice(&value.to_le_bytes());
+            let sum = codec::fnv1a(&bytes[start..end - 8]);
+            bytes[end - 8..end].copy_from_slice(&sum.to_le_bytes());
+            bytes
+        };
+        let rows = u32::from_le_bytes(good[start + 20..start + 24].try_into().unwrap());
+
+        let dir = std::env::temp_dir().join(format!("tpcp_model_bad_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad.2pcpm");
+        // Controls: resealing the true metadata block, or a page's true
+        // value, loads the same model.
+        for (what, bytes) in [("metadata", reseal(meta)), ("page", lie(20, rows))] {
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(Model::load(&path).unwrap(), model, "resealed true {what}");
         }
-        // Wrong magic.
-        let mut bad = good.clone();
-        bad[0] = b'X';
-        assert!(Model::from_bytes(&bad).is_err());
-        // Hostile declared metadata length.
-        let mut bad = good;
-        bad[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Model::from_bytes(&bad).is_err());
+
+        let lambda_at = meta_len - model.rank() * 8;
+        let mut padded = meta[..lambda_at].to_vec();
+        padded.extend_from_slice(&[0u8; 8]);
+        padded.extend_from_slice(&meta[lambda_at..]);
+        let mut meta_flipped = good.clone();
+        meta_flipped[20] ^= 0xff;
+        let mut slab_flipped = good.clone();
+        let n = slab_flipped.len();
+        slab_flipped[n - 24] ^= 0xff;
+        let mut bad_magic = good.clone();
+        bad_magic[0] = b'X';
+        let mut hostile_len = good.clone();
+        hostile_len[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut cases = vec![
+            ("metadata byte flipped", meta_flipped),
+            ("extra bytes before λ, resealed", reseal(&padded)),
+            ("λ cut off, resealed", reseal(&meta[..lambda_at])),
+            ("slab byte flipped", slab_flipped),
+            ("inflated rows", lie(20, rows + 1)),
+            ("sub-factor count u32::MAX", lie(28, u32::MAX)),
+            ("wrong mode", lie(12, 1)),
+            ("wrong magic", bad_magic),
+            ("hostile metadata length", hostile_len),
+        ];
+        // Truncations at every kind of prefix parse as errors, never panic.
+        for cut in [0, 4, 15, 16, 40, good.len() - 1] {
+            cases.push(("truncated", good[..cut].to_vec()));
+        }
+        for (what, bytes) in cases {
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                Model::load(&path).is_err(),
+                "{what} ({} bytes)",
+                bytes.len()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,14 +16,12 @@
 //! repository is fully self-hosting; the kernels use blocked/reordered loops
 //! per the Rust performance guidelines rather than naive triple loops.
 
-pub mod batch;
 pub mod kernel;
 mod kr;
 mod mat;
 mod ops;
 pub mod solve;
 
-pub use batch::{gather_rows, matmul_t_slices, matmul_t_slices_auto};
 pub use kernel::{Kernel, KernelKind, ReferenceKernel, TiledKernel};
 pub use kr::{hadamard_all, hadamard_all_into, khatri_rao, khatri_rao_into};
 pub use mat::Mat;

@@ -19,8 +19,7 @@ use tpcp_par::{par_chunks_mut, tile_rows_per_chunk, ParConfig};
 /// kernel itself is in that range. Both the implicit entry points and the
 /// explicit `*_kernel` variants apply this clamp (via [`ParConfig::clamped`]);
 /// it is result-neutral because the kernels are thread-count deterministic.
-/// Shared with the slice-based entry points in [`crate::batch`].
-const PAR_MIN_FLOPS: usize = crate::batch::PAR_MIN_FLOPS;
+const PAR_MIN_FLOPS: usize = 1 << 15;
 
 /// The budget used by the implicit (non-`_kernel`) entry points: the shared
 /// automatic budget when the operation is big enough, serial otherwise
@@ -177,13 +176,12 @@ impl Mat {
         self.matmul_t_kernel(rhs, &par, KernelKind::Tiled)
     }
 
-    /// `self · rhsᵀ` on an explicit thread budget and kernel backend
-    /// (output rows partitioned; bit-identical to serial for any thread
-    /// count).
+    /// `self · rhsᵀ` on an explicit thread budget and kernel backend.
     ///
-    /// Delegates to [`crate::batch::matmul_t_slices`], the slice-based
-    /// entry point the zero-copy serving path uses — one implementation,
-    /// so owned and memory-mapped operands cannot drift bitwise.
+    /// Output rows are partitioned across workers and every element
+    /// accumulates in ascending-`k` order, so the result is bit-identical
+    /// to the serial reference loop (and to `dot(a_row, b_row)`) for any
+    /// thread count.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `self.cols() != rhs.cols()`.
@@ -196,15 +194,26 @@ impl Mat {
             });
         }
         let (m, k) = self.shape();
-        Ok(crate::batch::matmul_t_slices(
-            self.as_slice(),
-            m,
-            k,
-            rhs.as_slice(),
-            rhs.rows(),
-            par,
-            kind,
-        ))
+        let n = rhs.rows();
+        let mut out = Mat::zeros(m, n);
+        if n == 0 || m == 0 {
+            return Ok(out);
+        }
+        let kernel = kind.resolve();
+        let par = par.clamped(m * k * n, PAR_MIN_FLOPS);
+        let chunk_rows = tile_rows_per_chunk(m, par.threads(), kernel.row_tile());
+        par_chunks_mut(
+            &par,
+            out.as_mut_slice(),
+            chunk_rows * n,
+            |chunk_idx, chunk| {
+                let i0 = chunk_idx * chunk_rows;
+                let rows = chunk.len() / n;
+                let a_band = &self.as_slice()[i0 * k..(i0 + rows) * k];
+                kernel.matmul_t(a_band, rows, k, rhs.as_slice(), n, chunk);
+            },
+        );
+        Ok(out)
     }
 
     /// Gram matrix `selfᵀ · self` (always square `cols × cols`, symmetric).
@@ -417,6 +426,14 @@ mod tests {
         let fast = a.matmul_t(&b).unwrap();
         let slow = a.matmul(&b.transposed()).unwrap();
         assert!(fast.max_abs_diff(&slow).unwrap() < 1e-12);
+    }
+
+    #[test]
+    fn matmul_t_of_an_empty_operand_is_zeros() {
+        let out = Mat::zeros(0, 3).matmul_t(&Mat::filled(1, 3, 1.0)).unwrap();
+        assert_eq!(out.shape(), (0, 1));
+        let out = Mat::filled(2, 3, 1.0).matmul_t(&Mat::zeros(0, 3)).unwrap();
+        assert_eq!(out.shape(), (2, 0));
     }
 
     #[test]

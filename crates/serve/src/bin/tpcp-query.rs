@@ -122,10 +122,6 @@ fn run_smoke(client: &mut Client, verify: Option<&str>) {
         ),
         None => println!("smoke: two-phase model (no compression provenance)"),
     }
-    match meta.residency {
-        Some(r) => println!("smoke: model is {}-resident server-side", r.label()),
-        None => println!("smoke: server did not report residency (pre-v2 server)"),
-    }
     let order = meta.dims.len();
     if order < 2 {
         fail("smoke needs an order >= 2 model");

@@ -1,14 +1,13 @@
 //! The query cache: normalized request → encoded OK response payload.
 //!
-//! The key is `(protocol version, opcode, model version, request
-//! payload)` — requests are already canonical on the wire (fixed
-//! little-endian field order), so the payload bytes *are* the normal
-//! form. Folding the pinned model version into the key makes hot swaps
-//! self-invalidating: after a reload, new sessions key on the new
-//! version and old entries age out of the LRU ring without any explicit
-//! flush. The protocol version matters because some response encodings
-//! differ between v1 and v2 (MODEL_META grows a residency byte); keying
-//! on it keeps a v2 body from ever being replayed to a v1 client.
+//! The key is `(opcode, model version, request payload)` — requests are
+//! already canonical on the wire (fixed little-endian field order), so
+//! the payload bytes *are* the normal form. Folding the pinned model
+//! version into the key makes hot swaps self-invalidating: after a
+//! reload, new sessions key on the new version and old entries age out
+//! of the LRU ring without any explicit flush. No cached opcode's answer
+//! depends on the frame's protocol version, so v1 and v2 frames share
+//! entries.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -17,7 +16,6 @@ use std::sync::Mutex;
 
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct Key {
-    proto: u8,
     opcode: u8,
     version: u64,
     payload: Vec<u8>,
@@ -52,9 +50,8 @@ impl QueryCache {
     }
 
     /// Looks up a cached response, refreshing its recency on a hit.
-    pub fn get(&self, proto: u8, opcode: u8, version: u64, payload: &[u8]) -> Option<Vec<u8>> {
+    pub fn get(&self, opcode: u8, version: u64, payload: &[u8]) -> Option<Vec<u8>> {
         let key = Key {
-            proto,
             opcode,
             version,
             payload: payload.to_vec(),
@@ -75,9 +72,8 @@ impl QueryCache {
 
     /// Inserts a response, evicting the least-recently-used entry when
     /// full.
-    pub fn put(&self, proto: u8, opcode: u8, version: u64, payload: &[u8], response: Vec<u8>) {
+    pub fn put(&self, opcode: u8, version: u64, payload: &[u8], response: Vec<u8>) {
         let key = Key {
-            proto,
             opcode,
             version,
             payload: payload.to_vec(),
@@ -114,14 +110,14 @@ mod tests {
     #[test]
     fn hit_miss_and_lru_eviction() {
         let c = QueryCache::new(2);
-        assert!(c.get(2, 1, 0, b"a").is_none());
-        c.put(2, 1, 0, b"a", vec![1]);
-        c.put(2, 1, 0, b"b", vec![2]);
-        assert_eq!(c.get(2, 1, 0, b"a"), Some(vec![1])); // refreshes "a"
-        c.put(2, 1, 0, b"c", vec![3]); // evicts "b", the LRU
-        assert!(c.get(2, 1, 0, b"b").is_none());
-        assert_eq!(c.get(2, 1, 0, b"a"), Some(vec![1]));
-        assert_eq!(c.get(2, 1, 0, b"c"), Some(vec![3]));
+        assert!(c.get(1, 0, b"a").is_none());
+        c.put(1, 0, b"a", vec![1]);
+        c.put(1, 0, b"b", vec![2]);
+        assert_eq!(c.get(1, 0, b"a"), Some(vec![1])); // refreshes "a"
+        c.put(1, 0, b"c", vec![3]); // evicts "b", the LRU
+        assert!(c.get(1, 0, b"b").is_none());
+        assert_eq!(c.get(1, 0, b"a"), Some(vec![1]));
+        assert_eq!(c.get(1, 0, b"c"), Some(vec![3]));
         let (hits, misses, len) = c.counters();
         assert_eq!((hits, misses, len), (3, 2, 2));
     }
@@ -129,17 +125,8 @@ mod tests {
     #[test]
     fn version_partitions_the_key_space() {
         let c = QueryCache::new(8);
-        c.put(2, 1, 1, b"q", vec![1]);
-        assert!(c.get(2, 1, 2, b"q").is_none());
-        assert_eq!(c.get(2, 1, 1, b"q"), Some(vec![1]));
-    }
-
-    #[test]
-    fn protocol_version_partitions_the_key_space() {
-        // A v2 response body must never be replayed to a v1 session.
-        let c = QueryCache::new(8);
-        c.put(2, 3, 1, b"q", vec![0xb2]);
-        assert!(c.get(1, 3, 1, b"q").is_none());
-        assert_eq!(c.get(2, 3, 1, b"q"), Some(vec![0xb2]));
+        c.put(1, 1, b"q", vec![1]);
+        assert!(c.get(1, 2, b"q").is_none());
+        assert_eq!(c.get(1, 1, b"q"), Some(vec![1]));
     }
 }

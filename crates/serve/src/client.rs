@@ -23,7 +23,7 @@ use crate::protocol::{
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
-use twopcp::{CompressProvenance, Residency};
+use twopcp::CompressProvenance;
 
 /// Client-side cap on frames in flight during [`Client::pipeline`]
 /// (the server's [`PIPELINE_DEPTH`](crate::server::PIPELINE_DEPTH): a
@@ -60,9 +60,6 @@ pub struct MetaReport {
     /// Compression provenance (`None` for two-phase models, and when the
     /// answering server predates the provenance tail).
     pub compress: Option<CompressProvenance>,
-    /// How the served model is resident server-side (`None` when the
-    /// answering server predates protocol v2).
-    pub residency: Option<Residency>,
 }
 
 /// One opcode's row in a STATS response.
@@ -542,16 +539,6 @@ pub fn decode_meta_payload(payload: &[u8]) -> Result<MetaReport> {
     } else {
         None
     };
-    // Protocol-v2 tail: residency provenance; absent from v1 servers.
-    let residency = if d.remaining() > 0 {
-        Some(if d.u8()? == 1 {
-            Residency::Mapped
-        } else {
-            Residency::Owned
-        })
-    } else {
-        None
-    };
     d.finish()?;
     Ok(MetaReport {
         name,
@@ -563,7 +550,6 @@ pub fn decode_meta_payload(payload: &[u8]) -> Result<MetaReport> {
         schedule,
         parts,
         compress,
-        residency,
     })
 }
 

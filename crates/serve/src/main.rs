@@ -64,17 +64,13 @@ fn main() {
         }
     };
     let snap = server.registry().snapshot();
-    let mut names: Vec<&String> = snap.keys().collect();
+    let mut names: Vec<&str> = snap.keys().map(String::as_str).collect();
     names.sort();
     println!(
         "tpcp-serve: listening on {} — {} model(s): {}",
         server.local_addr(),
         names.len(),
-        names
-            .iter()
-            .map(|n| format!("{} ({})", n, snap[*n].model.residency().label()))
-            .collect::<Vec<_>>()
-            .join(", ")
+        names.join(", ")
     );
     if let Err(e) = server.serve_forever() {
         eprintln!("tpcp-serve: accept loop failed: {e}");

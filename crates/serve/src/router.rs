@@ -173,14 +173,14 @@ impl Router {
                 if version < 2 {
                     return Response::err(Status::BadRequest, "BATCH requires protocol version 2");
                 }
-                self.batch(session, payload, version)
+                self.batch(session, payload)
             }
             Opcode::ModelMeta
             | Opcode::GetEntry
             | Opcode::GetFiber
             | Opcode::GetSlice
             | Opcode::TopK
-            | Opcode::Similar => self.model_query(session, op, payload, version, limit),
+            | Opcode::Similar => self.model_query(session, op, payload, limit),
         }
     }
 
@@ -244,7 +244,6 @@ impl Router {
         session: &mut SessionState,
         op: Opcode,
         payload: &[u8],
-        version: u8,
         limit: usize,
     ) -> Response {
         let mut dec = Dec::new(payload);
@@ -255,11 +254,11 @@ impl Router {
         let Some(entry) = session.resolve(&self.registry, &name) else {
             return Response::err(Status::UnknownModel, format!("no model named {name:?}"));
         };
-        if let Some(cached) = self.cache.get(version, op as u8, entry.version, payload) {
+        if let Some(cached) = self.cache.get(op as u8, entry.version, payload) {
             return Response::ok(cached);
         }
         let result = match op {
-            Opcode::ModelMeta => meta_response(&entry, version),
+            Opcode::ModelMeta => meta_response(&entry),
             Opcode::GetEntry => entry_response(&entry, dec),
             Opcode::GetFiber => fiber_response(&entry, dec),
             Opcode::GetSlice => slice_response(&entry, dec, limit),
@@ -270,7 +269,7 @@ impl Router {
         match result {
             Ok(out) => {
                 self.cache
-                    .put(version, op as u8, entry.version, payload, out.clone());
+                    .put(op as u8, entry.version, payload, out.clone());
                 Response::ok(out)
             }
             Err(resp) => resp,
@@ -278,8 +277,8 @@ impl Router {
     }
 
     /// The BATCH envelope: unpack, group, bulk-evaluate, reassemble in
-    /// request order.
-    fn batch(&self, session: &mut SessionState, payload: &[u8], version: u8) -> Response {
+    /// request order. Only v2 frames carry one, so its subs answer at v2.
+    fn batch(&self, session: &mut SessionState, payload: &[u8]) -> Response {
         let subs = match decode_batch_request(payload) {
             Ok(s) => s,
             Err(e) => return Response::err(Status::BadRequest, e.to_string()),
@@ -314,21 +313,19 @@ impl Router {
                     Status::BadRequest,
                     "SHUTDOWN is not allowed inside a BATCH",
                 )),
-                Some(Opcode::GetEntry) => {
-                    match self.classify_entry(session, version, &sub.payload) {
-                        Classified::Grouped(entry, coords) => {
-                            entry_groups
-                                .entry(entry.name.clone())
-                                .or_insert_with(|| (entry, Vec::new()))
-                                .1
-                                .push((i, coords));
-                            None
-                        }
-                        Classified::Answer(resp) => Some(resp),
+                Some(Opcode::GetEntry) => match self.classify_entry(session, &sub.payload) {
+                    Classified::Grouped(entry, coords) => {
+                        entry_groups
+                            .entry(entry.name.clone())
+                            .or_insert_with(|| (entry, Vec::new()))
+                            .1
+                            .push((i, coords));
+                        None
                     }
-                }
+                    Classified::Answer(resp) => Some(resp),
+                },
                 Some(op @ (Opcode::GetFiber | Opcode::TopK)) => {
-                    match self.classify_fiber(session, version, op, &sub.payload) {
+                    match self.classify_fiber(session, op, &sub.payload) {
                         Classified::Grouped(entry, (mode, fixed, k)) => {
                             fiber_groups
                                 .entry((entry.name.clone(), mode, op == Opcode::TopK))
@@ -344,7 +341,7 @@ impl Router {
                 Some(op) => {
                     let t = Instant::now();
                     let limit = CAP.saturating_sub(used + SUB_HEAD);
-                    let resp = self.dispatch(session, op, &sub.payload, version, limit);
+                    let resp = self.dispatch(session, op, &sub.payload, VERSION, limit);
                     self.metrics
                         .record(op, t.elapsed(), resp.status == Status::Ok);
                     Some(resp)
@@ -367,7 +364,6 @@ impl Router {
                         let mut p = Vec::new();
                         enc::f64(&mut p, v);
                         self.cache.put(
-                            version,
                             Opcode::GetEntry as u8,
                             entry.version,
                             &subs[i].payload,
@@ -402,13 +398,8 @@ impl Router {
                         } else {
                             fiber_payload(&fiber)
                         };
-                        self.cache.put(
-                            version,
-                            op as u8,
-                            entry.version,
-                            &subs[i].payload,
-                            p.clone(),
-                        );
+                        self.cache
+                            .put(op as u8, entry.version, &subs[i].payload, p.clone());
                         (i, Response::ok(p))
                     })
                     .collect(),
@@ -447,19 +438,14 @@ impl Router {
     /// the bulk group; cache hits and anything invalid are answered
     /// immediately (the latter by the single dispatch path, so the error
     /// message is exactly what a lone frame would get).
-    fn classify_entry(
-        &self,
-        session: &mut SessionState,
-        version: u8,
-        payload: &[u8],
-    ) -> Classified<Vec<usize>> {
+    fn classify_entry(&self, session: &mut SessionState, payload: &[u8]) -> Classified<Vec<usize>> {
         let valid = (|| {
             let mut dec = Dec::new(payload);
             let name = dec.string().ok()?;
             let entry = session.resolve(&self.registry, &name)?;
-            if let Some(cached) =
-                self.cache
-                    .get(version, Opcode::GetEntry as u8, entry.version, payload)
+            if let Some(cached) = self
+                .cache
+                .get(Opcode::GetEntry as u8, entry.version, payload)
             {
                 return Some((entry, None, Some(cached)));
             }
@@ -478,7 +464,7 @@ impl Router {
                 Classified::Answer(Response::ok(cached))
             }
             Some((entry, Some(coords), None)) => Classified::Grouped(entry, coords),
-            _ => Classified::Answer(self.single_sub(session, Opcode::GetEntry, payload, version)),
+            _ => Classified::Answer(self.single_sub(session, Opcode::GetEntry, payload)),
         }
     }
 
@@ -487,7 +473,6 @@ impl Router {
     fn classify_fiber(
         &self,
         session: &mut SessionState,
-        version: u8,
         op: Opcode,
         payload: &[u8],
     ) -> Classified<(usize, Vec<usize>, u32)> {
@@ -495,7 +480,7 @@ impl Router {
             let mut dec = Dec::new(payload);
             let name = dec.string().ok()?;
             let entry = session.resolve(&self.registry, &name)?;
-            if let Some(cached) = self.cache.get(version, op as u8, entry.version, payload) {
+            if let Some(cached) = self.cache.get(op as u8, entry.version, payload) {
                 return Some((entry, None, Some(cached)));
             }
             let mode = dec.u16().ok()? as usize;
@@ -529,21 +514,15 @@ impl Router {
                 Classified::Answer(Response::ok(cached))
             }
             Some((entry, Some(q), None)) => Classified::Grouped(entry, q),
-            _ => Classified::Answer(self.single_sub(session, op, payload, version)),
+            _ => Classified::Answer(self.single_sub(session, op, payload)),
         }
     }
 
     /// Single-dispatch fallback for a batch sub, with its own metrics
     /// record (exactly like a lone frame, minus the envelope bytes).
-    fn single_sub(
-        &self,
-        session: &mut SessionState,
-        op: Opcode,
-        payload: &[u8],
-        version: u8,
-    ) -> Response {
+    fn single_sub(&self, session: &mut SessionState, op: Opcode, payload: &[u8]) -> Response {
         let t = Instant::now();
-        let resp = self.model_query(session, op, payload, version, CAP);
+        let resp = self.model_query(session, op, payload, CAP);
         self.metrics
             .record(op, t.elapsed(), resp.status == Status::Ok);
         resp
@@ -626,7 +605,7 @@ fn bad(e: impl std::fmt::Display) -> Response {
     Response::err(Status::BadRequest, e.to_string())
 }
 
-fn meta_response(entry: &ModelEntry, version: u8) -> QueryResult {
+fn meta_response(entry: &ModelEntry) -> QueryResult {
     let m = &entry.model.meta;
     let mut out = Vec::new();
     enc::string(&mut out, &m.name);
@@ -660,14 +639,6 @@ fn meta_response(entry: &ModelEntry, version: u8) -> QueryResult {
             }
         }
         None => out.push(0),
-    }
-    // Protocol-v2 tail: residency provenance (1 = mmap-resident,
-    // 0 = owned). v1 clients' decoders stop before this byte.
-    if version >= VERSION {
-        out.push(match entry.model.residency() {
-            twopcp::Residency::Mapped => 1,
-            twopcp::Residency::Owned => 0,
-        });
     }
     Ok(out)
 }

@@ -14,7 +14,7 @@ use tpcp_serve::protocol::{
 };
 use tpcp_serve::{
     decode_entry_payload, decode_fiber_payload, decode_meta_payload, decode_ranked, request,
-    Client, ModelRegistry, Opcode, ServeOptions, Server, Status,
+    Client, ModelRegistry, Opcode, ProtoError, ServeOptions, Server, Status,
 };
 use twopcp::{Model, ModelMeta};
 
@@ -172,6 +172,106 @@ fn batch_matches_serial_bitwise_across_hot_swap() {
     server.join().unwrap();
 }
 
+/// Entries over every mode, as bits: what `local` answers.
+fn probe() -> Vec<Vec<usize>> {
+    (0..24)
+        .map(|q| DIMS.iter().enumerate().map(|(m, &d)| (q + m) % d).collect())
+        .collect()
+}
+
+/// Asserts that `c` answers every probe entry bitwise as `local` does,
+/// as single frames and as one BATCH.
+fn assert_answers(c: &mut Client, local: &Model, what: &str) {
+    let probe = probe();
+    for coords in &probe {
+        let want = local.entry(coords).unwrap().to_bits();
+        let got = c.entry("demo", coords).unwrap().to_bits();
+        assert_eq!(got, want, "{what}: single entry {coords:?}");
+    }
+    let subs: Vec<_> = probe.iter().map(|c| request::entry("demo", c)).collect();
+    for (r, coords) in c.batch(&subs).unwrap().iter().zip(&probe) {
+        assert_eq!(r.status, Status::Ok as u16, "{what}: {r:?}");
+        let got = decode_entry_payload(&r.payload).unwrap().to_bits();
+        let want = local.entry(coords).unwrap().to_bits();
+        assert_eq!(got, want, "{what}: batched entry {coords:?}");
+    }
+}
+
+/// A served file rewritten or truncated in place, as `cp new demo.2pcpm`
+/// or a crashed writer would leave it, never reaches a session that has
+/// pinned the model: a loaded model owns its factors. A RELOAD of a
+/// broken file is the documented degraded result — one error, the model
+/// gone from the fresh map — and a good file brings serving back.
+///
+/// Before models were always owned, a server holding them in a shared
+/// memory map of the file (an option in earlier builds) failed both
+/// halves: after the
+/// in-place rewrite the v1 holder answered v2's values, and after the
+/// truncation it read zeros from the page the file now ended in and died
+/// of `SIGBUS` on any page past it.
+#[test]
+fn file_rewritten_or_truncated_in_place_never_reaches_a_pinned_session() {
+    let guard = temp_dir("inplace");
+    let path = guard.0.join("demo.2pcpm");
+    let v1 = make_model(71);
+    let v2 = make_model(72);
+    v1.save(&path).unwrap();
+    // No query cache, so every answer below is evaluated on the pinned
+    // model rather than replayed.
+    let mut opts = ServeOptions::new(&guard.0);
+    opts.cache_capacity = 0;
+    let (server, addr) = serve(opts);
+    let mut admin = Client::connect(&addr).unwrap();
+
+    let mut pinned = Client::connect(&addr).unwrap();
+    assert_answers(&mut pinned, &v1, "v1 before the rewrite");
+
+    // Rewrite in place: same path, same inode, truncated then written.
+    let v2_bytes = v2.to_bytes();
+    let mut f = std::fs::OpenOptions::new()
+        .write(true)
+        .truncate(true)
+        .open(&path)
+        .unwrap();
+    std::io::Write::write_all(&mut f, &v2_bytes).unwrap();
+    drop(f);
+    assert_answers(&mut pinned, &v1, "v1 holder after the in-place rewrite");
+    let reload = admin.reload().unwrap();
+    assert_eq!((reload.models, reload.errors.len()), (1, 0));
+    let mut fresh = Client::connect(&addr).unwrap();
+    assert_answers(&mut fresh, &v2, "fresh session after RELOAD");
+    assert_answers(&mut pinned, &v1, "v1 holder after RELOAD");
+
+    // Truncate to half and reload: one error, no model in the new map.
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(v2_bytes.len() as u64 / 2)
+        .unwrap();
+    let reload = admin.reload().unwrap();
+    assert_eq!((reload.models, reload.errors.len()), (0, 1), "{reload:?}");
+    assert_answers(&mut pinned, &v1, "v1 holder after the truncation");
+    assert_answers(&mut fresh, &v2, "v2 holder after the truncation");
+    let mut orphan = Client::connect(&addr).unwrap();
+    match orphan.entry("demo", &[0, 0, 0]) {
+        Err(ProtoError::Remote { status, .. }) => {
+            assert_eq!(status, Status::UnknownModel as u16)
+        }
+        other => panic!("GET_ENTRY on a dropped model: {other:?}"),
+    }
+
+    // A good file and a RELOAD bring serving back.
+    v1.save(&path).unwrap();
+    let reload = admin.reload().unwrap();
+    assert_eq!((reload.models, reload.errors.len()), (1, 0));
+    let mut back = Client::connect(&addr).unwrap();
+    assert_answers(&mut back, &v1, "fresh session after the repair");
+
+    admin.shutdown().unwrap();
+    server.join().unwrap();
+}
+
 fn ranked_bits(r: &[(usize, f64)]) -> Vec<(usize, u64)> {
     r.iter().map(|&(i, v)| (i, v.to_bits())).collect()
 }
@@ -305,17 +405,15 @@ fn v1_single_frame_clients_work_unchanged() {
         model.entry(&[1, 2, 3]).unwrap().to_bits()
     );
 
-    // v1 MODEL_META: the payload must use the v1 encoding — no
-    // trailing residency byte.
+    // v1 MODEL_META: a v1 header, and a body v1 clients decode.
     let sub = request::meta("demo");
     write_frame_versioned(&mut s, MIN_VERSION, sub.opcode, 0, &sub.payload).unwrap();
-    let resp = read_frame(&mut s, MAX_RESPONSE_PAYLOAD).unwrap();
+    let v1_meta = read_frame(&mut s, MAX_RESPONSE_PAYLOAD).unwrap();
     assert_eq!(
-        (resp.version, resp.status),
+        (v1_meta.version, v1_meta.status),
         (MIN_VERSION, Status::Ok as u16)
     );
-    let meta = decode_meta_payload(&resp.payload).unwrap();
-    assert_eq!(meta.residency, None, "v1 META must not carry residency");
+    assert_eq!(decode_meta_payload(&v1_meta.payload).unwrap().dims, DIMS);
 
     // BATCH is a v2 opcode: a v1 frame carrying it must be refused
     // without killing the session.
@@ -324,14 +422,13 @@ fn v1_single_frame_clients_work_unchanged() {
     let resp = read_frame(&mut s, MAX_RESPONSE_PAYLOAD).unwrap();
     assert_ne!(resp.status, Status::Ok as u16, "BATCH must require v2");
 
-    // The session survived the refusal; and the same payloads at v2 do
-    // carry the residency tail — the two encodings coexist per-frame.
+    // The session survived the refusal; the same request at v2 gets a v2
+    // header and the same body bytes.
     let sub = request::meta("demo");
     write_frame_versioned(&mut s, VERSION, sub.opcode, 0, &sub.payload).unwrap();
     let resp = read_frame(&mut s, MAX_RESPONSE_PAYLOAD).unwrap();
     assert_eq!((resp.version, resp.status), (VERSION, Status::Ok as u16));
-    let meta = decode_meta_payload(&resp.payload).unwrap();
-    assert!(meta.residency.is_some(), "v2 META must carry residency");
+    assert_eq!(resp.payload, v1_meta.payload, "v1 and v2 META bodies");
 
     drop(s);
     let mut c = Client::connect(&addr).unwrap();

@@ -267,7 +267,8 @@ fn half_close_still_answers_every_whole_frame() {
 }
 
 /// (f) v1 and v2 frames in one coalesced burst: each answer carries its
-/// request's version, in order.
+/// request's version, in order, and the `MODEL_META` body is the same
+/// bytes at either version.
 #[test]
 fn versions_are_echoed_per_frame_inside_a_burst() {
     within(WATCHDOG, || {
@@ -284,9 +285,10 @@ fn versions_are_echoed_per_frame_inside_a_burst() {
         assert_eq!(got.len(), versions.len());
         for (f, &v) in got.iter().zip(&versions) {
             assert_eq!((f.version, f.status), (v, Status::Ok as u16));
-            let meta = tpcp_serve::decode_meta_payload(&f.payload).unwrap();
-            assert_eq!(meta.residency.is_some(), v == VERSION, "v{v} body");
+            assert_eq!(f.payload, got[0].payload, "v{v} body");
         }
+        let meta = tpcp_serve::decode_meta_payload(&got[0].payload).unwrap();
+        assert_eq!(meta.name, NAME);
         stop(server);
     });
 }

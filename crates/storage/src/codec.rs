@@ -23,7 +23,7 @@
 //!
 //! The slab offset `32 + 16n` is a multiple of 8, and [`DiskStore`] pages
 //! start at offset 0 of their file, so the slab is also 8-byte aligned *in
-//! the file* — hence 8-byte aligned in a page-aligned memory map.
+//! the file*.
 //!
 //! Format **v1** interleaved per-matrix headers with payload (`rows, cols,
 //! data` per matrix) and was encoded element by element; [`decode`]
@@ -226,17 +226,17 @@ pub fn encode_v1(data: &UnitData) -> Vec<u8> {
 
 /// The parsed header of a verified v2 page: everything but the payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PageHeader {
+struct PageHeader {
     /// The unit the page holds.
-    pub unit: UnitId,
+    unit: UnitId,
     /// `(rows, cols)` of the global sub-factor.
-    pub factor_shape: (usize, usize),
+    factor_shape: (usize, usize),
     /// `(block id, rows, cols)` of each slab sub-factor, in page order.
-    pub sub_factors: Vec<(u64, usize, usize)>,
+    sub_factors: Vec<(u64, usize, usize)>,
     /// Byte offset of the `f64` slab within the page. The slab runs up to
     /// the 8-byte checksum trailer and holds exactly the doubles the
     /// shapes above declare.
-    pub slab_offset: usize,
+    slab_offset: usize,
 }
 
 /// Verifies a page without copying its payload: checksum, magic and
@@ -244,13 +244,11 @@ pub struct PageHeader {
 /// slab length against the shapes they declare.
 ///
 /// Returns the header of a v2 page, or `None` for a legacy v1 page, whose
-/// interleaved layout only [`decode`] parses. [`decode`] and the
-/// zero-copy model loader both verify through here, so a page is either
-/// valid for both or for neither.
+/// interleaved layout only [`decode`] parses.
 ///
 /// # Errors
 /// [`StorageError::Corrupt`] on any structural or integrity failure.
-pub fn verify(page: &[u8]) -> Result<Option<PageHeader>> {
+fn verify(page: &[u8]) -> Result<Option<PageHeader>> {
     if page.len() < MAGIC.len() + 4 + 8 + 8 {
         return Err(corrupt("page too small"));
     }
