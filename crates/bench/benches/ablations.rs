@@ -1,22 +1,30 @@
-//! Ablation microbenchmarks for the design choices called out in
-//! DESIGN.md:
+//! Ablation microbenchmarks: each group pits one design choice against
+//! its alternative. Beside each group is the document or paper section
+//! that motivates the choice.
 //!
-//! * `curves/*` — Morton vs Hilbert mapping cost (§VI-C2 argues Z-order
-//!   has the cheaper mapping);
-//! * `mttkrp/*` — fused 3-mode kernel vs the textbook unfold·Khatri-Rao
-//!   materialisation;
-//! * `mttkrp_par/*` — the fused kernel's thread scaling (serial vs 2 vs 4
-//!   worker threads on the `tpcp-par` budget; results are bit-identical,
-//!   only the wall clock moves);
-//! * `pq/*` — Observation #2: in-place cached `P` refresh vs recomputing
-//!   the slab's `P` matrices from scratch on every update;
-//! * `fit/*` — zero-I/O surrogate fit vs exact fit against the tensor;
-//! * `solve/*` — the ridge-guarded Cholesky Gram solve;
-//! * `prefetch/*` — the asynchronous Phase-2 I/O pipeline on vs off
-//!   (policy × buffer fraction), with per-cell `stall_ns`/swap reporting;
-//! * `phase1_ingest/*` — streaming Phase-1 ingest ablation: in-memory vs
-//!   file-backed vs generator block sources, with per-cell peak-RSS proxy
-//!   (bytes materialised at once) and total streamed bytes.
+//! * `curves/*` — Gray vs Morton vs Hilbert mapping cost (paper §VI-C2
+//!   argues Z-order has the cheaper mapping);
+//! * `schedules/*` — Hilbert- vs Gray-order swap counts on an 8³ grid
+//!   (§VI-C2's order-based schedules; Gray order is this repo's
+//!   extension);
+//! * `mttkrp/*` — the fused 3-mode kernel vs the textbook unfold·Khatri-Rao
+//!   materialisation (`docs/kernels.md`, "The tiled microkernels");
+//! * `mttkrp_par/*` — the fused kernel's thread scaling, serial vs 2 vs 4
+//!   workers on the `tpcp-par` budget: results are bit-identical, only
+//!   the wall clock moves (`docs/kernels.md`, "Parallel chunking");
+//! * `pq/*` — in-place cached `P` refresh vs recomputing the slab's `P`
+//!   matrices from scratch on every update (paper Observation #2);
+//! * `fit/*` — the zero-I/O surrogate fit phase 2 stops on vs the exact
+//!   fit against the tensor (paper §III-B);
+//! * `solve/*` — the ridge-guarded Cholesky solve `T·S⁻¹` that ends every
+//!   ALS and phase-2 update (paper eq. 3);
+//! * `prefetch/*` — the asynchronous phase-2 I/O pipeline on vs off
+//!   (policy × buffer fraction), with per-cell `stall_ns`/swap reporting
+//!   (`docs/storage.md`, "The prefetcher reads only what it can keep");
+//! * `phase1_ingest/*` — streaming phase-1 ingest from in-memory,
+//!   file-backed and generator block sources, with per-cell peak-RSS proxy
+//!   (bytes materialised at once) and total streamed bytes (paper §IV,
+//!   Observation #1: blocks are independent, so one batch at a time).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;

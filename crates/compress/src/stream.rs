@@ -19,13 +19,15 @@ use tpcp_partition::{Block, BlockSource, Grid};
 use tpcp_tensor::DenseTensor;
 
 /// Loads block `lin` densely (sparse blocks are densified — compression
-/// operates on dense panels).
+/// operates on dense panels), rejecting non-finite data.
 pub(crate) fn load_dense(
     src: &mut dyn BlockSource,
     grid: &Grid,
     lin: usize,
 ) -> Result<DenseTensor> {
-    match src.load_block(grid, lin)? {
+    let block = src.load_block(grid, lin)?;
+    block.check_finite(grid, lin)?;
+    match block {
         Block::Dense(t) => Ok(t),
         Block::Sparse(t) => Ok(t.to_dense().map_err(tpcp_cp::CpError::from)?),
     }

@@ -122,8 +122,15 @@ struct BlockOutcome {
     norm_sq: f64,
 }
 
-/// Decomposes one streamed block.
-fn decompose_block(block: &Block, cfg: &TwoPcpConfig, seed: u64) -> Result<BlockOutcome> {
+/// Decomposes block `lin` of `grid`, after rejecting non-finite data.
+fn decompose_block(
+    block: &Block,
+    grid: &Grid,
+    lin: usize,
+    cfg: &TwoPcpConfig,
+) -> Result<BlockOutcome> {
+    block.check_finite(grid, lin)?;
+    let seed = cfg.seed.wrapping_add(lin as u64);
     let report = match block {
         Block::Dense(t) => cp_als_dense(t, &als_options(cfg, seed))?,
         Block::Sparse(t) if t.is_empty() => {
@@ -250,7 +257,7 @@ pub fn run_phase1_source<S: UnitStore>(
         ingested_bytes += resident;
         peak_block_bytes = peak_block_bytes.max(resident);
         let results = tpcp_par::par_map(&cfg.par, &blocks, |i, block| {
-            decompose_block(block, cfg, cfg.seed.wrapping_add((start + i) as u64))
+            decompose_block(block, &grid, start + i, cfg)
         })
         .map_err(TwoPcpError::from)?;
         drop(blocks);
@@ -453,8 +460,7 @@ mod tests {
         let models: Vec<CpModel> = (0..grid.num_blocks())
             .map(|lin| {
                 let block = src.load_block(grid, lin).unwrap();
-                let seed = cfg.seed.wrapping_add(lin as u64);
-                decompose_block(&block, &cfg, seed).unwrap().model
+                decompose_block(&block, grid, lin, &cfg).unwrap().model
             })
             .collect();
 

@@ -327,9 +327,12 @@ pub const TILE_NR: usize = 8;
 /// vector lanes, and the operand whose tile access would be strided is
 /// packed into contiguous scratch (`matmul` packs the A panel reduction-
 /// major; `matmul_t` packs the Bᵀ panel; `t_matmul`/`gram_band` need no
-/// packing because both tile dimensions are already contiguous). Edge
-/// tiles fall back to scalar loops with the same ascending reduction
-/// order, so ragged shapes stay bit-identical too.
+/// packing because both tile dimensions are already contiguous). A
+/// *narrow* tile — all `TILE_MR` rows, fewer than `TILE_NR` columns, so
+/// every tile when the width is below 8 — runs the same microtile out of
+/// line in `narrow_tile`, against a zero-padded B panel. Tiles with
+/// fewer than `TILE_MR` rows fall back to scalar loops with the same
+/// ascending reduction order, so ragged shapes stay bit-identical too.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TiledKernel;
 
@@ -357,13 +360,20 @@ impl Kernel for TiledKernel {
             on_heap.resize(k * TILE_MR, 0.0f64);
             &mut on_heap
         };
+        // The narrow tail's zero-padded B panel: one column start per
+        // call, built on first use and shared by every row tile.
+        let mut panel = NarrowPanel::default();
         let mut i0 = 0;
         while i0 < rows {
             let h = TILE_MR.min(rows - i0);
-            for r in 0..h {
-                let row = &a[(i0 + r) * k..(i0 + r + 1) * k];
-                for (p, &v) in row.iter().enumerate() {
-                    pack[p * TILE_MR + r] = v;
+            // A narrow tile reads A in place, so a row tile with no full
+            // tile to share the pack with skips packing.
+            if h < TILE_MR || n >= TILE_NR {
+                for r in 0..h {
+                    let row = &a[(i0 + r) * k..(i0 + r + 1) * k];
+                    for (p, &v) in row.iter().enumerate() {
+                        pack[p * TILE_MR + r] = v;
+                    }
                 }
             }
             let mut j0 = 0;
@@ -384,6 +394,9 @@ impl Kernel for TiledKernel {
                     for (r, acc_r) in acc.iter().enumerate() {
                         out[(i0 + r) * n + j0..(i0 + r) * n + j0 + TILE_NR].copy_from_slice(acc_r);
                     }
+                } else if h == TILE_MR {
+                    let bp = panel.padded(b, k, n, j0, w);
+                    narrow_tile(a, i0 * k, 1, k, bp, k, w, &mut out[i0 * n + j0..], n);
                 } else {
                     // Ragged edge: scalar, same ascending-p accumulation.
                     for r in 0..h {
@@ -406,6 +419,8 @@ impl Kernel for TiledKernel {
         // Bᵀ panel packed reduction-major: pack[p*NR + t] = b[j0+t][p], so
         // the microtile's inner loop is a stride-1 8-wide FMA. The panel
         // is packed once per column tile and reused by every row tile.
+        // A narrow column tile zeroes its padded lanes, so the same pack
+        // is the zero-padded panel `narrow_tile` runs against.
         let mut pack = vec![0.0f64; k * TILE_NR];
         let mut j0 = 0;
         while j0 < n {
@@ -414,6 +429,11 @@ impl Kernel for TiledKernel {
                 let row = &b[(j0 + t) * k..(j0 + t + 1) * k];
                 for (p, &v) in row.iter().enumerate() {
                     pack[p * TILE_NR + t] = v;
+                }
+            }
+            if w < TILE_NR {
+                for lanes in pack.chunks_exact_mut(TILE_NR) {
+                    lanes[w..].fill(0.0);
                 }
             }
             let mut i0 = 0;
@@ -433,6 +453,8 @@ impl Kernel for TiledKernel {
                     for (r, acc_r) in acc.iter().enumerate() {
                         out[(i0 + r) * n + j0..(i0 + r) * n + j0 + TILE_NR].copy_from_slice(acc_r);
                     }
+                } else if h == TILE_MR {
+                    narrow_tile(a, i0 * k, 1, k, &pack, k, w, &mut out[i0 * n + j0..], n);
                 } else {
                     for r in 0..h {
                         for t in 0..w {
@@ -574,7 +596,9 @@ impl Kernel for TiledKernel {
 /// (columns of `A`, columns of `B`) are contiguous per input row, so no
 /// packing is needed — each reduction step loads one 4-lane and one 8-lane
 /// stride-1 slice. With `upper_only`, each row tile starts its column
-/// sweep at its own diagonal (`j0 = c0 + i0`).
+/// sweep at its own diagonal (`j0 = c0 + i0`), so the narrow tail starts
+/// at a different column in each row tile and its padded panel is rebuilt
+/// whenever the start moves.
 #[allow(clippy::too_many_arguments)]
 fn t_matmul_tiled(
     a: &[f64],
@@ -587,6 +611,7 @@ fn t_matmul_tiled(
     out: &mut [f64],
     upper_only: bool,
 ) {
+    let mut panel = NarrowPanel::default();
     let mut i0 = 0;
     while i0 < rows {
         let h = TILE_MR.min(rows - i0);
@@ -608,6 +633,9 @@ fn t_matmul_tiled(
                 for (x, acc_x) in acc.iter().enumerate() {
                     out[(i0 + x) * n + j0..(i0 + x) * n + j0 + TILE_NR].copy_from_slice(acc_x);
                 }
+            } else if h == TILE_MR {
+                let bp = panel.padded(b, m, n, j0, w);
+                narrow_tile(a, c0 + i0, k, 1, bp, m, w, &mut out[i0 * n + j0..], n);
             } else {
                 for x in 0..h {
                     for t in 0..w {
@@ -622,6 +650,70 @@ fn t_matmul_tiled(
             j0 += w;
         }
         i0 += h;
+    }
+}
+
+/// The B operand of a narrow tile: columns `j0..j0 + w` of a row-major
+/// `steps×n` matrix, copied reduction-major into `TILE_NR` lanes with the
+/// lanes past `w` zero (`lanes[p*NR + t] = b[p][j0 + t]`). Built on first
+/// use and rebuilt only when the tile's start column moves, so a call with
+/// no narrow tile allocates nothing.
+#[derive(Default)]
+struct NarrowPanel {
+    j0: Option<usize>,
+    lanes: Vec<f64>,
+}
+
+impl NarrowPanel {
+    fn padded(&mut self, b: &[f64], steps: usize, n: usize, j0: usize, w: usize) -> &[f64] {
+        if self.j0 != Some(j0) {
+            self.j0 = Some(j0);
+            self.lanes.clear();
+            self.lanes.resize(steps * TILE_NR, 0.0);
+            for (p, lanes) in self.lanes.chunks_exact_mut(TILE_NR).enumerate() {
+                lanes[..w].copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
+            }
+        }
+        &self.lanes
+    }
+}
+
+/// One narrow tile: `TILE_MR` rows, `w < TILE_NR` columns. Runs the 4×8
+/// microtile over `steps` reduction steps against `panel`, a B operand
+/// zero-padded to `TILE_NR` lanes (`panel[p*NR + t]`), and stores only the
+/// `w` real lanes into `out` (the tile's top-left element first, rows `n`
+/// apart). A lane `r` of A at step `p` is `a[a0 + p*a_step + r*a_lane]`.
+///
+/// Each stored element is still one accumulator with the reduction index
+/// ascending, exactly as in the scalar edge loop; a padded lane computes
+/// `a·0` into an accumulator that is never stored, so no stored bit can
+/// change. Kept out of line so its callers' full-tile loops compile as
+/// they do without it.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn narrow_tile(
+    a: &[f64],
+    a0: usize,
+    a_step: usize,
+    a_lane: usize,
+    panel: &[f64],
+    steps: usize,
+    w: usize,
+    out: &mut [f64],
+    n: usize,
+) {
+    let mut acc = [[0.0f64; TILE_NR]; TILE_MR];
+    for (p, bp) in panel[..steps * TILE_NR].chunks_exact(TILE_NR).enumerate() {
+        let ap = a0 + p * a_step;
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let arp = a[ap + r * a_lane];
+            for (acc_rt, &bv) in acc_r.iter_mut().zip(bp) {
+                *acc_rt += arp * bv;
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        out[r * n..r * n + w].copy_from_slice(&acc_r[..w]);
     }
 }
 

@@ -156,3 +156,59 @@ fn degenerate_shapes_agree() {
         assert_eq!(gr, gt, "gram {m}x{k}");
     }
 }
+
+/// Deterministic fill: non-dyadic values of mixed sign, so a change in
+/// accumulation order shows in the low bits.
+fn det_mat(rows: usize, cols: usize, seed: u64) -> Mat {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let data = (0..rows * cols)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 20.0 - 10.0
+        })
+        .collect();
+    Mat::from_vec(rows, cols, data)
+}
+
+/// Every output width 1..=17 — below, at and across the 8-wide register
+/// tile — at row counts that give full, narrow (all 4 rows, fewer than 8
+/// columns) and row-ragged tiles, through every product at every thread
+/// budget. A narrow tile runs the register tile over a zero-padded panel
+/// and must stay bitwise the reference.
+#[test]
+fn width_sweep_is_bitwise_reference() {
+    for m in [4usize, 5, 8, 13] {
+        for k in [1usize, 6, 33] {
+            for n in 1..=17usize {
+                let seed = (m * 10_000 + k * 100 + n) as u64;
+                check_products(
+                    &det_mat(m, k, seed),
+                    &det_mat(k, n, seed + 1),
+                    &det_mat(m, n, seed + 2),
+                    &det_mat(n, k, seed + 3),
+                );
+            }
+        }
+    }
+}
+
+/// The tiled Gram starts each row tile's column sweep at its diagonal, so
+/// its narrow tail starts at a different column in each row tile (at
+/// `k = 13`: columns 8, 12, 8 for row tiles 0, 4, 8). Every `k` in 1..=17
+/// walks those shifting starts.
+#[test]
+fn gram_width_sweep_is_bitwise_reference() {
+    for m in [4usize, 5, 8, 13] {
+        for k in 1..=17usize {
+            let seed = (m * 100 + k) as u64;
+            check_products(
+                &det_mat(m, k, seed),
+                &det_mat(k, k, seed + 1),
+                &det_mat(m, k, seed + 2),
+                &det_mat(k, k, seed + 3),
+            );
+        }
+    }
+}

@@ -40,6 +40,16 @@ pub enum SourceError {
         /// Explanation of the malformed input.
         reason: String,
     },
+    /// A block holds a NaN or an infinity. The kernels' bitwise contract
+    /// (`docs/kernels.md`) and ALS itself assume finite data.
+    NonFinite {
+        /// Linear id of the block holding the cell.
+        block: usize,
+        /// The first offending cell, in full-tensor coordinates.
+        cell: Vec<usize>,
+        /// Its value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for SourceError {
@@ -48,6 +58,12 @@ impl std::fmt::Display for SourceError {
             SourceError::Io(e) => write!(f, "I/O error: {e}"),
             SourceError::Tensor(e) => write!(f, "tensor error: {e}"),
             SourceError::Format { reason } => write!(f, "malformed tensor file: {reason}"),
+            SourceError::NonFinite { block, cell, value } => {
+                write!(
+                    f,
+                    "non-finite value {value} at cell {cell:?} (block {block})"
+                )
+            }
         }
     }
 }
@@ -106,6 +122,36 @@ impl Block {
         }
     }
 
+    /// Rejects a block holding a NaN or an infinity, naming `lin` (the
+    /// block's linear id in `grid`) and the first offending cell in
+    /// full-tensor coordinates.
+    ///
+    /// # Errors
+    /// [`SourceError::NonFinite`] for the first non-finite cell.
+    pub fn check_finite(&self, grid: &Grid, lin: usize) -> SourceResult<()> {
+        let (local, value) = match self {
+            Block::Dense(t) => match first_non_finite(t.as_slice()) {
+                Some(i) => (multi_index(t.dims(), i), t.as_slice()[i]),
+                None => return Ok(()),
+            },
+            Block::Sparse(t) => match first_non_finite(t.values()) {
+                Some(e) => (t.coord_of(e), t.values()[e]),
+                None => return Ok(()),
+            },
+        };
+        let coords = grid.block_coords(lin);
+        let cell = local
+            .iter()
+            .enumerate()
+            .map(|(m, &i)| grid.part_range(m, coords[m]).start + i)
+            .collect();
+        Err(SourceError::NonFinite {
+            block: lin,
+            cell,
+            value,
+        })
+    }
+
     /// Unwraps a dense block.
     ///
     /// # Panics
@@ -127,6 +173,23 @@ impl Block {
             Block::Dense(_) => panic!("expected a sparse block"),
         }
     }
+}
+
+/// Index of the first non-finite value. Each chunk is first tested by a
+/// branch-free pass the compiler vectorises, so a finite block costs one
+/// streaming read.
+fn first_non_finite(values: &[f64]) -> Option<usize> {
+    const CHUNK: usize = 1024;
+    values.chunks(CHUNK).enumerate().find_map(|(c, chunk)| {
+        if chunk.iter().fold(true, |finite, v| finite & v.is_finite()) {
+            None
+        } else {
+            chunk
+                .iter()
+                .position(|v| !v.is_finite())
+                .map(|i| c * CHUNK + i)
+        }
+    })
 }
 
 /// Streaming ingest of a grid-partitioned tensor.
@@ -610,6 +673,40 @@ mod tests {
 
     fn tmpfile(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("tpcp_source_{name}_{}", std::process::id()))
+    }
+
+    #[test]
+    fn check_finite_names_the_block_and_the_first_cell_globally() {
+        let mut t = seq_tensor(&[5, 7, 3]);
+        t.set(&[4, 6, 2], f64::NEG_INFINITY).unwrap();
+        t.set(&[3, 5, 2], f64::NAN).unwrap();
+        let g = Grid::new(t.dims(), &[2, 3, 2]);
+        let lin = g.block_linear(&[1, 2, 1]);
+        // Every cell as a COO entry (`from_dense` would drop the NaN).
+        let mut coo = SparseBuilder::new(t.dims());
+        for (i, &v) in t.as_slice().iter().enumerate() {
+            coo.push(&multi_index(t.dims(), i), v);
+        }
+        let coo = coo.build();
+        for sparse in [false, true] {
+            for l in 0..g.num_blocks() {
+                let block = if sparse {
+                    SparseMemorySource::new(&coo).load_block(&g, l).unwrap()
+                } else {
+                    DenseMemorySource::new(&t).load_block(&g, l).unwrap()
+                };
+                match block.check_finite(&g, l) {
+                    Ok(()) => assert_ne!(l, lin, "sparse {sparse}"),
+                    Err(SourceError::NonFinite { block, cell, value }) => {
+                        assert_eq!((block, l), (lin, lin), "sparse {sparse}");
+                        // Row-major within the block: (3,5,2) precedes (4,6,2).
+                        assert_eq!(cell, vec![3, 5, 2], "sparse {sparse}");
+                        assert!(value.is_nan(), "sparse {sparse}");
+                    }
+                    Err(e) => panic!("unexpected {e}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,6 +62,11 @@ impl Drop for DirGuard {
 }
 
 fn start(tag: &str) -> (Server, String, DirGuard) {
+    start_with(tag, None)
+}
+
+/// [`start`], with the session limit set when `max_sessions` is given.
+fn start_with(tag: &str, max_sessions: Option<usize>) -> (Server, String, DirGuard) {
     let dir = std::env::temp_dir().join(format!("tpcp_session_it_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -69,6 +74,9 @@ fn start(tag: &str) -> (Server, String, DirGuard) {
     let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
     let mut opts = ServeOptions::new(&dir);
     opts.addr = "127.0.0.1:0".into();
+    if let Some(n) = max_sessions {
+        opts.max_sessions = n;
+    }
     let server = Server::start_with_registry(opts, registry).unwrap();
     let addr = server.local_addr().to_string();
     (server, addr, DirGuard(dir))
@@ -376,4 +384,123 @@ fn stalled_reader_does_not_wedge_shutdown() {
     std::thread::sleep(Duration::from_millis(500));
     within(Duration::from_secs(10), move || stop(server));
     drop(s); // open, and unread, until the server was gone
+}
+
+/// Threads of this process, one `/proc/self/task` entry each.
+fn threads_now() -> usize {
+    std::fs::read_dir("/proc/self/task").unwrap().count()
+}
+
+/// Connection churn leaves a bounded number of threads behind: session
+/// threads are reused, so however many connections come and go — one
+/// after another, or in bursts past the session limit — the process never
+/// holds more than its threads before the server started plus
+/// `max_sessions` plus the accept thread, and after the first burst the
+/// count stops growing.
+///
+/// Skipped off Linux: the count is read from `/proc/self/task`. The other
+/// tests in this binary run servers of their own beside this one, so the
+/// test re-runs itself alone in a child process and counts there.
+#[test]
+#[cfg_attr(
+    not(target_os = "linux"),
+    ignore = "reads /proc/self/task, which only Linux has"
+)]
+fn thread_count_stays_bounded_under_connection_churn() {
+    const ALONE: &str = "TPCP_SESSION_CHURN_ALONE";
+    const NAME_HERE: &str = "thread_count_stays_bounded_under_connection_churn";
+    if std::env::var_os(ALONE).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", NAME_HERE, "--test-threads=1", "--nocapture"])
+            .env(ALONE, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    const MAX_SESSIONS: usize = 4;
+    const ROUNDS: usize = 6;
+    const ONE_BY_ONE: usize = 4 * MAX_SESSIONS;
+    within(WATCHDOG, || {
+        let baseline = threads_now();
+        let (server, addr, _guard) = start_with("churn", Some(MAX_SESSIONS));
+        let bound = baseline + MAX_SESSIONS + 1;
+        let mut ping = Vec::new();
+        encode_frame(&mut ping, VERSION, Opcode::Ping as u8, 0, &[]);
+
+        let mut after_first = None;
+        for round in 0..ROUNDS {
+            // A burst past the limit: every connection is answered — a
+            // session or a Busy refusal — while all of them are open …
+            let mut burst: Vec<TcpStream> = (0..MAX_SESSIONS + 2).map(|_| connect(&addr)).collect();
+            let mut statuses = Vec::new();
+            for s in &mut burst {
+                s.write_all(&ping).unwrap();
+                statuses.push(read_frame(s, MAX_RESPONSE_PAYLOAD).unwrap().status);
+                assert!(
+                    threads_now() <= bound,
+                    "round {round}: over {bound} threads"
+                );
+            }
+            let served = statuses
+                .iter()
+                .filter(|&&st| st == Status::Ok as u16)
+                .count();
+            let busy = statuses
+                .iter()
+                .filter(|&&st| st == Status::Busy as u16)
+                .count();
+            assert_eq!(served + busy, statuses.len(), "round {round}: {statuses:?}");
+            // Later rounds may find the last one-by-one session still
+            // ending, so only the first burst is sure to fill every slot.
+            assert!(
+                served <= MAX_SESSIONS,
+                "round {round}: {served} sessions at once"
+            );
+            if round == 0 {
+                assert_eq!(served, MAX_SESSIONS);
+            }
+            // … then all of them go, each once the server has closed it
+            // (a refused one is closed already).
+            for mut s in burst {
+                let _ = s.shutdown(Shutdown::Write);
+                let _ = s.read_to_end(&mut Vec::new());
+            }
+            // One after another, each dropped as soon as it is answered.
+            // The sessions end as the server sees the drops, so on a busy
+            // machine a few may still hold every slot: Busy is an answer.
+            for _ in 0..ONE_BY_ONE {
+                let mut s = connect(&addr);
+                s.write_all(&ping).unwrap();
+                let status = read_frame(&mut s, MAX_RESPONSE_PAYLOAD).unwrap().status;
+                assert!(
+                    status == Status::Ok as u16 || status == Status::Busy as u16,
+                    "round {round}: status {status}"
+                );
+                drop(s);
+                assert!(
+                    threads_now() <= bound,
+                    "round {round}: over {bound} threads"
+                );
+            }
+            let now = threads_now();
+            match after_first {
+                None => after_first = Some(now),
+                Some(first) => assert!(
+                    now <= first,
+                    "round {round}: {now} threads, {first} after the first"
+                ),
+            }
+        }
+        stop(server);
+        assert!(
+            threads_now() <= baseline,
+            "threads left behind by the server"
+        );
+    });
 }

@@ -126,3 +126,59 @@ fn file_backed_out_of_core_run_on_disk_store() {
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_file(&path);
 }
+
+/// A NaN and an infinity planted in one block of a tensor file stop the
+/// run before any ALS touches them, in the two-phase and the compress
+/// pipelines alike: a typed ingest error naming the block and the first
+/// offending cell (row-major within the block), never a panic or a NaN
+/// factor.
+#[test]
+fn non_finite_cells_in_a_file_are_a_typed_error() {
+    use tpcp_partition::SourceError;
+    use twopcp::{CompressOptions, TwoPcpError};
+
+    let mut generator = ModelBlockSource::low_rank(&DIMS, RANK, SEED);
+    let grid = Grid::new(&DIMS, &[2, 2, 2]);
+    let mut x = generator.materialize(&grid);
+    // Block (1, 0, 1) spans rows 6..12, 0..5, 4..8.
+    let block = grid.block_linear(&[1, 0, 1]);
+    x.set(&[7, 3, 5], f64::INFINITY).unwrap();
+    x.set(&[9, 1, 6], f64::NAN).unwrap();
+    let path =
+        std::env::temp_dir().join(format!("tpcp_ingest_nonfinite_{}.tns", std::process::id()));
+
+    let compress = CompressOptions::builder()
+        .mlrank(vec![RANK + 1; DIMS.len()])
+        .build()
+        .unwrap();
+    let configs = [
+        ("two-phase, serial", cfg()),
+        ("two-phase, 2 threads", cfg().threads(2)),
+        ("compress", cfg().compress(compress)),
+    ];
+    // First the infinity (it precedes the NaN in the block's row-major
+    // order), then, with it mended, the NaN.
+    for (planted, cell) in [("inf", [7, 3, 5]), ("nan", [9, 1, 6])] {
+        if planted == "nan" {
+            x.set(&[7, 3, 5], 1.0).unwrap();
+        }
+        FileTensorSource::write_dense(&path, &x).unwrap();
+        for (label, config) in &configs {
+            let mut src = FileTensorSource::open(&path).unwrap();
+            match TwoPcp::new(config.clone()).decompose_source(&mut src) {
+                Err(TwoPcpError::Ingest(SourceError::NonFinite {
+                    block: b,
+                    cell: c,
+                    value,
+                })) => {
+                    assert_eq!(b, block, "{label}, {planted}");
+                    assert_eq!(c, cell.to_vec(), "{label}, {planted}");
+                    assert_eq!(format!("{value}").to_lowercase(), planted, "{label}");
+                }
+                Err(e) => panic!("{label}, {planted}: wrong error {e}"),
+                Ok(_) => panic!("{label}, {planted}: non-finite data decomposed"),
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
