@@ -28,6 +28,8 @@
 //! across runs, thread budgets and kernel backends. See `docs/compress.md`
 //! for the accuracy contract and when *not* to use this path.
 
+#![forbid(unsafe_code)]
+
 mod basis;
 mod stream;
 

@@ -42,6 +42,8 @@
 //! println!("fit = {:.3}, swaps = {}", outcome.fit, outcome.phase2.io.swaps());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod accuracy;
 pub mod naive;
 pub mod phase1;

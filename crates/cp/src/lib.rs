@@ -14,6 +14,8 @@
 //! The decomposition accuracy measure follows §III-B:
 //! `accuracy(X, X̃) = 1 − ‖X̃ − X‖ / ‖X‖` (the "fit").
 
+#![forbid(unsafe_code)]
+
 mod als;
 mod compress;
 mod dimtree;

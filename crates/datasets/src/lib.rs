@@ -16,6 +16,8 @@
 //! | [`dense_uniform`] | Table I/II synthetic | up to 1500³ | 0.2 / 0.49 | dense storage, uniform support |
 //! | [`ensemble_like`] | §I fn.2 ensemble simulations | configurable | 1.0 | smooth response surfaces |
 
+#![forbid(unsafe_code)]
+
 mod real_like;
 mod source;
 mod synth;

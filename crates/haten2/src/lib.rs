@@ -22,6 +22,8 @@
 //!   the run with [`Haten2Error::OutOfMemory`], reproducing the `FAILS`
 //!   row of Table I.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use tpcp_cp::CpModel;
 use tpcp_linalg::{hadamard_all, solve, Mat};

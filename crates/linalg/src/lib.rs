@@ -16,6 +16,8 @@
 //! repository is fully self-hosting; the kernels use blocked/reordered loops
 //! per the Rust performance guidelines rather than naive triple loops.
 
+#![forbid(unsafe_code)]
+
 pub mod kernel;
 mod kr;
 mod mat;

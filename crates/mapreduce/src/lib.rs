@@ -21,6 +21,8 @@
 //!   records per mode per iteration, which is exactly what makes it slow on
 //!   dense tensors).
 
+#![forbid(unsafe_code)]
+
 mod counters;
 mod dfs;
 mod engine;

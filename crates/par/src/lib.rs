@@ -24,6 +24,8 @@
 //! chunk boundaries (no threads are spawned, and the arithmetic — including
 //! the reduction order — is unchanged).
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

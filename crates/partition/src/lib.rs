@@ -17,6 +17,8 @@
 //!   full tensor is never resident (see `tpcp-datasets` for the generator
 //!   adapter).
 
+#![forbid(unsafe_code)]
+
 mod grid;
 mod source;
 mod split;

@@ -24,6 +24,8 @@
 //!   again?", the quantity the forward-looking replacement policy of §VII-B
 //!   ranks evictions by.
 
+#![forbid(unsafe_code)]
+
 mod curves;
 mod gray;
 mod oracle;

@@ -1,210 +1,6 @@
-//! Offline stand-in for the [`bytes`](https://crates.io/crates/bytes) crate.
-//!
-//! Implements the little-endian cursor API subset the storage codec uses:
-//! [`Buf`] over `&[u8]`, [`BufMut`], and a `Vec<u8>`-backed [`BytesMut`].
-//! No shared-ownership `Bytes` type and no zero-copy splitting — the codec
-//! serialises whole pages, so plain owned buffers are enough. Swap for the
-//! registry crate when network access is available; call sites are
-//! compatible.
-
-use std::ops::{Deref, DerefMut};
-
-/// Read cursor over a byte source (API subset of `bytes::Buf`).
-pub trait Buf {
-    /// Bytes left to consume.
-    fn remaining(&self) -> usize;
-
-    /// Whether any bytes remain.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// The unconsumed bytes.
-    fn chunk(&self) -> &[u8];
-
-    /// Skip `cnt` bytes. Panics if fewer remain.
-    fn advance(&mut self, cnt: usize);
-
-    /// Copy `dst.len()` bytes out and advance. Panics if fewer remain.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.remaining() >= dst.len(), "buffer underflow");
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-
-    /// Consume one byte.
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
-
-    /// Consume a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Consume a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Consume a little-endian `f64`.
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "buffer underflow");
-        *self = &self[cnt..];
-    }
-}
-
-/// Append-only write cursor (API subset of `bytes::BufMut`).
-pub trait BufMut {
-    /// Append raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Append one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Append a little-endian `u32`.
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `f64`.
-    fn put_f64_le(&mut self, v: f64) {
-        self.put_u64_le(v.to_bits());
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
-/// Growable byte buffer (stand-in for `bytes::BytesMut`, `Vec`-backed).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    inner: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty buffer with `cap` bytes pre-allocated.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            inner: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Consume the buffer into its backing vector.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.inner
-    }
-
-    /// Freeze into an immutable byte vector (the shim has no refcounted
-    /// `Bytes`; a plain `Vec<u8>` serves the same call sites).
-    pub fn freeze(self) -> Vec<u8> {
-        self.inner
-    }
-
-    /// Append raw bytes.
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.inner.extend_from_slice(src);
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.inner.extend_from_slice(src);
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.inner
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.inner
-    }
-}
-
-impl From<BytesMut> for Vec<u8> {
-    fn from(b: BytesMut) -> Vec<u8> {
-        b.inner
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip_all_widths() {
-        let mut buf = BytesMut::with_capacity(32);
-        buf.put_u8(0xab);
-        buf.put_u32_le(0xdead_beef);
-        buf.put_u64_le(0x0123_4567_89ab_cdef);
-        buf.put_f64_le(-2.5);
-        buf.put_slice(b"xyz");
-
-        let mut r: &[u8] = &buf;
-        assert_eq!(r.remaining(), 1 + 4 + 8 + 8 + 3);
-        assert_eq!(r.get_u8(), 0xab);
-        assert_eq!(r.get_u32_le(), 0xdead_beef);
-        assert_eq!(r.get_u64_le(), 0x0123_4567_89ab_cdef);
-        assert_eq!(r.get_f64_le(), -2.5);
-        let mut tail = [0u8; 3];
-        r.copy_to_slice(&mut tail);
-        assert_eq!(&tail, b"xyz");
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn advance_skips() {
-        let data = [1u8, 2, 3, 4];
-        let mut r: &[u8] = &data;
-        r.advance(2);
-        assert_eq!(r.get_u8(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn underflow_panics() {
-        let mut r: &[u8] = &[1u8, 2];
-        let _ = r.get_u32_le();
-    }
-}
+//! Offline stand-in for the [`bytes`](https://crates.io/crates/bytes)
+//! crate, with no code: the storage codec and the factor-file slot encoder
+//! write their little-endian words with `to_le_bytes`. The crate exists
+//! only because the pinned end-to-end benchmark's `Cargo.lock` lists it as
+//! a dependency of `tpcp-storage`; dropping it would rewrite that lock. It
+//! leaves with that dependency line.

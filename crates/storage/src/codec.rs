@@ -1,9 +1,9 @@
 //! The on-disk page format for data-access units.
 //!
-//! An explicit, versioned, checksummed binary layout (little-endian).
-//! Format **v2** (written by [`encode`]) separates the page into a fixed
-//! descriptor header and one contiguous, 8-byte-aligned `f64` slab, so
-//! encode and decode are bulk byte copies instead of per-element loops:
+//! An explicit, versioned, checksummed binary layout (little-endian): a
+//! fixed descriptor header and one contiguous, 8-byte-aligned `f64` slab,
+//! so encode and decode are straight slab copies instead of per-matrix
+//! parsing:
 //!
 //! ```text
 //! offset    size  field
@@ -25,11 +25,9 @@
 //! start at offset 0 of their file, so the slab is also 8-byte aligned *in
 //! the file*.
 //!
-//! Format **v1** interleaved per-matrix headers with payload (`rows, cols,
-//! data` per matrix) and was encoded element by element; [`decode`]
-//! dispatches on the version field, so v1 pages written by earlier builds
-//! remain readable. [`encode_v1`] is retained for compatibility tests and
-//! ablation benches.
+//! Version 2 is the only format: [`decode`] rejects a page of any other
+//! version as [`StorageError::Corrupt`]. A unit page never outlives the
+//! run that wrote it, so no reader for an older layout is kept.
 //!
 //! Hand-rolled (rather than serde) to keep the storage engine transparent:
 //! page sizes are exactly the paper's `8 × #doubles` accounting plus a
@@ -40,28 +38,25 @@
 
 use crate::store::UnitData;
 use crate::{Result, StorageError};
-use bytes::{Buf, BufMut, BytesMut};
 use tpcp_linalg::Mat;
 use tpcp_schedule::UnitId;
 
 /// Page magic bytes.
 pub const MAGIC: &[u8; 8] = b"2PCPUNIT";
-/// Current format version (contiguous-slab layout).
+/// The format version; a page carrying any other is rejected.
 pub const VERSION: u32 = 2;
-/// The interleaved per-matrix layout of earlier builds (still readable).
-pub const VERSION_V1: u32 = 1;
 
-/// Byte length of the fixed v2 header (everything before the sub-factor
+/// Byte length of the fixed header (everything before the sub-factor
 /// descriptors).
-const V2_FIXED_HEADER: usize = 32;
-/// Byte length of one v2 sub-factor descriptor.
-const V2_SUB_DESCRIPTOR: usize = 16;
+const FIXED_HEADER: usize = 32;
+/// Byte length of one sub-factor descriptor.
+const SUB_DESCRIPTOR: usize = 16;
 
-/// Offset of the v2 `f64` slab within a page holding `n` sub-factors.
+/// Offset of the `f64` slab within a page holding `n` sub-factors.
 /// Always a multiple of 8, so slabs are 8-byte aligned whenever the page
 /// itself is.
 pub fn v2_slab_offset(sub_factors: usize) -> usize {
-    V2_FIXED_HEADER + V2_SUB_DESCRIPTOR * sub_factors
+    FIXED_HEADER + SUB_DESCRIPTOR * sub_factors
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -94,72 +89,28 @@ pub fn fnv1a(data: &[u8]) -> u64 {
     hash
 }
 
-/// Appends `vals` to `buf` as a little-endian `f64` slab in one bulk copy
-/// (no per-element loop on little-endian targets).
+/// Appends `vals` to `buf` as a little-endian `f64` slab.
 pub(crate) fn put_f64_slab(buf: &mut Vec<u8>, vals: &[f64]) {
-    #[cfg(target_endian = "little")]
-    {
-        // SAFETY: `f64` has no padding or invalid bit patterns, `u8` has
-        // alignment 1, and on a little-endian target the in-memory bytes
-        // of an f64 slice already are the wire format.
-        let bytes = unsafe {
-            std::slice::from_raw_parts(vals.as_ptr().cast::<u8>(), std::mem::size_of_val(vals))
-        };
-        buf.extend_from_slice(bytes);
-    }
-    #[cfg(not(target_endian = "little"))]
-    for v in vals {
-        buf.extend_from_slice(&v.to_le_bytes());
+    let start = buf.len();
+    buf.resize(start + vals.len() * 8, 0);
+    for (c, v) in buf[start..].chunks_exact_mut(8).zip(vals) {
+        c.copy_from_slice(&v.to_le_bytes());
     }
 }
 
-/// Decodes a little-endian `f64` slab into an owned vector in one bulk
-/// copy — the only copy between the page buffer and the resident
-/// [`Mat`]s.
+/// Decodes a little-endian `f64` slab into an owned vector — the only
+/// copy between the page buffer and the resident [`Mat`]s.
 fn get_f64_slab(bytes: &[u8]) -> Vec<f64> {
     debug_assert_eq!(bytes.len() % 8, 0, "slab length must be 8-divisible");
-    let n = bytes.len() / 8;
-    #[cfg(target_endian = "little")]
-    {
-        let mut out = Vec::<f64>::with_capacity(n);
-        // SAFETY: source and destination do not overlap (fresh
-        // allocation), the copy fills all `n * 8` bytes of the reserved
-        // capacity with valid f64 bit patterns *before* the length is
-        // set (skipping the zero-fill a `vec![0.0; n]` would pay only to
-        // be overwritten), and byte-wise copy tolerates an unaligned
-        // source.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                bytes.as_ptr(),
-                out.as_mut_ptr().cast::<u8>(),
-                bytes.len(),
-            );
-            out.set_len(n);
-        }
-        out
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        let mut out = vec![0.0f64; n];
-        for (v, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
-            *v = f64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-        }
-        out
-    }
+    bytes
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .collect()
 }
 
-/// Decodes a little-endian `f64` slab into `out` (same length) in one
-/// bulk copy.
+/// Decodes a little-endian `f64` slab into `out` (same length).
 pub(crate) fn copy_f64_slab(bytes: &[u8], out: &mut [f64]) {
     assert_eq!(bytes.len(), out.len() * 8, "slab length mismatch");
-    #[cfg(target_endian = "little")]
-    // SAFETY: the assert above makes both ranges `bytes.len()` long, they
-    // cannot overlap (`out` is exclusively borrowed), every bit pattern
-    // is a valid f64, and a byte-wise copy tolerates an unaligned source.
-    unsafe {
-        std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr().cast::<u8>(), bytes.len());
-    }
-    #[cfg(not(target_endian = "little"))]
     for (v, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
         *v = f64::from_le_bytes(c.try_into().expect("8-byte chunk"));
     }
@@ -171,21 +122,25 @@ fn corrupt(reason: &str) -> StorageError {
     }
 }
 
-/// Serialises a unit into its page representation (format v2).
+/// Serialises a unit into its page representation.
 pub fn encode(data: &UnitData) -> Vec<u8> {
     let slab_off = v2_slab_offset(data.sub_factors.len());
     let mut buf = Vec::with_capacity(slab_off + data.payload_bytes() + 8);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(u32::from(data.unit.mode));
-    buf.put_u32_le(data.unit.part);
-    buf.put_u32_le(data.factor.rows() as u32);
-    buf.put_u32_le(data.factor.cols() as u32);
-    buf.put_u32_le(data.sub_factors.len() as u32);
+    buf.extend_from_slice(MAGIC);
+    for word in [
+        VERSION,
+        u32::from(data.unit.mode),
+        data.unit.part,
+        data.factor.rows() as u32,
+        data.factor.cols() as u32,
+        data.sub_factors.len() as u32,
+    ] {
+        buf.extend_from_slice(&word.to_le_bytes());
+    }
     for (block, m) in &data.sub_factors {
-        buf.put_u64_le(*block);
-        buf.put_u32_le(m.rows() as u32);
-        buf.put_u32_le(m.cols() as u32);
+        buf.extend_from_slice(&block.to_le_bytes());
+        buf.extend_from_slice(&(m.rows() as u32).to_le_bytes());
+        buf.extend_from_slice(&(m.cols() as u32).to_le_bytes());
     }
     debug_assert_eq!(buf.len(), slab_off, "descriptor section length");
     put_f64_slab(&mut buf, data.factor.as_slice());
@@ -193,38 +148,11 @@ pub fn encode(data: &UnitData) -> Vec<u8> {
         put_f64_slab(&mut buf, m.as_slice());
     }
     let checksum = fnv1a(&buf);
-    buf.put_u64_le(checksum);
+    buf.extend_from_slice(&checksum.to_le_bytes());
     buf
 }
 
-/// Serialises a unit in the legacy v1 layout (interleaved per-matrix
-/// headers, per-element encode). Kept for the v1-compatibility tests and
-/// the `zero_copy/*` codec ablation; new pages are always written as v2.
-pub fn encode_v1(data: &UnitData) -> Vec<u8> {
-    fn put_mat(buf: &mut BytesMut, m: &Mat) {
-        buf.put_u32_le(m.rows() as u32);
-        buf.put_u32_le(m.cols() as u32);
-        for &v in m.as_slice() {
-            buf.put_f64_le(v);
-        }
-    }
-    let mut buf = BytesMut::with_capacity(data.payload_bytes() + 64);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_V1);
-    buf.put_u32_le(u32::from(data.unit.mode));
-    buf.put_u32_le(data.unit.part);
-    put_mat(&mut buf, &data.factor);
-    buf.put_u32_le(data.sub_factors.len() as u32);
-    for (block, m) in &data.sub_factors {
-        buf.put_u64_le(*block);
-        put_mat(&mut buf, m);
-    }
-    let checksum = fnv1a(&buf);
-    buf.put_u64_le(checksum);
-    buf.to_vec()
-}
-
-/// The parsed header of a verified v2 page: everything but the payload.
+/// The parsed header of a verified page: everything but the payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct PageHeader {
     /// The unit the page holds.
@@ -240,16 +168,14 @@ struct PageHeader {
 }
 
 /// Verifies a page without copying its payload: checksum, magic and
-/// version, then, for a v2 page, the header, the descriptor table and the
-/// slab length against the shapes they declare.
-///
-/// Returns the header of a v2 page, or `None` for a legacy v1 page, whose
-/// interleaved layout only [`decode`] parses.
+/// version, then the header, the descriptor table and the slab length
+/// against the shapes they declare.
 ///
 /// # Errors
-/// [`StorageError::Corrupt`] on any structural or integrity failure.
-fn verify(page: &[u8]) -> Result<Option<PageHeader>> {
-    if page.len() < MAGIC.len() + 4 + 8 + 8 {
+/// [`StorageError::Corrupt`] on any structural or integrity failure,
+/// including a version other than [`VERSION`].
+fn verify(page: &[u8]) -> Result<PageHeader> {
+    if page.len() < FIXED_HEADER + 8 {
         return Err(corrupt("page too small"));
     }
     let (body, trailer) = page.split_at(page.len() - 8);
@@ -263,32 +189,22 @@ fn verify(page: &[u8]) -> Result<Option<PageHeader>> {
     if &body[..8] != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let version = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-    match version {
-        VERSION => parse_v2_header(body).map(Some),
-        VERSION_V1 => Ok(None),
-        other => Err(corrupt(&format!("unsupported version {other}"))),
-    }
-}
-
-/// Parses and bounds-checks the header and descriptor table of a v2 page
-/// `body` (the page without its trailer).
-fn parse_v2_header(body: &[u8]) -> Result<PageHeader> {
-    if body.len() < V2_FIXED_HEADER {
-        return Err(corrupt("truncated v2 header"));
-    }
     let word = |i: usize| u32::from_le_bytes(body[i..i + 4].try_into().expect("4 bytes"));
+    let version = word(8);
+    if version != VERSION {
+        return Err(corrupt(&format!("unsupported version {version}")));
+    }
     let mode = u16::try_from(word(12)).map_err(|_| corrupt("unit mode out of range"))?;
     let part = word(16);
     let factor_shape = (word(20) as usize, word(24) as usize);
     let count = word(28) as usize;
 
     let slab_offset = count
-        .checked_mul(V2_SUB_DESCRIPTOR)
-        .and_then(|len| len.checked_add(V2_FIXED_HEADER))
+        .checked_mul(SUB_DESCRIPTOR)
+        .and_then(|len| len.checked_add(FIXED_HEADER))
         .ok_or_else(|| corrupt("sub-factor count overflow"))?;
     if body.len() < slab_offset {
-        return Err(corrupt("truncated v2 descriptor table"));
+        return Err(corrupt("truncated descriptor table"));
     }
 
     let doubles = |(rows, cols): (usize, usize)| {
@@ -297,7 +213,7 @@ fn parse_v2_header(body: &[u8]) -> Result<PageHeader> {
     };
     let mut total = doubles(factor_shape)?;
     let mut sub_factors = Vec::with_capacity(count);
-    for d in body[V2_FIXED_HEADER..slab_offset].chunks_exact(V2_SUB_DESCRIPTOR) {
+    for d in body[FIXED_HEADER..slab_offset].chunks_exact(SUB_DESCRIPTOR) {
         let block = u64::from_le_bytes(d[..8].try_into().expect("8 bytes"));
         let rows = u32::from_le_bytes(d[8..12].try_into().expect("4 bytes")) as usize;
         let cols = u32::from_le_bytes(d[12..16].try_into().expect("4 bytes")) as usize;
@@ -310,7 +226,7 @@ fn parse_v2_header(body: &[u8]) -> Result<PageHeader> {
         .checked_mul(8)
         .ok_or_else(|| corrupt("slab size overflow"))?;
     if body.len() - slab_offset != slab_bytes {
-        return Err(corrupt("v2 slab length mismatch"));
+        return Err(corrupt("slab length mismatch"));
     }
     Ok(PageHeader {
         unit: UnitId { mode, part },
@@ -320,27 +236,15 @@ fn parse_v2_header(body: &[u8]) -> Result<PageHeader> {
     })
 }
 
-/// Deserialises a page after [`verify`]. Accepts both the current v2
-/// layout and legacy v1 pages.
-///
-/// Nothing is copied out of `bytes` until the payload slab is
-/// materialised into [`Mat`]s.
+/// Deserialises a page: verifies all of it (checksum, header, descriptor
+/// table, slab length) before copying anything out, then materialises the
+/// slab into the matrices the header declares, one copy each.
 ///
 /// # Errors
 /// [`StorageError::Corrupt`] on any structural or integrity failure.
 pub fn decode(page: &[u8]) -> Result<UnitData> {
     let header = verify(page)?;
-    let body = &page[..page.len() - 8];
-    match header {
-        Some(header) => Ok(decode_v2_slab(header, body)),
-        None => decode_v1_body(&body[12..]),
-    }
-}
-
-/// Materialises the slab of a verified v2 page `body` into the matrices
-/// `header` declares, one bulk copy each.
-fn decode_v2_slab(header: PageHeader, body: &[u8]) -> UnitData {
-    let mut slab = &body[header.slab_offset..];
+    let mut slab = &page[header.slab_offset..page.len() - 8];
     let mut take = |(rows, cols): (usize, usize)| {
         let (head, rest) = slab.split_at(rows * cols * 8);
         slab = rest;
@@ -352,61 +256,8 @@ fn decode_v2_slab(header: PageHeader, body: &[u8]) -> UnitData {
         .into_iter()
         .map(|(block, rows, cols)| (block, take((rows, cols))))
         .collect();
-    UnitData {
-        unit: header.unit,
-        factor,
-        sub_factors,
-    }
-}
-
-/// Parses a legacy v1 body (interleaved matrix headers, element-at-a-time
-/// fields) — the exact reader shipped with format v1.
-fn decode_v1_body(mut cur: &[u8]) -> Result<UnitData> {
-    fn get_mat(buf: &mut &[u8]) -> Result<Mat> {
-        if buf.remaining() < 8 {
-            return Err(corrupt("truncated matrix header"));
-        }
-        let rows = buf.get_u32_le() as usize;
-        let cols = buf.get_u32_le() as usize;
-        let n = rows
-            .checked_mul(cols)
-            .ok_or_else(|| corrupt("matrix size overflow"))?;
-        if buf.remaining() < n * 8 {
-            return Err(corrupt("truncated matrix payload"));
-        }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(buf.get_f64_le());
-        }
-        Ok(Mat::from_vec(rows, cols, data))
-    }
-
-    if cur.remaining() < 8 {
-        return Err(corrupt("truncated unit id"));
-    }
-    let mode = cur.get_u32_le();
-    let part = cur.get_u32_le();
-    let factor = get_mat(&mut cur)?;
-    if cur.remaining() < 4 {
-        return Err(corrupt("truncated sub-factor count"));
-    }
-    let count = cur.get_u32_le() as usize;
-    let mut sub_factors = Vec::with_capacity(count);
-    for _ in 0..count {
-        if cur.remaining() < 8 {
-            return Err(corrupt("truncated block id"));
-        }
-        let block = cur.get_u64_le();
-        sub_factors.push((block, get_mat(&mut cur)?));
-    }
-    if cur.has_remaining() {
-        return Err(corrupt("trailing bytes after payload"));
-    }
     Ok(UnitData {
-        unit: UnitId {
-            mode: mode as u16,
-            part,
-        },
+        unit: header.unit,
         factor,
         sub_factors,
     })
@@ -449,22 +300,16 @@ mod tests {
         assert_eq!(back.factor.shape(), (0, 0));
     }
 
+    /// Known-answer bytes of `sample_unit()`'s page (its length and the
+    /// FNV-1a of the whole page), pinned from the bulk-copy codec this
+    /// one replaced. A roundtrip cannot see an endian or offset slip that
+    /// encode and decode make together; this can.
     #[test]
-    fn v1_pages_still_decode() {
-        // Back compatibility: a page written by the v1 encoder (the exact
-        // format shipped before the slab layout) must decode under the
-        // current reader, bit-identically.
-        let unit = sample_unit();
-        let page = encode_v1(&unit);
-        assert_eq!(u32::from_le_bytes(page[8..12].try_into().unwrap()), 1);
-        let back = decode(&page).unwrap();
-        assert_eq!(back, unit);
-    }
-
-    #[test]
-    fn v2_is_the_default_write_format() {
+    fn sample_page_has_known_bytes() {
         let page = encode(&sample_unit());
-        assert_eq!(u32::from_le_bytes(page[8..12].try_into().unwrap()), 2);
+        assert_eq!(u32::from_le_bytes(page[8..12].try_into().unwrap()), VERSION);
+        assert_eq!(page.len(), 168);
+        assert_eq!(fnv1a(&page), 0x962a_6d51_0be6_f92b);
     }
 
     #[test]
@@ -482,23 +327,21 @@ mod tests {
 
     #[test]
     fn detects_bit_flip_anywhere() {
-        for page in [encode(&sample_unit()), encode_v1(&sample_unit())] {
-            // Flip one byte in a handful of positions spanning header,
-            // payload and trailer.
-            for pos in [0, 9, 20, 40, page.len() / 2, page.len() - 1] {
-                let mut bad = page.clone();
-                bad[pos] ^= 0x40;
-                assert!(decode(&bad).is_err(), "flip at {pos} was not detected");
-            }
+        let page = encode(&sample_unit());
+        // Flip one byte in a handful of positions spanning header,
+        // payload and trailer.
+        for pos in [0, 9, 20, 40, page.len() / 2, page.len() - 1] {
+            let mut bad = page.clone();
+            bad[pos] ^= 0x40;
+            assert!(decode(&bad).is_err(), "flip at {pos} was not detected");
         }
     }
 
     #[test]
     fn detects_truncation() {
-        for page in [encode(&sample_unit()), encode_v1(&sample_unit())] {
-            for cut in [1, 8, 16, page.len() - 9, page.len() - 1] {
-                assert!(decode(&page[..cut]).is_err(), "truncation to {cut}");
-            }
+        let page = encode(&sample_unit());
+        for cut in [1, 8, 16, page.len() - 9, page.len() - 1] {
+            assert!(decode(&page[..cut]).is_err(), "truncation to {cut}");
         }
     }
 
@@ -519,9 +362,17 @@ mod tests {
         let err = decode(&reseal(page)).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }));
 
-        let mut page2 = encode(&unit);
-        page2[8] = 99; // version
-        assert!(decode(&reseal(page2)).is_err());
+        // Any version but the one this codec writes, including the
+        // retired v1 and a future v3, is corrupt.
+        for version in [1u32, 3, 99] {
+            let mut page = encode(&unit);
+            page[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = decode(&reseal(page)).unwrap_err();
+            assert!(
+                matches!(err, StorageError::Corrupt { .. }),
+                "version {version}"
+            );
+        }
     }
 
     #[test]
@@ -542,15 +393,14 @@ mod tests {
     }
 
     #[test]
-    fn verify_parses_the_v2_header_and_passes_v1_pages() {
+    fn verify_parses_the_header() {
         let unit = sample_unit();
         let page = encode(&unit);
-        let header = verify(&page).unwrap().expect("a v2 page has a header");
+        let header = verify(&page).unwrap();
         assert_eq!(header.unit, unit.unit);
         assert_eq!(header.factor_shape, (3, 2));
         assert_eq!(header.sub_factors, vec![(0, 1, 2), (7, 2, 2)]);
         assert_eq!(header.slab_offset, v2_slab_offset(2));
-        assert_eq!(verify(&encode_v1(&unit)).unwrap(), None);
     }
 
     #[test]
@@ -583,25 +433,12 @@ mod tests {
     fn page_size_matches_accounting() {
         let unit = sample_unit();
         let page = encode(&unit);
-        // v2: fixed header 32 + 2 descriptors × 16 + 12 doubles + trailer 8.
+        // Fixed header 32 + 2 descriptors × 16 + 12 doubles + trailer 8.
         let expect = 32 + 2 * 16 + 12 * 8 + 8;
         assert_eq!(page.len(), expect);
         assert_eq!(
             page.len(),
             v2_slab_offset(unit.sub_factors.len()) + unit.payload_bytes() + 8
-        );
-        // v1: header 20 + factor hdr 8 + 6 doubles + count 4
-        // + (8 + 8 + 2 doubles) + (8 + 8 + 4 doubles) + trailer 8
-        let v1 = encode_v1(&unit);
-        assert_eq!(v1.len(), 20 + 8 + 48 + 4 + (16 + 16) + (16 + 32) + 8);
-    }
-
-    #[test]
-    fn v1_and_v2_decode_to_identical_units() {
-        let unit = sample_unit();
-        assert_eq!(
-            decode(&encode(&unit)).unwrap(),
-            decode(&encode_v1(&unit)).unwrap()
         );
     }
 }

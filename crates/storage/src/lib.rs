@@ -8,8 +8,8 @@
 //!
 //! * [`UnitData`] — the in-memory representation of one unit;
 //! * [`codec`] — an explicit, checksummed binary page format (no serde);
-//!   format v2 lays payloads out as contiguous 8-byte-aligned `f64` slabs
-//!   encoded/decoded with bulk byte copies (v1 pages remain readable);
+//!   one version (v2) that lays payloads out as contiguous 8-byte-aligned
+//!   `f64` slabs, encoded and decoded by straight slab copies in safe code;
 //! * [`UnitStore`] implementations: [`DiskStore`] (per unit one page
 //!   file, committed by write-then-rename, plus a two-slot factor file
 //!   that a Phase-2 write-back updates in place —
@@ -34,6 +34,8 @@
 //! A unit leaves a [`DiskStore`] one way: its page file is read into a
 //! reused buffer, decoded, and overlaid with its factor file. The
 //! synchronous read and the prefetch worker share that one function.
+
+#![forbid(unsafe_code)]
 
 pub mod codec;
 

@@ -265,20 +265,13 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Any single-byte corruption of a page is detected — for the current
-    /// v2 slab layout and legacy v1 pages alike.
+    /// Any single-bit corruption of a page is detected.
     #[test]
     fn codec_detects_any_single_byte_flip(
         pos_frac in 0.0f64..1.0,
         bit in 0u8..8,
-        v1 in any::<bool>(),
     ) {
-        let data = unit_data(3, 4, 7.0);
-        let mut page = if v1 {
-            codec::encode_v1(&data)
-        } else {
-            codec::encode(&data)
-        };
+        let mut page = codec::encode(&unit_data(3, 4, 7.0));
         let pos = ((page.len() - 1) as f64 * pos_frac) as usize;
         page[pos] ^= 1 << bit;
         prop_assert!(codec::decode(&page).is_err(), "flip at {pos} undetected");
@@ -287,44 +280,10 @@ proptest! {
     /// Any truncation of a page is detected (the checksum trailer moves or
     /// vanishes, so no prefix can validate).
     #[test]
-    fn codec_detects_any_truncation(
-        cut_frac in 0.0f64..1.0,
-        v1 in any::<bool>(),
-    ) {
-        let data = unit_data(2, 3, -4.5);
-        let page = if v1 {
-            codec::encode_v1(&data)
-        } else {
-            codec::encode(&data)
-        };
+    fn codec_detects_any_truncation(cut_frac in 0.0f64..1.0) {
+        let page = codec::encode(&unit_data(2, 3, -4.5));
         let cut = ((page.len() - 1) as f64 * cut_frac) as usize;
         prop_assert!(codec::decode(&page[..cut]).is_err(), "cut to {cut} undetected");
-    }
-
-    /// Pages written in the legacy v1 layout decode bit-identically to
-    /// their v2 re-encoding under the current reader, for arbitrary unit
-    /// shapes.
-    #[test]
-    fn codec_v1_pages_decode_identically(
-        mode in 0usize..4,
-        part in 0usize..100,
-        rows in 0usize..6,
-        cols in 0usize..6,
-        subs in proptest::collection::vec((0u64..64, 1usize..4, 1usize..4), 0..5),
-        seed in -100.0f64..100.0,
-    ) {
-        let data = UnitData {
-            unit: UnitId::new(mode, part),
-            factor: Mat::filled(rows, cols, seed),
-            sub_factors: subs
-                .iter()
-                .map(|&(b, r, c)| (b, Mat::filled(r, c, seed * 0.5)))
-                .collect(),
-        };
-        let from_v1 = codec::decode(&codec::encode_v1(&data)).unwrap();
-        let from_v2 = codec::decode(&codec::encode(&data)).unwrap();
-        prop_assert_eq!(&from_v1, &data);
-        prop_assert_eq!(&from_v1, &from_v2);
     }
 
     /// The unrolled 8-bytes-per-iteration `fnv1a` is pinned bit-identical

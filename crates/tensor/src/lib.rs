@@ -13,6 +13,8 @@
 //!   `X_(n) ≈ A⁽ⁿ⁾ · KR(factors ≠ n)ᵀ` holds exactly;
 //! * seeded random generation primitives used by the dataset generators.
 
+#![forbid(unsafe_code)]
+
 mod dense;
 mod gen;
 mod shape;

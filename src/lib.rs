@@ -4,6 +4,8 @@
 //! the whole system through one dependency. Library users should depend on
 //! the individual crates (most importantly [`twopcp`]) directly.
 
+#![forbid(unsafe_code)]
+
 pub use tpcp_cp as cp;
 pub use tpcp_datasets as datasets;
 pub use tpcp_haten2 as haten2;
