@@ -6,7 +6,7 @@
 //!
 //! 1. **Streaming mode sketches** — one pass per mode accumulates the
 //!    mode-`n` Gram `G_n = X_(n)·X_(n)ᵀ` slab-panel by slab-panel
-//!    ([`stream`]), or — with `oversample > 0` — a *single* pass computes
+//!    (the `stream` module), or — with `oversample > 0` — a *single* pass computes
 //!    Khatri-Rao-structured Gaussian range sketches `Y_n = X_(n)·Ω_n` for
 //!    every mode at once. Neither materialises an unfolding.
 //! 2. **Basis extraction** — per-mode orthonormal `U_n ∈ R^{I_n×R_n}` via

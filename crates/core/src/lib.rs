@@ -61,7 +61,7 @@ pub use config::{
     SERVE_ADDR_ENV_VAR,
 };
 pub use driver::{TwoPcp, TwoPcpOutcome};
-pub use model::{rank_fiber, Model, ModelMeta, MODEL_EXT, MODEL_MAGIC, MODEL_VERSION};
+pub use model::{Model, ModelMeta, MODEL_EXT, MODEL_MAGIC, MODEL_VERSION};
 pub use naive::{naive_cp_out_of_core, NaiveOocOptions, NaiveOocReport};
 pub use phase1::{run_phase1_dense, run_phase1_source, run_phase1_sparse, Phase1Result};
 pub use phase2::{refine, RefineOutcome, RefineStats};

@@ -53,10 +53,9 @@
 //! serving daemon (`tpcp-serve`) and in-process verification both answer
 //! entry/fiber/slice/top-k/similarity questions through these methods,
 //! which is what makes served answers bitwise-comparable to local ones.
-//! The batched variants ([`Model::entries`], [`Model::fibers`],
-//! [`Model::rows`]) evaluate many queries in one pass per factor matrix
-//! (gather rows → one matmul-shaped product instead of N dot loops) and
-//! are guaranteed bitwise-identical to looping the single-query methods.
+//! [`Model::entries`] is [`Model::entry`] over a list, kept for callers
+//! that hold one; the server answers a batch of queries one query at a
+//! time, through the same methods a lone query uses.
 
 use crate::{config::TwoPcpConfig, driver::TwoPcpOutcome, Result, TwoPcpError};
 use std::io::Write;
@@ -220,8 +219,8 @@ impl Model {
     /// Mode `mode`'s factor matrix.
     ///
     /// # Panics
-    /// Panics when `mode >= self.order()` (use [`Model::factor_checked`]
-    /// for untrusted input).
+    /// Panics when `mode >= self.order()`; the query methods check
+    /// `mode` and answer an error instead, so use them for untrusted input.
     pub fn factor(&self, mode: usize) -> &Mat {
         &self.cp.factors[mode]
     }
@@ -528,138 +527,13 @@ impl Model {
         })
     }
 
-    // ------------------------------------------------------------------
-    // Batched queries (one pass through the factors for many requests)
-    // ------------------------------------------------------------------
-
-    /// Reconstructs many tensor entries in one pass: per mode, the needed
-    /// factor rows are gathered once and multiplied into a `n × F`
-    /// product matrix, instead of walking all modes per query. Bitwise
-    /// identical to calling [`Model::entry`] per query (each component
-    /// sees the same multiplications in the same ascending-mode order,
-    /// and the final per-row sum accumulates ascending).
+    /// [`Model::entry`] for each query, in order: bitwise its values.
     ///
     /// # Errors
     /// [`TwoPcpError::Model`] on the first query with wrong arity or an
-    /// out-of-range index (all-or-nothing; callers wanting per-query
-    /// isolation validate first).
+    /// out-of-range index (all-or-nothing).
     pub fn entries(&self, queries: &[Vec<usize>]) -> Result<Vec<f64>> {
-        let dims = self.dims();
-        for coords in queries {
-            if coords.len() != dims.len() {
-                return Err(model_err(format!(
-                    "entry wants {} coordinates, got {}",
-                    dims.len(),
-                    coords.len()
-                )));
-            }
-            for (h, &c) in coords.iter().enumerate() {
-                if c >= dims[h] {
-                    return Err(model_err(format!(
-                        "coordinate {c} out of range for mode {h} (dim {})",
-                        dims[h]
-                    )));
-                }
-            }
-        }
-        let mut prod = broadcast_weights(self.weights(), queries.len());
-        let mut rows_scratch = Vec::with_capacity(queries.len());
-        for h in 0..dims.len() {
-            rows_scratch.clear();
-            rows_scratch.extend(queries.iter().map(|q| q[h]));
-            let gathered = self.factor(h).gather_rows(&rows_scratch);
-            prod.hadamard_assign(&gathered)
-                .expect("broadcast and gather shapes agree");
-        }
-        Ok((0..queries.len())
-            .map(|q| prod.row(q).iter().sum())
-            .collect())
-    }
-
-    /// Reconstructs many mode-`mode` fibers in one kernel product:
-    /// pinned products for all queries become an `n × F` matrix `P`, and
-    /// one `A⁽ᵐᵒᵈᵉ⁾ · Pᵀ` through the kernel seam yields every fiber as a
-    /// column. Bitwise identical to calling [`Model::fiber`] per query
-    /// (the kernel contract accumulates each output element ascending,
-    /// exactly like the single-query dot loop).
-    ///
-    /// # Errors
-    /// [`TwoPcpError::Model`] on the first invalid query (all-or-nothing).
-    pub fn fibers(&self, mode: usize, queries: &[Vec<usize>]) -> Result<Vec<Vec<f64>>> {
-        let mut p = broadcast_weights(self.weights(), queries.len());
-        let dims = self.dims();
-        if mode >= dims.len() {
-            return Err(model_err(format!(
-                "mode {mode} out of range for an order-{} tensor",
-                dims.len()
-            )));
-        }
-        let mut rows_scratch = Vec::with_capacity(queries.len());
-        for h in 0..dims.len() {
-            if h == mode {
-                continue;
-            }
-            // `fixed` omits the free mode: pinned index of mode h sits at
-            // position h (or h-1 past the free mode).
-            let at = if h < mode { h } else { h - 1 };
-            rows_scratch.clear();
-            for q in queries {
-                if q.len() + 1 != dims.len() {
-                    return Err(model_err(format!(
-                        "expected {} pinned coordinates, got {}",
-                        dims.len() - 1,
-                        q.len()
-                    )));
-                }
-                let c = q[at];
-                if c >= dims[h] {
-                    return Err(model_err(format!(
-                        "coordinate {c} out of range for mode {h} (dim {})",
-                        dims[h]
-                    )));
-                }
-                rows_scratch.push(c);
-            }
-            let gathered = self.factor(h).gather_rows(&rows_scratch);
-            p.hadamard_assign(&gathered)
-                .expect("broadcast and gather shapes agree");
-        }
-        // Degenerate arity check when no pinned mode existed to do it.
-        if dims.len() == 1 {
-            for q in queries {
-                if !q.is_empty() {
-                    return Err(model_err(format!(
-                        "expected 0 pinned coordinates, got {}",
-                        q.len()
-                    )));
-                }
-            }
-        }
-        let a = self.factor(mode);
-        let m = a.matmul_t(&p).expect("P has rank columns");
-        // Column q of the I × n product is query q's fiber.
-        Ok((0..queries.len())
-            .map(|q| (0..a.rows()).map(|i| m.get(i, q)).collect())
-            .collect())
-    }
-
-    /// Gathers factor rows of mode `mode` into a dense
-    /// `indices.len() × F` matrix (bulk row fetch for similarity-style
-    /// workloads).
-    ///
-    /// # Errors
-    /// [`TwoPcpError::Model`] on a bad mode or out-of-range index.
-    pub fn rows(&self, mode: usize, indices: &[usize]) -> Result<Mat> {
-        let a = self.factor_checked(mode)?;
-        for &r in indices {
-            if r >= a.rows() {
-                return Err(model_err(format!(
-                    "row {r} out of range for mode {mode} (dim {})",
-                    a.rows()
-                )));
-            }
-        }
-        Ok(a.gather_rows(indices))
+        queries.iter().map(|q| self.entry(q)).collect()
     }
 
     /// `λ_f · Π_{m ∉ free} A⁽ᵐ⁾[fixed_m, f]` — the component products with
@@ -712,11 +586,10 @@ impl Model {
     }
 }
 
-/// Ranks a fiber's entries: value descending, ties by index, truncated to
-/// `k` — the single ranking both [`Model::top_k`] and the batched serving
-/// path use, so they cannot drift. O(n + k log k): a selection, then a
-/// sort of the `k` survivors.
-pub fn rank_fiber(fiber: Vec<f64>, k: usize) -> Vec<(usize, f64)> {
+/// Ranks a fiber's entries for [`Model::top_k`]: value descending, ties by
+/// index, truncated to `k`. O(n + k log k): a selection, then a sort of
+/// the `k` survivors.
+fn rank_fiber(fiber: Vec<f64>, k: usize) -> Vec<(usize, f64)> {
     top_ranked(fiber.into_iter().enumerate().collect(), k)
 }
 
@@ -736,16 +609,6 @@ fn top_ranked(mut ranked: Vec<(usize, f64)>, k: usize) -> Vec<(usize, f64)> {
     }
     ranked.sort_unstable_by(order);
     ranked
-}
-
-/// An `n × F` matrix whose every row is the weight vector λ — the seed of
-/// the batched per-query component products.
-fn broadcast_weights(weights: &[f64], n: usize) -> Mat {
-    let mut data = Vec::with_capacity(n * weights.len());
-    for _ in 0..n {
-        data.extend_from_slice(weights);
-    }
-    Mat::from_vec(n, weights.len(), data)
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -1121,51 +984,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_fibers_match_singles_bitwise() {
-        let model = sample_model();
-        let dims = model.dims();
-        for mode in 0..dims.len() {
-            let queries: Vec<Vec<usize>> = (0..9)
-                .map(|q| {
-                    (0..dims.len())
-                        .filter(|&h| h != mode)
-                        .map(|h| (q * 7 + h) % dims[h])
-                        .collect()
-                })
-                .collect();
-            let batched = model.fibers(mode, &queries).unwrap();
-            for (q, fib) in queries.iter().zip(&batched) {
-                let single = model.fiber(mode, q).unwrap();
-                assert_eq!(fib.len(), single.len());
-                for (a, b) in fib.iter().zip(&single) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "batched fiber differs: mode {mode}, fixed {q:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_rows_gather_factor_rows() {
-        let model = sample_model();
-        let picked = model.rows(0, &[3, 0, 3]).unwrap();
-        assert_eq!(picked.shape(), (3, model.rank()));
-        assert_eq!(picked.row(0), model.factor(0).row(3));
-        assert_eq!(picked.row(1), model.factor(0).row(0));
-        assert!(model.rows(0, &[99]).is_err());
-        assert!(model.rows(9, &[0]).is_err());
-    }
-
-    #[test]
     fn batched_bad_queries_are_errors() {
         let model = sample_model();
         assert!(model.entries(&[vec![0, 0]]).is_err()); // wrong arity
         assert!(model.entries(&[vec![99, 0, 0]]).is_err()); // out of range
-        assert!(model.fibers(7, &[vec![0, 0]]).is_err()); // bad mode
-        assert!(model.fibers(0, &[vec![0]]).is_err()); // wrong arity
         assert!(model.entries(&[]).unwrap().is_empty()); // empty batch ok
     }
 

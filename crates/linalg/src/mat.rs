@@ -242,24 +242,6 @@ impl Mat {
         }
     }
 
-    /// Rows `rows` (in that order, repeats allowed) as a new
-    /// `rows.len() × cols` matrix.
-    ///
-    /// # Panics
-    /// Panics if an index is out of range.
-    pub fn gather_rows(&self, rows: &[usize]) -> Mat {
-        let mut data = Vec::with_capacity(rows.len() * self.cols);
-        for &r in rows {
-            assert!(r < self.rows, "gather_rows: row {r} out of {}", self.rows);
-            data.extend_from_slice(self.row(r));
-        }
-        Mat {
-            rows: rows.len(),
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Frobenius norm.
     pub fn fro_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -348,14 +330,6 @@ mod tests {
         assert_eq!(i.get(0, 0), 1.0);
         assert_eq!(i.get(0, 1), 0.0);
         assert_eq!(i.get(2, 2), 1.0);
-    }
-
-    #[test]
-    fn gather_picks_rows_in_order() {
-        let src = Mat::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let g = src.gather_rows(&[2, 0, 2]);
-        assert_eq!(g.shape(), (3, 2));
-        assert_eq!(g.as_slice(), &[5.0, 6.0, 1.0, 2.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl Grid {
         lin
     }
 
-    /// Inverse of [`block_linear`].
+    /// Inverse of [`Self::block_linear`].
     pub fn block_coords(&self, lin: usize) -> Vec<usize> {
         let mut coords = Vec::new();
         self.block_coords_into(lin, &mut coords);

@@ -34,8 +34,8 @@ pub struct OpSnapshot {
     pub errors: u64,
     /// Summed handling time.
     pub total_ns: u64,
-    /// Request payload bytes received (header bytes excluded; BATCH
-    /// sub-requests account under their own opcodes).
+    /// Request payload bytes received (header bytes excluded; a BATCH's
+    /// sub-requests count in its envelope's bytes, under BATCH).
     pub bytes_in: u64,
     /// Response payload bytes sent.
     pub bytes_out: u64,

@@ -13,19 +13,13 @@
 //!
 //! A BATCH envelope is unpacked into sub-requests and answered with one
 //! sub-response each, in order, with per-sub status — one bad sub fails
-//! alone. Homogeneous runs are *grouped* and evaluated through the bulk
-//! model entry points: all valid GET_ENTRY subs against one model become
-//! one [`Model::entries`] call, all valid GET_FIBER/TOP_K subs against
-//! one `(model, mode)` become one [`Model::fibers`] call — a single
-//! matmul-shaped pass through the factors instead of N dot loops.
-//! Grouping is transparent: the bulk paths are bitwise-identical to the
-//! single-query ones (guaranteed in `twopcp::model`), sub payloads share
-//! the query cache with single frames (identical bytes → identical key),
-//! and each sub still records once under its own opcode in [`Metrics`],
-//! at its group's mean cost with ranking, encoding and caching included.
-//! Subs that fail pre-validation are routed through the ordinary single
-//! dispatch so their error messages are exactly what a single frame
-//! would have produced. SHUTDOWN and nested BATCH are rejected per-sub.
+//! alone. Every sub goes through `Router::dispatch`, the code a lone
+//! frame of it goes through: the same validation, the same query-cache
+//! key (identical bytes → identical key) and the same model evaluation,
+//! so every sub's answer is bitwise what its own frame would get. Each
+//! sub records once under its own opcode in [`Metrics`], at its own cost,
+//! with the status its client receives. SHUTDOWN and nested BATCH are
+//! rejected per-sub.
 //!
 //! # The response cap
 //!
@@ -47,7 +41,7 @@ use crate::registry::{ModelEntry, ModelRegistry};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use twopcp::{rank_fiber, TwoPcpError};
+use twopcp::TwoPcpError;
 
 /// Ceiling on `k` in TOP_K / SIMILAR requests (defensive: bounds the
 /// response size independently of model shape).
@@ -276,266 +270,58 @@ impl Router {
         }
     }
 
-    /// The BATCH envelope: unpack, group, bulk-evaluate, reassemble in
-    /// request order. Only v2 frames carry one, so its subs answer at v2.
+    /// The BATCH envelope: each sub goes through [`Router::dispatch`], as
+    /// a lone frame of it would, in request order and within what is left
+    /// of the envelope. Only v2 frames carry one, so its subs answer at v2.
+    /// Each sub is recorded under its own opcode once [`fit_envelope`] has
+    /// settled the status its client receives.
     fn batch(&self, session: &mut SessionState, payload: &[u8]) -> Response {
         let subs = match decode_batch_request(payload) {
             Ok(s) => s,
             Err(e) => return Response::err(Status::BadRequest, e.to_string()),
         };
-        let mut out: Vec<Option<BatchSubResponse>> = (0..subs.len()).map(|_| None).collect();
-        // Homogeneous runs eligible for bulk evaluation, keyed by the
-        // pinned model (and mode for fibers). Values are (sub index,
-        // decoded query, k-for-topk).
-        #[allow(clippy::type_complexity)]
-        let mut entry_groups: HashMap<String, (Arc<ModelEntry>, Vec<(usize, Vec<usize>)>)> =
-            HashMap::new();
-        #[allow(clippy::type_complexity)]
-        let mut fiber_groups: HashMap<
-            (String, usize, bool),
-            (Arc<ModelEntry>, Vec<(usize, Vec<usize>, u32)>),
-        > = HashMap::new();
-        // Envelope bytes taken by the subs answered in this loop so far.
+        let mut out = Vec::with_capacity(subs.len());
+        // Per sub, its opcode and cost; `None` for a sub refused unrouted.
+        let mut costs = Vec::with_capacity(subs.len());
+        // Envelope bytes taken by the subs answered so far.
         let mut used = BATCH_HEAD;
-
-        for (i, sub) in subs.iter().enumerate() {
-            let resolved = Opcode::from_u8(sub.opcode);
-            let answered = match resolved {
-                None => Some(Response::err(
-                    Status::UnknownOpcode,
-                    format!("opcode {:#04x} not recognised", sub.opcode),
-                )),
-                Some(Opcode::Batch) => Some(Response::err(
-                    Status::BadRequest,
-                    "nested BATCH is not allowed",
-                )),
-                Some(Opcode::Shutdown) => Some(Response::err(
-                    Status::BadRequest,
-                    "SHUTDOWN is not allowed inside a BATCH",
-                )),
-                Some(Opcode::GetEntry) => match self.classify_entry(session, &sub.payload) {
-                    Classified::Grouped(entry, coords) => {
-                        entry_groups
-                            .entry(entry.name.clone())
-                            .or_insert_with(|| (entry, Vec::new()))
-                            .1
-                            .push((i, coords));
-                        None
-                    }
-                    Classified::Answer(resp) => Some(resp),
-                },
-                Some(op @ (Opcode::GetFiber | Opcode::TopK)) => {
-                    match self.classify_fiber(session, op, &sub.payload) {
-                        Classified::Grouped(entry, (mode, fixed, k)) => {
-                            fiber_groups
-                                .entry((entry.name.clone(), mode, op == Opcode::TopK))
-                                .or_insert_with(|| (entry, Vec::new()))
-                                .1
-                                .push((i, fixed, k));
-                            None
-                        }
-                        Classified::Answer(resp) => Some(resp),
-                    }
-                }
-                // Everything else rides as an ordinary single dispatch.
+        for sub in &subs {
+            let (resp, cost) = match Opcode::from_u8(sub.opcode) {
+                None => (
+                    Response::err(
+                        Status::UnknownOpcode,
+                        format!("opcode {:#04x} not recognised", sub.opcode),
+                    ),
+                    None,
+                ),
+                Some(Opcode::Batch) => (
+                    Response::err(Status::BadRequest, "nested BATCH is not allowed"),
+                    None,
+                ),
+                Some(Opcode::Shutdown) => (
+                    Response::err(Status::BadRequest, "SHUTDOWN is not allowed inside a BATCH"),
+                    None,
+                ),
                 Some(op) => {
                     let t = Instant::now();
                     let limit = CAP.saturating_sub(used + SUB_HEAD);
                     let resp = self.dispatch(session, op, &sub.payload, VERSION, limit);
-                    self.metrics
-                        .record(op, t.elapsed(), resp.status == Status::Ok);
-                    Some(resp)
+                    (resp, Some((op, t.elapsed())))
                 }
             };
-            if let Some(resp) = answered {
-                used += SUB_HEAD + resp.payload.len();
-                out[i] = Some(sub_response(sub.opcode, resp));
-            }
+            used += SUB_HEAD + resp.payload.len();
+            out.push(sub_response(sub.opcode, resp));
+            costs.push(cost);
         }
-
-        for (entry, members) in entry_groups.into_values() {
-            let t = Instant::now();
-            let (slots, queries): (Vec<usize>, Vec<Vec<usize>>) = members.into_iter().unzip();
-            let answered = match entry.model.entries(&queries) {
-                Ok(vs) => slots
-                    .into_iter()
-                    .zip(vs)
-                    .map(|(i, v)| {
-                        let mut p = Vec::new();
-                        enc::f64(&mut p, v);
-                        self.cache.put(
-                            Opcode::GetEntry as u8,
-                            entry.version,
-                            &subs[i].payload,
-                            p.clone(),
-                        );
-                        (i, Response::ok(p))
-                    })
-                    .collect(),
-                // Pre-validation makes this unreachable in practice;
-                // surface it faithfully if it ever happens.
-                Err(e) => group_error(slots, &e),
-            };
-            self.file_group(&mut out, Opcode::GetEntry, t, answered);
-        }
-
-        for ((_, mode, is_topk), (entry, members)) in fiber_groups {
-            let t = Instant::now();
-            let op = if is_topk {
-                Opcode::TopK
-            } else {
-                Opcode::GetFiber
-            };
-            let (slots, queries): (Vec<(usize, u32)>, Vec<Vec<usize>>) =
-                members.into_iter().map(|(i, q, k)| ((i, k), q)).unzip();
-            let answered = match entry.model.fibers(mode, &queries) {
-                Ok(fs) => slots
-                    .into_iter()
-                    .zip(fs)
-                    .map(|((i, k), fiber)| {
-                        let p = if is_topk {
-                            ranked_payload(&rank_fiber(fiber, k as usize))
-                        } else {
-                            fiber_payload(&fiber)
-                        };
-                        self.cache
-                            .put(op as u8, entry.version, &subs[i].payload, p.clone());
-                        (i, Response::ok(p))
-                    })
-                    .collect(),
-                Err(e) => group_error(slots.into_iter().map(|(i, _)| i), &e),
-            };
-            self.file_group(&mut out, op, t, answered);
-        }
-
-        let mut flat: Vec<BatchSubResponse> = out
-            .into_iter()
-            .map(|r| r.expect("every sub answered"))
-            .collect();
-        fit_envelope(&mut flat);
-        Response::ok(encode_batch_response(&flat))
-    }
-
-    /// Files one bulk group's responses and records each sub under `op`
-    /// at the group's mean cost since `start`: evaluation, ranking,
-    /// encoding and cache insertion, which is what a single frame's
-    /// record of the same opcode covers.
-    fn file_group(
-        &self,
-        out: &mut [Option<BatchSubResponse>],
-        op: Opcode,
-        start: Instant,
-        answered: Vec<(usize, Response)>,
-    ) {
-        let each = start.elapsed() / answered.len().max(1) as u32;
-        for (i, resp) in answered {
-            self.metrics.record(op, each, resp.status == Status::Ok);
-            out[i] = Some(sub_response(op as u8, resp));
-        }
-    }
-
-    /// Decodes and fully validates one GET_ENTRY sub. Valid queries join
-    /// the bulk group; cache hits and anything invalid are answered
-    /// immediately (the latter by the single dispatch path, so the error
-    /// message is exactly what a lone frame would get).
-    fn classify_entry(&self, session: &mut SessionState, payload: &[u8]) -> Classified<Vec<usize>> {
-        let valid = (|| {
-            let mut dec = Dec::new(payload);
-            let name = dec.string().ok()?;
-            let entry = session.resolve(&self.registry, &name)?;
-            if let Some(cached) = self
-                .cache
-                .get(Opcode::GetEntry as u8, entry.version, payload)
-            {
-                return Some((entry, None, Some(cached)));
-            }
-            let coords = dec.coords().ok()?;
-            dec.finish().ok()?;
-            let dims = entry.model.dims();
-            if coords.len() != dims.len() || coords.iter().zip(&dims).any(|(&c, &d)| c >= d) {
-                return None;
-            }
-            Some((entry, Some(coords), None))
-        })();
-        match valid {
-            Some((_, _, Some(cached))) => {
+        fit_envelope(&mut out);
+        for (sub, cost) in out.iter().zip(costs) {
+            if let Some((op, elapsed)) = cost {
                 self.metrics
-                    .record(Opcode::GetEntry, std::time::Duration::ZERO, true);
-                Classified::Answer(Response::ok(cached))
+                    .record(op, elapsed, sub.status == Status::Ok as u16);
             }
-            Some((entry, Some(coords), None)) => Classified::Grouped(entry, coords),
-            _ => Classified::Answer(self.single_sub(session, Opcode::GetEntry, payload)),
         }
+        Response::ok(encode_batch_response(&out))
     }
-
-    /// Decodes and fully validates one GET_FIBER or TOP_K sub (same
-    /// policy as [`Router::classify_entry`]).
-    fn classify_fiber(
-        &self,
-        session: &mut SessionState,
-        op: Opcode,
-        payload: &[u8],
-    ) -> Classified<(usize, Vec<usize>, u32)> {
-        let valid = (|| {
-            let mut dec = Dec::new(payload);
-            let name = dec.string().ok()?;
-            let entry = session.resolve(&self.registry, &name)?;
-            if let Some(cached) = self.cache.get(op as u8, entry.version, payload) {
-                return Some((entry, None, Some(cached)));
-            }
-            let mode = dec.u16().ok()? as usize;
-            let k = if op == Opcode::TopK {
-                let k = dec.u32().ok()?;
-                if k > MAX_K {
-                    return None;
-                }
-                k
-            } else {
-                0
-            };
-            let fixed = dec.coords().ok()?;
-            dec.finish().ok()?;
-            let dims = entry.model.dims();
-            if mode >= dims.len() || fixed.len() + 1 != dims.len() {
-                return None;
-            }
-            let in_range = fixed
-                .iter()
-                .zip((0..dims.len()).filter(|&h| h != mode))
-                .all(|(&c, h)| c < dims[h]);
-            if !in_range {
-                return None;
-            }
-            Some((entry, Some((mode, fixed, k)), None))
-        })();
-        match valid {
-            Some((_, _, Some(cached))) => {
-                self.metrics.record(op, std::time::Duration::ZERO, true);
-                Classified::Answer(Response::ok(cached))
-            }
-            Some((entry, Some(q), None)) => Classified::Grouped(entry, q),
-            _ => Classified::Answer(self.single_sub(session, op, payload)),
-        }
-    }
-
-    /// Single-dispatch fallback for a batch sub, with its own metrics
-    /// record (exactly like a lone frame, minus the envelope bytes).
-    fn single_sub(&self, session: &mut SessionState, op: Opcode, payload: &[u8]) -> Response {
-        let t = Instant::now();
-        let resp = self.model_query(session, op, payload, CAP);
-        self.metrics
-            .record(op, t.elapsed(), resp.status == Status::Ok);
-        resp
-    }
-}
-
-/// Outcome of classifying one batch sub-request.
-enum Classified<Q> {
-    /// Joined a bulk-evaluation group (pinned entry + decoded query).
-    Grouped(Arc<ModelEntry>, Q),
-    /// Answered immediately (cache hit, validation failure, or a
-    /// non-groupable opcode).
-    Answer(Response),
 }
 
 fn sub_response(opcode: u8, resp: Response) -> BatchSubResponse {
@@ -580,14 +366,6 @@ fn too_large(bytes: usize, limit: usize) -> Response {
         Status::TooLarge,
         format!("a {bytes}-byte answer exceeds the {limit}-byte limit"),
     )
-}
-
-/// One `Internal` answer per sub of a group whose bulk evaluation failed.
-fn group_error(slots: impl IntoIterator<Item = usize>, e: &TwoPcpError) -> Vec<(usize, Response)> {
-    slots
-        .into_iter()
-        .map(|i| (i, Response::err(Status::Internal, e.to_string())))
-        .collect()
 }
 
 type QueryResult = std::result::Result<Vec<u8>, Response>;
@@ -660,7 +438,7 @@ fn fiber_response(entry: &ModelEntry, mut dec: Dec) -> QueryResult {
     Ok(fiber_payload(&fiber))
 }
 
-/// `u32 length × f64` — GET_FIBER's response, single or batched.
+/// `u32 length × f64` — GET_FIBER's response.
 fn fiber_payload(fiber: &[f64]) -> Vec<u8> {
     let mut out = Vec::new();
     enc::u32(&mut out, fiber.len() as u32);

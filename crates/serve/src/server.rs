@@ -595,3 +595,56 @@ mod sighup {
         PENDING.swap(false, Ordering::AcqRel)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connected loopback pair: (client side, server side).
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, server)
+    }
+
+    const LONG: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn wait_ready_reports_waiting_bytes_and_a_waiting_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        assert_eq!(wait_ready(&listener, POLLIN, LONG), POLLIN);
+        let (server, _) = listener.accept().unwrap();
+        client.write_all(b"x").unwrap();
+        assert_eq!(wait_ready(&server, POLLIN, LONG), POLLIN);
+    }
+
+    #[test]
+    fn wait_ready_times_out_to_zero_when_nothing_is_waiting() {
+        let (_client, server) = pair();
+        let timeout = Duration::from_millis(200);
+        let t = Instant::now();
+        assert_eq!(wait_ready(&server, POLLIN, timeout), 0);
+        let waited = t.elapsed();
+        assert!(
+            waited >= timeout * 3 / 4 && waited < LONG,
+            "waited {waited:?} for a {timeout:?} timeout"
+        );
+    }
+
+    #[test]
+    fn wait_ready_reports_a_closed_peer_and_the_read_sees_its_end() {
+        let (client, mut server) = pair();
+        drop(client);
+        let ready = wait_ready(&server, POLLIN, LONG);
+        assert!(ready & (POLLIN | POLLHUP) != 0, "revents {ready:#x}");
+        assert_eq!(server.read(&mut [0u8; 8]).unwrap(), 0);
+    }
+
+    #[test]
+    fn wait_ready_reports_a_fresh_socket_writable() {
+        let (client, _server) = pair();
+        assert_eq!(wait_ready(&client, POLLOUT, LONG), POLLOUT);
+    }
+}

@@ -11,8 +11,8 @@ use tpcp_linalg::Mat;
 use tpcp_serve::protocol::MAX_RESPONSE_PAYLOAD;
 use tpcp_serve::router::MAX_K;
 use tpcp_serve::{
-    decode_batch_response, encode_batch_request, request, BatchSub, Client, ModelRegistry, Opcode,
-    ProtoError, ServeOptions, Server, Status,
+    decode_batch_response, encode_batch_request, request, BatchSub, Client, ModelRegistry,
+    OpSnapshot, Opcode, ProtoError, ServeOptions, Server, Status,
 };
 use twopcp::{Model, ModelMeta};
 
@@ -146,13 +146,38 @@ fn a_batch_past_the_cap_answers_its_overflowing_subs_too_large() {
         request::slice(NAME, 1, 2, &[4]),
     ];
     check_batch(&mut c, &slices, &[4, 6]);
-    // 1024 fibers of 2048 rows, evaluated together as one group: each
-    // answer is 16 KiB, and all of them are 11 KiB past the cap, so the
-    // last one is refused.
+    // 1024 fibers of 2048 rows: each answer is 16 KiB, and all of them
+    // are 11 KiB past the cap, so the last one is refused, and STATS
+    // counts that refusal as the error its client received.
     let fibers: Vec<BatchSub> = (0..1024)
         .map(|j| request::fiber(NAME, 0, &[j, 0]))
         .collect();
+    let before = stat(&mut c, Opcode::GetFiber).errors;
     check_batch(&mut c, &fibers, &[1023]);
+    assert_eq!(stat(&mut c, Opcode::GetFiber).errors, before + 1);
+    c.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+/// STATS' row for `op`.
+fn stat(c: &mut Client, op: Opcode) -> OpSnapshot {
+    c.stats().unwrap().op(op).unwrap().snapshot.clone()
+}
+
+#[test]
+fn a_sub_behind_others_is_limited_by_what_they_left_of_the_envelope() {
+    let (server, addr, _dir) = start("behind");
+    let mut c = Client::connect(&addr).unwrap();
+    // 1000 fibers take all but 373 KiB of the envelope, so the 4 MiB
+    // slice behind them is refused before it is evaluated, and counted
+    // as an error.
+    let mut subs: Vec<BatchSub> = (0..1000)
+        .map(|j| request::fiber(NAME, 0, &[j, 0]))
+        .collect();
+    subs.push(request::slice(NAME, 1, 2, &[3]));
+    check_batch(&mut c, &subs, &[1000]);
+    let slice = stat(&mut c, Opcode::GetSlice);
+    assert_eq!((slice.count, slice.errors), (1, 1));
     c.shutdown().unwrap();
     server.join().unwrap();
 }

@@ -11,7 +11,7 @@
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tpcp_cp::CpModel;
 use tpcp_linalg::Mat;
 use tpcp_serve::protocol::{
@@ -19,7 +19,7 @@ use tpcp_serve::protocol::{
     VERSION,
 };
 use tpcp_serve::{
-    decode_batch_response, decode_fiber_payload, encode_batch_request, request, BatchSub,
+    decode_batch_response, decode_fiber_payload, encode_batch_request, request, BatchSub, Client,
     ModelRegistry, Opcode, ServeOptions, Server, Status, MAX_BATCH_SUBS, PIPELINE_DEPTH,
 };
 use twopcp::{Model, ModelMeta};
@@ -32,8 +32,13 @@ const DIMS: [usize; 3] = [128, 4, 4];
 const RANK: usize = 2;
 
 fn model() -> Model {
+    model_seeded(71)
+}
+
+/// The served model's shape, drawn from `seed`.
+fn model_seeded(seed: u64) -> Model {
     use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(71);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let factors: Vec<Mat> = DIMS
         .iter()
         .map(|&d| tpcp_tensor::random_factor(d, RANK, &mut rng))
@@ -43,7 +48,7 @@ fn model() -> Model {
             name: NAME.into(),
             rank: RANK,
             dims: DIMS.to_vec(),
-            seed: 71,
+            seed,
             fit: 0.9,
             schedule: "HO".into(),
             parts: vec![1],
@@ -386,6 +391,28 @@ fn stalled_reader_does_not_wedge_shutdown() {
     drop(s); // open, and unread, until the server was gone
 }
 
+/// Whether this call is the outer run of test `name`: if so, re-runs the
+/// test alone in a child process of this test binary and checks that it
+/// passed there, so no other test's threads or server share its process.
+fn ran_alone(name: &str) -> bool {
+    const ALONE: &str = "TPCP_SESSION_TEST_ALONE";
+    if std::env::var_os(ALONE).is_some() {
+        return false;
+    }
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", name, "--test-threads=1", "--nocapture"])
+        .env(ALONE, "1")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    true
+}
+
 /// Threads of this process, one `/proc/self/task` entry each.
 fn threads_now() -> usize {
     std::fs::read_dir("/proc/self/task").unwrap().count()
@@ -407,20 +434,7 @@ fn threads_now() -> usize {
     ignore = "reads /proc/self/task, which only Linux has"
 )]
 fn thread_count_stays_bounded_under_connection_churn() {
-    const ALONE: &str = "TPCP_SESSION_CHURN_ALONE";
-    const NAME_HERE: &str = "thread_count_stays_bounded_under_connection_churn";
-    if std::env::var_os(ALONE).is_none() {
-        let out = std::process::Command::new(std::env::current_exe().unwrap())
-            .args(["--exact", NAME_HERE, "--test-threads=1", "--nocapture"])
-            .env(ALONE, "1")
-            .output()
-            .unwrap();
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success() && stdout.contains("1 passed"),
-            "{stdout}\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+    if ran_alone("thread_count_stays_bounded_under_connection_churn") {
         return;
     }
     const MAX_SESSIONS: usize = 4;
@@ -502,5 +516,45 @@ fn thread_count_stays_bounded_under_connection_churn() {
             threads_now() <= baseline,
             "threads left behind by the server"
         );
+    });
+}
+
+/// SIGHUP reloads the registry: after a new version of a served model is
+/// saved and the process is sent SIGHUP, STATS reports a later registry
+/// generation and a fresh session answers from the new version. The
+/// signal's flag is process-wide and any server's accept loop takes it,
+/// so the test runs alone in a child process.
+#[test]
+#[cfg(unix)]
+fn sighup_reloads_the_registry() {
+    if ran_alone("sighup_reloads_the_registry") {
+        return;
+    }
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGHUP: i32 = 1;
+    within(WATCHDOG, || {
+        let (server, addr, guard) = start("sighup");
+        let mut c = Client::connect(&addr).unwrap();
+        let before = c.stats().unwrap().generation;
+        let next = model_seeded(72);
+        next.save(guard.0.join(format!("{NAME}.2pcpm"))).unwrap();
+        // SAFETY: `kill` takes a process id and a signal number and reads
+        // no memory; the server above has installed its SIGHUP handler,
+        // so the signal does not end this process.
+        assert_eq!(unsafe { kill(std::process::id() as i32, SIGHUP) }, 0);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while c.stats().unwrap().generation == before {
+            assert!(Instant::now() < deadline, "no reload 10 s after SIGHUP");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let coords = [1, 2, 3];
+        let mut fresh = Client::connect(&addr).unwrap();
+        assert_eq!(
+            fresh.entry(NAME, &coords).unwrap().to_bits(),
+            next.entry(&coords).unwrap().to_bits()
+        );
+        stop(server);
     });
 }

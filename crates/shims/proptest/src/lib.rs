@@ -2,7 +2,7 @@
 //! crate.
 //!
 //! Implements the API subset the workspace's property tests use: the
-//! [`Strategy`] trait (ranges, tuples, [`strategy::Just`], `prop_map`,
+//! [`Strategy`](strategy::Strategy) trait (ranges, tuples, [`strategy::Just`], `prop_map`,
 //! `prop_flat_map`, [`prop_oneof!`]), [`collection::vec`], [`any`], the
 //! [`proptest!`] macro, and the `prop_assert*` family.
 //!

@@ -168,7 +168,7 @@ impl DenseTensor {
         Ok(out)
     }
 
-    /// Inverse of [`unfold`]: folds a matricisation back into a tensor of
+    /// Inverse of [`Self::unfold`]: folds a matricisation back into a tensor of
     /// shape `dims`.
     ///
     /// # Errors
