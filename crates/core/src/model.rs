@@ -58,6 +58,8 @@
 //! time, through the same methods a lone query uses.
 
 use crate::{config::TwoPcpConfig, driver::TwoPcpOutcome, Result, TwoPcpError};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -121,8 +123,8 @@ pub struct Model {
     /// Descriptive metadata (see [`ModelMeta`]).
     pub meta: ModelMeta,
     cp: CpModel,
-    /// Per mode, `Σ_f (λ_f·A[r, f])²` for every row `r` (8 B per row),
-    /// filled lazily by [`Model::row_norms`].
+    /// Per mode, `sqrt(Σ_f (λ_f·A[r, f])²)` for every row `r` (8 B per
+    /// row), filled lazily by [`Model::row_norms`].
     norms: Arc<[OnceLock<Vec<f64>>]>,
 }
 
@@ -453,13 +455,14 @@ impl Model {
     /// (the row itself excluded), as `(index, similarity)` sorted by
     /// similarity descending (ties by index).
     ///
-    /// Cost: one O(rows·F) pass for the dot products plus an
-    /// O(rows + k log k) ranking. Every row's λ-weighted squared norm is
-    /// computed once per model (see [`Model`] on why that cache is
-    /// sound), and the dot products run a fixed block of rows side by
-    /// side, each row keeping its own accumulator in ascending `f` —
-    /// exactly [`Model::cosine`]'s arithmetic, so every value is bitwise
-    /// what it returns for the same pair.
+    /// Cost: one O(rows·F) pass for the dot products, one division per
+    /// row, and an O(rows + a·log k) ranking for `a` heap admissions.
+    /// Every row's λ-weighted norm is computed once per model (see
+    /// [`Model`] on why that cache is sound), and the dot products run a
+    /// fixed block of rows side by side, each row keeping its own
+    /// accumulator in ascending `f` — exactly [`Model::cosine`]'s
+    /// arithmetic, so every value is bitwise what it returns for the same
+    /// pair.
     pub fn similar_rows(&self, mode: usize, row: usize, k: usize) -> Result<Vec<(usize, f64)>> {
         let a = self.factor_checked(mode)?;
         if row >= a.rows() {
@@ -471,57 +474,58 @@ impl Model {
         let (rows, n) = (a.rows(), a.cols());
         let w = &self.weights()[..n];
         let norms = self.row_norms(mode);
-        let aa = norms[row];
         let wx: Vec<f64> = a.row(row).iter().zip(w).map(|(&x, &w)| w * x).collect();
-        let cosine = |ab: f64, bb: f64| {
-            if aa == 0.0 || bb == 0.0 {
-                0.0
-            } else {
-                ab / (aa.sqrt() * bb.sqrt())
-            }
-        };
+        let wx = &wx[..n];
         let full = rows - rows % SIMILAR_LANES;
-        let mut ranked = Vec::with_capacity(rows - 1);
+        let mut sims = Vec::with_capacity(rows);
         for base in (0..full).step_by(SIMILAR_LANES) {
-            let block = &a.as_slice()[base * n..(base + SIMILAR_LANES) * n];
+            // Slices of exactly `n` let the compiler drop every bounds
+            // check from the inner loop.
+            let lanes: [&[f64]; SIMILAR_LANES] = std::array::from_fn(|l| &a.row(base + l)[..n]);
             let mut ab = [0.0f64; SIMILAR_LANES];
             for f in 0..n {
                 let (wxf, wf) = (wx[f], w[f]);
-                for (l, acc) in ab.iter_mut().enumerate() {
-                    *acc += wxf * (wf * block[l * n + f]);
+                for (acc, lane) in ab.iter_mut().zip(&lanes) {
+                    *acc += wxf * (wf * lane[f]);
                 }
             }
-            for (l, &ab) in ab.iter().enumerate() {
-                let r = base + l;
-                if r != row {
-                    ranked.push((r, cosine(ab, norms[r])));
-                }
-            }
+            sims.extend_from_slice(&ab);
         }
-        for r in (full..rows).filter(|&r| r != row) {
-            let ab = wx
-                .iter()
+        sims.extend((full..rows).map(|r| {
+            wx.iter()
                 .zip(w)
                 .zip(a.row(r))
-                .fold(0.0, |ab, ((&wxf, &wf), &y)| ab + wxf * (wf * y));
-            ranked.push((r, cosine(ab, norms[r])));
+                .fold(0.0, |ab, ((&wxf, &wf), &y)| ab + wxf * (wf * y))
+        }));
+        // `weighted_cosine`'s `ab / (aa.sqrt() * bb.sqrt())`, zero when
+        // either norm is: the dot products become cosines in place.
+        let sa = norms[row];
+        if sa == 0.0 {
+            sims.fill(0.0);
+        } else {
+            for (s, &sb) in sims.iter_mut().zip(norms) {
+                let cos = *s / (sa * sb);
+                *s = if sb == 0.0 { 0.0 } else { cos };
+            }
         }
-        Ok(top_ranked(ranked, k))
+        let others = sims.iter().enumerate().filter(|&(r, _)| r != row);
+        Ok(top_ranked(others.map(|(r, &s)| (r, s)), k))
     }
 
-    /// Mode `mode`'s per-row `Σ_f (λ_f·A[r, f])²`, in ascending `f` —
-    /// the norm half of [`weighted_cosine`], computed on first use and
-    /// kept for the model's life.
+    /// Mode `mode`'s per-row λ-weighted norm `sqrt(Σ_f (λ_f·A[r, f])²)`,
+    /// summed in ascending `f` — the norm half of [`weighted_cosine`],
+    /// computed on first use and kept for the model's life.
     fn row_norms(&self, mode: usize) -> &[f64] {
         self.norms[mode].get_or_init(|| {
             let a = self.factor(mode);
             let w = self.weights();
             (0..a.rows())
                 .map(|r| {
-                    a.row(r).iter().zip(w).fold(0.0, |bb, (&y, &w)| {
+                    let bb = a.row(r).iter().zip(w).fold(0.0, |bb, (&y, &w)| {
                         let wy = w * y;
                         bb + wy * wy
-                    })
+                    });
+                    bb.sqrt()
                 })
                 .collect()
         })
@@ -587,28 +591,51 @@ impl Model {
 }
 
 /// Ranks a fiber's entries for [`Model::top_k`]: value descending, ties by
-/// index, truncated to `k`. O(n + k log k): a selection, then a sort of
-/// the `k` survivors.
+/// index, truncated to `k`.
 fn rank_fiber(fiber: Vec<f64>, k: usize) -> Vec<(usize, f64)> {
-    top_ranked(fiber.into_iter().enumerate().collect(), k)
+    top_ranked(fiber.into_iter().enumerate(), k)
 }
 
 /// Rows per interleaved block in [`Model::similar_rows`]: that many
 /// independent dot-product chains in flight at once.
 const SIMILAR_LANES: usize = 8;
 
-/// The `k` first of `ranked` under value descending by `total_cmp`, then
-/// index ascending, in that order. A select followed by a sort of the
-/// `k` survivors: under a total order with distinct indices this is
-/// exactly a full sort then a truncate.
-fn top_ranked(mut ranked: Vec<(usize, f64)>, k: usize) -> Vec<(usize, f64)> {
-    let order = |a: &(usize, f64), b: &(usize, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
-    if k < ranked.len() {
-        ranked.select_nth_unstable_by(k, order);
-        ranked.truncate(k);
+/// `f64::total_cmp` as an integer: `order_key(a).cmp(&order_key(b))` is
+/// `a.total_cmp(&b)`, and [`from_order_key`] undoes it bit for bit.
+fn order_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+fn from_order_key(key: i64) -> f64 {
+    // The transform keeps the sign bit, so it is its own inverse.
+    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
+}
+
+/// The `k` first of `candidates` under value descending by `total_cmp`,
+/// then index ascending — exactly a full sort then a truncate. The
+/// candidates must come in ascending index order.
+///
+/// One streaming pass holds the best `min(k, seen)` in a heap whose top
+/// is the worst of them. A later candidate loses every tie on index, so
+/// it is admitted only when its key beats the worst's: one integer
+/// compare rejects it. O(n + a·log k) for `a` admissions.
+fn top_ranked(candidates: impl Iterator<Item = (usize, f64)>, k: usize) -> Vec<(usize, f64)> {
+    let mut candidates = candidates.map(|(i, v)| (Reverse(order_key(v)), i));
+    let mut heap: BinaryHeap<(Reverse<i64>, usize)> = candidates.by_ref().take(k).collect();
+    if let Some(&(Reverse(mut worst), _)) = heap.peek() {
+        for (Reverse(key), i) in candidates {
+            if key > worst {
+                // Replacing the top through `PeekMut` sifts it down on drop.
+                *heap.peek_mut().expect("the heap holds k > 0 entries") = (Reverse(key), i);
+                worst = heap.peek().expect("still k entries").0 .0;
+            }
+        }
     }
-    ranked.sort_unstable_by(order);
-    ranked
+    heap.into_sorted_vec()
+        .into_iter()
+        .map(|(Reverse(key), i)| (i, from_order_key(key)))
+        .collect()
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -1097,16 +1124,61 @@ mod tests {
         Model::new(meta, CpModel::new(weights, factors).unwrap()).unwrap()
     }
 
+    /// A model over the given factors and weights.
+    fn model_of(weights: Vec<f64>, factors: Vec<Mat>) -> Model {
+        let meta = ModelMeta {
+            name: "edge".into(),
+            rank: weights.len(),
+            dims: factors.iter().map(Mat::rows).collect(),
+            seed: 0,
+            fit: 0.0,
+            schedule: "HO".into(),
+            parts: vec![1],
+            compress: None,
+        };
+        Model::new(meta, CpModel::new(weights, factors).unwrap()).unwrap()
+    }
+
+    /// Mode-0 rows whose cosines hit the ranking's edges: duplicates (ties),
+    /// a zero row, a cosine that underflows to `-0.0` and one that is
+    /// `+0.0`, infinite and NaN entries (NaN cosines), and a row whose
+    /// squared norm is subnormal.
+    fn edge_similarity_model() -> Model {
+        let inf = f64::INFINITY;
+        let rows: [&[f64]; 11] = [
+            &[1.0, 0.0],
+            &[0.0, 0.0],
+            &[1.0, 0.0],
+            &[-1e-320, 1e10],
+            &[0.0, 1.0],
+            &[inf, 0.0],
+            &[f64::NAN, 0.0],
+            &[-inf, 1.0],
+            &[-1.0, 0.0],
+            &[1e-160, 0.0],
+            &[-f64::NAN, 2.0],
+        ];
+        model_of(
+            vec![1.0, 1.0],
+            vec![Mat::from_rows(&rows), Mat::from_rows(&[&[1.0, 1.0]])],
+        )
+    }
+
     #[test]
     fn similar_rows_is_bitwise_the_scalar_full_sort() {
-        for rank in [1, 32] {
-            let m = similarity_model(rank, 5 + rank as u64);
+        let models = [
+            similarity_model(1, 6),
+            similarity_model(32, 37),
+            edge_similarity_model(),
+        ];
+        for m in &models {
             for mode in 0..m.order() {
                 let rows = m.dims()[mode];
                 for row in 0..rows {
-                    for k in [0, 1, 10, rows - 1, rows, rows + 5] {
-                        let want = ranked_bits(&similar_rows_oracle(&m, mode, row, k));
+                    for k in [0, 1, 10, rows - 1, rows, rows + 5, usize::MAX] {
+                        let want = ranked_bits(&similar_rows_oracle(m, mode, row, k));
                         let got = ranked_bits(&m.similar_rows(mode, row, k).unwrap());
+                        let rank = m.rank();
                         assert_eq!(got, want, "rank {rank} mode {mode} row {row} k {k}");
                     }
                     for (j, v) in m.similar_rows(mode, row, rows).unwrap() {
@@ -1115,6 +1187,24 @@ mod tests {
                 }
             }
         }
+        // The edge rows do produce the edge values.
+        let e = edge_similarity_model();
+        let sims: Vec<u64> = e
+            .similar_rows(0, 0, 20)
+            .unwrap()
+            .iter()
+            .map(|p| p.1.to_bits())
+            .collect();
+        assert!(sims.contains(&(-0.0f64).to_bits()) && sims.contains(&0.0f64.to_bits()));
+        assert!(e
+            .similar_rows(0, 0, 20)
+            .unwrap()
+            .iter()
+            .any(|p| p.1.is_nan()));
+        // A zero-norm query row compares as 0.0 with every row.
+        let zero = e.similar_rows(0, 1, usize::MAX).unwrap();
+        assert_eq!(zero.len(), 10);
+        assert!(zero.iter().all(|p| p.1.to_bits() == 0.0f64.to_bits()));
     }
 
     #[test]
@@ -1139,6 +1229,17 @@ mod tests {
         assert!(Arc::ptr_eq(&m.norms, &clone.norms));
         let filled = clone.norms[1].get().expect("filled through the original");
         assert_eq!(filled.len(), m.dims()[1]);
+        // Each entry is the square root `weighted_cosine` takes of the
+        // row's λ-weighted sum of squares, bit for bit.
+        let a = m.factor(1);
+        for (r, &norm) in filled.iter().enumerate() {
+            let bb = a
+                .row(r)
+                .iter()
+                .zip(m.weights())
+                .fold(0.0, |bb, (&y, &w)| bb + (w * y) * (w * y));
+            assert_eq!(norm.to_bits(), bb.sqrt().to_bits(), "row {r}");
+        }
         assert!(clone.norms[0].get().is_none(), "only the asked mode fills");
         assert_eq!(
             ranked_bits(&clone.similar_rows(1, 2, 3).unwrap()),
@@ -1165,15 +1266,42 @@ mod tests {
             ],
             (0..37).map(|i| ((i * 7) % 5) as f64 - 2.0).collect(),
             (0..29).map(|i| (i as f64 * 0.7).sin()).collect(),
+            // Long enough that the heap admits and rejects many times over,
+            // with every value repeated and every edge value mixed in.
+            (0..600)
+                .map(|i| match i % 97 {
+                    0 => nan,
+                    1 => -nan,
+                    2 => f64::INFINITY,
+                    3 => f64::NEG_INFINITY,
+                    4 => -0.0,
+                    5 => 0.0,
+                    _ => ((i * 37) % 101) as f64 * 0.5 - 20.0,
+                })
+                .collect(),
         ];
         for fiber in fibers {
             let n = fiber.len();
-            for k in [0, 1, 3, 10, n.saturating_sub(1), n, n + 5] {
+            // A rank-1 model whose mode-0 fiber at (0) is `fiber`, bit for
+            // bit: λ = 1 and a mode-1 factor of one 1.0.
+            let m = model_of(
+                vec![1.0],
+                vec![
+                    Mat::from_vec(n, 1, fiber.clone()),
+                    Mat::from_vec(1, 1, vec![1.0]),
+                ],
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&m.fiber(0, &[0]).unwrap()), bits(&fiber));
+            for k in [0, 1, 3, 10, n.saturating_sub(1), n, n + 5, usize::MAX] {
+                let want = ranked_bits(&rank_fiber_oracle(fiber.clone(), k));
                 assert_eq!(
                     ranked_bits(&rank_fiber(fiber.clone(), k)),
-                    ranked_bits(&rank_fiber_oracle(fiber.clone(), k)),
+                    want,
                     "n {n} k {k}"
                 );
+                let got = ranked_bits(&m.top_k(0, &[0], k).unwrap());
+                assert_eq!(got, want, "top_k n {n} k {k}");
             }
         }
     }

@@ -14,8 +14,9 @@
 //!   reload (RELOAD opcode or SIGHUP);
 //! * [`router`] — opcode dispatch over the registry, with per-session
 //!   version pinning (a hot swap never mixes versions mid-connection);
-//! * [`cache`] — an LRU of normalized-request → response, keyed on the
-//!   pinned model version so swaps self-invalidate;
+//! * [`cache`] — an O(1) LRU of normalized-request → response, keyed on
+//!   the pinned model version so swaps self-invalidate, bounded by entry
+//!   count and by response bytes;
 //! * [`metrics`] — per-opcode counters and log2-µs latency histograms,
 //!   served by the STATS opcode;
 //! * [`server`] — the bounded accept loop and the session threads, one
