@@ -29,8 +29,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use std::hint::black_box;
-use tpcp_cp::{mttkrp_dense_kernel, CpModel};
-use tpcp_linalg::{khatri_rao, solve, KernelKind, Mat};
+use tpcp_cp::{mttkrp_dense, CpModel};
+use tpcp_linalg::{khatri_rao, solve, Mat};
 use tpcp_par::ParConfig;
 use tpcp_partition::Grid;
 use tpcp_schedule::{gray_coords, hilbert_index, morton_index, ScheduleKind, UnitId};
@@ -87,7 +87,8 @@ fn bench_mttkrp(c: &mut Criterion) {
     let refs: Vec<&Mat> = factors.iter().collect();
 
     group.bench_function("fused_3mode", |b| {
-        b.iter(|| black_box(tpcp_cp::mttkrp_dense(black_box(&x), &refs, 1).unwrap()))
+        let par = ParConfig::auto();
+        b.iter(|| black_box(mttkrp_dense(black_box(&x), &refs, 1, &par).unwrap()))
     });
     group.bench_function("unfold_khatri_rao", |b| {
         b.iter(|| {
@@ -123,9 +124,7 @@ fn bench_mttkrp_par(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0.0;
                 for mode in 0..3 {
-                    let m =
-                        mttkrp_dense_kernel(black_box(&x), &refs, mode, &par, KernelKind::Tiled)
-                            .unwrap();
+                    let m = mttkrp_dense(black_box(&x), &refs, mode, &par).unwrap();
                     acc += m.get(0, 0);
                 }
                 black_box(acc)

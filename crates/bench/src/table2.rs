@@ -232,13 +232,11 @@ pub fn render(cfg: &Table2Config, result: &Table2Result) -> String {
         ]);
     }
     let mut out = format!(
-        "Table II — execution times ({side}^3, density {dens}, rank {rank}, ZO schedule, buffer {buf:.2}, {kern} kernels)\n",
+        "Table II — execution times ({side}^3, density {dens}, rank {rank}, ZO schedule, buffer {buf:.2})\n",
         side = cfg.side,
         dens = cfg.density,
         rank = cfg.rank,
         buf = cfg.buffer_fraction,
-        // `run_variant` leaves the backend at the same config default.
-        kern = TwoPcpConfig::new(cfg.rank).kernel.label(),
     );
     out.push_str(&render_table(
         &[
@@ -307,10 +305,6 @@ mod tests {
         let table = render(&cfg, &result);
         assert!(table.contains("Naive CP (OOC)"));
         assert!(table.contains("2x2x2"));
-        assert!(
-            table.contains(" kernels)"),
-            "title must attribute the active kernel backend"
-        );
         assert!(
             table.contains("Q-Hadamard fold"),
             "report must answer the q_hadamard hotness question"

@@ -23,9 +23,9 @@
 //!    factors expand as `A_n = U_n · Â_n`; a short exact ALS polish over
 //!    the original tensor then absorbs the compression error.
 //!
-//! Everything runs through the deterministic `Kernel` seam with serial
+//! Everything runs on the deterministic tiled kernels with serial
 //! fixed-order accumulation, so the whole pipeline is bitwise reproducible
-//! across runs, thread budgets and kernel backends. See `docs/compress.md`
+//! across runs and thread budgets. See `docs/compress.md`
 //! for the accuracy contract and when *not* to use this path.
 
 #![forbid(unsafe_code)]
@@ -158,13 +158,13 @@ fn exact_bases(
     for n in 0..order {
         let g = if n == 0 {
             let norms = &mut block_norms_sq;
-            let g = stream::mode_gram(src, grid, n, &options.par, options.kernel, |lin, t| {
+            let g = stream::mode_gram(src, grid, n, &options.par, |lin, t| {
                 norms[lin] = t.fro_norm_sq();
             })?;
             norm_x_sq = block_norms_sq.iter().sum();
             g
         } else {
-            stream::mode_gram(src, grid, n, &options.par, options.kernel, |_, _| {})?
+            stream::mode_gram(src, grid, n, &options.par, |_, _| {})?
         };
         let (eigenvalues, vectors) = sym_eig(&g).map_err(CpError::from)?;
         let cap = copts
@@ -229,7 +229,6 @@ fn sketched_bases(
         &omegas,
         &widths,
         &options.par,
-        options.kernel,
         &mut block_norms_sq,
     )?;
     let norm_x_sq: f64 = block_norms_sq.iter().sum();
@@ -239,11 +238,11 @@ fn sketched_bases(
     for n in 0..order {
         let mut q = ys[n].orthonormalize().map_err(CpError::from)?;
         for _ in 0..copts.power_iters {
-            let z = stream::power_pass(src, grid, n, &q, &options.par, options.kernel)?;
+            let z = stream::power_pass(src, grid, n, &q, &options.par)?;
             q = z.orthonormalize().map_err(CpError::from)?;
             passes += 1;
         }
-        let s = stream::projected_gram(src, grid, n, &q, &options.par, options.kernel)?;
+        let s = stream::projected_gram(src, grid, n, &q, &options.par)?;
         passes += 1;
         let (eigenvalues, vectors) = sym_eig(&s).map_err(CpError::from)?;
         // Threshold against the *true* ‖X‖² (≥ Σ captured eigenvalues), so
@@ -252,7 +251,7 @@ fn sketched_bases(
         let retained: f64 = eigenvalues[..r].iter().map(|l| l.max(0.0)).sum();
         discarded_total += (norm_x_sq - retained).max(0.0);
         let u = q
-            .matmul_kernel(&take_columns(&vectors, r), &options.par, options.kernel)
+            .matmul_kernel(&take_columns(&vectors, r), &options.par)
             .map_err(CpError::from)?;
         us.push(u);
         ys[n] = Mat::zeros(0, 0); // drop the sketch eagerly
@@ -271,7 +270,7 @@ fn sketched_bases(
 ///
 /// `options.compress` supplies the [`CompressOptions`] (defaults apply when
 /// `None`); the remaining [`AlsOptions`] fields (rank, tolerances, seed,
-/// thread budget, kernel) govern the core factorisation and the
+/// thread budget) govern the core factorisation and the
 /// polish sweeps exactly as they would the uncompressed path.
 pub fn compress_decompose(
     src: &mut dyn BlockSource,
@@ -318,7 +317,7 @@ pub fn compress_decompose(
         mut passes,
     } = bases;
 
-    let core = stream::contract_core(src, grid, &us, &options.par, options.kernel)?;
+    let core = stream::contract_core(src, grid, &us, &options.par)?;
     passes += 1;
 
     let mut core_opts = options.clone();
@@ -333,7 +332,7 @@ pub fn compress_decompose(
     let mut factors = Vec::with_capacity(order);
     for (u, a_hat) in us.iter().zip(&core_report.model.factors) {
         factors.push(
-            u.matmul_kernel(a_hat, &options.par, options.kernel)
+            u.matmul_kernel(a_hat, &options.par)
                 .map_err(CpError::from)?,
         );
     }
@@ -344,15 +343,7 @@ pub fn compress_decompose(
         factors[0].scale_columns(&weights);
         for _ in 0..copts.refine_iters {
             for mode in 0..order {
-                stream::refine_mode(
-                    src,
-                    grid,
-                    &mut factors,
-                    mode,
-                    options.ridge,
-                    &options.par,
-                    options.kernel,
-                )?;
+                stream::refine_mode(src, grid, &mut factors, mode, options.ridge, &options.par)?;
                 passes += 1;
             }
         }

@@ -5,15 +5,15 @@
 //! group) or one block resident, so compression obeys the same out-of-core
 //! memory discipline as streaming Phase 1 — the full `I_n × Π_{m≠n} I_m`
 //! unfolding is never materialised. Determinism follows the workspace
-//! contract: all products go through the bitwise thread/backend-invariant
-//! `Kernel` seam, and every accumulation (`G_n += Y·Yᵀ`, sketch row
-//! updates, core adds, MTTKRP row adds) happens serially in a fixed order
-//! (ascending slab/block linear id), so results are bit-identical run to
-//! run and for any thread budget.
+//! contract: all products run the bitwise thread-invariant tiled kernels,
+//! and every accumulation (`G_n += Y·Yᵀ`, sketch row updates, core adds,
+//! MTTKRP row adds) happens serially in a fixed order (ascending
+//! slab/block linear id), so results are bit-identical run to run and for
+//! any thread budget.
 
 use crate::Result;
-use tpcp_cp::mttkrp_dense_kernel;
-use tpcp_linalg::{khatri_rao, KernelKind, Mat};
+use tpcp_cp::mttkrp_dense;
+use tpcp_linalg::{khatri_rao, Mat};
 use tpcp_par::ParConfig;
 use tpcp_partition::{Block, BlockSource, Grid};
 use tpcp_tensor::DenseTensor;
@@ -86,14 +86,13 @@ pub(crate) fn mode_gram(
     grid: &Grid,
     mode: usize,
     par: &ParConfig,
-    kind: KernelKind,
     mut on_block: impl FnMut(usize, &DenseTensor),
 ) -> Result<Mat> {
     let i_n = grid.dims()[mode];
     let mut g = Mat::zeros(i_n, i_n);
     stream_panels(src, grid, mode, &mut on_block, |panel| {
         let contrib = panel
-            .matmul_t_kernel(panel, par, kind)
+            .matmul_t_kernel(panel, par)
             .map_err(tpcp_cp::CpError::from)?;
         g.add_assign(&contrib).map_err(tpcp_cp::CpError::from)?;
         Ok(())
@@ -110,10 +109,10 @@ pub(crate) fn projected_gram(
     mode: usize,
     q: &Mat,
     par: &ParConfig,
-    kind: KernelKind,
 ) -> Result<Mat> {
     let l = q.cols();
     let mut s = Mat::zeros(l, l);
+    let mut g = Mat::default();
     stream_panels(
         src,
         grid,
@@ -121,10 +120,10 @@ pub(crate) fn projected_gram(
         |_, _| {},
         |panel| {
             let w = panel
-                .t_matmul_kernel(q, par, kind)
+                .t_matmul_kernel(q, par)
                 .map_err(tpcp_cp::CpError::from)?;
-            s.add_assign(&w.gram_kernel(par, kind))
-                .map_err(tpcp_cp::CpError::from)?;
+            w.gram_into(par, &mut g);
+            s.add_assign(&g).map_err(tpcp_cp::CpError::from)?;
             Ok(())
         },
     )?;
@@ -140,7 +139,6 @@ pub(crate) fn power_pass(
     mode: usize,
     q: &Mat,
     par: &ParConfig,
-    kind: KernelKind,
 ) -> Result<Mat> {
     let mut z = Mat::zeros(grid.dims()[mode], q.cols());
     stream_panels(
@@ -150,10 +148,10 @@ pub(crate) fn power_pass(
         |_, _| {},
         |panel| {
             let w = panel
-                .t_matmul_kernel(q, par, kind)
+                .t_matmul_kernel(q, par)
                 .map_err(tpcp_cp::CpError::from)?;
             let contrib = panel
-                .matmul_kernel(&w, par, kind)
+                .matmul_kernel(&w, par)
                 .map_err(tpcp_cp::CpError::from)?;
             z.add_assign(&contrib).map_err(tpcp_cp::CpError::from)?;
             Ok(())
@@ -173,7 +171,6 @@ pub(crate) fn sketch_pass(
     omegas: &[Vec<Option<Mat>>],
     widths: &[usize],
     par: &ParConfig,
-    kind: KernelKind,
     block_norms_sq: &mut [f64],
 ) -> Result<Vec<Mat>> {
     let order = grid.order();
@@ -199,7 +196,7 @@ pub(crate) fn sketch_pass(
             let refs: Vec<&Mat> = slices.iter().collect();
             let kr = khatri_rao(&refs).map_err(tpcp_cp::CpError::from)?;
             let contrib = unf
-                .matmul_kernel(&kr, par, kind)
+                .matmul_kernel(&kr, par)
                 .map_err(tpcp_cp::CpError::from)?;
             let r0 = grid.part_range(n, coords[n]).start;
             for i in 0..contrib.rows() {
@@ -225,7 +222,6 @@ pub(crate) fn contract_core(
     grid: &Grid,
     bases: &[Mat],
     par: &ParConfig,
-    kind: KernelKind,
 ) -> Result<DenseTensor> {
     let order = grid.order();
     let core_dims: Vec<usize> = bases.iter().map(Mat::cols).collect();
@@ -239,7 +235,7 @@ pub(crate) fn contract_core(
             let u_rows = bases[n].row_block(r.start, r.end - r.start);
             let unf = t.unfold(n).map_err(tpcp_cp::CpError::from)?;
             let contracted = u_rows
-                .t_matmul_kernel(&unf, par, kind)
+                .t_matmul_kernel(&unf, par)
                 .map_err(tpcp_cp::CpError::from)?;
             tdims[n] = core_dims[n];
             t = DenseTensor::fold(&contracted, n, &tdims).map_err(tpcp_cp::CpError::from)?;
@@ -263,7 +259,6 @@ pub(crate) fn refine_mode(
     mode: usize,
     ridge: f64,
     par: &ParConfig,
-    kind: KernelKind,
 ) -> Result<()> {
     let order = grid.order();
     let f = factors[mode].cols();
@@ -278,7 +273,7 @@ pub(crate) fn refine_mode(
             })
             .collect();
         let refs: Vec<&Mat> = slices.iter().collect();
-        let contrib = mttkrp_dense_kernel(&dense, &refs, mode, par, kind)?;
+        let contrib = mttkrp_dense(&dense, &refs, mode, par)?;
         let r0 = grid.part_range(mode, coords[mode]).start;
         for i in 0..contrib.rows() {
             for (dst, v) in t_mat.row_mut(r0 + i).iter_mut().zip(contrib.row(i)) {
@@ -288,7 +283,8 @@ pub(crate) fn refine_mode(
     }
     let mut s: Option<Mat> = None;
     for m in (0..order).filter(|&m| m != mode) {
-        let g = factors[m].gram_kernel(par, kind);
+        let mut g = Mat::default();
+        factors[m].gram_into(par, &mut g);
         s = Some(match s {
             Some(mut acc) => {
                 acc.hadamard_assign(&g).map_err(tpcp_cp::CpError::from)?;

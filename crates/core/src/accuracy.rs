@@ -8,7 +8,7 @@
 
 use crate::{Result, TwoPcpError};
 use tpcp_cp::CpModel;
-use tpcp_linalg::{KernelKind, Mat};
+use tpcp_linalg::Mat;
 use tpcp_par::ParConfig;
 use tpcp_partition::{Block, BlockSource, Grid, SourceResult};
 use tpcp_tensor::{DenseTensor, SparseTensor};
@@ -64,10 +64,9 @@ fn dense_terms(
     block: &DenseTensor,
     norm_sq: Option<f64>,
     par: &ParConfig,
-    kernel: KernelKind,
 ) -> Result<BlockTerms> {
     let sub = block_sub_model(model, grid, lin);
-    let inner = sub.inner_dense_kernel(block, par, kernel)?;
+    let inner = sub.inner_dense_kernel(block, par)?;
     let b_sq = norm_sq.unwrap_or_else(|| block.fro_norm_sq());
     Ok((b_sq, inner, sub.norm_sq()))
 }
@@ -123,10 +122,10 @@ impl FitAcc {
 /// # Errors
 /// Shape mismatches between the model slices and the blocks.
 pub fn blockwise_fit_dense(model: &CpModel, grid: &Grid, blocks: &[DenseTensor]) -> Result<f64> {
-    let (par, kernel) = (ParConfig::auto(), KernelKind::Tiled);
+    let par = ParConfig::auto();
     let mut acc = FitAcc::default();
     for (lin, block) in blocks.iter().enumerate() {
-        acc.push(dense_terms(model, grid, lin, block, None, &par, kernel)?);
+        acc.push(dense_terms(model, grid, lin, block, None, &par)?);
     }
     Ok(acc.fit())
 }
@@ -145,14 +144,7 @@ pub fn blockwise_fit_source(
     grid: &Grid,
     src: &mut dyn BlockSource,
 ) -> Result<f64> {
-    blockwise_fit_stream(
-        model,
-        grid,
-        src,
-        None,
-        &ParConfig::auto(),
-        KernelKind::Tiled,
-    )
+    blockwise_fit_stream(model, grid, src, None, &ParConfig::auto())
 }
 
 /// [`blockwise_fit_source`] with the driver's plumbing: blocks are pulled
@@ -162,7 +154,7 @@ pub fn blockwise_fit_source(
 /// inside a worker — and `‖X_k‖²` is taken from `block_norms_sq` (Phase 1
 /// measured it) instead of walking the block again. Terms are summed in
 /// ascending block order, so the value is bitwise the same for any thread
-/// budget, either backend, and with or without the norms supplied.
+/// budget and with or without the norms supplied.
 ///
 /// # Errors
 /// Source failures and shape mismatches between model slices and blocks.
@@ -172,7 +164,6 @@ pub(crate) fn blockwise_fit_stream(
     src: &mut dyn BlockSource,
     block_norms_sq: Option<&[f64]>,
     par: &ParConfig,
-    kernel: KernelKind,
 ) -> Result<f64> {
     let nblocks = grid.num_blocks();
     debug_assert!(block_norms_sq.is_none_or(|n| n.len() == nblocks));
@@ -189,7 +180,7 @@ pub(crate) fn blockwise_fit_stream(
             let lin = start + i;
             let norm_sq = block_norms_sq.map(|n| n[lin]);
             match block {
-                Block::Dense(b) => dense_terms(model, grid, lin, b, norm_sq, &serial, kernel),
+                Block::Dense(b) => dense_terms(model, grid, lin, b, norm_sq, &serial),
                 Block::Sparse(b) => sparse_terms(model, grid, lin, b, norm_sq),
             }
         })
@@ -339,27 +330,22 @@ mod tests {
             assert!(oracle < 0.999, "the model must not fit exactly");
 
             let mut baseline: Option<u64> = None;
-            for kernel in [KernelKind::Reference, KernelKind::Tiled] {
-                for threads in [1usize, 2, 4] {
-                    for norms in [None, Some(&norms[..])] {
-                        let par = ParConfig::with_threads(threads);
-                        let mut src = MixedSource(tpcp_partition::DenseMemorySource::new(&x));
-                        let fit =
-                            blockwise_fit_stream(&model, &grid, &mut src, norms, &par, kernel)
-                                .unwrap();
-                        assert!(
-                            (fit - oracle).abs() < 1e-9,
-                            "dims {dims:?}: {fit} vs per-element {oracle}"
-                        );
-                        let b = *baseline.get_or_insert(fit.to_bits());
-                        assert_eq!(
-                            b,
-                            fit.to_bits(),
-                            "dims {dims:?} {} t{threads} norms {}",
-                            kernel.label(),
-                            norms.is_some()
-                        );
-                    }
+            for threads in [1usize, 2, 4] {
+                for norms in [None, Some(&norms[..])] {
+                    let par = ParConfig::with_threads(threads);
+                    let mut src = MixedSource(tpcp_partition::DenseMemorySource::new(&x));
+                    let fit = blockwise_fit_stream(&model, &grid, &mut src, norms, &par).unwrap();
+                    assert!(
+                        (fit - oracle).abs() < 1e-9,
+                        "dims {dims:?}: {fit} vs per-element {oracle}"
+                    );
+                    let b = *baseline.get_or_insert(fit.to_bits());
+                    assert_eq!(
+                        b,
+                        fit.to_bits(),
+                        "dims {dims:?} t{threads} norms {}",
+                        norms.is_some()
+                    );
                 }
             }
             // The public wrapper is the same pass.

@@ -8,10 +8,11 @@ use tpcp_par::ParConfig;
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::{PolicyKind, PrefetchConfig};
 
-/// An invalid configuration detected by a builder's `build()`.
+/// An invalid configuration detected by [`TwoPcpConfig::build`] or
+/// [`TwoPcpConfig::validate`].
 ///
 /// Converts into [`TwoPcpError::Config`] at the pipeline boundary, so
-/// `?` works in driver code while builder call sites keep the precise
+/// `?` works in driver code while `build()` call sites keep the precise
 /// type.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConfigError {
@@ -185,11 +186,10 @@ pub struct TwoPcpConfig {
     /// Ignored (default `false`). Nothing in the engine uses this; it
     /// leaves with ROADMAP 1(b).
     pub mmap: bool,
-    /// The compute-kernel backend for every dense product under both
-    /// phases (matmul/gram/MTTKRP): the register-blocked tiled
-    /// microkernels (default) or the reference scalar loops the
-    /// equivalence suites pin them against. The two are bit-identical —
-    /// factors, fits and swap counts never depend on this field.
+    /// Ignored (default [`KernelKind::Tiled`]). The engine always runs the
+    /// tiled kernels; this field only names a backend for a caller that
+    /// times one through `tpcp_cp::mttkrp_dense_kernel` or
+    /// `Mat::gram_kernel`. Results never depend on it.
     pub kernel: KernelKind,
     /// Compress-then-decompose (`tpcp-compress`): stream per-mode Tucker
     /// bases, run CP on the small core, expand, then polish against the
@@ -230,13 +230,17 @@ impl TwoPcpConfig {
         })
     }
 
-    /// A validating builder over the same defaults as
-    /// [`TwoPcpConfig::new`] (environment overrides included).
-    pub fn builder() -> TwoPcpConfigBuilder {
-        TwoPcpConfigBuilder {
-            config: TwoPcpConfig::new(0),
-            rank_set: false,
-        }
+    /// The defaults of [`TwoPcpConfig::new`] (environment overrides
+    /// included) at rank 0, to be set with [`TwoPcpConfig::rank`] and
+    /// checked by [`TwoPcpConfig::build`].
+    pub fn builder() -> Self {
+        TwoPcpConfig::new(0)
+    }
+
+    /// Sets the decomposition rank `F`.
+    pub fn rank(mut self, rank: usize) -> Self {
+        self.rank = rank;
+        self
     }
 
     /// Sets the per-mode partition counts.
@@ -323,24 +327,34 @@ impl TwoPcpConfig {
         self
     }
 
-    /// Sets the compute-kernel backend (bit-identical across backends;
-    /// trades speed only).
-    pub fn kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Enables compress-then-decompose with explicit [`CompressOptions`].
+    /// Enables compress-then-decompose with explicit [`CompressOptions`]
+    /// (validated at [`build`](TwoPcpConfig::build)).
     pub fn compress(mut self, options: CompressOptions) -> Self {
         self.compress = Some(options);
         self
     }
 
+    /// Validates and produces the configuration, so that a mistake is
+    /// rejected up front instead of deep inside a run.
+    ///
+    /// # Errors
+    /// [`ConfigError`] when the compress options are invalid or
+    /// [`TwoPcpConfig::validate`] rejects the settings (a rank left at 0
+    /// among them).
+    pub fn build(self) -> std::result::Result<TwoPcpConfig, ConfigError> {
+        if let Some(compress) = &self.compress {
+            tpcp_cp::validate_compress_options(compress)
+                .map_err(|e| ConfigError::new(format!("compress: {e}")))?;
+        }
+        self.validate()?;
+        Ok(self)
+    }
+
     /// Checks every setting that does not depend on the input: a
     /// positive rank, a positive buffer fraction, and a non-empty
-    /// partition vector without zeros. [`TwoPcpConfigBuilder::build`] and
+    /// partition vector without zeros. [`TwoPcpConfig::build`] and
     /// [`TwoPcpConfig::resolved_parts`] both run it, so a configuration
-    /// built field by field is held to the builder's rules.
+    /// built field by field is held to the same rules.
     ///
     /// # Errors
     /// [`ConfigError`] naming the first invalid setting.
@@ -384,133 +398,6 @@ impl TwoPcpConfig {
     }
 }
 
-/// Builder for [`TwoPcpConfig`] whose [`build`](TwoPcpConfigBuilder::build)
-/// rejects invalid settings up front, instead of deferring every mistake
-/// to `resolved_parts` deep inside a run.
-#[derive(Clone, Debug)]
-pub struct TwoPcpConfigBuilder {
-    config: TwoPcpConfig,
-    rank_set: bool,
-}
-
-impl TwoPcpConfigBuilder {
-    /// Sets the decomposition rank `F` (required).
-    pub fn rank(mut self, rank: usize) -> Self {
-        self.config.rank = rank;
-        self.rank_set = true;
-        self
-    }
-
-    /// Sets the per-mode partition counts.
-    pub fn parts(mut self, parts: Vec<usize>) -> Self {
-        self.config = self.config.parts(parts);
-        self
-    }
-
-    /// Sets the Phase-2 update schedule.
-    pub fn schedule(mut self, schedule: ScheduleKind) -> Self {
-        self.config = self.config.schedule(schedule);
-        self
-    }
-
-    /// Sets the buffer replacement policy.
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.config = self.config.policy(policy);
-        self
-    }
-
-    /// Sets the buffer size as a fraction of the total space requirement.
-    pub fn buffer_fraction(mut self, fraction: f64) -> Self {
-        self.config = self.config.buffer_fraction(fraction);
-        self
-    }
-
-    /// Sets the virtual-iteration budget.
-    pub fn max_virtual_iters(mut self, iters: usize) -> Self {
-        self.config = self.config.max_virtual_iters(iters);
-        self
-    }
-
-    /// Sets the Phase-2 stopping tolerance.
-    pub fn tol(mut self, tol: f64) -> Self {
-        self.config = self.config.tol(tol);
-        self
-    }
-
-    /// Sets the random seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config = self.config.seed(seed);
-        self
-    }
-
-    /// Uses an on-disk unit store rooted at `dir`.
-    pub fn work_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.config = self.config.work_dir(dir);
-        self
-    }
-
-    /// Sets the sub-factor initialisation strategy.
-    pub fn init(mut self, init: InitKind) -> Self {
-        self.config = self.config.init(init);
-        self
-    }
-
-    /// Sets the Phase-1 options.
-    pub fn phase1(mut self, phase1: Phase1Options) -> Self {
-        self.config = self.config.phase1(phase1);
-        self
-    }
-
-    /// Sets the shared worker-thread budget (`0` = decide automatically).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config = self.config.threads(threads);
-        self
-    }
-
-    /// Sets the shared thread budget from an explicit [`ParConfig`].
-    pub fn par(mut self, par: ParConfig) -> Self {
-        self.config = self.config.par(par);
-        self
-    }
-
-    /// Sets the Phase-2 prefetch pipeline configuration.
-    pub fn prefetch(mut self, prefetch: PrefetchConfig) -> Self {
-        self.config = self.config.prefetch(prefetch);
-        self
-    }
-
-    /// Sets the compute-kernel backend (bit-identical across backends;
-    /// trades speed only).
-    pub fn kernel(mut self, kernel: KernelKind) -> Self {
-        self.config = self.config.kernel(kernel);
-        self
-    }
-
-    /// Enables compress-then-decompose with explicit [`CompressOptions`]
-    /// (validated at [`build`](TwoPcpConfigBuilder::build)).
-    pub fn compress(mut self, options: CompressOptions) -> Self {
-        self.config = self.config.compress(options);
-        self
-    }
-
-    /// Validates and produces the configuration.
-    ///
-    /// # Errors
-    /// [`ConfigError`] when the rank is unset, the compress options are
-    /// invalid, or [`TwoPcpConfig::validate`] rejects the settings.
-    pub fn build(self) -> std::result::Result<TwoPcpConfig, ConfigError> {
-        if !self.rank_set {
-            return Err(ConfigError::new("rank is required — call .rank(F)"));
-        }
-        if let Some(compress) = &self.config.compress {
-            tpcp_cp::validate_compress_options(compress)
-                .map_err(|e| ConfigError::new(format!("compress: {e}")))?;
-        }
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 /// Whether `fraction` is a usable buffer fraction. Written as `> 0.0`
 /// rather than as a `<= 0.0` rejection, which NaN would slip past.
 pub(crate) fn is_positive_fraction(fraction: f64) -> bool {
@@ -546,14 +433,11 @@ mod tests {
     }
 
     #[test]
-    fn kernel_setters_chain() {
-        let cfg = TwoPcpConfig::new(4).kernel(KernelKind::Reference);
-        assert_eq!(cfg.kernel, KernelKind::Reference);
-        let cfg = TwoPcpConfig::builder()
-            .rank(4)
-            .kernel(KernelKind::Tiled)
-            .build()
-            .unwrap();
+    fn build_requires_a_rank() {
+        let err = TwoPcpConfig::builder().build().unwrap_err();
+        assert!(err.reason.contains("rank"), "{err}");
+        let cfg = TwoPcpConfig::builder().rank(4).build().unwrap();
+        assert_eq!(cfg.rank, 4);
         assert_eq!(cfg.kernel, KernelKind::Tiled);
     }
 

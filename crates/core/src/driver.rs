@@ -186,7 +186,7 @@ impl TwoPcp {
             ExactFit::Dense(x) => model.fit_dense(x)?,
             ExactFit::Sparse(x) => model.fit_sparse(x)?,
             ExactFit::Stream => {
-                blockwise_fit_stream(model, grid, src, Some(block_norms_sq), &cfg.par, cfg.kernel)?
+                blockwise_fit_stream(model, grid, src, Some(block_norms_sq), &cfg.par)?
             }
         })
     }
@@ -216,7 +216,6 @@ impl TwoPcp {
             seed: cfg.seed,
             init: None,
             par: cfg.par,
-            kernel: cfg.kernel,
             compress: cfg.compress.clone(),
         };
         let out = compress_decompose(src, &grid, &options)?;

@@ -57,8 +57,7 @@ mod pq;
 mod update;
 
 pub use config::{
-    ConfigError, EnvOverrides, InitKind, Phase1Options, TwoPcpConfig, TwoPcpConfigBuilder,
-    SERVE_ADDR_ENV_VAR,
+    ConfigError, EnvOverrides, InitKind, Phase1Options, TwoPcpConfig, SERVE_ADDR_ENV_VAR,
 };
 pub use driver::{TwoPcp, TwoPcpOutcome};
 pub use model::{Model, ModelMeta, MODEL_EXT, MODEL_MAGIC, MODEL_VERSION};
@@ -67,12 +66,10 @@ pub use phase1::{run_phase1_dense, run_phase1_source, run_phase1_sparse, Phase1R
 pub use phase2::{refine, RefineOutcome, RefineStats};
 pub use pq::{PqCache, QHadamardScratch, QHadamardStats};
 pub use swapsim::{simulate_swaps, unit_bytes, SwapReport, SwapSimConfig};
-// Re-exported so prefetch, the kernel backend and the compression
-// pipeline can be configured without importing `tpcp-storage` /
-// `tpcp-linalg` / `tpcp-cp` / `tpcp-compress` directly.
+// Re-exported so prefetch and the compression pipeline can be configured
+// without importing `tpcp-storage` / `tpcp-cp` / `tpcp-compress` directly.
 pub use tpcp_compress::CompressProvenance;
 pub use tpcp_cp::CompressOptions;
-pub use tpcp_linalg::KernelKind;
 pub use tpcp_storage::PrefetchConfig;
 
 /// Errors surfaced by the 2PCP pipeline.

@@ -19,6 +19,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use tpcp_cp::{mttkrp_dense, CpModel};
 use tpcp_linalg::{hadamard_all, solve, Mat};
+use tpcp_par::ParConfig;
 use tpcp_partition::{split_dense, Grid};
 use tpcp_storage::codec::fnv1a;
 use tpcp_tensor::{random_factor, DenseTensor};
@@ -195,7 +196,7 @@ pub fn naive_cp_out_of_core(x: &DenseTensor, options: &NaiveOocOptions) -> Resul
                     })
                     .collect();
                 let refs: Vec<&Mat> = slices.iter().collect();
-                let partial = mttkrp_dense(&block, &refs, mode)?;
+                let partial = mttkrp_dense(&block, &refs, mode, &ParConfig::auto())?;
                 let dst = grid.part_range(mode, coords[mode]);
                 for (row_off, src_row) in (dst.start..dst.end).zip(0..partial.rows()) {
                     for (d, &s) in m.row_mut(row_off).iter_mut().zip(partial.row(src_row)) {

@@ -78,7 +78,6 @@ fn als_options(cfg: &TwoPcpConfig, block_seed: u64) -> AlsOptions {
         // Block workers already occupy the budget; the kernels inside one
         // block stay serial rather than oversubscribing the machine.
         par: ParConfig::serial(),
-        kernel: cfg.kernel,
         // Per-block tensors are already small; compressing them would be
         // pure overhead. Compression applies to the whole decomposition via
         // the driver (`TwoPcpConfig::compress`), never per Phase-1 block.

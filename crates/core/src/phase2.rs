@@ -168,13 +168,11 @@ pub fn refine<S: UnitStore + PrefetchSource>(
                 expected_unit_bytes(grid, cfg.rank, unit_id),
                 "stored unit diverges from the analytic space formula"
             );
-            let q = data.factor.gram_kernel(&cfg.par, cfg.kernel);
+            let mut q = Mat::default();
+            data.factor.gram_into(&cfg.par, &mut q);
             let mut ps = Vec::with_capacity(data.sub_factors.len());
             for (block, u) in &data.sub_factors {
-                ps.push((
-                    *block as usize,
-                    u.t_matmul_kernel(&data.factor, &cfg.par, cfg.kernel)?,
-                ));
+                ps.push((*block as usize, u.t_matmul_kernel(&data.factor, &cfg.par)?));
             }
             Ok((q, ps))
         })();
@@ -223,7 +221,6 @@ pub fn refine<S: UnitStore + PrefetchSource>(
                         &pq,
                         cfg.ridge,
                         &cfg.par,
-                        cfg.kernel,
                         &mut scratch,
                     )?;
                     // Only `A(i)(kᵢ)` changes, so only it is marked dirty:
@@ -236,7 +233,6 @@ pub fn refine<S: UnitStore + PrefetchSource>(
                         sub_factors,
                         &mut pq,
                         &cfg.par,
-                        cfg.kernel,
                         &mut scratch,
                     )
                 })();

@@ -14,7 +14,7 @@
 
 use crate::pq::{PqCache, QHadamardScratch, QHadamardStats};
 use crate::Result;
-use tpcp_linalg::{solve, KernelKind, Mat};
+use tpcp_linalg::{solve, Mat};
 use tpcp_par::ParConfig;
 use tpcp_partition::Grid;
 use tpcp_schedule::UnitId;
@@ -70,7 +70,6 @@ pub fn compute_sub_factor_update(
     pq: &PqCache,
     ridge: f64,
     par: &ParConfig,
-    kernel: KernelKind,
     scratch: &mut UpdateScratch,
 ) -> Result<()> {
     let mode = usize::from(unit.unit.mode);
@@ -94,7 +93,7 @@ pub fn compute_sub_factor_update(
         // T += U(i)_l · ⊛_{h≠i} P(h)_l   (skip empty blocks: U = 0).
         pq.p_hadamard_excluding_into(block, mode, p_had)?;
         if u_mat.as_slice().iter().any(|&v| v != 0.0) {
-            u_mat.matmul_into(p_had, par, kernel, contrib)?;
+            u_mat.matmul_into(p_had, par, contrib)?;
             t.add_assign(contrib)?;
         }
         // S += ⊛_{h≠i} Q(h)_l (fold prefixes shared between the slab's
@@ -126,15 +125,14 @@ pub fn commit_sub_factor_update(
     sub_factors: &[(u64, Mat)],
     pq: &mut PqCache,
     par: &ParConfig,
-    kernel: KernelKind,
     scratch: &mut UpdateScratch,
 ) -> Result<()> {
     let mode = usize::from(unit.mode);
     let a_new = &scratch.a_new;
     for (block_u64, u_mat) in sub_factors {
-        u_mat.t_matmul_into(a_new, par, kernel, pq.p_mut(*block_u64 as usize, mode))?;
+        u_mat.t_matmul_into(a_new, par, pq.p_mut(*block_u64 as usize, mode))?;
     }
-    a_new.gram_into(par, kernel, pq.q_mut(grid, unit));
+    a_new.gram_into(par, pq.q_mut(grid, unit));
     std::mem::swap(factor, &mut scratch.a_new);
     Ok(())
 }
@@ -179,16 +177,8 @@ mod tests {
             sub_factors: vec![(0, u[0].clone())],
         };
         let mut scratch = UpdateScratch::new();
-        compute_sub_factor_update(
-            &grid,
-            &unit,
-            &pq,
-            1e-12,
-            &ParConfig::auto(),
-            KernelKind::Tiled,
-            &mut scratch,
-        )
-        .unwrap();
+        compute_sub_factor_update(&grid, &unit, &pq, 1e-12, &ParConfig::auto(), &mut scratch)
+            .unwrap();
 
         // Reference: ALS update of mode 0 on the reconstruction of U, with
         // B and C fixed to the current A estimates:
@@ -197,7 +187,7 @@ mod tests {
             .unwrap()
             .reconstruct_dense();
         let refs: Vec<&Mat> = a.iter().collect();
-        let m = tpcp_cp::mttkrp_dense(&x_hat, &refs, 0).unwrap();
+        let m = tpcp_cp::mttkrp_dense(&x_hat, &refs, 0, &ParConfig::auto()).unwrap();
         let s = a[1].gram().hadamard(&a[2].gram()).unwrap();
         let expect = solve::solve_gram_system(&m, &s, 1e-12).unwrap();
 
@@ -229,7 +219,6 @@ mod tests {
             &sub_factors,
             &mut pq,
             &ParConfig::auto(),
-            KernelKind::Tiled,
             &mut scratch,
         )
         .unwrap();
@@ -256,16 +245,8 @@ mod tests {
             sub_factors: vec![(0, Mat::zeros(4, f))],
         };
         let mut scratch = UpdateScratch::new();
-        compute_sub_factor_update(
-            &grid,
-            &unit,
-            &pq,
-            1e-9,
-            &ParConfig::serial(),
-            KernelKind::Tiled,
-            &mut scratch,
-        )
-        .unwrap();
+        compute_sub_factor_update(&grid, &unit, &pq, 1e-9, &ParConfig::serial(), &mut scratch)
+            .unwrap();
         assert!(scratch.a_new.as_slice().iter().all(|&v| v.abs() < 1e-12));
     }
 
@@ -278,7 +259,6 @@ mod tests {
         pq: &mut PqCache,
         ridge: f64,
         par: &ParConfig,
-        kernel: KernelKind,
     ) {
         let mode = usize::from(unit.unit.mode);
         let rank = pq.rank();
@@ -288,7 +268,7 @@ mod tests {
             let block = *block_u64 as usize;
             let p_had = pq.p_hadamard_excluding(block, mode).unwrap();
             if u_mat.as_slice().iter().any(|&v| v != 0.0) {
-                let contrib = u_mat.matmul_kernel(&p_had, par, kernel).unwrap();
+                let contrib = u_mat.matmul_kernel(&p_had, par).unwrap();
                 t.add_assign(&contrib).unwrap();
             }
             let coords = grid.block_coords(block);
@@ -297,10 +277,12 @@ mod tests {
         }
         let a_new = solve::solve_gram_system(&t, &s, ridge).unwrap();
         for (block_u64, u_mat) in &unit.sub_factors {
-            let p_new = u_mat.t_matmul_kernel(&a_new, par, kernel).unwrap();
+            let p_new = u_mat.t_matmul_kernel(&a_new, par).unwrap();
             pq.set_p(*block_u64 as usize, mode, p_new);
         }
-        pq.set_q(grid, unit.unit, a_new.gram_kernel(par, kernel));
+        let mut q = Mat::default();
+        a_new.gram_into(par, &mut q);
+        pq.set_q(grid, unit.unit, q);
         unit.factor = a_new;
     }
 
@@ -354,7 +336,6 @@ mod tests {
         let u_norm_sq: Vec<f64> = (0..grid.num_blocks()).map(|b| 1.0 + b as f64).collect();
 
         let par = ParConfig::with_threads(threads);
-        let kernel = KernelKind::Tiled;
         let mut oracle_units = units.clone();
         let mut oracle_pq = PqCache::new(&grid, rank);
         for block in 0..grid.num_blocks() {
@@ -369,9 +350,8 @@ mod tests {
         let mut scratch = UpdateScratch::new();
         for sweep in 0..2 {
             for (unit, oracle_unit) in units.iter_mut().zip(&mut oracle_units) {
-                oracle_update(&grid, oracle_unit, &mut oracle_pq, 1e-9, &par, kernel);
-                compute_sub_factor_update(&grid, unit, &pq, 1e-9, &par, kernel, &mut scratch)
-                    .unwrap();
+                oracle_update(&grid, oracle_unit, &mut oracle_pq, 1e-9, &par);
+                compute_sub_factor_update(&grid, unit, &pq, 1e-9, &par, &mut scratch).unwrap();
                 commit_sub_factor_update(
                     &grid,
                     unit.unit,
@@ -379,7 +359,6 @@ mod tests {
                     &unit.sub_factors,
                     &mut pq,
                     &par,
-                    kernel,
                     &mut scratch,
                 )
                 .unwrap();

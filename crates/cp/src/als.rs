@@ -3,10 +3,10 @@
 use crate::compress::{validate_compress_options, CompressOptions};
 use crate::dimtree::DimTree;
 use crate::model::fit_from_parts;
-use crate::{mttkrp_dense_kernel, mttkrp_sparse_par, CpError, CpModel, Result};
+use crate::{mttkrp_dense, mttkrp_sparse_par, CpError, CpModel, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tpcp_linalg::{solve, KernelKind, Mat};
+use tpcp_linalg::{solve, Mat};
 use tpcp_par::ParConfig;
 use tpcp_tensor::{random_factor, DenseTensor, SparseTensor};
 
@@ -30,10 +30,6 @@ pub struct AlsOptions {
     /// Thread budget for the MTTKRP and Gram kernels. Parallel execution
     /// is deterministic: results are bit-identical for any budget.
     pub par: ParConfig,
-    /// Kernel backend for the MTTKRP and Gram inner loops: tiled unless a
-    /// test pins the reference oracle. The two are bit-identical (see
-    /// `tpcp_linalg::kernel`).
-    pub kernel: KernelKind,
     /// Compress-then-decompose knobs carried to the `tpcp-compress` entry
     /// points and the `twopcp` driver. Plain [`cp_als_dense`] /
     /// [`cp_als_sparse`] ignore this field — it is plumbing, not a mode
@@ -52,7 +48,6 @@ impl Default for AlsOptions {
             seed: 0,
             init: None,
             par: ParConfig::auto(),
-            kernel: KernelKind::Tiled,
             compress: None,
         }
     }
@@ -122,13 +117,6 @@ impl AlsOptionsBuilder {
     /// Sets the kernel thread budget.
     pub fn par(mut self, par: ParConfig) -> Self {
         self.options.par = par;
-        self
-    }
-
-    /// Sets the kernel backend (results are bit-identical across
-    /// backends; this trades speed only).
-    pub fn kernel(mut self, kernel: KernelKind) -> Self {
-        self.options.kernel = kernel;
         self
     }
 
@@ -214,7 +202,6 @@ trait AlsTensor {
         factors: &[&Mat],
         mode: usize,
         par: &ParConfig,
-        kind: KernelKind,
     ) -> Result<Mat>;
 }
 
@@ -237,11 +224,10 @@ impl AlsTensor for DenseTensor {
         factors: &[&Mat],
         mode: usize,
         par: &ParConfig,
-        kind: KernelKind,
     ) -> Result<Mat> {
         match tree {
-            Some(tree) => tree.mttkrp(self, factors, mode, par, kind),
-            None => mttkrp_dense_kernel(self, factors, mode, par, kind),
+            Some(tree) => tree.mttkrp(self, factors, mode, par),
+            None => mttkrp_dense(self, factors, mode, par),
         }
     }
 }
@@ -259,10 +245,7 @@ impl AlsTensor for SparseTensor {
         factors: &[&Mat],
         mode: usize,
         par: &ParConfig,
-        _kind: KernelKind,
     ) -> Result<Mat> {
-        // The sparse path has no backend seam (its inner loop is a scaled
-        // Hadamard per non-zero); the kernel choice is a no-op here.
         mttkrp_sparse_par(self, factors, mode, par)
     }
 }
@@ -317,10 +300,10 @@ fn als_loop<T: AlsTensor>(x: &T, options: &AlsOptions) -> Result<AlsReport> {
     };
 
     let norm_x_sq = x.norm_sq();
-    let mut grams: Vec<Mat> = factors
-        .iter()
-        .map(|a| a.gram_kernel(&options.par, options.kernel))
-        .collect();
+    let mut grams = vec![Mat::default(); order];
+    for (a, gram) in factors.iter().zip(&mut grams) {
+        a.gram_into(&options.par, gram);
+    }
     let mut tree = x.sweep_tree(f);
     let mut fit_trace = Vec::with_capacity(options.max_iters);
     let mut prev_fit = f64::NEG_INFINITY;
@@ -338,7 +321,7 @@ fn als_loop<T: AlsTensor>(x: &T, options: &AlsOptions) -> Result<AlsReport> {
         let mut running: Option<Mat> = None;
         for mode in 0..order {
             let refs: Vec<&Mat> = factors.iter().collect();
-            let m = x.mttkrp(tree.as_mut(), &refs, mode, &options.par, options.kernel)?;
+            let m = x.mttkrp(tree.as_mut(), &refs, mode, &options.par)?;
             let mut s = match &running {
                 Some(prefix) => prefix.clone(),
                 None if order > 1 => grams[1].clone(),
@@ -349,7 +332,7 @@ fn als_loop<T: AlsTensor>(x: &T, options: &AlsOptions) -> Result<AlsReport> {
                 s.hadamard_assign(g)?;
             }
             let a = solve::solve_gram_system(&m, &s, options.ridge)?;
-            grams[mode] = a.gram_kernel(&options.par, options.kernel);
+            a.gram_into(&options.par, &mut grams[mode]);
             factors[mode] = a;
             if let Some(t) = tree.as_mut() {
                 t.factor_updated(mode);
@@ -382,7 +365,7 @@ fn als_loop<T: AlsTensor>(x: &T, options: &AlsOptions) -> Result<AlsReport> {
 
         // Rebalance factor scales (preserves the reconstruction: each
         // column's total weight is redistributed as λ^{1/N} per mode).
-        rebalance(&mut factors, &mut grams, &options.par, options.kernel);
+        rebalance(&mut factors, &mut grams, &options.par);
         // Rebalancing rescales *every* factor, so no cached partial
         // product survives it.
         if let Some(t) = tree.as_mut() {
@@ -411,7 +394,7 @@ fn als_loop<T: AlsTensor>(x: &T, options: &AlsOptions) -> Result<AlsReport> {
 
 /// Normalises every factor column and redistributes the combined weight
 /// `λ_f` evenly (`λ_f^{1/N}` per mode), refreshing the Gram caches.
-fn rebalance(factors: &mut [Mat], grams: &mut [Mat], par: &ParConfig, kind: KernelKind) {
+fn rebalance(factors: &mut [Mat], grams: &mut [Mat], par: &ParConfig) {
     let order = factors.len();
     let f = factors.first().map_or(0, Mat::cols);
     let mut lambda = vec![1.0f64; f];
@@ -432,7 +415,7 @@ fn rebalance(factors: &mut [Mat], grams: &mut [Mat], par: &ParConfig, kind: Kern
         .collect();
     for (factor, gram) in factors.iter_mut().zip(grams.iter_mut()) {
         factor.scale_columns(&root);
-        *gram = factor.gram_kernel(par, kind);
+        factor.gram_into(par, gram);
     }
 }
 

@@ -22,7 +22,7 @@
 //!   over all modes pays the two `O(|X|·F)` root contractions once and
 //!   descends with the folds (roughly half the flops of `N` independent
 //!   MTTKRPs for order ≥ 4), with arenas allocated once and reused;
-//! * **one-shot** — `mttkrp_dense_kernel` evaluates a single root→leaf
+//! * **one-shot** — `mttkrp_dense` evaluates a single root→leaf
 //!   path on a throw-away tree: one GEMM, then folds.
 //!
 //! A node depends only on the factors *outside* its range, so updating
@@ -37,7 +37,7 @@
 
 use crate::mttkrp::check_factors;
 use crate::{CpError, Result};
-use tpcp_linalg::{khatri_rao_into, Kernel, KernelKind, Mat};
+use tpcp_linalg::{khatri_rao_into, Kernel, Mat, TiledKernel};
 use tpcp_par::{par_chunks_mut, tile_rows_per_chunk, ParConfig};
 use tpcp_schedule::{AccessSequence, UnitId};
 use tpcp_tensor::DenseTensor;
@@ -147,7 +147,18 @@ impl DimTree {
         factors: &[&Mat],
         mode: usize,
         par: &ParConfig,
-        kind: KernelKind,
+    ) -> Result<Mat> {
+        self.mttkrp_on(x, factors, mode, par, &TiledKernel)
+    }
+
+    /// [`DimTree::mttkrp`] on the backend `kernel`.
+    pub(crate) fn mttkrp_on(
+        &mut self,
+        x: &DenseTensor,
+        factors: &[&Mat],
+        mode: usize,
+        par: &ParConfig,
+        kernel: &dyn Kernel,
     ) -> Result<Mat> {
         let f = check_factors(&self.dims, factors, mode)?;
         if f != self.rank {
@@ -160,7 +171,6 @@ impl DimTree {
                 reason: format!("tensor dims {:?} != tree dims {:?}", x.dims(), self.dims),
             });
         }
-        let kernel = kind.resolve();
         let leaf = self.leaf_of_mode[mode];
         self.ensure(leaf, x, factors, par, kernel)?;
         let node = &self.nodes[leaf];
@@ -457,6 +467,7 @@ mod tests {
     use super::*;
     use crate::mttkrp::reference_mttkrp;
     use rand::SeedableRng;
+    use tpcp_linalg::ReferenceKernel;
     use tpcp_tensor::random_factor;
 
     fn fixtures(dims: &[usize], f: usize, seed: u64) -> (DenseTensor, Vec<Mat>) {
@@ -512,9 +523,7 @@ mod tests {
             let mut tree = DimTree::new(&dims, f).unwrap();
             let par = ParConfig::auto();
             for mode in 0..dims.len() {
-                let fast = tree
-                    .mttkrp(&t, &refs, mode, &par, KernelKind::Tiled)
-                    .unwrap();
+                let fast = tree.mttkrp(&t, &refs, mode, &par).unwrap();
                 let slow = reference_mttkrp(&t, &refs, mode);
                 let scale = slow.fro_norm().max(1.0);
                 assert!(
@@ -537,9 +546,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         for mode in 0..dims.len() {
             let refs: Vec<&Mat> = factors.iter().collect();
-            let from_tree = tree
-                .mttkrp(&t, &refs, mode, &par, KernelKind::Reference)
-                .unwrap();
+            let from_tree = tree.mttkrp(&t, &refs, mode, &par).unwrap();
             let direct = reference_mttkrp(&t, &refs, mode);
             let scale = direct.fro_norm().max(1.0);
             assert!(
@@ -582,8 +589,7 @@ mod tests {
         for sweep in 0..2 {
             tree.take_flops();
             for mode in 0..dims.len() {
-                tree.mttkrp(&t, &refs, mode, &par, KernelKind::Tiled)
-                    .unwrap();
+                tree.mttkrp(&t, &refs, mode, &par).unwrap();
                 tree.factor_updated(mode);
             }
             tree.invalidate_all(); // what the ALS rebalance forces
@@ -627,10 +633,10 @@ mod tests {
         let par = ParConfig::serial();
         // Wrong-rank tree.
         let mut tree = DimTree::new(&[3, 3, 3], 4).unwrap();
-        assert!(tree.mttkrp(&t, &refs, 0, &par, KernelKind::Tiled).is_err());
+        assert!(tree.mttkrp(&t, &refs, 0, &par).is_err());
         // Wrong-shape tensor.
         let mut tree = DimTree::new(&[3, 3, 4], 2).unwrap();
-        assert!(tree.mttkrp(&t, &refs, 0, &par, KernelKind::Tiled).is_err());
+        assert!(tree.mttkrp(&t, &refs, 0, &par).is_err());
     }
 
     #[test]
@@ -639,14 +645,14 @@ mod tests {
         let f = 5;
         let (t, factors) = fixtures(&dims, f, 41);
         let refs: Vec<&Mat> = factors.iter().collect();
-        for kind in [KernelKind::Reference, KernelKind::Tiled] {
-            let mut baseline: Option<Vec<Vec<u64>>> = None;
+        let mut baseline: Option<Vec<Vec<u64>>> = None;
+        for kernel in [&ReferenceKernel as &dyn Kernel, &TiledKernel] {
             for threads in [1usize, 2, 4, 7] {
                 let par = ParConfig::with_threads(threads);
                 let mut tree = DimTree::new(&dims, f).unwrap();
                 let bits: Vec<Vec<u64>> = (0..dims.len())
                     .map(|mode| {
-                        tree.mttkrp(&t, &refs, mode, &par, kind)
+                        tree.mttkrp_on(&t, &refs, mode, &par, kernel)
                             .unwrap()
                             .as_slice()
                             .iter()
@@ -656,7 +662,7 @@ mod tests {
                     .collect();
                 match &baseline {
                     None => baseline = Some(bits),
-                    Some(b) => assert_eq!(b, &bits, "{} at {threads} threads", kind.label()),
+                    Some(b) => assert_eq!(b, &bits, "{} at {threads} threads", kernel.label()),
                 }
             }
         }

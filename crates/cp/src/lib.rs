@@ -27,7 +27,6 @@ pub use compress::{validate_compress_options, CompressOptions, CompressOptionsBu
 pub use dimtree::{per_mode_sweep_flops, DimTree, SweepSequence};
 pub use model::CpModel;
 pub use mttkrp::{mttkrp_dense, mttkrp_dense_kernel, mttkrp_sparse, mttkrp_sparse_par};
-pub use tpcp_linalg::KernelKind;
 
 /// Errors surfaced by CP routines.
 #[derive(Debug, Clone, PartialEq)]

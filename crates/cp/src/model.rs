@@ -1,7 +1,7 @@
 //! The CP model: weighted rank-one components.
 
-use crate::{mttkrp_dense_kernel, CpError, Result};
-use tpcp_linalg::{hadamard_all, KernelKind, Mat};
+use crate::{mttkrp_dense, CpError, Result};
+use tpcp_linalg::{hadamard_all, Mat};
 use tpcp_par::ParConfig;
 use tpcp_tensor::{advance_index, DenseTensor, SparseTensor};
 
@@ -98,35 +98,29 @@ impl CpModel {
     }
 
     /// Inner product `⟨X, X̃⟩` against a dense tensor, on the automatic
-    /// thread budget and the tiled backend; see
-    /// [`CpModel::inner_dense_kernel`].
+    /// thread budget; see [`CpModel::inner_dense_kernel`].
     ///
     /// # Errors
     /// [`CpError::BadFactors`] when shapes disagree.
     pub fn inner_dense(&self, x: &DenseTensor) -> Result<f64> {
-        self.inner_dense_kernel(x, &ParConfig::auto(), KernelKind::Tiled)
+        self.inner_dense_kernel(x, &ParConfig::auto())
     }
 
-    /// Inner product `⟨X, X̃⟩` against a dense tensor, read off the last
-    /// mode's MTTKRP: `⟨X, X̃⟩ = Σ_s λ_s · Σ_i M[i, s] · A⁽ᴺ⁾[i, s]` with
-    /// `M = X_(N) · KR([A⁽ʰ⁾]_{h<N})` from [`mttkrp_dense_kernel`] — the
-    /// same contraction (and the same kernels) an ALS sweep runs, instead
-    /// of a walk over every element. Bit-identical for any thread budget
-    /// and backend.
+    /// Inner product `⟨X, X̃⟩` against a dense tensor on the thread budget
+    /// `par`, read off the last mode's MTTKRP:
+    /// `⟨X, X̃⟩ = Σ_s λ_s · Σ_i M[i, s] · A⁽ᴺ⁾[i, s]` with
+    /// `M = X_(N) · KR([A⁽ʰ⁾]_{h<N})` from [`mttkrp_dense`] — the same
+    /// contraction (and the same kernels) an ALS sweep runs, instead of a
+    /// walk over every element. Bit-identical for any thread budget.
     ///
     /// # Errors
     /// [`CpError::BadFactors`] when shapes disagree.
-    pub fn inner_dense_kernel(
-        &self,
-        x: &DenseTensor,
-        par: &ParConfig,
-        kind: KernelKind,
-    ) -> Result<f64> {
+    pub fn inner_dense_kernel(&self, x: &DenseTensor, par: &ParConfig) -> Result<f64> {
         self.check_dims(x.dims())?;
         // An order-0 model fails the MTTKRP's mode check below.
         let mode = self.order().saturating_sub(1);
         let refs: Vec<&Mat> = self.factors.iter().collect();
-        let m = mttkrp_dense_kernel(x, &refs, mode, par, kind)?;
+        let m = mttkrp_dense(x, &refs, mode, par)?;
         let a = &self.factors[mode];
         let f = self.rank();
         let mut per_component = vec![0.0f64; f];

@@ -21,7 +21,7 @@
 
 use crate::dimtree::DimTree;
 use crate::{CpError, Result};
-use tpcp_linalg::{Kernel, KernelKind, Mat};
+use tpcp_linalg::{Kernel, KernelKind, Mat, TiledKernel};
 use tpcp_par::{fixed_chunk_size, par_chunks_mut_scratch, par_chunks_reduce_scratch, ParConfig};
 use tpcp_tensor::{DenseTensor, SparseTensor};
 
@@ -66,9 +66,13 @@ pub(crate) fn check_factors(dims: &[usize], factors: &[&Mat], mode: usize) -> Re
 }
 
 /// Dense MTTKRP for mode `mode`: returns the `I_mode × F` matrix
-/// `X_(mode) · KR([factors]_{h≠mode})`, computed on the shared automatic
-/// thread budget (`TPCP_THREADS`) and the tiled backend; see
-/// [`mttkrp_dense_kernel`].
+/// `X_(mode) · KR([factors]_{h≠mode})`, computed on the thread budget
+/// `par` by the tiled backend.
+///
+/// Order 3 runs the fused per-fibre kernel
+/// ([`Kernel::mttkrp_tile`]/[`Kernel::mttkrp_scatter`]); every other order
+/// is one root→leaf evaluation of a throw-away [`DimTree`] (at order 2 a
+/// plain `matmul`/`t_matmul` against the other factor).
 ///
 /// `factors[mode]` is ignored (only its column count participates in
 /// validation), matching ALS usage where that factor is the one being
@@ -76,17 +80,17 @@ pub(crate) fn check_factors(dims: &[usize], factors: &[&Mat], mode: usize) -> Re
 ///
 /// # Errors
 /// [`CpError::BadFactors`] on shape inconsistencies.
-pub fn mttkrp_dense(x: &DenseTensor, factors: &[&Mat], mode: usize) -> Result<Mat> {
-    mttkrp_dense_kernel(x, factors, mode, &ParConfig::auto(), KernelKind::Tiled)
+pub fn mttkrp_dense(
+    x: &DenseTensor,
+    factors: &[&Mat],
+    mode: usize,
+    par: &ParConfig,
+) -> Result<Mat> {
+    mttkrp_dense_on(x, factors, mode, par, &TiledKernel)
 }
 
-/// [`mttkrp_dense`] on an explicit thread budget and kernel backend.
-///
-/// Order 3 runs the fused per-fibre kernel
-/// ([`Kernel::mttkrp_tile`]/[`Kernel::mttkrp_scatter`]); every other order
-/// is one root→leaf evaluation of a throw-away [`DimTree`] (at order 2 a
-/// plain `matmul`/`t_matmul` against the other factor). The backends are
-/// bit-identical (see `tpcp_linalg::kernel`), so `kind` trades speed only.
+/// [`mttkrp_dense`] on a named backend. The backends are bit-identical
+/// (see `tpcp_linalg::kernel`), so `kind` trades speed only.
 ///
 /// # Errors
 /// [`CpError::BadFactors`] on shape inconsistencies.
@@ -96,6 +100,16 @@ pub fn mttkrp_dense_kernel(
     mode: usize,
     par: &ParConfig,
     kind: KernelKind,
+) -> Result<Mat> {
+    mttkrp_dense_on(x, factors, mode, par, kind.resolve())
+}
+
+fn mttkrp_dense_on(
+    x: &DenseTensor,
+    factors: &[&Mat],
+    mode: usize,
+    par: &ParConfig,
+    kernel: &dyn Kernel,
 ) -> Result<Mat> {
     let f = check_factors(x.dims(), factors, mode)?;
     if f == 0 || x.is_empty() {
@@ -109,11 +123,11 @@ pub fn mttkrp_dense_kernel(
         }
         3 => {
             let par = par.clamped(x.len() * f, PAR_MIN_WORK);
-            Ok(mttkrp_dense3(x, factors, mode, f, &par, kind.resolve()))
+            Ok(mttkrp_dense3(x, factors, mode, f, &par, kernel))
         }
         _ => DimTree::new(x.dims(), f)
             .expect("order >= 2 at a positive rank")
-            .mttkrp(x, factors, mode, par, kind),
+            .mttkrp_on(x, factors, mode, par, kernel),
     }
 }
 
@@ -314,7 +328,7 @@ mod tests {
         let (t, factors) = rand_tensor_and_factors(&[4, 5, 3], 2, 11);
         let refs: Vec<&Mat> = factors.iter().collect();
         for mode in 0..3 {
-            let fast = mttkrp_dense(&t, &refs, mode).unwrap();
+            let fast = mttkrp_dense(&t, &refs, mode, &ParConfig::auto()).unwrap();
             let slow = reference_mttkrp(&t, &refs, mode);
             assert!(
                 fast.max_abs_diff(&slow).unwrap() < 1e-10,
@@ -328,7 +342,7 @@ mod tests {
         let (t, factors) = rand_tensor_and_factors(&[3, 2, 4, 2], 3, 5);
         let refs: Vec<&Mat> = factors.iter().collect();
         for mode in 0..4 {
-            let fast = mttkrp_dense(&t, &refs, mode).unwrap();
+            let fast = mttkrp_dense(&t, &refs, mode, &ParConfig::auto()).unwrap();
             let slow = reference_mttkrp(&t, &refs, mode);
             assert!(
                 fast.max_abs_diff(&slow).unwrap() < 1e-10,
@@ -342,7 +356,7 @@ mod tests {
         // For a matrix, MTTKRP over mode 0 is X · B.
         let (t, factors) = rand_tensor_and_factors(&[4, 3], 2, 7);
         let refs: Vec<&Mat> = factors.iter().collect();
-        let fast = mttkrp_dense(&t, &refs, 0).unwrap();
+        let fast = mttkrp_dense(&t, &refs, 0, &ParConfig::auto()).unwrap();
         let x = t.unfold(0).unwrap();
         let expect = x.matmul(&factors[1]).unwrap();
         assert!(fast.max_abs_diff(&expect).unwrap() < 1e-10);
@@ -361,7 +375,7 @@ mod tests {
         let sp = SparseTensor::from_dense(&t, 0.0);
         let refs: Vec<&Mat> = factors.iter().collect();
         for mode in 0..3 {
-            let d = mttkrp_dense(&t, &refs, mode).unwrap();
+            let d = mttkrp_dense(&t, &refs, mode, &ParConfig::auto()).unwrap();
             let s = mttkrp_sparse(&sp, &refs, mode).unwrap();
             assert!(d.max_abs_diff(&s).unwrap() < 1e-10, "mode {mode}");
         }
@@ -382,11 +396,11 @@ mod tests {
         let good = Mat::zeros(3, 2);
         let bad_rank = Mat::zeros(3, 4);
         let bad_rows = Mat::zeros(2, 2);
-        assert!(mttkrp_dense(&t, &[&good, &good], 0).is_err());
-        assert!(mttkrp_dense(&t, &[&good, &bad_rank, &good], 0).is_err());
-        assert!(mttkrp_dense(&t, &[&good, &bad_rows, &good], 0).is_err());
-        assert!(mttkrp_dense(&t, &[&good, &good, &good], 3).is_err());
+        assert!(mttkrp_dense(&t, &[&good, &good], 0, &ParConfig::auto()).is_err());
+        assert!(mttkrp_dense(&t, &[&good, &bad_rank, &good], 0, &ParConfig::auto()).is_err());
+        assert!(mttkrp_dense(&t, &[&good, &bad_rows, &good], 0, &ParConfig::auto()).is_err());
+        assert!(mttkrp_dense(&t, &[&good, &good, &good], 3, &ParConfig::auto()).is_err());
         // The mode's own factor rows are NOT validated (it is replaced).
-        assert!(mttkrp_dense(&t, &[&bad_rows, &good, &good], 0).is_ok());
+        assert!(mttkrp_dense(&t, &[&bad_rows, &good, &good], 0, &ParConfig::auto()).is_ok());
     }
 }

@@ -8,14 +8,15 @@
 //!    Khatri-Rao row per element, and floating-point addition does not
 //!    associate.
 //! 2. **Bitwise deterministic**: run to run, across thread budgets and
-//!    across both kernel backends — one accumulator per node element,
-//!    reduction index ascending, parallelism banding output rows only —
-//!    and the contract survives the whole ALS loop.
+//!    (one-shot, through `mttkrp_dense_kernel`) across both kernel
+//!    backends — one accumulator per node element, reduction index
+//!    ascending, parallelism banding output rows only — and the contract
+//!    survives the whole ALS loop.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use tpcp_cp::{cp_als_dense, mttkrp_dense_kernel, AlsOptions, CpModel, DimTree, KernelKind};
-use tpcp_linalg::{khatri_rao, Mat};
+use tpcp_cp::{cp_als_dense, mttkrp_dense_kernel, AlsOptions, CpModel, DimTree};
+use tpcp_linalg::{khatri_rao, KernelKind, Mat};
 use tpcp_par::ParConfig;
 use tpcp_tensor::DenseTensor;
 
@@ -59,10 +60,11 @@ fn assert_close(fast: &Mat, x: &DenseTensor, factors: &[&Mat], mode: usize, what
     );
 }
 
-/// Every mode one-shot, then two ALS-shaped sweeps on one tree (each
-/// mode's factor replaced after its MTTKRP, so the second sweep answers
-/// from partials the first left valid): all of it within tolerance of the
-/// reference and bitwise equal across thread budgets and backends.
+/// Every mode one-shot on each backend, then two ALS-shaped sweeps on one
+/// tree (each mode's factor replaced after its MTTKRP, so the second sweep
+/// answers from partials the first left valid): all of it within
+/// tolerance of the reference and bitwise equal across thread budgets and
+/// backends.
 fn check_contraction(dims: &[usize], f: usize, seed: u64) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let t = tpcp_tensor::random_dense(dims, &mut rng);
@@ -73,36 +75,43 @@ fn check_contraction(dims: &[usize], f: usize, seed: u64) {
     ];
 
     let mut baseline: Option<Vec<Vec<u64>>> = None;
-    for kind in KINDS {
-        for threads in THREAD_BUDGETS {
-            let par = ParConfig::with_threads(threads);
-            let what = format!("rank {f} {} t{threads}", kind.label());
-            let mut produced = Vec::new();
+    for threads in THREAD_BUDGETS {
+        let par = ParConfig::with_threads(threads);
+        let what = format!("rank {f} t{threads}");
+        let mut produced = Vec::new();
 
-            let refs: Vec<&Mat> = initial.iter().collect();
+        let refs: Vec<&Mat> = initial.iter().collect();
+        let mut one_shot: Option<Vec<Vec<u64>>> = None;
+        for kind in KINDS {
+            let mut got = Vec::new();
             for mode in 0..dims.len() {
                 let m = mttkrp_dense_kernel(&t, &refs, mode, &par, kind).unwrap();
-                assert_close(&m, &t, &refs, mode, &format!("one-shot {what}"));
+                assert_close(&m, &t, &refs, mode, &format!("one-shot {kind:?} {what}"));
+                got.push(bits(&m));
+            }
+            match &one_shot {
+                None => one_shot = Some(got),
+                Some(r) => prop_assert_eq!(r, &got, "one-shot {:?} != reference: {}", kind, what),
+            }
+        }
+        produced.extend(one_shot.expect("KINDS is not empty"));
+
+        let mut tree = DimTree::new(dims, f).expect("order >= 2, rank >= 1");
+        let mut live = initial.clone();
+        for replacement in &replacements {
+            for mode in 0..dims.len() {
+                let refs: Vec<&Mat> = live.iter().collect();
+                let m = tree.mttkrp(&t, &refs, mode, &par).unwrap();
+                assert_close(&m, &t, &refs, mode, &format!("sweep {what}"));
                 produced.push(bits(&m));
+                live[mode] = replacement[mode].clone();
+                tree.factor_updated(mode);
             }
+        }
 
-            let mut tree = DimTree::new(dims, f).expect("order >= 2, rank >= 1");
-            let mut live = initial.clone();
-            for replacement in &replacements {
-                for mode in 0..dims.len() {
-                    let refs: Vec<&Mat> = live.iter().collect();
-                    let m = tree.mttkrp(&t, &refs, mode, &par, kind).unwrap();
-                    assert_close(&m, &t, &refs, mode, &format!("sweep {what}"));
-                    produced.push(bits(&m));
-                    live[mode] = replacement[mode].clone();
-                    tree.factor_updated(mode);
-                }
-            }
-
-            match &baseline {
-                None => baseline = Some(produced),
-                Some(b) => prop_assert_eq!(b, &produced, "not bitwise stable: {}", what),
-            }
+        match &baseline {
+            None => baseline = Some(produced),
+            Some(b) => prop_assert_eq!(b, &produced, "not bitwise stable: {}", what),
         }
     }
 }
@@ -187,9 +196,9 @@ fn exact_low_rank(dims: &[usize], f: usize, seed: u64) -> DenseTensor {
 
 /// The ALS driver on orders 4 and 5 — the orders that sweep on the tree —
 /// recovers exact low-rank data, and its whole trajectory (fit trace,
-/// weights, factors) is bitwise the same for every thread budget and
-/// backend: the tree's determinism contract survives the sweep loop, Gram
-/// caching and rebalancing included.
+/// weights, factors) is bitwise the same for every thread budget: the
+/// tree's determinism contract survives the sweep loop, Gram caching and
+/// rebalancing included.
 #[test]
 fn als_on_the_tree_is_bitwise_reproducible_and_recovers_low_rank_data() {
     // Sized so that the root contractions (elements × rank ≥ 2¹³) really
@@ -197,34 +206,30 @@ fn als_on_the_tree_is_bitwise_reproducible_and_recovers_low_rank_data() {
     for dims in [vec![9usize, 8, 8, 7], vec![6, 5, 5, 4, 5]] {
         let t = exact_low_rank(&dims, 3, 3);
         let mut baseline: Option<(Vec<u64>, Vec<Vec<u64>>)> = None;
-        for kind in KINDS {
-            for threads in THREAD_BUDGETS {
-                let opts = AlsOptions {
-                    rank: 3,
-                    max_iters: 200,
-                    tol: 1e-14,
-                    seed: 1,
-                    kernel: kind,
-                    par: ParConfig::with_threads(threads),
-                    ..Default::default()
-                };
-                let report = cp_als_dense(&t, &opts).unwrap();
-                assert!(
-                    report.final_fit >= 1.0 - 1e-6,
-                    "dims {dims:?} {} t{threads}: fit {} after {} iterations",
-                    kind.label(),
-                    report.final_fit,
-                    report.iterations
-                );
-                let trace: Vec<u64> = report.fit_trace.iter().map(|v| v.to_bits()).collect();
-                let mut model: Vec<Vec<u64>> = report.model.factors.iter().map(bits).collect();
-                model.push(report.model.weights.iter().map(|v| v.to_bits()).collect());
-                match &baseline {
-                    None => baseline = Some((trace, model)),
-                    Some((base_trace, base_model)) => {
-                        assert_eq!(base_trace, &trace, "{} t{threads}", kind.label());
-                        assert_eq!(base_model, &model, "{} t{threads}", kind.label());
-                    }
+        for threads in THREAD_BUDGETS {
+            let opts = AlsOptions {
+                rank: 3,
+                max_iters: 200,
+                tol: 1e-14,
+                seed: 1,
+                par: ParConfig::with_threads(threads),
+                ..Default::default()
+            };
+            let report = cp_als_dense(&t, &opts).unwrap();
+            assert!(
+                report.final_fit >= 1.0 - 1e-6,
+                "dims {dims:?} t{threads}: fit {} after {} iterations",
+                report.final_fit,
+                report.iterations
+            );
+            let trace: Vec<u64> = report.fit_trace.iter().map(|v| v.to_bits()).collect();
+            let mut model: Vec<Vec<u64>> = report.model.factors.iter().map(bits).collect();
+            model.push(report.model.weights.iter().map(|v| v.to_bits()).collect());
+            match &baseline {
+                None => baseline = Some((trace, model)),
+                Some((base_trace, base_model)) => {
+                    assert_eq!(base_trace, &trace, "t{threads}");
+                    assert_eq!(base_model, &model, "t{threads}");
                 }
             }
         }

@@ -1,16 +1,16 @@
 //! Tiled == reference bitwise equivalence for the fused dense-3 MTTKRP.
 //!
-//! The kernel backend seam routes the fused dense 3-mode MTTKRP fibre
-//! loops through `Kernel::mttkrp_tile` / `mttkrp_scatter`; the tiled
-//! backend must reproduce the reference backend **bit for bit** for every
-//! mode, any ragged dims, rank spanning 1..32, and any thread budget —
-//! the same determinism contract `tpcp-linalg`'s `kernel_equiv` suite
-//! pins for the matrix products.
+//! The fused dense 3-mode MTTKRP runs its fibre loops through
+//! `Kernel::mttkrp_tile` / `mttkrp_scatter`; through the pinned entry
+//! `mttkrp_dense_kernel` the tiled backend must reproduce the reference
+//! backend **bit for bit** for every mode, any ragged dims, rank spanning
+//! 1..32, and any thread budget — the composition of the primitives that
+//! `tpcp-linalg`'s `kernel_equiv` suite pins one by one.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use tpcp_cp::{mttkrp_dense, mttkrp_dense_kernel, KernelKind};
-use tpcp_linalg::Mat;
+use tpcp_cp::{mttkrp_dense, mttkrp_dense_kernel};
+use tpcp_linalg::{KernelKind, Mat};
 use tpcp_par::ParConfig;
 use tpcp_tensor::DenseTensor;
 
@@ -40,9 +40,9 @@ fn check_modes(dims: &[usize], f: usize, seed: u64) {
         let reference =
             mttkrp_dense_kernel(&t, &refs, mode, &ParConfig::serial(), KernelKind::Reference)
                 .unwrap();
-        // `mttkrp_dense` takes no kernel argument, so it cannot be pinned
-        // from outside: it must itself go through the seam.
-        let implicit = mttkrp_dense(&t, &refs, mode).unwrap();
+        // `mttkrp_dense` takes no kernel argument: it must run the tiled
+        // backend, bitwise the reference.
+        let implicit = mttkrp_dense(&t, &refs, mode, &ParConfig::auto()).unwrap();
         prop_assert_eq!(
             bits(&implicit),
             bits(&reference),

@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use tpcp_cp::{mttkrp_dense_kernel, mttkrp_sparse_par, KernelKind};
+use tpcp_cp::{mttkrp_dense, mttkrp_sparse_par};
 use tpcp_linalg::{khatri_rao, Mat};
 use tpcp_par::ParConfig;
 use tpcp_tensor::{DenseTensor, SparseTensor};
@@ -52,22 +52,14 @@ fn check_dense(dims: &[usize], f: usize, seed: u64) {
     let (t, factors) = rand_tensor_and_factors(dims, f, seed);
     let refs: Vec<&Mat> = factors.iter().collect();
     for mode in 0..dims.len() {
-        let serial =
-            mttkrp_dense_kernel(&t, &refs, mode, &ParConfig::serial(), KernelKind::Tiled).unwrap();
+        let serial = mttkrp_dense(&t, &refs, mode, &ParConfig::serial()).unwrap();
         let slow = reference_mttkrp(&t, &refs, mode);
         prop_assert!(
             serial.max_abs_diff(&slow).unwrap() < 1e-9,
             "dims {dims:?} mode {mode}: serial kernel diverges from reference"
         );
         for threads in THREAD_BUDGETS {
-            let par = mttkrp_dense_kernel(
-                &t,
-                &refs,
-                mode,
-                &ParConfig::with_threads(threads),
-                KernelKind::Tiled,
-            )
-            .unwrap();
+            let par = mttkrp_dense(&t, &refs, mode, &ParConfig::with_threads(threads)).unwrap();
             prop_assert_eq!(
                 bits(&par),
                 bits(&serial),
@@ -93,8 +85,7 @@ fn check_sparse(dims: &[usize], f: usize, seed: u64) {
     let refs: Vec<&Mat> = factors.iter().collect();
     for mode in 0..dims.len() {
         let serial = mttkrp_sparse_par(&sp, &refs, mode, &ParConfig::serial()).unwrap();
-        let dense =
-            mttkrp_dense_kernel(&t, &refs, mode, &ParConfig::serial(), KernelKind::Tiled).unwrap();
+        let dense = mttkrp_dense(&t, &refs, mode, &ParConfig::serial()).unwrap();
         prop_assert!(
             serial.max_abs_diff(&dense).unwrap() < 1e-9,
             "dims {dims:?} mode {mode}: sparse kernel diverges from dense"
@@ -171,12 +162,11 @@ fn multi_chunk_reduction_is_thread_invariant() {
     let refs: Vec<&Mat> = factors.iter().collect();
     let sp = SparseTensor::from_dense(&t, 0.0);
     for mode in 0..dims.len() {
-        let dense_serial =
-            mttkrp_dense_kernel(&t, &refs, mode, &ParConfig::serial(), KernelKind::Tiled).unwrap();
+        let dense_serial = mttkrp_dense(&t, &refs, mode, &ParConfig::serial()).unwrap();
         let sparse_serial = mttkrp_sparse_par(&sp, &refs, mode, &ParConfig::serial()).unwrap();
         for threads in THREAD_BUDGETS {
             let cfg = ParConfig::with_threads(threads);
-            let d = mttkrp_dense_kernel(&t, &refs, mode, &cfg, KernelKind::Tiled).unwrap();
+            let d = mttkrp_dense(&t, &refs, mode, &cfg).unwrap();
             let s = mttkrp_sparse_par(&sp, &refs, mode, &cfg).unwrap();
             assert_eq!(
                 bits(&d),

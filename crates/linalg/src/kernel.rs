@@ -1,18 +1,19 @@
-//! The kernel backend seam: swappable inner-loop implementations for the
-//! dense products ([`Mat::matmul`](crate::Mat::matmul) and friends) and the
-//! fused 3-mode MTTKRP in `tpcp-cp`.
+//! The kernel backend seam: the inner-loop implementations of the dense
+//! products ([`Mat::matmul`](crate::Mat::matmul) and friends), the fused
+//! 3-mode MTTKRP and the dimension-tree contractions in `tpcp-cp`.
 //!
 //! A [`Kernel`] computes one worker's *band* of the output — the parallel
-//! wrappers in `ops.rs` (and `tpcp-cp`'s `mttkrp.rs`) partition the output
-//! across the shared `tpcp-par` budget and hand each band to the selected
-//! backend. Two backends ship:
+//! wrappers in `ops.rs` (and `tpcp-cp`'s `mttkrp.rs` / `dimtree.rs`)
+//! partition the output across the shared `tpcp-par` budget and hand each
+//! band to the backend. Two backends ship:
 //!
-//! * [`ReferenceKernel`] — the original scalar loops, kept verbatim as the
-//!   correctness oracle;
 //! * [`TiledKernel`] — register-blocked microkernels (`4×8` output tiles
 //!   held in accumulator registers across the whole reduction loop, with
 //!   panel packing of the strided operand into contiguous scratch so every
 //!   inner loop is stride-1 and explicit-width for the autovectorizer).
+//!   This is the engine's backend;
+//! * [`ReferenceKernel`] — the original scalar loops, kept verbatim as the
+//!   correctness oracle of the `kernel_equiv` suites.
 //!
 //! # The determinism contract
 //!
@@ -33,13 +34,14 @@
 //!
 //! # Dispatch
 //!
-//! [`KernelKind`] names the backend: [`KernelKind::Tiled`] is what every
-//! product runs unless a caller passes [`KernelKind::Reference`] through a
-//! `*_kernel` entry point or a config field (`TwoPcpConfig::kernel`,
-//! `AlsOptions::kernel`) — which the equivalence suites do to pin the
-//! tiled backend against the oracle.
+//! The engine calls [`TiledKernel`] by name; nothing in a configuration
+//! selects a backend. [`KernelKind`] names a backend only at the two
+//! entry points a benchmark times — `Mat::gram_kernel` and `tpcp-cp`'s
+//! `mttkrp_dense_kernel` — and the test suites pin the tiled backend
+//! against [`ReferenceKernel`] primitive by primitive, at the trait level.
 
-/// Which kernel backend to run. The two are bit-identical (see the
+/// Which kernel backend [`Mat::gram_kernel`](crate::Mat::gram_kernel) and
+/// `mttkrp_dense_kernel` run. The two are bit-identical (see the
 /// [module docs](self)), so the choice trades speed only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelKind {
@@ -58,11 +60,6 @@ impl KernelKind {
             KernelKind::Reference => &ReferenceKernel,
         }
     }
-
-    /// Stable lower-case name (`"tiled"` / `"reference"`).
-    pub fn label(self) -> &'static str {
-        self.resolve().label()
-    }
 }
 
 /// One kernel backend: band-level entry points for the dense products and
@@ -79,7 +76,7 @@ impl KernelKind {
 /// [module docs](self): per output element, one accumulator, reduction
 /// index ascending.
 pub trait Kernel: Sync {
-    /// Stable name for diagnostics and bench attribution.
+    /// Stable name, for test diagnostics.
     fn label(&self) -> &'static str;
 
     /// Preferred output-row granularity: parallel wrappers round their
@@ -174,7 +171,8 @@ pub trait Kernel: Sync {
 }
 
 /// The original scalar loops, verbatim — the correctness oracle every
-/// other backend is pinned against (bitwise, via the proptest suites).
+/// other backend is pinned against (bitwise, via the trait-level sweeps
+/// of the `kernel_equiv` suite).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReferenceKernel;
 
@@ -724,8 +722,8 @@ mod tests {
     #[test]
     fn kinds_dispatch_to_their_backend_and_tiled_is_the_default() {
         assert_eq!(KernelKind::default(), KernelKind::Tiled);
-        assert_eq!(KernelKind::Tiled.label(), "tiled");
-        assert_eq!(KernelKind::Reference.label(), "reference");
+        assert_eq!(KernelKind::Tiled.resolve().label(), "tiled");
+        assert_eq!(KernelKind::Reference.resolve().label(), "reference");
     }
 
     #[test]

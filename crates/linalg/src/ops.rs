@@ -1,30 +1,32 @@
 //! Multiplication, Gram, Hadamard and element-wise kernels on [`Mat`].
 //!
 //! Each product has two entry points: the classic method ([`Mat::matmul`],
-//! [`Mat::t_matmul`], [`Mat::matmul_t`], [`Mat::gram`]) runs the tiled
-//! backend on the shared [`tpcp_par`] thread budget once the operation is
-//! large enough to amortise a fan-out, and its `*_kernel` variant takes an
-//! explicit [`ParConfig`] and [`KernelKind`]. Either way the parallel
-//! wrappers partition the *output* matrix and the backends uphold the
-//! accumulation-order contract of [`crate::kernel`], so every element is
-//! accumulated in the same order as the serial reference loop and results
-//! are bit-identical for any thread count and either backend.
+//! [`Mat::t_matmul`], [`Mat::matmul_t`], [`Mat::gram`]) runs on the shared
+//! [`tpcp_par`] thread budget once the operation is large enough to
+//! amortise a fan-out, and its `*_kernel` / `*_into` variants take an
+//! explicit [`ParConfig`]. Every product runs [`TiledKernel`]; the
+//! parallel wrappers partition the *output* matrix and the backend upholds
+//! the accumulation-order contract of [`crate::kernel`], so every element
+//! is accumulated in the same order as the serial reference loop and
+//! results are bit-identical for any thread count. [`Mat::gram_kernel`]
+//! alone still names a [`KernelKind`], for callers that time or pin a
+//! backend.
 
-use crate::kernel::KernelKind;
+use crate::kernel::{Kernel, KernelKind, TiledKernel};
 use crate::{LinalgError, Mat, Result};
 use tpcp_par::{par_chunks_mut, tile_rows_per_chunk, ParConfig};
 
 /// Multiply-add count below which a product stays on the calling thread:
 /// fanning out costs a few microseconds, which only pays off once the
 /// kernel itself is in that range. Both the implicit entry points and the
-/// explicit `*_kernel` variants apply this clamp (via [`ParConfig::clamped`]);
+/// explicit-budget variants apply this clamp (via [`ParConfig::clamped`]);
 /// it is result-neutral because the kernels are thread-count deterministic.
 const PAR_MIN_FLOPS: usize = 1 << 15;
 
-/// The budget used by the implicit (non-`_kernel`) entry points: the shared
-/// automatic budget when the operation is big enough, serial otherwise
-/// (checked before `auto()` so small hot-loop products skip the
-/// environment lookup entirely).
+/// The budget used by the implicit entry points: the shared automatic
+/// budget when the operation is big enough, serial otherwise (checked
+/// before `auto()` so small hot-loop products skip the environment lookup
+/// entirely).
 fn implicit_par(flops: usize) -> ParConfig {
     if flops >= PAR_MIN_FLOPS {
         ParConfig::auto()
@@ -40,19 +42,19 @@ impl Mat {
     /// (`TPCP_THREADS`); see [`Mat::matmul_kernel`] for an explicit budget.
     pub fn matmul(&self, rhs: &Mat) -> Result<Mat> {
         let par = implicit_par(self.rows() * self.cols() * rhs.cols());
-        self.matmul_kernel(rhs, &par, KernelKind::Tiled)
+        self.matmul_kernel(rhs, &par)
     }
 
-    /// `self · rhs` on an explicit thread budget and kernel backend.
+    /// `self · rhs` on an explicit thread budget.
     ///
     /// The output rows are partitioned across workers, so the result is
     /// bit-identical to the serial kernel for any thread count.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `self.cols() != rhs.rows()`.
-    pub fn matmul_kernel(&self, rhs: &Mat, par: &ParConfig, kind: KernelKind) -> Result<Mat> {
+    pub fn matmul_kernel(&self, rhs: &Mat, par: &ParConfig) -> Result<Mat> {
         let mut out = Mat::default();
-        self.matmul_into(rhs, par, kind, &mut out)?;
+        self.matmul_into(rhs, par, &mut out)?;
         Ok(out)
     }
 
@@ -63,13 +65,7 @@ impl Mat {
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `self.cols() != rhs.rows()`.
-    pub fn matmul_into(
-        &self,
-        rhs: &Mat,
-        par: &ParConfig,
-        kind: KernelKind,
-        out: &mut Mat,
-    ) -> Result<()> {
+    pub fn matmul_into(&self, rhs: &Mat, par: &ParConfig, out: &mut Mat) -> Result<()> {
         if self.cols() != rhs.rows() {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul",
@@ -83,9 +79,8 @@ impl Mat {
         if n == 0 {
             return Ok(());
         }
-        let kernel = kind.resolve();
         let par = par.clamped(m * k * n, PAR_MIN_FLOPS);
-        let chunk_rows = tile_rows_per_chunk(m, par.threads(), kernel.row_tile());
+        let chunk_rows = tile_rows_per_chunk(m, par.threads(), TiledKernel.row_tile());
         par_chunks_mut(
             &par,
             out.as_mut_slice(),
@@ -94,7 +89,7 @@ impl Mat {
                 let i0 = chunk_idx * chunk_rows;
                 let rows = chunk.len() / n;
                 let a_band = &self.as_slice()[i0 * k..(i0 + rows) * k];
-                kernel.matmul(a_band, rows, k, rhs.as_slice(), n, chunk);
+                TiledKernel.matmul(a_band, rows, k, rhs.as_slice(), n, chunk);
             },
         );
         Ok(())
@@ -108,10 +103,10 @@ impl Mat {
     /// [`Mat::t_matmul_kernel`].
     pub fn t_matmul(&self, rhs: &Mat) -> Result<Mat> {
         let par = implicit_par(self.rows() * self.cols() * rhs.cols());
-        self.t_matmul_kernel(rhs, &par, KernelKind::Tiled)
+        self.t_matmul_kernel(rhs, &par)
     }
 
-    /// `selfᵀ · rhs` on an explicit thread budget and kernel backend.
+    /// `selfᵀ · rhs` on an explicit thread budget.
     ///
     /// The `k` output rows (columns of `self`) are partitioned across
     /// workers; each still sweeps the `m` input rows in ascending order, so
@@ -120,9 +115,9 @@ impl Mat {
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `self.rows() != rhs.rows()`.
-    pub fn t_matmul_kernel(&self, rhs: &Mat, par: &ParConfig, kind: KernelKind) -> Result<Mat> {
+    pub fn t_matmul_kernel(&self, rhs: &Mat, par: &ParConfig) -> Result<Mat> {
         let mut out = Mat::default();
-        self.t_matmul_into(rhs, par, kind, &mut out)?;
+        self.t_matmul_into(rhs, par, &mut out)?;
         Ok(out)
     }
 
@@ -131,13 +126,7 @@ impl Mat {
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `self.rows() != rhs.rows()`.
-    pub fn t_matmul_into(
-        &self,
-        rhs: &Mat,
-        par: &ParConfig,
-        kind: KernelKind,
-        out: &mut Mat,
-    ) -> Result<()> {
+    pub fn t_matmul_into(&self, rhs: &Mat, par: &ParConfig, out: &mut Mat) -> Result<()> {
         if self.rows() != rhs.rows() {
             return Err(LinalgError::ShapeMismatch {
                 op: "t_matmul",
@@ -151,9 +140,8 @@ impl Mat {
         if n == 0 {
             return Ok(());
         }
-        let kernel = kind.resolve();
         let par = par.clamped(m * k * n, PAR_MIN_FLOPS);
-        let chunk_rows = tile_rows_per_chunk(k, par.threads(), kernel.row_tile());
+        let chunk_rows = tile_rows_per_chunk(k, par.threads(), TiledKernel.row_tile());
         par_chunks_mut(
             &par,
             out.as_mut_slice(),
@@ -161,7 +149,7 @@ impl Mat {
             |chunk_idx, chunk| {
                 let c0 = chunk_idx * chunk_rows;
                 let rows = chunk.len() / n;
-                kernel.t_matmul(self.as_slice(), m, k, c0, rows, rhs.as_slice(), n, chunk);
+                TiledKernel.t_matmul(self.as_slice(), m, k, c0, rows, rhs.as_slice(), n, chunk);
             },
         );
         Ok(())
@@ -173,10 +161,10 @@ impl Mat {
     /// see [`Mat::matmul_t_kernel`].
     pub fn matmul_t(&self, rhs: &Mat) -> Result<Mat> {
         let par = implicit_par(self.rows() * self.cols() * rhs.rows());
-        self.matmul_t_kernel(rhs, &par, KernelKind::Tiled)
+        self.matmul_t_kernel(rhs, &par)
     }
 
-    /// `self · rhsᵀ` on an explicit thread budget and kernel backend.
+    /// `self · rhsᵀ` on an explicit thread budget.
     ///
     /// Output rows are partitioned across workers and every element
     /// accumulates in ascending-`k` order, so the result is bit-identical
@@ -185,7 +173,7 @@ impl Mat {
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `self.cols() != rhs.cols()`.
-    pub fn matmul_t_kernel(&self, rhs: &Mat, par: &ParConfig, kind: KernelKind) -> Result<Mat> {
+    pub fn matmul_t_kernel(&self, rhs: &Mat, par: &ParConfig) -> Result<Mat> {
         if self.cols() != rhs.cols() {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul_t",
@@ -199,9 +187,8 @@ impl Mat {
         if n == 0 || m == 0 {
             return Ok(out);
         }
-        let kernel = kind.resolve();
         let par = par.clamped(m * k * n, PAR_MIN_FLOPS);
-        let chunk_rows = tile_rows_per_chunk(m, par.threads(), kernel.row_tile());
+        let chunk_rows = tile_rows_per_chunk(m, par.threads(), TiledKernel.row_tile());
         par_chunks_mut(
             &par,
             out.as_mut_slice(),
@@ -210,7 +197,7 @@ impl Mat {
                 let i0 = chunk_idx * chunk_rows;
                 let rows = chunk.len() / n;
                 let a_band = &self.as_slice()[i0 * k..(i0 + rows) * k];
-                kernel.matmul_t(a_band, rows, k, rhs.as_slice(), n, chunk);
+                TiledKernel.matmul_t(a_band, rows, k, rhs.as_slice(), n, chunk);
             },
         );
         Ok(out)
@@ -219,34 +206,37 @@ impl Mat {
     /// Gram matrix `selfᵀ · self` (always square `cols × cols`, symmetric).
     pub fn gram(&self) -> Mat {
         let k = self.cols();
-        self.gram_kernel(&implicit_par(self.rows() * k * k), KernelKind::Tiled)
-    }
-
-    /// [`Mat::gram`] on an explicit thread budget and kernel backend
-    /// (bit-identical to serial for any thread count).
-    ///
-    /// Backends that report [`Kernel::gram_needs_mirror`] compute only the
-    /// upper triangle of each band; the strict lower triangle is filled
-    /// here by a serial mirror pass. The mirror is bitwise-exact (IEEE
-    /// multiplication commutes bit-for-bit and both triangles share the
-    /// ascending row order), so all backends still agree bitwise.
-    ///
-    /// [`Kernel::gram_needs_mirror`]: crate::kernel::Kernel::gram_needs_mirror
-    pub fn gram_kernel(&self, par: &ParConfig, kind: KernelKind) -> Mat {
         let mut out = Mat::default();
-        self.gram_into(par, kind, &mut out);
+        self.gram_into(&implicit_par(self.rows() * k * k), &mut out);
         out
     }
 
-    /// [`Mat::gram_kernel`] into a caller-owned `out` (reshaped and
-    /// overwritten; see [`Mat::matmul_into`]).
-    pub fn gram_into(&self, par: &ParConfig, kind: KernelKind, out: &mut Mat) {
+    /// [`Mat::gram`] on an explicit thread budget and a named backend
+    /// (bit-identical to serial for any thread count, and across backends).
+    pub fn gram_kernel(&self, par: &ParConfig, kind: KernelKind) -> Mat {
+        let mut out = Mat::default();
+        self.gram_on(par, kind.resolve(), &mut out);
+        out
+    }
+
+    /// [`Mat::gram`] on an explicit thread budget, into a caller-owned
+    /// `out` (reshaped and overwritten; see [`Mat::matmul_into`]).
+    pub fn gram_into(&self, par: &ParConfig, out: &mut Mat) {
+        self.gram_on(par, &TiledKernel, out);
+    }
+
+    /// The one Gram implementation. Backends that report
+    /// [`Kernel::gram_needs_mirror`] compute only the upper triangle of
+    /// each band; the strict lower triangle is filled here by a serial
+    /// mirror pass. The mirror is bitwise-exact (IEEE multiplication
+    /// commutes bit-for-bit and both triangles share the ascending row
+    /// order), so all backends still agree bitwise.
+    fn gram_on(&self, par: &ParConfig, kernel: &dyn Kernel, out: &mut Mat) {
         let (m, k) = self.shape();
         out.reset(k, k);
         if k == 0 {
             return;
         }
-        let kernel = kind.resolve();
         let par = par.clamped(m * k * k, PAR_MIN_FLOPS);
         let chunk_rows = tile_rows_per_chunk(k, par.threads(), kernel.row_tile());
         par_chunks_mut(

@@ -16,8 +16,8 @@
 //!   [`tpcp_par::Background`] worker that reads and decodes units, and a
 //!   bounded staging channel back (the bound is the pipeline depth, so a
 //!   stalled consumer exerts backpressure instead of accumulating pages);
-//! * [`PrefetchConfig`] — depth/enable knobs, with a `TPCP_PREFETCH`
-//!   environment override for ablations and CI.
+//! * [`PrefetchConfig`] — the pipeline depth (`0` = off), with a
+//!   `TPCP_PREFETCH` environment override for ablations and CI.
 //!
 //! **Prefetch moves bytes, never values.** Admission control lives in the
 //! buffer pool: staged pages are tagged with the unit's *write epoch* at
@@ -66,9 +66,8 @@ pub const PREFETCH_ENV_VAR: &str = "TPCP_PREFETCH";
 /// Configuration of the asynchronous prefetch pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PrefetchConfig {
-    /// Whether the pipeline runs at all.
-    pub enabled: bool,
-    /// Maximum units staged or in flight at once — the pipeline depth.
+    /// Maximum units staged or in flight at once — the pipeline depth;
+    /// `0` turns the pipeline off.
     /// Staged pages live *outside* the pool's byte budget until admitted,
     /// in a staging area the pool caps at one buffer's worth of bytes, so
     /// the worst-case overshoot is the smaller of `depth` units and one
@@ -77,7 +76,7 @@ pub struct PrefetchConfig {
 }
 
 impl PrefetchConfig {
-    /// The default pipeline: enabled, depth 4, unless `TPCP_PREFETCH`
+    /// The default pipeline, depth 4, unless `TPCP_PREFETCH`
     /// says otherwise.
     pub fn auto() -> Self {
         match std::env::var(PREFETCH_ENV_VAR) {
@@ -95,34 +94,25 @@ impl PrefetchConfig {
         }
     }
 
-    /// An enabled pipeline of the given depth (`0` disables).
+    /// A pipeline of the given depth (`0` disables).
     pub fn with_depth(depth: usize) -> Self {
-        PrefetchConfig {
-            enabled: depth > 0,
-            depth,
-        }
+        PrefetchConfig { depth }
     }
 
     /// Prefetching off: every miss is a synchronous read.
     pub fn disabled() -> Self {
-        PrefetchConfig {
-            enabled: false,
-            depth: 0,
-        }
+        PrefetchConfig::with_depth(0)
     }
 
     /// `true` when the pipeline should actually run.
     pub fn is_active(&self) -> bool {
-        self.enabled && self.depth > 0
+        self.depth > 0
     }
 }
 
 impl Default for PrefetchConfig {
     fn default() -> Self {
-        PrefetchConfig {
-            enabled: true,
-            depth: 4,
-        }
+        PrefetchConfig::with_depth(4)
     }
 }
 
