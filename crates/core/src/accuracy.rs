@@ -1,10 +1,10 @@
 //! Exact decomposition-accuracy evaluation (paper §III-B).
 //!
 //! `accuracy(X, X̃) = 1 − ‖X̃ − X‖ / ‖X‖`. The surrogate fit used for
-//! Phase-2 stopping (see [`crate::pq::PqCache::surrogate_fit`]) measures
-//! agreement with the Phase-1 reconstruction; the functions here measure
-//! agreement with the *original* tensor, which is what the paper's
-//! accuracy figures (Figure 13) report.
+//! Phase-2 stopping (computed by [`refine`](crate::refine) from its `P`/`Q`
+//! caches) measures agreement with the Phase-1 reconstruction; the
+//! functions here measure agreement with the *original* tensor, which is
+//! what the paper's accuracy figures (Figure 13) report.
 
 use crate::{Result, TwoPcpError};
 use tpcp_cp::CpModel;

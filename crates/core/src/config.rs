@@ -48,18 +48,15 @@ pub const SERVE_ADDR_ENV_VAR: &str = "TPCP_SERVE_ADDR";
 
 /// Every `TPCP_*` environment override, parsed once.
 ///
-/// The individual crates own their variables' grammar ([`ParConfig`],
-/// [`PrefetchConfig`]); this type records
-/// *which* variables are actually set and their parsed values, and
-/// [`TwoPcpConfig::new`] is the single place in the driver that applies
-/// them — everything built on a config (examples, tests, the serving
-/// daemon) inherits the environment through it.
+/// The individual crates own their variables' grammar ([`ParConfig`]);
+/// this type records *which* variables are actually set and their parsed
+/// values, and [`TwoPcpConfig::new`] is the single place in the driver
+/// that applies them — everything built on a config (examples, tests, the
+/// serving daemon) inherits the environment through it.
 #[derive(Clone, Debug, Default)]
 pub struct EnvOverrides {
     /// `TPCP_THREADS` → shared worker-thread budget.
     pub par: Option<ParConfig>,
-    /// `TPCP_PREFETCH` → prefetch pipeline depth / off.
-    pub prefetch: Option<PrefetchConfig>,
     /// `TPCP_SERVE_ADDR` → serving daemon listen address.
     pub serve_addr: Option<String>,
 }
@@ -70,10 +67,10 @@ impl EnvOverrides {
     /// crate's rules (malformed values fall back to that crate's
     /// defaults, exactly as before this type existed).
     pub fn from_env() -> Self {
-        let set = |name: &str| std::env::var_os(name).is_some();
         EnvOverrides {
-            par: set(tpcp_par::THREADS_ENV_VAR).then(ParConfig::auto),
-            prefetch: set(tpcp_storage::PREFETCH_ENV_VAR).then(PrefetchConfig::auto),
+            par: std::env::var_os(tpcp_par::THREADS_ENV_VAR)
+                .is_some()
+                .then(ParConfig::auto),
             serve_addr: std::env::var(SERVE_ADDR_ENV_VAR).ok(),
         }
     }
@@ -83,9 +80,6 @@ impl EnvOverrides {
     pub fn apply(&self, mut config: TwoPcpConfig) -> TwoPcpConfig {
         if let Some(par) = self.par {
             config.par = par;
-        }
-        if let Some(prefetch) = self.prefetch {
-            config.prefetch = prefetch;
         }
         config
     }
@@ -178,13 +172,13 @@ pub struct TwoPcpConfig {
     /// The Phase-2 asynchronous prefetch pipeline: a background worker
     /// walks the deterministic update schedule ahead of the refiner and
     /// stages upcoming units, overlapping disk reads with compute
-    /// (defaults to [`PrefetchConfig::auto`], i.e. the `TPCP_PREFETCH`
-    /// override or an enabled depth-4 pipeline). Prefetch moves bytes,
+    /// (default: an enabled depth-4 pipeline, changed only by the
+    /// `prefetch` / `prefetch_depth` setters). Prefetch moves bytes,
     /// never values — fit traces, factors and swap counts are
     /// bit-identical with the pipeline on or off.
     pub prefetch: PrefetchConfig,
-    /// Ignored (default `false`). Nothing in the engine uses this; it
-    /// leaves with ROADMAP 1(b).
+    /// Ignored (default `false`). Nothing in the engine uses this; the
+    /// end-to-end benchmark pins it, and it leaves with ROADMAP 3(a).
     pub mmap: bool,
     /// Ignored (default [`KernelKind::Tiled`]). The engine always runs the
     /// tiled kernels; this field only names a backend for a caller that

@@ -64,7 +64,7 @@ pub use model::{Model, ModelMeta, MODEL_EXT, MODEL_MAGIC, MODEL_VERSION};
 pub use naive::{naive_cp_out_of_core, NaiveOocOptions, NaiveOocReport};
 pub use phase1::{run_phase1_dense, run_phase1_source, run_phase1_sparse, Phase1Result};
 pub use phase2::{refine, RefineOutcome, RefineStats};
-pub use pq::{PqCache, QHadamardScratch, QHadamardStats};
+pub use pq::QHadamardStats;
 pub use swapsim::{simulate_swaps, unit_bytes, SwapReport, SwapSimConfig};
 // Re-exported so prefetch and the compression pipeline can be configured
 // without importing `tpcp-storage` / `tpcp-cp` / `tpcp-compress` directly.

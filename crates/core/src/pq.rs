@@ -10,9 +10,9 @@
 //! swappable units and are excluded from the buffer budget, matching the
 //! paper's memory accounting (§IV-A counts only `A` and `U` data).
 
-use crate::{Result, TwoPcpError};
+use crate::Result;
 use std::time::Instant;
-use tpcp_linalg::{hadamard_all, hadamard_all_into, Mat};
+use tpcp_linalg::{hadamard_all_into, Mat};
 use tpcp_partition::Grid;
 use tpcp_schedule::UnitId;
 
@@ -21,7 +21,7 @@ use tpcp_schedule::UnitId;
 /// justify a phase-2 dimension tree; these counters answer it).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QHadamardStats {
-    /// Calls to [`PqCache::q_hadamard_excluding_cached`].
+    /// Calls to the cached `Q`-Hadamard fold of the per-unit update.
     pub calls: u64,
     /// Wall time spent inside those calls, in nanoseconds.
     pub ns: u64,
@@ -55,11 +55,6 @@ pub struct QHadamardScratch {
 }
 
 impl QHadamardScratch {
-    /// An empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Drops every cached prefix (required whenever a `Q` entry changes).
     /// Hotness counters are *not* reset — they tally the whole run.
     pub fn clear(&mut self) {
@@ -102,7 +97,8 @@ impl PqCache {
         self.rank
     }
 
-    /// `P(mode)_block`.
+    /// `P(mode)_block` (test oracles only).
+    #[cfg(test)]
     pub fn p(&self, block: usize, mode: usize) -> &Mat {
         &self.p[block][mode]
     }
@@ -118,7 +114,8 @@ impl PqCache {
         self.p[block][mode] = value;
     }
 
-    /// `Q` of the unit `⟨mode, part⟩`.
+    /// `Q` of the unit `⟨mode, part⟩` (test oracles only).
+    #[cfg(test)]
     pub fn q(&self, grid: &Grid, unit: UnitId) -> &Mat {
         &self.q[unit.linear(grid)]
     }
@@ -136,20 +133,21 @@ impl PqCache {
 
     /// Hadamard product of `P(h)_block` over all modes `h ≠ mode`
     /// (the paper's `P_l ⊘ (U(i)ᵀ_l A(i)(kᵢ))`, computed without the
-    /// numerically fragile element-wise division).
+    /// numerically fragile element-wise division). Test oracle.
     ///
     /// # Errors
     /// Propagates shape mismatches (impossible for a well-formed cache).
+    #[cfg(test)]
     pub fn p_hadamard_excluding(&self, block: usize, mode: usize) -> Result<Mat> {
         let mats: Vec<&Mat> = (0..self.order)
             .filter(|&h| h != mode)
             .map(|h| &self.p[block][h])
             .collect();
-        hadamard_all(&mats).map_err(TwoPcpError::from)
+        Ok(tpcp_linalg::hadamard_all(&mats)?)
     }
 
-    /// [`PqCache::p_hadamard_excluding`] into a reused `out`: the same
-    /// left fold over the ascending modes, hence the same bits.
+    /// `p_hadamard_excluding` into a reused `out`: the same left fold
+    /// over the ascending modes, hence the same bits.
     ///
     /// # Errors
     /// Propagates shape mismatches (impossible for a well-formed cache).
@@ -166,19 +164,20 @@ impl PqCache {
     }
 
     /// Hadamard product of `Q` over all modes `h ≠ mode` for block
-    /// `coords` (the summand of `S(i)(kᵢ)`).
+    /// `coords` (the summand of `S(i)(kᵢ)`). Test oracle.
     ///
     /// # Errors
     /// Propagates shape mismatches (impossible for a well-formed cache).
+    #[cfg(test)]
     pub fn q_hadamard_excluding(&self, grid: &Grid, coords: &[usize], mode: usize) -> Result<Mat> {
         let mats: Vec<&Mat> = (0..self.order)
             .filter(|&h| h != mode)
             .map(|h| &self.q[UnitId::new(h, coords[h]).linear(grid)])
             .collect();
-        hadamard_all(&mats).map_err(TwoPcpError::from)
+        Ok(tpcp_linalg::hadamard_all(&mats)?)
     }
 
-    /// [`PqCache::q_hadamard_excluding`] with fold-prefix reuse:
+    /// `q_hadamard_excluding` with fold-prefix reuse:
     /// consecutive blocks of one sub-factor update walk the grid with the
     /// trailing coordinates varying fastest, so the ascending-mode fold
     /// over their `Q` operands shares a long leading prefix from block to
@@ -332,7 +331,7 @@ mod tests {
                 Mat::from_rows(&[&[v, v * 1.1], &[v * 0.9, v * v]]),
             );
         }
-        let mut scratch = QHadamardScratch::new();
+        let mut scratch = QHadamardScratch::default();
         // Walk blocks in linear order (trailing coordinate fastest — the
         // refine loop's order) and check every mode against the uncached
         // fold, bit for bit.
@@ -356,7 +355,7 @@ mod tests {
         let mut pq = PqCache::new(&g, 1);
         pq.set_q(&g, UnitId::new(0, 1), Mat::from_rows(&[&[3.0]]));
         pq.set_q(&g, UnitId::new(1, 0), Mat::from_rows(&[&[7.0]]));
-        let mut scratch = QHadamardScratch::new();
+        let mut scratch = QHadamardScratch::default();
         let got = pq
             .q_hadamard_excluding_cached(&g, &[1, 0], 1, &mut scratch)
             .unwrap();

@@ -7,16 +7,22 @@
 //! final factor matrices, and (the paper's headline metric) the per-
 //! iteration swap counts, including under the `Forward` policy whose
 //! Belady-exactness the pipeline must not perturb.
+//!
+//! No environment variable sets the depth, so two tests here hold the
+//! guarantee: `refine_is_bitwise_invariant_to_prefetch` (depths 1..=8 vs
+//! off) and `decompose_source_is_bitwise_invariant_to_prefetch_depth`
+//! (the whole driver over a tensor file at depths 0, 4 and 8).
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use tpcp_cp::CpModel;
 use tpcp_linalg::Mat;
 use tpcp_par::ParConfig;
+use tpcp_partition::FileTensorSource;
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::{DiskStore, IoStats, PolicyKind, PrefetchConfig, PrefetchSource, UnitStore};
 use tpcp_tensor::{random_factor, DenseTensor};
-use twopcp::{refine, run_phase1_dense, RefineStats, TwoPcpConfig};
+use twopcp::{refine, run_phase1_dense, RefineStats, TwoPcp, TwoPcpConfig};
 
 fn low_rank(dims: &[usize], f: usize, seed: u64) -> DenseTensor {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -217,6 +223,44 @@ fn deep_pipeline_over_a_small_buffer_wastes_no_read() {
             "depth {depth}: fetches bypassed the pipeline: {}",
             on.io
         );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A tensor file through `decompose_source` into a disk store under a
+/// thrashing buffer at depths 0 (off), 4 (default) and 8: exact fit,
+/// factors, swaps and fetches agree bit for bit, and the pipeline engages.
+#[test]
+fn decompose_source_is_bitwise_invariant_to_prefetch_depth() {
+    let x = low_rank(&[12, 12, 12], 2, 31);
+    let dir = scratch("driver");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("x.tensor");
+    FileTensorSource::write_dense(&path, &x).unwrap();
+    let run = |depth: usize| {
+        let cfg = TwoPcpConfig::new(2)
+            .parts(vec![3])
+            .buffer_fraction(1.0 / 3.0)
+            .max_virtual_iters(8)
+            .tol(0.0)
+            .seed(31)
+            .prefetch_depth(depth)
+            .work_dir(dir.join(format!("d{depth}")));
+        let mut src = FileTensorSource::open(&path).unwrap();
+        let outcome = TwoPcp::new(cfg).decompose_source(&mut src).unwrap();
+        (
+            outcome.fit.to_bits(),
+            fingerprint(&outcome.model, &outcome.phase2),
+        )
+    };
+    let (off_fit, off) = run(0);
+    assert!(off.io.fetches > 0, "the buffer must swap: {}", off.io);
+    assert_eq!(off.io.prefetch_hits, 0);
+    for depth in [4, 8] {
+        let (on_fit, on) = run(depth);
+        assert!(on.io.prefetch_hits > 0, "depth {depth}: {}", on.io);
+        assert_eq!(off_fit, on_fit, "depth {depth}: exact fit diverged");
+        assert_equivalent(&off, &on, &format!("driver depth {depth}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -460,7 +460,16 @@ impl FileTensorSource {
         dims: Vec<usize>,
         data_offset: u64,
     ) -> SourceResult<Self> {
-        let expect = data_offset + 8 * num_elements(&dims) as u64;
+        // Untrusted dims: an overflowing size is a malformed file.
+        let expect = dims
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .and_then(|n| u64::try_from(n).ok())
+            .and_then(|n| n.checked_mul(8))
+            .and_then(|bytes| bytes.checked_add(data_offset))
+            .ok_or_else(|| SourceError::Format {
+                reason: format!("dims {dims:?} overflow the addressable size"),
+            })?;
         let len = file.metadata()?.len();
         if len != expect {
             return Err(SourceError::Format {
@@ -912,6 +921,26 @@ mod tests {
             FileTensorSource::open(&path),
             Err(SourceError::Format { .. })
         ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Dims whose size overflows are a format error: no debug-build panic,
+    /// and no wrapped length that a 32-byte file happens to match.
+    #[test]
+    fn overflowing_dims_are_a_format_error() {
+        let path = tmpfile("overflow");
+        for dims in [[1u64 << 61, 1], [1 << 32, 1 << 32]] {
+            let mut bytes = [&RAW_MAGIC[..], &1u32.to_le_bytes(), &2u32.to_le_bytes()].concat();
+            dims.iter().for_each(|d| bytes.extend(d.to_le_bytes()));
+            std::fs::write(&path, &bytes).unwrap();
+            let opened = FileTensorSource::open(&path);
+            assert!(
+                matches!(opened, Err(SourceError::Format { .. })),
+                "{dims:?}"
+            );
+        }
+        let opened = FileTensorSource::open_raw(&path, &[usize::MAX, 2]);
+        assert!(matches!(opened, Err(SourceError::Format { .. })));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -110,7 +110,7 @@ pub enum ScheduleKind {
     /// Block-centric mixed-radix Gray-code traversal ("GO") — an
     /// *extension* beyond the paper's evaluated set: unit-step transitions
     /// like Hilbert, native support for non-power-of-two grids, O(order)
-    /// rank mapping. See the `ablations` bench.
+    /// rank mapping. See the `schedule_explorer` example.
     GrayOrder,
 }
 

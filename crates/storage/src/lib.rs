@@ -48,7 +48,7 @@ mod store;
 
 pub use buffer::{capacity_for_fraction, BufferPool};
 pub use policy::{ForwardPolicy, LruPolicy, MruPolicy, PolicyKind, ReplacementPolicy};
-pub use prefetch::{PrefetchConfig, PrefetchRead, PrefetchSource, PREFETCH_ENV_VAR};
+pub use prefetch::{PrefetchConfig, PrefetchRead, PrefetchSource};
 pub use stats::IoStats;
 pub use store::{DiskStore, MemStore, PageRead, UnitData, UnitStore};
 
