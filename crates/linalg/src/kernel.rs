@@ -326,11 +326,12 @@ pub const TILE_NR: usize = 8;
 /// packed into contiguous scratch (`matmul` packs the A panel reduction-
 /// major; `matmul_t` packs the Bᵀ panel; `t_matmul`/`gram_band` need no
 /// packing because both tile dimensions are already contiguous). A
-/// *narrow* tile — all `TILE_MR` rows, fewer than `TILE_NR` columns, so
-/// every tile when the width is below 8 — runs the same microtile out of
-/// line in `narrow_tile`, against a zero-padded B panel. Tiles with
-/// fewer than `TILE_MR` rows fall back to scalar loops with the same
-/// ascending reduction order, so ragged shapes stay bit-identical too.
+/// *narrow* tile — all `TILE_MR` rows, `w < TILE_NR` columns, so every
+/// tile when the width is below 8 — runs out of line in `narrow_tile`, a
+/// register tile exactly `w` wide that reads B's `w` columns in place.
+/// Tiles with fewer than `TILE_MR` rows fall back to scalar loops with
+/// the same ascending reduction order, so ragged shapes stay
+/// bit-identical too.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TiledKernel;
 
@@ -346,26 +347,25 @@ impl Kernel for TiledKernel {
     fn matmul(&self, a: &[f64], rows: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
         // A panel packed reduction-major: pack[p*MR + r] = a[i0+r][p], so
         // the microtile's per-step loads of the 4 A lanes share one cache
-        // line instead of 4. Small panels (k ≤ 64: every F×F product of
-        // the phase-2 update) pack on the stack, so the call allocates
-        // nothing.
+        // line instead of 4. A narrow tile reads A in place, so only a
+        // full or a row-ragged tile packs: with an output narrower than 8
+        // and whole row tiles, nothing is packed or allocated. Small
+        // panels (k ≤ 64: every F×F product of the phase-2 update) pack
+        // on the stack, so the call allocates nothing.
         const STACK_PACK: usize = 64 * TILE_MR;
         let mut on_stack = [0.0f64; STACK_PACK];
         let mut on_heap = Vec::new();
-        let pack: &mut [f64] = if k * TILE_MR <= STACK_PACK {
+        let pack: &mut [f64] = if n < TILE_NR && rows.is_multiple_of(TILE_MR) {
+            &mut []
+        } else if k * TILE_MR <= STACK_PACK {
             &mut on_stack[..k * TILE_MR]
         } else {
             on_heap.resize(k * TILE_MR, 0.0f64);
             &mut on_heap
         };
-        // The narrow tail's zero-padded B panel: one column start per
-        // call, built on first use and shared by every row tile.
-        let mut panel = NarrowPanel::default();
         let mut i0 = 0;
         while i0 < rows {
             let h = TILE_MR.min(rows - i0);
-            // A narrow tile reads A in place, so a row tile with no full
-            // tile to share the pack with skips packing.
             if h < TILE_MR || n >= TILE_NR {
                 for r in 0..h {
                     let row = &a[(i0 + r) * k..(i0 + r + 1) * k];
@@ -393,8 +393,8 @@ impl Kernel for TiledKernel {
                         out[(i0 + r) * n + j0..(i0 + r) * n + j0 + TILE_NR].copy_from_slice(acc_r);
                     }
                 } else if h == TILE_MR {
-                    let bp = panel.padded(b, k, n, j0, w);
-                    narrow_tile(a, i0 * k, 1, k, bp, k, w, &mut out[i0 * n + j0..], n);
+                    let out = &mut out[i0 * n + j0..];
+                    narrow_tile(&a[i0 * k..], 1, k, &b[j0..], n, k, w, out, n);
                 } else {
                     // Ragged edge: scalar, same ascending-p accumulation.
                     for r in 0..h {
@@ -416,9 +416,8 @@ impl Kernel for TiledKernel {
     fn matmul_t(&self, a: &[f64], rows: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
         // Bᵀ panel packed reduction-major: pack[p*NR + t] = b[j0+t][p], so
         // the microtile's inner loop is a stride-1 8-wide FMA. The panel
-        // is packed once per column tile and reused by every row tile.
-        // A narrow column tile zeroes its padded lanes, so the same pack
-        // is the zero-padded panel `narrow_tile` runs against.
+        // is packed once per column tile and reused by every row tile; a
+        // narrow tile reads its `w` lanes at stride `TILE_NR`.
         let mut pack = vec![0.0f64; k * TILE_NR];
         let mut j0 = 0;
         while j0 < n {
@@ -427,11 +426,6 @@ impl Kernel for TiledKernel {
                 let row = &b[(j0 + t) * k..(j0 + t + 1) * k];
                 for (p, &v) in row.iter().enumerate() {
                     pack[p * TILE_NR + t] = v;
-                }
-            }
-            if w < TILE_NR {
-                for lanes in pack.chunks_exact_mut(TILE_NR) {
-                    lanes[w..].fill(0.0);
                 }
             }
             let mut i0 = 0;
@@ -452,7 +446,8 @@ impl Kernel for TiledKernel {
                         out[(i0 + r) * n + j0..(i0 + r) * n + j0 + TILE_NR].copy_from_slice(acc_r);
                     }
                 } else if h == TILE_MR {
-                    narrow_tile(a, i0 * k, 1, k, &pack, k, w, &mut out[i0 * n + j0..], n);
+                    let out = &mut out[i0 * n + j0..];
+                    narrow_tile(&a[i0 * k..], 1, k, &pack, TILE_NR, k, w, out, n);
                 } else {
                     for r in 0..h {
                         for t in 0..w {
@@ -595,8 +590,7 @@ impl Kernel for TiledKernel {
 /// packing is needed — each reduction step loads one 4-lane and one 8-lane
 /// stride-1 slice. With `upper_only`, each row tile starts its column
 /// sweep at its own diagonal (`j0 = c0 + i0`), so the narrow tail starts
-/// at a different column in each row tile and its padded panel is rebuilt
-/// whenever the start moves.
+/// at a different column in each row tile.
 #[allow(clippy::too_many_arguments)]
 fn t_matmul_tiled(
     a: &[f64],
@@ -609,7 +603,6 @@ fn t_matmul_tiled(
     out: &mut [f64],
     upper_only: bool,
 ) {
-    let mut panel = NarrowPanel::default();
     let mut i0 = 0;
     while i0 < rows {
         let h = TILE_MR.min(rows - i0);
@@ -632,8 +625,8 @@ fn t_matmul_tiled(
                     out[(i0 + x) * n + j0..(i0 + x) * n + j0 + TILE_NR].copy_from_slice(acc_x);
                 }
             } else if h == TILE_MR {
-                let bp = panel.padded(b, m, n, j0, w);
-                narrow_tile(a, c0 + i0, k, 1, bp, m, w, &mut out[i0 * n + j0..], n);
+                let out = &mut out[i0 * n + j0..];
+                narrow_tile(&a[c0 + i0..], k, 1, &b[j0..], n, m, w, out, n);
             } else {
                 for x in 0..h {
                     for t in 0..w {
@@ -651,67 +644,66 @@ fn t_matmul_tiled(
     }
 }
 
-/// The B operand of a narrow tile: columns `j0..j0 + w` of a row-major
-/// `steps×n` matrix, copied reduction-major into `TILE_NR` lanes with the
-/// lanes past `w` zero (`lanes[p*NR + t] = b[p][j0 + t]`). Built on first
-/// use and rebuilt only when the tile's start column moves, so a call with
-/// no narrow tile allocates nothing.
-#[derive(Default)]
-struct NarrowPanel {
-    j0: Option<usize>,
-    lanes: Vec<f64>,
-}
-
-impl NarrowPanel {
-    fn padded(&mut self, b: &[f64], steps: usize, n: usize, j0: usize, w: usize) -> &[f64] {
-        if self.j0 != Some(j0) {
-            self.j0 = Some(j0);
-            self.lanes.clear();
-            self.lanes.resize(steps * TILE_NR, 0.0);
-            for (p, lanes) in self.lanes.chunks_exact_mut(TILE_NR).enumerate() {
-                lanes[..w].copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
-            }
-        }
-        &self.lanes
-    }
-}
-
-/// One narrow tile: `TILE_MR` rows, `w < TILE_NR` columns. Runs the 4×8
-/// microtile over `steps` reduction steps against `panel`, a B operand
-/// zero-padded to `TILE_NR` lanes (`panel[p*NR + t]`), and stores only the
-/// `w` real lanes into `out` (the tile's top-left element first, rows `n`
-/// apart). A lane `r` of A at step `p` is `a[a0 + p*a_step + r*a_lane]`.
+/// One narrow tile: `TILE_MR` rows, `w < TILE_NR` columns, over `steps`
+/// reduction steps. Lane `r` of A at step `p` is `a[p*a_step + r*a_lane]`;
+/// B's row at step `p` is `b[p*b_stride..][..w]`, read in place. The tile's
+/// top-left output element is `out[0]`, its rows `n` apart.
 ///
-/// Each stored element is still one accumulator with the reduction index
-/// ascending, exactly as in the scalar edge loop; a padded lane computes
-/// `a·0` into an accumulator that is never stored, so no stored bit can
-/// change. Kept out of line so its callers' full-tile loops compile as
-/// they do without it.
+/// Dispatches once on `w` to a body whose `[[f64; W]; TILE_MR]`
+/// accumulators are exactly the stored elements: each one accumulator
+/// with the reduction index ascending, as in the scalar edge loop. Kept
+/// out of line so its callers' full-tile loops compile as they do
+/// without it.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn narrow_tile(
     a: &[f64],
-    a0: usize,
     a_step: usize,
     a_lane: usize,
-    panel: &[f64],
+    b: &[f64],
+    b_stride: usize,
     steps: usize,
     w: usize,
     out: &mut [f64],
     n: usize,
 ) {
-    let mut acc = [[0.0f64; TILE_NR]; TILE_MR];
-    for (p, bp) in panel[..steps * TILE_NR].chunks_exact(TILE_NR).enumerate() {
-        let ap = a0 + p * a_step;
+    let tile = match w {
+        1 => narrow_tile_w::<1>,
+        2 => narrow_tile_w::<2>,
+        3 => narrow_tile_w::<3>,
+        4 => narrow_tile_w::<4>,
+        5 => narrow_tile_w::<5>,
+        6 => narrow_tile_w::<6>,
+        7 => narrow_tile_w::<7>,
+        _ => unreachable!("a narrow tile is 1..=7 columns wide, not {w}"),
+    };
+    tile(a, a_step, a_lane, b, b_stride, steps, out, n);
+}
+
+/// [`narrow_tile`]'s body at width `W`.
+#[allow(clippy::too_many_arguments)]
+fn narrow_tile_w<const W: usize>(
+    a: &[f64],
+    a_step: usize,
+    a_lane: usize,
+    b: &[f64],
+    b_stride: usize,
+    steps: usize,
+    out: &mut [f64],
+    n: usize,
+) {
+    let mut acc = [[0.0f64; W]; TILE_MR];
+    for p in 0..steps {
+        let bp = &b[p * b_stride..][..W];
         for (r, acc_r) in acc.iter_mut().enumerate() {
-            let arp = a[ap + r * a_lane];
+            let arp = a[p * a_step + r * a_lane];
             for (acc_rt, &bv) in acc_r.iter_mut().zip(bp) {
                 *acc_rt += arp * bv;
             }
         }
     }
     for (r, acc_r) in acc.iter().enumerate() {
-        out[r * n..r * n + w].copy_from_slice(&acc_r[..w]);
+        out[r * n..r * n + W].copy_from_slice(acc_r);
     }
 }
 

@@ -196,12 +196,17 @@ fn det_mat(rows: usize, cols: usize, seed: u64) -> Mat {
 /// Every output width 1..=17 — below, at and across the 8-wide register
 /// tile — at row counts that give full, narrow (all 4 rows, fewer than 8
 /// columns) and row-ragged tiles, through every product at every thread
-/// budget. A narrow tile runs the register tile over a zero-padded panel
-/// and must stay bitwise the reference.
+/// budget. A narrow tile runs a register tile exactly as wide as its
+/// columns, reading B in place at its row stride `n`, and must stay
+/// bitwise the reference; `k = 400` (the `order4` root unfolding) pins
+/// every narrow width 1..=7 over a production-length reduction. At
+/// `n ∈ 9..=15`, `matmul_t`'s narrow tile runs over a Bᵀ pack whose lanes
+/// past its width still hold the previous column tile, so a tile that
+/// read a lane it does not own would show here.
 #[test]
 fn width_sweep_is_bitwise_reference() {
     for m in [4usize, 5, 8, 13] {
-        for k in [1usize, 6, 33] {
+        for k in [1usize, 6, 33, 400] {
             for n in 1..=17usize {
                 let seed = (m * 10_000 + k * 100 + n) as u64;
                 check_products(
