@@ -429,15 +429,18 @@ impl Model {
 
     /// The `k` largest entries of the mode-`mode` fiber at `fixed`,
     /// as `(index, value)` sorted by value descending (ties by index).
+    /// Every NaN ranks as one value after every number and is reported as
+    /// `f64::NAN`.
     pub fn top_k(&self, mode: usize, fixed: &[usize], k: usize) -> Result<Vec<(usize, f64)>> {
         let fiber = self.fiber(mode, fixed)?;
         Ok(rank_fiber(fiber, k))
     }
 
     /// Cosine similarity between rows `i` and `j` of mode `mode`'s factor
-    /// (each row weighted by λ). Zero-norm rows compare as `0.0`. Bitwise
-    /// the value [`Model::similar_rows`] reports for `j` when asked about
-    /// `i`.
+    /// (each row weighted by λ). Zero-norm rows compare as `0.0`, and a
+    /// NaN cosine is `f64::NAN`, whatever sign the arithmetic left on it.
+    /// Bitwise the value [`Model::similar_rows`] reports for `j` when
+    /// asked about `i`.
     pub fn cosine(&self, mode: usize, i: usize, j: usize) -> Result<f64> {
         let a = self.factor_checked(mode)?;
         for &r in &[i, j] {
@@ -453,7 +456,8 @@ impl Model {
 
     /// The `k` rows of mode `mode`'s factor most cosine-similar to `row`
     /// (the row itself excluded), as `(index, similarity)` sorted by
-    /// similarity descending (ties by index).
+    /// similarity descending (ties by index), NaN last as in
+    /// [`Model::top_k`].
     ///
     /// Cost: one O(rows·F) pass for the dot products, one division per
     /// row, and an O(rows + a·log k) ranking for `a` heap admissions.
@@ -590,8 +594,8 @@ impl Model {
     }
 }
 
-/// Ranks a fiber's entries for [`Model::top_k`]: value descending, ties by
-/// index, truncated to `k`.
+/// Ranks a fiber's entries for [`Model::top_k`]: value descending, NaN
+/// last, ties by index, truncated to `k`.
 fn rank_fiber(fiber: Vec<f64>, k: usize) -> Vec<(usize, f64)> {
     top_ranked(fiber.into_iter().enumerate(), k)
 }
@@ -600,21 +604,37 @@ fn rank_fiber(fiber: Vec<f64>, k: usize) -> Vec<(usize, f64)> {
 /// independent dot-product chains in flight at once.
 const SIMILAR_LANES: usize = 8;
 
-/// `f64::total_cmp` as an integer: `order_key(a).cmp(&order_key(b))` is
-/// `a.total_cmp(&b)`, and [`from_order_key`] undoes it bit for bit.
+/// The key every NaN ranks under: below every number's [`order_key`].
+/// (It is the key `total_cmp` gives the all-ones NaN, which is why no
+/// number has it.)
+const NAN_KEY: i64 = i64::MIN;
+
+/// The ranking's order as an integer: on numbers,
+/// `order_key(a).cmp(&order_key(b))` is `a.total_cmp(&b)` and
+/// [`from_order_key`] undoes it bit for bit; every NaN, whatever its sign
+/// and payload, is [`NAN_KEY`] and comes back as `f64::NAN`. Rust leaves a
+/// NaN result's sign unspecified, so ranking NaNs by their bits would let
+/// a served answer change order between builds.
 fn order_key(v: f64) -> i64 {
+    if v.is_nan() {
+        return NAN_KEY;
+    }
     let bits = v.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 fn from_order_key(key: i64) -> f64 {
+    if key == NAN_KEY {
+        return f64::NAN;
+    }
     // The transform keeps the sign bit, so it is its own inverse.
     f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
 }
 
-/// The `k` first of `candidates` under value descending by `total_cmp`,
-/// then index ascending — exactly a full sort then a truncate. The
-/// candidates must come in ascending index order.
+/// The `k` first of `candidates` under value descending by
+/// [`order_key`] (every NaN one value, after every number), then index
+/// ascending — exactly a full sort then a truncate. The candidates must
+/// come in ascending index order.
 ///
 /// One streaming pass holds the best `min(k, seen)` in a heap whose top
 /// is the worst of them. A later candidate loses every tie on index, so
@@ -655,7 +675,13 @@ fn weighted_cosine(a: &[f64], b: &[f64], weights: &[f64]) -> f64 {
     if aa == 0.0 || bb == 0.0 {
         return 0.0;
     }
-    ab / (aa.sqrt() * bb.sqrt())
+    let cos = ab / (aa.sqrt() * bb.sqrt());
+    // A NaN's sign is unspecified: report the one NaN the ranking reports.
+    if cos.is_nan() {
+        f64::NAN
+    } else {
+        cos
+    }
 }
 
 fn pad8(buf: &mut Vec<u8>) {
@@ -1073,16 +1099,32 @@ mod tests {
             .filter(|&r| r != row)
             .map(|r| (r, weighted_cosine(anchor, a.row(r), m.weights())))
             .collect();
-        ranked.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+        ranked.sort_by(ranking_order);
         ranked.truncate(k);
         ranked
     }
 
-    /// The full-sort `rank_fiber`.
+    /// The ranking's specification as a comparator: value descending by
+    /// `total_cmp` among numbers, every NaN after every number and equal to
+    /// every other NaN, ties by index ascending.
+    fn ranking_order(x: &(usize, f64), y: &(usize, f64)) -> std::cmp::Ordering {
+        let by_value = match (x.1.is_nan(), y.1.is_nan()) {
+            (false, false) => y.1.total_cmp(&x.1),
+            (x_nan, y_nan) => x_nan.cmp(&y_nan),
+        };
+        by_value.then(x.0.cmp(&y.0))
+    }
+
+    /// The full-sort `rank_fiber`, reporting every NaN as `f64::NAN`.
     fn rank_fiber_oracle(fiber: Vec<f64>, k: usize) -> Vec<(usize, f64)> {
         let mut ranked: Vec<(usize, f64)> = fiber.into_iter().enumerate().collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked.sort_by(ranking_order);
         ranked.truncate(k);
+        for r in &mut ranked {
+            if r.1.is_nan() {
+                r.1 = f64::NAN;
+            }
+        }
         ranked
     }
 
@@ -1196,11 +1238,19 @@ mod tests {
             .map(|p| p.1.to_bits())
             .collect();
         assert!(sims.contains(&(-0.0f64).to_bits()) && sims.contains(&0.0f64.to_bits()));
-        assert!(e
-            .similar_rows(0, 0, 20)
-            .unwrap()
+        // NaN cosines (rows 6 and 10, whose NaNs carry both signs) are the
+        // one canonical NaN, ranked last.
+        let ranked = e.similar_rows(0, 0, 20).unwrap();
+        let nans: Vec<(usize, u64)> = ranked
             .iter()
-            .any(|p| p.1.is_nan()));
+            .filter(|p| p.1.is_nan())
+            .map(|p| (p.0, p.1.to_bits()))
+            .collect();
+        let nan = f64::NAN.to_bits();
+        assert_eq!(nans, [(5, nan), (6, nan), (7, nan), (10, nan)]);
+        assert!(ranked[ranked.len() - nans.len()..]
+            .iter()
+            .all(|p| p.1.is_nan()));
         // A zero-norm query row compares as 0.0 with every row.
         let zero = e.similar_rows(0, 1, usize::MAX).unwrap();
         assert_eq!(zero.len(), 10);

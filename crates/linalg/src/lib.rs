@@ -15,8 +15,12 @@
 //! Everything is written from scratch (no BLAS/LAPACK bindings) so that the
 //! repository is fully self-hosting; the kernels use blocked/reordered loops
 //! per the Rust performance guidelines rather than naive triple loops.
+//!
+//! The crate is safe Rust but for one `unsafe` block: the run-time choice
+//! of the tiled kernel's AVX2 instance, taken only after the CPU reported
+//! AVX2 (see [`kernel`]'s "Vector width").
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod kernel;
 mod kr;

@@ -4,7 +4,9 @@
 //! `A` is 400×400 (the `order4` root unfolding), the other operand is
 //! 400×width (width×400 for `matmul_t`; `gram` is of a 400×width `A`). Every
 //! sample times each cell once, so the cells are interleaved sample by
-//! sample; each line is the median [q1, q3] over the samples.
+//! sample; each line is the median [q1, q3] over the samples. The header
+//! names the instance of the tiled bodies this CPU dispatches to
+//! (`isa: avx2` or `isa: baseline`).
 //!
 //! ```sh
 //! cargo run --release --example kernel_cell              # 31 samples
@@ -90,7 +92,8 @@ fn main() {
     }
 
     let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
-    println!("# kernel_cell: A {M}x{M}, serial, {samples} samples, cpus {cpus}");
+    let isa = TiledKernel::isa();
+    println!("# kernel_cell: A {M}x{M}, serial, {samples} samples, cpus {cpus}, isa: {isa}");
     println!("# µs per product, median [q1, q3]");
     println!("{:<9} {:>5}  {:<26} reference", "product", "width", "tiled");
     for pair in cells.chunks_mut(kernels.len()) {
