@@ -3,6 +3,7 @@
 use crate::compress::{validate_compress_options, CompressOptions};
 use crate::dimtree::DimTree;
 use crate::model::fit_from_parts;
+use crate::mttkrp::{dense3_pair_applies, mttkrp_dense3_pair};
 use crate::{mttkrp_dense, mttkrp_sparse_par, CpError, CpModel, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -180,10 +181,12 @@ pub struct AlsReport {
 }
 
 /// Dense orders from here up sweep on a [`DimTree`]. Order 3 stays on the
-/// fused dense-3 kernel: it is the tree's order-3 leaf specialisation and
-/// already near roofline, and the tree's internal node there is an
-/// `I·J × F` arena per worker (2 MiB on a 128³ block at rank 16 — see
-/// `docs/dimtree.md`). Below order 3 there is no partial product to share.
+/// fused dense-3 kernel, the tree's order-3 leaf specialisation. A serial
+/// order-3 sweep still takes the tree's saving: modes 0 and 1 share the
+/// fibre products `X[i, j, :] · C`, one `J × F` row slab at a time
+/// ([`mttkrp_dense3_pair`]), bitwise the per-mode sweeps and with no
+/// `I·J × F` arena (see `docs/dimtree.md`). Below order 3 there is no
+/// partial product to share.
 const TREE_MIN_ORDER: usize = 4;
 
 /// Tensor abstraction letting one ALS loop serve both storage formats.
@@ -203,6 +206,18 @@ trait AlsTensor {
         mode: usize,
         par: &ParConfig,
     ) -> Result<Mat>;
+    /// Modes 0 and 1 in one pass, for the formats, orders and budgets
+    /// that have one: the mode-0 factor solved against the system `v0`,
+    /// and the mode-1 MTTKRP against it. `None` runs the modes apart.
+    fn mttkrp_pair(
+        &self,
+        _factors: &[&Mat],
+        _v0: &Mat,
+        _ridge: f64,
+        _par: &ParConfig,
+    ) -> Option<Result<(Mat, Mat)>> {
+        None
+    }
 }
 
 impl AlsTensor for DenseTensor {
@@ -229,6 +244,16 @@ impl AlsTensor for DenseTensor {
             Some(tree) => tree.mttkrp(self, factors, mode, par),
             None => mttkrp_dense(self, factors, mode, par),
         }
+    }
+    fn mttkrp_pair(
+        &self,
+        factors: &[&Mat],
+        v0: &Mat,
+        ridge: f64,
+        par: &ParConfig,
+    ) -> Option<Result<(Mat, Mat)>> {
+        let f = factors.first().map_or(0, |m| m.cols());
+        dense3_pair_applies(self, f, par).then(|| mttkrp_dense3_pair(self, factors, v0, ridge))
     }
 }
 
@@ -319,9 +344,10 @@ fn als_loop<T: AlsTensor>(x: &T, options: &AlsOptions) -> Result<AlsReport> {
         // not-yet-updated suffix on top) is bitwise-identical to the
         // full product the per-mode recomputation built each solve.
         let mut running: Option<Mat> = None;
+        // The mode-1 MTTKRP a paired pass left behind at mode 0.
+        let mut paired_m1: Option<Mat> = None;
         for mode in 0..order {
             let refs: Vec<&Mat> = factors.iter().collect();
-            let m = x.mttkrp(tree.as_mut(), &refs, mode, &options.par)?;
             let mut s = match &running {
                 Some(prefix) => prefix.clone(),
                 None if order > 1 => grams[1].clone(),
@@ -331,7 +357,25 @@ fn als_loop<T: AlsTensor>(x: &T, options: &AlsOptions) -> Result<AlsReport> {
             for g in &grams[suffix_from.min(order)..] {
                 s.hadamard_assign(g)?;
             }
-            let a = solve::solve_gram_system(&m, &s, options.ridge)?;
+            let pass = if mode == 0 {
+                x.mttkrp_pair(&refs, &s, options.ridge, &options.par)
+            } else {
+                None
+            };
+            let (a, m) = match pass {
+                Some(pass) => {
+                    let (a, m1) = pass?;
+                    paired_m1 = Some(m1);
+                    (a, None)
+                }
+                None => {
+                    let m = match paired_m1.take() {
+                        Some(m1) => m1,
+                        None => x.mttkrp(tree.as_mut(), &refs, mode, &options.par)?,
+                    };
+                    (solve::solve_gram_system(&m, &s, options.ridge)?, Some(m))
+                }
+            };
             a.gram_into(&options.par, &mut grams[mode]);
             factors[mode] = a;
             if let Some(t) = tree.as_mut() {
@@ -345,7 +389,7 @@ fn als_loop<T: AlsTensor>(x: &T, options: &AlsOptions) -> Result<AlsReport> {
                 None => grams[0].clone(),
             });
             if mode == order - 1 {
-                last_m = Some(m);
+                last_m = m;
             }
         }
 

@@ -5,7 +5,9 @@
 //!
 //! * the dense 3-mode path streams contiguous mode-2 fibres and performs a
 //!   small GEMM per fibre (`O(|X|·F)` flops, `O(F)` scratch) — the order-3
-//!   leaf specialisation of the contraction tree;
+//!   leaf specialisation of the contraction tree. A serial ALS sweep runs
+//!   its modes 0 and 1 as one pass over the block that shares those
+//!   fibre products (`mttkrp_dense3_pair`);
 //! * every other dense order evaluates one root→leaf path of a throw-away
 //!   [`DimTree`]: a banded GEMM of the tensor against the Khatri-Rao
 //!   product of *half* the modes, then per-row folds (`docs/dimtree.md`);
@@ -21,6 +23,7 @@
 
 use crate::dimtree::DimTree;
 use crate::{CpError, Result};
+use tpcp_linalg::solve::GramSolveScratch;
 use tpcp_linalg::{Kernel, KernelKind, Mat, TiledKernel};
 use tpcp_par::{fixed_chunk_size, par_chunks_mut_scratch, par_chunks_reduce_scratch, ParConfig};
 use tpcp_tensor::{DenseTensor, SparseTensor};
@@ -229,6 +232,70 @@ fn mttkrp_dense3(
         }
     }
     out
+}
+
+/// Whether an ALS sweep on `x` at rank `f` runs modes 0 and 1 as one
+/// [`mttkrp_dense3_pair`] pass: at order 3, exactly when
+/// [`mttkrp_dense`] would run those modes on one thread. The pass visits
+/// the mode-0 rows in order, so a budget that bands them keeps the
+/// per-mode sweeps; both are bitwise the same.
+pub(crate) fn dense3_pair_applies(x: &DenseTensor, f: usize, par: &ParConfig) -> bool {
+    x.order() == 3 && !x.is_empty() && par.clamped(x.len() * f, PAR_MIN_WORK).is_serial()
+}
+
+/// Modes 0 and 1 of a serial order-3 ALS sweep in one pass over `x`.
+///
+/// Returns `(A, M1)`: the mode-0 factor `A = M0 · V0⁻¹`, solved from the
+/// mode-0 MTTKRP `M0`, and the mode-1 MTTKRP `M1` against that new `A`.
+/// The two MTTKRPs share the fibre products `S_ij = X[i, j, :] · C`,
+/// since `C` does not change between the two solves, so the block is
+/// read once for both modes. For each `i`, ascending:
+///
+/// 1. `mttkrp_tile` adds `M0[i] += S_ij ⊛ B[j]`, `j` ascending, and
+///    leaves each `S_ij` in a `J × F` row buffer;
+/// 2. `M0[i]` is solved in place into `A[i]` against the one Cholesky
+///    factor of `V0` (a Gram solve works row by row);
+/// 3. one `partial_axpy` adds `M1[j] += S_ij ⊛ A[i]` for every `j`.
+///
+/// Every element of `A` and `M1` gets the IEEE operations of
+/// [`mttkrp_dense`] and `solve_gram_system` in the same order, so the
+/// pass is bitwise the per-mode sweeps at any thread budget.
+/// `factors[0]` is ignored, as in [`mttkrp_dense`].
+///
+/// # Errors
+/// [`CpError::BadFactors`] on shape inconsistencies, and the errors of
+/// `solve_gram_system` for `V0`.
+///
+/// # Panics
+/// Unless `x` is order 3 and `v0` has `F` rows ([`dense3_pair_applies`]
+/// and the ALS loop hold both).
+pub(crate) fn mttkrp_dense3_pair(
+    x: &DenseTensor,
+    factors: &[&Mat],
+    v0: &Mat,
+    ridge: f64,
+) -> Result<(Mat, Mat)> {
+    let f = check_factors(x.dims(), factors, 0)?;
+    let &[di, dj, dk] = x.dims() else {
+        unreachable!("dense3_pair_applies admits order 3 only")
+    };
+    assert_eq!(v0.rows(), f, "V0 is F×F");
+    let mut solver = GramSolveScratch::default();
+    solver.factor(v0, ridge)?;
+    let mut a = Mat::zeros(di, f);
+    let mut m1 = Mat::zeros(dj, f);
+    let mut s_rows = vec![0.0f64; dj * f];
+    let (b, c) = (factors[1], factors[2].as_slice());
+    let data = x.as_slice();
+    for (i, a_row) in a.as_mut_slice().chunks_mut(f).enumerate() {
+        for (j, s_row) in s_rows.chunks_mut(f).enumerate() {
+            let fibre = &data[(i * dj + j) * dk..(i * dj + j + 1) * dk];
+            TiledKernel.mttkrp_tile(fibre, c, f, b.row(j), a_row, s_row);
+        }
+        solver.solve_row(a_row);
+        TiledKernel.partial_axpy(&s_rows, a_row, f, m1.as_mut_slice());
+    }
+    Ok((a, m1))
 }
 
 /// Sparse (COO) MTTKRP for mode `mode`, computed on the shared automatic

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use tpcp_cp::{cp_als_dense, mttkrp_dense_kernel, AlsOptions, CpModel, DimTree};
-use tpcp_linalg::{khatri_rao, KernelKind, Mat};
+use tpcp_linalg::{hadamard_all, khatri_rao, solve::cholesky, KernelKind, Mat};
 use tpcp_par::ParConfig;
 use tpcp_tensor::DenseTensor;
 
@@ -230,6 +230,66 @@ fn als_on_the_tree_is_bitwise_reproducible_and_recovers_low_rank_data() {
                 Some((base_trace, base_model)) => {
                     assert_eq!(base_trace, &trace, "t{threads}");
                     assert_eq!(base_model, &model, "t{threads}");
+                }
+            }
+        }
+    }
+}
+
+/// Order-3 ALS runs modes 0 and 1 as one pass over the block when its
+/// budget is one thread, and as two per-mode sweeps banded over the
+/// threads otherwise. The whole trajectory (fit trace, weights, factors)
+/// is bitwise the same for every budget: ragged dims, ranks below, at and
+/// across the 8-wide register chunk, all-zero fibres, and a mode-0 system
+/// `V0` that needs the ridge.
+#[test]
+fn order3_als_is_bitwise_across_thread_budgets() {
+    // Every case has elements × rank ≥ 2¹³, so above one thread the
+    // per-mode sweeps really fan out.
+    let ragged = exact_low_rank(&[23, 19, 21], 4, 5);
+    let mut zero_fibres = exact_low_rank(&[23, 19, 21], 4, 6);
+    for (ij, fibre) in zero_fibres.as_mut_slice().chunks_mut(21).enumerate() {
+        if ij % 3 == 1 {
+            fibre.fill(0.0);
+        }
+    }
+    // rank(G1 ⊛ G2) ≤ 2·3 < F: V0 needs the ridge (asserted below for the
+    // initial factors).
+    let deficient = exact_low_rank(&[160, 2, 3], 2, 7);
+    let mut cases: Vec<(&str, &DenseTensor, usize)> = Vec::new();
+    for f in [1usize, 3, 8, 10, 16, 17] {
+        cases.push(("ragged", &ragged, f));
+        cases.push(("zero fibres", &zero_fibres, f));
+    }
+    cases.push(("rank-deficient", &deficient, 10));
+    cases.push(("rank-deficient", &deficient, 16));
+    for (name, t, f) in cases {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(f as u64);
+        let init = rand_factors(t.dims(), f, &mut rng);
+        if name == "rank-deficient" {
+            let v0 = hadamard_all(&[&init[1].gram(), &init[2].gram()]).unwrap();
+            assert!(cholesky(&v0).is_err(), "{name} F{f}: V0 is not singular");
+        }
+        let mut baseline: Option<(Vec<u64>, Vec<Vec<u64>>)> = None;
+        for threads in THREAD_BUDGETS {
+            let opts = AlsOptions {
+                rank: f,
+                max_iters: 6,
+                tol: 0.0,
+                init: Some(init.clone()),
+                par: ParConfig::with_threads(threads),
+                ..Default::default()
+            };
+            let report = cp_als_dense(t, &opts).unwrap();
+            assert!(report.final_fit.is_finite(), "{name} F{f} t{threads}");
+            let trace: Vec<u64> = report.fit_trace.iter().map(|v| v.to_bits()).collect();
+            let mut model: Vec<Vec<u64>> = report.model.factors.iter().map(bits).collect();
+            model.push(report.model.weights.iter().map(|v| v.to_bits()).collect());
+            match &baseline {
+                None => baseline = Some((trace, model)),
+                Some((base_trace, base_model)) => {
+                    assert_eq!(base_trace, &trace, "{name} F{f} t{threads}");
+                    assert_eq!(base_model, &model, "{name} F{f} t{threads}");
                 }
             }
         }

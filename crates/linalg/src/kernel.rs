@@ -142,8 +142,13 @@ pub trait Kernel: Sync {
     /// The fused fibre op of the dense 3-mode MTTKRP (modes 0 and 1):
     /// `out[s] += (Σ_kk fibre[kk] · c[kk][s]) · w[s]`, with the inner sum
     /// accumulated over `kk` ascending. `c` is `dk×f` row-major
-    /// (`dk = fibre.len()`), `w` and `out` have length `f`, and `scratch`
-    /// is caller-provided storage of length `f` a backend may clobber.
+    /// (`dk = fibre.len()`); `w`, `out` and `scratch` have length `f`.
+    ///
+    /// `scratch` is an output: on return it holds the fibre product
+    /// `scratch[s] = Σ_kk fibre[kk] · c[kk][s]`, the exact value each
+    /// `out[s]` was updated with, whatever it held before. The paired
+    /// order-3 ALS pass (`tpcp-cp`'s `mttkrp_dense3_pair`) reuses it for
+    /// a second mode.
     fn mttkrp_tile(
         &self,
         fibre: &[f64],
@@ -437,7 +442,7 @@ impl Kernel for TiledKernel {
         f: usize,
         w: &[f64],
         out: &mut [f64],
-        _scratch: &mut [f64],
+        scratch: &mut [f64],
     ) {
         Isa::detected().run(Call::MttkrpTile {
             fibre,
@@ -445,6 +450,7 @@ impl Kernel for TiledKernel {
             f,
             w,
             out,
+            scratch,
         });
     }
 
@@ -510,6 +516,7 @@ enum Call<'a> {
         f: usize,
         w: &'a [f64],
         out: &'a mut [f64],
+        scratch: &'a mut [f64],
     },
     MttkrpScatter {
         fibre: &'a [f64],
@@ -608,7 +615,9 @@ macro_rules! tiled_instance {
                     Call::GramBand { a, m, k, c0, rows, out } => {
                         t_matmul_tiled(a, m, k, c0, rows, a, k, out, true)
                     }
-                    Call::MttkrpTile { fibre, c, f, w, out } => mttkrp_tile(fibre, c, f, w, out),
+                    Call::MttkrpTile { fibre, c, f, w, out, scratch } => {
+                        mttkrp_tile(fibre, c, f, w, out, scratch)
+                    }
                     Call::MttkrpScatter { fibre, s_row, f, out } => {
                         mttkrp_scatter(fibre, s_row, f, out)
                     }
@@ -743,13 +752,21 @@ macro_rules! tiled_instance {
             }
 
             $(#[$attr])*
-            fn mttkrp_tile(fibre: &[f64], c: &[f64], f: usize, w: &[f64], out: &mut [f64]) {
+            fn mttkrp_tile(
+                fibre: &[f64],
+                c: &[f64],
+                f: usize,
+                w: &[f64],
+                out: &mut [f64],
+                scratch: &mut [f64],
+            ) {
                 // 8-wide column chunks of `scratch = fibre · C` held in registers
                 // across the whole fibre sweep (the reference path re-loads and
                 // re-stores the f-length scratch on every fibre element), fused
-                // with the `out += scratch ⊛ w` combine. Branch-free: a zero
-                // tensor entry contributes `±0.0` products, which leave the
-                // accumulators unchanged bit-for-bit for finite inputs.
+                // with the `out += scratch ⊛ w` combine and stored to `scratch`
+                // once. Branch-free: a zero tensor entry contributes `±0.0`
+                // products, which leave the accumulators unchanged bit-for-bit
+                // for finite inputs.
                 let mut s0 = 0;
                 while s0 + TILE_NR <= f {
                     let mut acc = [0.0f64; TILE_NR];
@@ -764,16 +781,66 @@ macro_rules! tiled_instance {
                     for ((o, &s), &wv) in out_row.iter_mut().zip(&acc).zip(w_row) {
                         *o += s * wv;
                     }
+                    scratch[s0..s0 + TILE_NR].copy_from_slice(&acc);
                     s0 += TILE_NR;
                 }
-                // Ragged tail: scalar per column, same ascending-kk accumulation.
-                for t in s0..f {
-                    let mut acc = 0.0;
-                    for (kk, &v) in fibre.iter().enumerate() {
-                        acc += v * c[kk * f + t];
-                    }
-                    out[t] += acc * w[t];
+                if s0 < f {
+                    let (w, out, scratch) = (&w[s0..], &mut out[s0..f], &mut scratch[s0..f]);
+                    mttkrp_tile_tail(fibre, c, f, s0, w, out, scratch);
                 }
+            }
+
+            /// `mttkrp_tile`'s last `f mod 8` columns, `s0..f`; `w`, `out`
+            /// and `scratch` arrive cut to them. Dispatches once on the width to a body
+            /// whose `[f64; W]` accumulators are exactly the tail's
+            /// columns: each one accumulator with `kk` ascending, as a
+            /// scalar loop per column would. Kept out of line so the full
+            /// chunks' loop compiles as it does without it.
+            $(#[$attr])*
+            #[inline(never)]
+            fn mttkrp_tile_tail(
+                fibre: &[f64],
+                c: &[f64],
+                f: usize,
+                s0: usize,
+                w: &[f64],
+                out: &mut [f64],
+                scratch: &mut [f64],
+            ) {
+                match out.len() {
+                    1 => mttkrp_tile_tail_w::<1>(fibre, c, f, s0, w, out, scratch),
+                    2 => mttkrp_tile_tail_w::<2>(fibre, c, f, s0, w, out, scratch),
+                    3 => mttkrp_tile_tail_w::<3>(fibre, c, f, s0, w, out, scratch),
+                    4 => mttkrp_tile_tail_w::<4>(fibre, c, f, s0, w, out, scratch),
+                    5 => mttkrp_tile_tail_w::<5>(fibre, c, f, s0, w, out, scratch),
+                    6 => mttkrp_tile_tail_w::<6>(fibre, c, f, s0, w, out, scratch),
+                    7 => mttkrp_tile_tail_w::<7>(fibre, c, f, s0, w, out, scratch),
+                    tail => unreachable!("a tail is 1..=7 columns wide, not {tail}"),
+                }
+            }
+
+            /// [`mttkrp_tile_tail`]'s body at width `W`.
+            $(#[$attr])*
+            fn mttkrp_tile_tail_w<const W: usize>(
+                fibre: &[f64],
+                c: &[f64],
+                f: usize,
+                s0: usize,
+                w: &[f64],
+                out: &mut [f64],
+                scratch: &mut [f64],
+            ) {
+                let mut acc = [0.0f64; W];
+                for (kk, &v) in fibre.iter().enumerate() {
+                    let c_row = &c[kk * f + s0..][..W];
+                    for (acc_t, &cv) in acc.iter_mut().zip(c_row) {
+                        *acc_t += v * cv;
+                    }
+                }
+                for ((o, &s), &wv) in out.iter_mut().zip(&acc).zip(w) {
+                    *o += s * wv;
+                }
+                scratch.copy_from_slice(&acc);
             }
 
             $(#[$attr])*
@@ -1170,13 +1237,18 @@ mod tests {
                 let shape = format!("f {n} len {len}");
                 let out_f = fill(n, seed + 5);
                 let out_lf = fill(len * n, seed + 6);
-                assert_instances_agree(isa, &format!("mttkrp_tile {shape}"), &out_f, |on, out| {
+                // `out` then the returned fibre product, over a scratch of NaNs.
+                let out_scratch = [out_f.clone(), vec![f64::NAN; n]].concat();
+                let what = format!("mttkrp_tile {shape}");
+                assert_instances_agree(isa, &what, &out_scratch, |on, out| {
+                    let (out, scratch) = out.split_at_mut(n);
                     on.run(Call::MttkrpTile {
                         fibre: &fibre,
                         c: &c,
                         f: n,
                         w: &w,
                         out,
+                        scratch,
                     })
                 });
                 let what = format!("mttkrp_scatter {shape}");

@@ -97,16 +97,65 @@ pub fn solve_gram_system(t: &Mat, s: &Mat, ridge: f64) -> Result<Mat> {
 
 /// Workspace of [`solve_gram_system_in_place`]: the regularised copy of
 /// `S` and its Cholesky factor, reused from call to call.
+///
+/// It is also the split form of the solve: [`factor`](Self::factor)
+/// then [`solve_row`](Self::solve_row) on each row is
+/// [`solve_gram_system_in_place`], so a caller can solve row `r` of
+/// `X = T · S⁻¹` as soon as row `r` of `T` is complete.
 #[derive(Default)]
 pub struct GramSolveScratch {
     reg: Mat,
     l: Mat,
 }
 
+impl GramSolveScratch {
+    /// Factors the symmetric `S` for [`solve_row`](Self::solve_row):
+    /// a plain Cholesky factorisation, and when that fails a ridge of
+    /// `ridge · trace(S)/F`, multiplied by ten until it succeeds.
+    ///
+    /// # Errors
+    /// [`LinalgError::NotSquare`] for a non-square `S`, or
+    /// [`LinalgError::Singular`] if even heavy regularisation fails.
+    pub fn factor(&mut self, s: &Mat, ridge: f64) -> Result<()> {
+        let n = s.rows();
+        if s.cols() != n {
+            return Err(LinalgError::NotSquare { shape: s.shape() });
+        }
+        let trace: f64 = (0..n).map(|i| s.get(i, i)).sum();
+        let scale = if trace > 0.0 { trace / n as f64 } else { 1.0 };
+
+        let GramSolveScratch { reg, l } = self;
+        let mut lambda = 0.0;
+        let mut next_lambda = ridge.max(1e-12) * scale;
+        for _attempt in 0..24 {
+            reg.copy_from(s);
+            if lambda > 0.0 {
+                for i in 0..n {
+                    let v = reg.get(i, i) + lambda;
+                    reg.set(i, i, v);
+                }
+            }
+            if cholesky_into(reg, l).is_ok() {
+                return Ok(());
+            }
+            lambda = next_lambda;
+            next_lambda *= 10.0;
+        }
+        Err(LinalgError::Singular)
+    }
+
+    /// Overwrites `row` with `row · S⁻¹` for the `S` of the last
+    /// successful [`factor`](Self::factor) (`row.len()` is its order).
+    pub fn solve_row(&self, row: &mut [f64]) {
+        cholesky_solve_vec(&self.l, row);
+    }
+}
+
 /// [`solve_gram_system`] with `T` overwritten by `X = T · S⁻¹` and the
 /// `F×F` temporaries kept in `scratch` — no allocation once the scratch
-/// has seen this `F`. The one implementation behind both entry points.
-/// `t` is untouched when an error is returned.
+/// has seen this `F`. The one implementation behind both entry points:
+/// [`GramSolveScratch::factor`], then [`GramSolveScratch::solve_row`] on
+/// every row. `t` is untouched when an error is returned.
 ///
 /// # Errors
 /// As [`solve_gram_system`].
@@ -123,38 +172,14 @@ pub fn solve_gram_system_in_place(
             rhs: s.shape(),
         });
     }
-    let n = s.rows();
-    if n == 0 {
+    if s.rows() == 0 {
         return Ok(());
     }
-    let trace: f64 = (0..n).map(|i| s.get(i, i)).sum();
-    let scale = if trace > 0.0 { trace / n as f64 } else { 1.0 };
-
-    let GramSolveScratch { reg, l } = scratch;
-    let mut lambda = 0.0;
-    let mut next_lambda = ridge.max(1e-12) * scale;
-    for _attempt in 0..24 {
-        reg.copy_from(s);
-        if lambda > 0.0 {
-            for i in 0..n {
-                let v = reg.get(i, i) + lambda;
-                reg.set(i, i, v);
-            }
-        }
-        match cholesky_into(reg, l) {
-            Ok(()) => {
-                for r in 0..t.rows() {
-                    cholesky_solve_vec(l, t.row_mut(r));
-                }
-                return Ok(());
-            }
-            Err(_) => {
-                lambda = next_lambda;
-                next_lambda *= 10.0;
-            }
-        }
+    scratch.factor(s, ridge)?;
+    for r in 0..t.rows() {
+        scratch.solve_row(t.row_mut(r));
     }
-    Err(LinalgError::Singular)
+    Ok(())
 }
 
 /// Maximum number of row-cyclic sweeps [`sym_eig`] performs before giving
@@ -498,6 +523,69 @@ mod tests {
             solve_gram_system(&t, &s, 1e-10).unwrap_err(),
             LinalgError::Singular
         );
+    }
+
+    /// Solves every row of `t` against `cholesky(s + λ·I)`: the oracle
+    /// of the split solve, with the ridge `λ` the escalation must reach.
+    fn solve_rows_at_ridge(t: &Mat, s: &Mat, lambda: f64) -> Mat {
+        let mut reg = s.clone();
+        for i in 0..s.rows() {
+            if lambda > 0.0 {
+                reg.set(i, i, reg.get(i, i) + lambda);
+            }
+        }
+        let l = cholesky(&reg).unwrap();
+        let mut x = t.clone();
+        for r in 0..x.rows() {
+            cholesky_solve_vec(&l, x.row_mut(r));
+        }
+        x
+    }
+
+    #[test]
+    fn factor_then_solve_row_is_bitwise_the_one_shot_solve() {
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // The first ridge tried is 1e-10 · trace/F. The rank-1 system takes
+        // it; diag(1, −1e-6) needs it multiplied by ten five times, until
+        // it exceeds 1e-6.
+        let mut escalated = 1e-10 * ((1.0 - 1e-6) / 2.0);
+        for _ in 0..5 {
+            escalated *= 10.0;
+        }
+        let cases = [
+            (spd3(), 0.0),
+            (Mat::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]), 1e-10 * 2.5),
+            (Mat::from_rows(&[&[1.0, 0.0], &[0.0, -1e-6]]), escalated),
+        ];
+        for (s, lambda) in cases {
+            let n = s.rows();
+            let t = Mat::from_vec(3, n, (0..3 * n).map(|v| (v as f64 * 0.37).sin()).collect());
+            let mut scratch = GramSolveScratch::default();
+            scratch.factor(&s, 1e-10).unwrap();
+            let mut split = t.clone();
+            for r in 0..split.rows() {
+                scratch.solve_row(split.row_mut(r));
+            }
+            let oracle = solve_rows_at_ridge(&t, &s, lambda);
+            assert_eq!(bits(&split), bits(&oracle), "split, ridge {lambda:e}");
+            let one_shot = solve_gram_system(&t, &s, 1e-10).unwrap();
+            assert_eq!(bits(&one_shot), bits(&oracle), "one shot, ridge {lambda:e}");
+        }
+    }
+
+    #[test]
+    fn nan_system_is_singular_and_leaves_t_untouched() {
+        let s = Mat::from_rows(&[&[1.0, f64::NAN], &[f64::NAN, 1.0]]);
+        let mut scratch = GramSolveScratch::default();
+        assert_eq!(scratch.factor(&s, 1e-10), Err(LinalgError::Singular));
+        let before = Mat::from_rows(&[&[1.5, -2.0], &[0.25, 3.0]]);
+        let mut t = before.clone();
+        assert_eq!(
+            solve_gram_system_in_place(&mut t, &s, 1e-10, &mut scratch),
+            Err(LinalgError::Singular)
+        );
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&t), bits(&before));
     }
 
     #[test]

@@ -277,7 +277,7 @@ fn sweep_is_bitwise_reference(op: &str, run: impl Fn(&dyn Kernel, usize, usize) 
 }
 
 /// `out[s] += (Σ_kk fibre[kk] · c[kk][s]) · w[s]` into a non-zero `out`,
-/// with a scratch the reference backend must clear itself.
+/// with a scratch of NaNs that must come back holding `fibre · C`.
 #[test]
 fn mttkrp_tile_width_sweep_is_bitwise_reference() {
     sweep_is_bitwise_reference("mttkrp_tile", |kernel, f, len| {
@@ -288,6 +288,7 @@ fn mttkrp_tile_width_sweep_is_bitwise_reference() {
         let mut out = det_vec(f, seed + 3);
         let mut scratch = vec![f64::NAN; f];
         kernel.mttkrp_tile(&fibre, &c, f, &w, &mut out, &mut scratch);
+        out.extend(scratch);
         out
     });
 }
