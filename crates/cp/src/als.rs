@@ -181,12 +181,12 @@ pub struct AlsReport {
 }
 
 /// Dense orders from here up sweep on a [`DimTree`]. Order 3 stays on the
-/// fused dense-3 kernel, the tree's order-3 leaf specialisation. A serial
-/// order-3 sweep still takes the tree's saving: modes 0 and 1 share the
-/// fibre products `X[i, j, :] · C`, one `J × F` row slab at a time
-/// ([`mttkrp_dense3_pair`]), bitwise the per-mode sweeps and with no
-/// `I·J × F` arena (see `docs/dimtree.md`). Below order 3 there is no
-/// partial product to share.
+/// per-slab products of `mttkrp_dense3`, the tree's order-3 leaf
+/// specialisation. A serial order-3 sweep still takes the tree's saving:
+/// modes 0 and 1 share the fibre products `X[i, j, :] · C`, one `J × F`
+/// row slab at a time ([`mttkrp_dense3_pair`]), bitwise the per-mode
+/// sweeps and with no `I·J × F` arena (see `docs/dimtree.md`). Below
+/// order 3 there is no partial product to share.
 const TREE_MIN_ORDER: usize = 4;
 
 /// Tensor abstraction letting one ALS loop serve both storage formats.

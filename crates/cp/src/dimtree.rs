@@ -43,7 +43,7 @@ use tpcp_schedule::{AccessSequence, UnitId};
 use tpcp_tensor::DenseTensor;
 
 /// Work (parent elements × rank) below which a node contraction stays on
-/// the calling thread (same floor as the fused dense-3 MTTKRP).
+/// the calling thread (same floor as the dense 3-mode MTTKRP).
 const PAR_MIN_WORK: usize = 1 << 13;
 
 /// "No node" sentinel for parent/child links.

@@ -128,7 +128,7 @@ proptest! {
         check_contraction(&[d0, d1], f, seed);
     }
 
-    /// Order 3: the one-shot path is the fused dense-3 kernel, the tree
+    /// Order 3: the one-shot path is the dense-3 slab sweeps, the tree
     /// has one internal node with singleton-sibling weights.
     #[test]
     fn contraction_order3(

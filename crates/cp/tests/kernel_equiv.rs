@@ -1,11 +1,11 @@
-//! Tiled == reference bitwise equivalence for the fused dense-3 MTTKRP.
+//! Tiled == reference bitwise equivalence for the dense MTTKRP.
 //!
-//! The fused dense 3-mode MTTKRP runs its fibre loops through
-//! `Kernel::mttkrp_tile` / `mttkrp_scatter`; through the pinned entry
-//! `mttkrp_dense_kernel` the tiled backend must reproduce the reference
-//! backend **bit for bit** for every mode, any ragged dims, rank spanning
-//! 1..32, and any thread budget — the composition of the primitives that
-//! `tpcp-linalg`'s `kernel_equiv` suite pins one by one.
+//! The dense 3-mode MTTKRP runs its slab sweeps on the `Kernel` products
+//! (`matmul`, `t_matmul`, `partial_fold`, `partial_axpy`); through the
+//! pinned entry `mttkrp_dense_kernel` the tiled backend must reproduce
+//! the reference backend **bit for bit** for every mode, any ragged dims,
+//! rank spanning 1..32, and any thread budget — the composition of the
+//! primitives that `tpcp-linalg`'s `kernel_equiv` suite pins one by one.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -68,8 +68,9 @@ fn check_modes(dims: &[usize], f: usize, seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Small ragged dims at low rank: exercises the scalar tails of the
-    /// 8-wide tiled accumulators (rank < TILE_NR) on all three modes.
+    /// Small ragged dims at low rank: exercises the narrow tiles
+    /// (rank < TILE_NR) and row-ragged edges of the slab products on all
+    /// three modes.
     #[test]
     fn tiled_mttkrp_matches_reference_small_ranks(
         d0 in 3usize..14, d1 in 3usize..14, d2 in 3usize..14,
@@ -78,8 +79,8 @@ proptest! {
         check_modes(&[d0, d1, d2], f, seed);
     }
 
-    /// Work above the 2¹³ serial clamp with ranks up to 32, so the fused
-    /// kernel genuinely fans out and full 8-wide chunks plus ragged rank
+    /// Work above the 2¹³ serial clamp with ranks up to 32, so the slab
+    /// sweeps genuinely fan out and full 8-wide tiles plus ragged rank
     /// tails are both hit.
     #[test]
     fn tiled_mttkrp_matches_reference_parallel(

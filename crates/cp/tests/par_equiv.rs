@@ -1,7 +1,7 @@
 //! Parallel == serial equivalence for the MTTKRP kernels.
 //!
 //! The determinism contract of `tpcp-par` promises that every MTTKRP path
-//! (fused dense 3-mode, contraction tree, sparse) produces **bit-identical**
+//! (dense 3-mode slab sweeps, contraction tree, sparse) produces **bit-identical**
 //! results for any thread budget: the dense paths partition *output* rows
 //! (each accumulated by one worker in serial order) and the sparse
 //! reduction uses fixed, size-derived chunk boundaries merged in ascending

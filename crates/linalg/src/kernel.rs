@@ -1,6 +1,7 @@
 //! The kernel backend seam: the inner-loop implementations of the dense
-//! products ([`Mat::matmul`](crate::Mat::matmul) and friends), the fused
-//! 3-mode MTTKRP and the dimension-tree contractions in `tpcp-cp`.
+//! products ([`Mat::matmul`](crate::Mat::matmul) and friends), which
+//! `tpcp-cp`'s dense MTTKRPs run on too, and the dimension-tree
+//! contractions in `tpcp-cp`.
 //!
 //! A [`Kernel`] computes one worker's *band* of the output — the parallel
 //! wrappers in `ops.rs` (and `tpcp-cp`'s `mttkrp.rs` / `dimtree.rs`)
@@ -30,7 +31,11 @@
 //! while the tiled loops are branch-free; the results are still bitwise
 //! equal for finite inputs because adding a `±0.0` product leaves any
 //! accumulator unchanged bit-for-bit (an accumulator seeded with `+0.0`
-//! can never become `-0.0` in round-to-nearest).
+//! can never become `-0.0` in round-to-nearest). The one exception is an
+//! accumulator seeded with `-0.0`, which only [`Kernel::t_matmul`] takes
+//! (it starts from `out`): `-0.0 + 0.0` is `+0.0`, where the reference
+//! skips the product and keeps `-0.0`. No caller seeds `-0.0`: every
+//! `t_matmul` output starts zeroed (`+0.0`) and only ever holds sums.
 //!
 //! # Dispatch
 //!
@@ -76,14 +81,17 @@ impl KernelKind {
 }
 
 /// One kernel backend: band-level entry points for the dense products and
-/// the fused 3-mode MTTKRP.
+/// the dimension-tree contractions.
 ///
 /// All matrices are row-major `f64` slices. The `matmul`/`matmul_t` entry
 /// points receive a *band* of `A` rows and the matching band of the output;
 /// `t_matmul`/`gram_band` receive all of `A` plus the band's first output
-/// row `c0` (an output row is a *column* of `A` there). Output bands arrive
-/// zero-initialised; a backend may accumulate into them or overwrite them,
-/// as the two are indistinguishable on zeroed memory.
+/// row `c0` (an output row is a *column* of `A` there). `t_matmul`
+/// accumulates: each output element's sum starts from the value `out`
+/// holds, so consecutive calls over consecutive row panels of `A` and `B`
+/// continue one ascending reduction. The other products receive zeroed
+/// output bands; a backend may accumulate into them or overwrite them, as
+/// the two are indistinguishable on zeroed memory.
 ///
 /// Implementations must uphold the accumulation-order contract in the
 /// [module docs](self): per output element, one accumulator, reduction
@@ -105,9 +113,10 @@ pub trait Kernel: Sync {
     /// is `rows×k` (the band), `b` is `n×k`.
     fn matmul_t(&self, a: &[f64], rows: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]);
 
-    /// `out[local][j] = Σ_r a[r][c0+local] · b[r][j]` — the band of rows
-    /// `c0..c0+rows` of `Aᵀ · B` where `a` is `m×k` (all of it), `b` is
-    /// `m×n`. The reduction sweeps `r` in ascending order.
+    /// `out[local][j] += Σ_r a[r][c0+local] · b[r][j]` — adds the band of
+    /// rows `c0..c0+rows` of `Aᵀ · B` into `out`, where `a` is `m×k` (all
+    /// of it), `b` is `m×n`. Each element's one accumulator starts from
+    /// its `out` value and sweeps `r` in ascending order.
     #[allow(clippy::too_many_arguments)]
     fn t_matmul(
         &self,
@@ -138,31 +147,6 @@ pub trait Kernel: Sync {
     fn gram_needs_mirror(&self) -> bool {
         false
     }
-
-    /// The fused fibre op of the dense 3-mode MTTKRP (modes 0 and 1):
-    /// `out[s] += (Σ_kk fibre[kk] · c[kk][s]) · w[s]`, with the inner sum
-    /// accumulated over `kk` ascending. `c` is `dk×f` row-major
-    /// (`dk = fibre.len()`); `w`, `out` and `scratch` have length `f`.
-    ///
-    /// `scratch` is an output: on return it holds the fibre product
-    /// `scratch[s] = Σ_kk fibre[kk] · c[kk][s]`, the exact value each
-    /// `out[s]` was updated with, whatever it held before. The paired
-    /// order-3 ALS pass (`tpcp-cp`'s `mttkrp_dense3_pair`) reuses it for
-    /// a second mode.
-    fn mttkrp_tile(
-        &self,
-        fibre: &[f64],
-        c: &[f64],
-        f: usize,
-        w: &[f64],
-        out: &mut [f64],
-        scratch: &mut [f64],
-    );
-
-    /// The scatter op of the dense 3-mode MTTKRP (mode 2): for each `kk`,
-    /// `out[kk][s] += fibre[kk] · s_row[s]` (`out` is `fibre.len()×f`
-    /// row-major).
-    fn mttkrp_scatter(&self, fibre: &[f64], s_row: &[f64], f: usize, out: &mut [f64]);
 
     /// The dimension-tree *fold* contraction: **overwrites**
     /// `out[s] = Σ_r y[r][s] · w[r][s]` with the reduction index `r`
@@ -268,44 +252,6 @@ impl Kernel for ReferenceKernel {
         // The full band of Aᵀ·A — the symmetric half-compute lives in the
         // tiled backend, behind the same seam.
         self.t_matmul(a, m, k, c0, rows, a, k, out);
-    }
-
-    fn mttkrp_tile(
-        &self,
-        fibre: &[f64],
-        c: &[f64],
-        f: usize,
-        w: &[f64],
-        out: &mut [f64],
-        scratch: &mut [f64],
-    ) {
-        // scratch = fibre · C, skipping zero tensor entries …
-        scratch.fill(0.0);
-        for (kk, &v) in fibre.iter().enumerate() {
-            if v == 0.0 {
-                continue;
-            }
-            let c_row = &c[kk * f..(kk + 1) * f];
-            for (s, &cv) in scratch.iter_mut().zip(c_row) {
-                *s += v * cv;
-            }
-        }
-        // … then out += scratch ⊛ w.
-        for ((o, &s), &wv) in out.iter_mut().zip(scratch.iter()).zip(w) {
-            *o += s * wv;
-        }
-    }
-
-    fn mttkrp_scatter(&self, fibre: &[f64], s_row: &[f64], f: usize, out: &mut [f64]) {
-        for (kk, &v) in fibre.iter().enumerate() {
-            if v == 0.0 {
-                continue;
-            }
-            let out_row = &mut out[kk * f..(kk + 1) * f];
-            for (o, &sv) in out_row.iter_mut().zip(s_row) {
-                *o += v * sv;
-            }
-        }
     }
 
     fn partial_fold(&self, y: &[f64], w: &[f64], f: usize, out: &mut [f64]) {
@@ -435,34 +381,6 @@ impl Kernel for TiledKernel {
         true
     }
 
-    fn mttkrp_tile(
-        &self,
-        fibre: &[f64],
-        c: &[f64],
-        f: usize,
-        w: &[f64],
-        out: &mut [f64],
-        scratch: &mut [f64],
-    ) {
-        Isa::detected().run(Call::MttkrpTile {
-            fibre,
-            c,
-            f,
-            w,
-            out,
-            scratch,
-        });
-    }
-
-    fn mttkrp_scatter(&self, fibre: &[f64], s_row: &[f64], f: usize, out: &mut [f64]) {
-        Isa::detected().run(Call::MttkrpScatter {
-            fibre,
-            s_row,
-            f,
-            out,
-        });
-    }
-
     fn partial_fold(&self, y: &[f64], w: &[f64], f: usize, out: &mut [f64]) {
         Isa::detected().run(Call::PartialFold { y, w, f, out });
     }
@@ -508,20 +426,6 @@ enum Call<'a> {
         k: usize,
         c0: usize,
         rows: usize,
-        out: &'a mut [f64],
-    },
-    MttkrpTile {
-        fibre: &'a [f64],
-        c: &'a [f64],
-        f: usize,
-        w: &'a [f64],
-        out: &'a mut [f64],
-        scratch: &'a mut [f64],
-    },
-    MttkrpScatter {
-        fibre: &'a [f64],
-        s_row: &'a [f64],
-        f: usize,
         out: &'a mut [f64],
     },
     PartialFold {
@@ -605,7 +509,7 @@ macro_rules! tiled_instance {
                     Call::Matmul { a, rows, k, b, n, out } => matmul(a, rows, k, b, n, out),
                     Call::MatmulT { a, rows, k, b, n, out } => matmul_t(a, rows, k, b, n, out),
                     Call::TMatmul { a, m, k, c0, rows, b, n, out } => {
-                        t_matmul_tiled(a, m, k, c0, rows, b, n, out, false)
+                        t_matmul_tiled::<true>(a, m, k, c0, rows, b, n, out, false)
                     }
                     // Symmetry exploit: each row tile computes only the
                     // columns from its own diagonal onwards (j ≥ c0 + i0);
@@ -613,13 +517,7 @@ macro_rules! tiled_instance {
                     // afterwards — ~2× fewer flops on the per-iteration
                     // ALS Gram matrices.
                     Call::GramBand { a, m, k, c0, rows, out } => {
-                        t_matmul_tiled(a, m, k, c0, rows, a, k, out, true)
-                    }
-                    Call::MttkrpTile { fibre, c, f, w, out, scratch } => {
-                        mttkrp_tile(fibre, c, f, w, out, scratch)
-                    }
-                    Call::MttkrpScatter { fibre, s_row, f, out } => {
-                        mttkrp_scatter(fibre, s_row, f, out)
+                        t_matmul_tiled::<false>(a, m, k, c0, rows, a, k, out, true)
                     }
                     Call::PartialFold { y, w, f, out } => partial_fold(y, w, f, out),
                     Call::PartialAxpy { y, w_row, f, out } => partial_axpy(y, w_row, f, out),
@@ -678,7 +576,7 @@ macro_rules! tiled_instance {
                             }
                         } else if h == TILE_MR {
                             let out = &mut out[i0 * n + j0..];
-                            narrow_tile(&a[i0 * k..], 1, k, &b[j0..], n, k, w, out, n);
+                            narrow_tile::<false>(&a[i0 * k..], 1, k, &b[j0..], n, k, w, out, n);
                         } else {
                             // Ragged edge: scalar, same ascending-p accumulation.
                             for r in 0..h {
@@ -733,7 +631,7 @@ macro_rules! tiled_instance {
                             }
                         } else if h == TILE_MR {
                             let out = &mut out[i0 * n + j0..];
-                            narrow_tile(&a[i0 * k..], 1, k, &pack, TILE_NR, k, w, out, n);
+                            narrow_tile::<false>(&a[i0 * k..], 1, k, &pack, TILE_NR, k, w, out, n);
                         } else {
                             for r in 0..h {
                                 for t in 0..w {
@@ -748,110 +646,6 @@ macro_rules! tiled_instance {
                         i0 += h;
                     }
                     j0 += w;
-                }
-            }
-
-            $(#[$attr])*
-            fn mttkrp_tile(
-                fibre: &[f64],
-                c: &[f64],
-                f: usize,
-                w: &[f64],
-                out: &mut [f64],
-                scratch: &mut [f64],
-            ) {
-                // 8-wide column chunks of `scratch = fibre · C` held in registers
-                // across the whole fibre sweep (the reference path re-loads and
-                // re-stores the f-length scratch on every fibre element), fused
-                // with the `out += scratch ⊛ w` combine and stored to `scratch`
-                // once. Branch-free: a zero tensor entry contributes `±0.0`
-                // products, which leave the accumulators unchanged bit-for-bit
-                // for finite inputs.
-                let mut s0 = 0;
-                while s0 + TILE_NR <= f {
-                    let mut acc = [0.0f64; TILE_NR];
-                    for (kk, &v) in fibre.iter().enumerate() {
-                        let c_row = &c[kk * f + s0..kk * f + s0 + TILE_NR];
-                        for (acc_t, &cv) in acc.iter_mut().zip(c_row) {
-                            *acc_t += v * cv;
-                        }
-                    }
-                    let w_row = &w[s0..s0 + TILE_NR];
-                    let out_row = &mut out[s0..s0 + TILE_NR];
-                    for ((o, &s), &wv) in out_row.iter_mut().zip(&acc).zip(w_row) {
-                        *o += s * wv;
-                    }
-                    scratch[s0..s0 + TILE_NR].copy_from_slice(&acc);
-                    s0 += TILE_NR;
-                }
-                if s0 < f {
-                    let (w, out, scratch) = (&w[s0..], &mut out[s0..f], &mut scratch[s0..f]);
-                    mttkrp_tile_tail(fibre, c, f, s0, w, out, scratch);
-                }
-            }
-
-            /// `mttkrp_tile`'s last `f mod 8` columns, `s0..f`; `w`, `out`
-            /// and `scratch` arrive cut to them. Dispatches once on the width to a body
-            /// whose `[f64; W]` accumulators are exactly the tail's
-            /// columns: each one accumulator with `kk` ascending, as a
-            /// scalar loop per column would. Kept out of line so the full
-            /// chunks' loop compiles as it does without it.
-            $(#[$attr])*
-            #[inline(never)]
-            fn mttkrp_tile_tail(
-                fibre: &[f64],
-                c: &[f64],
-                f: usize,
-                s0: usize,
-                w: &[f64],
-                out: &mut [f64],
-                scratch: &mut [f64],
-            ) {
-                match out.len() {
-                    1 => mttkrp_tile_tail_w::<1>(fibre, c, f, s0, w, out, scratch),
-                    2 => mttkrp_tile_tail_w::<2>(fibre, c, f, s0, w, out, scratch),
-                    3 => mttkrp_tile_tail_w::<3>(fibre, c, f, s0, w, out, scratch),
-                    4 => mttkrp_tile_tail_w::<4>(fibre, c, f, s0, w, out, scratch),
-                    5 => mttkrp_tile_tail_w::<5>(fibre, c, f, s0, w, out, scratch),
-                    6 => mttkrp_tile_tail_w::<6>(fibre, c, f, s0, w, out, scratch),
-                    7 => mttkrp_tile_tail_w::<7>(fibre, c, f, s0, w, out, scratch),
-                    tail => unreachable!("a tail is 1..=7 columns wide, not {tail}"),
-                }
-            }
-
-            /// [`mttkrp_tile_tail`]'s body at width `W`.
-            $(#[$attr])*
-            fn mttkrp_tile_tail_w<const W: usize>(
-                fibre: &[f64],
-                c: &[f64],
-                f: usize,
-                s0: usize,
-                w: &[f64],
-                out: &mut [f64],
-                scratch: &mut [f64],
-            ) {
-                let mut acc = [0.0f64; W];
-                for (kk, &v) in fibre.iter().enumerate() {
-                    let c_row = &c[kk * f + s0..][..W];
-                    for (acc_t, &cv) in acc.iter_mut().zip(c_row) {
-                        *acc_t += v * cv;
-                    }
-                }
-                for ((o, &s), &wv) in out.iter_mut().zip(&acc).zip(w) {
-                    *o += s * wv;
-                }
-                scratch.copy_from_slice(&acc);
-            }
-
-            $(#[$attr])*
-            fn mttkrp_scatter(fibre: &[f64], s_row: &[f64], f: usize, out: &mut [f64]) {
-                // Branch-free version of the reference scatter (same ±0.0
-                // argument as mttkrp_tile).
-                for (kk, &v) in fibre.iter().enumerate() {
-                    let out_row = &mut out[kk * f..(kk + 1) * f];
-                    for (o, &sv) in out_row.iter_mut().zip(s_row) {
-                        *o += v * sv;
-                    }
                 }
             }
 
@@ -903,10 +697,13 @@ macro_rules! tiled_instance {
             /// one 4-lane and one 8-lane stride-1 slice. With `upper_only`,
             /// each row tile starts its column sweep at its own diagonal
             /// (`j0 = c0 + i0`), so the narrow tail starts at a different
-            /// column in each row tile.
+            /// column in each row tile. `ACC` (accumulate) starts every
+            /// accumulator from its `out` element (`t_matmul`'s `out +=`)
+            /// rather than from `0.0`; it is a compile-time choice so the
+            /// `0.0` start compiles as it does without it.
             $(#[$attr])*
             #[allow(clippy::too_many_arguments)]
-            fn t_matmul_tiled(
+            fn t_matmul_tiled<const ACC: bool>(
                 a: &[f64],
                 m: usize,
                 k: usize,
@@ -925,6 +722,13 @@ macro_rules! tiled_instance {
                         let w = TILE_NR.min(n - j0);
                         if h == TILE_MR && w == TILE_NR {
                             let mut acc = [[0.0f64; TILE_NR]; TILE_MR];
+                            if ACC {
+                                for (x, acc_x) in acc.iter_mut().enumerate() {
+                                    acc_x.copy_from_slice(
+                                        &out[(i0 + x) * n + j0..(i0 + x) * n + j0 + TILE_NR],
+                                    );
+                                }
+                            }
                             for r in 0..m {
                                 let av = &a[r * k + c0 + i0..r * k + c0 + i0 + TILE_MR];
                                 let bv = &b[r * n + j0..r * n + j0 + TILE_NR];
@@ -941,15 +745,16 @@ macro_rules! tiled_instance {
                             }
                         } else if h == TILE_MR {
                             let out = &mut out[i0 * n + j0..];
-                            narrow_tile(&a[c0 + i0..], k, 1, &b[j0..], n, m, w, out, n);
+                            narrow_tile::<ACC>(&a[c0 + i0..], k, 1, &b[j0..], n, m, w, out, n);
                         } else {
                             for x in 0..h {
                                 for t in 0..w {
-                                    let mut acc = 0.0;
+                                    let o = (i0 + x) * n + j0 + t;
+                                    let mut acc = if ACC { out[o] } else { 0.0 };
                                     for r in 0..m {
                                         acc += a[r * k + c0 + i0 + x] * b[r * n + j0 + t];
                                     }
-                                    out[(i0 + x) * n + j0 + t] = acc;
+                                    out[o] = acc;
                                 }
                             }
                         }
@@ -968,12 +773,13 @@ macro_rules! tiled_instance {
             /// Dispatches once on `w` to a body whose `[[f64; W]; TILE_MR]`
             /// accumulators are exactly the stored elements: each one
             /// accumulator with the reduction index ascending, as in the
-            /// scalar edge loop. Kept out of line so its callers' full-tile
-            /// loops compile as they do without it.
+            /// scalar edge loop, started from its `out` element when
+            /// `ACC` (as in `t_matmul_tiled`). Kept out of line so its
+            /// callers' full-tile loops compile as they do without it.
             $(#[$attr])*
             #[allow(clippy::too_many_arguments)]
             #[inline(never)]
-            fn narrow_tile(
+            fn narrow_tile<const ACC: bool>(
                 a: &[f64],
                 a_step: usize,
                 a_lane: usize,
@@ -985,13 +791,13 @@ macro_rules! tiled_instance {
                 n: usize,
             ) {
                 match w {
-                    1 => narrow_tile_w::<1>(a, a_step, a_lane, b, b_stride, steps, out, n),
-                    2 => narrow_tile_w::<2>(a, a_step, a_lane, b, b_stride, steps, out, n),
-                    3 => narrow_tile_w::<3>(a, a_step, a_lane, b, b_stride, steps, out, n),
-                    4 => narrow_tile_w::<4>(a, a_step, a_lane, b, b_stride, steps, out, n),
-                    5 => narrow_tile_w::<5>(a, a_step, a_lane, b, b_stride, steps, out, n),
-                    6 => narrow_tile_w::<6>(a, a_step, a_lane, b, b_stride, steps, out, n),
-                    7 => narrow_tile_w::<7>(a, a_step, a_lane, b, b_stride, steps, out, n),
+                    1 => narrow_tile_w::<1, ACC>(a, a_step, a_lane, b, b_stride, steps, out, n),
+                    2 => narrow_tile_w::<2, ACC>(a, a_step, a_lane, b, b_stride, steps, out, n),
+                    3 => narrow_tile_w::<3, ACC>(a, a_step, a_lane, b, b_stride, steps, out, n),
+                    4 => narrow_tile_w::<4, ACC>(a, a_step, a_lane, b, b_stride, steps, out, n),
+                    5 => narrow_tile_w::<5, ACC>(a, a_step, a_lane, b, b_stride, steps, out, n),
+                    6 => narrow_tile_w::<6, ACC>(a, a_step, a_lane, b, b_stride, steps, out, n),
+                    7 => narrow_tile_w::<7, ACC>(a, a_step, a_lane, b, b_stride, steps, out, n),
                     _ => unreachable!("a narrow tile is 1..=7 columns wide, not {w}"),
                 }
             }
@@ -999,7 +805,7 @@ macro_rules! tiled_instance {
             /// [`narrow_tile`]'s body at width `W`.
             $(#[$attr])*
             #[allow(clippy::too_many_arguments)]
-            fn narrow_tile_w<const W: usize>(
+            fn narrow_tile_w<const W: usize, const ACC: bool>(
                 a: &[f64],
                 a_step: usize,
                 a_lane: usize,
@@ -1010,6 +816,11 @@ macro_rules! tiled_instance {
                 n: usize,
             ) {
                 let mut acc = [[0.0f64; W]; TILE_MR];
+                if ACC {
+                    for (r, acc_r) in acc.iter_mut().enumerate() {
+                        acc_r.copy_from_slice(&out[r * n..r * n + W]);
+                    }
+                }
                 for p in 0..steps {
                     let bp = &b[p * b_stride..][..W];
                     for (r, acc_r) in acc.iter_mut().enumerate() {
@@ -1149,11 +960,12 @@ mod tests {
     }
 
     /// Every primitive, on both instances, over `kernel_equiv`'s shapes:
-    /// widths 1..=17 and 32, rows {4, 5, 8, 13}, reductions (and fibre /
-    /// row lengths) {1, 6, 33, 400}, zeros of both signs in every operand.
-    /// `kernel_equiv` pins whichever instance the CPU dispatches to
-    /// against `ReferenceKernel`; on an AVX2 CPU this is the one test that
-    /// still runs the baseline instance.
+    /// widths 1..=17 and 32, rows {4, 5, 8, 13}, reductions (and row
+    /// lengths) {1, 6, 33, 400}, zeros of both signs in every operand, and
+    /// `t_matmul` accumulating into a non-zero `out`. `kernel_equiv` pins
+    /// whichever instance the CPU dispatches to against `ReferenceKernel`;
+    /// on an AVX2 CPU this is the one test that still runs the baseline
+    /// instance.
     #[test]
     fn avx2_instance_is_bitwise_the_baseline() {
         let isa = Isa::detected();
@@ -1171,6 +983,10 @@ mod tests {
                     // t_matmul's A is k×(rows + 1): the band is its columns
                     // 1..=rows, so the tile's A lanes start off a row start.
                     let a_t = signed_zeros(k * (rows + 1), seed + 3);
+                    // `t_matmul` adds into `out`: start it from non-zero
+                    // values (and signed zeros; both instances add through
+                    // them alike).
+                    let out_t = signed_zeros(rows * n, seed + 4);
                     let zeros = vec![0.0; rows * n];
                     let shape = format!("n {n} rows {rows} k {k}");
                     assert_instances_agree(isa, &format!("matmul {shape}"), &zeros, |on, out| {
@@ -1193,7 +1009,7 @@ mod tests {
                             out,
                         })
                     });
-                    assert_instances_agree(isa, &format!("t_matmul {shape}"), &zeros, |on, out| {
+                    assert_instances_agree(isa, &format!("t_matmul {shape}"), &out_t, |on, out| {
                         on.run(Call::TMatmul {
                             a: &a_t,
                             m: k,
@@ -1229,37 +1045,11 @@ mod tests {
             }
             for len in [1usize, 4, 5, 6, 8, 13, 33, 400] {
                 let seed = (n * 1_000 + len) as u64 + 7;
-                let fibre = signed_zeros(len, seed);
-                let c = signed_zeros(len * n, seed + 1);
                 let y = signed_zeros(len * n, seed + 2);
                 let w_rows = signed_zeros(len * n, seed + 3);
                 let w = fill(n, seed + 4);
                 let shape = format!("f {n} len {len}");
-                let out_f = fill(n, seed + 5);
                 let out_lf = fill(len * n, seed + 6);
-                // `out` then the returned fibre product, over a scratch of NaNs.
-                let out_scratch = [out_f.clone(), vec![f64::NAN; n]].concat();
-                let what = format!("mttkrp_tile {shape}");
-                assert_instances_agree(isa, &what, &out_scratch, |on, out| {
-                    let (out, scratch) = out.split_at_mut(n);
-                    on.run(Call::MttkrpTile {
-                        fibre: &fibre,
-                        c: &c,
-                        f: n,
-                        w: &w,
-                        out,
-                        scratch,
-                    })
-                });
-                let what = format!("mttkrp_scatter {shape}");
-                assert_instances_agree(isa, &what, &out_lf, |on, out| {
-                    on.run(Call::MttkrpScatter {
-                        fibre: &fibre,
-                        s_row: &w,
-                        f: n,
-                        out,
-                    })
-                });
                 let nans = vec![f64::NAN; n]; // overwrite semantics
                 assert_instances_agree(isa, &format!("partial_fold {shape}"), &nans, |on, out| {
                     on.run(Call::PartialFold {

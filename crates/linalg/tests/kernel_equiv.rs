@@ -7,10 +7,10 @@
 //! register tile), any rank, and any thread budget. These tests pin that
 //! contract for every primitive of the trait: the four products through
 //! the `Mat` entry points (which run the tiled backend at every thread
-//! budget) against the reference backend run as one serial band, and the
-//! fibre ops of the MTTKRP and the dimension tree (`mttkrp_tile`,
-//! `mttkrp_scatter`, `partial_fold`, `partial_axpy`) by width sweeps at
-//! the trait level. The engine composes only these primitives, each over
+//! budget) against the reference backend run as one serial band,
+//! `t_matmul` accumulating into a non-zero `out`, and the fibre ops of the
+//! dimension tree (`partial_fold`, `partial_axpy`) by width sweeps at the
+//! trait level. The engine composes only these primitives, each over
 //! output bands in a fixed order, so a pipeline built on them is bitwise
 //! the same on either backend.
 
@@ -245,13 +245,13 @@ fn sweep_widths() -> impl Iterator<Item = usize> {
     (1..=17).chain([32])
 }
 
-/// Fibre / row lengths (the reduction or row count of one call): one, a
-/// ragged few, one tile height's multiple, and past four of them.
+/// Reduction / row lengths (the reduction or row count of one call): one,
+/// a ragged few, one tile height's multiple, and past four of them.
 const SWEEP_LENGTHS: [usize; 5] = [1, 5, 8, 13, 33];
 
-/// A fibre with zeros of both signs mixed in: the reference fibre loops
-/// skip zero entries, the tiled ones multiply through them.
-fn zero_heavy_fibre(len: usize, seed: u64) -> Vec<f64> {
+/// Values with zeros of both signs mixed in: the reference loops skip
+/// zero multiplicands, the tiled ones multiply through them.
+fn zero_heavy(len: usize, seed: u64) -> Vec<f64> {
     let mut v = det_vec(len, seed);
     for (i, x) in v.iter_mut().enumerate() {
         if i % 3 == 1 {
@@ -276,34 +276,59 @@ fn sweep_is_bitwise_reference(op: &str, run: impl Fn(&dyn Kernel, usize, usize) 
     }
 }
 
-/// `out[s] += (Σ_kk fibre[kk] · c[kk][s]) · w[s]` into a non-zero `out`,
-/// with a scratch of NaNs that must come back holding `fibre · C`.
+/// Bands of `t_matmul`'s output rows (`c0`, `rows`): whole row tiles,
+/// row-ragged ones, and bands that start off a tile boundary.
+const T_MATMUL_BANDS: [(usize, usize); 6] = [(0, 4), (1, 5), (0, 8), (3, 13), (2, 3), (0, 1)];
+
+/// `out += Aᵀ·B` over a band of `A`'s columns, into a non-zero `out`:
+/// every accumulator, full tile, narrow tile or ragged edge, starts from
+/// its `out` element. `A` is zero-heavy, `out` holds no `-0.0`: a `-0.0`
+/// start is the one case the backends may differ in (the module docs of
+/// `tpcp_linalg::kernel`), and no caller passes one.
 #[test]
-fn mttkrp_tile_width_sweep_is_bitwise_reference() {
-    sweep_is_bitwise_reference("mttkrp_tile", |kernel, f, len| {
-        let seed = (f * 100 + len) as u64;
-        let fibre = zero_heavy_fibre(len, seed);
-        let c = det_vec(len * f, seed + 1);
-        let w = det_vec(f, seed + 2);
-        let mut out = det_vec(f, seed + 3);
-        let mut scratch = vec![f64::NAN; f];
-        kernel.mttkrp_tile(&fibre, &c, f, &w, &mut out, &mut scratch);
-        out.extend(scratch);
-        out
+fn t_matmul_accumulates_bitwise_reference() {
+    sweep_is_bitwise_reference("t_matmul", |kernel, n, m| {
+        let mut outs = Vec::new();
+        for (c0, rows) in T_MATMUL_BANDS {
+            let k = c0 + rows + 1;
+            let seed = (n * 10_000 + m * 100 + c0 * 20 + rows) as u64 + 23;
+            let a = zero_heavy(m * k, seed);
+            let b = det_vec(m * n, seed + 1);
+            let mut out = det_vec(rows * n, seed + 2);
+            kernel.t_matmul(&a, m, k, c0, rows, &b, n, &mut out);
+            outs.extend(out);
+        }
+        outs
     });
 }
 
-/// `out[kk][s] += fibre[kk] · s_row[s]` into a non-zero `out`.
+/// Two `t_matmul` calls over consecutive row panels of `A` and `B` are
+/// one call over both, bit for bit: the second continues each element's
+/// ascending reduction where the first left it. The dense order-3 MTTKRP
+/// relies on this to bound its panels.
 #[test]
-fn mttkrp_scatter_width_sweep_is_bitwise_reference() {
-    sweep_is_bitwise_reference("mttkrp_scatter", |kernel, f, len| {
-        let seed = (f * 100 + len) as u64 + 7;
-        let fibre = zero_heavy_fibre(len, seed);
-        let s_row = det_vec(f, seed + 1);
-        let mut out = det_vec(len * f, seed + 2);
-        kernel.mttkrp_scatter(&fibre, &s_row, f, &mut out);
-        out
-    });
+fn t_matmul_over_row_panels_is_one_call() {
+    let (m, k, n) = (29usize, 13usize, 11usize);
+    let a = zero_heavy(m * k, 31);
+    let b = det_vec(m * n, 32);
+    for kernel in [&ReferenceKernel as &dyn Kernel, &TiledKernel] {
+        for split in [1usize, 8, 17, 28] {
+            let mut whole = vec![0.0; k * n];
+            kernel.t_matmul(&a, m, k, 0, k, &b, n, &mut whole);
+            let mut panels = vec![0.0; k * n];
+            let (a_top, a_rest) = a.split_at(split * k);
+            let (b_top, b_rest) = b.split_at(split * n);
+            kernel.t_matmul(a_top, split, k, 0, k, b_top, n, &mut panels);
+            kernel.t_matmul(a_rest, m - split, k, 0, k, b_rest, n, &mut panels);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&panels),
+                bits(&whole),
+                "{} split {split}",
+                kernel.label()
+            );
+        }
+    }
 }
 
 /// `out[s] = Σ_r y[r][s] · w[r][s]`, overwriting an `out` of NaNs.
