@@ -178,12 +178,12 @@ pub struct TwoPcpConfig {
     /// bit-identical with the pipeline on or off.
     pub prefetch: PrefetchConfig,
     /// Ignored (default `false`). Nothing in the engine uses this; the
-    /// end-to-end benchmark pins it, and it leaves with ROADMAP 3(a).
+    /// end-to-end benchmark pins it, and it leaves with ROADMAP 6(a).
     pub mmap: bool,
-    /// Ignored (default [`KernelKind::Tiled`]). The engine always runs the
-    /// tiled kernels; this field only names a backend for a caller that
-    /// times one through `tpcp_cp::mttkrp_dense_kernel` or
-    /// `Mat::gram_kernel`. Results never depend on it.
+    /// Ignored (default [`KernelKind::Tiled`], its one variant). The engine
+    /// calls the tiled primitives of `tpcp_linalg::kernel` by name; the
+    /// end-to-end benchmark pins this field, and it leaves with ROADMAP
+    /// 6(a).
     pub kernel: KernelKind,
     /// Compress-then-decompose (`tpcp-compress`): stream per-mode Tucker
     /// bases, run CP on the small core, expand, then polish against the

@@ -5,9 +5,8 @@
 //! refinement) on one thread must be **bitwise** identical to the same
 //! run on four — fit trace, final factor matrices, and the paper's
 //! headline swap counts — across schedules and eviction policies.
-//! (Backend equivalence is pinned primitive by primitive in
-//! `tpcp-linalg`'s `kernel_equiv` suite; the engine runs the tiled
-//! backend only.)
+//! (The tiled primitives are pinned against the scalar oracle one by one
+//! in `tpcp-linalg`'s `kernel_equiv` suite.)
 
 use proptest::prelude::*;
 use rand::SeedableRng;

@@ -33,11 +33,12 @@
 //! Determinism contract (same shape as `docs/kernels.md`): one accumulator
 //! per node element with the reduction index ascending, and parallelism
 //! only ever bands *output* rows — results are bitwise run-to-run and
-//! thread-count stable, for both kernel backends.
+//! thread-count stable.
 
 use crate::mttkrp::check_factors;
 use crate::{CpError, Result};
-use tpcp_linalg::{khatri_rao_into, Kernel, Mat, TiledKernel};
+use tpcp_linalg::kernel::{self, TILE_MR};
+use tpcp_linalg::{khatri_rao_into, Mat};
 use tpcp_par::{par_chunks_mut, tile_rows_per_chunk, ParConfig};
 use tpcp_schedule::{AccessSequence, UnitId};
 use tpcp_tensor::DenseTensor;
@@ -148,18 +149,6 @@ impl DimTree {
         mode: usize,
         par: &ParConfig,
     ) -> Result<Mat> {
-        self.mttkrp_on(x, factors, mode, par, &TiledKernel)
-    }
-
-    /// [`DimTree::mttkrp`] on the backend `kernel`.
-    pub(crate) fn mttkrp_on(
-        &mut self,
-        x: &DenseTensor,
-        factors: &[&Mat],
-        mode: usize,
-        par: &ParConfig,
-        kernel: &dyn Kernel,
-    ) -> Result<Mat> {
         let f = check_factors(&self.dims, factors, mode)?;
         if f != self.rank {
             return Err(CpError::BadFactors {
@@ -172,7 +161,7 @@ impl DimTree {
             });
         }
         let leaf = self.leaf_of_mode[mode];
-        self.ensure(leaf, x, factors, par, kernel)?;
+        self.ensure(leaf, x, factors, par)?;
         let node = &self.nodes[leaf];
         Ok(Mat::from_vec(node.rows, f, node.value.clone()))
     }
@@ -257,21 +246,20 @@ impl DimTree {
         x: &DenseTensor,
         factors: &[&Mat],
         par: &ParConfig,
-        kernel: &dyn Kernel,
     ) -> Result<()> {
         if idx == 0 || self.nodes[idx].valid {
             return Ok(());
         }
         let parent = self.nodes[idx].parent;
-        self.ensure(parent, x, factors, par, kernel)?;
-        self.eval_child(idx, x, factors, par, kernel)
+        self.ensure(parent, x, factors, par)?;
+        self.eval_child(idx, x, factors, par)
     }
 
     /// Evaluates node `idx` from its (valid) parent: contract the parent's
     /// value against the *sibling* range's Khatri-Rao weights. The root's
     /// children contract the tensor itself via `matmul`/`t_matmul` bands;
-    /// deeper nodes use the [`Kernel::partial_fold`] /
-    /// [`Kernel::partial_axpy`] entry points. All four shapes parallelise
+    /// deeper nodes use the [`kernel::partial_fold`] /
+    /// [`kernel::partial_axpy`] entry points. All four shapes parallelise
     /// by banding output rows only — the reduction axis is never split.
     fn eval_child(
         &mut self,
@@ -279,7 +267,6 @@ impl DimTree {
         x: &DenseTensor,
         factors: &[&Mat],
         par: &ParConfig,
-        kernel: &dyn Kernel,
     ) -> Result<()> {
         let f = self.rank;
         let node_rows = self.nodes[idx].rows;
@@ -311,20 +298,20 @@ impl DimTree {
         debug_assert_eq!(w.len(), w_rows * f);
 
         let par = par.clamped(p_rows * f, PAR_MIN_WORK);
-        let chunk_rows = tile_rows_per_chunk(node_rows, par.threads(), kernel.row_tile());
+        let chunk_rows = tile_rows_per_chunk(node_rows, par.threads(), TILE_MR);
 
         if parent == 0 {
             // The root's value is the tensor itself: its left child is a
             // plain banded GEMM of the `node_rows × w_rows` matricisation
             // against the suffix weights, its right child the transposed
-            // product against the prefix weights.
+            // product against the prefix weights. `matmul` overwrites its
+            // band; `t_matmul` accumulates into the zeroed one.
             let data = x.as_slice();
             if is_left {
-                val.fill(0.0);
                 par_chunks_mut(&par, &mut val, chunk_rows * f, |ci, chunk| {
                     let r0 = ci * chunk_rows;
                     let rows = chunk.len() / f;
-                    kernel.matmul(
+                    kernel::matmul(
                         &data[r0 * w_rows..(r0 + rows) * w_rows],
                         rows,
                         w_rows,
@@ -338,7 +325,7 @@ impl DimTree {
                 par_chunks_mut(&par, &mut val, chunk_rows * f, |ci, chunk| {
                     let c0 = ci * chunk_rows;
                     let rows = chunk.len() / f;
-                    kernel.t_matmul(data, w_rows, node_rows, c0, rows, w, f, chunk);
+                    kernel::t_matmul(data, w_rows, node_rows, c0, rows, w, f, chunk);
                 });
             }
         } else {
@@ -352,7 +339,7 @@ impl DimTree {
                     let b0 = ci * chunk_rows;
                     for (local, out_row) in chunk.chunks_mut(f).enumerate() {
                         let b = b0 + local;
-                        kernel.partial_fold(
+                        kernel::partial_fold(
                             &pv[b * w_rows * f..(b + 1) * w_rows * f],
                             w,
                             f,
@@ -371,7 +358,7 @@ impl DimTree {
                     let band = chunk.len() / f;
                     for i in 0..w_rows {
                         let y = &pv[(i * node_rows + j0) * f..(i * node_rows + j0 + band) * f];
-                        kernel.partial_axpy(y, &w[i * f..(i + 1) * f], f, chunk);
+                        kernel::partial_axpy(y, &w[i * f..(i + 1) * f], f, chunk);
                     }
                 });
             }
@@ -467,7 +454,6 @@ mod tests {
     use super::*;
     use crate::mttkrp::reference_mttkrp;
     use rand::SeedableRng;
-    use tpcp_linalg::ReferenceKernel;
     use tpcp_tensor::random_factor;
 
     fn fixtures(dims: &[usize], f: usize, seed: u64) -> (DenseTensor, Vec<Mat>) {
@@ -646,24 +632,22 @@ mod tests {
         let (t, factors) = fixtures(&dims, f, 41);
         let refs: Vec<&Mat> = factors.iter().collect();
         let mut baseline: Option<Vec<Vec<u64>>> = None;
-        for kernel in [&ReferenceKernel as &dyn Kernel, &TiledKernel] {
-            for threads in [1usize, 2, 4, 7] {
-                let par = ParConfig::with_threads(threads);
-                let mut tree = DimTree::new(&dims, f).unwrap();
-                let bits: Vec<Vec<u64>> = (0..dims.len())
-                    .map(|mode| {
-                        tree.mttkrp_on(&t, &refs, mode, &par, kernel)
-                            .unwrap()
-                            .as_slice()
-                            .iter()
-                            .map(|v| v.to_bits())
-                            .collect()
-                    })
-                    .collect();
-                match &baseline {
-                    None => baseline = Some(bits),
-                    Some(b) => assert_eq!(b, &bits, "{} at {threads} threads", kernel.label()),
-                }
+        for threads in [1usize, 2, 4, 7] {
+            let par = ParConfig::with_threads(threads);
+            let mut tree = DimTree::new(&dims, f).unwrap();
+            let bits: Vec<Vec<u64>> = (0..dims.len())
+                .map(|mode| {
+                    tree.mttkrp(&t, &refs, mode, &par)
+                        .unwrap()
+                        .as_slice()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                })
+                .collect();
+            match &baseline {
+                None => baseline = Some(bits),
+                Some(b) => assert_eq!(b, &bits, "{threads} threads"),
             }
         }
     }

@@ -26,8 +26,9 @@
 
 use crate::dimtree::DimTree;
 use crate::{CpError, Result};
+use tpcp_linalg::kernel::{self, KernelKind, TILE_MR};
 use tpcp_linalg::solve::GramSolveScratch;
-use tpcp_linalg::{Kernel, KernelKind, Mat, TiledKernel};
+use tpcp_linalg::Mat;
 use tpcp_par::{
     fixed_chunk_size, par_chunks_mut_scratch, par_chunks_reduce_scratch, tile_rows_per_chunk,
     ParConfig,
@@ -76,7 +77,7 @@ pub(crate) fn check_factors(dims: &[usize], factors: &[&Mat], mode: usize) -> Re
 
 /// Dense MTTKRP for mode `mode`: returns the `I_mode × F` matrix
 /// `X_(mode) · KR([factors]_{h≠mode})`, computed on the thread budget
-/// `par` by the tiled backend.
+/// `par` by the register-tiled primitives of `tpcp_linalg::kernel`.
 ///
 /// Order 3 runs per-slab register-tiled products (`matmul`, then a fold
 /// or axpy, at modes 0 and 1; `t_matmul` at mode 2); every other order
@@ -95,31 +96,6 @@ pub fn mttkrp_dense(
     mode: usize,
     par: &ParConfig,
 ) -> Result<Mat> {
-    mttkrp_dense_on(x, factors, mode, par, &TiledKernel)
-}
-
-/// [`mttkrp_dense`] on a named backend. The backends are bit-identical
-/// (see `tpcp_linalg::kernel`), so `kind` trades speed only.
-///
-/// # Errors
-/// [`CpError::BadFactors`] on shape inconsistencies.
-pub fn mttkrp_dense_kernel(
-    x: &DenseTensor,
-    factors: &[&Mat],
-    mode: usize,
-    par: &ParConfig,
-    kind: KernelKind,
-) -> Result<Mat> {
-    mttkrp_dense_on(x, factors, mode, par, kind.resolve())
-}
-
-fn mttkrp_dense_on(
-    x: &DenseTensor,
-    factors: &[&Mat],
-    mode: usize,
-    par: &ParConfig,
-    kernel: &dyn Kernel,
-) -> Result<Mat> {
     let f = check_factors(x.dims(), factors, mode)?;
     if f == 0 || x.is_empty() {
         return Ok(Mat::zeros(x.dims()[mode], f));
@@ -132,12 +108,27 @@ fn mttkrp_dense_on(
         }
         3 => {
             let par = par.clamped(x.len() * f, PAR_MIN_WORK);
-            Ok(mttkrp_dense3(x, factors, mode, f, &par, kernel))
+            Ok(mttkrp_dense3(x, factors, mode, f, &par))
         }
         _ => DimTree::new(x.dims(), f)
             .expect("order >= 2 at a positive rank")
-            .mttkrp_on(x, factors, mode, par, kernel),
+            .mttkrp(x, factors, mode, par),
     }
+}
+
+/// [`mttkrp_dense`]; `_kind` is ignored, as [`KernelKind`] has one
+/// variant.
+///
+/// # Errors
+/// [`CpError::BadFactors`] on shape inconsistencies.
+pub fn mttkrp_dense_kernel(
+    x: &DenseTensor,
+    factors: &[&Mat],
+    mode: usize,
+    par: &ParConfig,
+    _kind: KernelKind,
+) -> Result<Mat> {
+    mttkrp_dense(x, factors, mode, par)
 }
 
 /// Rows of a mode-0 slab `X[i]` (its `j` rows) that one step of the dense
@@ -150,8 +141,8 @@ const J_PANEL: usize = 128;
 /// `J × K` matrix, contracted on the register-tiled products one panel of
 /// at most [`J_PANEL`] `j` rows at a time, `i` and `j` ascending:
 ///
-/// * modes 0 and 1: `S = X[i][panel] · C` (`matmul`), the fibre products
-///   `S_ij = X[i, j, :] · C`; mode 0 folds `M0[i] = Σ_j S_ij ⊛ B[j]`
+/// * modes 0 and 1: `S = X[i][panel] · C` (`matmul`, which overwrites
+///   `S`), the fibre products `S_ij = X[i, j, :] · C`; mode 0 folds `M0[i] = Σ_j S_ij ⊛ B[j]`
 ///   (`partial_fold`), mode 1 adds `M1[j] += S_ij ⊛ A[i]`
 ///   (`partial_axpy`);
 /// * mode 2: `W = A[i] ⊛ B[panel]`, then `M2 += X[i][panel]ᵀ · W`
@@ -164,14 +155,7 @@ const J_PANEL: usize = 128;
 /// worker owns a band of output rows and accumulates them in the same
 /// order as the serial sweep, so results are bit-identical for any thread
 /// count.
-fn mttkrp_dense3(
-    x: &DenseTensor,
-    factors: &[&Mat],
-    mode: usize,
-    f: usize,
-    par: &ParConfig,
-    kernel: &dyn Kernel,
-) -> Mat {
+fn mttkrp_dense3(x: &DenseTensor, factors: &[&Mat], mode: usize, f: usize, par: &ParConfig) -> Mat {
     let dims = x.dims();
     let (di, dj, dk) = (dims[0], dims[1], dims[2]);
     let mut out = Mat::zeros(dims[mode], f);
@@ -181,7 +165,7 @@ fn mttkrp_dense3(
     let data = x.as_slice();
     // Rows `j0..j0 + rows` of slab `i`: a contiguous `rows × K` matrix.
     let slab = |i: usize, j0: usize, rows: usize| &data[(i * dj + j0) * dk..][..rows * dk];
-    let chunk_rows = tile_rows_per_chunk(dims[mode], par.threads(), kernel.row_tile());
+    let chunk_rows = tile_rows_per_chunk(dims[mode], par.threads(), TILE_MR);
     let panel_buf = || vec![0.0f64; J_PANEL.min(dj) * f];
     let (a, b, c) = (factors[0], factors[1], factors[2].as_slice());
     match mode {
@@ -195,15 +179,15 @@ fn mttkrp_dense3(
                 for (local, out_row) in chunk.chunks_mut(f).enumerate() {
                     for (j0, rows) in panels(0, dj) {
                         let s = &mut s[..rows * f];
-                        fibre_products(kernel, slab(i0 + local, j0, rows), dk, c, f, s);
+                        kernel::matmul(slab(i0 + local, j0, rows), rows, dk, c, f, s);
                         let b_panel = &b.as_slice()[j0 * f..(j0 + rows) * f];
                         if j0 == 0 {
-                            kernel.partial_fold(s, b_panel, f, out_row);
+                            kernel::partial_fold(s, b_panel, f, out_row);
                         } else {
                             // The fold overwrites: a later panel continues
                             // each running sum one `j` at a time.
                             for (s_row, b_row) in s.chunks(f).zip(b_panel.chunks(f)) {
-                                kernel.partial_axpy(s_row, b_row, f, out_row);
+                                kernel::partial_axpy(s_row, b_row, f, out_row);
                             }
                         }
                     }
@@ -220,9 +204,9 @@ fn mttkrp_dense3(
                 for i in 0..di {
                     for (j0, rows) in panels(band.0, band.1) {
                         let s = &mut s[..rows * f];
-                        fibre_products(kernel, slab(i, j0, rows), dk, c, f, s);
+                        kernel::matmul(slab(i, j0, rows), rows, dk, c, f, s);
                         let out = &mut chunk[(j0 - band.0) * f..][..rows * f];
-                        kernel.partial_axpy(s, a.row(i), f, out);
+                        kernel::partial_axpy(s, a.row(i), f, out);
                     }
                 }
             },
@@ -242,7 +226,7 @@ fn mttkrp_dense3(
                                 *wv = av * bv;
                             }
                         }
-                        kernel.t_matmul(slab(i, j0, rows), rows, dk, k0, band, w, f, chunk);
+                        kernel::t_matmul(slab(i, j0, rows), rows, dk, k0, band, w, f, chunk);
                     }
                 }
             },
@@ -257,21 +241,6 @@ fn panels(j0: usize, len: usize) -> impl Iterator<Item = (usize, usize)> {
     (j0..j0 + len)
         .step_by(J_PANEL)
         .map(move |p| (p, J_PANEL.min(j0 + len - p)))
-}
-
-/// `s = x_rows · C`: the fibre products `S_ij = X[i, j, :] · C` of the
-/// `rows` fibres in `x_rows` (`rows × dk`), each from `0.0` with `kk`
-/// ascending. `s` is zeroed first, as `matmul` expects.
-fn fibre_products(
-    kernel: &dyn Kernel,
-    x_rows: &[f64],
-    dk: usize,
-    c: &[f64],
-    f: usize,
-    s: &mut [f64],
-) {
-    s.fill(0.0);
-    kernel.matmul(x_rows, s.len() / f, dk, c, f, s);
 }
 
 /// Whether an ALS sweep on `x` at rank `f` runs modes 0 and 1 as one
@@ -335,10 +304,10 @@ pub(crate) fn mttkrp_dense3_pair(
         .chunks(dj * dk)
         .zip(a.as_mut_slice().chunks_mut(f))
     {
-        fibre_products(&TiledKernel, slab, dk, c, f, &mut s);
-        TiledKernel.partial_fold(&s, b, f, a_row);
+        kernel::matmul(slab, dj, dk, c, f, &mut s);
+        kernel::partial_fold(&s, b, f, a_row);
         solver.solve_row(a_row);
-        TiledKernel.partial_axpy(&s, a_row, f, m1.as_mut_slice());
+        kernel::partial_axpy(&s, a_row, f, m1.as_mut_slice());
     }
     Ok((a, m1))
 }

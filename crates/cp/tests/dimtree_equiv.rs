@@ -1,27 +1,26 @@
 //! Determinism and correctness contract of the dense contraction engine
-//! (`docs/dimtree.md`): the one-shot `mttkrp_dense_kernel` and the
-//! `DimTree` sweeps the ALS loop runs on.
+//! (`docs/dimtree.md`): the one-shot `mttkrp_dense` and the `DimTree`
+//! sweeps the ALS loop runs on.
 //!
 //! 1. **Correct**: every MTTKRP agrees with the materialised definition
 //!    `unfold · khatri_rao` within a small relative tolerance — the tree
 //!    sums factor *groups* at internal nodes, the definition one fused
 //!    Khatri-Rao row per element, and floating-point addition does not
 //!    associate.
-//! 2. **Bitwise deterministic**: run to run, across thread budgets and
-//!    (one-shot, through `mttkrp_dense_kernel`) across both kernel
-//!    backends — one accumulator per node element, reduction index
-//!    ascending, parallelism banding output rows only — and the contract
-//!    survives the whole ALS loop.
+//! 2. **Bitwise deterministic**: run to run and across thread budgets —
+//!    one accumulator per node element, reduction index ascending,
+//!    parallelism banding output rows only — and the contract survives
+//!    the whole ALS loop. Each primitive is pinned bitwise against the
+//!    scalar oracle in `tpcp-linalg`'s `kernel_equiv`.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use tpcp_cp::{cp_als_dense, mttkrp_dense_kernel, AlsOptions, CpModel, DimTree};
-use tpcp_linalg::{hadamard_all, khatri_rao, solve::cholesky, KernelKind, Mat};
+use tpcp_cp::{cp_als_dense, mttkrp_dense, AlsOptions, CpModel, DimTree};
+use tpcp_linalg::{hadamard_all, khatri_rao, solve::cholesky, Mat};
 use tpcp_par::ParConfig;
 use tpcp_tensor::DenseTensor;
 
 const THREAD_BUDGETS: [usize; 4] = [1, 2, 4, 7];
-const KINDS: [KernelKind; 2] = [KernelKind::Reference, KernelKind::Tiled];
 
 /// Relative tolerance against the materialised reference. Both sides sum
 /// the same ≤ ~8⁵·16 products in different orders; the error of either
@@ -60,11 +59,10 @@ fn assert_close(fast: &Mat, x: &DenseTensor, factors: &[&Mat], mode: usize, what
     );
 }
 
-/// Every mode one-shot on each backend, then two ALS-shaped sweeps on one
-/// tree (each mode's factor replaced after its MTTKRP, so the second sweep
-/// answers from partials the first left valid): all of it within
-/// tolerance of the reference and bitwise equal across thread budgets and
-/// backends.
+/// Every mode one-shot, then two ALS-shaped sweeps on one tree (each
+/// mode's factor replaced after its MTTKRP, so the second sweep answers
+/// from partials the first left valid): all of it within tolerance of the
+/// reference and bitwise equal across thread budgets.
 fn check_contraction(dims: &[usize], f: usize, seed: u64) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let t = tpcp_tensor::random_dense(dims, &mut rng);
@@ -81,20 +79,11 @@ fn check_contraction(dims: &[usize], f: usize, seed: u64) {
         let mut produced = Vec::new();
 
         let refs: Vec<&Mat> = initial.iter().collect();
-        let mut one_shot: Option<Vec<Vec<u64>>> = None;
-        for kind in KINDS {
-            let mut got = Vec::new();
-            for mode in 0..dims.len() {
-                let m = mttkrp_dense_kernel(&t, &refs, mode, &par, kind).unwrap();
-                assert_close(&m, &t, &refs, mode, &format!("one-shot {kind:?} {what}"));
-                got.push(bits(&m));
-            }
-            match &one_shot {
-                None => one_shot = Some(got),
-                Some(r) => prop_assert_eq!(r, &got, "one-shot {:?} != reference: {}", kind, what),
-            }
+        for mode in 0..dims.len() {
+            let m = mttkrp_dense(&t, &refs, mode, &par).unwrap();
+            assert_close(&m, &t, &refs, mode, &format!("one-shot {what}"));
+            produced.push(bits(&m));
         }
-        produced.extend(one_shot.expect("KINDS is not empty"));
 
         let mut tree = DimTree::new(dims, f).expect("order >= 2, rank >= 1");
         let mut live = initial.clone();

@@ -1,6 +1,6 @@
 //! The per-fibre loops of the dense order-3 MTTKRP: the scalar fibre ops
-//! the reference backend ran before the sweeps moved onto per-slab
-//! products, verbatim, composed in the serial per-fibre order. The oracle
+//! the library ran before the sweeps moved onto per-slab products,
+//! verbatim, composed in the serial per-fibre order. The oracle
 //! the slab sweeps (`slab_equiv`) and the paired ALS pass (`tpcp-cp`'s
 //! unit tests) are pinned against bit for bit.
 

@@ -1,398 +1,198 @@
-//! The kernel backend seam: the inner-loop implementations of the dense
-//! products ([`Mat::matmul`](crate::Mat::matmul) and friends), which
-//! `tpcp-cp`'s dense MTTKRPs run on too, and the dimension-tree
-//! contractions in `tpcp-cp`.
+//! The inner loops of the dense products: register-tiled bodies that
+//! [`Mat::matmul`](crate::Mat::matmul) and friends run on, and that
+//! `tpcp-cp`'s dense MTTKRPs and dimension-tree contractions call by name.
 //!
-//! A [`Kernel`] computes one worker's *band* of the output — the parallel
+//! Each primitive computes one worker's *band* of the output — the parallel
 //! wrappers in `ops.rs` (and `tpcp-cp`'s `mttkrp.rs` / `dimtree.rs`)
-//! partition the output across the shared `tpcp-par` budget and hand each
-//! band to the backend. Two backends ship:
+//! partition the output across the shared `tpcp-par` budget, in whole
+//! [`TILE_MR`]-row register tiles, and hand each band to a primitive. All
+//! matrices are row-major `f64` slices. [`matmul`] / [`matmul_t`] receive
+//! a *band* of `A` rows and the matching band of the output; [`t_matmul`]
+//! / [`gram_band`] receive all of `A` plus the band's first output row
+//! `c0` (an output row is a *column* of `A` there).
 //!
-//! * [`TiledKernel`] — register-blocked microkernels (`4×8` output tiles
-//!   held in accumulator registers across the whole reduction loop, with
-//!   panel packing of the strided operand into contiguous scratch so every
-//!   inner loop is stride-1 and explicit-width for the autovectorizer).
-//!   This is the engine's backend;
-//! * [`ReferenceKernel`] — the original scalar loops, kept verbatim as the
-//!   correctness oracle of the `kernel_equiv` suites.
+//! # Tiling
+//!
+//! Each `TILE_MR×TILE_NR` output tile is held in accumulator registers
+//! across the entire reduction loop, the inner loops are branch-free with
+//! explicit widths the autovectorizer maps onto vector lanes, and the
+//! operand whose tile access would be strided is packed into contiguous
+//! scratch (`matmul` packs the A panel reduction-major; `matmul_t` packs
+//! the Bᵀ panel; `t_matmul`/`gram_band` need no packing because both tile
+//! dimensions are already contiguous). A *narrow* tile — all `TILE_MR`
+//! rows, `w < TILE_NR` columns, so every tile when the width is below 8 —
+//! runs out of line in `narrow_tile`, a register tile exactly `w` wide that
+//! reads B's `w` columns in place. Tiles with fewer than `TILE_MR` rows
+//! fall back to scalar loops with the same ascending reduction order, so
+//! ragged shapes stay bit-identical too.
 //!
 //! # The determinism contract
 //!
-//! Every backend must accumulate **each output element in exactly the
-//! serial reference order**: one accumulator per element, reduction index
-//! ascending. Register blocking therefore vectorises across *output
-//! elements*, never by splitting the reduction axis into partial sums —
-//! that would change rounding. Under this contract (and finite inputs; see
-//! `docs/kernels.md`) every backend is bit-identical to the reference at
-//! any thread count, so swapping backends can never change factors, fits
-//! or swap counts.
+//! Every primitive accumulates **each output element in exactly the serial
+//! order**: one accumulator per element, reduction index ascending.
+//! Register blocking therefore vectorises across *output elements*, never
+//! by splitting the reduction axis into partial sums — that would change
+//! rounding. Under this contract (and finite inputs; see
+//! `docs/kernels.md`) every result is bit-identical to the scalar loops at
+//! any thread count. Those loops — the original implementation — are kept
+//! verbatim in this crate's test tree (`tests/reference`) as the oracle
+//! the `kernel_equiv` suite pins every primitive against, bit for bit.
 //!
-//! The reference loops skip zero multiplicands (`if a == 0.0 {{ continue }}`)
+//! The scalar loops skip zero multiplicands (`if a == 0.0 {{ continue }}`)
 //! while the tiled loops are branch-free; the results are still bitwise
 //! equal for finite inputs because adding a `±0.0` product leaves any
 //! accumulator unchanged bit-for-bit (an accumulator seeded with `+0.0`
 //! can never become `-0.0` in round-to-nearest). The one exception is an
-//! accumulator seeded with `-0.0`, which only [`Kernel::t_matmul`] takes
-//! (it starts from `out`): `-0.0 + 0.0` is `+0.0`, where the reference
-//! skips the product and keeps `-0.0`. No caller seeds `-0.0`: every
-//! `t_matmul` output starts zeroed (`+0.0`) and only ever holds sums.
-//!
-//! # Dispatch
-//!
-//! The engine calls [`TiledKernel`] by name; nothing in a configuration
-//! selects a backend. [`KernelKind`] names a backend only at the two
-//! entry points a benchmark times — `Mat::gram_kernel` and `tpcp-cp`'s
-//! `mttkrp_dense_kernel` — and the test suites pin the tiled backend
-//! against [`ReferenceKernel`] primitive by primitive, at the trait level.
+//! accumulator seeded with `-0.0`, which only [`t_matmul`] takes (it
+//! starts from `out`): `-0.0 + 0.0` is `+0.0`, where the scalar loop skips
+//! the product and keeps `-0.0`. No caller seeds `-0.0`: every `t_matmul`
+//! output starts zeroed (`+0.0`) and only ever holds sums.
 //!
 //! # Vector width
 //!
-//! [`TiledKernel`]'s bodies are compiled twice from one source by the
-//! `tiled_instance!` macro: a *baseline* instance for the target's
-//! baseline (SSE2 on x86-64) and, on x86, an *avx2* instance under
+//! The bodies are compiled twice from one source by the `tiled_instance!`
+//! macro: a *baseline* instance for the target's baseline (SSE2 on
+//! x86-64) and, on x86, an *avx2* instance under
 //! `#[target_feature(enable = "avx2")]`. Each call runs the AVX2 instance
-//! when `is_x86_feature_detected!("avx2")` is true
-//! ([`TiledKernel::isa`] names the choice); that dispatch is the crate's
-//! one `unsafe` block. Both instances do the same IEEE multiply and add
-//! per output element in the same order — `fma` is not enabled, nothing
-//! calls `mul_add`, and Rust never contracts or reassociates floats — so
-//! the choice never changes a bit of any result.
+//! when `is_x86_feature_detected!("avx2")` is true ([`isa`] names the
+//! choice); that dispatch is the crate's one `unsafe` block. Both
+//! instances do the same IEEE multiply and add per output element in the
+//! same order — `fma` is not enabled, nothing calls `mul_add`, and Rust
+//! never contracts or reassociates floats — so the choice never changes a
+//! bit of any result.
 
-/// Which kernel backend [`Mat::gram_kernel`](crate::Mat::gram_kernel) and
-/// `mttkrp_dense_kernel` run. The two are bit-identical (see the
-/// [module docs](self)), so the choice trades speed only.
+/// Ignored: this module's tiled primitives are the only implementation.
+/// `Mat::gram_kernel`, `tpcp-cp`'s `mttkrp_dense_kernel` and
+/// `TwoPcpConfig::kernel` still name it because the end-to-end benchmark
+/// pins their signatures; it goes when that pin moves (ROADMAP 6(a)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Register-blocked microkernels ([`TiledKernel`]) — the backend.
+    /// The register-tiled primitives of this module.
     #[default]
     Tiled,
-    /// The original scalar loops ([`ReferenceKernel`]) — the oracle.
-    Reference,
 }
 
-impl KernelKind {
-    /// The backend implementation this kind dispatches to.
-    pub fn resolve(self) -> &'static dyn Kernel {
-        match self {
-            KernelKind::Tiled => &TiledKernel,
-            KernelKind::Reference => &ReferenceKernel,
-        }
-    }
-}
-
-/// One kernel backend: band-level entry points for the dense products and
-/// the dimension-tree contractions.
-///
-/// All matrices are row-major `f64` slices. The `matmul`/`matmul_t` entry
-/// points receive a *band* of `A` rows and the matching band of the output;
-/// `t_matmul`/`gram_band` receive all of `A` plus the band's first output
-/// row `c0` (an output row is a *column* of `A` there). `t_matmul`
-/// accumulates: each output element's sum starts from the value `out`
-/// holds, so consecutive calls over consecutive row panels of `A` and `B`
-/// continue one ascending reduction. The other products receive zeroed
-/// output bands; a backend may accumulate into them or overwrite them, as
-/// the two are indistinguishable on zeroed memory.
-///
-/// Implementations must uphold the accumulation-order contract in the
-/// [module docs](self): per output element, one accumulator, reduction
-/// index ascending.
-pub trait Kernel: Sync {
-    /// Stable name, for test diagnostics.
-    fn label(&self) -> &'static str;
-
-    /// Preferred output-row granularity: parallel wrappers round their
-    /// per-worker chunk to a multiple of this so workers receive whole
-    /// register tiles (`1` = no preference).
-    fn row_tile(&self) -> usize;
-
-    /// `out[r][j] = Σ_p a[r][p] · b[p][j]` — a band of `rows` rows of
-    /// `A · B` where `a` is `rows×k` (the band), `b` is `k×n`.
-    fn matmul(&self, a: &[f64], rows: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]);
-
-    /// `out[r][j] = Σ_p a[r][p] · b[j][p]` — a band of `A · Bᵀ` where `a`
-    /// is `rows×k` (the band), `b` is `n×k`.
-    fn matmul_t(&self, a: &[f64], rows: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]);
-
-    /// `out[local][j] += Σ_r a[r][c0+local] · b[r][j]` — adds the band of
-    /// rows `c0..c0+rows` of `Aᵀ · B` into `out`, where `a` is `m×k` (all
-    /// of it), `b` is `m×n`. Each element's one accumulator starts from
-    /// its `out` value and sweeps `r` in ascending order.
-    #[allow(clippy::too_many_arguments)]
-    fn t_matmul(
-        &self,
-        a: &[f64],
-        m: usize,
-        k: usize,
-        c0: usize,
-        rows: usize,
-        b: &[f64],
-        n: usize,
-        out: &mut [f64],
-    );
-
-    /// The band of rows `c0..c0+rows` of the Gram matrix `Aᵀ · A` (`a` is
-    /// `m×k`, the band is `rows×k`).
-    ///
-    /// A backend may compute only the columns `j ≥ c0 + i0` of each row
-    /// tile (the upper triangle plus a sliver below the diagonal) and
-    /// report [`Kernel::gram_needs_mirror`] = `true`; the caller then
-    /// fills the strict lower triangle by mirroring after all bands
-    /// complete. The mirror is bitwise-exact: `Σ a[r][j]·a[r][c]` equals
-    /// `Σ a[r][c]·a[r][j]` bit-for-bit (IEEE multiplication commutes and
-    /// the `r` order is shared).
-    fn gram_band(&self, a: &[f64], m: usize, k: usize, c0: usize, rows: usize, out: &mut [f64]);
-
-    /// Whether [`Kernel::gram_band`] leaves the strict lower triangle for
-    /// the caller to mirror.
-    fn gram_needs_mirror(&self) -> bool {
-        false
-    }
-
-    /// The dimension-tree *fold* contraction: **overwrites**
-    /// `out[s] = Σ_r y[r][s] · w[r][s]` with the reduction index `r`
-    /// ascending (`y` and `w` are `rows×f` row-major with
-    /// `rows = w.len() / f`; `out` has length `f`).
-    ///
-    /// Together with [`Kernel::partial_axpy`] this is the internal-node
-    /// contraction of the dimension-tree MTTKRP engine (`tpcp-cp`'s
-    /// `dimtree` module): a node's partial product is reduced against the
-    /// sibling subtree's Khatri-Rao weights one output row at a time. The
-    /// overwrite (rather than accumulate-into-zeroed) semantics make a
-    /// fold bitwise identical to an ascending [`Kernel::partial_axpy`]
-    /// sweep over zero-initialised output — `acc` after the last step
-    /// holds exactly the running value the axpy sweep leaves in `out` —
-    /// so the two per-node evaluation strategies are interchangeable.
-    fn partial_fold(&self, y: &[f64], w: &[f64], f: usize, out: &mut [f64]);
-
-    /// The dimension-tree *axpy* contraction: `out[e][s] += y[e][s] ·
-    /// w_row[s]` for every row `e` (`y` and `out` are `rows×f` row-major,
-    /// `w_row` has length `f`). One multiply-add per element per call;
-    /// the caller fixes the accumulation order by sweeping its parent
-    /// blocks in ascending order.
-    fn partial_axpy(&self, y: &[f64], w_row: &[f64], f: usize, out: &mut [f64]);
-}
-
-/// The original scalar loops, verbatim — the correctness oracle every
-/// other backend is pinned against (bitwise, via the trait-level sweeps
-/// of the `kernel_equiv` suite).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReferenceKernel;
-
-impl Kernel for ReferenceKernel {
-    fn label(&self) -> &'static str {
-        "reference"
-    }
-
-    fn row_tile(&self) -> usize {
-        1
-    }
-
-    fn matmul(&self, a: &[f64], _rows: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-        // i-k-j ordering: the inner loop streams a row of `b` and a row of
-        // `out`, both contiguous, so the kernel vectorises without bounds
-        // checks dominating.
-        for (local, out_row) in out.chunks_mut(n).enumerate() {
-            let a_row = &a[local * k..(local + 1) * k];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
-                    continue;
-                }
-                let b_row = &b[p * n..(p + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ip * bv;
-                }
-            }
-        }
-    }
-
-    fn matmul_t(&self, a: &[f64], _rows: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-        for (local, out_row) in out.chunks_mut(n).enumerate() {
-            let a_row = &a[local * k..(local + 1) * k];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for (&av, &bv) in a_row.iter().zip(b_row) {
-                    acc += av * bv;
-                }
-                *o = acc;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn t_matmul(
-        &self,
-        a: &[f64],
-        m: usize,
-        k: usize,
-        c0: usize,
-        _rows: usize,
-        b: &[f64],
-        n: usize,
-        out: &mut [f64],
-    ) {
-        // Rank-1 updates row by row, restricted to this worker's band of
-        // output rows; accessed rows stay contiguous.
-        for r in 0..m {
-            let a_row = &a[r * k..(r + 1) * k];
-            let b_row = &b[r * n..(r + 1) * n];
-            for (local, out_row) in out.chunks_mut(n).enumerate() {
-                let a_rc = a_row[c0 + local];
-                if a_rc == 0.0 {
-                    continue;
-                }
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += a_rc * bv;
-                }
-            }
-        }
-    }
-
-    fn gram_band(&self, a: &[f64], m: usize, k: usize, c0: usize, rows: usize, out: &mut [f64]) {
-        // The full band of Aᵀ·A — the symmetric half-compute lives in the
-        // tiled backend, behind the same seam.
-        self.t_matmul(a, m, k, c0, rows, a, k, out);
-    }
-
-    fn partial_fold(&self, y: &[f64], w: &[f64], f: usize, out: &mut [f64]) {
-        let rows = w.len() / f;
-        for (s, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for r in 0..rows {
-                acc += y[r * f + s] * w[r * f + s];
-            }
-            *o = acc;
-        }
-    }
-
-    fn partial_axpy(&self, y: &[f64], w_row: &[f64], f: usize, out: &mut [f64]) {
-        for (out_row, y_row) in out.chunks_mut(f).zip(y.chunks(f)) {
-            for ((o, &yv), &wv) in out_row.iter_mut().zip(y_row).zip(w_row) {
-                *o += yv * wv;
-            }
-        }
-    }
-}
-
-/// Register-block height: output rows per microtile.
+/// Register-block height: output rows per microtile. Parallel wrappers
+/// round each worker's band to a multiple of it, so workers receive whole
+/// register tiles.
 pub const TILE_MR: usize = 4;
 
 /// Register-block width: output columns per microtile.
-pub const TILE_NR: usize = 8;
+const TILE_NR: usize = 8;
 
-/// Register-blocked, SIMD-friendly microkernels.
-///
-/// Each `TILE_MR×TILE_NR` output tile is held in accumulator registers
-/// across the entire reduction loop (the reference loops instead re-load
-/// and re-store the output row on every reduction step), the inner loops
-/// are branch-free with explicit widths the autovectorizer maps onto
-/// vector lanes, and the operand whose tile access would be strided is
-/// packed into contiguous scratch (`matmul` packs the A panel reduction-
-/// major; `matmul_t` packs the Bᵀ panel; `t_matmul`/`gram_band` need no
-/// packing because both tile dimensions are already contiguous). A
-/// *narrow* tile — all `TILE_MR` rows, `w < TILE_NR` columns, so every
-/// tile when the width is below 8 — runs out of line in `narrow_tile`, a
-/// register tile exactly `w` wide that reads B's `w` columns in place.
-/// Tiles with fewer than `TILE_MR` rows fall back to scalar loops with
-/// the same ascending reduction order, so ragged shapes stay
-/// bit-identical too.
-///
-/// Every call runs the widest of two bitwise-equal compiled instances of
-/// these bodies that the CPU supports ([`TiledKernel::isa`]; see the
-/// [module docs](self#vector-width)).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TiledKernel;
-
-impl TiledKernel {
-    /// The instance this CPU's calls run: `"avx2"` when the CPU reports
-    /// AVX2, else `"baseline"`.
-    pub fn isa() -> &'static str {
-        Isa::detected().name()
-    }
+/// The instance this CPU's calls run: `"avx2"` when the CPU reports AVX2,
+/// else `"baseline"`.
+pub fn isa() -> &'static str {
+    Isa::detected().name()
 }
 
-impl Kernel for TiledKernel {
-    fn label(&self) -> &'static str {
-        "tiled"
-    }
-
-    fn row_tile(&self) -> usize {
-        TILE_MR
-    }
-
-    fn matmul(&self, a: &[f64], rows: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-        Isa::detected().run(Call::Matmul {
-            a,
-            rows,
-            k,
-            b,
-            n,
-            out,
-        });
-    }
-
-    fn matmul_t(&self, a: &[f64], rows: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-        Isa::detected().run(Call::MatmulT {
-            a,
-            rows,
-            k,
-            b,
-            n,
-            out,
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn t_matmul(
-        &self,
-        a: &[f64],
-        m: usize,
-        k: usize,
-        c0: usize,
-        rows: usize,
-        b: &[f64],
-        n: usize,
-        out: &mut [f64],
-    ) {
-        Isa::detected().run(Call::TMatmul {
-            a,
-            m,
-            k,
-            c0,
-            rows,
-            b,
-            n,
-            out,
-        });
-    }
-
-    fn gram_band(&self, a: &[f64], m: usize, k: usize, c0: usize, rows: usize, out: &mut [f64]) {
-        Isa::detected().run(Call::GramBand {
-            a,
-            m,
-            k,
-            c0,
-            rows,
-            out,
-        });
-    }
-
-    fn gram_needs_mirror(&self) -> bool {
-        true
-    }
-
-    fn partial_fold(&self, y: &[f64], w: &[f64], f: usize, out: &mut [f64]) {
-        Isa::detected().run(Call::PartialFold { y, w, f, out });
-    }
-
-    fn partial_axpy(&self, y: &[f64], w_row: &[f64], f: usize, out: &mut [f64]) {
-        Isa::detected().run(Call::PartialAxpy { y, w_row, f, out });
-    }
+/// `out[r][j] = Σ_p a[r][p] · b[p][j]` — a band of `rows` rows of `A · B`
+/// where `a` is `rows×k` (the band), `b` is `k×n`. Overwrites every
+/// element of the band: `out` may hold anything.
+pub fn matmul(a: &[f64], rows: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+    Isa::detected().run(Call::Matmul {
+        a,
+        rows,
+        k,
+        b,
+        n,
+        out,
+    });
 }
 
-/// One [`TiledKernel`] primitive call with its operands, as the
-/// [`Kernel`] method received them: the one shape in which a call
-/// crosses from the method to an instance.
+/// `out[r][j] = Σ_p a[r][p] · b[j][p]` — a band of `A · Bᵀ` where `a` is
+/// `rows×k` (the band), `b` is `n×k`. Overwrites every element of the
+/// band: `out` may hold anything.
+pub fn matmul_t(a: &[f64], rows: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+    Isa::detected().run(Call::MatmulT {
+        a,
+        rows,
+        k,
+        b,
+        n,
+        out,
+    });
+}
+
+/// `out[local][j] += Σ_r a[r][c0+local] · b[r][j]` — adds the band of rows
+/// `c0..c0+rows` of `Aᵀ · B` into `out`, where `a` is `m×k` (all of it),
+/// `b` is `m×n`. Each element's one accumulator starts from its `out`
+/// value and sweeps `r` in ascending order, so consecutive calls over
+/// consecutive row panels of `A` and `B` continue one ascending reduction.
+#[allow(clippy::too_many_arguments)]
+pub fn t_matmul(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    c0: usize,
+    rows: usize,
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+) {
+    Isa::detected().run(Call::TMatmul {
+        a,
+        m,
+        k,
+        c0,
+        rows,
+        b,
+        n,
+        out,
+    });
+}
+
+/// The band of rows `c0..c0+rows` of the Gram matrix `Aᵀ · A` (`a` is
+/// `m×k`, the band is `rows×k`), upper triangle only.
+///
+/// Each row tile computes only the columns `j ≥ c0 + i0` (the upper
+/// triangle plus a sliver below the diagonal) and leaves the elements left
+/// of them as they are: the caller fills the strict lower triangle by
+/// mirroring after all bands complete — ~2× fewer flops on the
+/// per-iteration ALS Gram matrices. The mirror is bitwise-exact:
+/// `Σ a[r][j]·a[r][c]` equals `Σ a[r][c]·a[r][j]` bit-for-bit (IEEE
+/// multiplication commutes and the `r` order is shared).
+pub fn gram_band(a: &[f64], m: usize, k: usize, c0: usize, rows: usize, out: &mut [f64]) {
+    Isa::detected().run(Call::GramBand {
+        a,
+        m,
+        k,
+        c0,
+        rows,
+        out,
+    });
+}
+
+/// The dimension-tree *fold* contraction: **overwrites**
+/// `out[s] = Σ_r y[r][s] · w[r][s]` with the reduction index `r`
+/// ascending (`y` and `w` are `rows×f` row-major with
+/// `rows = w.len() / f`; `out` has length `f`).
+///
+/// Together with [`partial_axpy`] this is the internal-node contraction of
+/// the dimension-tree MTTKRP engine (`tpcp-cp`'s `dimtree` module): a
+/// node's partial product is reduced against the sibling subtree's
+/// Khatri-Rao weights one output row at a time. The overwrite (rather
+/// than accumulate-into-zeroed) semantics make a fold bitwise identical to
+/// an ascending [`partial_axpy`] sweep over zero-initialised output —
+/// `acc` after the last step holds exactly the running value the axpy
+/// sweep leaves in `out` — so the two per-node evaluation strategies are
+/// interchangeable.
+pub fn partial_fold(y: &[f64], w: &[f64], f: usize, out: &mut [f64]) {
+    Isa::detected().run(Call::PartialFold { y, w, f, out });
+}
+
+/// The dimension-tree *axpy* contraction: `out[e][s] += y[e][s] ·
+/// w_row[s]` for every row `e` (`y` and `out` are `rows×f` row-major,
+/// `w_row` has length `f`). One multiply-add per element per call; the
+/// caller fixes the accumulation order by sweeping its parent blocks in
+/// ascending order.
+pub fn partial_axpy(y: &[f64], w_row: &[f64], f: usize, out: &mut [f64]) {
+    Isa::detected().run(Call::PartialAxpy { y, w_row, f, out });
+}
+
+/// One primitive call with its operands, as the public function received
+/// them: the one shape in which a call crosses from the function to an
+/// instance.
 enum Call<'a> {
     Matmul {
         a: &'a [f64],
@@ -846,19 +646,6 @@ tiled_instance!(avx2, #[target_feature(enable = "avx2")]);
 mod tests {
     use super::*;
 
-    #[test]
-    fn kinds_dispatch_to_their_backend_and_tiled_is_the_default() {
-        assert_eq!(KernelKind::default(), KernelKind::Tiled);
-        assert_eq!(KernelKind::Tiled.resolve().label(), "tiled");
-        assert_eq!(KernelKind::Reference.resolve().label(), "reference");
-    }
-
-    #[test]
-    fn row_tiles() {
-        assert_eq!(ReferenceKernel.row_tile(), 1);
-        assert_eq!(TiledKernel.row_tile(), TILE_MR);
-    }
-
     /// Deterministic pseudo-random fill (no RNG dependency in this crate).
     fn fill(len: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
@@ -870,63 +657,6 @@ mod tests {
                 ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
             })
             .collect()
-    }
-
-    #[test]
-    fn partial_fold_matches_naive_and_is_backend_bitwise() {
-        for (rows, f) in [(1usize, 1usize), (5, 3), (7, 8), (9, 19), (16, 32)] {
-            let y = fill(rows * f, 3);
-            let w = fill(rows * f, 4);
-            let mut naive = vec![0.0f64; f];
-            for (s, o) in naive.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for r in 0..rows {
-                    acc += y[r * f + s] * w[r * f + s];
-                }
-                *o = acc;
-            }
-            let mut reference = vec![f64::NAN; f]; // overwrite semantics
-            ReferenceKernel.partial_fold(&y, &w, f, &mut reference);
-            let mut tiled = vec![f64::NAN; f];
-            TiledKernel.partial_fold(&y, &w, f, &mut tiled);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&reference), bits(&naive), "rows {rows} f {f}");
-            assert_eq!(bits(&tiled), bits(&reference), "rows {rows} f {f}");
-        }
-    }
-
-    #[test]
-    fn axpy_sweep_is_bitwise_identical_to_fold() {
-        // The contract the dimtree engine relies on: evaluating a node by
-        // per-row folds or by an ascending axpy sweep over zeroed output
-        // must agree bit for bit, for either backend.
-        let (blocks, rows, f) = (6usize, 5usize, 11usize);
-        let y = fill(blocks * rows * f, 7);
-        let w = fill(blocks * f, 8);
-        for kernel in [&ReferenceKernel as &dyn Kernel, &TiledKernel] {
-            let mut swept = vec![0.0f64; rows * f];
-            for b in 0..blocks {
-                kernel.partial_axpy(
-                    &y[b * rows * f..(b + 1) * rows * f],
-                    &w[b * f..(b + 1) * f],
-                    f,
-                    &mut swept,
-                );
-            }
-            // Per output row j, the fold reduces the strided column
-            // y[b * rows + j] against w's rows — gather it contiguously
-            // to use the contiguous fold entry point.
-            let mut folded = vec![0.0f64; rows * f];
-            for j in 0..rows {
-                let mut gathered = Vec::with_capacity(blocks * f);
-                for b in 0..blocks {
-                    gathered.extend_from_slice(&y[(b * rows + j) * f..(b * rows + j + 1) * f]);
-                }
-                kernel.partial_fold(&gathered, &w, f, &mut folded[j * f..(j + 1) * f]);
-            }
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&swept), bits(&folded), "{}", kernel.label());
-        }
     }
 
     /// `fill` with zeros of both signs mixed in: the instances are
@@ -963,7 +693,7 @@ mod tests {
     /// widths 1..=17 and 32, rows {4, 5, 8, 13}, reductions (and row
     /// lengths) {1, 6, 33, 400}, zeros of both signs in every operand, and
     /// `t_matmul` accumulating into a non-zero `out`. `kernel_equiv` pins
-    /// whichever instance the CPU dispatches to against `ReferenceKernel`;
+    /// whichever instance the CPU dispatches to against the scalar oracle;
     /// on an AVX2 CPU this is the one test that still runs the baseline
     /// instance.
     #[test]
@@ -1091,6 +821,6 @@ mod tests {
         }
         let want = if has_avx2 { "avx2" } else { "baseline" };
         assert_eq!(Isa::detected().name(), want);
-        assert_eq!(TiledKernel::isa(), want);
+        assert_eq!(isa(), want);
     }
 }

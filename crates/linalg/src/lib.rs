@@ -16,9 +16,10 @@
 //! repository is fully self-hosting; the kernels use blocked/reordered loops
 //! per the Rust performance guidelines rather than naive triple loops.
 //!
-//! The crate is safe Rust but for one `unsafe` block: the run-time choice
-//! of the tiled kernel's AVX2 instance, taken only after the CPU reported
-//! AVX2 (see [`kernel`]'s "Vector width").
+//! Every dense product runs on one set of register-tiled primitives,
+//! [`kernel`], called by name. The crate is safe Rust but for one `unsafe`
+//! block: the run-time choice of their AVX2 instance, taken only after the
+//! CPU reported AVX2 (see [`kernel`]'s "Vector width").
 
 #![deny(unsafe_code)]
 
@@ -28,7 +29,7 @@ mod mat;
 mod ops;
 pub mod solve;
 
-pub use kernel::{Kernel, KernelKind, ReferenceKernel, TiledKernel};
+pub use kernel::KernelKind;
 pub use kr::{hadamard_all, hadamard_all_into, khatri_rao, khatri_rao_into};
 pub use mat::Mat;
 

@@ -4,15 +4,13 @@
 //! [`Mat::t_matmul`], [`Mat::matmul_t`], [`Mat::gram`]) runs on the shared
 //! [`tpcp_par`] thread budget once the operation is large enough to
 //! amortise a fan-out, and its `*_kernel` / `*_into` variants take an
-//! explicit [`ParConfig`]. Every product runs [`TiledKernel`]; the
-//! parallel wrappers partition the *output* matrix and the backend upholds
-//! the accumulation-order contract of [`crate::kernel`], so every element
-//! is accumulated in the same order as the serial reference loop and
-//! results are bit-identical for any thread count. [`Mat::gram_kernel`]
-//! alone still names a [`KernelKind`], for callers that time or pin a
-//! backend.
+//! explicit [`ParConfig`]. Every product runs the tiled primitives of
+//! [`crate::kernel`]; the parallel wrappers partition the *output* matrix
+//! and the primitives uphold the module's accumulation-order contract, so
+//! every element is accumulated in the same order as the serial loop and
+//! results are bit-identical for any thread count.
 
-use crate::kernel::{Kernel, KernelKind, TiledKernel};
+use crate::kernel::{self, KernelKind, TILE_MR};
 use crate::{LinalgError, Mat, Result};
 use tpcp_par::{par_chunks_mut, tile_rows_per_chunk, ParConfig};
 
@@ -80,7 +78,7 @@ impl Mat {
             return Ok(());
         }
         let par = par.clamped(m * k * n, PAR_MIN_FLOPS);
-        let chunk_rows = tile_rows_per_chunk(m, par.threads(), TiledKernel.row_tile());
+        let chunk_rows = tile_rows_per_chunk(m, par.threads(), TILE_MR);
         par_chunks_mut(
             &par,
             out.as_mut_slice(),
@@ -89,7 +87,7 @@ impl Mat {
                 let i0 = chunk_idx * chunk_rows;
                 let rows = chunk.len() / n;
                 let a_band = &self.as_slice()[i0 * k..(i0 + rows) * k];
-                TiledKernel.matmul(a_band, rows, k, rhs.as_slice(), n, chunk);
+                kernel::matmul(a_band, rows, k, rhs.as_slice(), n, chunk);
             },
         );
         Ok(())
@@ -141,7 +139,7 @@ impl Mat {
             return Ok(());
         }
         let par = par.clamped(m * k * n, PAR_MIN_FLOPS);
-        let chunk_rows = tile_rows_per_chunk(k, par.threads(), TiledKernel.row_tile());
+        let chunk_rows = tile_rows_per_chunk(k, par.threads(), TILE_MR);
         par_chunks_mut(
             &par,
             out.as_mut_slice(),
@@ -149,7 +147,7 @@ impl Mat {
             |chunk_idx, chunk| {
                 let c0 = chunk_idx * chunk_rows;
                 let rows = chunk.len() / n;
-                TiledKernel.t_matmul(self.as_slice(), m, k, c0, rows, rhs.as_slice(), n, chunk);
+                kernel::t_matmul(self.as_slice(), m, k, c0, rows, rhs.as_slice(), n, chunk);
             },
         );
         Ok(())
@@ -188,7 +186,7 @@ impl Mat {
             return Ok(out);
         }
         let par = par.clamped(m * k * n, PAR_MIN_FLOPS);
-        let chunk_rows = tile_rows_per_chunk(m, par.threads(), TiledKernel.row_tile());
+        let chunk_rows = tile_rows_per_chunk(m, par.threads(), TILE_MR);
         par_chunks_mut(
             &par,
             out.as_mut_slice(),
@@ -197,7 +195,7 @@ impl Mat {
                 let i0 = chunk_idx * chunk_rows;
                 let rows = chunk.len() / n;
                 let a_band = &self.as_slice()[i0 * k..(i0 + rows) * k];
-                TiledKernel.matmul_t(a_band, rows, k, rhs.as_slice(), n, chunk);
+                kernel::matmul_t(a_band, rows, k, rhs.as_slice(), n, chunk);
             },
         );
         Ok(out)
@@ -211,34 +209,31 @@ impl Mat {
         out
     }
 
-    /// [`Mat::gram`] on an explicit thread budget and a named backend
-    /// (bit-identical to serial for any thread count, and across backends).
-    pub fn gram_kernel(&self, par: &ParConfig, kind: KernelKind) -> Mat {
+    /// [`Mat::gram`] on an explicit thread budget (bit-identical to serial
+    /// for any thread count). `_kind` is ignored: [`KernelKind`] has one
+    /// variant.
+    pub fn gram_kernel(&self, par: &ParConfig, _kind: KernelKind) -> Mat {
         let mut out = Mat::default();
-        self.gram_on(par, kind.resolve(), &mut out);
+        self.gram_into(par, &mut out);
         out
     }
 
     /// [`Mat::gram`] on an explicit thread budget, into a caller-owned
     /// `out` (reshaped and overwritten; see [`Mat::matmul_into`]).
-    pub fn gram_into(&self, par: &ParConfig, out: &mut Mat) {
-        self.gram_on(par, &TiledKernel, out);
-    }
-
-    /// The one Gram implementation. Backends that report
-    /// [`Kernel::gram_needs_mirror`] compute only the upper triangle of
-    /// each band; the strict lower triangle is filled here by a serial
-    /// mirror pass. The mirror is bitwise-exact (IEEE multiplication
+    ///
+    /// Each band computes only its upper triangle
+    /// ([`kernel::gram_band`]); a serial mirror pass fills the strict
+    /// lower triangle. The mirror is bitwise-exact (IEEE multiplication
     /// commutes bit-for-bit and both triangles share the ascending row
-    /// order), so all backends still agree bitwise.
-    fn gram_on(&self, par: &ParConfig, kernel: &dyn Kernel, out: &mut Mat) {
+    /// order), so the result equals the full product bitwise.
+    pub fn gram_into(&self, par: &ParConfig, out: &mut Mat) {
         let (m, k) = self.shape();
         out.reset(k, k);
         if k == 0 {
             return;
         }
         let par = par.clamped(m * k * k, PAR_MIN_FLOPS);
-        let chunk_rows = tile_rows_per_chunk(k, par.threads(), kernel.row_tile());
+        let chunk_rows = tile_rows_per_chunk(k, par.threads(), TILE_MR);
         par_chunks_mut(
             &par,
             out.as_mut_slice(),
@@ -246,15 +241,13 @@ impl Mat {
             |chunk_idx, chunk| {
                 let c0 = chunk_idx * chunk_rows;
                 let rows = chunk.len() / k;
-                kernel.gram_band(self.as_slice(), m, k, c0, rows, chunk);
+                kernel::gram_band(self.as_slice(), m, k, c0, rows, chunk);
             },
         );
-        if kernel.gram_needs_mirror() {
-            let s = out.as_mut_slice();
-            for j in 1..k {
-                for c in 0..j {
-                    s[j * k + c] = s[c * k + j];
-                }
+        let s = out.as_mut_slice();
+        for j in 1..k {
+            for c in 0..j {
+                s[j * k + c] = s[c * k + j];
             }
         }
     }

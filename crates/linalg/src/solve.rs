@@ -197,8 +197,8 @@ const JACOBI_MAX_SWEEPS: usize = 64;
 ///
 /// Determinism: the sweep order is fixed (row-cyclic over the upper
 /// triangle), the routine is single-threaded, and the final sort is stable,
-/// so the result is bit-identical run to run and independent of both the
-/// thread budget and the kernel backend.
+/// so the result is bit-identical run to run and independent of the
+/// thread budget.
 ///
 /// # Errors
 /// [`LinalgError::NotSquare`] for non-square input and
@@ -348,9 +348,8 @@ impl Mat {
     /// `self` is `m×k` with `m ≥ k`; the result spans the same column
     /// space. Mildly rank-deficient inputs are stabilised with an
     /// escalating ridge on the Gram (the second pass repairs the defect).
-    /// Deterministic across thread budgets and kernel backends because
-    /// [`Mat::gram`] is bitwise thread- and backend-invariant and the
-    /// substitutions are serial.
+    /// Deterministic across thread budgets because [`Mat::gram`] is
+    /// bitwise thread-invariant and the substitutions are serial.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `rows < cols` (no orthonormal

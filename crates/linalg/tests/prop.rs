@@ -198,7 +198,7 @@ proptest! {
     }
 
     /// Both routines are serial (Jacobi) or built on bitwise
-    /// thread/backend-invariant products (`gram`), so repeated runs must
+    /// thread-invariant products (`gram`), so repeated runs must
     /// agree bit for bit — the determinism leg of the contract.
     #[test]
     fn eig_and_orthonormalize_are_bitwise_repeatable(

@@ -22,7 +22,7 @@ use std::time::Instant;
 use rand::SeedableRng;
 use tpcp_cp::{cp_als_dense, mttkrp_dense, AlsOptions, AlsReport};
 use tpcp_datasets::low_rank_dense;
-use tpcp_linalg::{Mat, TiledKernel};
+use tpcp_linalg::{kernel, Mat};
 use tpcp_par::ParConfig;
 use tpcp_tensor::random_factor;
 
@@ -120,7 +120,7 @@ fn main() {
     }
 
     let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let isa = TiledKernel::isa();
+    let isa = kernel::isa();
     println!(
         "# als_cell: {SIDE}^3 block, {ITERS} iterations, serial, {samples} samples, \
          cpus {cpus}, isa: {isa}"
