@@ -1,7 +1,7 @@
 //! The CP model: weighted rank-one components.
 
 use crate::{mttkrp_dense, CpError, Result};
-use tpcp_linalg::{hadamard_all, Mat};
+use tpcp_linalg::{hadamard_all, kernel, Mat};
 use tpcp_par::ParConfig;
 use tpcp_tensor::{advance_index, DenseTensor, SparseTensor};
 
@@ -182,11 +182,17 @@ impl CpModel {
 
     /// Materialises the reconstruction densely (tests, dataset generators).
     ///
-    /// Walks last-mode fibres: the weighted product of the outer modes'
-    /// rows, `λ ⊛ A⁽¹⁾[i₁] ⊛ … ⊛ A⁽ᴺ⁻¹⁾[i_{N−1}]`, is formed once per fibre
-    /// and each cell is its dot product with a last-mode row. Every cell's
-    /// multiplies and its ascending-`f` sum run in mode order, so the
-    /// values do not depend on how the walk is organised.
+    /// Walks output panels: for each setting of the modes before the
+    /// penultimate one (one mode-0 slab at order 3, the whole tensor at
+    /// order 2), the hoisted rows
+    /// `H[j] = ((λ ⊛ A⁽⁰⁾[i₀]) ⊛ …) ⊛ A⁽ᴺ⁻²⁾[j]` are formed once, and the
+    /// panel `X[i₀, …, :, :] = H · A⁽ᴺ⁻¹⁾ᵀ` is written by one serial
+    /// [`kernel::matmul_t`]; an order-1 model's `H` is the single row `λ`.
+    ///
+    /// The values are bitwise the per-cell definition: each cell's
+    /// multiplies run in mode order, and the tile sums its `F` products
+    /// in ascending `f` from `+0.0`. A cell whose products are all `-0.0`
+    /// (or a rank-0 model's cell) is therefore `+0.0`.
     pub fn reconstruct_dense(&self) -> DenseTensor {
         let dims = self.dims();
         let mut out = DenseTensor::zeros(&dims);
@@ -194,27 +200,39 @@ impl CpModel {
             return out;
         }
         let Some((last, outer)) = self.factors.split_last() else {
-            out.as_mut_slice()[0] = self.weights.iter().sum();
+            out.as_mut_slice()[0] = self.weights.iter().fold(0.0, |acc, &w| acc + w);
             return out;
         };
+        let (penultimate, slab_modes) = match outer.split_last() {
+            Some((pen, rest)) => (Some(pen), rest),
+            None => (None, outer),
+        };
+        let f = self.rank();
+        let rows = penultimate.map_or(1, Mat::rows);
         let run = last.rows();
-        let mut coords = vec![0usize; outer.len()];
-        let mut hoisted = vec![0.0f64; self.rank()];
-        for fibre in out.as_mut_slice().chunks_mut(run) {
-            hoisted.copy_from_slice(&self.weights);
-            for (factor, &c) in outer.iter().zip(&coords) {
-                for (h, &a) in hoisted.iter_mut().zip(factor.row(c)) {
-                    *h *= a;
+        let mut coords = vec![0usize; slab_modes.len()];
+        let mut prefix = vec![0.0f64; f];
+        let mut hoisted = vec![0.0f64; rows * f];
+        for panel in out.as_mut_slice().chunks_mut(rows * run) {
+            prefix.copy_from_slice(&self.weights);
+            for (factor, &c) in slab_modes.iter().zip(&coords) {
+                for (p, &a) in prefix.iter_mut().zip(factor.row(c)) {
+                    *p *= a;
                 }
             }
-            for (i, slot) in fibre.iter_mut().enumerate() {
-                *slot = hoisted
-                    .iter()
-                    .zip(last.row(i))
-                    .map(|(&h, &a)| h * a)
-                    .sum::<f64>();
+            match penultimate {
+                Some(pen) => {
+                    for j in 0..rows {
+                        let h_row = &mut hoisted[j * f..(j + 1) * f];
+                        for ((h, &p), &a) in h_row.iter_mut().zip(&prefix).zip(pen.row(j)) {
+                            *h = p * a;
+                        }
+                    }
+                }
+                None => hoisted.copy_from_slice(&prefix),
             }
-            advance_index(&dims[..outer.len()], &mut coords);
+            kernel::matmul_t(&hoisted, rows, f, last.as_slice(), run, panel);
+            advance_index(&dims[..slab_modes.len()], &mut coords);
         }
         out
     }
@@ -251,9 +269,13 @@ mod tests {
     use rand::SeedableRng;
 
     /// The per-element definition of the reconstruction (coordinates by
-    /// div/mod, `N·F` multiplies per cell) — the oracle the fibre walk of
+    /// div/mod, `N·F` multiplies per cell) — the oracle the panel walk of
     /// [`CpModel::reconstruct_dense`] must match bit for bit, and the walk
     /// [`CpModel::inner_dense`] used to be.
+    ///
+    /// The sum is a `fold` from `+0.0`, as the kernel's tile starts: the
+    /// iterator `sum::<f64>()` starts from `-0.0`, so a cell whose products
+    /// are all `-0.0` (or a rank-0 cell) would come out `-0.0`.
     fn reconstruct_reference(model: &CpModel) -> DenseTensor {
         let dims = model.dims();
         let mut out = DenseTensor::zeros(&dims);
@@ -271,7 +293,7 @@ mod tests {
                     *p *= a;
                 }
             }
-            *slot = prod.iter().sum::<f64>();
+            *slot = prod.iter().fold(0.0, |acc, &p| acc + p);
         }
         out
     }
@@ -279,24 +301,30 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Ragged orders 1–5, rank 1–7, some weights zeroed: the fibre
-        /// walk equals the per-element definition bitwise, and the
-        /// MTTKRP-based inner product equals the per-element one to
-        /// rounding.
+        /// Ragged orders 1–5, rank 0–7, signed factor entries, some
+        /// weights zeroed (so some products are `-0.0`): the panel walk
+        /// equals the per-element definition bitwise, and the MTTKRP-based
+        /// inner product equals the per-element one to rounding.
         #[test]
         fn reconstruction_and_inner_product_match_the_per_element_walk(
             dims in proptest::collection::vec(1usize..6, 1..6),
-            f in 1usize..8,
+            f in 0usize..8,
             zeroed in 0usize..8,
             seed in 0u64..1000,
         ) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let factors: Vec<Mat> = dims
                 .iter()
-                .map(|&d| tpcp_tensor::random_factor(d, f, &mut rng))
+                .map(|&d| {
+                    let mut m = tpcp_tensor::random_factor(d, f, &mut rng);
+                    m.as_mut_slice().iter_mut().for_each(|v| *v = 2.0 * *v - 1.0);
+                    m
+                })
                 .collect();
             let mut weights: Vec<f64> = (0..f).map(|s| 0.5 + s as f64).collect();
-            weights[zeroed % f] = 0.0;
+            if f > 0 {
+                weights[zeroed % f] = 0.0;
+            }
             let model = CpModel::new(weights, factors).unwrap();
             let fast = model.reconstruct_dense();
             let slow = reconstruct_reference(&model);
@@ -331,6 +359,37 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// The two cells where the tile's `+0.0` start and the iterator
+    /// `sum`'s `-0.0` start part: a cell whose products are all `-0.0` (a
+    /// zero weight times a negative entry) and every cell of a rank-0
+    /// model. Both reconstruct to `+0.0`, as the reference does.
+    #[test]
+    fn all_negative_zero_products_and_rank_zero_reconstruct_to_positive_zero() {
+        let bits =
+            |t: &DenseTensor| -> Vec<u64> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let negative_zero = CpModel::new(
+            vec![0.0],
+            vec![
+                Mat::from_rows(&[&[-1.0], &[2.0]]),
+                Mat::from_rows(&[&[3.0], &[-4.0], &[5.0]]),
+            ],
+        )
+        .unwrap();
+        let recon = negative_zero.reconstruct_dense();
+        // Cells (0, 0) and (1, 1) multiply one negative entry: 0·(−a)·b = −0.0.
+        let (a, b) = (&negative_zero.factors[0], &negative_zero.factors[1]);
+        assert!((negative_zero.weights[0] * a.get(0, 0) * b.get(0, 0)).is_sign_negative());
+        assert!(recon.as_slice().iter().all(|v| v.to_bits() == 0));
+        assert_eq!(bits(&recon), bits(&reconstruct_reference(&negative_zero)));
+        for dims in [&[3][..], &[2, 3], &[2, 3, 4], &[2, 1, 3, 2]] {
+            let rank_zero = CpModel::zeros(dims, 0);
+            let recon = rank_zero.reconstruct_dense();
+            assert_eq!(recon.dims(), dims);
+            assert!(recon.as_slice().iter().all(|v| v.to_bits() == 0));
+            assert_eq!(bits(&recon), bits(&reconstruct_reference(&rank_zero)));
+        }
     }
 
     #[test]

@@ -164,8 +164,8 @@ impl Mat {
     }
 
     /// Reshapes to `rows × cols` of zeros, reusing the allocation when it
-    /// is large enough — how the `*_into` products and other scratch
-    /// users recycle an output matrix across calls.
+    /// is large enough — how [`Mat::t_matmul_into`] (which accumulates)
+    /// and other scratch users recycle an output matrix across calls.
     pub fn reset(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
@@ -175,6 +175,20 @@ impl Mat {
             self.data = vec![0.0; rows * cols];
         } else {
             self.data.clear();
+            self.data.resize(rows * cols, 0.0);
+        }
+    }
+
+    /// Reshapes to `rows × cols` for a product that writes every element:
+    /// [`Mat::reset`] without its zero-fill. An allocation that is large
+    /// enough keeps whatever it held (only cells past the old length are
+    /// zeroed); a smaller one is replaced by a fresh zeroed allocation.
+    pub(crate) fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        if self.data.capacity() < rows * cols {
+            self.data = vec![0.0; rows * cols];
+        } else {
             self.data.resize(rows * cols, 0.0);
         }
     }

@@ -73,7 +73,9 @@ impl Mat {
         }
         let (m, k) = self.shape();
         let n = rhs.cols();
-        out.reset(m, n);
+        // `kernel::matmul` overwrites every element of its band (zeros
+        // when `k == 0`), so the old contents need no zero-fill.
+        out.reshape_for_overwrite(m, n);
         if n == 0 {
             return Ok(());
         }
@@ -134,6 +136,7 @@ impl Mat {
         }
         let (m, k) = self.shape();
         let n = rhs.cols();
+        // `kernel::t_matmul` adds into `out`: it needs the zeros.
         out.reset(k, n);
         if n == 0 {
             return Ok(());
@@ -181,6 +184,8 @@ impl Mat {
         }
         let (m, k) = self.shape();
         let n = rhs.rows();
+        // A fresh output: `Mat::zeros` is one zeroed allocation, the
+        // cheapest initialised buffer safe code can ask for.
         let mut out = Mat::zeros(m, n);
         if n == 0 || m == 0 {
             return Ok(out);
@@ -228,7 +233,9 @@ impl Mat {
     /// order), so the result equals the full product bitwise.
     pub fn gram_into(&self, par: &ParConfig, out: &mut Mat) {
         let (m, k) = self.shape();
-        out.reset(k, k);
+        // Every band writes its upper triangle (zeros when `m == 0`) and
+        // the mirror below fills the rest, so no zero-fill is needed.
+        out.reshape_for_overwrite(k, k);
         if k == 0 {
             return;
         }

@@ -330,6 +330,58 @@ fn matmul_overwrites_its_band() {
     }
 }
 
+/// `Mat::matmul_into` and `Mat::gram_into` reshape `out` without zeroing
+/// it, since their primitives write every element; `Mat::t_matmul_into`
+/// accumulates and keeps its zero-fill. A product into an `out` that
+/// already holds NaNs — at the product's own size, and in a larger
+/// allocation it shrinks into — equals a fresh product bitwise at budgets
+/// 1 and 4, and the `k == 0` (and Gram `m == 0`) shapes still come out as
+/// `+0.0`. `(45, 40, 37)` is large enough to fan out at budget 4.
+#[test]
+fn into_products_overwrite_a_recycled_out() {
+    let zeros = |m: &Mat| m.as_slice().iter().all(|v| v.to_bits() == 0);
+    for (m, k, n) in [
+        (13, 6, 17),
+        (4, 0, 8),
+        (5, 0, 3),
+        (0, 3, 3),
+        (3, 3, 0),
+        (45, 40, 37),
+    ] {
+        let seed = (m * 10_000 + k * 100 + n) as u64;
+        let a = det_mat(m, k, seed);
+        let b_kn = det_mat(k, n, seed + 1);
+        let b_mn = det_mat(m, n, seed + 2);
+        for threads in [1, 4] {
+            let par = ParConfig::with_threads(threads);
+            let shape = format!("{m}x{k}x{n} threads {threads}");
+            let fresh_mm = a.matmul_kernel(&b_kn, &par).unwrap();
+            let fresh_tm = a.t_matmul_kernel(&b_mn, &par).unwrap();
+            let fresh_gram = a.gram_kernel(&par, KernelKind::Tiled);
+            assert!(k > 0 || zeros(&fresh_mm), "matmul {shape}");
+            assert!(m > 0 || zeros(&fresh_gram), "gram {shape}");
+            for spare in [0, 7] {
+                let mut out = Mat::filled(m + spare, n + spare, f64::NAN);
+                a.matmul_into(&b_kn, &par, &mut out).unwrap();
+                assert_eq!(out.shape(), fresh_mm.shape(), "matmul {shape}");
+                assert_eq!(bits(&out), bits(&fresh_mm), "matmul {shape} spare {spare}");
+                let mut out = Mat::filled(k + spare, n + spare, f64::NAN);
+                a.t_matmul_into(&b_mn, &par, &mut out).unwrap();
+                assert_eq!(out.shape(), fresh_tm.shape(), "t_matmul {shape}");
+                assert_eq!(
+                    bits(&out),
+                    bits(&fresh_tm),
+                    "t_matmul {shape} spare {spare}"
+                );
+                let mut out = Mat::filled(k + spare, k + spare, f64::NAN);
+                a.gram_into(&par, &mut out);
+                assert_eq!(out.shape(), fresh_gram.shape(), "gram {shape}");
+                assert_eq!(bits(&out), bits(&fresh_gram), "gram {shape} spare {spare}");
+            }
+        }
+    }
+}
+
 /// Bands of `t_matmul`'s output rows (`c0`, `rows`): whole row tiles,
 /// row-ragged ones, and bands that start off a tile boundary.
 const T_MATMUL_BANDS: [(usize, usize); 6] = [(0, 4), (1, 5), (0, 8), (3, 13), (2, 3), (0, 1)];

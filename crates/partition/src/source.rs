@@ -510,12 +510,28 @@ impl FileTensorSource {
         }
         let mut f = std::io::BufWriter::new(File::create(path.as_ref())?);
         write_header(&mut f, tensor.dims())?;
-        for v in tensor.as_slice() {
-            f.write_all(&v.to_le_bytes())?;
-        }
+        write_cells(&mut f, tensor.as_slice(), &mut Vec::new())?;
         f.flush()?;
         Ok(())
     }
+}
+
+/// Cells per encoded chunk: 64 KiB of little-endian `f64`s.
+const CHUNK_CELLS: usize = 8192;
+
+/// Writes `cells` as little-endian `f64`s: each chunk of up to
+/// [`CHUNK_CELLS`] values is encoded into `buf` (grown once to 64 KiB and
+/// reused) and handed to one `write_all`.
+fn write_cells<W: Write>(w: &mut W, cells: &[f64], buf: &mut Vec<u8>) -> std::io::Result<()> {
+    buf.resize(8 * CHUNK_CELLS, 0);
+    for chunk in cells.chunks(CHUNK_CELLS) {
+        let bytes = &mut buf[..8 * chunk.len()];
+        for (dst, v) in bytes.chunks_exact_mut(8).zip(chunk) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        w.write_all(bytes)?;
+    }
+    Ok(())
 }
 
 /// Fills `buf` from `offset` — one `pread` on Unix, no separate `lseek`.
@@ -571,7 +587,7 @@ pub fn write_raw_from_source(
     file.set_len(data_offset + 8 * num_elements(&dims) as u64)?;
     let src_strides = strides(&dims);
     let last = dims.len() - 1;
-    let mut scratch: Vec<u8> = Vec::new();
+    let mut buf = Vec::new();
     for lin in 0..grid.num_blocks() {
         let ranges = grid.block_ranges(&grid.block_coords(lin));
         let block = match src.load_block(grid, lin)? {
@@ -588,12 +604,8 @@ pub fn write_raw_from_source(
             for (m, &oi) in outer_idx.iter().enumerate() {
                 cell_off += (ranges[m].start + oi) * src_strides[m];
             }
-            scratch.clear();
-            for &v in &data[o * run..(o + 1) * run] {
-                scratch.extend_from_slice(&v.to_le_bytes());
-            }
             file.seek(SeekFrom::Start(data_offset + 8 * cell_off as u64))?;
-            file.write_all(&scratch)?;
+            write_cells(&mut file, &data[o * run..(o + 1) * run], &mut buf)?;
         }
     }
     file.flush()?;
@@ -958,6 +970,61 @@ mod tests {
             .into_dense();
         assert_eq!(full, t);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Signed, fractional, zero-signed and non-finite cells: every bit
+    /// of the encoding is exercised.
+    fn varied_tensor(dims: &[usize]) -> DenseTensor {
+        let n = num_elements(dims);
+        let cell = |i: usize| match i % 7 {
+            0 => -0.0,
+            3 => f64::NAN,
+            5 => f64::NEG_INFINITY,
+            _ => (i as f64 - 4000.5) * 1.37e-3,
+        };
+        DenseTensor::from_vec(dims, (0..n).map(cell).collect())
+    }
+
+    /// The header and cells encoded one value at a time: what the chunk
+    /// encoder must reproduce byte for byte.
+    fn per_value_encoding(t: &DenseTensor) -> Vec<u8> {
+        let mut bytes = [&RAW_MAGIC[..], &1u32.to_le_bytes()].concat();
+        bytes.extend((t.dims().len() as u32).to_le_bytes());
+        t.dims()
+            .iter()
+            .for_each(|&d| bytes.extend((d as u64).to_le_bytes()));
+        t.as_slice()
+            .iter()
+            .for_each(|v| bytes.extend(v.to_le_bytes()));
+        bytes
+    }
+
+    #[test]
+    fn write_dense_is_the_per_value_encoding_across_chunk_edges() {
+        let path = tmpfile("chunk_edges");
+        for len in [0, 1, CHUNK_CELLS - 1, CHUNK_CELLS, CHUNK_CELLS + 1] {
+            let t = varied_tensor(&[len]);
+            FileTensorSource::write_dense(&path, &t).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert!(bytes == per_value_encoding(&t), "length {len}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn write_raw_from_source_writes_the_bytes_of_write_dense() {
+        // Ragged blocks whose last-mode runs (8 194 and 8 193 cells) each
+        // span a chunk edge.
+        let t = varied_tensor(&[5, 3, 2 * CHUNK_CELLS + 3]);
+        let g = Grid::new(t.dims(), &[2, 3, 2]);
+        let (dense_path, streamed_path) = (tmpfile("bytes_dense"), tmpfile("bytes_streamed"));
+        FileTensorSource::write_dense(&dense_path, &t).unwrap();
+        write_raw_from_source(&streamed_path, &mut DenseMemorySource::new(&t), &g).unwrap();
+        let dense = std::fs::read(&dense_path).unwrap();
+        assert!(dense == std::fs::read(&streamed_path).unwrap());
+        assert!(dense == per_value_encoding(&t));
+        let _ = std::fs::remove_file(&dense_path);
+        let _ = std::fs::remove_file(&streamed_path);
     }
 
     #[test]

@@ -2,15 +2,19 @@
 //! 16 iterations at tolerance 0, at ranks 6, 10, 16 and 32 — the work
 //! phase 1 does per block, on the one thread it gives each block — and
 //! beneath it the layer cell: one serial `mttkrp_dense` per mode on the
-//! same block, against random factors at the same ranks.
+//! same block, against random factors at the same ranks. The generator
+//! cell times `CpModel::reconstruct_dense` of one 128³ block at rank 10
+//! (the ladder's blocks) and 16 (`dense3`'s input), the serial generator
+//! behind `low_rank_dense` and `ModelBlockSource`.
 //!
 //! Every sample times each cell once, so the cells are interleaved sample
 //! by sample; each line is the median [q1, q3] over the samples. The
 //! header names the instance of the tiled bodies this CPU dispatches to.
 //! Each ALS line ends with the final fit and an FNV-1a hash of the
 //! model's weights and factors, each MTTKRP line with the hash of its
-//! `M` (every sample must reproduce them), so two builds can be checked
-//! bitwise against each other by their output.
+//! `M`, each generator line with the hash of its block (every sample must
+//! reproduce them), so two builds can be checked bitwise against each
+//! other by their output.
 //!
 //! ```sh
 //! cargo run --release --example als_cell              # 31 samples
@@ -20,7 +24,7 @@
 use std::time::Instant;
 
 use rand::SeedableRng;
-use tpcp_cp::{cp_als_dense, mttkrp_dense, AlsOptions, AlsReport};
+use tpcp_cp::{cp_als_dense, mttkrp_dense, AlsOptions, AlsReport, CpModel};
 use tpcp_datasets::low_rank_dense;
 use tpcp_linalg::{kernel, Mat};
 use tpcp_par::ParConfig;
@@ -28,6 +32,7 @@ use tpcp_tensor::random_factor;
 
 const SIDE: usize = 128;
 const RANKS: [usize; 4] = [6, 10, 16, 32];
+const GENERATOR_RANKS: [usize; 2] = [10, 16];
 const ITERS: usize = 16;
 const SEED: u64 = 11;
 
@@ -119,6 +124,32 @@ fn main() {
         }
     }
 
+    // The generator cell: per rank, a unit-weight model of three random
+    // factors; per sample, the time of one reconstruction and its hash.
+    let models: Vec<CpModel> = GENERATOR_RANKS
+        .iter()
+        .map(|&rank| {
+            let factors = (0..3)
+                .map(|_| random_factor(SIDE, rank, &mut rng))
+                .collect();
+            CpModel::new(vec![1.0; rank], factors).expect("consistent rank")
+        })
+        .collect();
+    let mut generator: Vec<(Vec<f64>, Option<u64>)> = GENERATOR_RANKS
+        .map(|_| (Vec::with_capacity(samples), None))
+        .into();
+    for _ in 0..samples {
+        for ((model, (times, hash)), &rank) in
+            models.iter().zip(&mut generator).zip(&GENERATOR_RANKS)
+        {
+            let start = Instant::now();
+            let block = model.reconstruct_dense();
+            times.push(start.elapsed().as_secs_f64() * 1e3);
+            let what = format!("reconstruct rank {rank}");
+            pin_hash(hash, fnv1a(block.as_slice().iter()), &what);
+        }
+    }
+
     let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
     let isa = kernel::isa();
     println!(
@@ -144,5 +175,13 @@ fn main() {
         let ms = format!("{med:.2} [{q1:.2}, {q3:.2}]");
         let hash = hash.expect("at least one sample");
         println!("{rank:>4} {mode:>4}  {ms:<26} {hash}");
+    }
+    println!("# reconstruct_dense, serial, ms per {SIDE}^3 block, median [q1, q3]");
+    println!("{:>4}  {:<26} block_hash", "rank", "ms");
+    for (&rank, (times, hash)) in GENERATOR_RANKS.iter().zip(&mut generator) {
+        let [med, q1, q3] = quartiles(times);
+        let ms = format!("{med:.2} [{q1:.2}, {q3:.2}]");
+        let hash = hash.expect("at least one sample");
+        println!("{rank:>4}  {ms:<26} {hash}");
     }
 }
