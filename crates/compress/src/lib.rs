@@ -38,11 +38,11 @@ pub use tpcp_cp::{validate_compress_options, CompressOptions, CompressOptionsBui
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use stream::Stream;
 use tpcp_cp::{cp_als_dense, AlsOptions, AlsReport, CpError, CpModel};
 use tpcp_linalg::solve::sym_eig;
 use tpcp_linalg::Mat;
-use tpcp_partition::{BlockSource, DenseMemorySource, Grid, SourceError};
-use tpcp_tensor::DenseTensor;
+use tpcp_partition::{BlockSource, Grid, SourceError};
 
 /// Errors surfaced by the compression pipeline.
 #[derive(Debug)]
@@ -117,6 +117,10 @@ pub struct CompressOutcome {
     pub norm_x_sq: f64,
     /// Number of full streaming sweeps over the block source.
     pub passes: usize,
+    /// The most tensor bytes the passes held at once: a slab panel plus
+    /// one block and its unfolding on a Gram or power pass, a block and
+    /// its unfolding on the others.
+    pub peak_tensor_bytes: u64,
 }
 
 /// Gaussian-ish test matrix (`rows × cols`): Irwin-Hall entries (sum of four
@@ -144,12 +148,8 @@ struct Bases {
 /// Exact path: one Gram pass per mode, Jacobi eigendecomposition, energy
 /// truncation. `trace(G_n) = ‖X‖²` for every mode, so the threshold is
 /// taken against the true total energy.
-fn exact_bases(
-    src: &mut dyn BlockSource,
-    grid: &Grid,
-    copts: &CompressOptions,
-    options: &AlsOptions,
-) -> Result<Bases> {
+fn exact_bases(s: &mut Stream, copts: &CompressOptions) -> Result<Bases> {
+    let grid = s.grid;
     let order = grid.order();
     let mut block_norms_sq = vec![0.0; grid.num_blocks()];
     let mut us = Vec::with_capacity(order);
@@ -158,13 +158,13 @@ fn exact_bases(
     for n in 0..order {
         let g = if n == 0 {
             let norms = &mut block_norms_sq;
-            let g = stream::mode_gram(src, grid, n, &options.par, |lin, t| {
+            let g = stream::mode_gram(s, n, |lin, t| {
                 norms[lin] = t.fro_norm_sq();
             })?;
             norm_x_sq = block_norms_sq.iter().sum();
             g
         } else {
-            stream::mode_gram(src, grid, n, &options.par, |_, _| {})?
+            stream::mode_gram(s, n, |_, _| {})?
         };
         let (eigenvalues, vectors) = sym_eig(&g).map_err(CpError::from)?;
         let cap = copts
@@ -189,12 +189,8 @@ fn exact_bases(
 /// orthonormalisation, `power_iters` subspace iterations per mode, then a
 /// projected Gram whose spectrum drives the truncation. Requires explicit
 /// per-mode caps (`validate_compress_options` enforces this).
-fn sketched_bases(
-    src: &mut dyn BlockSource,
-    grid: &Grid,
-    copts: &CompressOptions,
-    options: &AlsOptions,
-) -> Result<Bases> {
+fn sketched_bases(s: &mut Stream, copts: &CompressOptions, seed: u64) -> Result<Bases> {
+    let grid = s.grid;
     let order = grid.order();
     let caps = copts
         .mlrank
@@ -207,9 +203,7 @@ fn sketched_bases(
     // seeded off the ALS seed so the whole pipeline stays reproducible.
     let omegas: Vec<Vec<Option<Mat>>> = (0..order)
         .map(|n| {
-            let seed = options
-                .seed
-                .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(n as u64 + 1));
+            let seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(n as u64 + 1));
             let mut rng = StdRng::seed_from_u64(seed);
             (0..order)
                 .map(|m| {
@@ -223,14 +217,7 @@ fn sketched_bases(
         })
         .collect();
     let mut block_norms_sq = vec![0.0; grid.num_blocks()];
-    let mut ys = stream::sketch_pass(
-        src,
-        grid,
-        &omegas,
-        &widths,
-        &options.par,
-        &mut block_norms_sq,
-    )?;
+    let mut ys = stream::sketch_pass(s, &omegas, &widths, &mut block_norms_sq)?;
     let norm_x_sq: f64 = block_norms_sq.iter().sum();
     let mut passes = 1;
     let mut us = Vec::with_capacity(order);
@@ -238,20 +225,20 @@ fn sketched_bases(
     for n in 0..order {
         let mut q = ys[n].orthonormalize().map_err(CpError::from)?;
         for _ in 0..copts.power_iters {
-            let z = stream::power_pass(src, grid, n, &q, &options.par)?;
+            let z = stream::power_pass(s, n, &q)?;
             q = z.orthonormalize().map_err(CpError::from)?;
             passes += 1;
         }
-        let s = stream::projected_gram(src, grid, n, &q, &options.par)?;
+        let projected = stream::projected_gram(s, n, &q)?;
         passes += 1;
-        let (eigenvalues, vectors) = sym_eig(&s).map_err(CpError::from)?;
+        let (eigenvalues, vectors) = sym_eig(&projected).map_err(CpError::from)?;
         // Threshold against the *true* ‖X‖² (≥ Σ captured eigenvalues), so
         // the sketched rank choice is conservative.
         let r = choose_rank(&eigenvalues, copts.energy, caps[n], norm_x_sq);
         let retained: f64 = eigenvalues[..r].iter().map(|l| l.max(0.0)).sum();
         discarded_total += (norm_x_sq - retained).max(0.0);
         let u = q
-            .matmul_kernel(&take_columns(&vectors, r), &options.par)
+            .matmul_kernel(&take_columns(&vectors, r), &s.par)
             .map_err(CpError::from)?;
         us.push(u);
         ys[n] = Mat::zeros(0, 0); // drop the sketch eagerly
@@ -268,17 +255,20 @@ fn sketched_bases(
 /// Runs the full compress → CP → expand → polish pipeline over a block
 /// source.
 ///
-/// `options.compress` supplies the [`CompressOptions`] (defaults apply when
-/// `None`); the remaining [`AlsOptions`] fields (rank, tolerances, seed,
-/// thread budget) govern the core factorisation and the
-/// polish sweeps exactly as they would the uncompressed path.
+/// `copts` shapes the compression; the [`AlsOptions`] (rank, tolerances,
+/// seed, thread budget) govern the core factorisation and the polish
+/// sweeps exactly as they would the uncompressed path.
+///
+/// # Errors
+/// Invalid compress options, an order below 2, source failures
+/// (non-finite cells included) and numerical failures.
 pub fn compress_decompose(
     src: &mut dyn BlockSource,
     grid: &Grid,
     options: &AlsOptions,
+    copts: &CompressOptions,
 ) -> Result<CompressOutcome> {
-    let copts = options.compress.clone().unwrap_or_default();
-    validate_compress_options(&copts)?;
+    validate_compress_options(copts)?;
     let order = grid.order();
     if order < 2 {
         return Err(CompressError::Unsupported {
@@ -304,10 +294,16 @@ pub fn compress_decompose(
         }
     }
 
+    let mut s = Stream {
+        src,
+        grid,
+        par: options.par,
+        peak_bytes: 0,
+    };
     let bases = if copts.oversample == 0 {
-        exact_bases(src, grid, &copts, options)?
+        exact_bases(&mut s, copts)?
     } else {
-        sketched_bases(src, grid, &copts, options)?
+        sketched_bases(&mut s, copts, options.seed)?
     };
     let Bases {
         us,
@@ -317,12 +313,11 @@ pub fn compress_decompose(
         mut passes,
     } = bases;
 
-    let core = stream::contract_core(src, grid, &us, &options.par)?;
+    let core = stream::contract_core(&mut s, &us)?;
     passes += 1;
 
     let mut core_opts = options.clone();
     core_opts.init = None;
-    core_opts.compress = None;
     // The core's modes are at most `rank` wide on low-mlrank data, so cap
     // nothing else; the caller's rank/tol/seed apply unchanged.
     let core_report = cp_als_dense(&core, &core_opts)?;
@@ -343,7 +338,7 @@ pub fn compress_decompose(
         factors[0].scale_columns(&weights);
         for _ in 0..copts.refine_iters {
             for mode in 0..order {
-                stream::refine_mode(src, grid, &mut factors, mode, options.ridge, &options.par)?;
+                stream::refine_mode(&mut s, &mut factors, mode, options.ridge)?;
                 passes += 1;
             }
         }
@@ -369,23 +364,15 @@ pub fn compress_decompose(
         block_norms_sq,
         norm_x_sq,
         passes,
+        peak_tensor_bytes: s.peak_bytes,
     })
-}
-
-/// In-memory convenience wrapper: compresses and factorises a dense tensor
-/// through a single-block [`Grid`] (the streaming machinery degenerates to
-/// whole-tensor panels).
-pub fn compress_cp_als_dense(x: &DenseTensor, options: &AlsOptions) -> Result<CompressOutcome> {
-    let grid = Grid::uniform(x.dims(), 1);
-    let mut src = DenseMemorySource::new(x);
-    compress_decompose(&mut src, &grid, options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use tpcp_tensor::random_factor;
+    use tpcp_partition::DenseMemorySource;
+    use tpcp_tensor::{random_factor, DenseTensor};
 
     fn low_mlrank_tensor(dims: &[usize], ranks: &[usize], seed: u64) -> DenseTensor {
         // CP-structured synthetic (rank F = min(ranks)): multilinear rank is
@@ -411,12 +398,20 @@ mod tests {
             .unwrap()
     }
 
+    /// The pipeline over a one-block grid of `x`.
+    fn single_block(
+        x: &DenseTensor,
+        opts: &AlsOptions,
+        copts: &CompressOptions,
+    ) -> Result<CompressOutcome> {
+        let grid = Grid::uniform(x.dims(), 1);
+        compress_decompose(&mut DenseMemorySource::new(x), &grid, opts, copts)
+    }
+
     #[test]
     fn exact_path_recovers_low_mlrank_tensor() {
         let x = low_mlrank_tensor(&[12, 10, 8], &[3, 3, 3], 11);
-        let mut opts = options(3);
-        opts.compress = Some(CompressOptions::default());
-        let out = compress_cp_als_dense(&x, &opts).unwrap();
+        let out = single_block(&x, &options(3), &CompressOptions::default()).unwrap();
         let fit = out.model.fit_dense(&x).unwrap();
         assert!(fit > 0.99, "fit {fit}");
         assert_eq!(out.provenance.core_shape, vec![3, 3, 3]);
@@ -427,16 +422,13 @@ mod tests {
     #[test]
     fn sketched_path_recovers_with_caps() {
         let x = low_mlrank_tensor(&[12, 10, 8], &[3, 3, 3], 13);
-        let mut opts = options(3);
-        opts.compress = Some(
-            CompressOptions::builder()
-                .mlrank(vec![3, 3, 3])
-                .oversample(4)
-                .power_iters(2)
-                .build()
-                .unwrap(),
-        );
-        let out = compress_cp_als_dense(&x, &opts).unwrap();
+        let copts = CompressOptions::builder()
+            .mlrank(vec![3, 3, 3])
+            .oversample(4)
+            .power_iters(2)
+            .build()
+            .unwrap();
+        let out = single_block(&x, &options(3), &copts).unwrap();
         let fit = out.model.fit_dense(&x).unwrap();
         assert!(fit > 0.99, "fit {fit}");
         assert_eq!(out.provenance.mlrank, vec![3, 3, 3]);
@@ -445,12 +437,11 @@ mod tests {
     #[test]
     fn blocked_grid_matches_single_block() {
         let x = low_mlrank_tensor(&[12, 10, 8], &[2, 2, 2], 17);
-        let mut opts = options(2);
-        opts.compress = Some(CompressOptions::default());
-        let single = compress_cp_als_dense(&x, &opts).unwrap();
+        let (opts, copts) = (options(2), CompressOptions::default());
+        let single = single_block(&x, &opts, &copts).unwrap();
         let grid = Grid::uniform(x.dims(), 2);
         let mut src = DenseMemorySource::new(&x);
-        let blocked = compress_decompose(&mut src, &grid, &opts).unwrap();
+        let blocked = compress_decompose(&mut src, &grid, &opts, &copts).unwrap();
         // Same Grams (different summation grouping ⇒ tolerance, not bits):
         // the models must describe the same tensor.
         let fs = single.model.fit_dense(&x).unwrap();
@@ -464,10 +455,9 @@ mod tests {
     #[test]
     fn pipeline_is_bitwise_repeatable() {
         let x = low_mlrank_tensor(&[9, 8, 7], &[3, 2, 2], 23);
-        let mut opts = options(3);
-        opts.compress = Some(CompressOptions::default());
-        let a = compress_cp_als_dense(&x, &opts).unwrap();
-        let b = compress_cp_als_dense(&x, &opts).unwrap();
+        let (opts, copts) = (options(3), CompressOptions::default());
+        let a = single_block(&x, &opts, &copts).unwrap();
+        let b = single_block(&x, &opts, &copts).unwrap();
         for (fa, fb) in a.model.factors.iter().zip(&b.model.factors) {
             for r in 0..fa.rows() {
                 for (va, vb) in fa.row(r).iter().zip(fb.row(r)) {
@@ -482,39 +472,58 @@ mod tests {
     #[test]
     fn mlrank_length_mismatch_is_an_error() {
         let x = low_mlrank_tensor(&[6, 6, 6], &[2, 2, 2], 5);
-        let mut opts = options(2);
-        opts.compress = Some(
-            CompressOptions::builder()
-                .mlrank(vec![2, 2])
-                .build()
-                .unwrap(),
-        );
-        let err = compress_cp_als_dense(&x, &opts).unwrap_err();
+        let copts = CompressOptions::builder()
+            .mlrank(vec![2, 2])
+            .build()
+            .unwrap();
+        let err = single_block(&x, &options(2), &copts).unwrap_err();
         assert!(matches!(err, CompressError::Cp(CpError::BadOptions { .. })));
     }
 
     #[test]
     fn mlrank_cap_above_dim_is_an_error() {
         let x = low_mlrank_tensor(&[6, 6, 6], &[2, 2, 2], 5);
-        let mut opts = options(2);
-        opts.compress = Some(
-            CompressOptions::builder()
-                .mlrank(vec![2, 2, 9])
-                .build()
-                .unwrap(),
-        );
-        let err = compress_cp_als_dense(&x, &opts).unwrap_err();
+        let copts = CompressOptions::builder()
+            .mlrank(vec![2, 2, 9])
+            .build()
+            .unwrap();
+        let err = single_block(&x, &options(2), &copts).unwrap_err();
         assert!(matches!(err, CompressError::Cp(CpError::BadOptions { .. })));
     }
 
     #[test]
     fn refine_zero_skips_polish_passes() {
         let x = low_mlrank_tensor(&[8, 8, 8], &[2, 2, 2], 31);
-        let mut opts = options(2);
-        opts.compress = Some(CompressOptions::builder().refine_iters(0).build().unwrap());
-        let out = compress_cp_als_dense(&x, &opts).unwrap();
+        let copts = CompressOptions::builder().refine_iters(0).build().unwrap();
+        let out = single_block(&x, &options(2), &copts).unwrap();
         // order passes (grams) + 1 (core contraction), no polish.
         assert_eq!(out.passes, 4);
         assert!(out.model.fit_dense(&x).unwrap() > 0.98);
+    }
+
+    /// The peak is what the Gram passes hold: over every mode `n` and
+    /// block, the mode-`n` slab panel, the block and its unfolding, on a
+    /// grid whose blocks differ in size. It exceeds the largest block.
+    #[test]
+    fn peak_tensor_bytes_is_the_largest_panel_plus_a_block_and_its_unfolding() {
+        let dims = [9usize, 7, 5];
+        let x = low_mlrank_tensor(&dims, &[2, 2, 2], 41);
+        let grid = Grid::new(&dims, &[2, 3, 2]);
+        let mut src = DenseMemorySource::new(&x);
+        let out =
+            compress_decompose(&mut src, &grid, &options(2), &CompressOptions::default()).unwrap();
+        let mut expected = 0usize;
+        let mut largest_block = 0usize;
+        for lin in 0..grid.num_blocks() {
+            let bdims = grid.block_dims(&grid.block_coords(lin));
+            let block: usize = bdims.iter().product();
+            largest_block = largest_block.max(block);
+            for (n, &d) in bdims.iter().enumerate() {
+                let panel = dims[n] * (block / d);
+                expected = expected.max(panel + 2 * block);
+            }
+        }
+        assert_eq!(out.peak_tensor_bytes, (expected * 8) as u64);
+        assert!(out.peak_tensor_bytes > (largest_block * 8) as u64);
     }
 }

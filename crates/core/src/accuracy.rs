@@ -2,32 +2,20 @@
 //!
 //! `accuracy(X, X̃) = 1 − ‖X̃ − X‖ / ‖X‖`. The surrogate fit used for
 //! Phase-2 stopping (computed by [`refine`](crate::refine) from its `P`/`Q`
-//! caches) measures agreement with the Phase-1 reconstruction; the
-//! functions here measure agreement with the *original* tensor, which is
-//! what the paper's accuracy figures (Figure 13) report.
+//! caches) measures agreement with the Phase-1 reconstruction; the fit
+//! here measures agreement with the *original* tensor, which is what the
+//! paper's accuracy figures (Figure 13) report. It re-streams the input
+//! blockwise through the same block loop as Phase 1 and sums per-block
+//! terms in ascending block order, so every way into the engine, a
+//! resident tensor included, gets the same value.
 
-use crate::{Result, TwoPcpError};
+use crate::stream::stream_blocks;
+use crate::Result;
 use tpcp_cp::CpModel;
 use tpcp_linalg::Mat;
 use tpcp_par::ParConfig;
-use tpcp_partition::{Block, BlockSource, Grid, SourceResult};
+use tpcp_partition::{Block, BlockSource, Grid};
 use tpcp_tensor::{DenseTensor, SparseTensor};
-
-/// Exact fit of `model` against a dense tensor.
-///
-/// # Errors
-/// Shape mismatches between model and tensor.
-pub fn exact_fit_dense(model: &CpModel, x: &DenseTensor) -> Result<f64> {
-    model.fit_dense(x).map_err(TwoPcpError::from)
-}
-
-/// Exact fit of `model` against a sparse tensor.
-///
-/// # Errors
-/// Shape mismatches between model and tensor.
-pub fn exact_fit_sparse(model: &CpModel, x: &SparseTensor) -> Result<f64> {
-    model.fit_sparse(x).map_err(TwoPcpError::from)
-}
 
 /// The sub-model of `model` restricted to one grid block: each factor is
 /// sliced to the block's row range (paper eq. 2 —
@@ -85,8 +73,7 @@ fn sparse_terms(
     Ok((b_sq, inner, sub.norm_sq()))
 }
 
-/// Accumulator for the blockwise exact fit — the *one* sum both the eager
-/// and the streaming entry points share. Terms are pushed in ascending
+/// Accumulator for the blockwise exact fit. Terms are pushed in ascending
 /// block order, which is what makes the value independent of how many
 /// workers produced them.
 #[derive(Default)]
@@ -113,29 +100,9 @@ impl FitAcc {
     }
 }
 
-/// Exact fit computed blockwise against dense blocks.
-///
-/// `blocks` must be in linear block-id order, as produced by
-/// [`tpcp_partition::split_dense`]. For tensors that are never
-/// materialised, use [`blockwise_fit_source`] instead.
-///
-/// # Errors
-/// Shape mismatches between the model slices and the blocks.
-pub fn blockwise_fit_dense(model: &CpModel, grid: &Grid, blocks: &[DenseTensor]) -> Result<f64> {
-    let par = ParConfig::auto();
-    let mut acc = FitAcc::default();
-    for (lin, block) in blocks.iter().enumerate() {
-        acc.push(dense_terms(model, grid, lin, block, None, &par)?);
-    }
-    Ok(acc.fit())
-}
-
 /// Exact fit computed by re-streaming the ingest source blockwise on the
 /// automatic thread budget — one batch of blocks is resident at a time, so
 /// the accuracy pass obeys the same memory bound as streaming Phase 1.
-/// Note the blockwise error sum can differ from the monolithic
-/// [`exact_fit_dense`] in the last few floating-point digits (different
-/// summation order).
 ///
 /// # Errors
 /// Source failures and shape mismatches between model slices and blocks.
@@ -147,14 +114,14 @@ pub fn blockwise_fit_source(
     blockwise_fit_stream(model, grid, src, None, &ParConfig::auto())
 }
 
-/// [`blockwise_fit_source`] with the driver's plumbing: blocks are pulled
-/// one batch (= `par` threads) at a time and their terms computed by
-/// in-process workers exactly as Phase 1 decomposes them — same residency
-/// bound ([`crate::Phase1Result::peak_block_bytes`]), kernels serial
-/// inside a worker — and `‖X_k‖²` is taken from `block_norms_sq` (Phase 1
-/// measured it) instead of walking the block again. Terms are summed in
-/// ascending block order, so the value is bitwise the same for any thread
-/// budget and with or without the norms supplied.
+/// [`blockwise_fit_source`] with the driver's plumbing: the block terms
+/// are computed on `par`'s workers exactly as Phase 1 decomposes the
+/// blocks — same residency bound
+/// ([`crate::Phase1Result::peak_block_bytes`]), kernels serial inside a
+/// worker — and `‖X_k‖²` is taken from `block_norms_sq` (Phase 1 measured
+/// it) instead of walking the block again. Terms are summed in ascending
+/// block order, so the value is bitwise the same for any thread budget
+/// and with or without the norms supplied.
 ///
 /// # Errors
 /// Source failures and shape mismatches between model slices and blocks.
@@ -165,30 +132,22 @@ pub(crate) fn blockwise_fit_stream(
     block_norms_sq: Option<&[f64]>,
     par: &ParConfig,
 ) -> Result<f64> {
-    let nblocks = grid.num_blocks();
-    debug_assert!(block_norms_sq.is_none_or(|n| n.len() == nblocks));
-    let batch_len = par.threads().max(1);
+    debug_assert!(block_norms_sq.is_none_or(|n| n.len() == grid.num_blocks()));
     let serial = ParConfig::serial();
     let mut acc = FitAcc::default();
-    let mut start = 0usize;
-    while start < nblocks {
-        let end = (start + batch_len).min(nblocks);
-        let blocks: Vec<Block> = (start..end)
-            .map(|lin| src.load_block(grid, lin))
-            .collect::<SourceResult<_>>()?;
-        let terms = tpcp_par::par_map(par, &blocks, |i, block| {
-            let lin = start + i;
+    stream_blocks(
+        src,
+        grid,
+        par,
+        |lin, block| {
             let norm_sq = block_norms_sq.map(|n| n[lin]);
             match block {
                 Block::Dense(b) => dense_terms(model, grid, lin, b, norm_sq, &serial),
                 Block::Sparse(b) => sparse_terms(model, grid, lin, b, norm_sq),
             }
-        })
-        .map_err(TwoPcpError::from)?;
-        drop(blocks);
-        terms.into_iter().for_each(|t| acc.push(t));
-        start = end;
-    }
+        },
+        |terms| acc.push(terms),
+    )?;
     Ok(acc.fit())
 }
 
@@ -196,7 +155,7 @@ pub(crate) fn blockwise_fit_stream(
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use tpcp_partition::split_dense;
+    use tpcp_partition::{split_dense, DenseMemorySource, SourceResult, SparseMemorySource};
     use tpcp_tensor::random_factor;
 
     fn model_and_tensor(dims: &[usize], f: usize, seed: u64) -> (CpModel, DenseTensor) {
@@ -226,9 +185,9 @@ mod tests {
     fn blockwise_fit_matches_global_fit() {
         let (model, x) = model_and_tensor(&[8, 6, 4], 3, 2);
         let grid = Grid::new(x.dims(), &[2, 3, 2]);
-        let blocks = split_dense(&x, &grid);
-        let global = exact_fit_dense(&model, &x).unwrap();
-        let blockwise = blockwise_fit_dense(&model, &grid, &blocks).unwrap();
+        let global = model.fit_dense(&x).unwrap();
+        let blockwise =
+            blockwise_fit_source(&model, &grid, &mut DenseMemorySource::new(&x)).unwrap();
         assert!((global - blockwise).abs() < 1e-6, "{global} vs {blockwise}");
     }
 
@@ -251,27 +210,23 @@ mod tests {
     fn imperfect_model_fits_below_one() {
         let (model, x) = model_and_noisy_tensor(&[6, 6, 6], 2, 9);
         let grid = Grid::uniform(x.dims(), 2);
-        let blocks = split_dense(&x, &grid);
-        let fit = blockwise_fit_dense(&model, &grid, &blocks).unwrap();
+        let fit = blockwise_fit_source(&model, &grid, &mut DenseMemorySource::new(&x)).unwrap();
         assert!(fit < 0.999);
         assert!(fit > 0.0);
     }
 
     #[test]
-    fn streaming_fit_matches_eager_blockwise_fit() {
+    fn sparse_source_fit_agrees_with_the_dense_one_and_the_whole_tensor_fit() {
         let (model, x) = model_and_noisy_tensor(&[8, 6, 4], 3, 4);
         let grid = Grid::new(x.dims(), &[2, 3, 2]);
-        let blocks = split_dense(&x, &grid);
-        let eager = blockwise_fit_dense(&model, &grid, &blocks).unwrap();
-        let mut dsrc = tpcp_partition::DenseMemorySource::new(&x);
-        let streamed = blockwise_fit_source(&model, &grid, &mut dsrc).unwrap();
-        // Same blocks, same accumulation order — bitwise equal.
-        assert_eq!(eager, streamed);
-        // The sparse view of the same tensor agrees to rounding.
+        let dense = blockwise_fit_source(&model, &grid, &mut DenseMemorySource::new(&x)).unwrap();
         let sp = SparseTensor::from_dense(&x, 0.0);
-        let mut ssrc = tpcp_partition::SparseMemorySource::new(&sp);
-        let sparse_streamed = blockwise_fit_source(&model, &grid, &mut ssrc).unwrap();
-        assert!((streamed - sparse_streamed).abs() < 1e-9);
+        let sparse =
+            blockwise_fit_source(&model, &grid, &mut SparseMemorySource::new(&sp)).unwrap();
+        // Two summation orders: equal to rounding.
+        assert!((dense - sparse).abs() < 1e-9, "{dense} vs {sparse}");
+        let whole = model.fit_dense(&x).unwrap();
+        assert!((dense - whole).abs() < 1e-9, "{dense} vs {whole}");
     }
 
     /// Yields every other block of a dense tensor in COO form, so one
@@ -333,7 +288,7 @@ mod tests {
             for threads in [1usize, 2, 4] {
                 for norms in [None, Some(&norms[..])] {
                     let par = ParConfig::with_threads(threads);
-                    let mut src = MixedSource(tpcp_partition::DenseMemorySource::new(&x));
+                    let mut src = MixedSource(DenseMemorySource::new(&x));
                     let fit = blockwise_fit_stream(&model, &grid, &mut src, norms, &par).unwrap();
                     assert!(
                         (fit - oracle).abs() < 1e-9,
@@ -349,18 +304,9 @@ mod tests {
                 }
             }
             // The public wrapper is the same pass.
-            let mut src = MixedSource(tpcp_partition::DenseMemorySource::new(&x));
+            let mut src = MixedSource(DenseMemorySource::new(&x));
             let public = blockwise_fit_source(&model, &grid, &mut src).unwrap();
             assert_eq!(Some(public.to_bits()), baseline);
         }
-    }
-
-    #[test]
-    fn sparse_fit_agrees_with_dense() {
-        let (model, x) = model_and_noisy_tensor(&[5, 5, 5], 2, 3);
-        let sp = SparseTensor::from_dense(&x, 0.0);
-        let d = exact_fit_dense(&model, &x).unwrap();
-        let s = exact_fit_sparse(&model, &sp).unwrap();
-        assert!((d - s).abs() < 1e-9);
     }
 }

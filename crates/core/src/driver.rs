@@ -1,4 +1,13 @@
 //! The top-level two-phase driver.
+//!
+//! Every input comes in as a [`BlockSource`]: [`TwoPcp::decompose_dense`]
+//! and [`TwoPcp::decompose_sparse`] wrap a resident tensor in a memory
+//! source and take the [`TwoPcp::decompose_source`] path, so a tensor
+//! decomposes to the same bits, exact fit included, however it is handed
+//! in. A run is Phase 1 over the source, Phase 2 against the unit store,
+//! then the exact fit, which re-streams the source blockwise; or, with
+//! [`TwoPcpConfig::compress`] set, the compress-then-decompose pipeline in
+//! place of the two phases.
 
 use crate::accuracy::blockwise_fit_stream;
 use crate::config::TwoPcpConfig;
@@ -7,9 +16,9 @@ use crate::phase2::{refine, RefineStats};
 use crate::pq::QHadamardStats;
 use crate::Result;
 use std::time::{Duration, Instant};
-use tpcp_compress::{compress_decompose, CompressProvenance};
+use tpcp_compress::{compress_decompose, CompressOptions, CompressProvenance};
 use tpcp_cp::{AlsOptions, CpModel};
-use tpcp_partition::{BlockSource, DenseMemorySource, Grid, SparseMemorySource};
+use tpcp_partition::{BlockSource, DenseMemorySource, SparseMemorySource};
 use tpcp_storage::{DiskStore, IoStats, MemStore, PrefetchSource, UnitStore};
 use tpcp_tensor::{DenseTensor, SparseTensor};
 
@@ -38,23 +47,6 @@ pub struct TwoPcpOutcome {
     pub compress: Option<CompressProvenance>,
 }
 
-enum Input<'a> {
-    Dense(&'a DenseTensor),
-    Sparse(&'a SparseTensor),
-    Source(&'a mut dyn BlockSource),
-}
-
-/// How the exact accuracy against the input is computed after Phase 2.
-enum ExactFit<'a> {
-    /// Against the resident dense tensor.
-    Dense(&'a DenseTensor),
-    /// Against the resident sparse tensor.
-    Sparse(&'a SparseTensor),
-    /// By re-streaming the ingest source blockwise (one block resident at
-    /// a time — the streaming memory bound extends to the accuracy pass).
-    Stream,
-}
-
 impl TwoPcp {
     /// Creates a driver with the given configuration.
     pub fn new(config: TwoPcpConfig) -> Self {
@@ -66,99 +58,69 @@ impl TwoPcp {
         &self.config
     }
 
-    /// Decomposes a dense tensor.
+    /// Decomposes a dense tensor: [`TwoPcp::decompose_source`] over a
+    /// [`DenseMemorySource`], so the outcome, fit included, is bitwise
+    /// that of any other source of the same tensor.
     ///
     /// # Errors
     /// Configuration, numerical or storage failures.
     pub fn decompose_dense(&self, x: &DenseTensor) -> Result<TwoPcpOutcome> {
-        self.dispatch(Input::Dense(x))
+        self.decompose_source(&mut DenseMemorySource::new(x))
     }
 
-    /// Decomposes a sparse tensor.
+    /// Decomposes a sparse tensor: [`TwoPcp::decompose_source`] over a
+    /// [`SparseMemorySource`].
     ///
     /// # Errors
     /// Configuration, numerical or storage failures.
     pub fn decompose_sparse(&self, x: &SparseTensor) -> Result<TwoPcpOutcome> {
-        self.dispatch(Input::Sparse(x))
+        self.decompose_source(&mut SparseMemorySource::new(x))
     }
 
     /// Decomposes a tensor streamed from a [`BlockSource`] — the full
     /// tensor is never materialised. Phase 1 pulls one batch of blocks at
     /// a time ([`TwoPcpConfig::par`] threads wide), and the final exact
-    /// accuracy re-streams the source blockwise, so peak tensor residency
-    /// throughout the run is O(largest block × threads).
+    /// accuracy re-streams the source the same way, so peak tensor
+    /// residency throughout the run is O(largest block × threads).
     ///
     /// # Errors
     /// Source, configuration, numerical or storage failures.
     pub fn decompose_source(&self, src: &mut dyn BlockSource) -> Result<TwoPcpOutcome> {
-        self.dispatch(Input::Source(src))
-    }
-
-    fn dispatch(&self, input: Input<'_>) -> Result<TwoPcpOutcome> {
         match &self.config.work_dir {
             Some(dir) => {
                 let store = DiskStore::open(dir.join("units"))?;
-                self.run(input, store)
+                self.run(src, store)
             }
-            None => self.run(input, MemStore::new()),
+            None => self.run(src, MemStore::new()),
         }
     }
 
     fn run<S: UnitStore + PrefetchSource>(
         &self,
-        input: Input<'_>,
-        store: S,
-    ) -> Result<TwoPcpOutcome> {
-        // Every input becomes a streaming source; resident tensors keep
-        // their direct exact-fit path (cheaper, same value as always).
-        match input {
-            Input::Dense(x) => {
-                let mut src = DenseMemorySource::new(x);
-                self.run_streaming(&mut src, ExactFit::Dense(x), store)
-            }
-            Input::Sparse(x) => {
-                let mut src = SparseMemorySource::new(x);
-                self.run_streaming(&mut src, ExactFit::Sparse(x), store)
-            }
-            Input::Source(src) => self.run_streaming(src, ExactFit::Stream, store),
-        }
-    }
-
-    fn run_streaming<S: UnitStore + PrefetchSource>(
-        &self,
         src: &mut dyn BlockSource,
-        exact: ExactFit<'_>,
         mut store: S,
     ) -> Result<TwoPcpOutcome> {
         let cfg = &self.config;
-
-        // ---- Compress-then-decompose (opt-in) ------------------------------
-        // Replaces both phases wholesale; the default (`compress: None`)
-        // path below is untouched — bitwise identical to builds without
-        // the knob.
-        if cfg.compress.is_some() {
-            return self.run_compressed(src, exact);
+        // Compress-then-decompose replaces both phases wholesale.
+        if let Some(compress) = &cfg.compress {
+            return self.run_compressed(src, compress);
         }
 
-        // ---- Phase 1 -------------------------------------------------------
         let t0 = Instant::now();
         let phase1 = run_phase1_source(src, cfg, &mut store)?;
         let phase1_time = t0.elapsed();
 
-        // ---- Phase 2 -------------------------------------------------------
         let t1 = Instant::now();
         let outcome = refine(&phase1.grid, store, cfg, &phase1.u_norm_sq)?;
         let phase2_time = t1.elapsed();
 
-        // ---- Exact accuracy -------------------------------------------------
-        let fit = self.exact_fit(
-            exact,
+        let fit = blockwise_fit_stream(
             &outcome.model,
             &phase1.grid,
             src,
-            &phase1.block_norms_sq,
+            Some(&phase1.block_norms_sq),
+            &cfg.par,
         )?;
-
         Ok(TwoPcpOutcome {
             model: outcome.model,
             fit,
@@ -170,42 +132,21 @@ impl TwoPcp {
         })
     }
 
-    /// The exact accuracy of `model` against the input. A streamed input
-    /// is re-read one batch of blocks at a time on the run's thread budget
-    /// and kernel, with the `‖X_k‖²` the decomposition already measured.
-    fn exact_fit(
-        &self,
-        exact: ExactFit<'_>,
-        model: &CpModel,
-        grid: &Grid,
-        src: &mut dyn BlockSource,
-        block_norms_sq: &[f64],
-    ) -> Result<f64> {
-        let cfg = &self.config;
-        Ok(match exact {
-            ExactFit::Dense(x) => model.fit_dense(x)?,
-            ExactFit::Sparse(x) => model.fit_sparse(x)?,
-            ExactFit::Stream => {
-                blockwise_fit_stream(model, grid, src, Some(block_norms_sq), &cfg.par)?
-            }
-        })
-    }
-
     /// The compress-then-decompose pipeline: streaming Tucker compression,
     /// CP on the core, expansion and an exact polish (`tpcp-compress`),
     /// reported through the same [`TwoPcpOutcome`] shape as the two-phase
     /// path. Compression + core CP + polish are timed as "phase 1" (the
     /// decomposition proper); `phase2_time` is zero since no refinement
     /// phase runs. Phase-2 I/O stats are empty — the pipeline streams
-    /// blocks, it never touches a unit store.
+    /// blocks, it never touches a unit store. `peak_block_bytes` is what
+    /// the pipeline's passes held at once, a slab panel included.
     fn run_compressed(
         &self,
         src: &mut dyn BlockSource,
-        exact: ExactFit<'_>,
+        compress: &CompressOptions,
     ) -> Result<TwoPcpOutcome> {
         let cfg = &self.config;
-        let dims = src.dims().to_vec();
-        let grid = grid_for(cfg, &dims)?;
+        let grid = grid_for(cfg, src.dims())?;
 
         let t0 = Instant::now();
         let options = AlsOptions {
@@ -216,36 +157,27 @@ impl TwoPcp {
             seed: cfg.seed,
             init: None,
             par: cfg.par,
-            compress: cfg.compress.clone(),
         };
-        let out = compress_decompose(src, &grid, &options)?;
+        let out = compress_decompose(src, &grid, &options, compress)?;
         let phase1_time = t0.elapsed();
 
-        let fit = self.exact_fit(exact, &out.model, &grid, src, &out.block_norms_sq)?;
+        let fit =
+            blockwise_fit_stream(&out.model, &grid, src, Some(&out.block_norms_sq), &cfg.par)?;
 
         let num_blocks = grid.num_blocks();
-        let peak_block_bytes = (0..num_blocks)
-            .map(|lin| {
-                grid.block_dims(&grid.block_coords(lin))
-                    .iter()
-                    .product::<usize>() as u64
-                    * std::mem::size_of::<f64>() as u64
-            })
-            .max()
-            .unwrap_or(0);
         let phase1 = Phase1Result {
             grid,
-            block_norms_sq: out.block_norms_sq.clone(),
+            block_norms_sq: out.block_norms_sq,
             u_norm_sq: vec![0.0; num_blocks],
             block_fits: Vec::new(),
             total_unit_bytes: 0,
             ingested_bytes: src.bytes_loaded(),
-            peak_block_bytes,
+            peak_block_bytes: out.peak_tensor_bytes,
         };
         let phase2 = RefineStats {
             io: IoStats::default(),
             swaps_per_iteration: Vec::new(),
-            fit_trace: out.core_report.fit_trace.clone(),
+            fit_trace: out.core_report.fit_trace,
             virtual_iterations: out.core_report.iterations,
             converged: out.core_report.converged,
             warmup_iterations: 0,
@@ -339,5 +271,28 @@ mod tests {
         .decompose_sparse(&sp)
         .unwrap();
         assert!(outcome.fit > 0.9, "fit {}", outcome.fit);
+    }
+
+    /// The compress pipeline reports what its passes held, a slab panel
+    /// included, not the largest block; on a grid of uneven blocks.
+    #[test]
+    fn compress_path_reports_the_pipelines_peak() {
+        let x = low_rank(&[9, 7, 5], 2, 3);
+        let cfg = TwoPcpConfig::new(2)
+            .parts(vec![2, 3, 2])
+            .compress(CompressOptions::default());
+        let outcome = TwoPcp::new(cfg).decompose_dense(&x).unwrap();
+        let grid = outcome.phase1.grid.clone();
+        let mut src = DenseMemorySource::new(&x);
+        let options = AlsOptions::with_rank(2);
+        let direct =
+            compress_decompose(&mut src, &grid, &options, &CompressOptions::default()).unwrap();
+        assert_eq!(outcome.phase1.peak_block_bytes, direct.peak_tensor_bytes);
+        let largest_block = grid
+            .iter_blocks()
+            .map(|c| grid.block_dims(&c).iter().product::<usize>() * 8)
+            .max()
+            .unwrap() as u64;
+        assert!(outcome.phase1.peak_block_bytes > largest_block);
     }
 }

@@ -54,6 +54,7 @@ mod config;
 mod driver;
 mod model;
 mod pq;
+mod stream;
 mod update;
 
 pub use config::{
@@ -62,7 +63,7 @@ pub use config::{
 pub use driver::{TwoPcp, TwoPcpOutcome};
 pub use model::{Model, ModelMeta, MODEL_EXT, MODEL_MAGIC, MODEL_VERSION};
 pub use naive::{naive_cp_out_of_core, NaiveOocOptions, NaiveOocReport};
-pub use phase1::{run_phase1_dense, run_phase1_source, run_phase1_sparse, Phase1Result};
+pub use phase1::{run_phase1_source, Phase1Result};
 pub use phase2::{refine, RefineOutcome, RefineStats};
 pub use pq::QHadamardStats;
 pub use swapsim::{simulate_swaps, unit_bytes, SwapReport, SwapSimConfig};

@@ -2,33 +2,31 @@
 //! from a [`BlockSource`].
 //!
 //! Each sub-tensor `X_k` is decomposed with standard CP-ALS into rank-`F`
-//! sub-factors `U(1)_k … U(N)_k` (paper §IV, Observation #1). Blocks are
-//! *pulled* from a streaming [`BlockSource`] one batch at a time (batch =
-//! the [`tpcp_par`] thread budget), so peak Phase-1 memory is
-//! O(largest block × threads) — never O(tensor). Entry points:
+//! sub-factors `U(1)_k … U(N)_k` (paper §IV, Observation #1).
+//! [`run_phase1_source`] pulls the blocks through the crate's one block
+//! loop, a batch of at most [`tpcp_par`] threads at a time, so peak
+//! Phase-1 memory is O(largest block × threads), never O(tensor). The
+//! blocks are independent, so each batch is decomposed by parallel
+//! workers, one block each. An in-memory tensor comes in the same way,
+//! wrapped in a memory source.
 //!
-//! * [`run_phase1_source`] — the streaming core: pull blocks, decompose
-//!   each batch with [`tpcp_par::par_map`] workers (Observation #1 says
-//!   the blocks are independent, and this is where that is spent), then
-//!   group the sub-factors into the per-mode *data-access units*;
-//! * [`run_phase1_dense`] / [`run_phase1_sparse`] — thin adapters wrapping
-//!   an in-memory tensor in a memory source (bit-identical results).
-//!
-//! The phase ends by writing the data-access units (`A(i)(kᵢ)` + slab
-//! sub-factors), in ascending unit order, to the unit store that Phase 2
-//! will refine against.
+//! The phase ends by grouping the sub-factors into the per-mode
+//! *data-access units* (`A(i)(kᵢ)` + slab sub-factors) and writing them,
+//! in ascending unit order, to the unit store that Phase 2 will refine
+//! against.
 
 use crate::config::{InitKind, TwoPcpConfig};
+use crate::stream::stream_blocks;
 use crate::{Result, TwoPcpError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tpcp_cp::{cp_als_dense, cp_als_sparse, AlsOptions, CpModel};
 use tpcp_linalg::Mat;
 use tpcp_par::ParConfig;
-use tpcp_partition::{Block, BlockSource, DenseMemorySource, Grid, SparseMemorySource};
+use tpcp_partition::{Block, BlockSource, Grid};
 use tpcp_schedule::UnitId;
 use tpcp_storage::{UnitData, UnitStore};
-use tpcp_tensor::{random_factor, DenseTensor, SparseTensor};
+use tpcp_tensor::random_factor;
 
 /// Everything Phase 2 (and the evaluation harness) needs to know about the
 /// completed first phase.
@@ -50,7 +48,9 @@ pub struct Phase1Result {
     pub ingested_bytes: u64,
     /// Peak tensor bytes simultaneously resident while ingesting — one
     /// batch of blocks (the streaming memory bound this phase guarantees;
-    /// with a serial budget, exactly one block).
+    /// with a serial budget, exactly one block). A compressed run reports
+    /// what its passes held at once, a slab panel included
+    /// (`tpcp_compress::CompressOutcome::peak_tensor_bytes`).
     pub peak_block_bytes: u64,
 }
 
@@ -78,10 +78,6 @@ fn als_options(cfg: &TwoPcpConfig, block_seed: u64) -> AlsOptions {
         // Block workers already occupy the budget; the kernels inside one
         // block stay serial rather than oversubscribing the machine.
         par: ParConfig::serial(),
-        // Per-block tensors are already small; compressing them would be
-        // pure overhead. Compression applies to the whole decomposition via
-        // the driver (`TwoPcpConfig::compress`), never per Phase-1 block.
-        compress: None,
     }
 }
 
@@ -232,7 +228,6 @@ pub fn run_phase1_source<S: UnitStore>(
 ) -> Result<Phase1Result> {
     let grid = grid_for(cfg, src.dims())?;
     let nblocks = grid.num_blocks();
-    let batch_len = cfg.par.threads().max(1);
     let mut block_norms_sq = Vec::with_capacity(nblocks);
     let mut block_fits = Vec::with_capacity(nblocks);
     let mut u_norm_sq = Vec::with_capacity(nblocks);
@@ -240,34 +235,18 @@ pub fn run_phase1_source<S: UnitStore>(
     // outlive them, or it lands in the blocks' freed memory and the next
     // batch cannot reuse it whole (+1 MiB peak RSS on a 40⁴ tensor).
     let mut block_factors: Vec<Vec<Mat>> = Vec::with_capacity(nblocks);
-    let mut ingested_bytes = 0u64;
-    let mut peak_block_bytes = 0u64;
-
-    let mut start = 0usize;
-    while start < nblocks {
-        let end = (start + batch_len).min(nblocks);
-        let mut blocks = Vec::with_capacity(end - start);
-        let mut resident = 0u64;
-        for lin in start..end {
-            let block = src.load_block(&grid, lin)?;
-            resident += block.payload_bytes() as u64;
-            blocks.push(block);
-        }
-        ingested_bytes += resident;
-        peak_block_bytes = peak_block_bytes.max(resident);
-        let results = tpcp_par::par_map(&cfg.par, &blocks, |i, block| {
-            decompose_block(block, &grid, start + i, cfg)
-        })
-        .map_err(TwoPcpError::from)?;
-        drop(blocks);
-        for out in results {
+    let (ingested_bytes, peak_block_bytes) = stream_blocks(
+        src,
+        &grid,
+        &cfg.par,
+        |lin, block| decompose_block(block, &grid, lin, cfg),
+        |out| {
             block_norms_sq.push(out.norm_sq);
             u_norm_sq.push(out.model.norm_sq());
             block_fits.push(out.fit);
             block_factors.push(out.model.factors);
-        }
-        start = end;
-    }
+        },
+    )?;
 
     let total_unit_bytes = assemble_units(&grid, cfg, block_factors, store)?;
     Ok(Phase1Result {
@@ -281,41 +260,12 @@ pub fn run_phase1_source<S: UnitStore>(
     })
 }
 
-/// Phase 1 over a dense tensor — a thin adapter over
-/// [`run_phase1_source`] with an in-memory source (bit-identical to the
-/// historical eager path).
-///
-/// # Errors
-/// Configuration, ALS or storage failures.
-pub fn run_phase1_dense<S: UnitStore>(
-    x: &DenseTensor,
-    cfg: &TwoPcpConfig,
-    store: &mut S,
-) -> Result<Phase1Result> {
-    let mut src = DenseMemorySource::new(x);
-    run_phase1_source(&mut src, cfg, store)
-}
-
-/// Phase 1 over a sparse tensor — a thin adapter over
-/// [`run_phase1_source`] with an in-memory source (bit-identical to the
-/// historical eager path).
-///
-/// # Errors
-/// Configuration, ALS or storage failures.
-pub fn run_phase1_sparse<S: UnitStore>(
-    x: &SparseTensor,
-    cfg: &TwoPcpConfig,
-    store: &mut S,
-) -> Result<Phase1Result> {
-    let mut src = SparseMemorySource::new(x);
-    run_phase1_source(&mut src, cfg, store)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpcp_partition::{DenseMemorySource, SparseMemorySource};
     use tpcp_storage::MemStore;
-    use tpcp_tensor::SparseBuilder;
+    use tpcp_tensor::{DenseTensor, SparseBuilder};
 
     fn low_rank(dims: &[usize], f: usize, seed: u64) -> DenseTensor {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -332,12 +282,20 @@ mod tests {
         TwoPcpConfig::new(rank).parts(parts)
     }
 
+    fn run_dense<S: UnitStore>(
+        x: &DenseTensor,
+        cfg: &TwoPcpConfig,
+        store: &mut S,
+    ) -> Result<Phase1Result> {
+        run_phase1_source(&mut DenseMemorySource::new(x), cfg, store)
+    }
+
     #[test]
     fn dense_phase1_writes_all_units() {
         let x = low_rank(&[8, 8, 8], 2, 1);
         let cfg = cfg(2, vec![2]);
         let mut store = MemStore::new();
-        let result = run_phase1_dense(&x, &cfg, &mut store).unwrap();
+        let result = run_dense(&x, &cfg, &mut store).unwrap();
         assert_eq!(result.grid.num_units(), 6);
         assert_eq!(store.len(), 6);
         for lin in 0..6 {
@@ -359,7 +317,7 @@ mod tests {
         let x = low_rank(&[8, 8, 8], 2, 2);
         let cfg = TwoPcpConfig::new(3).parts(vec![2]);
         let mut store = MemStore::new();
-        let result = run_phase1_dense(&x, &cfg, &mut store).unwrap();
+        let result = run_dense(&x, &cfg, &mut store).unwrap();
         for (b, fit) in result.block_fits.iter().enumerate() {
             assert!(*fit > 0.98, "block {b} fit {fit}");
         }
@@ -374,7 +332,7 @@ mod tests {
         let x = low_rank(&[8, 6, 8], 2, 5);
         let cfg = cfg(2, vec![2]).threads(1);
         let mut store = MemStore::new();
-        let result = run_phase1_dense(&x, &cfg, &mut store).unwrap();
+        let result = run_dense(&x, &cfg, &mut store).unwrap();
         // With a serial budget, the batch is one block, so the peak
         // residency is exactly the largest block.
         let largest = result
@@ -401,7 +359,7 @@ mod tests {
         let x = b.build();
         let cfg = cfg(2, vec![2]);
         let mut store = MemStore::new();
-        let result = run_phase1_sparse(&x, &cfg, &mut store).unwrap();
+        let result = run_phase1_source(&mut SparseMemorySource::new(&x), &cfg, &mut store).unwrap();
         // Block (0,0,0) is the only non-empty one.
         assert!(result.block_norms_sq[0] > 0.0);
         assert!(result.block_norms_sq[1..].iter().all(|&n| n == 0.0));
@@ -452,7 +410,7 @@ mod tests {
             inner: MemStore::new(),
             written: Vec::new(),
         };
-        let result = run_phase1_dense(&x, &cfg, &mut store).unwrap();
+        let result = run_dense(&x, &cfg, &mut store).unwrap();
         let grid = &result.grid;
         // The block models Phase 1 produced, recomputed one by one.
         let mut src = DenseMemorySource::new(&x);
@@ -533,8 +491,8 @@ mod tests {
         let x = low_rank(&[4, 4], 1, 9);
         let mut s1 = MemStore::new();
         let mut s2 = MemStore::new();
-        run_phase1_dense(&x, &TwoPcpConfig::new(1).parts(vec![2]), &mut s1).unwrap();
-        run_phase1_dense(
+        run_dense(&x, &TwoPcpConfig::new(1).parts(vec![2]), &mut s1).unwrap();
+        run_dense(
             &x,
             &TwoPcpConfig::new(1).parts(vec![2]).init(InitKind::Random),
             &mut s2,
@@ -551,8 +509,7 @@ mod tests {
     fn too_many_partitions_is_a_config_error() {
         let x = low_rank(&[3, 3], 1, 0);
         let mut store = MemStore::new();
-        let err =
-            run_phase1_dense(&x, &TwoPcpConfig::new(1).parts(vec![4]), &mut store).unwrap_err();
+        let err = run_dense(&x, &TwoPcpConfig::new(1).parts(vec![4]), &mut store).unwrap_err();
         assert!(matches!(err, TwoPcpError::Config { .. }));
     }
 }

@@ -292,8 +292,9 @@ pub fn refine<S: UnitStore + PrefetchSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phase1::run_phase1_dense;
+    use crate::phase1::run_phase1_source;
     use rand::SeedableRng;
+    use tpcp_partition::DenseMemorySource;
     use tpcp_schedule::ScheduleKind;
     use tpcp_storage::{MemStore, PolicyKind};
     use tpcp_tensor::{random_factor, DenseTensor};
@@ -311,7 +312,7 @@ mod tests {
 
     fn run(cfg: TwoPcpConfig, x: &DenseTensor) -> (RefineOutcome<MemStore>, f64) {
         let mut store = MemStore::new();
-        let p1 = run_phase1_dense(x, &cfg, &mut store).unwrap();
+        let p1 = run_phase1_source(&mut DenseMemorySource::new(x), &cfg, &mut store).unwrap();
         let outcome = refine(&p1.grid, store, &cfg, &p1.u_norm_sq).unwrap();
         let fit = outcome.model.fit_dense(x).unwrap();
         (outcome, fit)
@@ -458,7 +459,7 @@ mod tests {
             .max_virtual_iters(4)
             .tol(0.0);
         let mut store = MemStore::new();
-        let p1 = run_phase1_dense(&x, &cfg, &mut store).unwrap();
+        let p1 = run_phase1_source(&mut DenseMemorySource::new(&x), &cfg, &mut store).unwrap();
         let outcome = refine(&p1.grid, store, &cfg, &p1.u_norm_sq).unwrap();
         let io = outcome.stats.io;
         // 4 virtual iterations × ΣKᵢ = 6 updates each = 24 unit accesses,

@@ -12,7 +12,7 @@
 //!   {1, 2, 4, 7}.
 
 use rand::SeedableRng;
-use tpcp_compress::{compress_cp_als_dense, compress_decompose};
+use tpcp_compress::{compress_decompose, CompressOutcome};
 use tpcp_cp::{cp_als_dense, AlsOptions, CpModel};
 use tpcp_linalg::Mat;
 use tpcp_par::ParConfig;
@@ -43,6 +43,12 @@ fn options(rank: usize) -> AlsOptions {
         .unwrap()
 }
 
+/// The pipeline over a one-block grid of `x`.
+fn single_block(x: &DenseTensor, opts: &AlsOptions, copts: &CompressOptions) -> CompressOutcome {
+    let grid = Grid::uniform(x.dims(), 1);
+    compress_decompose(&mut DenseMemorySource::new(x), &grid, opts, copts).unwrap()
+}
+
 #[test]
 fn orders_3_to_5_ragged_recover_the_exact_fit() {
     // Ragged shapes on purpose: no dimension divides another.
@@ -53,18 +59,15 @@ fn orders_3_to_5_ragged_recover_the_exact_fit() {
         let exact = cp_als_dense(&x, &options(f)).unwrap();
         let exact_fit = *exact.fit_trace.last().unwrap();
 
-        let mut opts = options(f);
         // A few polish sweeps: the core ALS solves the same problem in the
         // compressed basis, but matching a fully converged direct ALS to
         // 1e-6 takes more than the default single exact sweep.
-        opts.compress = Some(
-            CompressOptions::builder()
-                .mlrank(vec![f; dims.len()])
-                .refine_iters(12)
-                .build()
-                .unwrap(),
-        );
-        let out = compress_cp_als_dense(&x, &opts).unwrap();
+        let copts = CompressOptions::builder()
+            .mlrank(vec![f; dims.len()])
+            .refine_iters(12)
+            .build()
+            .unwrap();
+        let out = single_block(&x, &options(f), &copts);
         let fit = out.model.fit_dense(&x).unwrap();
         assert!(
             fit >= exact_fit - 1e-6,
@@ -97,14 +100,11 @@ fn noisy_data_energy_bound_holds() {
         .collect();
     let x = DenseTensor::from_vec(&dims, data);
 
-    let mut opts = options(f);
-    opts.compress = Some(
-        CompressOptions::builder()
-            .mlrank(vec![f; dims.len()])
-            .build()
-            .unwrap(),
-    );
-    let out = compress_cp_als_dense(&x, &opts).unwrap();
+    let copts = CompressOptions::builder()
+        .mlrank(vec![f; dims.len()])
+        .build()
+        .unwrap();
+    let out = single_block(&x, &options(f), &copts);
     let e = out.provenance.energy;
     // ‖noise‖² ≈ 1% of ‖signal‖² ⇒ each mode discards at most ~1/101 of
     // the total; order × that bounds the reported multi-mode discard.
@@ -129,9 +129,8 @@ fn pipeline_bits(
     if sketched {
         b = b.oversample(3).power_iters(1);
     }
-    opts.compress = Some(b.build().unwrap());
     let mut src = DenseMemorySource::new(x);
-    let out = compress_decompose(&mut src, grid, &opts).unwrap();
+    let out = compress_decompose(&mut src, grid, &opts, &b.build().unwrap()).unwrap();
     (
         out.model
             .factors

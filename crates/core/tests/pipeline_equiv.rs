@@ -13,10 +13,11 @@ use rand::SeedableRng;
 use tpcp_cp::CpModel;
 use tpcp_linalg::Mat;
 use tpcp_par::ParConfig;
+use tpcp_partition::DenseMemorySource;
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::{DiskStore, IoStats, PolicyKind};
 use tpcp_tensor::{random_factor, DenseTensor};
-use twopcp::{refine, run_phase1_dense, RefineStats, TwoPcpConfig};
+use twopcp::{refine, run_phase1_source, RefineStats, TwoPcpConfig};
 
 fn low_rank(dims: &[usize], f: usize, seed: u64) -> DenseTensor {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -52,7 +53,7 @@ fn fingerprint(model: &CpModel, stats: &RefineStats) -> Fingerprint {
 
 fn run_once(x: &DenseTensor, cfg: &TwoPcpConfig, dir: &std::path::Path) -> Fingerprint {
     let mut store = DiskStore::open(dir).unwrap();
-    let p1 = run_phase1_dense(x, cfg, &mut store).unwrap();
+    let p1 = run_phase1_source(&mut DenseMemorySource::new(x), cfg, &mut store).unwrap();
     let outcome = refine(&p1.grid, store, cfg, &p1.u_norm_sq).unwrap();
     fingerprint(&outcome.model, &outcome.stats)
 }
@@ -126,8 +127,9 @@ proptest! {
 }
 
 /// The high-level `TwoPcp::decompose_dense` driver (Phase-1 block workers,
-/// Phase-2 cache refreshes and the exact-fit pass all on the budget) is
-/// thread-budget invariant end to end.
+/// Phase-2 cache refreshes and the exact-fit pass, all on the configured
+/// budget: a resident tensor streams through the same block loop as any
+/// other source) is thread-budget invariant end to end.
 #[test]
 fn driver_outcome_is_thread_budget_invariant() {
     use twopcp::TwoPcp;

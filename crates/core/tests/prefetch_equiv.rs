@@ -18,11 +18,11 @@ use rand::SeedableRng;
 use tpcp_cp::CpModel;
 use tpcp_linalg::Mat;
 use tpcp_par::ParConfig;
-use tpcp_partition::FileTensorSource;
+use tpcp_partition::{DenseMemorySource, FileTensorSource};
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::{DiskStore, IoStats, PolicyKind, PrefetchConfig, PrefetchSource, UnitStore};
 use tpcp_tensor::{random_factor, DenseTensor};
-use twopcp::{refine, run_phase1_dense, RefineStats, TwoPcp, TwoPcpConfig};
+use twopcp::{refine, run_phase1_source, RefineStats, TwoPcp, TwoPcpConfig};
 
 fn low_rank(dims: &[usize], f: usize, seed: u64) -> DenseTensor {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -61,7 +61,7 @@ fn run_once<S: UnitStore + PrefetchSource>(
     cfg: &TwoPcpConfig,
     mut store: S,
 ) -> Fingerprint {
-    let p1 = run_phase1_dense(x, cfg, &mut store).unwrap();
+    let p1 = run_phase1_source(&mut DenseMemorySource::new(x), cfg, &mut store).unwrap();
     let outcome = refine(&p1.grid, store, cfg, &p1.u_norm_sq).unwrap();
     fingerprint(&outcome.model, &outcome.stats)
 }

@@ -1,6 +1,5 @@
 //! The alternating-least-squares driver.
 
-use crate::compress::{validate_compress_options, CompressOptions};
 use crate::dimtree::DimTree;
 use crate::model::fit_from_parts;
 use crate::mttkrp::{dense3_pair_applies, mttkrp_dense3_pair};
@@ -31,12 +30,6 @@ pub struct AlsOptions {
     /// Thread budget for the MTTKRP and Gram kernels. Parallel execution
     /// is deterministic: results are bit-identical for any budget.
     pub par: ParConfig,
-    /// Compress-then-decompose knobs carried to the `tpcp-compress` entry
-    /// points and the `twopcp` driver. Plain [`cp_als_dense`] /
-    /// [`cp_als_sparse`] ignore this field — it is plumbing, not a mode
-    /// switch of the per-mode ALS loop itself (see `docs/compress.md`).
-    /// The default is `None` (exact path).
-    pub compress: Option<CompressOptions>,
 }
 
 impl Default for AlsOptions {
@@ -49,7 +42,6 @@ impl Default for AlsOptions {
             seed: 0,
             init: None,
             par: ParConfig::auto(),
-            compress: None,
         }
     }
 }
@@ -121,14 +113,6 @@ impl AlsOptionsBuilder {
         self
     }
 
-    /// Attaches compress-then-decompose knobs (validated at
-    /// [`build`](AlsOptionsBuilder::build); consumed by the
-    /// `tpcp-compress` entry points, ignored by plain ALS).
-    pub fn compress(mut self, compress: CompressOptions) -> Self {
-        self.options.compress = Some(compress);
-        self
-    }
-
     /// Validates and produces the options.
     ///
     /// # Errors
@@ -155,9 +139,6 @@ impl AlsOptionsBuilder {
                     ),
                 });
             }
-        }
-        if let Some(compress) = &o.compress {
-            validate_compress_options(compress)?;
         }
         Ok(self.options)
     }
@@ -652,48 +633,6 @@ mod tests {
             assert!((a - b).abs() < 1e-9, "fit diverged: {a} vs {b}");
         }
         assert_eq!(tree.norm_x_sq, t.fro_norm_sq());
-    }
-
-    #[test]
-    fn builder_carries_and_validates_compress() {
-        let opts = AlsOptions::builder()
-            .rank(3)
-            .compress(CompressOptions::default())
-            .build()
-            .unwrap();
-        assert_eq!(opts.compress, Some(CompressOptions::default()));
-        // Invalid embedded compress options fail the ALS builder too.
-        let bad = AlsOptions::builder()
-            .rank(3)
-            .compress(CompressOptions {
-                energy: 2.0,
-                ..CompressOptions::default()
-            })
-            .build();
-        assert!(matches!(bad, Err(CpError::BadOptions { .. })));
-    }
-
-    #[test]
-    fn compress_field_is_inert_for_plain_als() {
-        // The field is plumbing for tpcp-compress; the per-mode loop must
-        // produce bitwise-identical results with and without it.
-        let t = low_rank_tensor(&[5, 4, 3], 2, 0.1, 21);
-        let base = AlsOptions {
-            rank: 2,
-            max_iters: 8,
-            tol: 0.0,
-            ..Default::default()
-        };
-        let with = cp_als_dense(
-            &t,
-            &AlsOptions {
-                compress: Some(CompressOptions::default()),
-                ..base.clone()
-            },
-        )
-        .unwrap();
-        let without = cp_als_dense(&t, &base).unwrap();
-        assert_eq!(with.fit_trace, without.fit_trace);
     }
 
     #[test]

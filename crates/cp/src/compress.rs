@@ -3,10 +3,9 @@
 //! The pipeline itself (streaming mode sketches → basis extraction → core
 //! contraction → CP on the core → expansion → exact refine) lives in
 //! `tpcp-compress`; this module only defines the *knobs* so that
-//! [`AlsOptions`](crate::AlsOptions) and `twopcp::TwoPcpConfig` can carry
-//! them without a dependency cycle. Plain [`cp_als_dense`](crate::cp_als_dense)
-//! ignores `AlsOptions::compress` — the field is consumed by the
-//! `tpcp-compress` entry points and the `twopcp` driver.
+//! `twopcp::TwoPcpConfig` can carry them without a dependency cycle. They
+//! reach the pipeline as the `CompressOptions` argument of
+//! `tpcp_compress::compress_decompose`.
 
 use crate::{CpError, Result};
 

@@ -123,12 +123,6 @@ impl DimTree {
         self.rank
     }
 
-    /// Total bytes currently held by the node arenas (plus the KR scratch).
-    pub fn arena_bytes(&self) -> usize {
-        let values: usize = self.nodes.iter().map(|n| n.value.capacity()).sum();
-        (values + self.kr_scratch.len()) * std::mem::size_of::<f64>()
-    }
-
     /// Flops spent in node evaluations since the last call (resets the
     /// counter): `2·rows(parent)·F` per contraction plus the sibling
     /// Khatri-Rao materialisation.

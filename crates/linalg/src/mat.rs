@@ -158,11 +158,6 @@ impl Mat {
         self.data[r * self.cols + c] = v;
     }
 
-    /// Sets every element to zero, keeping the allocation.
-    pub fn zero_out(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Reshapes to `rows × cols` of zeros, reusing the allocation when it
     /// is large enough — how [`Mat::t_matmul_into`] (which accumulates)
     /// and other scratch users recycle an output matrix across calls.

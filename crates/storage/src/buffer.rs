@@ -484,11 +484,6 @@ impl<'o, S: UnitStore> BufferPool<'o, S> {
         }
     }
 
-    /// Drops every pin (error recovery).
-    pub fn release_all(&mut self) {
-        self.pinned.clear();
-    }
-
     /// Borrows a resident unit.
     ///
     /// # Errors

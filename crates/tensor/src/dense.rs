@@ -97,12 +97,6 @@ impl DenseTensor {
         Ok(())
     }
 
-    /// Unchecked read by precomputed linear offset (hot paths).
-    #[inline]
-    pub fn get_linear(&self, lin: usize) -> f64 {
-        self.data[lin]
-    }
-
     fn check_index(&self, idx: &[usize]) -> Result<()> {
         if idx.len() != self.dims.len() || idx.iter().zip(&self.dims).any(|(i, d)| i >= d) {
             return Err(TensorError::IndexOutOfBounds {

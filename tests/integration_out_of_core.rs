@@ -3,9 +3,10 @@
 //! injection.
 
 use tpcp_datasets::low_rank_dense;
+use tpcp_partition::DenseMemorySource;
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::PolicyKind;
-use twopcp::{run_phase1_dense, simulate_swaps, SwapSimConfig, TwoPcp, TwoPcpConfig};
+use twopcp::{run_phase1_source, simulate_swaps, SwapSimConfig, TwoPcp, TwoPcpConfig};
 
 /// The decomposition result must be invariant to the buffer size, the
 /// schedule-policy pairing only affecting I/O — for a *fixed* schedule.
@@ -101,7 +102,7 @@ fn corrupt_unit_page_is_detected() {
     let cfg = TwoPcpConfig::new(2).parts(vec![2]);
 
     let mut store = DiskStore::open(dir.join("units")).unwrap();
-    let p1 = run_phase1_dense(&x, &cfg, &mut store).unwrap();
+    let p1 = run_phase1_source(&mut DenseMemorySource::new(&x), &cfg, &mut store).unwrap();
 
     // Flip one byte in one unit page.
     let victim = store.unit_path(tpcp_schedule::UnitId::new(1, 0));
@@ -136,7 +137,7 @@ fn injected_disk_fault_fails_cleanly() {
         .tol(0.0);
 
     let mut store = DiskStore::open(dir.join("units")).unwrap();
-    let p1 = run_phase1_dense(&x, &cfg, &mut store).unwrap();
+    let p1 = run_phase1_source(&mut DenseMemorySource::new(&x), &cfg, &mut store).unwrap();
     // Fail a read that happens after P/Q initialisation (6 unit reads)
     // during the refinement proper.
     store.inject_read_failures(0);

@@ -1,8 +1,8 @@
 //! Streaming-ingest acceptance suite: a dense tensor ingested from a
 //! file-backed [`BlockSource`] decomposes end-to-end with peak Phase-1
 //! materialisation bounded by one block (+ scratch), byte-accounted, and
-//! produces factors bitwise-identical to the in-memory path, with an
-//! in-memory or an on-disk unit store.
+//! produces factors and exact fit bitwise-identical to the in-memory
+//! path, with an in-memory or an on-disk unit store.
 
 use tpcp_datasets::ModelBlockSource;
 use tpcp_partition::{write_raw_from_source, BlockSource, FileTensorSource, Grid};
@@ -58,11 +58,10 @@ fn file_backed_ingest_matches_in_memory_bitwise() {
     let mut src = FileTensorSource::open(&path).unwrap();
     let outcome = TwoPcp::new(cfg()).decompose_source(&mut src).unwrap();
 
-    // Factors bitwise-identical to the in-memory path.
+    // Factors and exact fit bitwise-identical to the in-memory path: a
+    // resident tensor is streamed through the same block loop.
     assert_same_factors(&in_memory, &outcome);
-    // The streaming exact fit agrees with the monolithic fit to
-    // rounding (different summation order).
-    assert!((outcome.fit - in_memory.fit).abs() < 1e-9);
+    assert_eq!(outcome.fit.to_bits(), in_memory.fit.to_bits());
 
     // Byte accounting: with a serial budget Phase 1 materialised at
     // most one block at a time…
@@ -94,6 +93,7 @@ fn generator_ingest_matches_in_memory_bitwise() {
     let mut src = ModelBlockSource::low_rank(&DIMS, RANK, SEED);
     let streamed = TwoPcp::new(cfg()).decompose_source(&mut src).unwrap();
     assert_same_factors(&in_memory, &streamed);
+    assert_eq!(streamed.fit.to_bits(), in_memory.fit.to_bits());
     assert!(streamed.fit > 0.9, "fit {}", streamed.fit);
 }
 
@@ -120,7 +120,7 @@ fn file_backed_out_of_core_run_on_disk_store() {
         .decompose_source(&mut src)
         .unwrap();
     assert_same_factors(&in_memory, &on_disk);
-    assert!((on_disk.fit - in_memory.fit).abs() < 1e-9);
+    assert_eq!(on_disk.fit.to_bits(), in_memory.fit.to_bits());
     assert!(on_disk.phase2.io.fetches > 0);
     assert_eq!(on_disk.phase2.io.fetches, in_memory.phase2.io.fetches);
     let _ = std::fs::remove_dir_all(&root);

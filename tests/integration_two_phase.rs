@@ -1,7 +1,7 @@
 //! Cross-crate integration tests of the full two-phase pipeline.
 
 use tpcp_datasets::{ensemble_like, low_rank_dense};
-use tpcp_partition::{split_dense, Grid};
+use tpcp_partition::{DenseMemorySource, Grid};
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::PolicyKind;
 use twopcp::{accuracy, TwoPcp, TwoPcpConfig};
@@ -76,7 +76,8 @@ fn disk_and_memory_stores_agree_bitwise() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Blockwise streaming accuracy must equal the global computation.
+/// The driver's fit is the blockwise streaming accuracy pass, and it
+/// agrees with the fit computed over the whole tensor.
 #[test]
 fn blockwise_accuracy_matches_global() {
     let x = low_rank_dense(&[12, 9, 6], 2, 0.1, 21);
@@ -90,12 +91,13 @@ fn blockwise_accuracy_matches_global() {
     .unwrap();
 
     let grid = Grid::new(x.dims(), &[3, 3, 2]);
-    let blocks = split_dense(&x, &grid);
-    let blockwise = accuracy::blockwise_fit_dense(&outcome.model, &grid, &blocks).unwrap();
+    let mut src = DenseMemorySource::new(&x);
+    let blockwise = accuracy::blockwise_fit_source(&outcome.model, &grid, &mut src).unwrap();
+    assert_eq!(outcome.fit.to_bits(), blockwise.to_bits());
+    let global = outcome.model.fit_dense(&x).unwrap();
     assert!(
-        (outcome.fit - blockwise).abs() < 1e-6,
-        "global {} vs blockwise {blockwise}",
-        outcome.fit
+        (global - blockwise).abs() < 1e-6,
+        "global {global} vs blockwise {blockwise}"
     );
 }
 
