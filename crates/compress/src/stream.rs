@@ -2,10 +2,11 @@
 //! core contraction, and the exact polish sweeps.
 //!
 //! Every pass keeps at most one *slab panel* (`I_n ×` one block-column
-//! group) plus one block and its unfolding resident, or one block and its
-//! unfolding, so compression obeys the same out-of-core memory discipline
-//! as streaming Phase 1 — the full `I_n × Π_{m≠n} I_m` unfolding is never
-//! materialised. [`Stream::peak_bytes`] records the most any pass held.
+//! group) plus one block resident (the block unfolds straight into the
+//! panel's rows), or one block and its unfolding, so compression obeys
+//! the same out-of-core memory discipline as streaming Phase 1 — the
+//! full `I_n × Π_{m≠n} I_m` unfolding is never materialised.
+//! [`Stream::peak_bytes`] records the most any pass held.
 //! Determinism follows the workspace contract: all products run the
 //! bitwise thread-invariant tiled kernels, and every accumulation
 //! (`G_n += Y·Yᵀ`, sketch row updates, core adds, MTTKRP row adds) happens
@@ -87,14 +88,13 @@ pub(crate) fn stream_panels(
             let blin = grid.block_linear(&kc);
             let dense = s.load_dense(blin)?;
             on_block(blin, &dense);
-            let unf = dense.unfold(mode).map_err(tpcp_cp::CpError::from)?;
-            s.hold(bytes(
-                panel.as_slice().len() + dense.len() + unf.as_slice().len(),
-            ));
-            let r0 = grid.part_range(mode, k).start;
-            for i in 0..unf.rows() {
-                panel.row_mut(r0 + i).copy_from_slice(unf.row(i));
-            }
+            s.hold(bytes(panel.as_slice().len() + dense.len()));
+            // The block's unfolding is the panel's rows `r0..`, contiguous
+            // in row-major order: unfold straight into them.
+            let at = grid.part_range(mode, k).start * cols;
+            dense
+                .unfold_into(mode, &mut panel.as_mut_slice()[at..at + dense.len()])
+                .map_err(tpcp_cp::CpError::from)?;
         }
         on_panel(&panel)?;
     }

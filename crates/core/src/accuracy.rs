@@ -101,7 +101,7 @@ impl FitAcc {
 }
 
 /// Exact fit computed by re-streaming the ingest source blockwise on the
-/// automatic thread budget — one batch of blocks is resident at a time, so
+/// automatic thread budget — at most one block per thread is resident, so
 /// the accuracy pass obeys the same memory bound as streaming Phase 1.
 ///
 /// # Errors

@@ -78,9 +78,9 @@ impl TwoPcp {
     }
 
     /// Decomposes a tensor streamed from a [`BlockSource`] — the full
-    /// tensor is never materialised. Phase 1 pulls one batch of blocks at
-    /// a time ([`TwoPcpConfig::par`] threads wide), and the final exact
-    /// accuracy re-streams the source the same way, so peak tensor
+    /// tensor is never materialised. Phase 1 holds at most one block per
+    /// [`TwoPcpConfig::par`] thread, and the final exact accuracy
+    /// re-streams the source the same way, so peak tensor
     /// residency throughout the run is O(largest block × threads).
     ///
     /// # Errors

@@ -4,11 +4,11 @@
 //! Each sub-tensor `X_k` is decomposed with standard CP-ALS into rank-`F`
 //! sub-factors `U(1)_k … U(N)_k` (paper §IV, Observation #1).
 //! [`run_phase1_source`] pulls the blocks through the crate's one block
-//! loop, a batch of at most [`tpcp_par`] threads at a time, so peak
+//! loop, which holds at most one block per [`tpcp_par`] thread, so peak
 //! Phase-1 memory is O(largest block × threads), never O(tensor). The
-//! blocks are independent, so each batch is decomposed by parallel
-//! workers, one block each. An in-memory tensor comes in the same way,
-//! wrapped in a memory source.
+//! blocks are independent, so persistent workers decompose them one
+//! block each while the calling thread loads the next. An in-memory
+//! tensor comes in the same way, wrapped in a memory source.
 //!
 //! The phase ends by grouping the sub-factors into the per-mode
 //! *data-access units* (`A(i)(kᵢ)` + slab sub-factors) and writing them,
@@ -46,11 +46,11 @@ pub struct Phase1Result {
     pub total_unit_bytes: usize,
     /// Total tensor bytes streamed from the block source.
     pub ingested_bytes: u64,
-    /// Peak tensor bytes simultaneously resident while ingesting — one
-    /// batch of blocks (the streaming memory bound this phase guarantees;
-    /// with a serial budget, exactly one block). A compressed run reports
-    /// what its passes held at once, a slab panel included
-    /// (`tpcp_compress::CompressOutcome::peak_tensor_bytes`).
+    /// Peak tensor bytes simultaneously resident while ingesting — at most
+    /// one block per thread (the streaming memory bound this phase
+    /// guarantees; with a serial budget, exactly the largest block). A
+    /// compressed run reports what its passes held at once, a slab panel
+    /// included (`tpcp_compress::CompressOutcome::peak_tensor_bytes`).
     pub peak_block_bytes: u64,
 }
 
@@ -215,9 +215,9 @@ fn assemble_units<S: UnitStore>(
 // ---------------------------------------------------------------------------
 
 /// Phase 1 over a streaming [`BlockSource`] with parallel block workers:
-/// blocks are pulled one batch (= thread budget) at a time,
-/// decomposed, and dropped before the next batch loads, so peak tensor
-/// residency is [`Phase1Result::peak_block_bytes`], not the tensor.
+/// blocks are loaded into one reused buffer per thread and decomposed
+/// while the next block loads, so peak tensor residency is
+/// [`Phase1Result::peak_block_bytes`], not the tensor.
 ///
 /// # Errors
 /// Source, configuration, ALS or storage failures.
@@ -231,9 +231,9 @@ pub fn run_phase1_source<S: UnitStore>(
     let mut block_norms_sq = Vec::with_capacity(nblocks);
     let mut block_fits = Vec::with_capacity(nblocks);
     let mut u_norm_sq = Vec::with_capacity(nblocks);
-    // Pre-sized: nothing this thread allocates between two batches may
-    // outlive them, or it lands in the blocks' freed memory and the next
-    // batch cannot reuse it whole (+1 MiB peak RSS on a 40⁴ tensor).
+    // Pre-sized: nothing this thread allocates between two loads may
+    // outlive them, or it can land in a block's freed memory and the next
+    // block cannot reuse it whole (+1 MiB peak RSS on a 40⁴ tensor).
     let mut block_factors: Vec<Vec<Mat>> = Vec::with_capacity(nblocks);
     let (ingested_bytes, peak_block_bytes) = stream_blocks(
         src,
@@ -307,7 +307,7 @@ mod tests {
         // Unit bytes match the paper's formula: per mode-partition
         // (4·2)·(1 + 4)·8 bytes; 6 units total.
         assert_eq!(result.total_unit_bytes, 6 * (4 * 2) * 5 * 8);
-        // The whole tensor streamed through, one batch at a time.
+        // The whole tensor streamed through, block by block.
         assert_eq!(result.ingested_bytes, (8 * 8 * 8 * 8) as u64);
         assert!(result.peak_block_bytes >= (4 * 4 * 4 * 8) as u64);
     }
@@ -333,7 +333,7 @@ mod tests {
         let cfg = cfg(2, vec![2]).threads(1);
         let mut store = MemStore::new();
         let result = run_dense(&x, &cfg, &mut store).unwrap();
-        // With a serial budget, the batch is one block, so the peak
+        // With a serial budget, the loop holds one block, so the peak
         // residency is exactly the largest block.
         let largest = result
             .grid

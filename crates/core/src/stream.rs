@@ -3,71 +3,105 @@
 //! Phase 1 ([`run_phase1_source`](crate::run_phase1_source)) and the exact
 //! fit ([`blockwise_fit_source`](crate::accuracy::blockwise_fit_source))
 //! each visit every block of the grid once. Both go through
-//! [`stream_blocks`]: load a batch of at most `threads` blocks on the
-//! calling thread, compute on [`tpcp_par::par_map`] workers, drop the
-//! batch, fold the results in ascending block order. The fold order is
-//! what makes every value bitwise independent of the thread budget.
+//! [`stream_blocks`], a pipeline on [`tpcp_par::par_stream`]: `threads`
+//! workers, spawned once per pass, decompose blocks while the calling
+//! thread loads the next block ([`BlockSource::load_block_into`]) into
+//! whichever of `threads` reused buffers a worker has just handed back.
+//! Block `k` is loaded only once block `k − threads` has been folded, so
+//! at most `threads` blocks are ever resident, and the buffers die with
+//! the pass. Results fold in ascending block order, which is what makes
+//! every value bitwise independent of the thread budget. At one thread
+//! nothing is spawned: load, compute and fold take turns in one buffer.
 
-use crate::{Result, TwoPcpError};
+use crate::Result;
 use tpcp_par::ParConfig;
 use tpcp_partition::{Block, BlockSource, Grid};
 
-/// Streams every block of `grid` out of `src`, `par.threads()` blocks at a
-/// time. `work(lin, block)` runs on the workers, which share the budget
-/// among blocks, so it must run its kernels serially. `fold(result)` runs
-/// on the calling thread in ascending block order, after the batch that
-/// produced the result has been dropped: at most one batch of blocks is
-/// ever resident.
+/// Streams every block of `grid` out of `src` through `par.threads()`
+/// reused buffers. `work(lin, block)` runs on the workers, which share the
+/// budget among blocks, so it must run its kernels serially. `fold(result)`
+/// runs on the calling thread in ascending block order.
 ///
 /// Returns `(ingested, peak)`: the payload bytes loaded in all, and the
-/// most held by one batch.
+/// most the buffers held at once (a buffer keeps its block until the next
+/// load overwrites it).
 ///
 /// # Errors
-/// The first source or `work` failure; blocks after it are not loaded.
+/// The failure of the lowest-numbered block that failed, to load or in
+/// `work`; a panic in `work` as [`TwoPcpError::WorkerPanic`]. No block
+/// past `failed + threads − 1` is loaded.
+///
+/// [`TwoPcpError::WorkerPanic`]: crate::TwoPcpError::WorkerPanic
 pub(crate) fn stream_blocks<T: Send>(
     src: &mut dyn BlockSource,
     grid: &Grid,
     par: &ParConfig,
     work: impl Fn(usize, &Block) -> Result<T> + Sync,
-    mut fold: impl FnMut(T),
+    fold: impl FnMut(T),
 ) -> Result<(u64, u64)> {
-    let nblocks = grid.num_blocks();
-    let batch_len = par.threads().max(1);
-    let (mut ingested, mut peak) = (0u64, 0u64);
-    let mut start = 0usize;
-    while start < nblocks {
-        let end = (start + batch_len).min(nblocks);
-        let mut blocks = Vec::with_capacity(end - start);
-        for lin in start..end {
-            blocks.push(src.load_block(grid, lin)?);
-        }
-        let resident: u64 = blocks.iter().map(|b| b.payload_bytes() as u64).sum();
-        ingested += resident;
-        peak = peak.max(resident);
-        let results = tpcp_par::par_map(par, &blocks, |i, block| work(start + i, block))
-            .map_err(TwoPcpError::from)?;
-        drop(blocks);
-        results.into_iter().for_each(&mut fold);
-        start = end;
-    }
+    let payload = |buf: &Option<Block>| buf.as_ref().map_or(0, |b| b.payload_bytes() as u64);
+    let (mut ingested, mut held, mut peak) = (0u64, 0u64, 0u64);
+    tpcp_par::par_stream(
+        par,
+        grid.num_blocks(),
+        |lin, buf: &mut Option<Block>| {
+            held -= payload(buf);
+            src.load_block_into(grid, lin, buf)?;
+            let loaded = payload(buf);
+            ingested += loaded;
+            held += loaded;
+            peak = peak.max(held);
+            Ok(())
+        },
+        |lin, buf| work(lin, buf.as_ref().expect("a loaded block")),
+        fold,
+    )?;
     Ok((ingested, peak))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-    use std::rc::Rc;
+    use crate::TwoPcpError;
+    use std::cell::{Cell, RefCell};
+    use std::time::Duration;
     use tpcp_partition::{DenseMemorySource, SourceResult};
     use tpcp_tensor::DenseTensor;
 
-    /// Forwards to a memory source, recording the order of its loads and
-    /// the most blocks ever loaded but not yet folded. The loop folds a
-    /// batch only after dropping it, so that count bounds the residency.
+    /// 5 × 5 × 1 = 25 blocks of uneven size over an 11 × 7 × 4 tensor.
+    fn ragged() -> (DenseTensor, Grid) {
+        let dims = [11usize, 7, 4];
+        let cells = (0..11 * 7 * 4)
+            .map(|i| f64::from(i) * 0.37 - 11.0)
+            .collect();
+        (
+            DenseTensor::from_vec(&dims, cells),
+            Grid::new(&dims, &[5, 5, 1]),
+        )
+    }
+
+    /// `count` seeded delays of 0–199 µs.
+    fn jitter(seed: u64, count: usize) -> Vec<Duration> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..count)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                Duration::from_micros((state >> 33) % 200)
+            })
+            .collect()
+    }
+
+    /// Forwards to a memory source through the default `load_block_into`
+    /// (as any source without an override runs), sleeping a seeded delay
+    /// per load and recording the load order and the most blocks loaded
+    /// but not yet folded.
     struct Recording<'a> {
         inner: DenseMemorySource<'a>,
+        delays: Vec<Duration>,
         loads: Vec<usize>,
-        folds: Rc<Cell<usize>>,
+        folds: &'a Cell<usize>,
         max_held: usize,
     }
 
@@ -76,6 +110,7 @@ mod tests {
             self.inner.dims()
         }
         fn load_block(&mut self, grid: &Grid, lin: usize) -> SourceResult<Block> {
+            std::thread::sleep(self.delays[lin]);
             self.loads.push(lin);
             self.max_held = self.max_held.max(self.loads.len() - self.folds.get());
             self.inner.load_block(grid, lin)
@@ -85,13 +120,65 @@ mod tests {
         }
     }
 
+    /// What a `work` returns: the block id and a value whose bits depend
+    /// on every cell in order.
+    fn digest(lin: usize, block: &Block) -> (usize, u64) {
+        let Block::Dense(t) = block else {
+            unreachable!("dense source")
+        };
+        let v = t
+            .as_slice()
+            .iter()
+            .fold(lin as f64, |acc, &x| acc * 0.999 + x);
+        (lin, v.to_bits())
+    }
+
+    /// One pass at `threads` with seeded load and `work` delays; `fail`
+    /// makes block `k`'s `work` return an error (`Ok(false)`) or panic
+    /// (`Ok(true)`). Returns the outcome, the loads and the folds.
+    #[allow(clippy::type_complexity)]
+    fn run(
+        threads: usize,
+        seed: u64,
+        fail: Option<(usize, bool)>,
+    ) -> (Result<(u64, u64)>, Vec<usize>, usize, Vec<(usize, u64)>) {
+        let (x, grid) = ragged();
+        let nblocks = grid.num_blocks();
+        let work_delays = jitter(seed ^ 0xabcd, nblocks);
+        let folds = Cell::new(0);
+        let mut src = Recording {
+            inner: DenseMemorySource::new(&x),
+            delays: jitter(seed, nblocks),
+            loads: Vec::new(),
+            folds: &folds,
+            max_held: 0,
+        };
+        let folded = RefCell::new(Vec::new());
+        let outcome = stream_blocks(
+            &mut src,
+            &grid,
+            &ParConfig::with_threads(threads),
+            |lin, block| {
+                std::thread::sleep(work_delays[lin]);
+                match fail {
+                    Some((k, true)) if k == lin => panic!("block {lin} exploded"),
+                    Some((k, false)) if k == lin => Err(TwoPcpError::Config {
+                        reason: format!("block {lin} failed"),
+                    }),
+                    _ => Ok(digest(lin, block)),
+                }
+            },
+            |result| {
+                folds.set(folds.get() + 1);
+                folded.borrow_mut().push(result);
+            },
+        );
+        (outcome, src.loads, src.max_held, folded.into_inner())
+    }
+
     #[test]
-    fn loads_in_order_holds_one_batch_and_folds_in_order() {
-        // 5 × 5 × 1 = 25 blocks of uneven size: at budgets 2, 3 and 7
-        // the last batch is short.
-        let dims = [11usize, 7, 4];
-        let x = DenseTensor::from_vec(&dims, (0..11 * 7 * 4).map(f64::from).collect());
-        let grid = Grid::new(&dims, &[5, 5, 1]);
+    fn pipelined_loop_loads_in_order_holds_at_most_threads_and_folds_like_serial() {
+        let (_, grid) = ragged();
         let nblocks = grid.num_blocks();
         let sizes: Vec<u64> = (0..nblocks)
             .map(|lin| {
@@ -102,39 +189,75 @@ mod tests {
             })
             .collect();
         let ascending: Vec<usize> = (0..nblocks).collect();
+        let (serial, _, _, serial_folds) = run(1, 0, None);
+        assert_eq!(
+            serial.unwrap(),
+            (sizes.iter().sum(), *sizes.iter().max().unwrap())
+        );
         for threads in [1usize, 2, 3, 7] {
-            let folds = Rc::new(Cell::new(0));
-            let mut src = Recording {
-                inner: DenseMemorySource::new(&x),
-                loads: Vec::new(),
-                folds: Rc::clone(&folds),
-                max_held: 0,
-            };
-            let mut folded = Vec::new();
-            let (ingested, peak) = stream_blocks(
-                &mut src,
-                &grid,
-                &ParConfig::with_threads(threads),
-                |lin, block| Ok((lin, block.payload_bytes() as u64)),
-                |result| {
-                    folds.set(folds.get() + 1);
-                    folded.push(result);
-                },
-            )
-            .unwrap();
-            assert_eq!(src.loads, ascending, "t{threads}: load order");
-            assert_eq!(
-                src.max_held,
-                threads.min(nblocks),
-                "t{threads}: blocks held"
-            );
-            let order: Vec<usize> = folded.iter().map(|&(lin, _)| lin).collect();
-            assert_eq!(order, ascending, "t{threads}: fold order");
-            let bytes: Vec<u64> = folded.iter().map(|&(_, b)| b).collect();
-            assert_eq!(bytes, sizes, "t{threads}");
-            assert_eq!(ingested, sizes.iter().sum::<u64>());
-            let batch_peak = sizes.chunks(threads).map(|c| c.iter().sum()).max();
-            assert_eq!(Some(peak), batch_peak, "t{threads}: peak batch bytes");
+            for seed in 1..=3 {
+                let (outcome, loads, max_held, folded) = run(threads, seed, None);
+                let (ingested, peak) = outcome.unwrap();
+                assert_eq!(loads, ascending, "t{threads} s{seed}: load order");
+                assert!(max_held <= threads, "t{threads} s{seed}: held {max_held}");
+                assert_eq!(folded, serial_folds, "t{threads} s{seed}: folds");
+                assert_eq!(ingested, sizes.iter().sum::<u64>(), "t{threads} s{seed}");
+                // The buffers hold `threads` blocks at most; which ones
+                // depends on the order the workers hand them back.
+                let mut largest = sizes.clone();
+                largest.sort_unstable_by(|a, b| b.cmp(a));
+                let bound: u64 = largest[..threads].iter().sum();
+                assert!(
+                    (largest[0]..=bound).contains(&peak),
+                    "t{threads} s{seed}: peak {peak}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_block_is_the_error_and_stops_the_loads() {
+        for threads in [1usize, 2, 3, 7] {
+            for (seed, k) in [0usize, 6, 13, 24].into_iter().enumerate() {
+                let (outcome, loads, _, folded) = run(threads, seed as u64, Some((k, false)));
+                match outcome {
+                    Err(TwoPcpError::Config { reason }) => {
+                        assert_eq!(reason, format!("block {k} failed"), "t{threads}")
+                    }
+                    other => panic!("t{threads} k{k}: {other:?}"),
+                }
+                let order: Vec<usize> = folded.iter().map(|&(lin, _)| lin).collect();
+                assert_eq!(order, (0..k).collect::<Vec<_>>(), "t{threads} k{k}: folds");
+                let last = *loads.last().unwrap();
+                assert!(last < k + threads, "t{threads} k{k}: loaded block {last}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_block_is_an_error_not_a_hang() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for threads in [1usize, 2, 3, 7] {
+                let (outcome, _, _, folded) = run(threads, 5, Some((9, true)));
+                tx.send((threads, outcome.map(|_| ()), folded.len()))
+                    .unwrap();
+            }
+        });
+        for _ in 0..4 {
+            let (threads, outcome, folds) = rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("the loop returns after a panic");
+            match outcome {
+                Err(TwoPcpError::WorkerPanic { message }) => {
+                    assert!(
+                        message.contains("block 9 exploded"),
+                        "t{threads}: {message}"
+                    )
+                }
+                other => panic!("t{threads}: {other:?}"),
+            }
+            assert_eq!(folds, 9, "t{threads}");
         }
     }
 }

@@ -411,8 +411,8 @@ mod tests {
         assert_pinned(&[7, 6, 5], &[3, 2, 2], 9, 5, 1);
         // Order 4, ragged, rank below one tile, an all-zero first block.
         assert_pinned(&[5, 4, 3, 5], &[2, 2, 1, 3], 3, 0, 1);
-        // Uniform, with each block's product past the fan-out threshold
-        // (128·16·16 = PAR_MIN_FLOPS) on a two-thread budget.
-        assert_pinned(&[256, 4, 4], &[2, 2, 2], 16, 3, 2);
+        // Uniform, with each mode-0 block's product at the fan-out
+        // threshold (16384·16·16 = PAR_MIN_FLOPS) on a two-thread budget.
+        assert_pinned(&[32768, 4, 4], &[2, 2, 2], 16, 3, 2);
     }
 }

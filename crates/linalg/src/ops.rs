@@ -14,12 +14,16 @@ use crate::kernel::{self, KernelKind, TILE_MR};
 use crate::{LinalgError, Mat, Result};
 use tpcp_par::{par_chunks_mut, tile_rows_per_chunk, ParConfig};
 
-/// Multiply-add count below which a product stays on the calling thread:
-/// fanning out costs a few microseconds, which only pays off once the
-/// kernel itself is in that range. Both the implicit entry points and the
-/// explicit-budget variants apply this clamp (via [`ParConfig::clamped`]);
-/// it is result-neutral because the kernels are thread-count deterministic.
-const PAR_MIN_FLOPS: usize = 1 << 15;
+/// Multiply-add count below which a product stays on the calling thread.
+/// A fan-out to two workers costs 60–110 µs on a 2-vCPU VM, and
+/// `kernel_cell`'s fan-out table (m×16·16×16, `docs/kernels.md`) puts the
+/// crossover at 2²² multiply-adds: there two workers beat the serial
+/// `matmul` and `t_matmul` (×0.86, ×0.58) and tie it on `gram` (×1.03);
+/// at 2²¹ the Gram still loses (×1.41). Both the implicit entry points
+/// and the explicit-budget variants apply this clamp (via
+/// [`ParConfig::clamped`]); it is result-neutral because the kernels are
+/// thread-count deterministic.
+const PAR_MIN_FLOPS: usize = 1 << 22;
 
 /// The budget used by the implicit entry points: the shared automatic
 /// budget when the operation is big enough, serial otherwise (checked

@@ -102,12 +102,13 @@ proptest! {
         check_products(&a, &b_kn, &b_mn, &b_nk);
     }
 
-    /// Shapes above the 2¹⁵-flop serial clamp, so the parallel wrappers
-    /// genuinely fan out and the tile-aligned chunking is exercised
-    /// (non-tile-multiple row counts make the last chunk ragged).
+    /// Shapes above the 2²²-flop serial clamp for every product (`m·k·n`
+    /// and gram's `m·k²` are at least 4097·32·32), so the parallel
+    /// wrappers genuinely fan out and the tile-aligned chunking is
+    /// exercised (non-tile-multiple row counts make the last chunk ragged).
     #[test]
     fn tiled_equals_reference_bitwise_parallel(
-        (a, b_kn, b_mn, b_nk) in (97usize..131, 9usize..33, 17usize..41).prop_flat_map(|(m, k, n)| (
+        (a, b_kn, b_mn, b_nk) in (4097usize..4160, 32usize..41, 32usize..41).prop_flat_map(|(m, k, n)| (
             mat_strategy(m, k),
             mat_strategy(k, n),
             mat_strategy(m, n),

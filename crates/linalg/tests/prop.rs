@@ -236,10 +236,10 @@ proptest! {
     /// The parallel product kernels partition the output matrix, so every
     /// thread budget must reproduce the serial result bit for bit. The
     /// shapes keep `m·k·n` above the kernels' serial-clamp flop threshold
-    /// (2¹⁵) so the parallel path is genuinely exercised.
+    /// (2²²) so the parallel path is genuinely exercised.
     #[test]
     fn matmul_is_thread_invariant(
-        (a, b) in (128usize..192, 16usize..24, 16usize..24).prop_flat_map(|(m, k, n)| (
+        (a, b) in (4097usize..4160, 32usize..40, 32usize..40).prop_flat_map(|(m, k, n)| (
             proptest::collection::vec(-10.0f64..10.0, m * k)
                 .prop_map(move |d| Mat::from_vec(m, k, d)),
             proptest::collection::vec(-10.0f64..10.0, k * n)
@@ -264,10 +264,10 @@ proptest! {
 
     /// `gram`/`t_matmul` partition the *output* rows but sweep the input
     /// rows in serial order, so they are bit-identical too. Tall shapes
-    /// keep the flop count above the serial clamp.
+    /// keep the flop count (`m·k²`, `m·k·n`) above the serial clamp.
     #[test]
     fn gram_and_t_matmul_are_thread_invariant(
-        (a, b) in (512usize..640, 8usize..12, 8usize..12).prop_flat_map(|(m, k, n)| (
+        (a, b) in (4097usize..4160, 32usize..40, 32usize..40).prop_flat_map(|(m, k, n)| (
             proptest::collection::vec(-10.0f64..10.0, m * k)
                 .prop_map(move |d| Mat::from_vec(m, k, d)),
             proptest::collection::vec(-10.0f64..10.0, m * n)

@@ -1,16 +1,20 @@
 //! Deterministic scoped-parallelism primitives for the 2PCP workspace.
 //!
 //! Every layer of the stack (MTTKRP kernels, dense matrix products, the
-//! Phase-1 block fan-out — [`par_map`] over a batch of blocks *is* the
+//! Phase-1 block loop — [`par_stream`] over the grid's blocks *is* the
 //! paper's Observation #1 — and the HaTen2 baseline's MapReduce engine)
 //! funnels its threading through this crate, so the whole system shares
 //! one thread-budget policy
 //! ([`ParConfig`], overridable via the `TPCP_THREADS` environment variable)
 //! and one set of determinism guarantees:
 //!
-//! * [`par_map`] / [`par_map_owned`] — indexed, work-stealing maps that
-//!   propagate the lowest-indexed worker `Err` and surface worker *panics*
-//!   as [`ParError::Panic`] instead of aborting the process;
+//! * [`par_map_owned`] — an indexed, work-stealing map that propagates
+//!   the lowest-indexed worker `Err` and surfaces worker *panics* as
+//!   [`ParError::Panic`] instead of aborting the process;
+//! * [`par_stream`] — a pipelined loop: the calling thread loads items
+//!   into a fixed set of reused buffers while persistent workers compute,
+//!   and results fold in ascending index order, with the same error and
+//!   panic semantics;
 //! * [`par_chunks_mut`] — disjoint partition of an output buffer: each
 //!   element is written by exactly one worker, so results are bit-identical
 //!   to a serial run for **any** thread count;
@@ -29,7 +33,7 @@
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Mutex};
 
 /// The shared thread-budget policy.
 ///
@@ -96,9 +100,11 @@ impl ParConfig {
     /// This budget, clamped to serial when `work` (in whatever unit the
     /// kernel counts — flops, elements × rank, …) is below `min_work`.
     ///
-    /// Fanning out costs a few microseconds per worker, so every kernel
-    /// should apply this before spawning; the clamp is result-neutral
-    /// because the primitives are deterministic in the thread count.
+    /// Fanning out is not free: a scoped region of two workers costs
+    /// 60–110 µs on a 2-vCPU VM (`kernel_cell`'s fan-out table), the time
+    /// of 2¹⁹–2²⁰ multiply-adds of a serial product. Every kernel should
+    /// apply this before spawning; the clamp is result-neutral because the
+    /// primitives are deterministic in the thread count.
     #[inline]
     #[must_use]
     pub fn clamped(&self, work: usize, min_work: usize) -> ParConfig {
@@ -136,8 +142,9 @@ fn hardware_threads() -> usize {
 /// Failure of a parallel region.
 #[derive(Debug)]
 pub enum ParError<E> {
-    /// A worker returned `Err`; this is the error of the lowest-indexed
-    /// failing item (deterministic regardless of scheduling).
+    /// A worker (or [`par_stream`]'s loader) returned `Err`; this is the
+    /// error of the lowest-indexed failing item (deterministic regardless
+    /// of scheduling).
     Worker(E),
     /// A worker panicked; the payload is converted to a message so the
     /// caller can degrade gracefully instead of unwinding the whole
@@ -169,23 +176,27 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Runs `call`, turning its `Err` into [`ParError::Worker`] and a panic
+/// into [`ParError::Panic`].
+fn guarded<T, E>(call: impl FnOnce() -> Result<T, E>) -> Result<T, ParError<E>> {
+    match catch_unwind(AssertUnwindSafe(call)) {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) => Err(ParError::Worker(e)),
+        Err(payload) => Err(ParError::Panic {
+            message: panic_message(payload.as_ref()),
+        }),
+    }
+}
+
 /// Runs `call(i)` for `i in 0..n`, catching panics, and collects results in
-/// index order. Shared core of [`par_map`] / [`par_map_owned`].
+/// index order. The core of [`par_map_owned`].
 fn run_indexed<T, E, G>(cfg: &ParConfig, n: usize, call: G) -> Result<Vec<T>, ParError<E>>
 where
     T: Send,
     E: Send,
     G: Fn(usize) -> Result<T, E> + Sync,
 {
-    let guarded = |i: usize| -> Result<T, ParError<E>> {
-        match catch_unwind(AssertUnwindSafe(|| call(i))) {
-            Ok(Ok(v)) => Ok(v),
-            Ok(Err(e)) => Err(ParError::Worker(e)),
-            Err(payload) => Err(ParError::Panic {
-                message: panic_message(payload.as_ref()),
-            }),
-        }
-    };
+    let guarded = |i: usize| guarded(|| call(i));
 
     let threads = cfg.threads().min(n.max(1));
     if threads <= 1 {
@@ -233,32 +244,118 @@ where
     Ok(out)
 }
 
-/// Indexed work-stealing map over a borrowed slice.
+/// A bounded, pipelined loop over `0..n`: `load(i, buf)` fills one of
+/// `cfg.threads()` reused buffers on the calling thread, `work(i, buf)`
+/// runs on as many workers, spawned once for the whole loop, and
+/// `fold(result)` runs on the calling thread in ascending index order.
 ///
-/// Applies `f(index, &item)` to every item on up to `cfg.threads()` scoped
-/// threads (work-stealing via an atomic cursor, so uneven per-item cost
-/// balances out) and returns the results in input order.
+/// The calling thread loads item `i` into whichever buffer a worker has
+/// just handed back, while the other workers compute — ingest overlaps
+/// compute. Item `i` is loaded only once item `i − threads` has been
+/// folded, so at most `threads` items are loaded but not yet folded and
+/// no more than `threads` buffers ever exist (built with `B::default()`,
+/// dropped when the loop returns). `load` overwrites whatever its buffer
+/// held last. The fold order is fixed, so every folded value is
+/// bit-identical for any thread budget. At `threads == 1` nothing is
+/// spawned: one buffer, load, work and fold in turn.
+///
+/// # Errors
+/// The lowest-indexed failure, whether `load` or `work` returned it, as
+/// [`ParError::Worker`], or [`ParError::Panic`] when `work` panicked.
+/// Results before it have been folded, none after it; no item past
+/// `failed + threads − 1` is loaded.
+pub fn par_stream<B, T, E>(
+    cfg: &ParConfig,
+    n: usize,
+    mut load: impl FnMut(usize, &mut B) -> Result<(), E>,
+    work: impl Fn(usize, &B) -> Result<T, E> + Sync,
+    mut fold: impl FnMut(T),
+) -> Result<(), ParError<E>>
+where
+    B: Default + Send,
+    T: Send,
+    E: Send,
+{
+    let guarded = |i: usize, buf: &B| guarded(|| work(i, buf));
+    let threads = cfg.threads().min(n.max(1));
+    if threads <= 1 {
+        let mut buf = B::default();
+        for i in 0..n {
+            load(i, &mut buf).map_err(ParError::Worker)?;
+            fold(guarded(i, &buf)?);
+        }
+        return Ok(());
+    }
+
+    /// A finished item: its index, its result and the buffer it borrowed.
+    type Done<B, T, E> = (usize, Result<T, ParError<E>>, B);
+    std::thread::scope(|scope| {
+        // Both channels' calling-thread ends live in this closure: however
+        // it returns, they drop before the scope joins the workers, so a
+        // worker's next `recv` or `send` fails and it exits.
+        let (job_tx, job_rx) = mpsc::channel::<(usize, B)>();
+        let (done_tx, done_rx) = mpsc::channel::<Done<B, T, E>>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        for _ in 0..threads {
+            let (job_rx, done_tx, guarded) = (Arc::clone(&job_rx), done_tx.clone(), &guarded);
+            scope.spawn(move || loop {
+                let job = job_rx.lock().expect("par_stream job queue poisoned").recv();
+                let Ok((i, buf)) = job else { break };
+                if done_tx.send((i, guarded(i, &buf), buf)).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(done_tx);
+
+        let mut free: Vec<B> = (0..threads).map(|_| B::default()).collect();
+        // Results that finished ahead of their turn, at `index % threads`.
+        let mut ready: Vec<Option<Result<T, ParError<E>>>> = (0..threads).map(|_| None).collect();
+        let (mut loaded, mut folded) = (0usize, 0usize);
+        let mut load_err = None;
+        loop {
+            while load_err.is_none() && loaded < n.min(folded + threads) {
+                let mut buf = free.pop().expect("one buffer per unfolded item");
+                match load(loaded, &mut buf) {
+                    Ok(()) => {
+                        job_tx
+                            .send((loaded, buf))
+                            .expect("workers run until the job sender drops");
+                        loaded += 1;
+                    }
+                    Err(e) => load_err = Some(e),
+                }
+            }
+            if folded == loaded {
+                break;
+            }
+            // Every worker holds a `done_tx` until it exits, so a closed
+            // channel means all of them died outside `catch_unwind`.
+            let (i, result, buf) = done_rx.recv().map_err(|_| ParError::Panic {
+                message: "par_stream workers exited early".to_owned(),
+            })?;
+            free.push(buf);
+            ready[i % threads] = Some(result);
+            while let Some(result) = ready[folded % threads].take() {
+                fold(result?);
+                folded += 1;
+            }
+        }
+        load_err.map_or(Ok(()), |e| Err(ParError::Worker(e)))
+    })
+}
+
+/// Indexed work-stealing map over owned items.
+///
+/// Moves each item into exactly one `f(index, item)` call on up to
+/// `cfg.threads()` scoped threads (work-stealing via an atomic cursor, so
+/// uneven per-item cost balances out; the MapReduce mappers and reducers
+/// consume their input this way) and returns the results in input order.
 ///
 /// # Errors
 /// The lowest-indexed worker `Err` as [`ParError::Worker`], or
 /// [`ParError::Panic`] when a worker panicked — the panic is caught and
 /// reported instead of unwinding through the caller.
-pub fn par_map<I, T, E, F>(cfg: &ParConfig, items: &[I], f: F) -> Result<Vec<T>, ParError<E>>
-where
-    I: Sync,
-    T: Send,
-    E: Send,
-    F: Fn(usize, &I) -> Result<T, E> + Sync,
-{
-    run_indexed(cfg, items.len(), |i| f(i, &items[i]))
-}
-
-/// [`par_map`] over owned items: each item is moved into exactly one worker
-/// invocation (required when the worker consumes its input, as the
-/// MapReduce mappers and reducers do).
-///
-/// # Errors
-/// Identical semantics to [`par_map`].
 pub fn par_map_owned<I, T, E, F>(
     cfg: &ParConfig,
     items: Vec<I>,
@@ -561,23 +658,23 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_order_at_every_thread_count() {
+    fn par_map_owned_preserves_order_at_every_thread_count() {
         let items: Vec<usize> = (0..103).collect();
         for t in [1usize, 2, 4, 7] {
             let cfg = ParConfig::with_threads(t);
             let out: Vec<usize> =
-                par_map(&cfg, &items, |i, &x| Ok::<_, ()>(i * 1000 + x * 3)).unwrap();
+                par_map_owned(&cfg, items.clone(), |i, x| Ok::<_, ()>(i * 1000 + x * 3)).unwrap();
             let expect: Vec<usize> = (0..103).map(|i| i * 1000 + i * 3).collect();
             assert_eq!(out, expect, "threads={t}");
         }
     }
 
     #[test]
-    fn par_map_propagates_lowest_indexed_error() {
+    fn par_map_owned_propagates_lowest_indexed_error() {
         let items: Vec<usize> = (0..64).collect();
         for t in [1usize, 4] {
             let cfg = ParConfig::with_threads(t);
-            let err = par_map(&cfg, &items, |_, &x| {
+            let err = par_map_owned(&cfg, items.clone(), |_, x| {
                 if x % 10 == 7 {
                     Err(format!("bad {x}"))
                 } else {
@@ -593,11 +690,11 @@ mod tests {
     }
 
     #[test]
-    fn par_map_surfaces_worker_panic_as_error() {
+    fn par_map_owned_surfaces_worker_panic_as_error() {
         let items: Vec<usize> = (0..16).collect();
         for t in [1usize, 4] {
             let cfg = ParConfig::with_threads(t);
-            let err = par_map(&cfg, &items, |_, &x| -> Result<usize, String> {
+            let err = par_map_owned(&cfg, items.clone(), |_, x| -> Result<usize, String> {
                 if x == 11 {
                     panic!("worker {x} exploded");
                 }
@@ -617,7 +714,7 @@ mod tests {
     fn worker_err_beats_later_panic() {
         // Item 3 errors, item 9 panics: the lowest-indexed failure wins.
         let items: Vec<usize> = (0..16).collect();
-        let err = par_map(&ParConfig::with_threads(4), &items, |_, &x| {
+        let err = par_map_owned(&ParConfig::with_threads(4), items, |_, x| {
             if x == 9 {
                 panic!("later panic");
             }
@@ -628,6 +725,107 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, ParError::Worker("first error")));
+    }
+
+    #[test]
+    fn par_stream_folds_in_order_through_reused_buffers() {
+        use std::cell::Cell;
+        let caller = std::thread::current().id();
+        for t in [1usize, 2, 4, 7] {
+            let (loads, folds, fresh) = (Cell::new(0usize), Cell::new(0usize), Cell::new(0));
+            let mut out = Vec::new();
+            par_stream(
+                &ParConfig::with_threads(t),
+                103,
+                |i, buf: &mut Vec<usize>| {
+                    assert_eq!(i, loads.get(), "threads={t}: load order");
+                    assert!(i < folds.get() + t, "threads={t}: window");
+                    fresh.set(fresh.get() + usize::from(buf.is_empty()));
+                    buf.clear();
+                    buf.extend([i; 3]);
+                    loads.set(i + 1);
+                    Ok::<_, ()>(())
+                },
+                |i, buf| {
+                    assert_eq!(t == 1, std::thread::current().id() == caller);
+                    // Uneven work, so items finish out of order.
+                    std::thread::sleep(std::time::Duration::from_micros((i % 5 * 40) as u64));
+                    Ok(i * 1000 + buf.iter().sum::<usize>())
+                },
+                |v| {
+                    folds.set(folds.get() + 1);
+                    out.push(v);
+                },
+            )
+            .unwrap();
+            let expect: Vec<usize> = (0..103).map(|i| i * 1000 + 3 * i).collect();
+            assert_eq!(out, expect, "threads={t}");
+            assert_eq!(fresh.get(), t, "threads={t}: buffers built");
+        }
+    }
+
+    #[test]
+    fn par_stream_reports_the_lowest_indexed_failure() {
+        // (failing load, failing work) → the expected error.
+        let cases = [
+            (None, Some(37), "work 37"),
+            (Some(50), Some(37), "work 37"),
+            (Some(20), Some(37), "load 20"),
+            (Some(0), None, "load 0"),
+        ];
+        for t in [1usize, 2, 4] {
+            for (bad_load, bad_work, expect) in cases {
+                let mut max_loaded = 0;
+                let mut folded = Vec::new();
+                let err = par_stream(
+                    &ParConfig::with_threads(t),
+                    64,
+                    |i, _: &mut ()| {
+                        max_loaded = max_loaded.max(i);
+                        match bad_load {
+                            Some(b) if b == i => Err(format!("load {i}")),
+                            _ => Ok(()),
+                        }
+                    },
+                    |i, ()| match bad_work {
+                        Some(b) if b == i => Err(format!("work {i}")),
+                        _ => Ok(i),
+                    },
+                    |i| folded.push(i),
+                )
+                .unwrap_err();
+                match err {
+                    ParError::Worker(msg) => assert_eq!(msg, expect, "threads={t}"),
+                    other => panic!("expected worker error, got {other:?}"),
+                }
+                let failed: usize = expect[5..].parse().unwrap();
+                assert_eq!(folded, (0..failed).collect::<Vec<_>>(), "threads={t}");
+                assert!(max_loaded < failed + t, "threads={t}: loaded {max_loaded}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_stream_surfaces_worker_panic_as_error() {
+        for t in [1usize, 3] {
+            let err = par_stream(
+                &ParConfig::with_threads(t),
+                16,
+                |_, _: &mut ()| Ok::<_, String>(()),
+                |i, ()| {
+                    if i == 11 {
+                        panic!("item {i} exploded");
+                    }
+                    Ok(i)
+                },
+                |_| {},
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, ParError::Panic { message } if message.contains("exploded")),
+                "threads={t}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -642,9 +840,9 @@ mod tests {
     }
 
     #[test]
-    fn par_map_empty_input() {
+    fn par_map_owned_empty_input() {
         let out: Vec<u8> =
-            par_map(&ParConfig::auto(), &[] as &[u8], |_, &x| Ok::<_, ()>(x)).unwrap();
+            par_map_owned(&ParConfig::auto(), Vec::<u8>::new(), |_, x| Ok::<_, ()>(x)).unwrap();
         assert!(out.is_empty());
     }
 

@@ -212,12 +212,46 @@ pub trait BlockSource {
     /// Panics when the grid was built for different dimensions.
     fn load_block(&mut self, grid: &Grid, lin: usize) -> SourceResult<Block>;
 
+    /// Loads the block with linear id `lin` of `grid` into `buf`, replacing
+    /// whatever it held (`None` is an empty buffer): the block and the
+    /// [`bytes_loaded`](BlockSource::bytes_loaded) count are bitwise those
+    /// of [`load_block`](BlockSource::load_block). A loop that reuses its
+    /// buffers calls this. The default drops the held block *before*
+    /// loading, so the two are never resident together; sources that can
+    /// overwrite a held dense block in place override it, and then
+    /// allocate nothing once a buffer has held a block that large.
+    ///
+    /// # Errors
+    /// As [`load_block`](BlockSource::load_block); `buf` is then empty.
+    ///
+    /// # Panics
+    /// Panics when the grid was built for different dimensions.
+    fn load_block_into(
+        &mut self,
+        grid: &Grid,
+        lin: usize,
+        buf: &mut Option<Block>,
+    ) -> SourceResult<()> {
+        *buf = None;
+        *buf = Some(self.load_block(grid, lin)?);
+        Ok(())
+    }
+
     /// Cumulative payload bytes yielded so far (for memory accounting).
     fn bytes_loaded(&self) -> u64;
 }
 
 fn check_grid(dims: &[usize], grid: &Grid) {
     assert_eq!(grid.dims(), dims, "grid/tensor dimension mismatch");
+}
+
+/// Empties `buf`, keeping a dense block's storage for reuse (anything
+/// else is dropped here, before the next block is read).
+fn take_dense(buf: &mut Option<Block>) -> DenseTensor {
+    match buf.take() {
+        Some(Block::Dense(t)) => t,
+        _ => DenseTensor::zeros(&[0]),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -246,11 +280,24 @@ impl BlockSource for DenseMemorySource<'_> {
     }
 
     fn load_block(&mut self, grid: &Grid, lin: usize) -> SourceResult<Block> {
+        let mut buf = None;
+        self.load_block_into(grid, lin, &mut buf)?;
+        Ok(buf.expect("loaded"))
+    }
+
+    fn load_block_into(
+        &mut self,
+        grid: &Grid,
+        lin: usize,
+        buf: &mut Option<Block>,
+    ) -> SourceResult<()> {
         check_grid(self.tensor.dims(), grid);
         let ranges = grid.block_ranges(&grid.block_coords(lin));
-        let block = self.tensor.slice(&ranges)?;
+        let mut block = take_dense(buf);
+        self.tensor.slice_into(&ranges, &mut block)?;
         self.bytes_loaded += (block.len() * 8) as u64;
-        Ok(Block::Dense(block))
+        *buf = Some(Block::Dense(block));
+        Ok(())
     }
 
     fn bytes_loaded(&self) -> u64 {
@@ -618,12 +665,27 @@ impl BlockSource for FileTensorSource {
     }
 
     fn load_block(&mut self, grid: &Grid, lin: usize) -> SourceResult<Block> {
+        let mut buf = None;
+        self.load_block_into(grid, lin, &mut buf)?;
+        Ok(buf.expect("loaded"))
+    }
+
+    /// Reads straight into the held dense block's storage: every cell is
+    /// overwritten, so a buffer of the right size needs no zero-fill.
+    fn load_block_into(
+        &mut self,
+        grid: &Grid,
+        lin: usize,
+        buf: &mut Option<Block>,
+    ) -> SourceResult<()> {
         check_grid(&self.dims, grid);
         let ranges = grid.block_ranges(&grid.block_coords(lin));
         let out_dims: Vec<usize> = ranges.iter().map(|r| r.end - r.start).collect();
-        let mut out = DenseTensor::zeros(&out_dims);
+        let mut out = take_dense(buf);
+        out.reshape_for_overwrite(&out_dims);
         if out.is_empty() {
-            return Ok(Block::Dense(out));
+            *buf = Some(Block::Dense(out));
+            return Ok(());
         }
         let src_strides = strides(&self.dims);
         let last = self.dims.len() - 1;
@@ -675,7 +737,8 @@ impl BlockSource for FileTensorSource {
             advance_index(outer_dims, &mut outer_idx);
         }
         self.bytes_loaded += (out.len() * 8) as u64;
-        Ok(Block::Dense(out))
+        *buf = Some(Block::Dense(out));
+        Ok(())
     }
 
     fn bytes_loaded(&self) -> u64 {
@@ -859,6 +922,109 @@ mod tests {
         // Runs of exactly the cap.
         let t = seq_tensor(&[3, 2 * cap_cells]);
         assert_file_blocks_match_memory("cap_exact", &t, &Grid::new(t.dims(), &[1, 2]));
+    }
+
+    /// What a reused buffer may hold before a load of `len` cells:
+    /// nothing, a larger dense block, a smaller one, one of the same size
+    /// full of NaNs, a sparse block.
+    fn stale_buffers(len: usize) -> Vec<Option<Block>> {
+        vec![
+            None,
+            Some(Block::Dense(DenseTensor::from_vec(
+                &[len + 13],
+                vec![7.5; len + 13],
+            ))),
+            Some(Block::Dense(DenseTensor::from_vec(&[1], vec![-3.0]))),
+            Some(Block::Dense(DenseTensor::from_vec(
+                &[len],
+                vec![f64::NAN; len],
+            ))),
+            Some(Block::Sparse(SparseTensor::from_dense(
+                &seq_tensor(&[2, 3]),
+                0.0,
+            ))),
+        ]
+    }
+
+    /// Every block of `grid`, loaded by `reused.load_block_into` over each
+    /// stale buffer, is bitwise `fresh.load_block`'s block and counts the
+    /// same bytes.
+    fn assert_load_into_is_load_block(
+        name: &str,
+        fresh: &mut dyn BlockSource,
+        reused: &mut dyn BlockSource,
+        grid: &Grid,
+    ) {
+        for lin in 0..grid.num_blocks() {
+            let expect = fresh.load_block(grid, lin).unwrap();
+            let cells = num_elements(expect.dims());
+            for (i, mut buf) in stale_buffers(cells).into_iter().enumerate() {
+                let before = reused.bytes_loaded();
+                reused.load_block_into(grid, lin, &mut buf).unwrap();
+                let at = format!("{name} block {lin} stale {i}");
+                let bytes = reused.bytes_loaded() - before;
+                assert_eq!(bytes, expect.payload_bytes() as u64, "{at}");
+                match (buf.expect("loaded"), &expect) {
+                    (Block::Dense(got), Block::Dense(want)) => {
+                        assert_eq!(got.dims(), want.dims(), "{at}");
+                        let bits = |t: &DenseTensor| -> Vec<u64> {
+                            t.as_slice().iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&got), bits(want), "{at}");
+                    }
+                    (Block::Sparse(got), Block::Sparse(want)) => assert_eq!(&got, want, "{at}"),
+                    _ => panic!("{at}: block kind changed"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn file_load_block_into_is_load_block_on_ragged_grids_and_across_the_cap() {
+        let cap_cells = SPAN_CAP_BYTES / 8;
+        let cases: [(&[usize], &[usize]); 7] = [
+            (&[37], &[4]),
+            (&[9, 14], &[2, 3]),
+            (&[5, 7, 3], &[2, 3, 2]),
+            (&[4, 5, 3, 6], &[2, 2, 3, 2]),
+            // Spans of 2 + 2 + 1 rows under the cap, a run above it, runs
+            // of exactly the cap.
+            (&[2, 10, 3500], &[2, 2, 2]),
+            (&[3, cap_cells + 5], &[2, 1]),
+            (&[3, 2 * cap_cells], &[1, 2]),
+        ];
+        for (i, (dims, parts)) in cases.iter().enumerate() {
+            let t = seq_tensor(dims);
+            let path = tmpfile(&format!("load_into{i}"));
+            FileTensorSource::write_dense(&path, &t).unwrap();
+            assert_load_into_is_load_block(
+                &format!("case {i}"),
+                &mut FileTensorSource::open(&path).unwrap(),
+                &mut FileTensorSource::open(&path).unwrap(),
+                &Grid::new(dims, parts),
+            );
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn memory_load_block_into_is_load_block() {
+        let t = seq_tensor(&[6, 5, 4]);
+        let g = Grid::new(t.dims(), &[3, 2, 2]);
+        assert_load_into_is_load_block(
+            "dense",
+            &mut DenseMemorySource::new(&t),
+            &mut DenseMemorySource::new(&t),
+            &g,
+        );
+        // The sparse source runs the trait's default body.
+        let s = SparseTensor::from_dense(&t, 0.5);
+        assert_load_into_is_load_block(
+            "sparse",
+            &mut SparseMemorySource::new(&s),
+            &mut SparseMemorySource::new(&s),
+            &g,
+        );
     }
 
     #[test]

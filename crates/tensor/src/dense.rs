@@ -41,6 +41,23 @@ impl DenseTensor {
         }
     }
 
+    /// Reshapes to `dims` for a caller that overwrites every cell, reusing
+    /// the allocation when it is large enough: cells the old length
+    /// covered keep whatever they held, the rest are zeros. A smaller
+    /// allocation is freed *before* the new one is made, so the two are
+    /// never held together.
+    pub fn reshape_for_overwrite(&mut self, dims: &[usize]) {
+        let n = num_elements(dims);
+        self.dims.clear();
+        self.dims.extend_from_slice(dims);
+        if self.data.capacity() < n {
+            self.data = Vec::new();
+            self.data = vec![0.0; n];
+        } else {
+            self.data.resize(n, 0.0);
+        }
+    }
+
     /// Tensor dimensions.
     #[inline]
     pub fn dims(&self) -> &[usize] {
@@ -138,11 +155,34 @@ impl DenseTensor {
             return Err(TensorError::InvalidMode { mode: n, order });
         }
         let rows = self.dims[n];
-        let cols = self.len() / rows.max(1);
-        let mut out = Mat::zeros(rows, cols);
-        if self.data.is_empty() {
-            return Ok(out);
+        let mut out = Mat::zeros(rows, self.len() / rows.max(1));
+        self.unfold_into(n, out.as_mut_slice())?;
+        Ok(out)
+    }
+
+    /// [`Self::unfold`] written row-major into `out`, a slice of exactly
+    /// [`Self::len`] cells — e.g. the rows of a wider panel that this
+    /// block's unfolding fills, with no intermediate matrix.
+    ///
+    /// # Errors
+    /// [`TensorError::InvalidMode`] when `n` is not a valid mode;
+    /// [`TensorError::ShapeMismatch`] when `out.len() != self.len()`.
+    pub fn unfold_into(&self, n: usize, out: &mut [f64]) -> Result<()> {
+        let order = self.order();
+        if n >= order {
+            return Err(TensorError::InvalidMode { mode: n, order });
         }
+        if out.len() != self.len() {
+            return Err(TensorError::ShapeMismatch {
+                op: "unfold_into",
+                expected: vec![self.len()],
+                actual: vec![out.len()],
+            });
+        }
+        if self.data.is_empty() {
+            return Ok(());
+        }
+        let cols = self.len() / self.dims[n];
         let st = strides(&self.dims);
         let stride_n = st[n];
         let dim_n = self.dims[n];
@@ -155,11 +195,11 @@ impl DenseTensor {
             let dst_col_o = o * inner;
             for r in 0..dim_n {
                 let src = &self.data[src_base_o + r * inner..src_base_o + (r + 1) * inner];
-                let dst_row = out.row_mut(r);
-                dst_row[dst_col_o..dst_col_o + inner].copy_from_slice(src);
+                let dst = r * cols + dst_col_o;
+                out[dst..dst + inner].copy_from_slice(src);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Inverse of [`Self::unfold`]: folds a matricisation back into a tensor of
@@ -209,6 +249,22 @@ impl DenseTensor {
     /// [`TensorError::ShapeMismatch`] when the range list is malformed or
     /// out of bounds.
     pub fn slice(&self, ranges: &[std::ops::Range<usize>]) -> Result<DenseTensor> {
+        let mut out = DenseTensor::zeros(&[0]);
+        self.slice_into(ranges, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::slice`] into `out`, which is reshaped and overwritten
+    /// (reusing its allocation when it is large enough; see
+    /// [`Self::reshape_for_overwrite`]).
+    ///
+    /// # Errors
+    /// As [`Self::slice`]; `out` is left as it was.
+    pub fn slice_into(
+        &self,
+        ranges: &[std::ops::Range<usize>],
+        out: &mut DenseTensor,
+    ) -> Result<()> {
         if ranges.len() != self.order()
             || ranges
                 .iter()
@@ -222,9 +278,9 @@ impl DenseTensor {
             });
         }
         let out_dims: Vec<usize> = ranges.iter().map(|r| r.end - r.start).collect();
-        let mut out = DenseTensor::zeros(&out_dims);
+        out.reshape_for_overwrite(&out_dims);
         if out.data.is_empty() {
-            return Ok(out);
+            return Ok(());
         }
         let src_strides = strides(&self.dims);
         // Copy contiguous runs along the last mode.
@@ -242,7 +298,7 @@ impl DenseTensor {
             out.data[dst_off..dst_off + run].copy_from_slice(&self.data[src_off..src_off + run]);
             dst_off += run;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Writes `block` into this tensor at the position described by
@@ -369,6 +425,38 @@ mod tests {
             let m = t.unfold(n).unwrap();
             let back = DenseTensor::fold(&m, n, t.dims()).unwrap();
             assert_eq!(back, t, "mode {n}");
+        }
+    }
+
+    #[test]
+    fn unfold_into_writes_panel_rows_and_rejects_a_wrong_length() {
+        let t = seq_tensor(&[3, 4, 2]);
+        for n in 0..3 {
+            // The unfolding lands between two untouched guard cells.
+            let mut panel = vec![-1.0; t.len() + 2];
+            t.unfold_into(n, &mut panel[1..=t.len()]).unwrap();
+            assert_eq!(&panel[1..=t.len()], t.unfold(n).unwrap().as_slice());
+            assert_eq!((panel[0], panel[t.len() + 1]), (-1.0, -1.0));
+        }
+        assert!(matches!(
+            t.unfold_into(0, &mut vec![0.0; t.len() - 1]),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            t.unfold_into(3, &mut vec![0.0; t.len()]),
+            Err(TensorError::InvalidMode { .. })
+        ));
+    }
+
+    #[test]
+    fn slice_into_reuses_any_buffer() {
+        let t = seq_tensor(&[5, 4, 3]);
+        let ranges = [1..4, 0..3, 1..3];
+        let expect = t.slice(&ranges).unwrap();
+        for stale in [&[2usize, 2][..], &[60], &[18]] {
+            let mut out = DenseTensor::from_vec(stale, vec![f64::NAN; num_elements(stale)]);
+            t.slice_into(&ranges, &mut out).unwrap();
+            assert_eq!(out, expect, "stale {stale:?}");
         }
     }
 

@@ -77,7 +77,7 @@ fn main() {
             .buffer_fraction(0.5)
             .max_virtual_iters(20)
             .tol(1e-3)
-            // Serial ingest batches: peak residency is exactly one block,
+            // Serial ingest: peak residency is exactly one block,
             // independent of the machine's core count.
             .threads(1)
             .work_dir(scratch.join("streaming")),

@@ -18,7 +18,7 @@ fn cfg() -> TwoPcpConfig {
         .max_virtual_iters(10)
         .tol(1e-4)
         .seed(SEED)
-        // Serial budget: the streaming batch is exactly one block, which
+        // Serial budget: the block loop holds exactly one block, which
         // is what the byte-accounting assertions below pin down.
         .threads(1)
 }
